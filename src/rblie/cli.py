@@ -24,7 +24,8 @@ from .crossed import (LieCrossedModule, PreLieCrossedModule,
 from .errors import StructureError
 from .liealg import (LieAlgebra, PreLieAlgebra, RBRepresentation,
                      RotaBaxterLieAlgebra, adjoint_representation,
-                     dual_representation, prelie_from_rb, semidirect_product,
+                     dual_representation, lie_checks, prelie_from_rb,
+                     rb_checks, representation_checks, semidirect_product,
                      subadjacent_lie, verify_lie, verify_prelie)
 from .lie2 import (roundtrip_hom, roundtrip_structure,
                    verify_jacobiator_coherence, verify_rbcoh, verify_rbcohm)
@@ -35,7 +36,6 @@ from .twoterm import (LInfinityHom, RBLInfinityHom, TwoTermLInfinity,
                       TwoTermRBLInfinity, compose_rb_homs, rb_hom_checks,
                       hom_checks, two_term_checks, rb_triple_checks,
                       verify_2term)
-from .liealg import lie_checks, rb_checks, representation_checks
 
 
 def verify_structure(obj, workers: int = 1) -> VerificationReport:
@@ -243,10 +243,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except StructureError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (StructureError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -11,23 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InternalInvariantBroken, NotStrict, ShapeMismatch
+from .errors import NotStrict, ShapeMismatch
 from .liealg import (LieAlgebra, PreLieAlgebra, RotaBaxterLieAlgebra,
-                     lie_checks, prelie_checks, rb_checks, verify_lie,
-                     verify_rb)
+                     action_hom_residual, action_of, action_rb_residual,
+                     commutator, lie_checks, operator_product, prelie_checks,
+                     rb_checks, semidirect_data, verify_lie, verify_rb)
 from .report import Check, VerificationReport, prefix_checks, run_checks
-from .tensors import (BilinearMap, LinearMap, TrilinearMap, Vec, vadd,
-                      vbasis, vneg, vsub, vzero)
+from .tensors import BilinearMap, LinearMap, TrilinearMap, Vec, vadd, vbasis, vsub
 from .twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,
                       TwoTermRBLInfinity, verify_rb_2term)
-
-
-def _action_of(rho: tuple[LinearMap, ...], x: Vec) -> LinearMap:
-    out = LinearMap.zero(rho[0].rows, rho[0].cols) if rho else LinearMap.zero(0, 0)
-    for i, c in enumerate(x):
-        if c != 0:
-            out = out.add(rho[i].scale(c))
-    return out
 
 
 def _check_action_shapes(dim0: int, dim1: int, rho: tuple[LinearMap, ...], what: str):
@@ -51,7 +43,7 @@ class LieCrossedModule:
         _check_action_shapes(self.g0.dim, self.g1.dim, self.rho, "action")
 
     def act(self, x: Vec, u: Vec) -> Vec:
-        return _action_of(self.rho, x).apply(u)
+        return action_of(self.rho, x).apply(u)
 
 
 @dataclass(frozen=True)
@@ -82,12 +74,6 @@ class PreLieCrossedModule:
         _check_action_shapes(self.p0.dim, self.p1.dim, self.l_act, "left action")
         _check_action_shapes(self.p0.dim, self.p1.dim, self.r_act, "right action")
 
-    def l_of(self, x: Vec) -> LinearMap:
-        return _action_of(self.l_act, x)
-
-    def r_of(self, x: Vec) -> LinearMap:
-        return _action_of(self.r_act, x)
-
 
 def lie_crossed_checks(cm: LieCrossedModule) -> list[Check]:
     n0, n1 = cm.g0.dim, cm.g1.dim
@@ -100,11 +86,7 @@ def lie_crossed_checks(cm: LieCrossedModule) -> list[Check]:
                             cm.g0.bracket_vec(cm.d.apply(u), cm.d.apply(v)))
 
     def action_hom(i, j):
-        def go():
-            lhs = _action_of(cm.rho, cm.g0.bracket.on_basis(i, j))
-            rhs = cm.rho[i].compose(cm.rho[j]).sub(cm.rho[j].compose(cm.rho[i]))
-            return lhs.sub(rhs).flat()
-        return go
+        return lambda: action_hom_residual(cm.rho, cm.g0.bracket.on_basis(i, j), i, j)
 
     def action_der(i, a, b):
         x, u, v = e0(i), e1(a), e1(b)
@@ -144,12 +126,7 @@ def rb_crossed_checks(cm: RBLieCrossedModule) -> list[Check]:
         return lambda: vsub(base.d.apply(cm.t1.apply(u)), cm.t0.apply(base.d.apply(u)))
 
     def action_rb(i):
-        def go():
-            rx = _action_of(base.rho, cm.t0.column(i))
-            lhs = rx.compose(cm.t1)
-            rhs = cm.t1.compose(rx).add(cm.t1.compose(base.rho[i]).compose(cm.t1))
-            return lhs.sub(rhs).flat()
-        return go
+        return lambda: action_rb_residual(base.rho, cm.t0, cm.t1, i)
 
     checks = lie_crossed_checks(base)
     checks += prefix_checks("g0-", rb_checks(RotaBaxterLieAlgebra(base.g0, cm.t0)))
@@ -173,11 +150,7 @@ def prelie_crossed_checks(pm: PreLieCrossedModule) -> list[Check]:
                             pm.p0.mult_vec(pm.delta.apply(u), pm.delta.apply(v)))
 
     def l_rep(i, j):
-        def go():
-            lhs = _action_of(pm.l_act, commutator0(i, j))
-            rhs = pm.l_act[i].compose(pm.l_act[j]).sub(pm.l_act[j].compose(pm.l_act[i]))
-            return lhs.sub(rhs).flat()
-        return go
+        return lambda: action_hom_residual(pm.l_act, commutator0(i, j), i, j)
 
     def lr_rep(i, j):
         # l_x r_y - r_y l_x = r_{x*y} - r_y r_x: the mixed term composes the
@@ -185,28 +158,28 @@ def prelie_crossed_checks(pm: PreLieCrossedModule) -> list[Check]:
         # p0 (+) p1 needs to satisfy the defining identity
         def go():
             lhs = pm.l_act[i].compose(pm.r_act[j]).sub(pm.r_act[j].compose(pm.l_act[i]))
-            rhs = _action_of(pm.r_act, pm.p0.mult.on_basis(i, j)).sub(
+            rhs = action_of(pm.r_act, pm.p0.mult.on_basis(i, j)).sub(
                 pm.r_act[j].compose(pm.r_act[i]))
             return lhs.sub(rhs).flat()
         return go
 
     def delta_l(i, a):
         x, u = e0(i), e1(a)
-        return lambda: vsub(pm.delta.apply(pm.l_of(x).apply(u)),
+        return lambda: vsub(pm.delta.apply(action_of(pm.l_act, x).apply(u)),
                             pm.p0.mult_vec(x, pm.delta.apply(u)))
 
     def delta_r(i, a):
         x, u = e0(i), e1(a)
-        return lambda: vsub(pm.delta.apply(pm.r_of(x).apply(u)),
+        return lambda: vsub(pm.delta.apply(action_of(pm.r_act, x).apply(u)),
                             pm.p0.mult_vec(pm.delta.apply(u), x))
 
     def peiffer_l(a, b):
         u, v = e1(a), e1(b)
-        return lambda: vsub(pm.l_of(pm.delta.apply(u)).apply(v), pm.p1.mult_vec(u, v))
+        return lambda: vsub(action_of(pm.l_act, pm.delta.apply(u)).apply(v), pm.p1.mult_vec(u, v))
 
     def peiffer_r(a, b):
         u, v = e1(a), e1(b)
-        return lambda: vsub(pm.r_of(pm.delta.apply(v)).apply(u), pm.p1.mult_vec(u, v))
+        return lambda: vsub(action_of(pm.r_act, pm.delta.apply(v)).apply(u), pm.p1.mult_vec(u, v))
 
     checks = prefix_checks("p0-", prelie_checks(pm.p0))
     checks += prefix_checks("p1-", prelie_checks(pm.p1))
@@ -238,12 +211,6 @@ def verify_crossed(cm, workers: int = 1) -> VerificationReport:
     raise ShapeMismatch(f"not a crossed module: {type(cm).__name__}")
 
 
-def _require_ok(report: VerificationReport, what: str):
-    if not report.ok:
-        raise InternalInvariantBroken(
-            f"{what} failed verification: " + "; ".join(report.lines()[:4]))
-
-
 def strict_to_crossed_data(G: TwoTermRBLInfinity) -> RBLieCrossedModule:
     """The data mapping only; no verification.  Top bracket
     [u,v] = l2(l1(u), v), action x.u = l2(x, u), operators (R0, R1)."""
@@ -261,7 +228,7 @@ def strict_to_crossed(G: TwoTermRBLInfinity) -> RBLieCrossedModule:
     if not G.is_strict:
         raise NotStrict("structure has a nonzero homotopy component")
     out = strict_to_crossed_data(G)
-    _require_ok(verify_crossed(out), "crossed module from strict structure")
+    verify_crossed(out).require_ok("crossed module from strict structure")
     return out
 
 
@@ -280,7 +247,7 @@ def crossed_to_strict_data(cm: RBLieCrossedModule) -> TwoTermRBLInfinity:
 
 def crossed_to_strict(cm: RBLieCrossedModule) -> TwoTermRBLInfinity:
     out = crossed_to_strict_data(cm)
-    _require_ok(verify_rb_2term(out), "strict structure from crossed module")
+    verify_rb_2term(out).require_ok("strict structure from crossed module")
     return out
 
 
@@ -288,27 +255,10 @@ def crossed_semidirect(cm: RBLieCrossedModule) -> RotaBaxterLieAlgebra:
     """Algebra on g0 (+) g1 with bracket
     [x+u, y+v] = [x,y] + x.v - y.u + [u,v] and block-diagonal operator."""
     base = cm.base
-    n0, n1 = base.g0.dim, base.g1.dim
-    dim = n0 + n1
-    z0, z1 = vzero(n0), vzero(n1)
-    values: dict[tuple[int, int], Vec] = {}
-    for i in range(n0):
-        for j in range(n0):
-            values[(i, j)] = base.g0.bracket.on_basis(i, j) + z1
-    for i in range(n0):
-        for b in range(n1):
-            col = base.rho[i].column(b)
-            values[(i, n0 + b)] = z0 + col
-            values[(n0 + b, i)] = z0 + vneg(col)
-    for a in range(n1):
-        for b in range(n1):
-            values[(n0 + a, n0 + b)] = z0 + base.g1.bracket.on_basis(a, b)
-    bracket = BilinearMap.from_map(dim, dim, dim, values, skew=True)
-    cols = [cm.t0.column(i) + z1 for i in range(n0)]
-    cols += [z0 + cm.t1.column(a) for a in range(n1)]
-    out = RotaBaxterLieAlgebra(LieAlgebra(dim, bracket), LinearMap.from_columns(cols, rows=dim))
-    _require_ok(verify_lie(out.base), "semidirect bracket of crossed module")
-    _require_ok(verify_rb(out), "semidirect operator of crossed module")
+    out = semidirect_data(RotaBaxterLieAlgebra(base.g0, cm.t0),
+                          RotaBaxterLieAlgebra(base.g1, cm.t1), base.rho)
+    verify_lie(out.base).require_ok("semidirect bracket of crossed module")
+    verify_rb(out).require_ok("semidirect operator of crossed module")
     return out
 
 
@@ -316,41 +266,24 @@ def rb_crossed_to_prelie_crossed_data(cm: RBLieCrossedModule) -> PreLieCrossedMo
     """The data mapping only; no verification.  x *0 y = [T0 x, y],
     u *1 v = [T1 u, v], l_x = rho(T0 x), r_x u = -rho(x) T1 u."""
     base = cm.base
-    n0, n1 = base.g0.dim, base.g1.dim
-    mult0 = BilinearMap.from_map(
-        n0, n0, n0,
-        {(i, j): base.g0.bracket_vec(cm.t0.column(i), vbasis(n0, j))
-         for i in range(n0) for j in range(n0)})
-    mult1 = BilinearMap.from_map(
-        n1, n1, n1,
-        {(a, b): base.g1.bracket_vec(cm.t1.column(a), vbasis(n1, b))
-         for a in range(n1) for b in range(n1)})
-    l_act = tuple(_action_of(base.rho, cm.t0.column(i)) for i in range(n0))
+    n0 = base.g0.dim
+    l_act = tuple(action_of(base.rho, cm.t0.column(i)) for i in range(n0))
     r_act = tuple(base.rho[i].compose(cm.t1).neg() for i in range(n0))
-    return PreLieCrossedModule(PreLieAlgebra(n0, mult0), PreLieAlgebra(n1, mult1),
-                               base.d, l_act, r_act)
+    return PreLieCrossedModule(operator_product(base.g0, cm.t0),
+                               operator_product(base.g1, cm.t1), base.d, l_act, r_act)
 
 
 def rb_crossed_to_prelie_crossed(cm: RBLieCrossedModule) -> PreLieCrossedModule:
     out = rb_crossed_to_prelie_crossed_data(cm)
-    _require_ok(verify_crossed(out), "pre-Lie crossed module from operator crossed module")
+    verify_crossed(out).require_ok("pre-Lie crossed module from operator crossed module")
     return out
 
 
 def prelie_crossed_to_lie_crossed(pm: PreLieCrossedModule) -> LieCrossedModule:
     """Commutator brackets with action l - r."""
-    n0, n1 = pm.p0.dim, pm.p1.dim
-    g0 = LieAlgebra(n0, BilinearMap.from_map(
-        n0, n0, n0,
-        {(i, j): vsub(pm.p0.mult.on_basis(i, j), pm.p0.mult.on_basis(j, i))
-         for i in range(n0) for j in range(n0)}, skew=True))
-    g1 = LieAlgebra(n1, BilinearMap.from_map(
-        n1, n1, n1,
-        {(a, b): vsub(pm.p1.mult.on_basis(a, b), pm.p1.mult.on_basis(b, a))
-         for a in range(n1) for b in range(n1)}, skew=True))
-    rho = tuple(pm.l_act[i].sub(pm.r_act[i]) for i in range(n0))
-    out = LieCrossedModule(g0, g1, pm.delta, rho)
-    _require_ok(verify_crossed(out), "Lie crossed module from pre-Lie crossed module")
+    rho = tuple(pm.l_act[i].sub(pm.r_act[i]) for i in range(pm.p0.dim))
+    out = LieCrossedModule(commutator(pm.p0), commutator(pm.p1), pm.delta, rho)
+    verify_crossed(out).require_ok("Lie crossed module from pre-Lie crossed module")
     return out
 
 
@@ -372,10 +305,10 @@ def derived_crossed(cm: RBLieCrossedModule) -> tuple[LieCrossedModule, Verificat
 
     g0 = LieAlgebra(n0, der_bracket(base.g0, cm.t0))
     g1 = LieAlgebra(n1, der_bracket(base.g1, cm.t1))
-    rho = tuple(_action_of(base.rho, cm.t0.column(i)).add(base.rho[i].compose(cm.t1))
+    rho = tuple(action_of(base.rho, cm.t0.column(i)).add(base.rho[i].compose(cm.t1))
                 for i in range(n0))
     out = LieCrossedModule(g0, g1, base.d, rho)
-    _require_ok(verify_crossed(out), "derived crossed module")
+    verify_crossed(out).require_ok("derived crossed module")
 
     def t0_hom(i, j):
         return lambda: vsub(cm.t0.apply(g0.bracket.on_basis(i, j)),

@@ -252,23 +252,35 @@ def verify_naturality(G: TwoTermRBLInfinity, workers: int = 1) -> VerificationRe
     return run_checks(checks, workers)
 
 
+class RBLie2Hom:
+    """The view maps of an operator homomorphism F into the target view:
+    the functor f1 on morphisms and the comparison morphisms
+    f2(x, y): [F x, F y] -> F[x, y] and f3(x): R'(F x) -> F(R x), whose
+    arrow parts are phi2 and phi3."""
+
+    def __init__(self, F: RBLInfinityHom):
+        self.F = F
+        self.target = RBLie2View(F.target)
+
+    def f1(self, f: Morphism2V) -> Morphism2V:
+        return Morphism2V(self.F.hom.phi0.apply(f.source), self.F.hom.phi1.apply(f.arrow))
+
+    def f2(self, x: Vec, y: Vec) -> Morphism2V:
+        p0 = self.F.hom.phi0.apply
+        return Morphism2V(self.target.bracket_objects(p0(x), p0(y)), self.F.hom.phi2.apply(x, y))
+
+    def f3(self, x: Vec) -> Morphism2V:
+        return Morphism2V(self.target.rb_obj(self.F.hom.phi0.apply(x)), self.F.phi3.apply(x))
+
+
 def hom_coherence_residual(F: RBLInfinityHom, i: int, j: int) -> Vec:
     """Arrow-part difference of the two composite paths of the
     homomorphism coherence diagram at one ordered basis pair."""
-    src_view, tgt_view = RBLie2View(F.source), RBLie2View(F.target)
+    src_view, hom = RBLie2View(F.source), RBLie2Hom(F)
+    tgt_view, f1, f2, f3 = hom.target, hom.f1, hom.f2, hom.f3
     src = F.source.linf
-    p0, p1, p2, p3 = (F.hom.phi0.apply, F.hom.phi1.apply,
-                      F.hom.phi2.apply, F.phi3.apply)
+    p0 = F.hom.phi0.apply
     x, y = vbasis(src.dim0, i), vbasis(src.dim0, j)
-
-    def f3(w: Vec) -> Morphism2V:
-        return Morphism2V(tgt_view.rb_obj(p0(w)), p3(w))
-
-    def f2(a: Vec, b: Vec) -> Morphism2V:
-        return Morphism2V(tgt_view.bracket_objects(p0(a), p0(b)), p2(a, b))
-
-    def f1(f: Morphism2V) -> Morphism2V:
-        return Morphism2V(p0(f.source), p1(f.arrow))
 
     one = tgt_view.identity
     top = tgt_view.rb_iso(p0(x), p0(y)).source
@@ -355,31 +367,22 @@ def roundtrip_structure(G: TwoTermRBLInfinity, workers: int = 1) -> Verification
 
 
 def roundtrip_hom(F: RBLInfinityHom, workers: int = 1) -> VerificationReport:
-    """Push a homomorphism through the view construction and extract its
-    chain data back; every component must return identical."""
-    tgt_view = RBLie2View(F.target)
-    src = F.source.linf
-    d0, d1 = src.dim0, src.dim1
-
-    def view_f1(f: Morphism2V) -> Morphism2V:
-        return Morphism2V(F.hom.phi0.apply(f.source), F.hom.phi1.apply(f.arrow))
+    """Push a homomorphism through the view maps (`RBLie2Hom`) and extract
+    its chain data back; every component must return identical."""
+    hom = RBLie2Hom(F)
+    d0, d1 = F.source.linf.dim0, F.source.linf.dim1
+    e0 = lambda i: vbasis(d0, i)
 
     checks: list[Check] = []
     for i in range(d0):
         checks.append(("rt-phi0", (i,), (lambda i=i: vsub(
-            view_f1(Morphism2V(vbasis(d0, i), vzero(d1))).source,
-            F.hom.phi0.column(i)))))
+            hom.f1(Morphism2V(e0(i), vzero(d1))).source, F.hom.phi0.column(i)))))
         checks.append(("rt-phi3", (i,), (lambda i=i: vsub(
-            Morphism2V(tgt_view.rb_obj(F.hom.phi0.column(i)), F.phi3.column(i)).arrow,
-            F.phi3.column(i)))))
+            hom.f3(e0(i)).arrow, F.phi3.column(i)))))
         for j in range(d0):
             checks.append(("rt-phi2", (i, j), (lambda i=i, j=j: vsub(
-                Morphism2V(tgt_view.bracket_objects(F.hom.phi0.column(i),
-                                                    F.hom.phi0.column(j)),
-                           F.hom.phi2.on_basis(i, j)).arrow,
-                F.hom.phi2.on_basis(i, j)))))
+                hom.f2(e0(i), e0(j)).arrow, F.hom.phi2.on_basis(i, j)))))
     for a in range(d1):
         checks.append(("rt-phi1", (a,), (lambda a=a: vsub(
-            view_f1(Morphism2V(vzero(d0), vbasis(d1, a))).arrow,
-            F.hom.phi1.column(a)))))
+            hom.f1(Morphism2V(vzero(d0), vbasis(d1, a))).arrow, F.hom.phi1.column(a)))))
     return run_checks(checks, workers)

@@ -91,13 +91,31 @@ class RBRepresentation:
         if (self.cal_r.rows, self.cal_r.cols) != (self.dim_v, self.dim_v):
             raise ShapeMismatch("module operator does not match module dimension")
 
-    def rho_of(self, x: Vec) -> LinearMap:
-        """Action matrix of an arbitrary algebra element (linear extension)."""
-        out = LinearMap.zero(self.dim_v, self.dim_v)
-        for i, c in enumerate(x):
-            if c != 0:
-                out = out.add(self.rho[i].scale(c))
-        return out
+
+def action_of(rho: tuple[LinearMap, ...], x: Vec) -> LinearMap:
+    """Action matrix of an arbitrary element: the linear extension of one
+    matrix per basis vector."""
+    out = LinearMap.zero(rho[0].rows, rho[0].cols) if rho else LinearMap.zero(0, 0)
+    for m, c in zip(rho, x):
+        if c != 0:
+            out = out.add(m.scale(c))
+    return out
+
+
+def action_hom_residual(rho: tuple[LinearMap, ...], xy: Vec, i: int, j: int) -> Vec:
+    """rho(xy) - [rho(e_i), rho(e_j)], flattened, where xy is the bracket of
+    e_i and e_j: the action is a bracket homomorphism."""
+    lhs = action_of(rho, xy)
+    rhs = rho[i].compose(rho[j]).sub(rho[j].compose(rho[i]))
+    return lhs.sub(rhs).flat()
+
+
+def action_rb_residual(rho: tuple[LinearMap, ...], r: LinearMap, k: LinearMap,
+                       i: int) -> Vec:
+    """rho(R x) K - K rho(R x) - K rho(x) K at x = e_i, flattened: the
+    operator K on the module is compatible with R."""
+    rx = action_of(rho, r.column(i))
+    return rx.compose(k).sub(k.compose(rx).add(k.compose(rho[i]).compose(k))).flat()
 
 
 def skew_checks(b: BilinearMap, condition: str = "skew") -> list[Check]:
@@ -167,22 +185,12 @@ def verify_prelie(p: PreLieAlgebra, workers: int = 1) -> VerificationReport:
 def representation_checks(rep: RBRepresentation) -> list[Check]:
     alg = rep.algebra
     n = alg.dim
-    cal = rep.cal_r
 
     def hom_residual(i, j):
-        def go():
-            lhs = rep.rho_of(alg.base.bracket.on_basis(i, j))
-            rhs = rep.rho[i].compose(rep.rho[j]).sub(rep.rho[j].compose(rep.rho[i]))
-            return lhs.sub(rhs).flat()
-        return go
+        return lambda: action_hom_residual(rep.rho, alg.base.bracket.on_basis(i, j), i, j)
 
     def rb_residual(i):
-        def go():
-            rx = rep.rho_of(alg.r.column(i))
-            lhs = rx.compose(cal)
-            rhs = cal.compose(rx).add(cal.compose(rep.rho[i]).compose(cal))
-            return lhs.sub(rhs).flat()
-        return go
+        return lambda: action_rb_residual(rep.rho, alg.r, rep.cal_r, i)
 
     checks: list[Check] = [("rep-hom", (i, j), hom_residual(i, j))
                            for i, j in combinations(range(n), 2)]
@@ -195,29 +203,33 @@ def verify_representation(rep: RBRepresentation, workers: int = 1) -> Verificati
     return run_checks(representation_checks(rep), workers)
 
 
-def _require_ok(report: VerificationReport, what: str):
-    if not report.ok:
-        raise InternalInvariantBroken(
-            f"{what} failed verification: " + "; ".join(report.lines()[:4]))
+def operator_product(alg: LieAlgebra, r: LinearMap) -> PreLieAlgebra:
+    """x * y = [R(x), y], unverified."""
+    n = alg.dim
+    return PreLieAlgebra(n, BilinearMap.from_map(
+        n, n, n, {(i, j): alg.bracket_vec(r.column(i), vbasis(n, j))
+                  for i in range(n) for j in range(n)}))
+
+
+def commutator(p: PreLieAlgebra) -> LieAlgebra:
+    """[x, y] = x*y - y*x, unverified."""
+    n = p.dim
+    return LieAlgebra(n, BilinearMap.from_map(
+        n, n, n, {(i, j): vsub(p.mult.on_basis(i, j), p.mult.on_basis(j, i))
+                  for i in range(n) for j in range(n)}, skew=True))
 
 
 def prelie_from_rb(rba: RotaBaxterLieAlgebra) -> PreLieAlgebra:
     """x * y = [R(x), y]; the result is re-verified as pre-Lie."""
-    n = rba.dim
-    values = {(i, j): rba.base.bracket_vec(rba.r.column(i), vbasis(n, j))
-              for i in range(n) for j in range(n)}
-    out = PreLieAlgebra(n, BilinearMap.from_map(n, n, n, values))
-    _require_ok(verify_prelie(out), "pre-Lie product from operator")
+    out = operator_product(rba.base, rba.r)
+    verify_prelie(out).require_ok("pre-Lie product from operator")
     return out
 
 
 def subadjacent_lie(p: PreLieAlgebra) -> LieAlgebra:
     """Commutator bracket [x,y] = x*y - y*x of a pre-Lie product."""
-    n = p.dim
-    values = {(i, j): vsub(p.mult.on_basis(i, j), p.mult.on_basis(j, i))
-              for i in range(n) for j in range(n)}
-    out = LieAlgebra(n, BilinearMap.from_map(n, n, n, values, skew=True))
-    _require_ok(verify_lie(out), "sub-adjacent commutator bracket")
+    out = commutator(p)
+    verify_lie(out).require_ok("sub-adjacent commutator bracket")
     return out
 
 
@@ -239,7 +251,7 @@ def adjoint_representation(rba: RotaBaxterLieAlgebra) -> RBRepresentation:
     """(g; ad, R) with the algebra acting on itself."""
     rho = tuple(rba.base.ad(i) for i in range(rba.dim))
     out = RBRepresentation(rba, rba.dim, rho, rba.r)
-    _require_ok(verify_representation(out), "adjoint representation")
+    verify_representation(out).require_ok("adjoint representation")
     return out
 
 
@@ -248,12 +260,33 @@ def dual_representation(rep: RBRepresentation) -> RBRepresentation:
     out = RBRepresentation(rep.algebra, rep.dim_v,
                            tuple(m.transpose().neg() for m in rep.rho),
                            rep.cal_r.transpose().neg())
-    _require_ok(verify_representation(out), "dual representation")
+    verify_representation(out).require_ok("dual representation")
     return out
 
 
 def coadjoint_representation(rba: RotaBaxterLieAlgebra) -> RBRepresentation:
     return dual_representation(adjoint_representation(rba))
+
+
+def semidirect_data(g: RotaBaxterLieAlgebra, h: RotaBaxterLieAlgebra,
+                    rho: tuple[LinearMap, ...]) -> RotaBaxterLieAlgebra:
+    """The data mapping only; no verification.  Algebra on g (+) h with
+    [x+u, y+v] = [x,y] + x.v - y.u + [u,v] (x.v = rho(x) v) and the
+    block-diagonal operator."""
+    n, m = g.dim, h.dim
+    dim = n + m
+    z0, z1 = vzero(n), vzero(m)
+    values = {(i, j): g.base.bracket.on_basis(i, j) + z1 for i in range(n) for j in range(n)}
+    values.update({(n + a, n + b): z0 + h.base.bracket.on_basis(a, b)
+                   for a in range(m) for b in range(m)})
+    for i in range(n):
+        for b in range(m):
+            col = rho[i].column(b)
+            values[(i, n + b)] = z0 + col
+            values[(n + b, i)] = z0 + vneg(col)
+    bracket = BilinearMap.from_map(dim, dim, dim, values, skew=True)
+    cols = [g.r.column(i) + z1 for i in range(n)] + [z0 + h.r.column(b) for b in range(m)]
+    return RotaBaxterLieAlgebra(LieAlgebra(dim, bracket), LinearMap.from_columns(cols, rows=dim))
 
 
 def semidirect_product(rep: RBRepresentation) -> RotaBaxterLieAlgebra:
@@ -263,21 +296,10 @@ def semidirect_product(rep: RBRepresentation) -> RotaBaxterLieAlgebra:
     alg = rep.algebra
     n, m = alg.dim, rep.dim_v
     dim = n + m
-    values: dict[tuple[int, int], Vec] = {}
-    for i in range(n):
-        for j in range(n):
-            values[(i, j)] = vconcat_pad(alg.base.bracket.on_basis(i, j), m, front=False)
-    for i in range(n):
-        for b in range(m):
-            action = rep.rho[i].column(b)
-            values[(i, n + b)] = vconcat_pad(action, n, front=True)
-            values[(n + b, i)] = vconcat_pad(vneg(action), n, front=True)
-    bracket = BilinearMap.from_map(dim, dim, dim, values, skew=True)
-    op_cols = [vconcat_pad(alg.r.column(i), m, front=False) for i in range(n)]
-    op_cols += [vconcat_pad(rep.cal_r.column(b), n, front=True) for b in range(m)]
-    out = RotaBaxterLieAlgebra(LieAlgebra(dim, bracket), LinearMap.from_columns(op_cols, rows=dim))
-    _require_ok(verify_lie(out.base), "semidirect bracket")
-    _require_ok(verify_rb(out), "semidirect operator")
+    module = RotaBaxterLieAlgebra(LieAlgebra(m, BilinearMap.zero(m, m, m, skew=True)), rep.cal_r)
+    out = semidirect_data(alg, module, rep.rho)
+    verify_lie(out.base).require_ok("semidirect bracket")
+    verify_rb(out).require_ok("semidirect operator")
     for i in range(dim):
         for j in range(dim):
             proj = out.base.bracket.on_basis(i, j)[:n]
@@ -289,8 +311,3 @@ def semidirect_product(rep: RBRepresentation) -> RotaBaxterLieAlgebra:
         if out.r.column(i)[:n] != alg.r.apply(vbasis(dim, i)[:n]):
             raise InternalInvariantBroken("projection onto g does not intertwine the operators")
     return out
-
-
-def vconcat_pad(v: Vec, pad: int, front: bool) -> Vec:
-    z = vzero(pad)
-    return z + tuple(v) if front else tuple(v) + z

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
+from .errors import InternalInvariantBroken
+
 Residual = tuple[Fraction, ...]
 # (condition id, basis index tuple, thunk computing the residual)
 Check = tuple[str, tuple[int, ...], Callable[[], Residual]]
@@ -51,6 +53,13 @@ class VerificationReport:
 
     def lines(self) -> list[str]:
         return [v.line() for v in self.violations]
+
+    def require_ok(self, what: str) -> None:
+        """Raise `InternalInvariantBroken` when a construction's output
+        failed its verifier."""
+        if not self.ok:
+            raise InternalInvariantBroken(
+                f"{what} failed verification: " + "; ".join(self.lines()[:4]))
 
     def at(self, condition: str, indices: tuple[int, ...]) -> Violation | None:
         for v in self.violations:

@@ -10,17 +10,14 @@ bracket pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from .errors import BadSite, BudgetExceeded
-from .liealg import LieAlgebra, PreLieAlgebra, RotaBaxterLieAlgebra
-from .tensors import (BilinearMap, LinearMap, TrilinearMap, frac, perm_sign,
-                      vadd, vbasis)
-from .twoterm import (LInfinityHom, RBLInfinityHom, TwoTermComplex,
-                      TwoTermLInfinity, TwoTermRBLInfinity)
-from .crossed import LieCrossedModule, PreLieCrossedModule, RBLieCrossedModule
+from .liealg import LieAlgebra, RotaBaxterLieAlgebra
+from .serialize import KIND_OF_CLASS, get_at, put_at
+from .tensors import ZERO, LinearMap, frac, perm_sign, vadd, vbasis
 
 
 @dataclass(frozen=True)
@@ -81,150 +78,33 @@ def enumerate_rb_operators(spec: SearchSpec) -> list[RotaBaxterLieAlgebra]:
     return found
 
 
-def _mutate_linear(m: LinearMap, idx: tuple[int, ...], delta: Fraction) -> LinearMap:
-    if len(idx) != 2:
-        raise BadSite("linear map sites take two indices")
-    r, c = idx
-    if not (0 <= r < m.rows and 0 <= c < m.cols):
-        raise BadSite(f"index ({r},{c}) outside a {m.rows}x{m.cols} map")
-    rows = [list(row) for row in m.entries]
-    rows[r][c] += delta
-    return LinearMap.from_rows(rows)
-
-
-def _mutate_bilinear(b: BilinearMap, idx: tuple[int, ...], delta: Fraction) -> BilinearMap:
-    if len(idx) != 3:
-        raise BadSite("bilinear map sites take three indices")
-    k, i, j = idx
-    if not (0 <= k < b.dim_out and 0 <= i < b.dim_a and 0 <= j < b.dim_b):
-        raise BadSite(f"index ({k},{i},{j}) outside the tensor")
-    if b.skew and i == j:
-        raise BadSite("diagonal of a skew tensor is pinned to zero")
-    grid = [[list(row) for row in plane] for plane in b.coeffs]
-    grid[k][i][j] += delta
-    if b.skew:
-        grid[k][j][i] -= delta  # partner entry keeps the skew flag valid
-    return BilinearMap(b.dim_a, b.dim_b, b.dim_out,
-                       tuple(tuple(tuple(r) for r in p) for p in grid), b.skew)
-
-
-def _mutate_trilinear(t: TrilinearMap, idx: tuple[int, ...], delta: Fraction) -> TrilinearMap:
-    if len(idx) != 4:
-        raise BadSite("trilinear map sites take four indices")
-    l, i, j, k = idx
-    if not (0 <= l < t.dim_out and all(0 <= v < t.dim for v in (i, j, k))):
-        raise BadSite(f"index ({l},{i},{j},{k}) outside the tensor")
-    if t.alt and len({i, j, k}) < 3:
-        raise BadSite("repeated indices of an alternating tensor are pinned to zero")
-    grid = [[[list(r) for r in p] for p in cube] for cube in t.coeffs]
-    if t.alt:
-        order = (i, j, k)
-        for p in permutations(range(3)):
-            a, b, c = order[p[0]], order[p[1]], order[p[2]]
-            grid[l][a][b][c] += frac(perm_sign(p)) * delta
-    else:
-        grid[l][i][j][k] += delta
-    return TrilinearMap(t.dim, t.dim_out,
-                        tuple(tuple(tuple(tuple(r) for r in p) for p in cube)
-                              for cube in grid), t.alt)
-
-
-def _mutate_action(rho: tuple[LinearMap, ...], idx: tuple[int, ...],
-                   delta: Fraction) -> tuple[LinearMap, ...]:
-    if len(idx) != 3:
-        raise BadSite("action sites take three indices (element, row, col)")
-    x, r, c = idx
-    if not 0 <= x < len(rho):
-        raise BadSite(f"no action matrix {x}")
-    out = list(rho)
-    out[x] = _mutate_linear(rho[x], (r, c), delta)
-    return tuple(out)
-
-
 def mutate(value, site: tuple, delta) -> object:
     """Return a copy with one tensor entry changed by `delta` (plus the
     partner entries demanded by a skew/alternating flag).  `site` is the
-    tensor name followed by its indices.  The result is unverified."""
+    document key of the tensor followed by its indices.  The result is
+    unverified."""
     delta = frac(delta)
     name, idx = site[0], tuple(site[1:])
-
-    if isinstance(value, LieAlgebra):
-        if name == "bracket":
-            return replace(value, bracket=_mutate_bilinear(value.bracket, idx, delta))
-    elif isinstance(value, RotaBaxterLieAlgebra):
-        if name == "bracket":
-            return replace(value, base=mutate(value.base, site, delta))
-        if name == "r":
-            return replace(value, r=_mutate_linear(value.r, idx, delta))
-    elif isinstance(value, PreLieAlgebra):
-        if name == "mult":
-            return replace(value, mult=_mutate_bilinear(value.mult, idx, delta))
-    elif isinstance(value, TwoTermLInfinity):
-        if name == "l1":
-            return replace(value, complex=TwoTermComplex(
-                value.dim0, value.dim1, _mutate_linear(value.complex.l1, idx, delta)))
-        if name == "l2_00":
-            return replace(value, l2_00=_mutate_bilinear(value.l2_00, idx, delta))
-        if name == "l2_01":
-            return replace(value, l2_01=_mutate_bilinear(value.l2_01, idx, delta))
-        if name == "l3":
-            return replace(value, l3=_mutate_trilinear(value.l3, idx, delta))
-    elif isinstance(value, TwoTermRBLInfinity):
-        if name in ("l1", "l2_00", "l2_01", "l3"):
-            return replace(value, linf=mutate(value.linf, site, delta))
-        if name == "r0":
-            return replace(value, rb=replace(value.rb, r0=_mutate_linear(value.rb.r0, idx, delta)))
-        if name == "r1":
-            return replace(value, rb=replace(value.rb, r1=_mutate_linear(value.rb.r1, idx, delta)))
-        if name == "r2":
-            return replace(value, rb=replace(value.rb, r2=_mutate_bilinear(value.rb.r2, idx, delta)))
-    elif isinstance(value, RBLInfinityHom):
-        hom = value.hom
-        if name == "phi0":
-            hom = replace(hom, phi0=_mutate_linear(hom.phi0, idx, delta))
-        elif name == "phi1":
-            hom = replace(hom, phi1=_mutate_linear(hom.phi1, idx, delta))
-        elif name == "phi2":
-            hom = replace(hom, phi2=_mutate_bilinear(hom.phi2, idx, delta))
-        elif name == "phi3":
-            return replace(value, phi3=_mutate_linear(value.phi3, idx, delta))
-        else:
-            raise BadSite(f"unknown tensor {name!r} for {type(value).__name__}")
-        return replace(value, hom=hom)
-    elif isinstance(value, LInfinityHom):
-        if name == "phi0":
-            return replace(value, phi0=_mutate_linear(value.phi0, idx, delta))
-        if name == "phi1":
-            return replace(value, phi1=_mutate_linear(value.phi1, idx, delta))
-        if name == "phi2":
-            return replace(value, phi2=_mutate_bilinear(value.phi2, idx, delta))
-    elif isinstance(value, LieCrossedModule):
-        if name == "bracket0":
-            return replace(value, g0=mutate(value.g0, ("bracket",) + idx, delta))
-        if name == "bracket1":
-            return replace(value, g1=mutate(value.g1, ("bracket",) + idx, delta))
-        if name == "d":
-            return replace(value, d=_mutate_linear(value.d, idx, delta))
-        if name == "rho":
-            return replace(value, rho=_mutate_action(value.rho, idx, delta))
-    elif isinstance(value, RBLieCrossedModule):
-        if name in ("bracket0", "bracket1", "d", "rho"):
-            return replace(value, base=mutate(value.base, site, delta))
-        if name == "t0":
-            return replace(value, t0=_mutate_linear(value.t0, idx, delta))
-        if name == "t1":
-            return replace(value, t1=_mutate_linear(value.t1, idx, delta))
-    elif isinstance(value, PreLieCrossedModule):
-        if name == "mult0":
-            return replace(value, p0=mutate(value.p0, ("mult",) + idx, delta))
-        if name == "mult1":
-            return replace(value, p1=mutate(value.p1, ("mult",) + idx, delta))
-        if name == "delta":
-            return replace(value, delta=_mutate_linear(value.delta, idx, delta))
-        if name == "l_act":
-            return replace(value, l_act=_mutate_action(value.l_act, idx, delta))
-        if name == "r_act":
-            return replace(value, r_act=_mutate_action(value.r_act, idx, delta))
-    else:
+    kind = KIND_OF_CLASS.get(type(value))
+    if kind is None or not kind.mutable:
         raise BadSite(f"cannot mutate a {type(value).__name__}")
-    raise BadSite(f"unknown tensor {name!r} for {type(value).__name__}")
+    field = next((f for f in kind.fields
+                  if f.key == name and f.codec.tensor), None)
+    if field is None:
+        raise BadSite(f"unknown tensor {name!r} for {type(value).__name__}")
+    codec, tensor = field.codec, get_at(value, field.path)
+    shape, flag = codec.shape(tensor), codec.flag(tensor)
+    if len(idx) != len(shape):
+        raise BadSite(f"{name} sites take {len(shape)} indices")
+    if not all(0 <= i < bound for i, bound in zip(idx, shape)):
+        raise BadSite(f"index {idx} outside the {'x'.join(map(str, shape))} tensor {name}")
+    out, args = idx[:1], idx[1:]
+    if flag and len(set(args)) < len(args):
+        raise BadSite(f"{name} is skew/alternating: repeated indices are pinned to zero")
+    # a flagged tensor moves every permutation of the arguments with its sign
+    moves = permutations(range(len(args))) if flag else [tuple(range(len(args)))]
+    entries = codec.entries(tensor)
+    for p in moves:
+        at = out + tuple(args[q] for q in p)
+        entries[at] = entries.get(at, ZERO) + perm_sign(p) * delta
+    return put_at(value, field.path, codec.build(shape, entries, flag))

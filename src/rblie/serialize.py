@@ -9,23 +9,28 @@ documents.  Loading performs shape validation only; semantic verification
 is a separate, explicit step, which is what lets mutation tests round-trip
 deliberately invalid structures.
 
-The full grammar lives in docs/FORMAT.md.
+Each document kind is one row of `KINDS`: its class, its ordered fields
+(document key, attribute path on the object, codec, shape from the
+dimensions, skew/alternating flag) and the function assembling the object
+from the decoded fields.  Loading, dumping and `search.mutate` all read
+that table.  The full grammar lives in docs/FORMAT.md.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from .crossed import LieCrossedModule, PreLieCrossedModule, RBLieCrossedModule
 from .errors import (BadRational, DuplicateEntry, ParseError, UnknownKind,
                      VersionMismatch)
 from .liealg import (LieAlgebra, PreLieAlgebra, RBRepresentation,
                      RotaBaxterLieAlgebra)
-from .tensors import BilinearMap, LinearMap, TrilinearMap
+from .tensors import ZERO, BilinearMap, LinearMap, TrilinearMap
 from .twoterm import (LInfinityHom, RBLInfinityHom, RBTriple, TwoTermComplex,
                       TwoTermLInfinity, TwoTermRBLInfinity)
 
@@ -44,19 +49,19 @@ class SearchResults:
 def parse_rational(text) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL.match(text):
         raise BadRational(f"not a rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise BadRational(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    try:  # a zero denominator, or more digits than int() converts
+        return Fraction(int(num), int(den or 1))
+    except (ValueError, ZeroDivisionError) as e:
+        raise BadRational(f"not a rational literal: {text[:20]!r}: {e}") from e
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _entries_to_values(entries, arity: int, bounds: tuple[int, ...], where: str):
+def _entries_to_values(entries, bounds: tuple[int, ...], where: str):
+    arity = len(bounds)
     if not isinstance(entries, list):
         raise ParseError(f"{where}: expected a list of entries")
     seen = {}
@@ -65,7 +70,7 @@ def _entries_to_values(entries, arity: int, bounds: tuple[int, ...], where: str)
             raise ParseError(f"{where}[{pos}]: expected [{arity} indices, coefficient]")
         idx = tuple(entry[:arity])
         for v, bound in zip(idx, bounds):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < bound:
+            if not _is_int(v) or not 0 <= v < bound:
                 raise ParseError(f"{where}[{pos}]: index {v!r} out of range 0..{bound - 1}")
         if idx in seen:
             raise DuplicateEntry(f"{where}: duplicate entry at {idx}")
@@ -73,74 +78,89 @@ def _entries_to_values(entries, arity: int, bounds: tuple[int, ...], where: str)
     return seen
 
 
-def _load_linear(doc, key: str, rows: int, cols: int) -> LinearMap:
-    vals = _entries_to_values(doc.get(key, []), 2, (rows, cols), key)
-    grid = [[vals.get((r, c), Fraction(0)) for c in range(cols)] for r in range(rows)]
-    return LinearMap(rows, cols, tuple(tuple(row) for row in grid))
+def _grid(shape: tuple[int, ...], entries: dict) -> tuple:
+    """Nested tuples of `shape` holding `entries`, zero everywhere else."""
+    rows: dict = {}
+    for idx, q in entries.items():
+        rows.setdefault(idx[:-1], {})[idx[-1]] = q
+
+    def build(at):
+        if len(at) < len(shape) - 1:
+            return tuple(build(at + (i,)) for i in range(shape[len(at)]))
+        row = rows.get(at)
+        return tuple(row.get(i, ZERO) for i in range(shape[-1])) if row else (ZERO,) * shape[-1]
+    return build(())
 
 
-def _load_bilinear(doc, key: str, dim_a: int, dim_b: int, dim_out: int,
-                   skew: bool) -> BilinearMap:
-    vals = _entries_to_values(doc.get(key, []), 3, (dim_out, dim_a, dim_b), key)
-    grid = tuple(tuple(tuple(vals.get((k, i, j), Fraction(0)) for j in range(dim_b))
-                       for i in range(dim_a))
-                 for k in range(dim_out))
-    return BilinearMap(dim_a, dim_b, dim_out, grid, skew)
+def _nonzero(grid, depth: int) -> dict:
+    """The nonzero cells of nested tuples as `index -> value`, in index order."""
+    rows = [((), grid)]
+    for _ in range(depth - 1):
+        rows = [(at + (i,), sub) for at, g in rows for i, sub in enumerate(g)]
+    return {at + (i,): q for at, row in rows for i, q in enumerate(row) if q}
 
 
-def _load_trilinear(doc, key: str, dim: int, dim_out: int, alt: bool) -> TrilinearMap:
-    vals = _entries_to_values(doc.get(key, []), 4, (dim_out, dim, dim, dim), key)
-    grid = tuple(tuple(tuple(tuple(vals.get((l, i, j, k), Fraction(0)) for k in range(dim))
-                             for j in range(dim))
-                       for i in range(dim))
-                 for l in range(dim_out))
-    return TrilinearMap(dim, dim_out, grid, alt)
+# --- codecs ----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Codec:
+    """Reads one document key and writes its value back.  `embeds` is the
+    kind of an embedded document; `tensor` marks the codecs of `TensorCodec`,
+    whose values `search.mutate` edits."""
+    load: Callable               # (document, field, values decoded so far) -> value
+    dump: Callable               # value -> JSON value, or None to leave the key out
+    embeds: Kind | None = None
+    tensor = False
 
 
-def _load_action(doc, key: str, count: int, dim: int) -> tuple[LinearMap, ...]:
-    vals = _entries_to_values(doc.get(key, []), 3, (count, dim, dim), key)
-    mats = []
-    for x in range(count):
-        grid = [[vals.get((x, r, c), Fraction(0)) for c in range(dim)] for r in range(dim)]
-        mats.append(LinearMap(dim, dim, tuple(tuple(row) for row in grid)))
-    return tuple(mats)
+@dataclass(frozen=True)
+class TensorCodec:
+    """A tensor type as its nonzero `index -> Fraction` entries.  Index
+    bounds (`shape`) put the output coordinate first, as the entries do."""
+    grid: Callable               # tensor -> nested tuples in index order
+    make: Callable               # (shape, nested tuples, flag) -> tensor
+    shape: Callable              # tensor -> index bounds
+    flag: Callable = lambda t: False  # the tensor's skew/alternating flag
+    embeds = None
+    tensor = True
+
+    def entries(self, t) -> dict:
+        return _nonzero(self.grid(t), len(self.shape(t)))
+
+    def build(self, shape, entries: dict, flag: bool):
+        return self.make(shape, _grid(shape, entries), flag)
+
+    def load(self, doc, field, values):
+        shape = field.bounds(values)
+        entries = _entries_to_values(doc.get(field.key, []), shape, field.key)
+        return self.build(shape, entries, field.flag)
+
+    def dump(self, t):
+        return [[*idx, str(q)] for idx, q in self.entries(t).items()]
 
 
-def _dump_linear(m: LinearMap):
-    return [[r, c, format_rational(m.entries[r][c])]
-            for r in range(m.rows) for c in range(m.cols)
-            if m.entries[r][c] != 0]
+LINEAR = TensorCodec(lambda m: m.entries, lambda s, g, flag: LinearMap(*s, g),
+                     lambda m: (m.rows, m.cols))
+BILINEAR = TensorCodec(lambda b: b.coeffs,
+                       lambda s, g, flag: BilinearMap(s[1], s[2], s[0], g, flag),
+                       lambda b: (b.dim_out, b.dim_a, b.dim_b), lambda b: b.skew)
+TRILINEAR = TensorCodec(lambda t: t.coeffs,
+                        lambda s, g, flag: TrilinearMap(s[1], s[0], g, flag),
+                        lambda t: (t.dim_out, t.dim, t.dim, t.dim), lambda t: t.alt)
+# One matrix per basis vector of the acting algebra: [element, row, col].
+ACTION = TensorCodec(lambda rho: tuple(m.entries for m in rho),
+                     lambda s, g, flag: tuple(LinearMap(s[1], s[2], m) for m in g),
+                     lambda rho: (len(rho), rho[0].rows, rho[0].cols) if rho else (0, 0, 0))
 
 
-def _dump_bilinear(b: BilinearMap):
-    return [[k, i, j, format_rational(b.coeffs[k][i][j])]
-            for k in range(b.dim_out) for i in range(b.dim_a) for j in range(b.dim_b)
-            if b.coeffs[k][i][j] != 0]
-
-
-def _dump_trilinear(t: TrilinearMap):
-    return [[l, i, j, k, format_rational(t.coeffs[l][i][j][k])]
-            for l in range(t.dim_out) for i in range(t.dim)
-            for j in range(t.dim) for k in range(t.dim)
-            if t.coeffs[l][i][j][k] != 0]
-
-
-def _dump_action(rho: tuple[LinearMap, ...]):
-    return [[x, r, c, format_rational(m.entries[r][c])]
-            for x, m in enumerate(rho)
-            for r in range(m.rows) for c in range(m.cols)
-            if m.entries[r][c] != 0]
-
-
-def _dim(doc, key: str) -> int:
-    v = doc.get(key)
-    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-        raise ParseError(f"{key} must be a nonnegative integer")
+def _dim(doc, field, values) -> int:
+    v = doc.get(field.key)
+    if not _is_int(v) or v < 0:
+        raise ParseError(f"{field.key} must be a nonnegative integer")
     return v
 
 
-def _labels(doc):
-    v = doc.get("basis")
+def _labels(v):
     if v is None:
         return None
     if not isinstance(v, list) or not all(isinstance(s, str) for s in v):
@@ -148,145 +168,205 @@ def _labels(doc):
     return tuple(v)
 
 
-def _check_header(doc, expected_kind: str | None = None) -> str:
+def _list(doc, field, values) -> list:
+    v = doc.get(field.key)
+    if not isinstance(v, list):
+        raise ParseError(f"{field.key} must be a list")
+    return v
+
+
+def _operators(doc, field, values):
+    shape = field.bounds(values)
+    return tuple(LINEAR.build(shape, _entries_to_values(m, shape, f"operators[{pos}]"), False)
+                 for pos, m in enumerate(_list(doc, field, values)))
+
+
+DIM = Codec(_dim, lambda n: n)
+# LABELS and the items of RATIONALS are checked by the kind's build, so
+# errors in tensor data are reported before them.
+LABELS = Codec(lambda doc, field, values: doc.get(field.key),
+               lambda labels: None if labels is None else list(labels))
+RATIONALS = Codec(_list, lambda qs: [str(q) for q in qs])
+OPERATORS = Codec(_operators, lambda ops: [LINEAR.dump(m) for m in ops])
+
+
+def embedded(kind: Kind) -> Codec:
+    """A complete document of `kind` under one key (`_load` checks its header)."""
+    return Codec(lambda doc, field, values: _load(kind, doc.get(field.key)),
+                 lambda obj: _document(kind, obj), kind)
+
+
+# --- the table --------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Field:
+    key: str                      # document key
+    path: str                     # attribute path on the object, e.g. "rb.r0"
+    codec: Codec | TensorCodec
+    shape: str = ""               # index bounds: value names, e.g. "dim1 dim0 dim0"
+    flag: bool = False            # skew (bilinear) or alternating (trilinear)
+
+    def bounds(self, values: dict) -> tuple[int, ...]:
+        """`shape` read from the values decoded so far ("target.dim0" is
+        attribute dim0 of the decoded "target")."""
+        return tuple(get_at(values[key], rest) for key, _, rest in
+                     (name.partition(".") for name in self.shape.split()))
+
+
+def get_at(obj, path: str):
+    """The attribute at a dotted `path`, e.g. "rb.r0"."""
+    for name in path.split(".") if path else ():
+        obj = getattr(obj, name)
+    return obj
+
+
+def put_at(obj, path: str, value):
+    """A copy of `obj` with the attribute at `path` replaced, rebuilt along
+    the path."""
+    head, _, rest = path.partition(".")
+    return replace(obj, **{head: put_at(getattr(obj, head), rest, value) if rest else value})
+
+
+class Kind:
+    """One document kind.  With `base` = (kind, attribute), the document
+    holds that kind's fields and then `own`; the object holds the base
+    object at `attribute`.  `build` takes the decoded values by key;
+    `mutable` says whether `search.mutate` edits the kind's tensors."""
+
+    def __init__(self, name: str, cls: type, own: tuple[Field, ...], build: Callable,
+                 base: tuple[Kind, str] | None = None, mutable: bool = True):
+        self.name, self.cls, self.own, self.build = name, cls, own, build
+        self.base, self.mutable = base, mutable
+        inherited = () if base is None else tuple(
+            replace(f, path=f"{base[1]}.{f.path}") for f in base[0].fields)
+        self.fields = inherited + own
+
+
+LIE = Kind("lie", LieAlgebra, (
+    Field("dim", "dim", DIM),
+    Field("basis", "labels", LABELS),
+    Field("bracket", "bracket", BILINEAR, "dim dim dim", True),
+), lambda dim, basis, bracket: LieAlgebra(dim, bracket, _labels(basis)))
+
+RB_LIE = Kind("rb-lie", RotaBaxterLieAlgebra, (
+    Field("r", "r", LINEAR, "base.dim base.dim"),
+), RotaBaxterLieAlgebra, base=(LIE, "base"))
+
+PRE_LIE = Kind("pre-lie", PreLieAlgebra, (
+    Field("dim", "dim", DIM),
+    Field("mult", "mult", BILINEAR, "dim dim dim"),
+), PreLieAlgebra)
+
+REPRESENTATION = Kind("representation", RBRepresentation, (
+    Field("algebra", "algebra", embedded(RB_LIE)),
+    Field("dim_v", "dim_v", DIM),
+    Field("rho", "rho", ACTION, "algebra.dim dim_v dim_v"),
+    Field("cal_r", "cal_r", LINEAR, "dim_v dim_v"),
+), RBRepresentation, mutable=False)
+
+TWO_TERM = Kind("2term", TwoTermLInfinity, (
+    Field("dim0", "dim0", DIM),
+    Field("dim1", "dim1", DIM),
+    Field("l1", "complex.l1", LINEAR, "dim0 dim1"),
+    Field("l2_00", "l2_00", BILINEAR, "dim0 dim0 dim0", True),
+    Field("l2_01", "l2_01", BILINEAR, "dim1 dim0 dim1"),
+    Field("l3", "l3", TRILINEAR, "dim1 dim0 dim0 dim0", True),
+), lambda dim0, dim1, l1, l2_00, l2_01, l3: TwoTermLInfinity(
+    TwoTermComplex(dim0, dim1, l1), l2_00, l2_01, l3))
+
+RB_TWO_TERM = Kind("rb-2term", TwoTermRBLInfinity, (
+    Field("r0", "rb.r0", LINEAR, "linf.dim0 linf.dim0"),
+    Field("r1", "rb.r1", LINEAR, "linf.dim1 linf.dim1"),
+    Field("r2", "rb.r2", BILINEAR, "linf.dim1 linf.dim0 linf.dim0", True),
+), lambda linf, r0, r1, r2: TwoTermRBLInfinity(linf, RBTriple(r0, r1, r2)),
+    base=(TWO_TERM, "linf"))
+
+HOM = Kind("hom", LInfinityHom, (
+    Field("source", "source", embedded(TWO_TERM)),
+    Field("target", "target", embedded(TWO_TERM)),
+    Field("phi0", "phi0", LINEAR, "target.dim0 source.dim0"),
+    Field("phi1", "phi1", LINEAR, "target.dim1 source.dim1"),
+    Field("phi2", "phi2", BILINEAR, "target.dim1 source.dim0 source.dim0", True),
+), LInfinityHom)
+
+RB_HOM = Kind("rb-hom", RBLInfinityHom, (
+    Field("source", "source", embedded(RB_TWO_TERM)),
+    Field("target", "target", embedded(RB_TWO_TERM)),
+    Field("phi0", "hom.phi0", LINEAR, "target.linf.dim0 source.linf.dim0"),
+    Field("phi1", "hom.phi1", LINEAR, "target.linf.dim1 source.linf.dim1"),
+    Field("phi2", "hom.phi2", BILINEAR, "target.linf.dim1 source.linf.dim0 source.linf.dim0", True),
+    Field("phi3", "phi3", LINEAR, "target.linf.dim1 source.linf.dim0"),
+), lambda source, target, phi0, phi1, phi2, phi3: RBLInfinityHom(
+    source, target, LInfinityHom(source.linf, target.linf, phi0, phi1, phi2), phi3))
+
+CROSSED_LIE = Kind("crossed-lie", LieCrossedModule, (
+    Field("dim0", "g0.dim", DIM),
+    Field("dim1", "g1.dim", DIM),
+    Field("bracket0", "g0.bracket", BILINEAR, "dim0 dim0 dim0", True),
+    Field("bracket1", "g1.bracket", BILINEAR, "dim1 dim1 dim1", True),
+    Field("d", "d", LINEAR, "dim0 dim1"),
+    Field("rho", "rho", ACTION, "dim0 dim1 dim1"),
+), lambda dim0, dim1, bracket0, bracket1, d, rho: LieCrossedModule(
+    LieAlgebra(dim0, bracket0), LieAlgebra(dim1, bracket1), d, rho))
+
+CROSSED_RB = Kind("crossed-rb", RBLieCrossedModule, (
+    Field("t0", "t0", LINEAR, "base.g0.dim base.g0.dim"),
+    Field("t1", "t1", LINEAR, "base.g1.dim base.g1.dim"),
+), RBLieCrossedModule, base=(CROSSED_LIE, "base"))
+
+CROSSED_PRELIE = Kind("crossed-prelie", PreLieCrossedModule, (
+    Field("dim0", "p0.dim", DIM),
+    Field("dim1", "p1.dim", DIM),
+    Field("mult0", "p0.mult", BILINEAR, "dim0 dim0 dim0"),
+    Field("mult1", "p1.mult", BILINEAR, "dim1 dim1 dim1"),
+    Field("delta", "delta", LINEAR, "dim0 dim1"),
+    Field("l_act", "l_act", ACTION, "dim0 dim1 dim1"),
+    Field("r_act", "r_act", ACTION, "dim0 dim1 dim1"),
+), lambda dim0, dim1, mult0, mult1, delta, l_act, r_act: PreLieCrossedModule(
+    PreLieAlgebra(dim0, mult0), PreLieAlgebra(dim1, mult1), delta, l_act, r_act))
+
+SEARCH_RESULTS = Kind("search-results", SearchResults, (
+    Field("algebra", "algebra", embedded(LIE)),
+    Field("coeffs", "coeffs", RATIONALS),
+    Field("operators", "operators", OPERATORS, "algebra.dim algebra.dim"),
+), lambda algebra, coeffs, operators: SearchResults(
+    algebra, tuple(parse_rational(c) for c in coeffs), operators), mutable=False)
+
+KINDS = {k.name: k for k in (LIE, RB_LIE, PRE_LIE, REPRESENTATION, TWO_TERM,
+                             RB_TWO_TERM, HOM, RB_HOM, CROSSED_LIE, CROSSED_RB,
+                             CROSSED_PRELIE, SEARCH_RESULTS)}
+KIND_OF_CLASS = {k.cls: k for k in KINDS.values()}
+
+
+# --- load and dump ----------------------------------------------------------
+
+def _check_header(doc, expected_kind: str | None = None) -> Kind:
     if not isinstance(doc, dict):
         raise ParseError("document must be an object")
     version = doc.get("version")
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise VersionMismatch(f"unsupported format version {version!r}")
     kind = doc.get("kind")
-    if kind not in _LOADERS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise UnknownKind(f"unknown document kind {kind!r}")
     if expected_kind is not None and kind != expected_kind:
         raise ParseError(f"expected an embedded {expected_kind!r} document, got {kind!r}")
-    return kind
+    return KINDS[kind]
 
 
-def _load_lie(doc) -> LieAlgebra:
-    n = _dim(doc, "dim")
-    return LieAlgebra(n, _load_bilinear(doc, "bracket", n, n, n, skew=True), _labels(doc))
-
-
-def _load_rb_lie(doc) -> RotaBaxterLieAlgebra:
-    return RotaBaxterLieAlgebra(_load_lie(doc), _load_linear(doc, "r", doc["dim"], doc["dim"]))
-
-
-def _load_prelie(doc) -> PreLieAlgebra:
-    n = _dim(doc, "dim")
-    return PreLieAlgebra(n, _load_bilinear(doc, "mult", n, n, n, skew=False))
-
-
-def _load_representation(doc) -> RBRepresentation:
-    sub = doc.get("algebra")
-    _check_header(sub, "rb-lie")
-    alg = _load_rb_lie(sub)
-    dv = _dim(doc, "dim_v")
-    return RBRepresentation(alg, dv, _load_action(doc, "rho", alg.dim, dv),
-                            _load_linear(doc, "cal_r", dv, dv))
-
-
-def _load_2term(doc) -> TwoTermLInfinity:
-    d0, d1 = _dim(doc, "dim0"), _dim(doc, "dim1")
-    return TwoTermLInfinity(
-        TwoTermComplex(d0, d1, _load_linear(doc, "l1", d0, d1)),
-        _load_bilinear(doc, "l2_00", d0, d0, d0, skew=True),
-        _load_bilinear(doc, "l2_01", d0, d1, d1, skew=False),
-        _load_trilinear(doc, "l3", d0, d1, alt=True))
-
-
-def _load_rb_2term(doc) -> TwoTermRBLInfinity:
-    linf = _load_2term(doc)
-    d0, d1 = linf.dim0, linf.dim1
-    return TwoTermRBLInfinity(linf, RBTriple(
-        _load_linear(doc, "r0", d0, d0),
-        _load_linear(doc, "r1", d1, d1),
-        _load_bilinear(doc, "r2", d0, d0, d1, skew=True)))
-
-
-def _load_hom(doc) -> LInfinityHom:
-    src_doc, tgt_doc = doc.get("source"), doc.get("target")
-    _check_header(src_doc, "2term")
-    _check_header(tgt_doc, "2term")
-    src, tgt = _load_2term(src_doc), _load_2term(tgt_doc)
-    return LInfinityHom(
-        src, tgt,
-        _load_linear(doc, "phi0", tgt.dim0, src.dim0),
-        _load_linear(doc, "phi1", tgt.dim1, src.dim1),
-        _load_bilinear(doc, "phi2", src.dim0, src.dim0, tgt.dim1, skew=True))
-
-
-def _load_rb_hom(doc) -> RBLInfinityHom:
-    src_doc, tgt_doc = doc.get("source"), doc.get("target")
-    _check_header(src_doc, "rb-2term")
-    _check_header(tgt_doc, "rb-2term")
-    src, tgt = _load_rb_2term(src_doc), _load_rb_2term(tgt_doc)
-    hom = LInfinityHom(
-        src.linf, tgt.linf,
-        _load_linear(doc, "phi0", tgt.linf.dim0, src.linf.dim0),
-        _load_linear(doc, "phi1", tgt.linf.dim1, src.linf.dim1),
-        _load_bilinear(doc, "phi2", src.linf.dim0, src.linf.dim0, tgt.linf.dim1, skew=True))
-    return RBLInfinityHom(src, tgt, hom,
-                          _load_linear(doc, "phi3", tgt.linf.dim1, src.linf.dim0))
-
-
-def _load_crossed_lie(doc) -> LieCrossedModule:
-    d0, d1 = _dim(doc, "dim0"), _dim(doc, "dim1")
-    g0 = LieAlgebra(d0, _load_bilinear(doc, "bracket0", d0, d0, d0, skew=True))
-    g1 = LieAlgebra(d1, _load_bilinear(doc, "bracket1", d1, d1, d1, skew=True))
-    return LieCrossedModule(g0, g1, _load_linear(doc, "d", d0, d1),
-                            _load_action(doc, "rho", d0, d1))
-
-
-def _load_crossed_rb(doc) -> RBLieCrossedModule:
-    base = _load_crossed_lie(doc)
-    d0, d1 = base.g0.dim, base.g1.dim
-    return RBLieCrossedModule(base, _load_linear(doc, "t0", d0, d0),
-                              _load_linear(doc, "t1", d1, d1))
-
-
-def _load_crossed_prelie(doc) -> PreLieCrossedModule:
-    d0, d1 = _dim(doc, "dim0"), _dim(doc, "dim1")
-    return PreLieCrossedModule(
-        PreLieAlgebra(d0, _load_bilinear(doc, "mult0", d0, d0, d0, skew=False)),
-        PreLieAlgebra(d1, _load_bilinear(doc, "mult1", d1, d1, d1, skew=False)),
-        _load_linear(doc, "delta", d0, d1),
-        _load_action(doc, "l_act", d0, d1),
-        _load_action(doc, "r_act", d0, d1))
-
-
-def _load_search_results(doc) -> SearchResults:
-    sub = doc.get("algebra")
-    _check_header(sub, "lie")
-    alg = _load_lie(sub)
-    coeffs = doc.get("coeffs")
-    if not isinstance(coeffs, list):
-        raise ParseError("coeffs must be a list of rational strings")
-    ops_doc = doc.get("operators")
-    if not isinstance(ops_doc, list):
-        raise ParseError("operators must be a list of entry lists")
-    ops = []
-    for pos, entries in enumerate(ops_doc):
-        vals = _entries_to_values(entries, 2, (alg.dim, alg.dim), f"operators[{pos}]")
-        grid = [[vals.get((r, c), Fraction(0)) for c in range(alg.dim)]
-                for r in range(alg.dim)]
-        ops.append(LinearMap(alg.dim, alg.dim, tuple(tuple(row) for row in grid)))
-    return SearchResults(alg, tuple(parse_rational(c) for c in coeffs), tuple(ops))
-
-
-_LOADERS = {
-    "lie": _load_lie,
-    "rb-lie": _load_rb_lie,
-    "pre-lie": _load_prelie,
-    "representation": _load_representation,
-    "2term": _load_2term,
-    "rb-2term": _load_rb_2term,
-    "hom": _load_hom,
-    "rb-hom": _load_rb_hom,
-    "crossed-lie": _load_crossed_lie,
-    "crossed-rb": _load_crossed_rb,
-    "crossed-prelie": _load_crossed_prelie,
-    "search-results": _load_search_results,
-}
+def _load(kind: Kind, doc):
+    """Decode `kind`'s fields in document order and build the object.  The
+    headers of embedded documents are all checked before any field is
+    decoded; a base kind is decoded and built before this kind's fields."""
+    for f in kind.own:
+        if f.codec.embeds:
+            _check_header(doc.get(f.key), f.codec.embeds.name)
+    values = {}
+    if kind.base is not None:
+        values[kind.base[1]] = _load(kind.base[0], doc)
+    for f in kind.own:
+        values[f.key] = f.codec.load(doc, f, values)
+    return kind.build(**values)
 
 
 def loads(text: str):
@@ -294,153 +374,37 @@ def loads(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid document: {e.msg}", e.lineno, e.colno) from e
-    kind = _check_header(doc)
-    return _LOADERS[kind](doc)
+    except (RecursionError, ValueError) as e:  # nesting or integer too large
+        raise ParseError(f"invalid document: {e}") from e
+    return _load(_check_header(doc), doc)
 
 
 def load(path):
-    return loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"document is not UTF-8: {e}") from e
+    return loads(text)
 
 
-def _header(kind: str) -> dict:
-    return {"kind": kind, "version": FORMAT_VERSION}
-
-
-def _dump_lie(alg: LieAlgebra) -> dict:
-    doc = _header("lie")
-    doc["dim"] = alg.dim
-    if alg.labels is not None:
-        doc["basis"] = list(alg.labels)
-    doc["bracket"] = _dump_bilinear(alg.bracket)
+def _document(kind: Kind, obj) -> dict:
+    doc = {"kind": kind.name, "version": FORMAT_VERSION}
+    for f in kind.fields:
+        value = f.codec.dump(get_at(obj, f.path))
+        if value is not None:
+            doc[f.key] = value
     return doc
 
 
-def _dump_rb_lie(rba: RotaBaxterLieAlgebra) -> dict:
-    doc = _dump_lie(rba.base)
-    doc["kind"] = "rb-lie"
-    doc["r"] = _dump_linear(rba.r)
-    return doc
-
-
-def _dump_prelie(p: PreLieAlgebra) -> dict:
-    doc = _header("pre-lie")
-    doc["dim"] = p.dim
-    doc["mult"] = _dump_bilinear(p.mult)
-    return doc
-
-
-def _dump_representation(rep: RBRepresentation) -> dict:
-    doc = _header("representation")
-    doc["algebra"] = _dump_rb_lie(rep.algebra)
-    doc["dim_v"] = rep.dim_v
-    doc["rho"] = _dump_action(rep.rho)
-    doc["cal_r"] = _dump_linear(rep.cal_r)
-    return doc
-
-
-def _dump_2term(L: TwoTermLInfinity) -> dict:
-    doc = _header("2term")
-    doc["dim0"], doc["dim1"] = L.dim0, L.dim1
-    doc["l1"] = _dump_linear(L.complex.l1)
-    doc["l2_00"] = _dump_bilinear(L.l2_00)
-    doc["l2_01"] = _dump_bilinear(L.l2_01)
-    doc["l3"] = _dump_trilinear(L.l3)
-    return doc
-
-
-def _dump_rb_2term(G: TwoTermRBLInfinity) -> dict:
-    doc = _dump_2term(G.linf)
-    doc["kind"] = "rb-2term"
-    doc["r0"] = _dump_linear(G.rb.r0)
-    doc["r1"] = _dump_linear(G.rb.r1)
-    doc["r2"] = _dump_bilinear(G.rb.r2)
-    return doc
-
-
-def _dump_hom(f: LInfinityHom) -> dict:
-    doc = _header("hom")
-    doc["source"] = _dump_2term(f.source)
-    doc["target"] = _dump_2term(f.target)
-    doc["phi0"] = _dump_linear(f.phi0)
-    doc["phi1"] = _dump_linear(f.phi1)
-    doc["phi2"] = _dump_bilinear(f.phi2)
-    return doc
-
-
-def _dump_rb_hom(f: RBLInfinityHom) -> dict:
-    doc = _header("rb-hom")
-    doc["source"] = _dump_rb_2term(f.source)
-    doc["target"] = _dump_rb_2term(f.target)
-    doc["phi0"] = _dump_linear(f.hom.phi0)
-    doc["phi1"] = _dump_linear(f.hom.phi1)
-    doc["phi2"] = _dump_bilinear(f.hom.phi2)
-    doc["phi3"] = _dump_linear(f.phi3)
-    return doc
-
-
-def _dump_crossed_lie(cm: LieCrossedModule) -> dict:
-    doc = _header("crossed-lie")
-    doc["dim0"], doc["dim1"] = cm.g0.dim, cm.g1.dim
-    doc["bracket0"] = _dump_bilinear(cm.g0.bracket)
-    doc["bracket1"] = _dump_bilinear(cm.g1.bracket)
-    doc["d"] = _dump_linear(cm.d)
-    doc["rho"] = _dump_action(cm.rho)
-    return doc
-
-
-def _dump_crossed_rb(cm: RBLieCrossedModule) -> dict:
-    doc = _dump_crossed_lie(cm.base)
-    doc["kind"] = "crossed-rb"
-    doc["t0"] = _dump_linear(cm.t0)
-    doc["t1"] = _dump_linear(cm.t1)
-    return doc
-
-
-def _dump_crossed_prelie(pm: PreLieCrossedModule) -> dict:
-    doc = _header("crossed-prelie")
-    doc["dim0"], doc["dim1"] = pm.p0.dim, pm.p1.dim
-    doc["mult0"] = _dump_bilinear(pm.p0.mult)
-    doc["mult1"] = _dump_bilinear(pm.p1.mult)
-    doc["delta"] = _dump_linear(pm.delta)
-    doc["l_act"] = _dump_action(pm.l_act)
-    doc["r_act"] = _dump_action(pm.r_act)
-    return doc
-
-
-def _dump_search_results(res: SearchResults) -> dict:
-    doc = _header("search-results")
-    doc["algebra"] = _dump_lie(res.algebra)
-    doc["coeffs"] = [format_rational(c) for c in res.coeffs]
-    doc["operators"] = [_dump_linear(op) for op in res.operators]
-    return doc
+def _kind(obj) -> Kind:
+    kind = KIND_OF_CLASS.get(type(obj))
+    if kind is None:
+        raise UnknownKind(f"cannot serialize a {type(obj).__name__}")
+    return kind
 
 
 def to_document(obj) -> dict:
-    if isinstance(obj, RBLieCrossedModule):
-        return _dump_crossed_rb(obj)
-    if isinstance(obj, LieCrossedModule):
-        return _dump_crossed_lie(obj)
-    if isinstance(obj, PreLieCrossedModule):
-        return _dump_crossed_prelie(obj)
-    if isinstance(obj, RotaBaxterLieAlgebra):
-        return _dump_rb_lie(obj)
-    if isinstance(obj, LieAlgebra):
-        return _dump_lie(obj)
-    if isinstance(obj, PreLieAlgebra):
-        return _dump_prelie(obj)
-    if isinstance(obj, RBRepresentation):
-        return _dump_representation(obj)
-    if isinstance(obj, TwoTermRBLInfinity):
-        return _dump_rb_2term(obj)
-    if isinstance(obj, TwoTermLInfinity):
-        return _dump_2term(obj)
-    if isinstance(obj, RBLInfinityHom):
-        return _dump_rb_hom(obj)
-    if isinstance(obj, LInfinityHom):
-        return _dump_hom(obj)
-    if isinstance(obj, SearchResults):
-        return _dump_search_results(obj)
-    raise UnknownKind(f"cannot serialize a {type(obj).__name__}")
+    return _document(_kind(obj), obj)
 
 
 def _render(value, indent: int = 0) -> str:
@@ -471,4 +435,4 @@ def save(obj, path):
 
 
 def kind_of(obj) -> str:
-    return to_document(obj)["kind"]
+    return _kind(obj).name

@@ -63,10 +63,6 @@ def vscale(c: Fraction, u: Vec) -> Vec:
     return tuple(c * a for a in u)
 
 
-def vconcat(u: Vec, v: Vec) -> Vec:
-    return tuple(u) + tuple(v)
-
-
 def is_zero(u: Vec) -> bool:
     return all(a == 0 for a in u)
 

@@ -50,6 +50,26 @@ def test_verify_output_identical_across_worker_counts(capsys, tmp_path):
     assert results[0] == results[1]
 
 
+MALFORMED = {
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+    "not-utf8": b'\xff\xfe{"kind": "lie", "version": 1}',
+    "version-true": b'{"kind": "lie", "version": true, "dim": 1, "bracket": []}',
+    "kind-unhashable": b'{"kind": [], "version": 1}',
+    "huge-integer": b'{"kind": "lie", "version": 1, "dim": ' + b"1" * 5000 + b"}",
+    "huge-coefficient": (b'{"kind": "lie", "version": 1, "dim": 2, '
+                         b'"bracket": [[0, 0, 1, "' + b"1" * 5000 + b'"]]}'),
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_exits_two_without_traceback(capsys, tmp_path, data):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 def test_parse_error_exits_two(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"kind": "lie",')

@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 from conftest import hom_mutants, structure_mutants
 from rblie.catalog import TWO_TERM_STRUCTURES, HOMOMORPHISMS
 from rblie.errors import NotComposable
-from rblie.lie2 import (Morphism2V, RBLie2View, coherence_residual,
+from rblie.lie2 import (Morphism2V, RBLie2Hom, RBLie2View, coherence_residual,
                         naturality_residual, roundtrip_hom,
                         roundtrip_structure, verify_naturality,
                         verify_rbcoh, verify_rbcohm)
-from rblie.tensors import is_zero, vbasis, vec, vzero
+from rblie.tensors import is_zero, vadd, vbasis, vec, vzero
 from rblie.twoterm import rb2_residual, rb3_residual, rbh3_residual
 
 VIEW = RBLie2View(TWO_TERM_STRUCTURES["sl2-cocycle-rb2-nonstrict"])
@@ -202,6 +202,21 @@ def test_roundtrip_identity_on_catalog():
 def test_roundtrip_hom_identity_on_catalog():
     for name, F in HOMOMORPHISMS.items():
         assert roundtrip_hom(F).ok, name
+
+
+def test_roundtrip_hom_catches_a_wrong_view_map(monkeypatch):
+    """rt-phi2 and rt-phi3 read their arrows through the view maps, so a
+    view that shifts the arrow parts of f2 and f3 is reported."""
+    def shifted(view_map):
+        def wrong(self, *args):
+            m = view_map(self, *args)
+            return Morphism2V(m.source, vadd(m.arrow, vbasis(len(m.arrow), 0)))
+        return wrong
+
+    F = HOMOMORPHISMS["id-aff1-adjoint-rb2-shift"]
+    monkeypatch.setattr(RBLie2Hom, "f2", shifted(RBLie2Hom.f2))
+    monkeypatch.setattr(RBLie2Hom, "f3", shifted(RBLie2Hom.f3))
+    assert roundtrip_hom(F).conditions() == {"rt-phi2", "rt-phi3"}
 
 
 @given(st.lists(coords, min_size=3, max_size=3),

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,10 +7,12 @@ from hypothesis import given, strategies as st
 
 from conftest import CATALOG_DIR
 from rblie import catalog
-from rblie.errors import (BadRational, DuplicateEntry, ParseError,
+from rblie.errors import (BadRational, BadSite, DuplicateEntry, ParseError,
                           UnknownKind, VersionMismatch)
-from rblie.liealg import LieAlgebra
-from rblie.serialize import (dumps, load, loads, parse_rational, save)
+from rblie.liealg import LieAlgebra, prelie_from_rb
+from rblie.search import mutate
+from rblie.serialize import (KINDS, dumps, get_at, kind_of, load, loads,
+                             parse_rational, save)
 from rblie.tensors import BilinearMap, vec
 
 
@@ -153,3 +156,69 @@ def test_document_round_trip_random_bilinear(dim_sel, entries):
     # the skew flag is declared, not enforced; use unflagged data here
     alg = LieAlgebra(dim, BilinearMap(dim, dim, dim, alg.bracket.coeffs, skew=True))
     assert loads(dumps(alg)) == alg
+
+
+# --- the kinds table -------------------------------------------------------
+
+def _samples():
+    """One structure per kind, big enough that every tensor has a site
+    with distinct skew/alternating indices."""
+    docs = {name: load(CATALOG_DIR / f"{name}.json") for name in (
+        "solv4", "solv4-rb-zero", "aff1-adjoint-rep", "sl2-adjoint-rb2-tri",
+        "aff1-adjoint-2term-idhom", "descent-sl2-adjoint-cm-tri",
+        "sl2-adjoint-cm-tri", "aff1-ideal-cm-neg-prelie", "aff1-rb-search")}
+    objs = list(docs.values()) + [docs["sl2-adjoint-rb2-tri"].linf,
+                                  docs["sl2-adjoint-cm-tri"].base,
+                                  prelie_from_rb(catalog.RB_ALGEBRAS["sl2-rb-tri"])]
+    return {kind_of(obj): obj for obj in objs}
+
+
+SAMPLES = _samples()
+TENSOR_FIELDS = [(kind.name, f.key) for kind in KINDS.values() if kind.mutable
+                 for f in kind.fields if f.codec.tensor]
+
+
+def test_samples_cover_every_kind():
+    assert set(SAMPLES) == set(KINDS)
+
+
+@pytest.mark.parametrize("kind, key", TENSOR_FIELDS)
+def test_mutate_sites_follow_the_kinds_table(kind, key):
+    obj = SAMPLES[kind]
+    field = next(f for f in KINDS[kind].fields if f.key == key)
+    codec, tensor = field.codec, get_at(obj, field.path)
+    shape, flag = codec.shape(tensor), codec.flag(tensor)
+    args = tuple(range(len(shape) - 1)) if flag else (0,) * (len(shape) - 1)
+    idx = (0,) + args
+    assert flag == field.flag
+    delta = Fraction(3, 2)
+    mutant = mutate(obj, (key,) + idx, delta)
+    assert mutant != obj
+    assert mutate(mutant, (key,) + idx, -delta) == obj
+    assert loads(dumps(mutant)) == mutant
+    bad = [idx[:-1] + (shape[-1],), idx[:-1] + (-1,), idx[:-1], idx + (0,)]
+    if flag:
+        bad.append((0,) + (args[0],) * 2 + args[2:])  # skew diagonal / repeated index
+    for site in bad:
+        with pytest.raises(BadSite):
+            mutate(obj, (key,) + site, delta)
+
+
+def test_representation_and_search_results_refuse_every_site():
+    for kind in KINDS.values():
+        if not kind.mutable:
+            for f in kind.fields:
+                with pytest.raises(BadSite):
+                    mutate(SAMPLES[kind.name], (f.key, 0, 0, 0), 1)
+
+
+def test_format_doc_lists_the_keys_of_every_kind():
+    text = (CATALOG_DIR.parent / "docs" / "FORMAT.md").read_text(encoding="utf-8")
+    table = text.split("## Kinds and their fields")[1].split("| kind ")[1].split("\n\n")[0]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        kind, fields = row.strip("|").split("|")
+        # keys are the backquoted names outside parentheses
+        documented[kind.strip().strip("`")] = re.findall(
+            r"`([^`]+)`", re.sub(r"\([^)]*\)", "", fields))
+    assert documented == {k.name: [f.key for f in k.fields] for k in KINDS.values()}
