@@ -6,8 +6,10 @@ errors.  Violation lines are machine-parseable and sorted:
 
     VIOLATION <condition-id> <index-tuple> <residual>
 
-Verification output is identical for any --workers value; constructed
-documents go to -o or stdout.
+Every verification runs its checks serially in one pass over one check
+list; each coherence-diagram residual is evaluated once and feeds both its
+diagram id and its cross-check id.  `--workers` is accepted by verify and
+roundtrip and has no effect.  Constructed documents go to -o or stdout.
 """
 
 from __future__ import annotations
@@ -16,72 +18,70 @@ import argparse
 import sys
 
 from .crossed import (LieCrossedModule, PreLieCrossedModule,
-                      RBLieCrossedModule, crossed_semidirect,
+                      RBLieCrossedModule, crossed_checks, crossed_semidirect,
                       crossed_to_strict, derived_crossed,
                       prelie_crossed_to_lie_crossed,
-                      rb_crossed_to_prelie_crossed, strict_to_crossed,
-                      verify_crossed)
+                      rb_crossed_to_prelie_crossed, strict_to_crossed)
 from .errors import StructureError
 from .liealg import (LieAlgebra, PreLieAlgebra, RBRepresentation,
                      RotaBaxterLieAlgebra, adjoint_representation,
-                     dual_representation, lie_checks, prelie_from_rb,
-                     rb_checks, representation_checks, semidirect_product,
-                     subadjacent_lie, verify_lie, verify_prelie)
-from .lie2 import (roundtrip_hom, roundtrip_structure,
-                   verify_jacobiator_coherence, verify_rbcoh, verify_rbcohm)
-from .report import VerificationReport, prefix_checks, run_checks
+                     dual_representation, lie_checks, prelie_checks,
+                     prelie_from_rb, rb_checks, representation_checks,
+                     semidirect_product, subadjacent_lie, verify_lie)
+from .lie2 import (coherence_checks, hom_coherence_checks,
+                   jacobiator_coherence_checks, roundtrip_hom,
+                   roundtrip_structure)
+from .report import Check, VerificationReport, prefix_checks, run_checks
 from .search import SearchSpec, enumerate_rb_operators, mutate
 from .serialize import (SearchResults, dumps, load, parse_rational, save)
 from .twoterm import (LInfinityHom, RBLInfinityHom, TwoTermLInfinity,
                       TwoTermRBLInfinity, compose_rb_homs, rb_hom_checks,
-                      hom_checks, two_term_checks, rb_triple_checks,
-                      verify_2term)
+                      hom_checks, two_term_checks, rb_triple_checks)
 
 
-def verify_structure(obj, workers: int = 1) -> VerificationReport:
-    """Dispatch to the full verifier stack for the object's kind.
-    Operator-carrying two-term structures and homomorphisms include the
-    diagram-level coherence checks, so exit 0 certifies both layers."""
+def structure_checks(obj) -> list[Check]:
+    """The full check list for the object's kind.  Operator-carrying
+    two-term structures and homomorphisms include the diagram-level
+    coherence checks, so exit 0 certifies both layers."""
     if isinstance(obj, RotaBaxterLieAlgebra):
-        return run_checks(lie_checks(obj.base) + rb_checks(obj), workers)
+        return lie_checks(obj.base) + rb_checks(obj)
     if isinstance(obj, LieAlgebra):
-        return verify_lie(obj, workers)
+        return lie_checks(obj)
     if isinstance(obj, PreLieAlgebra):
-        return verify_prelie(obj, workers)
+        return prelie_checks(obj)
     if isinstance(obj, RBRepresentation):
         alg = obj.algebra
-        checks = prefix_checks("alg-", lie_checks(alg.base) + rb_checks(alg))
-        checks += representation_checks(obj)
-        return run_checks(checks, workers)
+        return (prefix_checks("alg-", lie_checks(alg.base) + rb_checks(alg))
+                + representation_checks(obj))
     if isinstance(obj, TwoTermRBLInfinity):
-        return VerificationReport.merge(
-            run_checks(two_term_checks(obj.linf) + rb_triple_checks(obj), workers),
-            verify_rbcoh(obj, workers),
-            verify_jacobiator_coherence(obj, workers))
+        return (two_term_checks(obj.linf) + rb_triple_checks(obj)
+                + coherence_checks(obj) + jacobiator_coherence_checks(obj))
     if isinstance(obj, TwoTermLInfinity):
-        return verify_2term(obj, workers)
+        return two_term_checks(obj)
     if isinstance(obj, RBLInfinityHom):
-        checks = prefix_checks("src-", two_term_checks(obj.source.linf)
-                               + rb_triple_checks(obj.source))
-        checks += prefix_checks("tgt-", two_term_checks(obj.target.linf)
+        return (prefix_checks("src-", two_term_checks(obj.source.linf)
+                              + rb_triple_checks(obj.source))
+                + prefix_checks("tgt-", two_term_checks(obj.target.linf)
                                 + rb_triple_checks(obj.target))
-        checks += hom_checks(obj.hom) + rb_hom_checks(obj)
-        return VerificationReport.merge(run_checks(checks, workers),
-                                        verify_rbcohm(obj, workers))
+                + hom_checks(obj.hom) + rb_hom_checks(obj) + hom_coherence_checks(obj))
     if isinstance(obj, LInfinityHom):
-        checks = prefix_checks("src-", two_term_checks(obj.source))
-        checks += prefix_checks("tgt-", two_term_checks(obj.target))
-        checks += hom_checks(obj)
-        return run_checks(checks, workers)
+        return (prefix_checks("src-", two_term_checks(obj.source))
+                + prefix_checks("tgt-", two_term_checks(obj.target))
+                + hom_checks(obj))
     if isinstance(obj, (LieCrossedModule, RBLieCrossedModule, PreLieCrossedModule)):
-        return verify_crossed(obj, workers)
+        return crossed_checks(obj)
     if isinstance(obj, SearchResults):
         checks = lie_checks(obj.algebra)
         for pos, op in enumerate(obj.operators):
             checks += prefix_checks(f"op{pos}-",
                                     rb_checks(RotaBaxterLieAlgebra(obj.algebra, op)))
-        return run_checks(checks, workers)
+        return checks
     raise StructureError(f"no verifier for {type(obj).__name__}")
+
+
+def verify_structure(obj) -> VerificationReport:
+    """Run every check of the object's kind in one serial pass."""
+    return run_checks(structure_checks(obj))
 
 
 def _emit(report: VerificationReport) -> int:
@@ -100,7 +100,7 @@ def _output(obj, path) -> None:
 
 
 def cmd_verify(args) -> int:
-    return _emit(verify_structure(load(args.file), args.workers))
+    return _emit(verify_structure(load(args.file)))
 
 
 _CONSTRUCTIONS = {
@@ -140,16 +140,16 @@ def cmd_construct(args) -> int:
 def cmd_roundtrip(args) -> int:
     obj = load(args.file)
     if isinstance(obj, TwoTermRBLInfinity):
-        return _emit(roundtrip_structure(obj, args.workers))
+        return _emit(roundtrip_structure(obj))
     if isinstance(obj, RBLInfinityHom):
-        return _emit(roundtrip_hom(obj, args.workers))
+        return _emit(roundtrip_hom(obj))
     print("error: roundtrip expects an rb-2term or rb-hom document", file=sys.stderr)
     return 2
 
 
 def cmd_search_rb(args) -> int:
     alg = load(args.file)
-    if not isinstance(alg, LieAlgebra) or isinstance(alg, RotaBaxterLieAlgebra):
+    if not isinstance(alg, LieAlgebra):
         print("error: search-rb expects a lie document", file=sys.stderr)
         return 2
     report = verify_lie(alg)
@@ -197,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run every defining identity of a document")
     v.add_argument("file")
-    v.add_argument("--workers", type=int, default=1)
+    v.add_argument("--workers", type=int, default=1,
+                   help="accepted and ignored; checks run serially")
     v.set_defaults(fn=cmd_verify)
 
     c = sub.add_parser("construct", help="apply a construction to a document")
@@ -210,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extract a structure back out of its categorified "
                             "view and compare entrywise")
     r.add_argument("file")
-    r.add_argument("--workers", type=int, default=1)
+    r.add_argument("--workers", type=int, default=1,
+                   help="accepted and ignored; checks run serially")
     r.set_defaults(fn=cmd_roundtrip)
 
     s = sub.add_parser("search-rb", help="enumerate operators over a coefficient grid")

@@ -199,16 +199,20 @@ def prelie_crossed_checks(pm: PreLieCrossedModule) -> list[Check]:
     return checks
 
 
-def verify_crossed(cm, workers: int = 1) -> VerificationReport:
-    """Axiom-by-axiom verification for any of the three crossed-module
-    flavours; violations carry the axiom name and basis indices."""
+def crossed_checks(cm) -> list[Check]:
+    """Axiom-by-axiom checks for any of the three crossed-module flavours;
+    violations carry the axiom name and basis indices."""
     if isinstance(cm, RBLieCrossedModule):
-        return run_checks(rb_crossed_checks(cm), workers)
+        return rb_crossed_checks(cm)
     if isinstance(cm, LieCrossedModule):
-        return run_checks(lie_crossed_checks(cm), workers)
+        return lie_crossed_checks(cm)
     if isinstance(cm, PreLieCrossedModule):
-        return run_checks(prelie_crossed_checks(cm), workers)
+        return prelie_crossed_checks(cm)
     raise ShapeMismatch(f"not a crossed module: {type(cm).__name__}")
+
+
+def verify_crossed(cm) -> VerificationReport:
+    return run_checks(crossed_checks(cm))
 
 
 def strict_to_crossed_data(G: TwoTermRBLInfinity) -> RBLieCrossedModule:

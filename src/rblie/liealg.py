@@ -139,9 +139,9 @@ def lie_checks(alg: LieAlgebra) -> list[Check]:
     return checks
 
 
-def verify_lie(alg: LieAlgebra, workers: int = 1) -> VerificationReport:
+def verify_lie(alg: LieAlgebra) -> VerificationReport:
     """Skew-symmetry on basis pairs, Jacobi on basis triple classes."""
-    return run_checks(lie_checks(alg), workers)
+    return run_checks(lie_checks(alg))
 
 
 def rb_checks(rba: RotaBaxterLieAlgebra) -> list[Check]:
@@ -156,10 +156,10 @@ def rb_checks(rba: RotaBaxterLieAlgebra) -> list[Check]:
             for i, j in combinations(range(n), 2)]
 
 
-def verify_rb(rba: RotaBaxterLieAlgebra, workers: int = 1) -> VerificationReport:
+def verify_rb(rba: RotaBaxterLieAlgebra) -> VerificationReport:
     """The weight-zero operator identity on basis pair classes; assumes the
     base already passed `verify_lie`."""
-    return run_checks(rb_checks(rba), workers)
+    return run_checks(rb_checks(rba))
 
 
 def prelie_checks(p: PreLieAlgebra) -> list[Check]:
@@ -177,9 +177,9 @@ def prelie_checks(p: PreLieAlgebra) -> list[Check]:
             for i, j in combinations(range(n), 2) for k in range(n)]
 
 
-def verify_prelie(p: PreLieAlgebra, workers: int = 1) -> VerificationReport:
+def verify_prelie(p: PreLieAlgebra) -> VerificationReport:
     """Associator symmetry in the first two arguments, exactly."""
-    return run_checks(prelie_checks(p), workers)
+    return run_checks(prelie_checks(p))
 
 
 def representation_checks(rep: RBRepresentation) -> list[Check]:
@@ -198,9 +198,9 @@ def representation_checks(rep: RBRepresentation) -> list[Check]:
     return checks
 
 
-def verify_representation(rep: RBRepresentation, workers: int = 1) -> VerificationReport:
+def verify_representation(rep: RBRepresentation) -> VerificationReport:
     """Lie-action property plus the module-operator compatibility identity."""
-    return run_checks(representation_checks(rep), workers)
+    return run_checks(representation_checks(rep))
 
 
 def operator_product(alg: LieAlgebra, r: LinearMap) -> PreLieAlgebra:

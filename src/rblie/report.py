@@ -3,12 +3,11 @@
 Verifiers never return bare booleans.  Each check evaluates one condition
 at one basis index tuple and yields a residual vector; a nonzero residual
 becomes a `Violation`.  Reports are sorted by (condition, indices) so their
-line rendering is stable across runs and worker counts.
+line rendering is stable across runs.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -67,22 +66,12 @@ class VerificationReport:
                 return v
         return None
 
-    @staticmethod
-    def merge(*reports: "VerificationReport") -> "VerificationReport":
-        return VerificationReport(
-            checked=sum(r.checked for r in reports),
-            violations=tuple(v for r in reports for v in r.violations))
-
 
 def run_checks(checks: Iterable[Check], workers: int = 1) -> VerificationReport:
-    """Evaluate every check; aggregation order is deterministic regardless
-    of `workers` because violations are sorted by (condition, indices)."""
+    """Evaluate every check serially, in one pass.  `workers` is accepted
+    for compatibility and ignored."""
     checks = list(checks)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            residuals = list(pool.map(lambda c: c[2](), checks))
-    else:
-        residuals = [fn() for _, _, fn in checks]
+    residuals = [fn() for _, _, fn in checks]
     violations = tuple(Violation(cond, idx, res)
                        for (cond, idx, _), res in zip(checks, residuals)
                        if any(x != 0 for x in res))

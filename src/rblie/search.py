@@ -3,9 +3,8 @@ grids, and single-site mutation of verified structures.
 
 Enumeration is exhaustive and deterministic: coefficients are sorted
 ascending and candidate matrices are visited in lexicographic row-major
-order, so re-runs (and any split of the candidate range across workers)
-produce the same list.  Candidates are rejected at the first violated
-bracket pair.
+order in one serial pass, so re-runs produce the same list.  Candidates
+are rejected at the first violated bracket pair.
 """
 
 from __future__ import annotations

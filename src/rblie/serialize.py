@@ -36,7 +36,7 @@ from .twoterm import (LInfinityHom, RBLInfinityHom, RBTriple, TwoTermComplex,
 
 FORMAT_VERSION = 1
 
-_RATIONAL = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class SearchResults:
 
 
 def parse_rational(text) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL.match(text):
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
         raise BadRational(f"not a rational literal: {text!r}")
     num, _, den = text.partition("/")
     try:  # a zero denominator, or more digits than int() converts

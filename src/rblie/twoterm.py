@@ -171,10 +171,10 @@ def two_term_checks(L: TwoTermLInfinity) -> list[Check]:
     return checks
 
 
-def verify_2term(L: TwoTermLInfinity, workers: int = 1) -> VerificationReport:
+def verify_2term(L: TwoTermLInfinity) -> VerificationReport:
     """Flag consistency plus the four defining conditions of the bracket,
     the homotopy, and their compatibilities."""
-    return run_checks(two_term_checks(L), workers)
+    return run_checks(two_term_checks(L))
 
 
 def quadruple_identity_residual(L: TwoTermLInfinity,
@@ -256,15 +256,14 @@ def rb_triple_checks(G: TwoTermRBLInfinity) -> list[Check]:
     return checks
 
 
-def verify_rb_triple(G: TwoTermRBLInfinity, workers: int = 1) -> VerificationReport:
+def verify_rb_triple(G: TwoTermRBLInfinity) -> VerificationReport:
     """Chain-map property and the three operator conditions; assumes the
     underlying two-term structure already passed `verify_2term`."""
-    return run_checks(rb_triple_checks(G), workers)
+    return run_checks(rb_triple_checks(G))
 
 
-def verify_rb_2term(G: TwoTermRBLInfinity, workers: int = 1) -> VerificationReport:
-    return VerificationReport.merge(verify_2term(G.linf, workers),
-                                    verify_rb_triple(G, workers))
+def verify_rb_2term(G: TwoTermRBLInfinity) -> VerificationReport:
+    return run_checks(two_term_checks(G.linf) + rb_triple_checks(G))
 
 
 @dataclass(frozen=True)
@@ -388,10 +387,10 @@ def hom_checks(f: LInfinityHom) -> list[Check]:
     return checks
 
 
-def verify_hom(f: LInfinityHom, workers: int = 1) -> VerificationReport:
+def verify_hom(f: LInfinityHom) -> VerificationReport:
     """Chain-map property and the three homomorphism conditions; assumes
     both endpoints already passed `verify_2term`."""
-    return run_checks(hom_checks(f), workers)
+    return run_checks(hom_checks(f))
 
 
 def rbh3_residual(f: RBLInfinityHom, i: int, j: int) -> Vec:
@@ -439,10 +438,10 @@ def rb_hom_checks(f: RBLInfinityHom) -> list[Check]:
     return checks
 
 
-def verify_rb_hom(f: RBLInfinityHom, workers: int = 1) -> VerificationReport:
+def verify_rb_hom(f: RBLInfinityHom) -> VerificationReport:
     """Underlying homomorphism conditions plus the three operator
     compatibilities."""
-    return run_checks(hom_checks(f.hom) + rb_hom_checks(f), workers)
+    return run_checks(hom_checks(f.hom) + rb_hom_checks(f))
 
 
 def identity_rb_hom(G: TwoTermRBLInfinity) -> RBLInfinityHom:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from conftest import CATALOG_DIR
@@ -58,6 +60,8 @@ MALFORMED = {
     "huge-integer": b'{"kind": "lie", "version": 1, "dim": ' + b"1" * 5000 + b"}",
     "huge-coefficient": (b'{"kind": "lie", "version": 1, "dim": 2, '
                          b'"bracket": [[0, 0, 1, "' + b"1" * 5000 + b'"]]}'),
+    "coefficient-newline": (b'{"kind": "lie", "version": 1, "dim": 2, '
+                            b'"bracket": [[0, 0, 1, "1\\n"]]}'),
 }
 
 
@@ -68,6 +72,19 @@ def test_malformed_input_exits_two_without_traceback(capsys, tmp_path, data):
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 2
     assert out == "" and err.startswith("error:")
+
+
+def test_hom_with_invalid_target_reports_violations(capsys, tmp_path):
+    # The target breaks the second equation of condition `a`, which is all
+    # that separates the two forms of the diagram bracket [f3(x), f3(y)].
+    doc = json.loads((CATALOG_DIR / "aff1-phi3-hom.json").read_text())
+    doc["target"]["l1"] = [[0, 0, "1"]]
+    doc["target"]["l2_01"] = [[0, 0, 0, "1"]]
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert "VIOLATION tgt-a (1,0,0) (2)" in out.splitlines()
 
 
 def test_parse_error_exits_two(capsys, tmp_path):

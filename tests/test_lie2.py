@@ -1,16 +1,20 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import hom_mutants, structure_mutants
+from conftest import CATALOG_DIR, hom_mutants, structure_mutants
+from rblie import lie2
 from rblie.catalog import TWO_TERM_STRUCTURES, HOMOMORPHISMS
+from rblie.cli import verify_structure
 from rblie.errors import NotComposable
 from rblie.lie2 import (Morphism2V, RBLie2Hom, RBLie2View, coherence_residual,
                         naturality_residual, roundtrip_hom,
                         roundtrip_structure, verify_naturality,
                         verify_rbcoh, verify_rbcohm)
+from rblie.serialize import load
 from rblie.tensors import is_zero, vadd, vbasis, vec, vzero
 from rblie.twoterm import rb2_residual, rb3_residual, rbh3_residual
 
@@ -192,6 +196,30 @@ def test_hom_coherence_agrees_with_chain_condition_on_mutants():
         rbh3_pairs = {(i, j) for i in range(d0) for j in range(d0)
                       if not is_zero(rbh3_residual(mutant, i, j))}
         assert cohm_pairs == rbh3_pairs, condition
+
+
+def test_each_diagram_residual_is_evaluated_once(monkeypatch):
+    """A diagram check and its cross-check share one evaluation of the
+    diagram residual at each index tuple."""
+    calls = Counter()
+
+    def counted(name):
+        residual = getattr(lie2, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return residual(*args)
+        return wrapper
+
+    names = ("coherence_residual", "jacobiator_coherence_residual",
+             "hom_coherence_residual")
+    for name in names:
+        monkeypatch.setattr(lie2, name, counted(name))
+    G = load(CATALOG_DIR / "sl2-cocycle-rb2.json")
+    F = load(CATALOG_DIR / "aff1-phi3-hom.json")
+    assert verify_structure(G).ok and verify_structure(F).ok
+    d0, h0 = G.linf.dim0, F.source.linf.dim0
+    assert [calls[name] for name in names] == [d0 ** 3, d0 ** 4, h0 ** 2]
 
 
 def test_roundtrip_identity_on_catalog():

@@ -31,19 +31,3 @@ def test_run_checks_counts_and_filters_zero_residuals():
     assert report.conditions() == {"two"}
     assert report.at("two", (1,)).residual == vec(0, 5)
     assert report.at("one", (0,)) is None
-
-
-def test_run_checks_worker_count_does_not_change_output():
-    checks = [(f"c{i % 3}", (i,), (lambda i=i: vec(i % 2)))
-              for i in range(40)]
-    serial = run_checks(checks, workers=1)
-    parallel = run_checks(checks, workers=4)
-    assert serial == parallel
-
-
-def test_merge_accumulates():
-    a = run_checks([("x", (0,), lambda: vec(1))])
-    b = run_checks([("y", (1,), lambda: vec(0))])
-    merged = VerificationReport.merge(a, b)
-    assert merged.checked == 2
-    assert merged.conditions() == {"x"}

@@ -25,7 +25,8 @@ def test_parse_rational_accepts_canonical_and_shorthand():
 
 
 def test_parse_rational_rejects_bad_literals():
-    for bad in ("1/-2", "-1/-2", "1/0", "1.5", "", "a", "+1", "1 /2", 3, None):
+    for bad in ("1/-2", "-1/-2", "1/0", "1.5", "", "a", "+1", "1 /2", 3, None,
+                "1\n", "-1/2\n"):
         with pytest.raises(BadRational):
             parse_rational(bad)
 
