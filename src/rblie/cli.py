@@ -8,8 +8,8 @@ errors.  Violation lines are machine-parseable and sorted:
 
 Every verification runs its checks serially in one pass over one check
 list; each coherence-diagram residual is evaluated once and feeds both its
-diagram id and its cross-check id.  `--workers` is accepted by verify and
-roundtrip and has no effect.  Constructed documents go to -o or stdout.
+diagram id and its cross-check id.  Constructed documents go to -o or
+stdout.
 """
 
 from __future__ import annotations
@@ -197,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run every defining identity of a document")
     v.add_argument("file")
-    v.add_argument("--workers", type=int, default=1,
-                   help="accepted and ignored; checks run serially")
     v.set_defaults(fn=cmd_verify)
 
     c = sub.add_parser("construct", help="apply a construction to a document")
@@ -211,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extract a structure back out of its categorified "
                             "view and compare entrywise")
     r.add_argument("file")
-    r.add_argument("--workers", type=int, default=1,
-                   help="accepted and ignored; checks run serially")
     r.set_defaults(fn=cmd_roundtrip)
 
     s = sub.add_parser("search-rb", help="enumerate operators over a coefficient grid")

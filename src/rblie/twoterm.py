@@ -228,6 +228,13 @@ def rb2_residual(G: TwoTermRBLInfinity, a: int, i: int) -> Vec:
     return vsub(lhs, rb.r2.apply(L.l1v(u), x))
 
 
+def rb1_defect(L: TwoTermLInfinity, r0: LinearMap, x: Vec, y: Vec) -> Vec:
+    """R0([R0 x, y] + [x, R0 y]) - [R0 x, R0 y]: the degree-zero operator
+    defect that condition rb1 equates with l1 R2(x, y)."""
+    px, py = r0.apply(x), r0.apply(y)
+    return vsub(r0.apply(vadd(L.l2_obj(px, y), L.l2_obj(x, py))), L.l2_obj(px, py))
+
+
 def rb_triple_checks(G: TwoTermRBLInfinity) -> list[Check]:
     L, rb = G.linf, G.rb
     d0, d1 = L.dim0, L.dim1
@@ -239,12 +246,7 @@ def rb_triple_checks(G: TwoTermRBLInfinity) -> list[Check]:
 
     def rb1(i, j):
         x, y = vbasis(d0, i), vbasis(d0, j)
-
-        def go():
-            lhs = vsub(r0(vadd(L.l2_obj(r0(x), y), L.l2_obj(x, r0(y)))),
-                       L.l2_obj(r0(x), r0(y)))
-            return vsub(lhs, L.l1v(rb.r2.apply(x, y)))
-        return go
+        return lambda: vsub(rb1_defect(L, rb.r0, x, y), L.l1v(rb.r2.apply(x, y)))
 
     checks: list[Check] = [("chain", (a,), chain(a)) for a in range(d1)]
     checks += skew_checks(rb.r2, "skew-r2")
@@ -288,10 +290,7 @@ def complete_rb_triple(L: TwoTermLInfinity, r0: LinearMap,
             raise NotChainMap(f"(R0, R1) do not commute with the differential at column {a}")
     values: dict[tuple[int, int], Vec] = {}
     for i, j in combinations(range(d0), 2):
-        x, y = vbasis(d0, i), vbasis(d0, j)
-        defect = vsub(r0.apply(vadd(L.l2_obj(r0.apply(x), y), L.l2_obj(x, r0.apply(y)))),
-                      L.l2_obj(r0.apply(x), r0.apply(y)))
-        sol = solve_exact(L.complex.l1, defect)
+        sol = solve_exact(L.complex.l1, rb1_defect(L, r0, vbasis(d0, i), vbasis(d0, j)))
         if sol is None:
             return CompletionFailure("condition-1", (i, j), None)
         values[(i, j)] = sol

@@ -212,8 +212,8 @@ def test_criterion_9_cli_contract(capsys, tmp_path):
                          "--site", "r0,0,1", "--delta", "1", "-o", str(bad)]) == 0
         capsys.readouterr()
         outputs = []
-        for workers in ("1", "3"):
-            assert cli_main(["verify", str(bad), "--workers", workers]) == 1
+        for _ in range(2):
+            assert cli_main(["verify", str(bad)]) == 1
             out = capsys.readouterr().out
             lines = out.strip().splitlines()
             assert lines == sorted(lines)

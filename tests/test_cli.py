@@ -40,18 +40,6 @@ def test_verify_mutated_file_exits_one_with_violation_lines(capsys, tmp_path):
     assert any(line.startswith("VIOLATION jacobi ") for line in lines)
 
 
-def test_verify_output_identical_across_worker_counts(capsys, tmp_path):
-    bad = tmp_path / "bad.json"
-    run_cli(capsys, "mutate", str(CATALOG_DIR / "sl2-adjoint-rb2-tri.json"),
-            "--site", "r0,0,1", "--delta", "1/3", "-o", str(bad))
-    results = []
-    for workers in ("1", "4"):
-        code, out, _ = run_cli(capsys, "verify", str(bad), "--workers", workers)
-        assert code == 1
-        results.append(out)
-    assert results[0] == results[1]
-
-
 MALFORMED = {
     "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
     "not-utf8": b'\xff\xfe{"kind": "lie", "version": 1}',

@@ -14,8 +14,9 @@ from rblie.lie2 import (Morphism2V, RBLie2Hom, RBLie2View, coherence_residual,
                         naturality_residual, roundtrip_hom,
                         roundtrip_structure, verify_naturality,
                         verify_rbcoh, verify_rbcohm)
+from rblie.search import mutate
 from rblie.serialize import load
-from rblie.tensors import is_zero, vadd, vbasis, vec, vzero
+from rblie.tensors import is_zero, vadd, vbasis, vec, vsub, vzero
 from rblie.twoterm import rb2_residual, rb3_residual, rbh3_residual
 
 VIEW = RBLie2View(TWO_TERM_STRUCTURES["sl2-cocycle-rb2-nonstrict"])
@@ -151,12 +152,12 @@ def test_jacobiator_coherence_clean_on_catalog():
 
 def test_jacobiator_coherence_equals_quadruple_identity_everywhere():
     """The coherence diagram difference IS the four-argument chain-level
-    identity, including on the mutant that violates only that condition."""
+    identity, including on every structure mutant (nonzero residuals)."""
     import itertools
     from rblie.lie2 import jacobiator_coherence_residual
     from rblie.twoterm import quadruple_identity_residual
     instances = list(TWO_TERM_STRUCTURES.values())
-    instances.append(dict(structure_mutants())["d"])
+    instances += [m for _, m in structure_mutants()]
     for G in instances:
         view = RBLie2View(G)
         d0 = G.linf.dim0
@@ -174,11 +175,15 @@ def test_jacobiator_coherence_flags_d_mutant():
 
 
 def test_naturality_equals_degree_one_condition():
-    for name, G in TWO_TERM_STRUCTURES.items():
+    """The naturality difference IS the degree-one operator condition, on
+    the catalog (all zero) and on every structure mutant."""
+    instances = list(TWO_TERM_STRUCTURES.items()) + structure_mutants()
+    for name, G in instances:
         view = RBLie2View(G)
         for a in range(G.linf.dim1):
             for i in range(G.linf.dim0):
                 assert naturality_residual(view, a, i) == rb2_residual(G, a, i), name
+    for name, G in TWO_TERM_STRUCTURES.items():
         assert verify_naturality(G).ok, name
 
 
@@ -196,6 +201,39 @@ def test_hom_coherence_agrees_with_chain_condition_on_mutants():
         rbh3_pairs = {(i, j) for i in range(d0) for j in range(d0)
                       if not is_zero(rbh3_residual(mutant, i, j))}
         assert cohm_pairs == rbh3_pairs, condition
+
+
+def phi3_bracket_term(F, i: int, j: int):
+    """B(x, y) = l2'(R0' phi0 x + l1' phi3 x, phi3 y) - l2'(R0' phi0 y, phi3 x),
+    from the chain data alone: the arrow part of the diagram bracket of
+    the comparison morphisms f3(x) and f3(y)."""
+    tgt, d0 = F.target.linf, F.source.linf.dim0
+    p0, p3, r0 = F.hom.phi0.apply, F.phi3.apply, F.target.rb.r0.apply
+    x, y = vbasis(d0, i), vbasis(d0, j)
+    return vsub(tgt.l2_act(vadd(r0(p0(x)), tgt.l1v(p3(x))), p3(y)),
+                tgt.l2_act(r0(p0(y)), p3(x)))
+
+
+def test_hom_coherence_equals_rbh3_minus_phi3_bracket():
+    """cohm = rbh3 - B exactly, on every catalog homomorphism and each of
+    its single-site phi3 mutants (where B is nonzero at some pairs)."""
+    instances = []
+    for F in HOMOMORPHISMS.values():
+        instances.append(F)
+        instances += [mutate(F, ("phi3", r, c), 1)
+                      for r in range(F.phi3.rows) for c in range(F.phi3.cols)]
+    pairs = nonzero_b = 0
+    for F in instances:
+        d0 = F.source.linf.dim0
+        for i in range(d0):
+            for j in range(d0):
+                b = phi3_bracket_term(F, i, j)
+                assert lie2.hom_coherence_residual(F, i, j) == \
+                    vsub(rbh3_residual(F, i, j), b)
+                pairs += 1
+                nonzero_b += not is_zero(b)
+    # 73 catalog pairs and 285 mutant pairs; B is nonzero only on mutants
+    assert (pairs, nonzero_b) == (73 + 285, 12)
 
 
 def test_each_diagram_residual_is_evaluated_once(monkeypatch):
