@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Time the scaling probes and catalog verification of this checkout.
+
+    python3 scripts/bench.py out.json
+
+Imports `rblie` from the `src/` next to this script and times, in-process,
+each row below as the median of REPEATS runs:
+
+* verification of the zero Lie algebra at dim 8, 12, 16 and 25;
+* verification of the zero two-term structure (zero operator triple) at
+  dim0 3 to 6 and dim1 2;
+* `rblie verify catalog/solv4-module-cocycle-rb2.json`;
+* `rblie roundtrip catalog/solv4-cocycle-phi2-hom.json`;
+* `rblie verify` of every catalog document, one after the other.
+
+The JSON written to the one argument holds every row (median, the single
+runs, the number of checked conditions) and the line count of `src/`.
+Only the standard library is used, so the same file can be copied into an
+older checkout to measure a before/after pair on one machine.  The zero
+dim-25 row of a dense tensor kernel takes minutes, so this is not a CI
+step.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import platform
+import statistics
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from rblie.cli import main as cli_main, verify_structure  # noqa: E402
+from rblie.liealg import LieAlgebra  # noqa: E402
+from rblie.tensors import BilinearMap, LinearMap, TrilinearMap  # noqa: E402
+from rblie.twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,  # noqa: E402
+                           TwoTermRBLInfinity)
+
+REPEATS = 3
+CATALOG = ROOT / "catalog"
+
+
+def zero_lie(n: int) -> LieAlgebra:
+    return LieAlgebra(n, BilinearMap.zero(n, n, n, skew=True))
+
+
+def zero_rb_2term(d0: int, d1: int) -> TwoTermRBLInfinity:
+    linf = TwoTermLInfinity(TwoTermComplex(d0, d1, LinearMap.zero(d0, d1)),
+                            BilinearMap.zero(d0, d0, d0, skew=True),
+                            BilinearMap.zero(d0, d1, d1),
+                            TrilinearMap.zero(d0, d1, alt=True))
+    return TwoTermRBLInfinity(linf, RBTriple(LinearMap.zero(d0, d0), LinearMap.zero(d1, d1),
+                                             BilinearMap.zero(d0, d0, d1, skew=True)))
+
+
+def verify_object(obj) -> int:
+    report = verify_structure(obj)
+    if not report.ok:
+        raise SystemExit(f"probe failed verification: {report.lines()[:3]}")
+    return report.checked
+
+
+def cli(*paths: Path, command: str = "verify") -> int:
+    """Run `command` on each document; the summed checked counts."""
+    checked = 0
+    for path in paths:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli_main([command, str(path)])
+        if code != 0:
+            raise SystemExit(f"{command} {path.name} exited {code}")
+        checked += int(err.getvalue().split()[1])
+    return checked
+
+
+def rows() -> dict:
+    out = {f"zero lie dim {n}": lambda n=n: verify_object(zero_lie(n)) for n in (8, 12, 16, 25)}
+    out.update({f"zero rb-2term dim0 {d} dim1 2": lambda d=d: verify_object(zero_rb_2term(d, 2))
+                for d in range(3, 7)})
+    out["verify solv4-module-cocycle-rb2"] = lambda: cli(CATALOG / "solv4-module-cocycle-rb2.json")
+    out["roundtrip solv4-cocycle-phi2-hom"] = lambda: cli(
+        CATALOG / "solv4-cocycle-phi2-hom.json", command="roundtrip")
+    out["verify whole catalog"] = lambda: cli(*sorted(CATALOG.glob("*.json")))
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 scripts/bench.py OUT.json", file=sys.stderr)
+        return 2
+    result = {"python": platform.python_version(), "machine": platform.machine(),
+              "repeats": REPEATS, "rows": {}}
+    for name, fn in rows().items():
+        runs = []
+        for _ in range(REPEATS):
+            start = perf_counter()
+            checked = fn()
+            runs.append(perf_counter() - start)
+        median = statistics.median(runs)
+        result["rows"][name] = {"median_s": round(median, 4),
+                                "runs_s": [round(t, 4) for t in runs], "checked": checked}
+        print(f"{name}: {median:.3f} s ({checked} checks)", file=sys.stderr)
+    result["src_lines"] = sum(len(p.read_text().splitlines())
+                              for p in sorted((ROOT / "src").rglob("*.py")))
+    Path(argv[0]).write_text(json.dumps(result, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

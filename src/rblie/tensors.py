@@ -15,11 +15,22 @@ Index conventions, fixed project-wide and mirrored by the file format:
 enforced at construction: verifiers check them and report violations,
 which is what lets mutation tests build deliberately broken structures.
 Construction validates shapes only.
+
+Each map also keeps ``nonzero``, an index of its nonzero entries built
+once at construction and grouped by input indices: column ``c`` ->
+``((r, coeff), ...)`` for a linear map, pair ``(i, j)`` -> ``((k, coeff),
+...)`` for a bilinear one, triple ``(i, j, k)`` -> ``((l, coeff), ...)`` for
+a trilinear one.  ``apply`` visits only the nonzero coordinates of its
+arguments and looks their input tuples up in the index, so a basis
+evaluation costs one lookup instead of a walk over the whole grid; a map
+with an empty index returns zero at once, and ``is_zero`` asks whether the
+index is empty.  Only the order of the exact
+``Fraction`` additions changes, so every result is the same value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
@@ -67,6 +78,19 @@ def is_zero(u: Vec) -> bool:
     return all(a == 0 for a in u)
 
 
+def _grouped(cells) -> dict:
+    """``(input key, output index, coeff)`` triples as the index
+    ``key -> ((output index, coeff), ...)``."""
+    groups: dict = {}
+    for key, out, a in cells:
+        groups.setdefault(key, []).append((out, a))
+    return {key: tuple(g) for key, g in groups.items()}
+
+
+def _support(u: Vec) -> list[tuple[int, Fraction]]:
+    return [(i, a) for i, a in enumerate(u) if a]
+
+
 def perm_sign(p: tuple[int, ...]) -> int:
     sign = 1
     p = list(p)
@@ -83,11 +107,14 @@ class LinearMap:
     rows: int
     cols: int
     entries: tuple[tuple[Fraction, ...], ...]
+    nonzero: dict = field(init=False, repr=False, compare=False)  # c -> ((r, coeff), ...)
 
     def __post_init__(self):
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise ShapeMismatch(
                 f"linear map grid is not {self.rows}x{self.cols}")
+        object.__setattr__(self, "nonzero", _grouped(
+            (c, r, a) for r, row in enumerate(self.entries) for c, a in enumerate(row) if a))
 
     @staticmethod
     def zero(rows: int, cols: int) -> LinearMap:
@@ -117,8 +144,13 @@ class LinearMap:
     def apply(self, u: Vec) -> Vec:
         if len(u) != self.cols:
             raise ShapeMismatch(f"vector of length {len(u)} fed to {self.rows}x{self.cols} map")
-        return tuple(sum((row[c] * u[c] for c in range(self.cols)), ZERO)
-                     for row in self.entries)
+        if not self.nonzero:
+            return vzero(self.rows)
+        out = [ZERO] * self.rows
+        for c, a in _support(u):
+            for r, x in self.nonzero.get(c, ()):
+                out[r] += x * a
+        return tuple(out)
 
     def compose(self, other: LinearMap) -> LinearMap:
         """self after other (matrix product self @ other)."""
@@ -152,7 +184,7 @@ class LinearMap:
                          tuple(tuple(c * a for a in row) for row in self.entries))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for row in self.entries for a in row)
+        return not self.nonzero
 
     def flat(self) -> Vec:
         return tuple(a for row in self.entries for a in row)
@@ -165,6 +197,7 @@ class BilinearMap:
     dim_out: int
     coeffs: tuple[tuple[tuple[Fraction, ...], ...], ...]  # [k][i][j]
     skew: bool = False
+    nonzero: dict = field(init=False, repr=False, compare=False)  # (i, j) -> ((k, coeff), ...)
 
     def __post_init__(self):
         if (len(self.coeffs) != self.dim_out
@@ -174,6 +207,9 @@ class BilinearMap:
                 f"bilinear grid is not {self.dim_out}x{self.dim_a}x{self.dim_b}")
         if self.skew and self.dim_a != self.dim_b:
             raise ShapeMismatch("skew flag requires equal domain dimensions")
+        object.__setattr__(self, "nonzero", _grouped(
+            ((i, j), k, a) for k, plane in enumerate(self.coeffs)
+            for i, row in enumerate(plane) for j, a in enumerate(row) if a))
 
     @staticmethod
     def zero(dim_a: int, dim_b: int, dim_out: int, skew: bool = False) -> BilinearMap:
@@ -205,13 +241,14 @@ class BilinearMap:
     def apply(self, u: Vec, v: Vec) -> Vec:
         if len(u) != self.dim_a or len(v) != self.dim_b:
             raise ShapeMismatch("bilinear map fed vectors of wrong lengths")
-        out = []
-        for k in range(self.dim_out):
-            plane = self.coeffs[k]
-            out.append(sum((plane[i][j] * u[i] * v[j]
-                            for i in range(self.dim_a)
-                            for j in range(self.dim_b)
-                            if plane[i][j] != 0 and u[i] != 0 and v[j] != 0), ZERO))
+        if not self.nonzero:
+            return vzero(self.dim_out)
+        out = [ZERO] * self.dim_out
+        vs = _support(v)
+        for i, a in _support(u):
+            for j, b in vs:
+                for k, c in self.nonzero.get((i, j), ()):
+                    out[k] += c * a * b
         return tuple(out)
 
     def curry_left(self, u: Vec) -> LinearMap:
@@ -221,7 +258,7 @@ class BilinearMap:
             rows=self.dim_out)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for plane in self.coeffs for row in plane for a in row)
+        return not self.nonzero
 
 
 @dataclass(frozen=True)
@@ -230,6 +267,7 @@ class TrilinearMap:
     dim_out: int
     coeffs: tuple  # [l][i][j][k]
     alt: bool = False
+    nonzero: dict = field(init=False, repr=False, compare=False)  # (i, j, k) -> ((l, coeff), ...)
 
     def __post_init__(self):
         ok = len(self.coeffs) == self.dim_out
@@ -242,6 +280,9 @@ class TrilinearMap:
         if not ok:
             raise ShapeMismatch(
                 f"trilinear grid is not {self.dim_out}x{self.dim}^3")
+        object.__setattr__(self, "nonzero", _grouped(
+            ((i, j, k), l, a) for l, cube in enumerate(self.coeffs) for i, plane in enumerate(cube)
+            for j, row in enumerate(plane) for k, a in enumerate(row) if a))
 
     @staticmethod
     def zero(dim: int, dim_out: int, alt: bool = False) -> TrilinearMap:
@@ -276,19 +317,19 @@ class TrilinearMap:
     def apply(self, u: Vec, v: Vec, w: Vec) -> Vec:
         if len(u) != self.dim or len(v) != self.dim or len(w) != self.dim:
             raise ShapeMismatch("trilinear map fed vectors of wrong lengths")
-        out = []
-        for l in range(self.dim_out):
-            cube = self.coeffs[l]
-            out.append(sum((cube[i][j][k] * u[i] * v[j] * w[k]
-                            for i in range(self.dim)
-                            for j in range(self.dim)
-                            for k in range(self.dim)
-                            if cube[i][j][k] != 0 and u[i] != 0 and v[j] != 0 and w[k] != 0),
-                           ZERO))
+        if not self.nonzero:
+            return vzero(self.dim_out)
+        out = [ZERO] * self.dim_out
+        vs, ws = _support(v), _support(w)
+        for i, a in _support(u):
+            for j, b in vs:
+                for k, c in ws:
+                    for l, x in self.nonzero.get((i, j, k), ()):
+                        out[l] += x * a * b * c
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for cube in self.coeffs for p in cube for r in p for a in r)
+        return not self.nonzero
 
 
 def solve_exact(a: LinearMap, b: Vec) -> Vec | None:

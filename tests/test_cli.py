@@ -1,6 +1,11 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import CATALOG_DIR
 from rblie.cli import main
@@ -60,6 +65,54 @@ def test_malformed_input_exits_two_without_traceback(capsys, tmp_path, data):
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 2
     assert out == "" and err.startswith("error:")
+
+
+CATALOG_DOCS = {path.name: json.loads(path.read_text())
+                for path in sorted(CATALOG_DIR.glob("*.json"))}
+# Replacement leaves: every JSON type, small dimensions (so a document
+# stays cheap to verify), and literals that are not valid rationals.
+LEAVES = st.sampled_from([None, True, *range(-2, 7), 1.5, "x", "1/0", "-3", [], {}])
+
+
+def leaf_paths(node, at=()):
+    """The paths to the scalar leaves of a JSON value."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [at]
+    return [p for key, child in items for p in leaf_paths(child, at + (key,))]
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = replaced(doc[path[0]], path[1:], value)
+    return copy
+
+
+@st.composite
+def corrupted_documents(draw) -> bytes:
+    doc = CATALOG_DOCS[draw(st.sampled_from(sorted(CATALOG_DOCS)))]
+    paths = leaf_paths(doc)
+    for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3)):
+        doc = replaced(doc, path, draw(LEAVES))
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(st.binary(max_size=200), corrupted_documents()))
+def test_verify_and_roundtrip_exit_codes_on_arbitrary_input(data):
+    """Any input gives exit 0, 1 or 2 and never lets an exception escape."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_bytes(data)
+        for command in ("verify", "roundtrip"):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main([command, str(path)])
+            assert code in (0, 1, 2), (command, data[:200])
 
 
 def test_hom_with_invalid_target_reports_violations(capsys, tmp_path):

@@ -1,13 +1,125 @@
 from fractions import Fraction
+from itertools import product
+from time import perf_counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import make_linf, with_zero_rb
+from rblie.cli import verify_structure
 from rblie.errors import ShapeMismatch
+from rblie.liealg import LieAlgebra
 from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap, perm_sign,
-                           solve_exact, vec)
+                           solve_exact, vbasis, vec, vzero)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
+
+
+# --- the sparse kernel against the dense grid walk ---------------------------
+
+def grid_cells(t):
+    """Every cell of the map's grid as ``((out, *inputs), coeff)``."""
+    cells = [((), t.entries if isinstance(t, LinearMap) else t.coeffs)]
+    for _ in range(len(input_dims(t)) + 1):
+        cells = [(at + (i,), sub) for at, g in cells for i, sub in enumerate(g)]
+    return cells
+
+
+def dense_apply(t, *args):
+    """The dense reference: every cell of the grid times the argument
+    coordinates at its input indices, summed per output index."""
+    out_dim = t.rows if isinstance(t, LinearMap) else t.dim_out
+    out = [Fraction(0)] * out_dim
+    for (o, *ins), c in grid_cells(t):
+        term = c
+        for u, i in zip(args, ins):
+            term *= u[i]
+        out[o] += term
+    return tuple(out)
+
+
+def input_dims(t) -> tuple[int, ...]:
+    if isinstance(t, LinearMap):
+        return (t.cols,)
+    if isinstance(t, BilinearMap):
+        return (t.dim_a, t.dim_b)
+    return (t.dim,) * 3
+
+
+@st.composite
+def multilinear_maps(draw):
+    """A linear, bilinear (plain or skew-filled) or trilinear (plain or
+    alternating-filled) map of dims up to 4, with no, few or all of its
+    input tuples given a value."""
+    kind = draw(st.sampled_from(["linear", "bilinear", "skew", "trilinear", "alt"]))
+    dim = st.integers(0, 4)
+    d_out = draw(dim)
+    if kind == "linear":
+        ins = (draw(dim),)
+    elif kind == "bilinear":
+        ins = (draw(dim), draw(dim))
+    else:
+        ins = (draw(dim),) * (2 if kind == "skew" else 3)
+    keys = list(product(*map(range, ins)))
+    if kind in ("skew", "alt"):  # the fill supplies the mirrored tuples
+        keys = [k for k in keys if all(a < b for a, b in zip(k, k[1:]))]
+    values = st.tuples(*[rationals] * d_out)
+    fill = draw(st.sampled_from(["zero", "sparse", "dense"]))
+    if fill == "zero" or not keys:
+        vals = {}
+    elif fill == "sparse":
+        vals = draw(st.dictionaries(st.sampled_from(keys), values, max_size=3))
+    else:
+        vals = {k: draw(values) for k in keys}
+    if kind == "linear":
+        cols = [vals.get((c,), vzero(d_out)) for c in range(ins[0])]
+        return LinearMap.from_columns(cols, rows=d_out)
+    if kind in ("bilinear", "skew"):
+        return BilinearMap.from_map(*ins, d_out, vals, skew=kind == "skew")
+    return TrilinearMap.from_map(ins[0], d_out, vals, alt=kind == "alt")
+
+
+@st.composite
+def argument(draw, n: int):
+    """A basis, zero or dense vector of length n."""
+    form = draw(st.sampled_from(["basis", "zero", "dense"]))
+    if form == "basis" and n:
+        return vbasis(n, draw(st.integers(0, n - 1)))
+    if form == "dense":
+        return tuple(draw(st.lists(rationals, min_size=n, max_size=n)))
+    return vzero(n)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_apply_and_is_zero_match_the_dense_grid_walk(data):
+    t = data.draw(multilinear_maps())
+    dims = input_dims(t)
+    args = [data.draw(argument(n)) for n in dims]
+    got = t.apply(*args)
+    assert got == dense_apply(t, *args)
+    assert all(isinstance(x, Fraction) for x in got)
+    assert t.is_zero() == all(c == 0 for _, c in grid_cells(t))
+    for pos, n in enumerate(dims):
+        wrong = list(args)
+        wrong[pos] = vzero(n + 1)
+        with pytest.raises(ShapeMismatch):
+            t.apply(*wrong)
+
+
+def test_zero_structure_probes_skip_the_dense_grid():
+    """Scaling probes: all-zero tensors have empty indices, so the zero Lie
+    algebra of dim 25 and the zero two-term structure of dims (5, 2) verify
+    in about a second together.  A kernel that walks the dense grid takes
+    over a minute on the first alone; the time bound leaves ample room for
+    a slow machine and still catches that."""
+    start = perf_counter()
+    lie = verify_structure(LieAlgebra(25, BilinearMap.zero(25, 25, 25, skew=True)))
+    two_term = verify_structure(with_zero_rb(make_linf(5, 2)))
+    elapsed = perf_counter() - start
+    assert (lie.checked, len(lie.violations)) == (2625, 0)
+    assert (two_term.checked, len(two_term.violations)) == (1840, 0)
+    assert elapsed < 20, f"zero-structure probes took {elapsed:.1f} s"
 
 
 def test_linear_map_apply_and_columns():
