@@ -8,8 +8,9 @@ errors.  Violation lines are machine-parseable and sorted:
 
 Every verification runs its checks serially in one pass over one check
 list; each coherence-diagram residual is evaluated once and feeds both its
-diagram id and its cross-check id.  Constructed documents go to -o or
-stdout.
+diagram id and its cross-check id, and the `rb3` and `rbh3` chain checks
+share their single evaluation with the `coh-vs-rb3` and `cohm-vs-rbh3`
+cross-checks.  Constructed documents go to -o or stdout.
 """
 
 from __future__ import annotations
@@ -54,16 +55,18 @@ def structure_checks(obj) -> list[Check]:
         return (prefix_checks("alg-", lie_checks(alg.base) + rb_checks(alg))
                 + representation_checks(obj))
     if isinstance(obj, TwoTermRBLInfinity):
-        return (two_term_checks(obj.linf) + rb_triple_checks(obj)
-                + coherence_checks(obj) + jacobiator_coherence_checks(obj))
+        triple = rb_triple_checks(obj)
+        return (two_term_checks(obj.linf) + triple
+                + coherence_checks(obj, triple) + jacobiator_coherence_checks(obj))
     if isinstance(obj, TwoTermLInfinity):
         return two_term_checks(obj)
     if isinstance(obj, RBLInfinityHom):
+        rb_hom = rb_hom_checks(obj)
         return (prefix_checks("src-", two_term_checks(obj.source.linf)
                               + rb_triple_checks(obj.source))
                 + prefix_checks("tgt-", two_term_checks(obj.target.linf)
                                 + rb_triple_checks(obj.target))
-                + hom_checks(obj.hom) + rb_hom_checks(obj) + hom_coherence_checks(obj))
+                + hom_checks(obj.hom) + rb_hom + hom_coherence_checks(obj, rb_hom))
     if isinstance(obj, LInfinityHom):
         return (prefix_checks("src-", two_term_checks(obj.source))
                 + prefix_checks("tgt-", two_term_checks(obj.target))

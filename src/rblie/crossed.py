@@ -43,7 +43,7 @@ class LieCrossedModule:
         _check_action_shapes(self.g0.dim, self.g1.dim, self.rho, "action")
 
     def act(self, x: Vec, u: Vec) -> Vec:
-        return action_of(self.rho, x).apply(u)
+        return action_of(self.rho, x, self.g1.dim).apply(u)
 
 
 @dataclass(frozen=True)
@@ -158,28 +158,30 @@ def prelie_crossed_checks(pm: PreLieCrossedModule) -> list[Check]:
         # p0 (+) p1 needs to satisfy the defining identity
         def go():
             lhs = pm.l_act[i].compose(pm.r_act[j]).sub(pm.r_act[j].compose(pm.l_act[i]))
-            rhs = action_of(pm.r_act, pm.p0.mult.on_basis(i, j)).sub(
+            rhs = action_of(pm.r_act, pm.p0.mult.on_basis(i, j), n1).sub(
                 pm.r_act[j].compose(pm.r_act[i]))
             return lhs.sub(rhs).flat()
         return go
 
     def delta_l(i, a):
         x, u = e0(i), e1(a)
-        return lambda: vsub(pm.delta.apply(action_of(pm.l_act, x).apply(u)),
+        return lambda: vsub(pm.delta.apply(action_of(pm.l_act, x, n1).apply(u)),
                             pm.p0.mult_vec(x, pm.delta.apply(u)))
 
     def delta_r(i, a):
         x, u = e0(i), e1(a)
-        return lambda: vsub(pm.delta.apply(action_of(pm.r_act, x).apply(u)),
+        return lambda: vsub(pm.delta.apply(action_of(pm.r_act, x, n1).apply(u)),
                             pm.p0.mult_vec(pm.delta.apply(u), x))
 
     def peiffer_l(a, b):
         u, v = e1(a), e1(b)
-        return lambda: vsub(action_of(pm.l_act, pm.delta.apply(u)).apply(v), pm.p1.mult_vec(u, v))
+        return lambda: vsub(action_of(pm.l_act, pm.delta.apply(u), n1).apply(v),
+                            pm.p1.mult_vec(u, v))
 
     def peiffer_r(a, b):
         u, v = e1(a), e1(b)
-        return lambda: vsub(action_of(pm.r_act, pm.delta.apply(v)).apply(u), pm.p1.mult_vec(u, v))
+        return lambda: vsub(action_of(pm.r_act, pm.delta.apply(v), n1).apply(u),
+                            pm.p1.mult_vec(u, v))
 
     checks = prefix_checks("p0-", prelie_checks(pm.p0))
     checks += prefix_checks("p1-", prelie_checks(pm.p1))
@@ -271,7 +273,7 @@ def rb_crossed_to_prelie_crossed_data(cm: RBLieCrossedModule) -> PreLieCrossedMo
     u *1 v = [T1 u, v], l_x = rho(T0 x), r_x u = -rho(x) T1 u."""
     base = cm.base
     n0 = base.g0.dim
-    l_act = tuple(action_of(base.rho, cm.t0.column(i)) for i in range(n0))
+    l_act = tuple(action_of(base.rho, cm.t0.column(i), base.g1.dim) for i in range(n0))
     r_act = tuple(base.rho[i].compose(cm.t1).neg() for i in range(n0))
     return PreLieCrossedModule(operator_product(base.g0, cm.t0),
                                operator_product(base.g1, cm.t1), base.d, l_act, r_act)
@@ -309,7 +311,7 @@ def derived_crossed(cm: RBLieCrossedModule) -> tuple[LieCrossedModule, Verificat
 
     g0 = LieAlgebra(n0, der_bracket(base.g0, cm.t0))
     g1 = LieAlgebra(n1, der_bracket(base.g1, cm.t1))
-    rho = tuple(action_of(base.rho, cm.t0.column(i)).add(base.rho[i].compose(cm.t1))
+    rho = tuple(action_of(base.rho, cm.t0.column(i), n1).add(base.rho[i].compose(cm.t1))
                 for i in range(n0))
     out = LieCrossedModule(g0, g1, base.d, rho)
     verify_crossed(out).require_ok("derived crossed module")

@@ -6,16 +6,19 @@ A morphism is the pair (source in g0, arrow in g1); its target is always
 derived as source + l1(arrow) and never stored.  Composition adds arrow
 parts; `compose(f, g)` means "g then f" and requires t(g) = s(f).
 
-Since composition adds arrow parts and identities carry none, the arrow
-part of a diagram path is the sum of the arrow parts of its named
-generators, and two parallel paths agree exactly when those sums agree.
-Each diagram residual is that difference of arrow sums
-(`_path_difference`).  Each diagram check is cross-checked against the
-corresponding chain-level condition; a disagreement is reported as its
-own violation (condition ids `coh-vs-rb3`, `jcoh-vs-d` and
-`cohm-vs-rbh3`), never patched silently.
-Each diagram residual is evaluated once per index tuple and feeds both the
-diagram id and its cross-check id.
+Since composition adds arrow parts and identities carry none, a diagram
+residual is the difference of the arrow sums of its two paths
+(`_path_difference`).  So the diagram generators return arrow parts only
+(a bracket with an identity has arrow part l2(x, a) for [1_x, g] and
+-l2(y, a) for [f, 1_y], where a is the other morphism's arrow part), and a
+`Morphism2V` is built only where a source is read: the bracket
+[f3(x), f3(y)] of `cohm`, the target in `nt`, and the round trips.  Each
+diagram check is cross-checked against the corresponding chain-level
+condition; a disagreement is reported as its own violation (condition ids
+`coh-vs-rb3`, `jcoh-vs-d` and `cohm-vs-rbh3`), never patched silently.
+Each diagram residual is evaluated once per index tuple for both its ids,
+and the `coh-vs-rb3` and `cohm-vs-rbh3` cross-checks read the cached
+residual of the `rb3` or `rbh3` check itself.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .errors import NotComposable
 from .report import Check, VerificationReport, run_checks
 from .tensors import (Vec, vadd, vbasis, vneg, vsub, vzero, is_zero)
 from .twoterm import (RBLInfinityHom, TwoTermRBLInfinity,
-                      quadruple_identity_residual, rb3_residual,
-                      rbh3_residual)
+                      quadruple_identity_residual, rb_hom_checks,
+                      rb_triple_checks)
 
 
 @dataclass(frozen=True)
@@ -65,9 +68,6 @@ class RBLie2View:
             raise NotComposable(f"target {tg} of the first leg differs from source {f.source}")
         return Morphism2V(g.source, vadd(g.arrow, f.arrow))
 
-    def bracket_objects(self, x: Vec, y: Vec) -> Vec:
-        return self.base.linf.l2_obj(x, y)
-
     def bracket(self, f: Morphism2V, g: Morphism2V) -> Morphism2V:
         """Bracket functor on a pair of morphisms, in the first displayed
         form.  The second form differs from it by the second equation of
@@ -86,32 +86,26 @@ class RBLie2View:
                       vneg(L.l2_act(self.target(g), f.arrow)))
         return first, Morphism2V(first.source, second)
 
-    def jacobiator(self, x: Vec, y: Vec, z: Vec) -> Morphism2V:
-        L = self.base.linf
-        return Morphism2V(L.l2_obj(L.l2_obj(x, y), z), L.l3v(x, y, z))
+    def jacobiator(self, x: Vec, y: Vec, z: Vec) -> Vec:
+        """Arrow part l3(x, y, z) of the Jacobiator at x, y, z."""
+        return self.base.linf.l3v(x, y, z)
 
-    def rb_obj(self, x: Vec) -> Vec:
-        return self.base.rb.r0.apply(x)
+    def rb_mor(self, a: Vec) -> Vec:
+        """Arrow part R1(a) of the operator functor on arrow part a."""
+        return self.base.rb.r1.apply(a)
 
-    def rb_mor(self, f: Morphism2V) -> Morphism2V:
-        return Morphism2V(self.base.rb.r0.apply(f.source),
-                          self.base.rb.r1.apply(f.arrow))
-
-    def rb_iso(self, x: Vec, y: Vec) -> Morphism2V:
-        """The comparison morphism [Px, Py] -> P[Px, y] + P[x, Py] with
-        arrow part R2(x, y)."""
-        px, py = self.rb_obj(x), self.rb_obj(y)
-        return Morphism2V(self.bracket_objects(px, py), self.base.rb.r2.apply(x, y))
+    def rb_iso(self, x: Vec, y: Vec) -> Vec:
+        """Arrow part R2(x, y) of [Px, Py] -> P[Px, y] + P[x, Py]."""
+        return self.base.rb.r2.apply(x, y)
 
 
-def _path_difference(left: list[list[Morphism2V]],
-                     right: list[list[Morphism2V]]) -> Vec:
+def _path_difference(left: list[list[Vec]], right: list[list[Vec]]) -> Vec:
     """Arrow part of the left path minus that of the right path, each path
-    given as its steps of named generators.  Composing adds arrow parts and
-    the identities a step leaves untouched carry none, so a path's arrow
-    part is the sum of its generators' arrow parts."""
+    given as its steps of named generators' arrow parts.  Composing adds
+    arrow parts and the identities a step leaves untouched carry none, so a
+    path's arrow part is the sum of its generators' arrow parts."""
     def arrows(steps):
-        return vadd(*(gen.arrow for step in steps for gen in step))
+        return vadd(*(arrow for step in steps for arrow in step))
     return vsub(arrows(left), arrows(right))
 
 
@@ -120,49 +114,49 @@ def coherence_residual(view: RBLie2View, i: int, j: int, k: int) -> Vec:
     coherence diagram at one ordered basis triple of g0."""
     d0 = view.dim0
     x, y, z = vbasis(d0, i), vbasis(d0, j), vbasis(d0, k)
-    br, J, R = view.bracket_objects, view.jacobiator, view.rb_iso
-    px, py, pz = view.rb_obj(x), view.rb_obj(y), view.rb_obj(z)
-    one = view.identity
+    br, act = view.base.linf.l2_obj, view.base.linf.l2_act
+    J, R, P = view.jacobiator, view.rb_iso, view.rb_mor
+    px, py, pz = (view.base.rb.r0.apply(t) for t in (x, y, z))
 
     return _path_difference([
         [J(px, py, pz)],
-        [view.bracket(one(px), R(y, z)), view.bracket(R(x, z), one(py))],
+        [act(px, R(y, z)), vneg(act(py, R(x, z)))],
         [R(x, br(py, z)), R(x, br(y, pz)), R(br(x, pz), y), R(br(px, z), y)],
-        [view.rb_mor(J(px, z, py))],
-        [view.rb_mor(view.bracket(R(x, y), one(z)))],
+        [P(J(px, z, py))],
+        [P(vneg(act(z, R(x, y))))],
     ], [
-        [view.bracket(R(x, y), one(pz))],
+        [vneg(act(pz, R(x, y)))],
         [R(br(px, y), z), R(br(x, py), z)],
-        [view.rb_mor(J(px, y, pz)), view.rb_mor(J(x, py, pz))],
-        [view.rb_mor(view.bracket(R(x, z), one(y))),
-         view.rb_mor(view.bracket(one(x), R(y, z)))],
+        [P(J(px, y, pz)), P(J(x, py, pz))],
+        [P(vneg(act(y, R(x, z)))), P(act(x, R(y, z)))],
     ])
 
 
-def _with_crosscheck(diagram: str, crosscheck: str, indices, residual, chain,
-                     agree=vsub) -> list[Check]:
-    """Per index tuple, the diagram check and its cross-check against the
-    chain-level residual; both read one cached evaluation of the diagram
-    residual."""
-    def pair(idx):
+def _with_crosscheck(diagram: str, crosscheck: str, residual,
+                     chain: dict, agree=vsub) -> list[Check]:
+    """Per index tuple of `chain` (index tuple -> chain-level residual
+    thunk), the diagram check and its cross-check against that chain-level
+    residual; both read one cached evaluation of the diagram residual."""
+    def pair(idx, chain_residual):
         once = cache(lambda: residual(*idx))
         return [(diagram, idx, once),
-                (crosscheck, idx, lambda: agree(once(), chain(*idx)))]
-    return [check for idx in indices for check in pair(idx)]
+                (crosscheck, idx, lambda: agree(once(), chain_residual()))]
+    return [check for idx, thunk in chain.items() for check in pair(idx, thunk)]
 
 
-def coherence_checks(G: TwoTermRBLInfinity) -> list[Check]:
+def coherence_checks(G: TwoTermRBLInfinity, chain: list[Check]) -> list[Check]:
     """Diagram-level operator coherence over every ordered basis triple,
     cross-checked triple-by-triple against the chain-level cyclic
-    condition (id `coh-vs-rb3` flags any disagreement)."""
+    condition (id `coh-vs-rb3` flags any disagreement), read from the
+    cached `rb3` checks of `chain`, the list `rb_triple_checks(G)`."""
     view = RBLie2View(G)
-    return _with_crosscheck("coh", "coh-vs-rb3", product(range(G.linf.dim0), repeat=3),
+    return _with_crosscheck("coh", "coh-vs-rb3",
                             lambda *idx: coherence_residual(view, *idx),
-                            lambda *idx: rb3_residual(G, *idx))
+                            {idx: fn for cond, idx, fn in chain if cond == "rb3"})
 
 
 def verify_rbcoh(G: TwoTermRBLInfinity) -> VerificationReport:
-    return run_checks(coherence_checks(G))
+    return run_checks(coherence_checks(G, rb_triple_checks(G)))
 
 
 def jacobiator_coherence_residual(view: RBLie2View,
@@ -171,17 +165,16 @@ def jacobiator_coherence_residual(view: RBLie2View,
     coherence diagram at one ordered basis quadruple of g0."""
     d0 = view.dim0
     w, x, y, z = (vbasis(d0, t) for t in (i, j, k, l))
-    br, J = view.bracket_objects, view.jacobiator
-    one = view.identity
+    br, act, J = view.base.linf.l2_obj, view.base.linf.l2_act, view.jacobiator
 
     return _path_difference([
-        [view.bracket(J(w, x, y), one(z))],
+        [vneg(act(z, J(w, x, y)))],
         [J(br(w, y), x, z), J(w, br(x, y), z)],
-        [view.bracket(J(w, y, z), one(x))],
-        [view.bracket(one(w), J(x, y, z))],
+        [vneg(act(x, J(w, y, z)))],
+        [act(w, J(x, y, z))],
     ], [
         [J(br(w, x), y, z)],
-        [view.bracket(J(w, x, z), one(y))],
+        [vneg(act(y, J(w, x, z)))],
         [J(w, br(x, z), y), J(br(w, z), x, y), J(w, x, br(y, z))],
     ])
 
@@ -191,9 +184,10 @@ def jacobiator_coherence_checks(G: TwoTermRBLInfinity) -> list[Check]:
     quadruple, cross-checked against the chain-level four-argument
     identity (id `jcoh-vs-d` flags any disagreement)."""
     view = RBLie2View(G)
-    return _with_crosscheck("jcoh", "jcoh-vs-d", product(range(G.linf.dim0), repeat=4),
-                            lambda *idx: jacobiator_coherence_residual(view, *idx),
-                            lambda *idx: quadruple_identity_residual(G.linf, *idx))
+    return _with_crosscheck(
+        "jcoh", "jcoh-vs-d", lambda *idx: jacobiator_coherence_residual(view, *idx),
+        {idx: (lambda t=idx: quadruple_identity_residual(G.linf, *t))
+         for idx in product(range(G.linf.dim0), repeat=4)})
 
 
 def verify_jacobiator_coherence(G: TwoTermRBLInfinity) -> VerificationReport:
@@ -206,14 +200,12 @@ def naturality_residual(view: RBLie2View, a: int, j: int) -> Vec:
     d0, d1 = view.dim0, view.dim1
     y = vbasis(d0, j)
     f = Morphism2V(vzero(d0), vbasis(d1, a))
-    py = view.rb_obj(y)
-    one = view.identity
+    py, act, P = view.base.rb.r0.apply(y), view.base.linf.l2_act, view.rb_mor
     return _path_difference([
         [view.rb_iso(f.source, y)],
-        [view.rb_mor(view.bracket(view.rb_mor(f), one(y))),
-         view.rb_mor(view.bracket(f, one(py)))],
+        [P(vneg(act(y, P(f.arrow)))), P(vneg(act(py, f.arrow)))],
     ], [
-        [view.bracket(view.rb_mor(f), one(py))],
+        [vneg(act(py, P(f.arrow)))],
         [view.rb_iso(view.target(f), y)],
     ])
 
@@ -246,34 +238,31 @@ class RBLie2Hom:
 
     def f2(self, x: Vec, y: Vec) -> Morphism2V:
         p0 = self.F.hom.phi0.apply
-        return Morphism2V(self.target.bracket_objects(p0(x), p0(y)), self.F.hom.phi2.apply(x, y))
+        return Morphism2V(self.F.target.linf.l2_obj(p0(x), p0(y)), self.F.hom.phi2.apply(x, y))
 
     def f3(self, x: Vec) -> Morphism2V:
-        return Morphism2V(self.target.rb_obj(self.F.hom.phi0.apply(x)), self.F.phi3.apply(x))
+        return Morphism2V(self.F.target.rb.r0.apply(self.F.hom.phi0.apply(x)),
+                          self.F.phi3.apply(x))
 
 
 def hom_coherence_residual(F: RBLInfinityHom, i: int, j: int) -> Vec:
     """Arrow-part difference of the two composite paths of the
     homomorphism coherence diagram at one ordered basis pair."""
-    src_view, hom = RBLie2View(F.source), RBLie2Hom(F)
-    tgt_view, f1, f2, f3 = hom.target, hom.f1, hom.f2, hom.f3
-    src = F.source.linf
-    p0 = F.hom.phi0.apply
+    tgt_view, f3 = RBLie2View(F.target), RBLie2Hom(F).f3
+    src, r0, R = F.source.linf, F.source.rb.r0.apply, RBLie2View(F.source).rb_iso
+    p0, p1, p2, p3 = F.hom.phi0.apply, F.hom.phi1.apply, F.hom.phi2.apply, F.phi3.apply
     x, y = vbasis(src.dim0, i), vbasis(src.dim0, j)
+    P, act = tgt_view.rb_mor, F.target.linf.l2_act
 
-    one = tgt_view.identity
     return _path_difference([
         [tgt_view.rb_iso(p0(x), p0(y))],
-        [tgt_view.rb_mor(tgt_view.bracket(f3(x), one(p0(y)))),
-         tgt_view.rb_mor(tgt_view.bracket(one(p0(x)), f3(y)))],
-        [tgt_view.rb_mor(f2(src_view.rb_obj(x), y)),
-         tgt_view.rb_mor(f2(x, src_view.rb_obj(y)))],
-        [f3(src.l2_obj(src_view.rb_obj(x), y)),
-         f3(src.l2_obj(x, src_view.rb_obj(y)))],
+        [P(vneg(act(p0(y), p3(x)))), P(act(p0(x), p3(y)))],
+        [P(p2(r0(x), y)), P(p2(x, r0(y)))],
+        [p3(src.l2_obj(r0(x), y)), p3(src.l2_obj(x, r0(y)))],
     ], [
-        [tgt_view.bracket(f3(x), f3(y))],
-        [f2(src_view.rb_obj(x), src_view.rb_obj(y))],
-        [f1(src_view.rb_iso(x, y))],
+        [tgt_view.bracket(f3(x), f3(y)).arrow],
+        [p2(r0(x), r0(y))],
+        [p1(R(x, y))],
     ])
 
 
@@ -281,7 +270,7 @@ def _zero_iff_zero(a: Vec, b: Vec) -> Vec:
     return vzero(len(a)) if is_zero(a) == is_zero(b) else vsub(a, b)
 
 
-def hom_coherence_checks(F: RBLInfinityHom) -> list[Check]:
+def hom_coherence_checks(F: RBLInfinityHom, chain: list[Check]) -> list[Check]:
     """Diagram-level homomorphism coherence over every ordered basis pair.
 
     The diagram bracket of the two comparison morphisms f3(x), f3(y) has
@@ -291,17 +280,18 @@ def hom_coherence_checks(F: RBLInfinityHom) -> list[Check]:
 
         cohm(x, y) = rbh3(x, y) - B(x, y).
 
-    The cross-check still asserts only zero iff zero pair-by-pair and
+    The cross-check still asserts only zero iff zero pair-by-pair, reading
+    the cached `rbh3` checks of `chain` (the list `rb_hom_checks(F)`), and
     reports any disagreement under `cohm-vs-rbh3`.
     """
     return _with_crosscheck("cohm", "cohm-vs-rbh3",
-                            product(range(F.source.linf.dim0), repeat=2),
                             lambda *idx: hom_coherence_residual(F, *idx),
-                            lambda *idx: rbh3_residual(F, *idx), _zero_iff_zero)
+                            {idx: fn for cond, idx, fn in chain if cond == "rbh3"},
+                            _zero_iff_zero)
 
 
 def verify_rbcohm(F: RBLInfinityHom) -> VerificationReport:
-    return run_checks(hom_coherence_checks(F))
+    return run_checks(hom_coherence_checks(F, rb_hom_checks(F)))
 
 
 def roundtrip_structure(G: TwoTermRBLInfinity) -> VerificationReport:
@@ -318,10 +308,10 @@ def roundtrip_structure(G: TwoTermRBLInfinity) -> VerificationReport:
         checks.append(("rt-l1", (a,),
                        (lambda a=a: vsub(view.target(ker(a)), L.complex.l1.column(a)))))
         checks.append(("rt-r1", (a,),
-                       (lambda a=a: vsub(view.rb_mor(ker(a)).arrow, G.rb.r1.column(a)))))
+                       (lambda a=a: vsub(view.rb_mor(vbasis(d1, a)), G.rb.r1.column(a)))))
     for i in range(d0):
         checks.append(("rt-r0", (i,),
-                       (lambda i=i: vsub(view.rb_obj(e0(i)), G.rb.r0.column(i)))))
+                       (lambda i=i: vsub(G.rb.r0.apply(e0(i)), G.rb.r0.column(i)))))
         for j in range(d0):
             checks.append(("rt-l2-obj", (i, j), (lambda i=i, j=j: vsub(
                 view.bracket(view.identity(e0(i)), view.identity(e0(j))).source,
@@ -332,10 +322,10 @@ def roundtrip_structure(G: TwoTermRBLInfinity) -> VerificationReport:
                 L.l2_01.on_basis(i, a)))))
     for i, j in combinations(range(d0), 2):
         checks.append(("rt-r2", (i, j), (lambda i=i, j=j: vsub(
-            view.rb_iso(e0(i), e0(j)).arrow, G.rb.r2.on_basis(i, j)))))
+            view.rb_iso(e0(i), e0(j)), G.rb.r2.on_basis(i, j)))))
     for i, j, k in combinations(range(d0), 3):
         checks.append(("rt-l3", (i, j, k), (lambda i=i, j=j, k=k: vsub(
-            view.jacobiator(e0(i), e0(j), e0(k)).arrow, L.l3.on_basis(i, j, k)))))
+            view.jacobiator(e0(i), e0(j), e0(k)), L.l3.on_basis(i, j, k)))))
     return run_checks(checks)
 
 

@@ -92,10 +92,10 @@ class RBRepresentation:
             raise ShapeMismatch("module operator does not match module dimension")
 
 
-def action_of(rho: tuple[LinearMap, ...], x: Vec) -> LinearMap:
-    """Action matrix of an arbitrary element: the linear extension of one
-    matrix per basis vector."""
-    out = LinearMap.zero(rho[0].rows, rho[0].cols) if rho else LinearMap.zero(0, 0)
+def action_of(rho: tuple[LinearMap, ...], x: Vec, dim: int) -> LinearMap:
+    """Action matrix of an arbitrary element on a module of dimension `dim`:
+    the linear extension of one matrix per basis vector."""
+    out = LinearMap.zero(dim, dim)
     for m, c in zip(rho, x):
         if c != 0:
             out = out.add(m.scale(c))
@@ -105,7 +105,7 @@ def action_of(rho: tuple[LinearMap, ...], x: Vec) -> LinearMap:
 def action_hom_residual(rho: tuple[LinearMap, ...], xy: Vec, i: int, j: int) -> Vec:
     """rho(xy) - [rho(e_i), rho(e_j)], flattened, where xy is the bracket of
     e_i and e_j: the action is a bracket homomorphism."""
-    lhs = action_of(rho, xy)
+    lhs = action_of(rho, xy, rho[i].rows)
     rhs = rho[i].compose(rho[j]).sub(rho[j].compose(rho[i]))
     return lhs.sub(rhs).flat()
 
@@ -114,7 +114,7 @@ def action_rb_residual(rho: tuple[LinearMap, ...], r: LinearMap, k: LinearMap,
                        i: int) -> Vec:
     """rho(R x) K - K rho(R x) - K rho(x) K at x = e_i, flattened: the
     operator K on the module is compatible with R."""
-    rx = action_of(rho, r.column(i))
+    rx = action_of(rho, r.column(i), k.rows)
     return rx.compose(k).sub(k.compose(rx).add(k.compose(rho[i]).compose(k))).flat()
 
 

@@ -20,6 +20,7 @@ tuple selects the equation (0: differential compatibility on g0 x g1,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 
 from .errors import (InternalInvariantBroken, NotChainMap, ShapeMismatch,
@@ -248,13 +249,15 @@ def rb_triple_checks(G: TwoTermRBLInfinity) -> list[Check]:
         x, y = vbasis(d0, i), vbasis(d0, j)
         return lambda: vsub(rb1_defect(L, rb.r0, x, y), L.l1v(rb.r2.apply(x, y)))
 
+    def rb3(idx):  # cached: the `coh-vs-rb3` cross-check reads it too
+        return cache(lambda: rb3_residual(G, *idx))
+
     checks: list[Check] = [("chain", (a,), chain(a)) for a in range(d1)]
     checks += skew_checks(rb.r2, "skew-r2")
     checks += [("rb1", (i, j), rb1(i, j)) for i, j in combinations(range(d0), 2)]
     checks += [("rb2", (a, i), (lambda t: (lambda: rb2_residual(G, *t)))((a, i)))
                for a in range(d1) for i in range(d0)]
-    checks += [("rb3", idx, (lambda t: (lambda: rb3_residual(G, *t)))(idx))
-               for idx in product(range(d0), repeat=3)]
+    checks += [("rb3", idx, rb3(idx)) for idx in product(range(d0), repeat=3)]
     return checks
 
 
@@ -429,11 +432,12 @@ def rb_hom_checks(f: RBLInfinityHom) -> list[Check]:
                             vsub(p1(f.source.rb.r1.apply(u)),
                                  f.target.rb.r1.apply(p1(u))))
 
+    def rbh3(idx):  # cached: the `cohm-vs-rbh3` cross-check reads it too
+        return cache(lambda: rbh3_residual(f, *idx))
+
     checks: list[Check] = [("rbh1", (i,), rbh1(i)) for i in range(d0)]
     checks += [("rbh2", (a,), rbh2(a)) for a in range(d1)]
-    checks += [("rbh3", (i, j),
-                (lambda t: (lambda: rbh3_residual(f, *t)))((i, j)))
-               for i, j in product(range(d0), repeat=2)]
+    checks += [("rbh3", idx, rbh3(idx)) for idx in product(range(d0), repeat=2)]
     return checks
 
 

@@ -128,6 +128,43 @@ def test_hom_with_invalid_target_reports_violations(capsys, tmp_path):
     assert "VIOLATION tgt-a (1,0,0) (2)" in out.splitlines()
 
 
+def empty_bottom(kind, dim1, **tensors):
+    """A document of `kind` with dim0 = 0: every tensor empty unless given."""
+    fields = {"crossed-lie": ("bracket0", "bracket1", "d", "rho"),
+              "crossed-rb": ("bracket0", "bracket1", "d", "rho", "t0", "t1"),
+              "crossed-prelie": ("mult0", "mult1", "delta", "l_act", "r_act"),
+              "rb-2term": ("l1", "l2_00", "l2_01", "l3", "r0", "r1", "r2")}[kind]
+    return {"kind": kind, "version": 1, "dim0": 0, "dim1": dim1,
+            **{name: tensors.get(name, []) for name in fields}}
+
+
+# (document, command before the file, exit code, conditions of the lines)
+EMPTY_BOTTOM = {
+    "crossed-lie": (empty_bottom("crossed-lie", 2), ("verify",), 0, set()),
+    "crossed-rb": (empty_bottom("crossed-rb", 1), ("verify",), 0, set()),
+    "crossed-prelie": (empty_bottom("crossed-prelie", 2), ("verify",), 0, set()),
+    "rb-2term-strict-to-crossed": (empty_bottom("rb-2term", 2),
+                                   ("construct", "strict-to-crossed"), 0, set()),
+    # the zero action cannot satisfy Peiffer's identity d(u).v = [u, v]
+    "crossed-lie-nonabelian": (empty_bottom("crossed-lie", 2, bracket1=[[0, 0, 1, "1"],
+                                                                        [0, 1, 0, "-1"]]),
+                               ("verify",), 1, {"peiffer2"}),
+}
+
+
+@pytest.mark.parametrize("case", EMPTY_BOTTOM.values(), ids=EMPTY_BOTTOM.keys())
+def test_empty_bottom_term_acts_by_zero(capsys, tmp_path, case):
+    doc, command, expected, conditions = case
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert (code, err.startswith("error:")) == (expected, False)
+    if command[0] == "verify":
+        assert {line.split()[1] for line in out.splitlines()} == conditions
+    else:
+        assert loads(out).base.g1.dim == 2
+
+
 def test_parse_error_exits_two(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"kind": "lie",')

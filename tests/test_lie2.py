@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CATALOG_DIR, hom_mutants, structure_mutants
-from rblie import lie2
+from rblie import lie2, twoterm
 from rblie.catalog import TWO_TERM_STRUCTURES, HOMOMORPHISMS
 from rblie.cli import verify_structure
 from rblie.errors import NotComposable
@@ -85,7 +85,7 @@ def test_bracket_of_identities_is_identity_of_bracket():
     rng = random.Random(3)
     x, z = rand_vec(rng, VIEW.dim0), rand_vec(rng, VIEW.dim0)
     out = VIEW.bracket(VIEW.identity(x), VIEW.identity(z))
-    assert out == VIEW.identity(VIEW.bracket_objects(x, z))
+    assert out == VIEW.identity(VIEW.base.linf.l2_obj(x, z))
 
 
 def test_bracket_with_identity_matches_action():
@@ -238,26 +238,39 @@ def test_hom_coherence_equals_rbh3_minus_phi3_bracket():
 
 def test_each_diagram_residual_is_evaluated_once(monkeypatch):
     """A diagram check and its cross-check share one evaluation of the
-    diagram residual at each index tuple."""
+    diagram residual at each index tuple, the `rb3` and `rbh3` checks
+    share theirs with the `coh-vs-rb3` and `cohm-vs-rbh3` cross-checks,
+    and the diagrams build a `Morphism2V` only where a source is read:
+    the bracket [f3(x), f3(y)] of `cohm`, three per pair."""
     calls = Counter()
 
-    def counted(name):
-        residual = getattr(lie2, name)
-
-        def wrapper(*args):
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return residual(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     names = ("coherence_residual", "jacobiator_coherence_residual",
-             "hom_coherence_residual")
+             "hom_coherence_residual", "rb3_residual", "rbh3_residual")
     for name in names:
-        monkeypatch.setattr(lie2, name, counted(name))
+        for module in (lie2, twoterm):  # wherever the module calls it by name
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(Morphism2V, "__init__", counted("Morphism2V", Morphism2V.__init__))
+
     G = load(CATALOG_DIR / "sl2-cocycle-rb2.json")
+    calls.clear()
+    assert verify_structure(G).ok
+    d0 = G.linf.dim0  # 27, 81, 27 and 0
+    assert (calls["coherence_residual"], calls["jacobiator_coherence_residual"],
+            calls["rb3_residual"], calls["Morphism2V"]) == (d0 ** 3, d0 ** 4, d0 ** 3, 0)
+
     F = load(CATALOG_DIR / "aff1-phi3-hom.json")
-    assert verify_structure(G).ok and verify_structure(F).ok
-    d0, h0 = G.linf.dim0, F.source.linf.dim0
-    assert [calls[name] for name in names] == [d0 ** 3, d0 ** 4, h0 ** 2]
+    calls.clear()
+    assert verify_structure(F).ok
+    h0 = F.source.linf.dim0  # 4, 4 and 12
+    assert (calls["hom_coherence_residual"], calls["rbh3_residual"],
+            calls["Morphism2V"]) == (h0 ** 2, h0 ** 2, 3 * h0 ** 2)
 
 
 def test_roundtrip_identity_on_catalog():
