@@ -11,10 +11,13 @@ each row below as the median of REPEATS runs:
   dim0 3 to 6 and dim1 2;
 * `rblie verify catalog/solv4-module-cocycle-rb2.json`;
 * `rblie roundtrip catalog/solv4-cocycle-phi2-hom.json`;
-* `rblie verify` of every catalog document, one after the other.
+* `rblie verify` of every catalog document, one after the other;
+* `loads` then `dumps` of every catalog document (texts read beforehand;
+  each must come back byte for byte).
 
 The JSON written to the one argument holds every row (median, the single
-runs, the number of checked conditions) and the line count of `src/`.
+runs, the number of checked conditions, or of documents for the
+`loads`/`dumps` row) and the line count of `src/`.
 Only the standard library is used, so the same file can be copied into an
 older checkout to measure a before/after pair on one machine.  The zero
 dim-25 row of a dense tensor kernel takes minutes, so this is not a CI
@@ -37,6 +40,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from rblie.cli import main as cli_main, verify_structure  # noqa: E402
 from rblie.liealg import LieAlgebra  # noqa: E402
+from rblie.serialize import dumps, loads  # noqa: E402
 from rblie.tensors import BilinearMap, LinearMap, TrilinearMap  # noqa: E402
 from rblie.twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,  # noqa: E402
                            TwoTermRBLInfinity)
@@ -78,6 +82,14 @@ def cli(*paths: Path, command: str = "verify") -> int:
     return checked
 
 
+def load_dump(texts: list[str]) -> int:
+    """`loads` then `dumps` of each text; the number of documents."""
+    for text in texts:
+        if dumps(loads(text)) != text:
+            raise SystemExit("a catalog document does not load and dump back byte for byte")
+    return len(texts)
+
+
 def rows() -> dict:
     out = {f"zero lie dim {n}": lambda n=n: verify_object(zero_lie(n)) for n in (8, 12, 16, 25)}
     out.update({f"zero rb-2term dim0 {d} dim1 2": lambda d=d: verify_object(zero_rb_2term(d, 2))
@@ -86,6 +98,8 @@ def rows() -> dict:
     out["roundtrip solv4-cocycle-phi2-hom"] = lambda: cli(
         CATALOG / "solv4-cocycle-phi2-hom.json", command="roundtrip")
     out["verify whole catalog"] = lambda: cli(*sorted(CATALOG.glob("*.json")))
+    texts = [path.read_text(encoding="utf-8") for path in sorted(CATALOG.glob("*.json"))]
+    out["loads+dumps whole catalog"] = lambda: load_dump(texts)
     return out
 
 

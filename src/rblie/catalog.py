@@ -11,7 +11,7 @@ from __future__ import annotations
 from .crossed import (LieCrossedModule, RBLieCrossedModule,
                       crossed_to_strict, derived_crossed)
 from .liealg import LieAlgebra, RotaBaxterLieAlgebra
-from .tensors import BilinearMap, LinearMap, TrilinearMap, vec
+from .tensors import BilinearMap, LinearMap, TrilinearMap, from_cells, vec
 from .twoterm import (LInfinityHom, RBLInfinityHom, RBTriple, TwoTermComplex,
                       TwoTermLInfinity, TwoTermRBLInfinity, identity_rb_hom)
 
@@ -127,8 +127,7 @@ def _ideal_crossed(alg: LieAlgebra, ideal_indices: tuple[int, ...],
     bracket1 = {(a, b): restrict(alg.bracket.on_basis(ideal_indices[a], ideal_indices[b]))
                 for a in range(m) for b in range(m)}
     g1 = LieAlgebra(m, BilinearMap.from_map(m, m, m, bracket1, skew=True))
-    d = LinearMap.from_columns([vec(*(1 if i == g else 0 for i in range(n)))
-                                for g in ideal_indices], rows=n)
+    d = from_cells((n, m), {(g, a): 1 for a, g in enumerate(ideal_indices)})
     rho = tuple(LinearMap.from_columns(
         [restrict(alg.bracket.on_basis(i, g)) for g in ideal_indices], rows=m)
         for i in range(n))

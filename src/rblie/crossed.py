@@ -89,15 +89,15 @@ def lie_crossed_checks(cm: LieCrossedModule) -> list[Check]:
         return lambda: action_hom_residual(cm.rho, cm.g0.bracket.on_basis(i, j), i, j)
 
     def action_der(i, a, b):
-        x, u, v = e0(i), e1(a), e1(b)
-        return lambda: vsub(cm.act(x, cm.g1.bracket_vec(u, v)),
-                            vadd(cm.g1.bracket_vec(cm.act(x, u), v),
-                                 cm.g1.bracket_vec(u, cm.act(x, v))))
+        act, u, v = cm.rho[i].apply, e1(a), e1(b)
+        return lambda: vsub(act(cm.g1.bracket_vec(u, v)),
+                            vadd(cm.g1.bracket_vec(act(u), v),
+                                 cm.g1.bracket_vec(u, act(v))))
 
     def peiffer1(i, a):
-        x, u = e0(i), e1(a)
-        return lambda: vsub(cm.d.apply(cm.act(x, u)),
-                            cm.g0.bracket_vec(x, cm.d.apply(u)))
+        u = e1(a)
+        return lambda: vsub(cm.d.apply(cm.rho[i].apply(u)),
+                            cm.g0.bracket_vec(e0(i), cm.d.apply(u)))
 
     def peiffer2(a, b):
         u, v = e1(a), e1(b)
@@ -165,12 +165,12 @@ def prelie_crossed_checks(pm: PreLieCrossedModule) -> list[Check]:
 
     def delta_l(i, a):
         x, u = e0(i), e1(a)
-        return lambda: vsub(pm.delta.apply(action_of(pm.l_act, x, n1).apply(u)),
+        return lambda: vsub(pm.delta.apply(pm.l_act[i].apply(u)),
                             pm.p0.mult_vec(x, pm.delta.apply(u)))
 
     def delta_r(i, a):
         x, u = e0(i), e1(a)
-        return lambda: vsub(pm.delta.apply(action_of(pm.r_act, x, n1).apply(u)),
+        return lambda: vsub(pm.delta.apply(pm.r_act[i].apply(u)),
                             pm.p0.mult_vec(pm.delta.apply(u), x))
 
     def peiffer_l(a, b):
@@ -330,7 +330,7 @@ def derived_crossed(cm: RBLieCrossedModule) -> tuple[LieCrossedModule, Verificat
 
     def action_compat(i, a):
         u = vbasis(n1, a)
-        return lambda: vsub(cm.t1.apply(out.act(vbasis(n0, i), u)),
+        return lambda: vsub(cm.t1.apply(out.rho[i].apply(u)),
                             base.act(cm.t0.column(i), cm.t1.apply(u)))
 
     checks: list[Check] = [("t0-hom", (i, j), t0_hom(i, j))

@@ -13,8 +13,7 @@ from itertools import combinations
 
 from .errors import InternalInvariantBroken, ShapeMismatch
 from .report import Check, VerificationReport, run_checks
-from .tensors import (BilinearMap, LinearMap, Vec, vadd, vbasis, vneg, vsub,
-                      vzero)
+from .tensors import BilinearMap, LinearMap, Vec, from_cells, vadd, vbasis, vsub
 
 
 @dataclass(frozen=True)
@@ -273,20 +272,16 @@ def semidirect_data(g: RotaBaxterLieAlgebra, h: RotaBaxterLieAlgebra,
     """The data mapping only; no verification.  Algebra on g (+) h with
     [x+u, y+v] = [x,y] + x.v - y.u + [u,v] (x.v = rho(x) v) and the
     block-diagonal operator."""
-    n, m = g.dim, h.dim
-    dim = n + m
-    z0, z1 = vzero(n), vzero(m)
-    values = {(i, j): g.base.bracket.on_basis(i, j) + z1 for i in range(n) for j in range(n)}
-    values.update({(n + a, n + b): z0 + h.base.bracket.on_basis(a, b)
-                   for a in range(m) for b in range(m)})
-    for i in range(n):
-        for b in range(m):
-            col = rho[i].column(b)
-            values[(i, n + b)] = z0 + col
-            values[(n + b, i)] = z0 + vneg(col)
-    bracket = BilinearMap.from_map(dim, dim, dim, values, skew=True)
-    cols = [g.r.column(i) + z1 for i in range(n)] + [z0 + h.r.column(b) for b in range(m)]
-    return RotaBaxterLieAlgebra(LieAlgebra(dim, bracket), LinearMap.from_columns(cols, rows=dim))
+    n, dim = g.dim, g.dim + h.dim
+    bracket = g.base.bracket.cells()
+    bracket.update({(n + k, n + a, n + b): q for (k, a, b), q in h.base.bracket.cells().items()})
+    for i, act in enumerate(rho):
+        for (a, b), q in act.cells().items():  # coordinate n + a of [e_i, e_{n+b}]
+            bracket[n + a, i, n + b], bracket[n + a, n + b, i] = q, -q
+    r = g.r.cells()
+    r.update({(n + a, n + b): q for (a, b), q in h.r.cells().items()})
+    return RotaBaxterLieAlgebra(LieAlgebra(dim, from_cells((dim,) * 3, bracket, True)),
+                                from_cells((dim, dim), r))
 
 
 def semidirect_product(rep: RBRepresentation) -> RotaBaxterLieAlgebra:

@@ -16,7 +16,7 @@ from itertools import combinations, permutations, product
 from .errors import BadSite, BudgetExceeded
 from .liealg import LieAlgebra, RotaBaxterLieAlgebra
 from .serialize import KIND_OF_CLASS, get_at, put_at
-from .tensors import ZERO, LinearMap, frac, perm_sign, vadd, vbasis
+from .tensors import ZERO, LinearMap, frac, from_cells, perm_sign, vadd, vbasis
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,7 @@ def enumerate_rb_operators(spec: SearchSpec) -> list[RotaBaxterLieAlgebra]:
     sites = spec.free_sites()
     found = []
     for assignment in product(coeffs, repeat=len(sites)):
-        grid = [[frac(0)] * n for _ in range(n)]
-        for (r, c), v in zip(sites, assignment):
-            grid[r][c] = v
-        candidate = LinearMap.from_rows(grid)
+        candidate = from_cells((n, n), dict(zip(sites, assignment)))
         if _is_rb(alg, candidate):
             found.append(RotaBaxterLieAlgebra(alg, candidate))
     return found
@@ -102,7 +99,7 @@ def mutate(value, site: tuple, delta) -> object:
         raise BadSite(f"{name} is skew/alternating: repeated indices are pinned to zero")
     # a flagged tensor moves every permutation of the arguments with its sign
     moves = permutations(range(len(args))) if flag else [tuple(range(len(args)))]
-    entries = codec.entries(tensor)
+    entries = codec.cells(tensor)
     for p in moves:
         at = out + tuple(args[q] for q in p)
         entries[at] = entries.get(at, ZERO) + perm_sign(p) * delta

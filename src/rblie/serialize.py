@@ -13,13 +13,17 @@ Each document kind is one row of `KINDS`: its class, its ordered fields
 (document key, attribute path on the object, codec, shape from the
 dimensions, skew/alternating flag) and the function assembling the object
 from the decoded fields.  Loading, dumping and `search.mutate` all read
-that table.  The full grammar lives in docs/FORMAT.md.
+that table.  A tensor's entries are its own store read back: `TENSOR`
+writes a document's entries into a map with `tensors.from_cells` and dumps
+`cells()`, so no dense grid is built and a declared dimension costs
+nothing.  The full grammar lives in docs/FORMAT.md.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +34,7 @@ from .errors import (BadRational, DuplicateEntry, ParseError, UnknownKind,
                      VersionMismatch)
 from .liealg import (LieAlgebra, PreLieAlgebra, RBRepresentation,
                      RotaBaxterLieAlgebra)
-from .tensors import ZERO, BilinearMap, LinearMap, TrilinearMap
+from .tensors import LinearMap, from_cells
 from .twoterm import (LInfinityHom, RBLInfinityHom, RBTriple, TwoTermComplex,
                       TwoTermLInfinity, TwoTermRBLInfinity)
 
@@ -78,28 +82,6 @@ def _entries_to_values(entries, bounds: tuple[int, ...], where: str):
     return seen
 
 
-def _grid(shape: tuple[int, ...], entries: dict) -> tuple:
-    """Nested tuples of `shape` holding `entries`, zero everywhere else."""
-    rows: dict = {}
-    for idx, q in entries.items():
-        rows.setdefault(idx[:-1], {})[idx[-1]] = q
-
-    def build(at):
-        if len(at) < len(shape) - 1:
-            return tuple(build(at + (i,)) for i in range(shape[len(at)]))
-        row = rows.get(at)
-        return tuple(row.get(i, ZERO) for i in range(shape[-1])) if row else (ZERO,) * shape[-1]
-    return build(())
-
-
-def _nonzero(grid, depth: int) -> dict:
-    """The nonzero cells of nested tuples as `index -> value`, in index order."""
-    rows = [((), grid)]
-    for _ in range(depth - 1):
-        rows = [(at + (i,), sub) for at, g in rows for i, sub in enumerate(g)]
-    return {at + (i,): q for at, row in rows for i, q in enumerate(row) if q}
-
-
 # --- codecs ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -113,22 +95,24 @@ class Codec:
     tensor = False
 
 
+def _action(shape, cells: dict, flag) -> tuple[LinearMap, ...]:
+    split: list[dict] = [{} for _ in range(shape[0])]
+    for (x, *rc), q in cells.items():
+        split[x][tuple(rc)] = q
+    return tuple(from_cells(shape[1:], m) for m in split)
+
+
 @dataclass(frozen=True)
 class TensorCodec:
-    """A tensor type as its nonzero `index -> Fraction` entries.  Index
-    bounds (`shape`) put the output coordinate first, as the entries do."""
-    grid: Callable               # tensor -> nested tuples in index order
-    make: Callable               # (shape, nested tuples, flag) -> tensor
-    shape: Callable              # tensor -> index bounds
-    flag: Callable = lambda t: False  # the tensor's skew/alternating flag
+    """A tensor as its flat nonzero cells `(out, *inputs) -> Fraction`, read
+    from and written to the tensor's own store (see `tensors`); `search.mutate`
+    edits the same cells.  `shape` gives the index bounds, output first."""
+    cells: Callable = lambda t: t.cells()
+    build: Callable = from_cells           # (shape, cells, flag) -> tensor
+    shape: Callable = lambda t: t.shape
+    flag: Callable = lambda t: t.flag      # skew (bilinear) or alternating (trilinear)
     embeds = None
     tensor = True
-
-    def entries(self, t) -> dict:
-        return _nonzero(self.grid(t), len(self.shape(t)))
-
-    def build(self, shape, entries: dict, flag: bool):
-        return self.make(shape, _grid(shape, entries), flag)
 
     def load(self, doc, field, values):
         shape = field.bounds(values)
@@ -136,27 +120,23 @@ class TensorCodec:
         return self.build(shape, entries, field.flag)
 
     def dump(self, t):
-        return [[*idx, str(q)] for idx, q in self.entries(t).items()]
+        return [[*idx, str(q)] for idx, q in self.cells(t).items()]
 
 
-LINEAR = TensorCodec(lambda m: m.entries, lambda s, g, flag: LinearMap(*s, g),
-                     lambda m: (m.rows, m.cols))
-BILINEAR = TensorCodec(lambda b: b.coeffs,
-                       lambda s, g, flag: BilinearMap(s[1], s[2], s[0], g, flag),
-                       lambda b: (b.dim_out, b.dim_a, b.dim_b), lambda b: b.skew)
-TRILINEAR = TensorCodec(lambda t: t.coeffs,
-                        lambda s, g, flag: TrilinearMap(s[1], s[0], g, flag),
-                        lambda t: (t.dim_out, t.dim, t.dim, t.dim), lambda t: t.alt)
+TENSOR = TensorCodec()
 # One matrix per basis vector of the acting algebra: [element, row, col].
-ACTION = TensorCodec(lambda rho: tuple(m.entries for m in rho),
-                     lambda s, g, flag: tuple(LinearMap(s[1], s[2], m) for m in g),
-                     lambda rho: (len(rho), rho[0].rows, rho[0].cols) if rho else (0, 0, 0))
+ACTION = TensorCodec(
+    lambda rho: {(x, *rc): q for x, m in enumerate(rho) for rc, q in m.cells().items()},
+    _action, lambda rho: (len(rho), rho[0].rows, rho[0].cols) if rho else (0, 0, 0),
+    lambda rho: False)
 
 
 def _dim(doc, field, values) -> int:
     v = doc.get(field.key)
     if not _is_int(v) or v < 0:
         raise ParseError(f"{field.key} must be a nonnegative integer")
+    if v > sys.maxsize:  # beyond what a sequence length can hold
+        raise ParseError(f"{field.key} exceeds the largest dimension {sys.maxsize}")
     return v
 
 
@@ -177,7 +157,7 @@ def _list(doc, field, values) -> list:
 
 def _operators(doc, field, values):
     shape = field.bounds(values)
-    return tuple(LINEAR.build(shape, _entries_to_values(m, shape, f"operators[{pos}]"), False)
+    return tuple(from_cells(shape, _entries_to_values(m, shape, f"operators[{pos}]"))
                  for pos, m in enumerate(_list(doc, field, values)))
 
 
@@ -187,7 +167,7 @@ DIM = Codec(_dim, lambda n: n)
 LABELS = Codec(lambda doc, field, values: doc.get(field.key),
                lambda labels: None if labels is None else list(labels))
 RATIONALS = Codec(_list, lambda qs: [str(q) for q in qs])
-OPERATORS = Codec(_operators, lambda ops: [LINEAR.dump(m) for m in ops])
+OPERATORS = Codec(_operators, lambda ops: [TENSOR.dump(m) for m in ops])
 
 
 def embedded(kind: Kind) -> Codec:
@@ -245,81 +225,81 @@ class Kind:
 LIE = Kind("lie", LieAlgebra, (
     Field("dim", "dim", DIM),
     Field("basis", "labels", LABELS),
-    Field("bracket", "bracket", BILINEAR, "dim dim dim", True),
+    Field("bracket", "bracket", TENSOR, "dim dim dim", True),
 ), lambda dim, basis, bracket: LieAlgebra(dim, bracket, _labels(basis)))
 
 RB_LIE = Kind("rb-lie", RotaBaxterLieAlgebra, (
-    Field("r", "r", LINEAR, "base.dim base.dim"),
+    Field("r", "r", TENSOR, "base.dim base.dim"),
 ), RotaBaxterLieAlgebra, base=(LIE, "base"))
 
 PRE_LIE = Kind("pre-lie", PreLieAlgebra, (
     Field("dim", "dim", DIM),
-    Field("mult", "mult", BILINEAR, "dim dim dim"),
+    Field("mult", "mult", TENSOR, "dim dim dim"),
 ), PreLieAlgebra)
 
 REPRESENTATION = Kind("representation", RBRepresentation, (
     Field("algebra", "algebra", embedded(RB_LIE)),
     Field("dim_v", "dim_v", DIM),
     Field("rho", "rho", ACTION, "algebra.dim dim_v dim_v"),
-    Field("cal_r", "cal_r", LINEAR, "dim_v dim_v"),
+    Field("cal_r", "cal_r", TENSOR, "dim_v dim_v"),
 ), RBRepresentation, mutable=False)
 
 TWO_TERM = Kind("2term", TwoTermLInfinity, (
     Field("dim0", "dim0", DIM),
     Field("dim1", "dim1", DIM),
-    Field("l1", "complex.l1", LINEAR, "dim0 dim1"),
-    Field("l2_00", "l2_00", BILINEAR, "dim0 dim0 dim0", True),
-    Field("l2_01", "l2_01", BILINEAR, "dim1 dim0 dim1"),
-    Field("l3", "l3", TRILINEAR, "dim1 dim0 dim0 dim0", True),
+    Field("l1", "complex.l1", TENSOR, "dim0 dim1"),
+    Field("l2_00", "l2_00", TENSOR, "dim0 dim0 dim0", True),
+    Field("l2_01", "l2_01", TENSOR, "dim1 dim0 dim1"),
+    Field("l3", "l3", TENSOR, "dim1 dim0 dim0 dim0", True),
 ), lambda dim0, dim1, l1, l2_00, l2_01, l3: TwoTermLInfinity(
     TwoTermComplex(dim0, dim1, l1), l2_00, l2_01, l3))
 
 RB_TWO_TERM = Kind("rb-2term", TwoTermRBLInfinity, (
-    Field("r0", "rb.r0", LINEAR, "linf.dim0 linf.dim0"),
-    Field("r1", "rb.r1", LINEAR, "linf.dim1 linf.dim1"),
-    Field("r2", "rb.r2", BILINEAR, "linf.dim1 linf.dim0 linf.dim0", True),
+    Field("r0", "rb.r0", TENSOR, "linf.dim0 linf.dim0"),
+    Field("r1", "rb.r1", TENSOR, "linf.dim1 linf.dim1"),
+    Field("r2", "rb.r2", TENSOR, "linf.dim1 linf.dim0 linf.dim0", True),
 ), lambda linf, r0, r1, r2: TwoTermRBLInfinity(linf, RBTriple(r0, r1, r2)),
     base=(TWO_TERM, "linf"))
 
 HOM = Kind("hom", LInfinityHom, (
     Field("source", "source", embedded(TWO_TERM)),
     Field("target", "target", embedded(TWO_TERM)),
-    Field("phi0", "phi0", LINEAR, "target.dim0 source.dim0"),
-    Field("phi1", "phi1", LINEAR, "target.dim1 source.dim1"),
-    Field("phi2", "phi2", BILINEAR, "target.dim1 source.dim0 source.dim0", True),
+    Field("phi0", "phi0", TENSOR, "target.dim0 source.dim0"),
+    Field("phi1", "phi1", TENSOR, "target.dim1 source.dim1"),
+    Field("phi2", "phi2", TENSOR, "target.dim1 source.dim0 source.dim0", True),
 ), LInfinityHom)
 
 RB_HOM = Kind("rb-hom", RBLInfinityHom, (
     Field("source", "source", embedded(RB_TWO_TERM)),
     Field("target", "target", embedded(RB_TWO_TERM)),
-    Field("phi0", "hom.phi0", LINEAR, "target.linf.dim0 source.linf.dim0"),
-    Field("phi1", "hom.phi1", LINEAR, "target.linf.dim1 source.linf.dim1"),
-    Field("phi2", "hom.phi2", BILINEAR, "target.linf.dim1 source.linf.dim0 source.linf.dim0", True),
-    Field("phi3", "phi3", LINEAR, "target.linf.dim1 source.linf.dim0"),
+    Field("phi0", "hom.phi0", TENSOR, "target.linf.dim0 source.linf.dim0"),
+    Field("phi1", "hom.phi1", TENSOR, "target.linf.dim1 source.linf.dim1"),
+    Field("phi2", "hom.phi2", TENSOR, "target.linf.dim1 source.linf.dim0 source.linf.dim0", True),
+    Field("phi3", "phi3", TENSOR, "target.linf.dim1 source.linf.dim0"),
 ), lambda source, target, phi0, phi1, phi2, phi3: RBLInfinityHom(
     source, target, LInfinityHom(source.linf, target.linf, phi0, phi1, phi2), phi3))
 
 CROSSED_LIE = Kind("crossed-lie", LieCrossedModule, (
     Field("dim0", "g0.dim", DIM),
     Field("dim1", "g1.dim", DIM),
-    Field("bracket0", "g0.bracket", BILINEAR, "dim0 dim0 dim0", True),
-    Field("bracket1", "g1.bracket", BILINEAR, "dim1 dim1 dim1", True),
-    Field("d", "d", LINEAR, "dim0 dim1"),
+    Field("bracket0", "g0.bracket", TENSOR, "dim0 dim0 dim0", True),
+    Field("bracket1", "g1.bracket", TENSOR, "dim1 dim1 dim1", True),
+    Field("d", "d", TENSOR, "dim0 dim1"),
     Field("rho", "rho", ACTION, "dim0 dim1 dim1"),
 ), lambda dim0, dim1, bracket0, bracket1, d, rho: LieCrossedModule(
     LieAlgebra(dim0, bracket0), LieAlgebra(dim1, bracket1), d, rho))
 
 CROSSED_RB = Kind("crossed-rb", RBLieCrossedModule, (
-    Field("t0", "t0", LINEAR, "base.g0.dim base.g0.dim"),
-    Field("t1", "t1", LINEAR, "base.g1.dim base.g1.dim"),
+    Field("t0", "t0", TENSOR, "base.g0.dim base.g0.dim"),
+    Field("t1", "t1", TENSOR, "base.g1.dim base.g1.dim"),
 ), RBLieCrossedModule, base=(CROSSED_LIE, "base"))
 
 CROSSED_PRELIE = Kind("crossed-prelie", PreLieCrossedModule, (
     Field("dim0", "p0.dim", DIM),
     Field("dim1", "p1.dim", DIM),
-    Field("mult0", "p0.mult", BILINEAR, "dim0 dim0 dim0"),
-    Field("mult1", "p1.mult", BILINEAR, "dim1 dim1 dim1"),
-    Field("delta", "delta", LINEAR, "dim0 dim1"),
+    Field("mult0", "p0.mult", TENSOR, "dim0 dim0 dim0"),
+    Field("mult1", "p1.mult", TENSOR, "dim1 dim1 dim1"),
+    Field("delta", "delta", TENSOR, "dim0 dim1"),
     Field("l_act", "l_act", ACTION, "dim0 dim1 dim1"),
     Field("r_act", "r_act", ACTION, "dim0 dim1 dim1"),
 ), lambda dim0, dim1, mult0, mult1, delta, l_act, r_act: PreLieCrossedModule(

@@ -3,35 +3,38 @@
 Every coefficient is a `fractions.Fraction`, so all identities checked in
 this package are exact equalities; there are no tolerances anywhere.
 
-Index conventions, fixed project-wide and mirrored by the file format:
-
-* ``LinearMap.entries[r][c]`` is coordinate ``r`` of the image of the
-  ``c``-th domain basis vector (columns are images of basis vectors).
-* ``BilinearMap.coeffs[k][i][j]`` is coordinate ``k`` of ``m(e_i, e_j)``.
-* ``TrilinearMap.coeffs[l][i][j][k]`` is coordinate ``l`` of
-  ``m(e_i, e_j, e_k)``.
+Index conventions, fixed project-wide and mirrored by the file format: a
+cell ``(out, *inputs)`` is coordinate ``out`` of the image of the input
+basis vectors: ``(r, c)`` of a ``LinearMap`` (columns are images of basis
+vectors), ``(k, i, j)`` of ``m(e_i, e_j)`` for a ``BilinearMap`` and
+``(l, i, j, k)`` of ``m(e_i, e_j, e_k)`` for a ``TrilinearMap``.
 
 ``skew`` / ``alt`` flags declare intended (anti)symmetry.  They are *not*
 enforced at construction: verifiers check them and report violations,
 which is what lets mutation tests build deliberately broken structures.
 Construction validates shapes only.
 
-Each map also keeps ``nonzero``, an index of its nonzero entries built
-once at construction and grouped by input indices: column ``c`` ->
-``((r, coeff), ...)`` for a linear map, pair ``(i, j)`` -> ``((k, coeff),
-...)`` for a bilinear one, triple ``(i, j, k)`` -> ``((l, coeff), ...)`` for
-a trilinear one.  ``apply`` visits only the nonzero coordinates of its
-arguments and looks their input tuples up in the index, so a basis
-evaluation costs one lookup instead of a walk over the whole grid; a map
-with an empty index returns zero at once, and ``is_zero`` asks whether the
-index is empty.  Only the order of the exact
-``Fraction`` additions changes, so every result is the same value.
+One store: a map holds only ``nonzero``, its nonzero cells grouped by
+input indices (``(c,)``, ``(i, j)`` or ``(i, j, k)`` -> ``((out, coeff),
+...)``) with outputs ascending, no zero coefficient and no empty group, so
+dataclass ``==`` is exact value equality.  Every builder writes it
+directly, at O(nonzero entries) whatever the declared dimensions.
+``cells()`` reads it as the flat ``{(out, *inputs): coeff}`` entries that
+documents hold and ``search.mutate`` edits; ``from_cells`` builds from
+them.  ``apply`` visits only the nonzero coordinates of its arguments and
+looks their input tuples up in the index.
+
+``LinearMap.entries[r][c]`` and ``coeffs[k][i][j]`` / ``coeffs[l][i][j][k]``
+are dense nested-tuple views, built on first access and cached.  Nothing in
+this package reads them; the dense-oracle kernel test and the benchmark's
+per-layer tracer do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 
 from .errors import ShapeMismatch
@@ -78,13 +81,12 @@ def is_zero(u: Vec) -> bool:
     return all(a == 0 for a in u)
 
 
-def _grouped(cells) -> dict:
-    """``(input key, output index, coeff)`` triples as the index
-    ``key -> ((output index, coeff), ...)``."""
-    groups: dict = {}
-    for key, out, a in cells:
-        groups.setdefault(key, []).append((out, a))
-    return {key: tuple(g) for key, g in groups.items()}
+def _vector(group, n: int) -> Vec:
+    """The length-n vector with the coordinates of one index group."""
+    out = [ZERO] * n
+    for i, a in group:
+        out[i] = a
+    return tuple(out)
 
 
 def _support(u: Vec) -> list[tuple[int, Fraction]]:
@@ -102,32 +104,97 @@ def perm_sign(p: tuple[int, ...]) -> int:
     return sign
 
 
-@dataclass(frozen=True)
-class LinearMap:
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
-    nonzero: dict = field(init=False, repr=False, compare=False)  # c -> ((r, coeff), ...)
+def _image_cells(values: dict, flag: bool) -> dict:
+    """The cells of the images `values` (input tuple -> vector).  With
+    `flag`, each permutation of a given tuple that is not given itself
+    takes the image times the sign of the permutation."""
+    vals = {key: vec(*v) for key, v in values.items()}
+    if flag:
+        for key, v in list(vals.items()):
+            for p in permutations(range(len(key))):
+                vals.setdefault(tuple(key[q] for q in p), vscale(frac(perm_sign(p)), v))
+    return {(out, *key): a for key, v in vals.items() for out, a in enumerate(v)}
+
+
+def from_cells(shape: tuple[int, ...], cells: dict, flag: bool = False):
+    """The map with nonzero cells ``{(out, *inputs): coeff}`` and index
+    bounds `shape` (output first): linear, bilinear or trilinear by the
+    length of `shape`, with skew/alternating `flag`.  Zero coefficients are
+    left out."""
+    groups: dict = {}
+    for (out, *ins), a in sorted(cells.items()):
+        if a:
+            groups.setdefault(tuple(ins), []).append((out, frac(a)))
+    index = {ins: tuple(g) for ins, g in groups.items()}
+    if len(shape) == 2:
+        return LinearMap(*shape, index)
+    if len(shape) == 3:
+        return BilinearMap(shape[1], shape[2], shape[0], index, flag)
+    return TrilinearMap(shape[1], shape[0], index, flag)
+
+
+class _Multilinear:
+    """The store and its readers, shared by the three map classes.  Each
+    names the index bounds of its cells (`shape`, output first) and its
+    skew/alternating `flag`, and restates `__hash__`: a frozen dataclass
+    would otherwise hash its fields, and the index is a dict."""
 
     def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ShapeMismatch(
-                f"linear map grid is not {self.rows}x{self.cols}")
-        object.__setattr__(self, "nonzero", _grouped(
-            (c, r, a) for r, row in enumerate(self.entries) for c, a in enumerate(row) if a))
+        out, *ins = self.shape
+        for key, group in self.nonzero.items():
+            if (len(key) != len(ins) or not all(0 <= i < n for i, n in zip(key, ins))
+                    or not all(0 <= o < out for o, _ in group)):
+                raise ShapeMismatch(
+                    f"entry {key} outside the {'x'.join(map(str, self.shape))} map")
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.nonzero.items()))
+
+    def cells(self) -> dict:
+        """The nonzero cells ``{(out, *inputs): coeff}`` in index order."""
+        return dict(sorted(((out, *key), a) for key, g in self.nonzero.items() for out, a in g))
+
+    def _dense(self) -> tuple:
+        """The dense nested-tuple grid of `shape`, built from the cells."""
+        cells, shape = self.cells(), self.shape
+
+        def build(at):
+            if len(at) == len(shape):
+                return cells.get(at, ZERO)
+            return tuple(build(at + (i,)) for i in range(shape[len(at)]))
+        return build(())
+
+    def is_zero(self) -> bool:
+        return not self.nonzero
+
+
+@dataclass(frozen=True)
+class LinearMap(_Multilinear):
+    rows: int
+    cols: int
+    nonzero: dict  # (c,) -> ((r, coeff), ...)
+
+    __hash__ = _Multilinear.__hash__
+    shape = property(lambda self: (self.rows, self.cols))
+    flag = False
+    entries = cached_property(_Multilinear._dense)  # entries[r][c]
 
     @staticmethod
     def zero(rows: int, cols: int) -> LinearMap:
-        return LinearMap(rows, cols, tuple((ZERO,) * cols for _ in range(rows)))
+        return LinearMap(rows, cols, {})
 
     @staticmethod
     def identity(n: int) -> LinearMap:
-        return LinearMap(n, n, tuple(vbasis(n, i) for i in range(n)))
+        return LinearMap(n, n, {(i,): ((i, ONE),) for i in range(n)})
 
     @staticmethod
     def from_rows(rows_data) -> LinearMap:
-        ent = tuple(tuple(frac(x) for x in row) for row in rows_data)
-        return LinearMap(len(ent), len(ent[0]) if ent else 0, ent)
+        rows_data = list(rows_data)
+        cols = len(rows_data[0]) if rows_data else 0
+        if any(len(row) != cols for row in rows_data):
+            raise ShapeMismatch("rows of a linear map differ in length")
+        return from_cells((len(rows_data), cols), {
+            (r, c): a for r, row in enumerate(rows_data) for c, a in enumerate(row)})
 
     @staticmethod
     def from_columns(cols: list[Vec], rows: int | None = None) -> LinearMap:
@@ -135,11 +202,11 @@ class LinearMap:
             if not cols:
                 raise ShapeMismatch("cannot infer row count from no columns")
             rows = len(cols[0])
-        ent = tuple(tuple(frac(col[r]) for col in cols) for r in range(rows))
-        return LinearMap(rows, len(cols), ent)
+        return from_cells((rows, len(cols)), {
+            (r, c): a for c, col in enumerate(cols) for r, a in enumerate(col)})
 
     def column(self, j: int) -> Vec:
-        return tuple(self.entries[r][j] for r in range(self.rows))
+        return _vector(self.nonzero.get((j,), ()), self.rows)
 
     def apply(self, u: Vec) -> Vec:
         if len(u) != self.cols:
@@ -148,7 +215,7 @@ class LinearMap:
             return vzero(self.rows)
         out = [ZERO] * self.rows
         for c, a in _support(u):
-            for r, x in self.nonzero.get(c, ()):
+            for r, x in self.nonzero.get((c,), ()):
                 out[r] += x * a
         return tuple(out)
 
@@ -160,61 +227,53 @@ class LinearMap:
             [self.apply(other.column(j)) for j in range(other.cols)], rows=self.rows)
 
     def transpose(self) -> LinearMap:
-        return LinearMap(self.cols, self.rows,
-                         tuple(tuple(self.entries[r][c] for r in range(self.rows))
-                               for c in range(self.cols)))
+        return from_cells((self.cols, self.rows), {(c, r): a for (r, c), a in self.cells().items()})
 
     def add(self, other: LinearMap) -> LinearMap:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("adding maps of different shapes")
-        return LinearMap(self.rows, self.cols,
-                         tuple(tuple(a + b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.entries, other.entries)))
+        cells = self.cells()
+        for at, a in other.cells().items():
+            cells[at] = cells.get(at, ZERO) + a
+        return from_cells(self.shape, cells)
 
     def sub(self, other: LinearMap) -> LinearMap:
         return self.add(other.neg())
 
     def neg(self) -> LinearMap:
-        return LinearMap(self.rows, self.cols,
-                         tuple(tuple(-a for a in row) for row in self.entries))
+        return self.scale(-1)
 
     def scale(self, c) -> LinearMap:
         c = frac(c)
-        return LinearMap(self.rows, self.cols,
-                         tuple(tuple(c * a for a in row) for row in self.entries))
-
-    def is_zero(self) -> bool:
-        return not self.nonzero
+        return from_cells(self.shape, {at: c * a for at, a in self.cells().items()})
 
     def flat(self) -> Vec:
-        return tuple(a for row in self.entries for a in row)
+        """Row-major coordinates of the whole matrix."""
+        cells = self.cells()
+        return tuple(cells.get((r, c), ZERO) for r in range(self.rows) for c in range(self.cols))
 
 
 @dataclass(frozen=True)
-class BilinearMap:
+class BilinearMap(_Multilinear):
     dim_a: int
     dim_b: int
     dim_out: int
-    coeffs: tuple[tuple[tuple[Fraction, ...], ...], ...]  # [k][i][j]
+    nonzero: dict  # (i, j) -> ((k, coeff), ...)
     skew: bool = False
-    nonzero: dict = field(init=False, repr=False, compare=False)  # (i, j) -> ((k, coeff), ...)
 
     def __post_init__(self):
-        if (len(self.coeffs) != self.dim_out
-                or any(len(plane) != self.dim_a for plane in self.coeffs)
-                or any(len(row) != self.dim_b for plane in self.coeffs for row in plane)):
-            raise ShapeMismatch(
-                f"bilinear grid is not {self.dim_out}x{self.dim_a}x{self.dim_b}")
+        super().__post_init__()
         if self.skew and self.dim_a != self.dim_b:
             raise ShapeMismatch("skew flag requires equal domain dimensions")
-        object.__setattr__(self, "nonzero", _grouped(
-            ((i, j), k, a) for k, plane in enumerate(self.coeffs)
-            for i, row in enumerate(plane) for j, a in enumerate(row) if a))
+
+    __hash__ = _Multilinear.__hash__
+    shape = property(lambda self: (self.dim_out, self.dim_a, self.dim_b))
+    flag = property(lambda self: self.skew)
+    coeffs = cached_property(_Multilinear._dense)  # coeffs[k][i][j]
 
     @staticmethod
     def zero(dim_a: int, dim_b: int, dim_out: int, skew: bool = False) -> BilinearMap:
-        grid = tuple(tuple((ZERO,) * dim_b for _ in range(dim_a)) for _ in range(dim_out))
-        return BilinearMap(dim_a, dim_b, dim_out, grid, skew)
+        return BilinearMap(dim_a, dim_b, dim_out, {}, skew)
 
     @staticmethod
     def from_map(dim_a: int, dim_b: int, dim_out: int,
@@ -224,19 +283,10 @@ class BilinearMap:
         With ``skew=True`` the mirror pair is auto-filled with the negated
         value whenever only one orientation is given.
         """
-        vals: dict[tuple[int, int], Vec] = {k: vec(*v) for k, v in values.items()}
-        if skew:
-            for (i, j), v in list(vals.items()):
-                if (j, i) not in vals and i != j:
-                    vals[(j, i)] = vneg(v)
-        grid = tuple(tuple(tuple(vals.get((i, j), vzero(dim_out))[k]
-                                 for j in range(dim_b))
-                           for i in range(dim_a))
-                     for k in range(dim_out))
-        return BilinearMap(dim_a, dim_b, dim_out, grid, skew)
+        return from_cells((dim_out, dim_a, dim_b), _image_cells(values, skew), skew)
 
     def on_basis(self, i: int, j: int) -> Vec:
-        return tuple(self.coeffs[k][i][j] for k in range(self.dim_out))
+        return _vector(self.nonzero.get((i, j), ()), self.dim_out)
 
     def apply(self, u: Vec, v: Vec) -> Vec:
         if len(u) != self.dim_a or len(v) != self.dim_b:
@@ -257,38 +307,22 @@ class BilinearMap:
             [self.apply(u, vbasis(self.dim_b, j)) for j in range(self.dim_b)],
             rows=self.dim_out)
 
-    def is_zero(self) -> bool:
-        return not self.nonzero
-
 
 @dataclass(frozen=True)
-class TrilinearMap:
+class TrilinearMap(_Multilinear):
     dim: int
     dim_out: int
-    coeffs: tuple  # [l][i][j][k]
+    nonzero: dict  # (i, j, k) -> ((l, coeff), ...)
     alt: bool = False
-    nonzero: dict = field(init=False, repr=False, compare=False)  # (i, j, k) -> ((l, coeff), ...)
 
-    def __post_init__(self):
-        ok = len(self.coeffs) == self.dim_out
-        if ok:
-            for cube in self.coeffs:
-                if len(cube) != self.dim or any(len(p) != self.dim for p in cube) \
-                        or any(len(r) != self.dim for p in cube for r in p):
-                    ok = False
-                    break
-        if not ok:
-            raise ShapeMismatch(
-                f"trilinear grid is not {self.dim_out}x{self.dim}^3")
-        object.__setattr__(self, "nonzero", _grouped(
-            ((i, j, k), l, a) for l, cube in enumerate(self.coeffs) for i, plane in enumerate(cube)
-            for j, row in enumerate(plane) for k, a in enumerate(row) if a))
+    __hash__ = _Multilinear.__hash__
+    shape = property(lambda self: (self.dim_out, self.dim, self.dim, self.dim))
+    flag = property(lambda self: self.alt)
+    coeffs = cached_property(_Multilinear._dense)  # coeffs[l][i][j][k]
 
     @staticmethod
     def zero(dim: int, dim_out: int, alt: bool = False) -> TrilinearMap:
-        grid = tuple(tuple(tuple((ZERO,) * dim for _ in range(dim)) for _ in range(dim))
-                     for _ in range(dim_out))
-        return TrilinearMap(dim, dim_out, grid, alt)
+        return TrilinearMap(dim, dim_out, {}, alt)
 
     @staticmethod
     def from_map(dim: int, dim_out: int, values: dict[tuple[int, int, int], Vec],
@@ -296,23 +330,10 @@ class TrilinearMap:
         """Build from images of index triples; with ``alt=True`` each given
         triple of distinct indices is propagated over all permutations with
         the permutation sign."""
-        vals: dict[tuple[int, int, int], Vec] = {k: vec(*v) for k, v in values.items()}
-        if alt:
-            for (i, j, k), v in list(vals.items()):
-                order = (i, j, k)
-                for p in permutations(range(3)):
-                    tgt = (order[p[0]], order[p[1]], order[p[2]])
-                    if tgt not in vals:
-                        vals[tgt] = vscale(frac(perm_sign(p)), v)
-        grid = tuple(tuple(tuple(tuple(vals.get((i, j, k), vzero(dim_out))[l]
-                                       for k in range(dim))
-                                 for j in range(dim))
-                           for i in range(dim))
-                     for l in range(dim_out))
-        return TrilinearMap(dim, dim_out, grid, alt)
+        return from_cells((dim_out, dim, dim, dim), _image_cells(values, alt), alt)
 
     def on_basis(self, i: int, j: int, k: int) -> Vec:
-        return tuple(self.coeffs[l][i][j][k] for l in range(self.dim_out))
+        return _vector(self.nonzero.get((i, j, k), ()), self.dim_out)
 
     def apply(self, u: Vec, v: Vec, w: Vec) -> Vec:
         if len(u) != self.dim or len(v) != self.dim or len(w) != self.dim:
@@ -328,9 +349,6 @@ class TrilinearMap:
                         out[l] += x * a * b * c
         return tuple(out)
 
-    def is_zero(self) -> bool:
-        return not self.nonzero
-
 
 def solve_exact(a: LinearMap, b: Vec) -> Vec | None:
     """Solve ``a x = b`` exactly, or return None when inconsistent.
@@ -342,7 +360,8 @@ def solve_exact(a: LinearMap, b: Vec) -> Vec | None:
     if len(b) != a.rows:
         raise ShapeMismatch("right-hand side has wrong length")
     m, n = a.rows, a.cols
-    rows = [list(a.entries[r]) + [b[r]] for r in range(m)]
+    cells = a.cells()
+    rows = [[cells.get((r, c), ZERO) for c in range(n)] + [b[r]] for r in range(m)]
     pivots = []
     r = 0
     for c in range(n):

@@ -55,6 +55,7 @@ MALFORMED = {
                          b'"bracket": [[0, 0, 1, "' + b"1" * 5000 + b'"]]}'),
     "coefficient-newline": (b'{"kind": "lie", "version": 1, "dim": 2, '
                             b'"bracket": [[0, 0, 1, "1\\n"]]}'),
+    "huge-dimension": b'{"kind": "lie", "version": 1, "dim": 1' + b"0" * 30 + b', "bracket": []}',
 }
 
 

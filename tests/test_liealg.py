@@ -10,7 +10,7 @@ from rblie.liealg import (LieAlgebra, RBRepresentation, RotaBaxterLieAlgebra,
                           prelie_from_rb, semidirect_product, subadjacent_lie,
                           verify_lie, verify_prelie, verify_rb,
                           verify_representation)
-from rblie.tensors import BilinearMap, LinearMap, vec
+from rblie.tensors import BilinearMap, LinearMap, from_cells, vec
 
 small = st.integers(min_value=-3, max_value=3)
 
@@ -175,8 +175,6 @@ def test_pre_lie_verifier_rejects_half_bracket():
     # half of a Lie bracket is generally not pre-Lie
     from rblie.catalog import sl2
     alg = sl2()
-    halved = BilinearMap(3, 3, 3, tuple(
-        tuple(tuple(c / 2 for c in row) for row in plane)
-        for plane in alg.bracket.coeffs))
+    halved = from_cells((3, 3, 3), {idx: c / 2 for idx, c in alg.bracket.cells().items()})
     from rblie.liealg import PreLieAlgebra
     assert not verify_prelie(PreLieAlgebra(3, halved)).ok

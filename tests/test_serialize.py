@@ -1,9 +1,12 @@
 import json
 import re
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
+from time import perf_counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import CATALOG_DIR
 from rblie import catalog
@@ -11,8 +14,9 @@ from rblie.errors import (BadRational, BadSite, DuplicateEntry, ParseError,
                           UnknownKind, VersionMismatch)
 from rblie.liealg import LieAlgebra, prelie_from_rb
 from rblie.search import mutate
-from rblie.serialize import (KINDS, dumps, get_at, kind_of, load, loads,
-                             parse_rational, save)
+from rblie.serialize import (DIM, KINDS, LABELS, OPERATORS, RATIONALS, _render,
+                             dumps, get_at, kind_of, load, loads, parse_rational,
+                             save)
 from rblie.tensors import BilinearMap, vec
 
 
@@ -155,8 +159,91 @@ def test_document_round_trip_random_bilinear(dim_sel, entries):
     values = {k: vec(*v) for k, v in entries.items()}
     alg = LieAlgebra(dim, BilinearMap.from_map(dim, dim, dim, values, skew=False))
     # the skew flag is declared, not enforced; use unflagged data here
-    alg = LieAlgebra(dim, BilinearMap(dim, dim, dim, alg.bracket.coeffs, skew=True))
+    alg = LieAlgebra(dim, replace(alg.bracket, skew=True))
     assert loads(dumps(alg)) == alg
+
+
+def test_declared_dimension_costs_nothing_at_load():
+    """Load, dump and mutate read and write only the nonzero entries, so a
+    lie document declaring dim 10^5 with two bracket entries round-trips
+    and takes a mutation at once (a dense grid would need 10^15 cells)."""
+    text = ('{\n  "kind": "lie",\n  "version": 1,\n  "dim": 100000,\n  "bracket": [\n'
+            '    [2, 0, 1, "1"],\n    [2, 1, 0, "-1"]\n  ]\n}\n')
+    site = ("bracket", 99999, 5, 99998)
+    start = perf_counter()
+    alg = loads(text)
+    mutant = mutate(alg, site, 3)
+    restored = dumps(mutate(mutant, site, -3))
+    elapsed = perf_counter() - start
+    assert dumps(alg) == restored == text
+    assert mutant.bracket.cells() == {(2, 0, 1): 1, (2, 1, 0): -1,
+                                      (99999, 5, 99998): 3, (99999, 99998, 5): -3}
+    assert elapsed < 1, f"took {elapsed:.2f} s"
+
+
+# --- load/save fuzz over the kinds table -------------------------------------
+
+NONZERO = rational_strategy.filter(bool)
+
+
+@st.composite
+def tensor_entries(draw, shape):
+    """Canonical entries: distinct in-range indices in order, nonzero
+    coefficients in lowest terms."""
+    cells = list(product(*map(range, shape)))
+    idx = draw(st.lists(st.sampled_from(cells), unique=True, max_size=4)) if cells else []
+    return [[*i, str(draw(NONZERO))] for i in sorted(idx)]
+
+
+def _field_document(draw, f, values):
+    """The document value of field `f`; `values` holds the decoded fields
+    before it, as the loader sees them."""
+    if f.codec is DIM:
+        return draw(st.integers(0, 3))
+    if f.codec is LABELS:
+        return draw(st.none() | st.just([f"x{i}" for i in range(values["dim"])]))
+    if f.codec is RATIONALS:
+        return [str(q) for q in draw(st.lists(rational_strategy, unique=True, max_size=3))]
+    if f.codec is OPERATORS:
+        return draw(st.lists(tensor_entries(f.bounds(values)), max_size=2))
+    if f.codec.embeds:
+        return draw(documents(f.codec.embeds))
+    return draw(tensor_entries(f.bounds(values)))
+
+
+def _generated(f) -> bool:
+    """Whether `_field_document` knows the codec of field `f`."""
+    return f.codec in (DIM, LABELS, RATIONALS, OPERATORS) or f.codec.embeds or f.codec.tensor
+
+
+@st.composite
+def documents(draw, kind):
+    """A random canonical document of `kind` as a dict in key order."""
+    doc = {"kind": kind.name, "version": 1}
+    values = {}
+    if kind.base is not None:
+        base_kind, attribute = kind.base
+        base = draw(documents(base_kind))
+        doc.update((k, v) for k, v in base.items() if k not in ("kind", "version"))
+        values[attribute] = loads(json.dumps(base))
+    for f in kind.own:
+        doc[f.key] = _field_document(draw, f, values)
+        values[f.key] = loads(json.dumps(doc[f.key])) if f.codec.embeds else doc[f.key]
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+COVERED = sorted(name for name, kind in KINDS.items() if all(map(_generated, kind.fields)))
+
+
+def test_fuzz_covers_every_kind():
+    assert set(COVERED) == set(KINDS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(COVERED).flatmap(lambda name: documents(KINDS[name])))
+def test_load_then_dump_is_the_identity_on_canonical_documents(doc):
+    text = _render(doc) + "\n"
+    assert dumps(loads(text)) == text
 
 
 # --- the kinds table -------------------------------------------------------

@@ -9,8 +9,8 @@ from conftest import make_linf, with_zero_rb
 from rblie.cli import verify_structure
 from rblie.errors import ShapeMismatch
 from rblie.liealg import LieAlgebra
-from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap, perm_sign,
-                           solve_exact, vbasis, vec, vzero)
+from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap, from_cells,
+                           perm_sign, solve_exact, vbasis, vec, vzero)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 
@@ -131,9 +131,32 @@ def test_linear_map_apply_and_columns():
 
 def test_linear_map_shape_errors():
     with pytest.raises(ShapeMismatch):
-        LinearMap(2, 2, (vec(1, 0),))
+        LinearMap.from_rows([vec(1, 0), vec(1)])
     with pytest.raises(ShapeMismatch):
         LinearMap.from_rows([[1, 0]]).apply(vec(1, 2, 3))
+
+
+def test_store_rejects_entries_outside_the_shape():
+    one = Fraction(1)
+    for bad in (lambda: LinearMap(2, 2, {(2,): ((0, one),)}),
+                lambda: LinearMap(2, 2, {(0,): ((2, one),)}),
+                lambda: BilinearMap(2, 2, 2, {(0,): ((0, one),)}),
+                lambda: from_cells((2, 2, 2), {(0, 0, 2): 1}),
+                lambda: from_cells((1, 2, 2, 2), {(0, 0, 0, 2): 1})):
+        with pytest.raises(ShapeMismatch):
+            bad()
+
+
+def test_equal_values_have_equal_stores():
+    """The store is canonical, so `==` and `hash` are value equality
+    however a map was built."""
+    m = LinearMap.from_rows([[2, 0], [1, Fraction(1, 2)]])
+    same = from_cells((2, 2), {(1, 1): Fraction(2, 4), (0, 0): 2, (1, 0): 1, (0, 1): 0})
+    assert m == same and hash(m) == hash(same)
+    assert m.transpose().transpose() == m.scale(3).scale(Fraction(1, 3)) == m
+    assert m.sub(m) == LinearMap.zero(2, 2) and m.sub(m).is_zero()
+    b = BilinearMap.from_map(2, 2, 1, {(0, 1): vec(1)}, skew=True)
+    assert b == from_cells((1, 2, 2), b.cells(), True) != BilinearMap.zero(2, 2, 1, skew=True)
 
 
 def test_compose_matches_matrix_product():
