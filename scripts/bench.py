@@ -13,11 +13,15 @@ each row below as the median of REPEATS runs:
 * `rblie roundtrip catalog/solv4-cocycle-phi2-hom.json`;
 * `rblie verify` of every catalog document, one after the other;
 * `loads` then `dumps` of every catalog document (texts read beforehand;
-  each must come back byte for byte).
+  each must come back byte for byte);
+* `rblie search-rb` of sl2 and of heis3 over {-1,0,1}, which must find 23
+  and 639 operators.
 
 The JSON written to the one argument holds every row (median, the single
-runs, the number of checked conditions, or of documents for the
-`loads`/`dumps` row) and the line count of `src/`.
+runs, the number of checked conditions, of documents for the
+`loads`/`dumps` row, or of operators found for the `search-rb` rows) and
+the line count of `src/`.  A probe that fails verification, or a search
+that finds another number of operators, exits nonzero.
 Only the standard library is used, so the same file can be copied into an
 older checkout to measure a before/after pair on one machine.  The zero
 dim-25 row of a dense tensor kernel takes minutes, so this is not a CI
@@ -47,6 +51,7 @@ from rblie.twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,  # noqa: 
 
 REPEATS = 3
 CATALOG = ROOT / "catalog"
+SEARCH_FOUND = {"sl2": 23, "heis3": 639}  # operators over the default {-1,0,1}
 
 
 def zero_lie(n: int) -> LieAlgebra:
@@ -90,6 +95,19 @@ def load_dump(texts: list[str]) -> int:
     return len(texts)
 
 
+def search(name: str) -> int:
+    """`search-rb` of a catalog algebra; the number of operators found,
+    which must be the pinned one."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli_main(["search-rb", str(CATALOG / f"{name}.json")])
+    found = int(err.getvalue().split()[0]) if code == 0 else None
+    if found != SEARCH_FOUND[name]:
+        raise SystemExit(f"search-rb {name} exited {code} with {found} operators, "
+                         f"not {SEARCH_FOUND[name]}")
+    return found
+
+
 def rows() -> dict:
     out = {f"zero lie dim {n}": lambda n=n: verify_object(zero_lie(n)) for n in (8, 12, 16, 25)}
     out.update({f"zero rb-2term dim0 {d} dim1 2": lambda d=d: verify_object(zero_rb_2term(d, 2))
@@ -100,6 +118,8 @@ def rows() -> dict:
     out["verify whole catalog"] = lambda: cli(*sorted(CATALOG.glob("*.json")))
     texts = [path.read_text(encoding="utf-8") for path in sorted(CATALOG.glob("*.json"))]
     out["loads+dumps whole catalog"] = lambda: load_dump(texts)
+    out.update({f"search-rb {name} over -1,0,1": lambda name=name: search(name)
+                for name in SEARCH_FOUND})
     return out
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 
 from .errors import InternalInvariantBroken
 
-Residual = tuple[Fraction, ...]
+Residual = tuple[int | Fraction, ...]  # exact coordinates, never float
 # (condition id, basis index tuple, thunk computing the residual)
 Check = tuple[str, tuple[int, ...], Callable[[], Residual]]
 

@@ -16,7 +16,7 @@ from itertools import combinations, permutations, product
 from .errors import BadSite, BudgetExceeded
 from .liealg import LieAlgebra, RotaBaxterLieAlgebra
 from .serialize import KIND_OF_CLASS, get_at, put_at
-from .tensors import ZERO, LinearMap, frac, from_cells, perm_sign, vadd, vbasis
+from .tensors import LinearMap, frac, from_cells, perm_sign, vadd, vbasis
 
 
 @dataclass(frozen=True)
@@ -102,5 +102,5 @@ def mutate(value, site: tuple, delta) -> object:
     entries = codec.cells(tensor)
     for p in moves:
         at = out + tuple(args[q] for q in p)
-        entries[at] = entries.get(at, ZERO) + perm_sign(p) * delta
+        entries[at] = entries.get(at, 0) + perm_sign(p) * delta
     return put_at(value, field.path, codec.build(shape, entries, flag))

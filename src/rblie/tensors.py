@@ -1,7 +1,9 @@
 """Exact tensor containers over the rationals.
 
-Every coefficient is a `fractions.Fraction`, so all identities checked in
-this package are exact equalities; there are no tolerances anywhere.
+Every coefficient is an exact ``int`` or `fractions.Fraction` (stores keep
+integral ones as ``int``; the one division, in `solve_exact`, divides a
+``Fraction``), so all identities checked in this package are exact
+equalities; there are no tolerances anywhere.
 
 Index conventions, fixed project-wide and mirrored by the file format: a
 cell ``(out, *inputs)`` is coordinate ``out`` of the image of the input
@@ -39,10 +41,7 @@ from itertools import permutations
 
 from .errors import ShapeMismatch
 
-Vec = tuple[Fraction, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Vec = tuple[int | Fraction, ...]
 
 
 def frac(x) -> Fraction:
@@ -54,11 +53,11 @@ def vec(*entries) -> Vec:
 
 
 def vzero(n: int) -> Vec:
-    return (ZERO,) * n
+    return (0,) * n
 
 
 def vbasis(n: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(n))
+    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def vadd(*vs: Vec) -> Vec:
@@ -83,13 +82,13 @@ def is_zero(u: Vec) -> bool:
 
 def _vector(group, n: int) -> Vec:
     """The length-n vector with the coordinates of one index group."""
-    out = [ZERO] * n
+    out = [0] * n
     for i, a in group:
         out[i] = a
     return tuple(out)
 
 
-def _support(u: Vec) -> list[tuple[int, Fraction]]:
+def _support(u: Vec) -> list[tuple[int, int | Fraction]]:
     return [(i, a) for i, a in enumerate(u) if a]
 
 
@@ -120,11 +119,12 @@ def from_cells(shape: tuple[int, ...], cells: dict, flag: bool = False):
     """The map with nonzero cells ``{(out, *inputs): coeff}`` and index
     bounds `shape` (output first): linear, bilinear or trilinear by the
     length of `shape`, with skew/alternating `flag`.  Zero coefficients are
-    left out."""
+    left out; an integral coefficient is stored as an ``int``."""
     groups: dict = {}
     for (out, *ins), a in sorted(cells.items()):
         if a:
-            groups.setdefault(tuple(ins), []).append((out, frac(a)))
+            a = frac(a)
+            groups.setdefault(tuple(ins), []).append((out, int(a) if a.denominator == 1 else a))
     index = {ins: tuple(g) for ins, g in groups.items()}
     if len(shape) == 2:
         return LinearMap(*shape, index)
@@ -160,7 +160,7 @@ class _Multilinear:
 
         def build(at):
             if len(at) == len(shape):
-                return cells.get(at, ZERO)
+                return cells.get(at, 0)
             return tuple(build(at + (i,)) for i in range(shape[len(at)]))
         return build(())
 
@@ -185,7 +185,7 @@ class LinearMap(_Multilinear):
 
     @staticmethod
     def identity(n: int) -> LinearMap:
-        return LinearMap(n, n, {(i,): ((i, ONE),) for i in range(n)})
+        return LinearMap(n, n, {(i,): ((i, 1),) for i in range(n)})
 
     @staticmethod
     def from_rows(rows_data) -> LinearMap:
@@ -213,7 +213,7 @@ class LinearMap(_Multilinear):
             raise ShapeMismatch(f"vector of length {len(u)} fed to {self.rows}x{self.cols} map")
         if not self.nonzero:
             return vzero(self.rows)
-        out = [ZERO] * self.rows
+        out = [0] * self.rows
         for c, a in _support(u):
             for r, x in self.nonzero.get((c,), ()):
                 out[r] += x * a
@@ -234,7 +234,7 @@ class LinearMap(_Multilinear):
             raise ShapeMismatch("adding maps of different shapes")
         cells = self.cells()
         for at, a in other.cells().items():
-            cells[at] = cells.get(at, ZERO) + a
+            cells[at] = cells.get(at, 0) + a
         return from_cells(self.shape, cells)
 
     def sub(self, other: LinearMap) -> LinearMap:
@@ -250,7 +250,7 @@ class LinearMap(_Multilinear):
     def flat(self) -> Vec:
         """Row-major coordinates of the whole matrix."""
         cells = self.cells()
-        return tuple(cells.get((r, c), ZERO) for r in range(self.rows) for c in range(self.cols))
+        return tuple(cells.get((r, c), 0) for r in range(self.rows) for c in range(self.cols))
 
 
 @dataclass(frozen=True)
@@ -293,7 +293,7 @@ class BilinearMap(_Multilinear):
             raise ShapeMismatch("bilinear map fed vectors of wrong lengths")
         if not self.nonzero:
             return vzero(self.dim_out)
-        out = [ZERO] * self.dim_out
+        out = [0] * self.dim_out
         vs = _support(v)
         for i, a in _support(u):
             for j, b in vs:
@@ -340,7 +340,7 @@ class TrilinearMap(_Multilinear):
             raise ShapeMismatch("trilinear map fed vectors of wrong lengths")
         if not self.nonzero:
             return vzero(self.dim_out)
-        out = [ZERO] * self.dim_out
+        out = [0] * self.dim_out
         vs, ws = _support(v), _support(w)
         for i, a in _support(u):
             for j, b in vs:
@@ -361,7 +361,7 @@ def solve_exact(a: LinearMap, b: Vec) -> Vec | None:
         raise ShapeMismatch("right-hand side has wrong length")
     m, n = a.rows, a.cols
     cells = a.cells()
-    rows = [[cells.get((r, c), ZERO) for c in range(n)] + [b[r]] for r in range(m)]
+    rows = [[cells.get((r, c), 0) for c in range(n)] + [b[r]] for r in range(m)]
     pivots = []
     r = 0
     for c in range(n):
@@ -372,7 +372,7 @@ def solve_exact(a: LinearMap, b: Vec) -> Vec | None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        rows[r] = [frac(x) / pv for x in rows[r]]
         for i in range(m):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
@@ -382,7 +382,7 @@ def solve_exact(a: LinearMap, b: Vec) -> Vec | None:
     for i in range(r, m):
         if rows[i][n] != 0:
             return None
-    x = [ZERO] * n
+    x = [0] * n
     for pr, pc in pivots:
         x[pc] = rows[pr][n]
     return tuple(x)

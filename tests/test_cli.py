@@ -2,13 +2,14 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import CATALOG_DIR
-from rblie.cli import main
+from conftest import CATALOG_DIR, structure_mutants
+from rblie.cli import main, structure_checks
 from rblie.serialize import load, loads
 
 
@@ -29,6 +30,22 @@ def test_verify_every_catalog_file_passes(capsys):
     for path in sorted(CATALOG_DIR.glob("*.json")):
         code, out, _ = run_cli(capsys, "verify", str(path))
         assert code == 0 and out == "", path.name
+
+
+def test_every_residual_coordinate_is_exact():
+    """Every residual of every check on the catalog documents and on the
+    condition mutants is an int or a Fraction, so a stray division can never
+    print a float into a VIOLATION line."""
+    objs = [load(p) for p in sorted(CATALOG_DIR.glob("*.json"))]
+    objs += [mutant for _, mutant in structure_mutants()]
+    inexact, nonzero = [], 0
+    for obj in objs:
+        for cond, idx, residual in structure_checks(obj):
+            r = residual()
+            nonzero += any(r)
+            if any(type(x) not in (int, Fraction) for x in r):
+                inexact.append((cond, idx, r))
+    assert nonzero and not inexact, inexact[:3]
 
 
 def test_verify_mutated_file_exits_one_with_violation_lines(capsys, tmp_path):

@@ -98,7 +98,7 @@ def test_apply_and_is_zero_match_the_dense_grid_walk(data):
     args = [data.draw(argument(n)) for n in dims]
     got = t.apply(*args)
     assert got == dense_apply(t, *args)
-    assert all(isinstance(x, Fraction) for x in got)
+    assert all(type(x) in (int, Fraction) for x in got)  # exact: never bool or float
     assert t.is_zero() == all(c == 0 for _, c in grid_cells(t))
     for pos, n in enumerate(dims):
         wrong = list(args)
@@ -157,6 +157,12 @@ def test_equal_values_have_equal_stores():
     assert m.sub(m) == LinearMap.zero(2, 2) and m.sub(m).is_zero()
     b = BilinearMap.from_map(2, 2, 1, {(0, 1): vec(1)}, skew=True)
     assert b == from_cells((1, 2, 2), b.cells(), True) != BilinearMap.zero(2, 2, 1, skew=True)
+    # an integral coefficient is stored as an int however it was given,
+    # any other as a Fraction
+    two, int_two = from_cells((1, 1), {(0, 0): Fraction(4, 2)}), from_cells((1, 1), {(0, 0): 2})
+    assert two == int_two and hash(two) == hash(int_two)
+    assert [type(x) for x in (*two.cells().values(), *int_two.cells().values())] == [int, int]
+    assert [type(x) for x in m.cells().values()] == [int, int, Fraction]
 
 
 def test_compose_matches_matrix_product():
@@ -200,6 +206,11 @@ def test_perm_sign():
 def test_solve_exact_unique():
     a = LinearMap.from_rows([[2, 0], [0, 4]])
     assert solve_exact(a, vec(1, 1)) == vec(Fraction(1, 2), Fraction(1, 4))
+    # integer pivots and right-hand side: the one division stays exact
+    for rows, x in (([[2, 0], [0, 3]], (Fraction(1, 2), Fraction(1, 3))),
+                    ([[2, 1], [4, 3]], (1, -1))):
+        sol = solve_exact(LinearMap.from_rows(rows), (1, 1))
+        assert sol == x and all(type(c) is Fraction for c in sol)
 
 
 def test_solve_exact_inconsistent():

@@ -1,15 +1,18 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 from conftest import (descent_chain, hom_mutants, make_linf,
                       structure_mutants, with_zero_rb)
 from rblie.catalog import (CROSSED_MODULES, TWO_TERM_STRUCTURES, aff1,
-                           aff1_rb_shift, adjoint_rb_two_term,
+                           aff1_adjoint_completed, aff1_rb_shift, adjoint_rb_two_term,
                            adjoint_two_term, sl2_cocycle_rb)
 from rblie.crossed import crossed_to_strict
 from rblie.errors import NotChainMap, SourceTargetMismatch
 from rblie.search import mutate
 from rblie.tensors import BilinearMap, LinearMap, vec
-from rblie.twoterm import (CompletionFailure, LInfinityHom,
+from rblie.twoterm import (CompletionFailure, LInfinityHom, TwoTermComplex,
                            complete_rb_triple, compose_rb_homs,
                            identity_rb_hom, verify_2term, verify_hom,
                            verify_rb_2term, verify_rb_hom, verify_rb_triple)
@@ -100,6 +103,21 @@ def test_complete_rb_triple_on_adjoint_complex():
     else:
         from rblie.twoterm import TwoTermRBLInfinity
         assert verify_rb_triple(TwoTermRBLInfinity(G.linf, res)).ok
+
+
+def test_complete_rb_triple_is_exact_on_integer_input():
+    """The catalog's integer operator on the adjoint complex of aff1, with
+    the differential tripled: the solver divides by the pivot 3, and R2
+    comes back as exact thirds (a float would be stored as a nearby dyadic
+    rational, not 1/3)."""
+    G = aff1_adjoint_completed()
+    L = replace(G.linf, complex=TwoTermComplex(2, 2, LinearMap.identity(2).scale(3)))
+    assert verify_2term(L).ok
+    triple = complete_rb_triple(L, G.rb.r0, G.rb.r1)
+    assert not isinstance(triple, CompletionFailure)
+    assert triple.r2.on_basis(0, 1) == (Fraction(2, 3), Fraction(1, 3))
+    for m in (triple.r0, triple.r1, triple.r2):
+        assert all(type(x) in (int, Fraction) for x in m.cells().values())
 
 
 def test_complete_rb_triple_requires_chain_map():
