@@ -14,14 +14,15 @@ each row below as the median of REPEATS runs:
 * `rblie verify` of every catalog document, one after the other;
 * `loads` then `dumps` of every catalog document (texts read beforehand;
   each must come back byte for byte);
-* `rblie search-rb` of sl2 and of heis3 over {-1,0,1}, which must find 23
-  and 639 operators.
+* `rblie search-rb` of sl2, heis3 and solv4 over {-1,0,1}, which must find
+  23, 639 and 5,427 operators, each within 60 s (with `--budget 43046721`,
+  solv4's whole 3^16 grid).
 
 The JSON written to the one argument holds every row (median, the single
 runs, the number of checked conditions, of documents for the
 `loads`/`dumps` row, or of operators found for the `search-rb` rows) and
 the line count of `src/`.  A probe that fails verification, or a search
-that finds another number of operators, exits nonzero.
+that finds another number of operators or takes longer, exits nonzero.
 Only the standard library is used, so the same file can be copied into an
 older checkout to measure a before/after pair on one machine.  The zero
 dim-25 row of a dense tensor kernel takes minutes, so this is not a CI
@@ -51,7 +52,9 @@ from rblie.twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,  # noqa: 
 
 REPEATS = 3
 CATALOG = ROOT / "catalog"
-SEARCH_FOUND = {"sl2": 23, "heis3": 639}  # operators over the default {-1,0,1}
+SEARCH_FOUND = {"sl2": 23, "heis3": 639, "solv4": 5427}  # operators over {-1,0,1}
+SEARCH_BUDGET = 3 ** 16  # solv4's whole grid, above the default 10^7 candidates
+SEARCH_LIMIT_S = 60
 
 
 def zero_lie(n: int) -> LieAlgebra:
@@ -97,14 +100,19 @@ def load_dump(texts: list[str]) -> int:
 
 def search(name: str) -> int:
     """`search-rb` of a catalog algebra; the number of operators found,
-    which must be the pinned one."""
+    which must be the pinned one, found within SEARCH_LIMIT_S."""
     err = io.StringIO()
+    start = perf_counter()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        code = cli_main(["search-rb", str(CATALOG / f"{name}.json")])
+        code = cli_main(["search-rb", str(CATALOG / f"{name}.json"),
+                         "--budget", str(SEARCH_BUDGET)])
+    elapsed = perf_counter() - start
     found = int(err.getvalue().split()[0]) if code == 0 else None
     if found != SEARCH_FOUND[name]:
         raise SystemExit(f"search-rb {name} exited {code} with {found} operators, "
                          f"not {SEARCH_FOUND[name]}")
+    if elapsed > SEARCH_LIMIT_S:
+        raise SystemExit(f"search-rb {name} took {elapsed:.1f} s, over {SEARCH_LIMIT_S} s")
     return found
 
 

@@ -386,6 +386,5 @@ def shipped_documents() -> dict[str, object]:
 
     spec = SearchSpec(LIE_ALGEBRAS["aff1"])
     found = enumerate_rb_operators(spec)
-    docs["aff1-rb-search"] = SearchResults(
-        spec.target, tuple(sorted(set(spec.coeffs))), tuple(r.r for r in found))
+    docs["aff1-rb-search"] = SearchResults(spec.target, spec.coeffs, tuple(r.r for r in found))
     return docs

@@ -161,8 +161,7 @@ def cmd_search_rb(args) -> int:
     coeffs = tuple(parse_rational(c) for c in args.coeffs.split(","))
     spec = SearchSpec(alg, coeffs, budget=args.budget)
     found = enumerate_rb_operators(spec)
-    results = SearchResults(alg, tuple(sorted(set(coeffs))),
-                            tuple(rba.r for rba in found))
+    results = SearchResults(alg, spec.coeffs, tuple(rba.r for rba in found))
     _output(results, args.out)
     print(f"{len(found)} operators out of {spec.candidate_count()} candidates",
           file=sys.stderr)
@@ -219,7 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--coeffs", default="-1,0,1",
                    help="comma-separated rationals; use --coeffs=-1,0,1 "
                         "when the list starts with a minus sign")
-    s.add_argument("--budget", type=int, default=10_000_000)
+    s.add_argument("--budget", type=int, default=10_000_000,
+                   help="largest grid to search: refuse (exit 2) when the "
+                        "coefficient count to the power of the free entries "
+                        "exceeds it (default 10000000)")
     s.add_argument("-o", "--out")
     s.set_defaults(fn=cmd_search_rb)
 

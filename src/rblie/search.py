@@ -1,34 +1,45 @@
-"""Brute-force enumeration of Rota-Baxter operators over finite coefficient
-grids, and single-site mutation of verified structures.
+"""Enumeration of Rota-Baxter operators over finite coefficient grids, and
+single-site mutation of verified structures.
 
-Enumeration is exhaustive and deterministic: coefficients are sorted
-ascending and candidate matrices are visited in lexicographic row-major
-order in one serial pass, so re-runs produce the same list.  Candidates
-are rejected at the first violated bracket pair.
+The search assigns R one column at a time, depth first.  Once columns i < j
+are set, the weight-zero identity at the pair (i, j) is linear in R:
+R v = [R e_i, R e_j] with v = [R e_i, e_j] + [e_i, R e_j].  With columns
+0..k-1 set, a pair whose v has no nonzero coordinate past k is decided:
+when v is zero on every unset column its residual (the set columns moved
+to the right-hand side) must vanish, and when its only unset coordinate is
+k it forces column k to residual / v_k, which must lie in the grid.  A
+failure prunes the branch.  Every completed matrix is then checked against
+the full identity at every pair before it is kept, and the result is
+sorted into lexicographic row-major order, so re-runs produce the same
+list as a pass over the whole grid would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 
 from .errors import BadSite, BudgetExceeded
 from .liealg import LieAlgebra, RotaBaxterLieAlgebra
 from .serialize import KIND_OF_CLASS, get_at, put_at
-from .tensors import LinearMap, frac, from_cells, perm_sign, vadd, vbasis
+from .tensors import LinearMap, Vec, exact, frac, perm_sign, vadd, vbasis
 
 
 @dataclass(frozen=True)
 class SearchSpec:
+    """A grid of candidate matrices: every free entry takes each value of
+    `coeffs` (stored deduplicated, ascending, integral values as ``int``)
+    and every masked entry is 0.  `budget` bounds the grid size."""
     target: LieAlgebra
-    coeffs: tuple[Fraction, ...] = (Fraction(-1), Fraction(0), Fraction(1))
+    coeffs: tuple[int | Fraction, ...] = (-1, 0, 1)
     mask: tuple[tuple[bool, ...], ...] | None = None  # True = entry is free
     budget: int = 10_000_000
 
     def __post_init__(self):
         if not self.coeffs:
             raise BadSite("coefficient set must be non-empty")
+        object.__setattr__(self, "coeffs", tuple(sorted({exact(c) for c in self.coeffs})))
         n = self.target.dim
         if self.mask is not None and (
                 len(self.mask) != n or any(len(r) != n for r in self.mask)):
@@ -40,7 +51,12 @@ class SearchSpec:
                 if self.mask is None or self.mask[r][c]]
 
     def candidate_count(self) -> int:
-        return len(set(self.coeffs)) ** len(self.free_sites())
+        return len(self.coeffs) ** len(self.free_sites())
+
+    def column_axes(self, k: int) -> tuple[tuple[int | Fraction, ...], ...]:
+        """The values each entry of column k ranges over."""
+        return tuple(self.coeffs if self.mask is None or self.mask[r][k] else (0,)
+                     for r in range(self.target.dim))
 
 
 def _is_rb(alg: LieAlgebra, r: LinearMap) -> bool:
@@ -55,23 +71,77 @@ def _is_rb(alg: LieAlgebra, r: LinearMap) -> bool:
     return True
 
 
+def _narrow(pairs, cols: tuple[Vec, ...], axes):
+    """Decide the pairs that columns 0..k-1 (`cols`) settle, k = len(cols):
+    ``(pairs still open, values for column k)``, or None to prune."""
+    k = len(cols)
+    still_open, forced = [], None
+    for lhs, v in pairs:
+        if any(v[k + 1:]):
+            still_open.append((lhs, v))
+            continue
+        residual = list(lhs)
+        for m, col in enumerate(cols):
+            if v[m]:
+                for r, a in enumerate(col):
+                    residual[r] -= v[m] * a
+        if not v[k]:
+            if any(residual):
+                return None
+            continue
+        # column k = residual / v_k, read off the grid so no value is divided
+        column = tuple(next((c for c in axis if c * v[k] == a), None)
+                       for a, axis in zip(residual, axes))
+        if None in column or forced not in (None, column):
+            return None
+        forced = column
+    return still_open, iter([forced]) if forced is not None else product(*axes)
+
+
 def enumerate_rb_operators(spec: SearchSpec) -> list[RotaBaxterLieAlgebra]:
     """All operators over the coefficient grid that satisfy the weight-zero
-    identity, in lexicographic matrix order."""
+    identity, in lexicographic row-major matrix order."""
     count = spec.candidate_count()
     if count > spec.budget:
         raise BudgetExceeded(
             f"{count} candidates exceed the budget of {spec.budget}", count)
     alg = spec.target
     n = alg.dim
-    coeffs = tuple(sorted(set(spec.coeffs)))
-    sites = spec.free_sites()
+    if n == 0:
+        return [RotaBaxterLieAlgebra(alg, LinearMap.zero(0, 0))]
+    axes = [spec.column_axes(k) for k in range(n)]
+    left = [alg.ad(i) for i in range(n)]  # x -> [e_i, x]
+    right = [LinearMap.from_columns([alg.bracket.on_basis(m, j) for m in range(n)], rows=n)
+             for j in range(n)]  # x -> [x, e_j]
+
+    def new_pairs(cols):
+        """``(lhs, v)`` of each pair (i, j) whose later column j was set
+        last: lhs = [R e_i, R e_j] and v = [R e_i, e_j] + [e_i, R e_j]."""
+        j = len(cols) - 1
+        return ((alg.bracket_vec(cols[i], cols[j]),
+                 vadd(right[j].apply(cols[i]), left[i].apply(cols[j]))) for i in range(j))
+
     found = []
-    for assignment in product(coeffs, repeat=len(sites)):
-        candidate = from_cells((n, n), dict(zip(sites, assignment)))
-        if _is_rb(alg, candidate):
-            found.append(RotaBaxterLieAlgebra(alg, candidate))
-    return found
+    # depth first; a frame holds the set columns, the pairs among them still
+    # open, and the values left to try for the next column
+    stack = [((), [], product(*axes[0]))]
+    while stack:
+        cols, pairs, values = stack[-1]
+        column = next(values, None)
+        if column is None:
+            stack.pop()
+            continue
+        node = cols + (column,)
+        if len(node) == n:
+            r = LinearMap.from_columns(list(node), rows=n)
+            if _is_rb(alg, r):
+                found.append(r)
+            continue
+        narrowed = _narrow(chain(pairs, new_pairs(node)), node, axes[len(node)])
+        if narrowed is not None:
+            stack.append((node,) + narrowed)
+    found.sort(key=LinearMap.flat)
+    return [RotaBaxterLieAlgebra(alg, r) for r in found]
 
 
 def mutate(value, site: tuple, delta) -> object:

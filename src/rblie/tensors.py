@@ -1,9 +1,9 @@
 """Exact tensor containers over the rationals.
 
-Every coefficient is an exact ``int`` or `fractions.Fraction` (stores keep
-integral ones as ``int``; the one division, in `solve_exact`, divides a
-``Fraction``), so all identities checked in this package are exact
-equalities; there are no tolerances anywhere.
+Every coefficient is an exact ``int`` or `fractions.Fraction` (stores and
+`vec` keep integral ones as ``int``, see `exact`; the one division, in
+`solve_exact`, divides a ``Fraction``), so all identities checked in this
+package are exact equalities; there are no tolerances anywhere.
 
 Index conventions, fixed project-wide and mirrored by the file format: a
 cell ``(out, *inputs)`` is coordinate ``out`` of the image of the input
@@ -48,8 +48,16 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def exact(x) -> int | Fraction:
+    """`x` as a stored coefficient: an ``int`` when integral, else a ``Fraction``."""
+    if type(x) is int:
+        return x
+    x = frac(x)
+    return int(x) if x.denominator == 1 else x
+
+
 def vec(*entries) -> Vec:
-    return tuple(frac(x) for x in entries)
+    return tuple(exact(x) for x in entries)
 
 
 def vzero(n: int) -> Vec:
@@ -72,7 +80,7 @@ def vneg(u: Vec) -> Vec:
     return tuple(-a for a in u)
 
 
-def vscale(c: Fraction, u: Vec) -> Vec:
+def vscale(c: int | Fraction, u: Vec) -> Vec:
     return tuple(c * a for a in u)
 
 
@@ -111,7 +119,7 @@ def _image_cells(values: dict, flag: bool) -> dict:
     if flag:
         for key, v in list(vals.items()):
             for p in permutations(range(len(key))):
-                vals.setdefault(tuple(key[q] for q in p), vscale(frac(perm_sign(p)), v))
+                vals.setdefault(tuple(key[q] for q in p), vscale(perm_sign(p), v))
     return {(out, *key): a for key, v in vals.items() for out, a in enumerate(v)}
 
 
@@ -123,8 +131,7 @@ def from_cells(shape: tuple[int, ...], cells: dict, flag: bool = False):
     groups: dict = {}
     for (out, *ins), a in sorted(cells.items()):
         if a:
-            a = frac(a)
-            groups.setdefault(tuple(ins), []).append((out, int(a) if a.denominator == 1 else a))
+            groups.setdefault(tuple(ins), []).append((out, exact(a)))
     index = {ins: tuple(g) for ins, g in groups.items()}
     if len(shape) == 2:
         return LinearMap(*shape, index)

@@ -299,6 +299,17 @@ def test_search_rb_reproduces_golden_file(capsys, tmp_path):
     assert out_path.read_text(encoding="utf-8") == golden
 
 
+def test_search_rb_coefficient_list_is_a_set(capsys, tmp_path):
+    """Repeats, order and spelling of --coeffs do not reach the output."""
+    out_path = tmp_path / "search.json"
+    code, _, err = run_cli(capsys, "search-rb", str(CATALOG_DIR / "aff1.json"),
+                           "--coeffs=1,0,-1,2/2,-3/3,0/5", "-o", str(out_path))
+    assert code == 0
+    assert err == "15 operators out of 81 candidates\n"
+    golden = (CATALOG_DIR / "aff1-rb-search.json").read_text(encoding="utf-8")
+    assert out_path.read_text(encoding="utf-8") == golden
+
+
 def test_search_rb_budget_exceeded_exits_two(capsys):
     code, _, err = run_cli(capsys, "search-rb", str(CATALOG_DIR / "sl2.json"),
                            "--budget", "10")

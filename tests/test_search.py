@@ -7,8 +7,40 @@ from hypothesis import given, settings, strategies as st
 from rblie.catalog import LIE_ALGEBRAS, aff1, aff1_rb_shift
 from rblie.errors import BadSite, BudgetExceeded
 from rblie.liealg import LieAlgebra, RotaBaxterLieAlgebra, verify_rb
-from rblie.search import SearchSpec, enumerate_rb_operators, mutate
-from rblie.tensors import LinearMap, vec
+from rblie.search import SearchSpec, _narrow, enumerate_rb_operators, mutate
+from rblie.tensors import LinearMap, from_cells, vec
+
+
+def brute_force(alg, coeffs, mask=None) -> list[LinearMap]:
+    """The oracle: every matrix over the grid, in lexicographic row-major
+    order, kept when the full operator verifier passes it."""
+    n = alg.dim
+    sites = [(r, c) for r in range(n) for c in range(n) if mask is None or mask[r][c]]
+    return [r for values in product(sorted(set(coeffs)), repeat=len(sites))
+            for r in [from_cells((n, n), dict(zip(sites, values)))]
+            if verify_rb(RotaBaxterLieAlgebra(alg, r)).ok]
+
+
+def _mask(n, sites):
+    return tuple(tuple((r, c) in sites for c in range(n)) for r in range(n))
+
+
+@st.composite
+def grids(draw, max_candidates=512):
+    """An algebra of the catalog, a coefficient list (fractions, repeats,
+    with or without 0) and a mask with as many free entries as keep the grid
+    within `max_candidates` matrices."""
+    alg = LIE_ALGEBRAS[draw(st.sampled_from(["aff1", "abelian2", "sl2", "heis3", "solv4"]))]
+    coeffs = draw(st.lists(st.sampled_from(
+        [-2, -1, Fraction(-1), Fraction(-1, 2), 0, Fraction(0), Fraction(1, 3), 1, 2]),
+        min_size=1, max_size=4))
+    n, size = alg.dim, len(set(coeffs))
+    free = 0
+    while size ** (free + 1) <= max_candidates and free < n * n:
+        free += 1
+    sites = draw(st.sets(st.sampled_from([(r, c) for r in range(n) for c in range(n)]),
+                         min_size=free, max_size=free))
+    return alg, coeffs, _mask(n, sites)
 
 
 def test_abelian_grid_accepts_everything():
@@ -67,6 +99,91 @@ def test_mask_restricts_sites():
     # with a = c = d = 0 every value of the free entry satisfies the identity
     assert [rba.r.entries[0][1] for rba in found] == [Fraction(-1), Fraction(0), Fraction(1)]
     assert all(rba.r.entries[1][1] == 0 for rba in found)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (-1, 0, 1),
+    (Fraction(1), 0, -1, 1, Fraction(-1)),           # duplicates, unsorted
+    (0,),                                             # 0 only
+    (Fraction(-1, 2), 1),                             # a fraction and no 0
+])
+@pytest.mark.parametrize("name", ["aff1", "abelian2"])
+def test_search_matches_brute_force_on_dim2_grids(name, coeffs):
+    alg = LIE_ALGEBRAS[name]
+    assert ([rba.r for rba in enumerate_rb_operators(SearchSpec(alg, coeffs))]
+            == brute_force(alg, coeffs))
+
+
+@pytest.mark.parametrize("name, coeffs, mask", [
+    ("sl2", (0, 1), None),
+    ("sl2", (-1, Fraction(-1, 2)), None),
+    ("heis3", (0, 1), None),
+    ("heis3", (-1, 0, Fraction(-1, 2)), _mask(3, {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)})),
+    # a pair whose v reaches two unset columns must stay open (dim 4 only)
+    ("solv4", (-1, 0, 1), _mask(4, {(0, 2), (1, 0), (1, 1), (1, 3), (2, 3), (3, 1), (3, 3)})),
+])
+def test_search_matches_brute_force_on_forcing_grids(name, coeffs, mask):
+    """Grids on which columns are forced often enough that a wrong residual,
+    a wrong forced value or a pair decided too early loses operators."""
+    alg = LIE_ALGEBRAS[name]
+    assert ([rba.r for rba in enumerate_rb_operators(SearchSpec(alg, coeffs, mask))]
+            == brute_force(alg, coeffs, mask))
+
+
+@settings(max_examples=25, deadline=None)
+@given(grids())
+def test_search_matches_brute_force_on_masked_grids(grid):
+    alg, coeffs, mask = grid
+    assert ([rba.r for rba in enumerate_rb_operators(SearchSpec(alg, coeffs, mask))]
+            == brute_force(alg, coeffs, mask))
+
+
+@settings(max_examples=40, deadline=None)
+@given(grids())
+def test_every_kept_operator_passes_the_verifier(grid):
+    alg, coeffs, mask = grid
+    for rba in enumerate_rb_operators(SearchSpec(alg, coeffs, mask)):
+        assert verify_rb(rba).ok
+
+
+def test_sl2_and_heis3_counts_over_minus_one_zero_one():
+    for name, count in (("sl2", 23), ("heis3", 639)):
+        found = enumerate_rb_operators(SearchSpec(LIE_ALGEBRAS[name]))
+        flat = [rba.r.flat() for rba in found]
+        assert len(flat) == count
+        assert flat == sorted(flat)
+
+
+def test_forced_column_outside_the_grid_or_masked_is_pruned():
+    """Column 0 is set to e0 and a pair (lhs, v) is decided at column 1:
+    with v_1 != 0 it forces column 1 to (lhs - v_0 e0) / v_1, which must lie
+    in the grid and be 0 where the mask pins it; with v_1 = 0 the residual
+    must vanish."""
+    coeffs = (-1, 0, 1)
+
+    def values(lhs, v, axes=(coeffs, coeffs)):
+        narrowed = _narrow([(lhs, v)], ((1, 0),), axes)
+        return None if narrowed is None else list(narrowed[1])
+
+    assert values((0, 1), (0, 1)) == [(0, 1)]
+    assert values((-1, 2), (0, 2), ((Fraction(-1, 2), 1), coeffs)) == [(Fraction(-1, 2), 1)]
+    assert values((2, 0), (0, 1)) is None                       # 2 is off the grid
+    assert values((1, 0), (0, 2)) is None                       # so is 1/2
+    assert values((1, 0), (0, 1)) == [(1, 0)]
+    assert values((1, 0), (0, 1), ((0,), coeffs)) is None       # row 0 is masked
+    assert values((0, 1), (1, 0)) is None                       # residual (-1, 1)
+    assert len(values((1, 0), (1, 0))) == 9                     # residual 0: closed
+    assert _narrow([((1, 0), (1, 0))], ((1, 0),), (coeffs, coeffs))[0] == []
+    # v reaches column 2 as well: the pair stays open and column 1 is free
+    still_open, free = _narrow([((0, 0, 1), (0, 0, 1))], ((1, 0, 0),), (coeffs,) * 3)
+    assert still_open == [((0, 0, 1), (0, 0, 1))] and len(list(free)) == 27
+
+
+def test_spec_normalises_coefficients():
+    spec = SearchSpec(aff1(), (Fraction(1), 1, Fraction(2, 2), Fraction(-1, 2), 0, Fraction(0)))
+    assert spec.coeffs == (Fraction(-1, 2), 0, 1)
+    assert [type(c) for c in spec.coeffs] == [Fraction, int, int]
+    assert spec.candidate_count() == 3 ** 4
 
 
 def test_mutate_zero_delta_is_identity():

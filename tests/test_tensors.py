@@ -163,6 +163,9 @@ def test_equal_values_have_equal_stores():
     assert two == int_two and hash(two) == hash(int_two)
     assert [type(x) for x in (*two.cells().values(), *int_two.cells().values())] == [int, int]
     assert [type(x) for x in m.cells().values()] == [int, int, Fraction]
+    # `vec` stores the same way, as `vbasis` and `vzero` do
+    assert [type(x) for x in vec(Fraction(4, 2), 0, -1, Fraction(1, 2))] == [int, int, int, Fraction]
+    assert vec(Fraction(0), 1) == vbasis(2, 1) and type(vec(Fraction(1))[0]) is int
 
 
 def test_compose_matches_matrix_product():
