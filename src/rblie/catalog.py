@@ -8,6 +8,8 @@ document files and refuses to write anything that fails).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .crossed import (LieCrossedModule, RBLieCrossedModule,
                       crossed_to_strict, derived_crossed)
 from .liealg import LieAlgebra, RotaBaxterLieAlgebra
@@ -172,10 +174,11 @@ CROSSED_MODULES = {
 # --- two-term structures --------------------------------------------------
 
 def adjoint_two_term(alg: LieAlgebra) -> TwoTermLInfinity:
-    """g1 = g0 = g, identity differential, bracket acting in both degrees."""
+    """g1 = g0 = g, identity differential, bracket acting in both degrees.
+    The action copy l2_01 carries no skew flag, like its document field."""
     n = alg.dim
     return TwoTermLInfinity(TwoTermComplex(n, n, LinearMap.identity(n)),
-                            alg.bracket, alg.bracket,
+                            alg.bracket, replace(alg.bracket, skew=False),
                             TrilinearMap.zero(n, n, alt=True))
 
 
@@ -255,10 +258,11 @@ TWO_TERM_STRUCTURES = two_term_catalog()
 # --- homomorphisms --------------------------------------------------------
 
 def derived_rb_crossed(cm: RBLieCrossedModule) -> RBLieCrossedModule:
-    """The derived crossed module with the same operators; the operators
-    descend, which the caller certifies with the verifier."""
-    derived, _ = derived_crossed(cm)
-    return RBLieCrossedModule(derived, cm.t0, cm.t1)
+    """The derived crossed module with the same operators (T0, T1), which
+    `derived_crossed` certifies as a homomorphism back to `cm`; whether they
+    are operators on the derived module the caller checks with the
+    verifier."""
+    return RBLieCrossedModule(derived_crossed(cm), cm.t0, cm.t1)
 
 
 def operator_descent_hom(cm: RBLieCrossedModule) -> RBLInfinityHom:

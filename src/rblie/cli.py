@@ -116,7 +116,7 @@ _CONSTRUCTIONS = {
     "strict-to-crossed": (TwoTermRBLInfinity, strict_to_crossed),
     "rb-to-prelie-cm": (RBLieCrossedModule, rb_crossed_to_prelie_crossed),
     "prelie-to-lie-cm": (PreLieCrossedModule, prelie_crossed_to_lie_crossed),
-    "derived-cm": (RBLieCrossedModule, None),  # returns (module, hom report)
+    "derived-cm": (RBLieCrossedModule, derived_crossed),
     "cm-semidirect": (RBLieCrossedModule, crossed_semidirect),
 }
 
@@ -130,12 +130,6 @@ def cmd_construct(args) -> int:
     report = verify_structure(obj)
     if not report.ok:
         return _emit(report)
-    if args.name == "derived-cm":
-        out, hom_report = derived_crossed(obj)
-        if not hom_report.ok:
-            return _emit(hom_report)
-        _output(out, args.out)
-        return 0
     _output(fn(obj), args.out)
     return 0
 
@@ -218,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--coeffs", default="-1,0,1",
                    help="comma-separated rationals; use --coeffs=-1,0,1 "
                         "when the list starts with a minus sign")
-    s.add_argument("--budget", type=int, default=10_000_000,
+    s.add_argument("--budget", type=int, default=SearchSpec.budget,
                    help="largest grid to search: refuse (exit 2) when the "
                         "coefficient count to the power of the free entries "
-                        "exceeds it (default 10000000)")
+                        "exceeds it (default %(default)s)")
     s.add_argument("-o", "--out")
     s.set_defaults(fn=cmd_search_rb)
 

@@ -1,9 +1,11 @@
 """Crossed modules of Lie, operator-equipped Lie, and pre-Lie algebras,
 their exact verifiers, the correspondence with strict two-term structures,
-the pre-Lie and derived constructions, and semidirect assembly.
+the pre-Lie construction and its Lie composite (the derived crossed
+module), and semidirect assembly.
 
 Action data mirrors `RBRepresentation`: one endomorphism matrix of the top
-term per basis vector of the bottom term, extended linearly.
+term per basis vector of the bottom term, extended linearly, with shapes
+checked by the same `check_action_shapes`.
 """
 
 from __future__ import annotations
@@ -14,20 +16,13 @@ from itertools import combinations
 from .errors import NotStrict, ShapeMismatch
 from .liealg import (LieAlgebra, PreLieAlgebra, RotaBaxterLieAlgebra,
                      action_hom_residual, action_of, action_rb_residual,
-                     commutator, lie_checks, operator_product, prelie_checks,
-                     rb_checks, semidirect_data, verify_lie, verify_rb)
+                     check_action_shapes, commutator, hom_residual, lie_checks,
+                     operator_product, prelie_checks, rb_checks,
+                     semidirect_data, verify_lie, verify_rb)
 from .report import Check, VerificationReport, prefix_checks, run_checks
 from .tensors import BilinearMap, LinearMap, TrilinearMap, Vec, vadd, vbasis, vsub
 from .twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,
                       TwoTermRBLInfinity, verify_rb_2term)
-
-
-def _check_action_shapes(dim0: int, dim1: int, rho: tuple[LinearMap, ...], what: str):
-    if len(rho) != dim0:
-        raise ShapeMismatch(f"{what} needs one matrix per bottom basis vector")
-    for m in rho:
-        if (m.rows, m.cols) != (dim1, dim1):
-            raise ShapeMismatch(f"{what} matrices must be square on the top term")
 
 
 @dataclass(frozen=True)
@@ -40,7 +35,7 @@ class LieCrossedModule:
     def __post_init__(self):
         if (self.d.rows, self.d.cols) != (self.g0.dim, self.g1.dim):
             raise ShapeMismatch("boundary map must be a dim(g0) x dim(g1) matrix")
-        _check_action_shapes(self.g0.dim, self.g1.dim, self.rho, "action")
+        check_action_shapes(self.g0.dim, self.g1.dim, self.rho, "action")
 
     def act(self, x: Vec, u: Vec) -> Vec:
         return action_of(self.rho, x, self.g1.dim).apply(u)
@@ -71,19 +66,14 @@ class PreLieCrossedModule:
     def __post_init__(self):
         if (self.delta.rows, self.delta.cols) != (self.p0.dim, self.p1.dim):
             raise ShapeMismatch("boundary map must be a dim(p0) x dim(p1) matrix")
-        _check_action_shapes(self.p0.dim, self.p1.dim, self.l_act, "left action")
-        _check_action_shapes(self.p0.dim, self.p1.dim, self.r_act, "right action")
+        check_action_shapes(self.p0.dim, self.p1.dim, self.l_act, "left action")
+        check_action_shapes(self.p0.dim, self.p1.dim, self.r_act, "right action")
 
 
 def lie_crossed_checks(cm: LieCrossedModule) -> list[Check]:
     n0, n1 = cm.g0.dim, cm.g1.dim
     e0 = lambda i: vbasis(n0, i)
     e1 = lambda a: vbasis(n1, a)
-
-    def d_hom(a, b):
-        u, v = e1(a), e1(b)
-        return lambda: vsub(cm.d.apply(cm.g1.bracket_vec(u, v)),
-                            cm.g0.bracket_vec(cm.d.apply(u), cm.d.apply(v)))
 
     def action_hom(i, j):
         return lambda: action_hom_residual(cm.rho, cm.g0.bracket.on_basis(i, j), i, j)
@@ -105,7 +95,9 @@ def lie_crossed_checks(cm: LieCrossedModule) -> list[Check]:
 
     checks = prefix_checks("g0-", lie_checks(cm.g0))
     checks += prefix_checks("g1-", lie_checks(cm.g1))
-    checks += [("d-hom", (a, b), d_hom(a, b)) for a, b in combinations(range(n1), 2)]
+    checks += [("d-hom", (a, b),
+                lambda a=a, b=b: hom_residual(cm.d, cm.g1.bracket, cm.g0.bracket, a, b))
+               for a, b in combinations(range(n1), 2)]
     checks += [("action-hom", (i, j), action_hom(i, j))
                for i, j in combinations(range(n0), 2)]
     checks += [("action-der", (i, a, b), action_der(i, a, b))
@@ -117,13 +109,14 @@ def lie_crossed_checks(cm: LieCrossedModule) -> list[Check]:
     return checks
 
 
+def _d_rb_residual(cm: RBLieCrossedModule, a: int) -> Vec:
+    """d T1 - T0 d at e_a: the operators commute with the boundary."""
+    return vsub(cm.base.d.apply(cm.t1.column(a)), cm.t0.apply(cm.base.d.column(a)))
+
+
 def rb_crossed_checks(cm: RBLieCrossedModule) -> list[Check]:
     base = cm.base
     n0, n1 = base.g0.dim, base.g1.dim
-
-    def d_rb(a):
-        u = vbasis(n1, a)
-        return lambda: vsub(base.d.apply(cm.t1.apply(u)), cm.t0.apply(base.d.apply(u)))
 
     def action_rb(i):
         return lambda: action_rb_residual(base.rho, cm.t0, cm.t1, i)
@@ -131,7 +124,7 @@ def rb_crossed_checks(cm: RBLieCrossedModule) -> list[Check]:
     checks = lie_crossed_checks(base)
     checks += prefix_checks("g0-", rb_checks(RotaBaxterLieAlgebra(base.g0, cm.t0)))
     checks += prefix_checks("g1-", rb_checks(RotaBaxterLieAlgebra(base.g1, cm.t1)))
-    checks += [("d-rb", (a,), d_rb(a)) for a in range(n1)]
+    checks += [("d-rb", (a,), lambda a=a: _d_rb_residual(cm, a)) for a in range(n1)]
     checks += [("action-rb", (i,), action_rb(i)) for i in range(n0)]
     return checks
 
@@ -143,11 +136,6 @@ def prelie_crossed_checks(pm: PreLieCrossedModule) -> list[Check]:
 
     def commutator0(i, j):
         return vsub(pm.p0.mult.on_basis(i, j), pm.p0.mult.on_basis(j, i))
-
-    def delta_hom(a, b):
-        u, v = e1(a), e1(b)
-        return lambda: vsub(pm.delta.apply(pm.p1.mult_vec(u, v)),
-                            pm.p0.mult_vec(pm.delta.apply(u), pm.delta.apply(v)))
 
     def l_rep(i, j):
         return lambda: action_hom_residual(pm.l_act, commutator0(i, j), i, j)
@@ -185,7 +173,8 @@ def prelie_crossed_checks(pm: PreLieCrossedModule) -> list[Check]:
 
     checks = prefix_checks("p0-", prelie_checks(pm.p0))
     checks += prefix_checks("p1-", prelie_checks(pm.p1))
-    checks += [("delta-hom", (a, b), delta_hom(a, b))
+    checks += [("delta-hom", (a, b),
+                lambda a=a, b=b: hom_residual(pm.delta, pm.p1.mult, pm.p0.mult, a, b))
                for a in range(n1) for b in range(n1)]
     checks += [("l-rep", (i, j), l_rep(i, j)) for i, j in combinations(range(n0), 2)]
     checks += [("lr-rep", (i, j), lr_rep(i, j))
@@ -293,51 +282,31 @@ def prelie_crossed_to_lie_crossed(pm: PreLieCrossedModule) -> LieCrossedModule:
     return out
 
 
-def derived_crossed(cm: RBLieCrossedModule) -> tuple[LieCrossedModule, VerificationReport]:
-    """The crossed module on the operator-derived brackets
-    [x,y] = [T0 x, y] - [T0 y, x] with twisted action
-    x.u = rho(T0 x) u + rho(x) T1 u, plus a report certifying (T0, T1) as a
-    crossed-module homomorphism back to the original."""
+def derived_crossed(cm: RBLieCrossedModule) -> LieCrossedModule:
+    """The Lie crossed module of the pre-Lie crossed module of `cm`: brackets
+    [x,y] = [T0 x, y] - [T0 y, x] and action x.u = rho(T0 x) u + rho(x) T1 u.
+    (T0, T1) is certified a crossed-module homomorphism back to `cm`: on the
+    brackets (t0-hom, t1-hom), the boundary (square) and the actions
+    (action-compat)."""
+    out = prelie_crossed_to_lie_crossed(rb_crossed_to_prelie_crossed_data(cm))
     base = cm.base
     n0, n1 = base.g0.dim, base.g1.dim
 
-    def der_bracket(alg: LieAlgebra, t: LinearMap) -> BilinearMap:
-        n = alg.dim
-        return BilinearMap.from_map(
-            n, n, n,
-            {(i, j): vsub(alg.bracket_vec(t.column(i), vbasis(n, j)),
-                          alg.bracket_vec(t.column(j), vbasis(n, i)))
-             for i in range(n) for j in range(n)}, skew=True)
-
-    g0 = LieAlgebra(n0, der_bracket(base.g0, cm.t0))
-    g1 = LieAlgebra(n1, der_bracket(base.g1, cm.t1))
-    rho = tuple(action_of(base.rho, cm.t0.column(i), n1).add(base.rho[i].compose(cm.t1))
-                for i in range(n0))
-    out = LieCrossedModule(g0, g1, base.d, rho)
-    verify_crossed(out).require_ok("derived crossed module")
-
     def t0_hom(i, j):
-        return lambda: vsub(cm.t0.apply(g0.bracket.on_basis(i, j)),
-                            base.g0.bracket_vec(cm.t0.column(i), cm.t0.column(j)))
+        return lambda: hom_residual(cm.t0, out.g0.bracket, base.g0.bracket, i, j)
 
     def t1_hom(a, b):
-        return lambda: vsub(cm.t1.apply(g1.bracket.on_basis(a, b)),
-                            base.g1.bracket_vec(cm.t1.column(a), cm.t1.column(b)))
-
-    def square(a):
-        u = vbasis(n1, a)
-        return lambda: vsub(base.d.apply(cm.t1.apply(u)), cm.t0.apply(base.d.apply(u)))
+        return lambda: hom_residual(cm.t1, out.g1.bracket, base.g1.bracket, a, b)
 
     def action_compat(i, a):
-        u = vbasis(n1, a)
-        return lambda: vsub(cm.t1.apply(out.rho[i].apply(u)),
-                            base.act(cm.t0.column(i), cm.t1.apply(u)))
+        return lambda: vsub(cm.t1.apply(out.rho[i].column(a)),
+                            base.act(cm.t0.column(i), cm.t1.column(a)))
 
     checks: list[Check] = [("t0-hom", (i, j), t0_hom(i, j))
                            for i, j in combinations(range(n0), 2)]
     checks += [("t1-hom", (a, b), t1_hom(a, b)) for a, b in combinations(range(n1), 2)]
-    checks += [("square", (a,), square(a)) for a in range(n1)]
+    checks += [("square", (a,), lambda a=a: _d_rb_residual(cm, a)) for a in range(n1)]
     checks += [("action-compat", (i, a), action_compat(i, a))
                for i in range(n0) for a in range(n1)]
-    hom_report = run_checks(checks)
-    return out, hom_report
+    run_checks(checks).require_ok("operators from the derived crossed module")
+    return out

@@ -51,12 +51,8 @@ class FormatError(StructureError):
 
 
 class ParseError(FormatError):
-    """Document is not syntactically valid; carries line/column."""
-
-    def __init__(self, message: str, line: int = 0, column: int = 0):
-        super().__init__(message)
-        self.line = line
-        self.column = column
+    """Document is not syntactically valid; a JSON syntax error's message
+    names its line and column."""
 
 
 class DuplicateEntry(FormatError):

@@ -82,13 +82,34 @@ class RBRepresentation:
     cal_r: LinearMap            # operator on V
 
     def __post_init__(self):
-        if len(self.rho) != self.algebra.dim:
-            raise ShapeMismatch("need one action matrix per algebra basis vector")
-        for m in self.rho:
-            if (m.rows, m.cols) != (self.dim_v, self.dim_v):
-                raise ShapeMismatch("action matrix does not match module dimension")
+        check_action_shapes(self.algebra.dim, self.dim_v, self.rho, "action")
         if (self.cal_r.rows, self.cal_r.cols) != (self.dim_v, self.dim_v):
             raise ShapeMismatch("module operator does not match module dimension")
+
+
+def check_action_shapes(dim: int, dim_v: int, rho: tuple[LinearMap, ...], what: str):
+    """`rho` holds one dim_v x dim_v matrix per basis vector of an algebra
+    of dimension `dim`."""
+    if len(rho) != dim:
+        raise ShapeMismatch(f"{what} needs one matrix per basis vector of the acting algebra")
+    for m in rho:
+        if (m.rows, m.cols) != (dim_v, dim_v):
+            raise ShapeMismatch(f"{what} matrices must be square on the module")
+
+
+def rb_residual(bracket: BilinearMap, r: LinearMap, i: int, j: int) -> Vec:
+    """[R e_i, R e_j] - R([R e_i, e_j] + [e_i, R e_j]): the weight-zero
+    Rota-Baxter identity at one basis pair."""
+    n = r.cols
+    ri, rj = r.column(i), r.column(j)
+    inner = vadd(bracket.apply(ri, vbasis(n, j)), bracket.apply(vbasis(n, i), rj))
+    return vsub(bracket.apply(ri, rj), r.apply(inner))
+
+
+def hom_residual(t: LinearMap, src: BilinearMap, tgt: BilinearMap, i: int, j: int) -> Vec:
+    """t(m(e_i, e_j)) - m'(t e_i, t e_j): the linear map t takes the product
+    m to the product m' at one basis pair."""
+    return vsub(t.apply(src.on_basis(i, j)), tgt.apply(t.column(i), t.column(j)))
 
 
 def action_of(rho: tuple[LinearMap, ...], x: Vec, dim: int) -> LinearMap:
@@ -144,15 +165,9 @@ def verify_lie(alg: LieAlgebra) -> VerificationReport:
 
 
 def rb_checks(rba: RotaBaxterLieAlgebra) -> list[Check]:
-    br, r = rba.base.bracket_vec, rba.r.apply
-    n = rba.dim
-
-    def residual(i, j):
-        x, y = vbasis(n, i), vbasis(n, j)
-        return lambda: vsub(br(r(x), r(y)), r(vadd(br(r(x), y), br(x, r(y)))))
-
-    return [("rota-baxter", (i, j), residual(i, j))
-            for i, j in combinations(range(n), 2)]
+    br, r = rba.base.bracket, rba.r
+    return [("rota-baxter", (i, j), lambda i=i, j=j: rb_residual(br, r, i, j))
+            for i, j in combinations(range(rba.dim), 2)]
 
 
 def verify_rb(rba: RotaBaxterLieAlgebra) -> VerificationReport:
@@ -236,11 +251,8 @@ def derived_bracket(rba: RotaBaxterLieAlgebra) -> LieAlgebra:
     """[x,y] = [R(x),y] + [x,R(y)]; R is certified a homomorphism from the
     derived bracket back to the original one."""
     out = subadjacent_lie(prelie_from_rb(rba))
-    n = rba.dim
-    for i, j in combinations(range(n), 2):
-        lhs = rba.r.apply(out.bracket.on_basis(i, j))
-        rhs = rba.base.bracket_vec(rba.r.column(i), rba.r.column(j))
-        if lhs != rhs:
+    for i, j in combinations(range(rba.dim), 2):
+        if any(hom_residual(rba.r, out.bracket, rba.base.bracket, i, j)):
             raise InternalInvariantBroken(
                 f"operator is not a homomorphism off the derived bracket at ({i},{j})")
     return out

@@ -21,9 +21,9 @@ from fractions import Fraction
 from itertools import chain, combinations, permutations, product
 
 from .errors import BadSite, BudgetExceeded
-from .liealg import LieAlgebra, RotaBaxterLieAlgebra
+from .liealg import LieAlgebra, RotaBaxterLieAlgebra, rb_residual
 from .serialize import KIND_OF_CLASS, get_at, put_at
-from .tensors import LinearMap, Vec, exact, frac, perm_sign, vadd, vbasis
+from .tensors import LinearMap, Vec, exact, frac, perm_sign, vadd
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,8 @@ class SearchSpec:
 
 
 def _is_rb(alg: LieAlgebra, r: LinearMap) -> bool:
-    n = alg.dim
-    for i, j in combinations(range(n), 2):
-        x, y = vbasis(n, i), vbasis(n, j)
-        lhs = alg.bracket_vec(r.column(i), r.column(j))
-        rhs = r.apply(vadd(alg.bracket_vec(r.column(i), y),
-                           alg.bracket_vec(x, r.column(j))))
-        if lhs != rhs:
-            return False
-    return True
+    return not any(any(rb_residual(alg.bracket, r, i, j))
+                   for i, j in combinations(range(alg.dim), 2))
 
 
 def _narrow(pairs, cols: tuple[Vec, ...], axes):
@@ -159,7 +152,7 @@ def mutate(value, site: tuple, delta) -> object:
     if field is None:
         raise BadSite(f"unknown tensor {name!r} for {type(value).__name__}")
     codec, tensor = field.codec, get_at(value, field.path)
-    shape, flag = codec.shape(tensor), codec.flag(tensor)
+    shape, flag = codec.shape(tensor), field.flag
     if len(idx) != len(shape):
         raise BadSite(f"{name} sites take {len(shape)} indices")
     if not all(0 <= i < bound for i, bound in zip(idx, shape)):

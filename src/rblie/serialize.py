@@ -96,21 +96,24 @@ class Codec:
 
 
 def _action(shape, cells: dict, flag) -> tuple[LinearMap, ...]:
-    split: list[dict] = [{} for _ in range(shape[0])]
+    """One matrix per element; the elements without entries share one zero map."""
+    split: dict[int, dict] = {}
     for (x, *rc), q in cells.items():
-        split[x][tuple(rc)] = q
-    return tuple(from_cells(shape[1:], m) for m in split)
+        split.setdefault(x, {})[tuple(rc)] = q
+    zero = LinearMap.zero(*shape[1:])
+    return tuple(from_cells(shape[1:], split[x]) if x in split else zero
+                 for x in range(shape[0]))
 
 
 @dataclass(frozen=True)
 class TensorCodec:
     """A tensor as its flat nonzero cells `(out, *inputs) -> Fraction`, read
     from and written to the tensor's own store (see `tensors`); `search.mutate`
-    edits the same cells.  `shape` gives the index bounds, output first."""
+    edits the same cells.  `shape` gives the index bounds, output first; the
+    skew/alternating flag is the field's."""
     cells: Callable = lambda t: t.cells()
     build: Callable = from_cells           # (shape, cells, flag) -> tensor
     shape: Callable = lambda t: t.shape
-    flag: Callable = lambda t: t.flag      # skew (bilinear) or alternating (trilinear)
     embeds = None
     tensor = True
 
@@ -127,8 +130,7 @@ TENSOR = TensorCodec()
 # One matrix per basis vector of the acting algebra: [element, row, col].
 ACTION = TensorCodec(
     lambda rho: {(x, *rc): q for x, m in enumerate(rho) for rc, q in m.cells().items()},
-    _action, lambda rho: (len(rho), rho[0].rows, rho[0].cols) if rho else (0, 0, 0),
-    lambda rho: False)
+    _action, lambda rho: (len(rho), rho[0].rows, rho[0].cols) if rho else (0, 0, 0))
 
 
 def _dim(doc, field, values) -> int:
@@ -352,9 +354,9 @@ def _load(kind: Kind, doc):
 def loads(text: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid document: {e.msg}", e.lineno, e.colno) from e
-    except (RecursionError, ValueError) as e:  # nesting or integer too large
+    except (RecursionError, ValueError) as e:
+        # a syntax error (its message names the line and column), nesting too
+        # deep, or an integer too large
         raise ParseError(f"invalid document: {e}") from e
     return _load(_check_header(doc), doc)
 

@@ -29,7 +29,7 @@ from .report import Check, VerificationReport, run_checks
 from .tensors import (BilinearMap, LinearMap, TrilinearMap, Vec,
                       perm_sign, solve_exact, vadd, vbasis, vneg, vsub,
                       vzero)
-from .liealg import skew_checks
+from .liealg import rb_residual, skew_checks
 
 
 @dataclass(frozen=True)
@@ -229,13 +229,6 @@ def rb2_residual(G: TwoTermRBLInfinity, a: int, i: int) -> Vec:
     return vsub(lhs, rb.r2.apply(L.l1v(u), x))
 
 
-def rb1_defect(L: TwoTermLInfinity, r0: LinearMap, x: Vec, y: Vec) -> Vec:
-    """R0([R0 x, y] + [x, R0 y]) - [R0 x, R0 y]: the degree-zero operator
-    defect that condition rb1 equates with l1 R2(x, y)."""
-    px, py = r0.apply(x), r0.apply(y)
-    return vsub(r0.apply(vadd(L.l2_obj(px, y), L.l2_obj(x, py))), L.l2_obj(px, py))
-
-
 def rb_triple_checks(G: TwoTermRBLInfinity) -> list[Check]:
     L, rb = G.linf, G.rb
     d0, d1 = L.dim0, L.dim1
@@ -245,9 +238,9 @@ def rb_triple_checks(G: TwoTermRBLInfinity) -> list[Check]:
         u = vbasis(d1, a)
         return lambda: vsub(L.l1v(r1(u)), r0(L.l1v(u)))
 
-    def rb1(i, j):
-        x, y = vbasis(d0, i), vbasis(d0, j)
-        return lambda: vsub(rb1_defect(L, rb.r0, x, y), L.l1v(rb.r2.apply(x, y)))
+    def rb1(i, j):  # the operator defect, -rb_residual, must equal l1 R2(e_i, e_j)
+        return lambda: vneg(vadd(rb_residual(L.l2_00, rb.r0, i, j),
+                                 L.l1v(rb.r2.on_basis(i, j))))
 
     def rb3(idx):  # cached: the `coh-vs-rb3` cross-check reads it too
         return cache(lambda: rb3_residual(G, *idx))
@@ -293,7 +286,7 @@ def complete_rb_triple(L: TwoTermLInfinity, r0: LinearMap,
             raise NotChainMap(f"(R0, R1) do not commute with the differential at column {a}")
     values: dict[tuple[int, int], Vec] = {}
     for i, j in combinations(range(d0), 2):
-        sol = solve_exact(L.complex.l1, rb1_defect(L, r0, vbasis(d0, i), vbasis(d0, j)))
+        sol = solve_exact(L.complex.l1, vneg(rb_residual(L.l2_00, r0, i, j)))
         if sol is None:
             return CompletionFailure("condition-1", (i, j), None)
         values[(i, j)] = sol

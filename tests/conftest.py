@@ -9,8 +9,10 @@ import pytest
 
 from rblie import catalog
 from rblie.catalog import aff1, sl2, solvable4, sl2_rb_triangular, aff1_rb_neg
+from rblie.crossed import LieCrossedModule
+from rblie.liealg import LieAlgebra, action_of
 from rblie.search import mutate
-from rblie.tensors import BilinearMap, LinearMap, TrilinearMap, vec
+from rblie.tensors import BilinearMap, LinearMap, TrilinearMap, vbasis, vec, vsub
 from rblie.twoterm import (LInfinityHom, RBLInfinityHom, RBTriple,
                            TwoTermComplex, TwoTermLInfinity,
                            TwoTermRBLInfinity, identity_rb_hom)
@@ -103,6 +105,25 @@ def descent_chain(cm_name: str, length: int = 3):
         homs.append(catalog.operator_descent_hom(cm))
         cm = catalog.derived_rb_crossed(cm)
     return homs
+
+
+def closed_form_derived(cm):
+    """The derived crossed module from its formulas, a reference apart from
+    the pre-Lie route that `derived_crossed` takes: brackets
+    [x,y] = [T0 x, y] - [T0 y, x], action x.u = rho(T0 x) u + rho(x) T1 u."""
+    base = cm.base
+
+    def bracket(alg, t):
+        n = alg.dim
+        return BilinearMap.from_map(
+            n, n, n, {(i, j): vsub(alg.bracket_vec(t.column(i), vbasis(n, j)),
+                                   alg.bracket_vec(t.column(j), vbasis(n, i)))
+                      for i in range(n) for j in range(n)}, skew=True)
+
+    rho = tuple(action_of(base.rho, cm.t0.column(i), base.g1.dim).add(
+        base.rho[i].compose(cm.t1)) for i in range(base.g0.dim))
+    return LieCrossedModule(LieAlgebra(base.g0.dim, bracket(base.g0, cm.t0)),
+                            LieAlgebra(base.g1.dim, bracket(base.g1, cm.t1)), base.d, rho)
 
 
 @pytest.fixture(scope="session")

@@ -185,10 +185,11 @@ def test_empty_bottom_term_acts_by_zero(capsys, tmp_path, case):
 
 def test_parse_error_exits_two(capsys, tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text('{"kind": "lie",')
+    path.write_text('{"kind": "lie",\n  "version": 1,\n  "dim"')
     code, out, err = run_cli(capsys, "verify", str(path))
     assert code == 2
-    assert out == "" and "error:" in err
+    assert out == "" and err.startswith("error: invalid document: Expecting ':' delimiter")
+    assert "line 3 column 8" in err
 
 
 def test_missing_file_exits_two(capsys):

@@ -1,12 +1,13 @@
 import pytest
 
+from conftest import closed_form_derived
 from rblie.catalog import CROSSED_MODULES, derived_rb_crossed
 from rblie.crossed import (crossed_semidirect, crossed_to_strict,
                            crossed_to_strict_data, derived_crossed,
                            prelie_crossed_to_lie_crossed,
                            rb_crossed_to_prelie_crossed, strict_to_crossed,
                            strict_to_crossed_data, verify_crossed)
-from rblie.errors import NotStrict
+from rblie.errors import InternalInvariantBroken, NotStrict
 from rblie.liealg import verify_lie, verify_rb
 from rblie.search import mutate
 from rblie.twoterm import verify_rb_2term, verify_rb_triple
@@ -74,10 +75,19 @@ def test_prelie_chain_matches_derived_construction():
         pm = rb_crossed_to_prelie_crossed(cm)
         assert verify_crossed(pm).ok, name
         via_prelie = prelie_crossed_to_lie_crossed(pm)
-        derived, hom_report = derived_crossed(cm)
-        assert via_prelie == derived, name
-        assert hom_report.ok, name
+        derived = derived_crossed(cm)
+        assert via_prelie == derived == closed_form_derived(cm), name
         assert verify_crossed(derived).ok, name
+
+
+@pytest.mark.parametrize("site, condition", [(("t0", 0, 0), "t0-hom"),
+                                             (("t1", 0, 0), "square")])
+def test_derived_crossed_raises_when_its_certificate_fails(site, condition):
+    """The composite of these unverified mutants is still a crossed module;
+    the operators fail only as a homomorphism back to the original."""
+    mutant = mutate(CROSSED_MODULES["heis3-center-cm"], site, 1)
+    with pytest.raises(InternalInvariantBroken, match=f"VIOLATION {condition} "):
+        derived_crossed(mutant)
 
 
 def test_zero_operators_give_zero_prelie_data():

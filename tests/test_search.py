@@ -8,6 +8,7 @@ from rblie.catalog import LIE_ALGEBRAS, aff1, aff1_rb_shift
 from rblie.errors import BadSite, BudgetExceeded
 from rblie.liealg import LieAlgebra, RotaBaxterLieAlgebra, verify_rb
 from rblie.search import SearchSpec, _narrow, enumerate_rb_operators, mutate
+from rblie.serialize import dumps, loads
 from rblie.tensors import LinearMap, from_cells, vec
 
 
@@ -197,6 +198,17 @@ def test_mutate_adjusts_skew_partner():
     out = mutate(alg, ("bracket", 0, 0, 1), Fraction(1, 2))
     assert out.bracket.on_basis(0, 1) == vec(Fraction(1, 2), 1)
     assert out.bracket.on_basis(1, 0) == vec(Fraction(-1, 2), -1)
+
+
+def test_mutate_reads_the_flag_from_the_kinds_table():
+    """The action l2_01 has no skew flag in the kinds table, so mutating the
+    in-memory adjoint structure moves one entry, as mutating its document
+    does."""
+    from rblie.catalog import adjoint_two_term
+    obj = adjoint_two_term(aff1())
+    out = mutate(obj, ("l2_01", 1, 0, 1), 1)
+    assert out.l2_01.cells() == {(1, 0, 1): 2, (1, 1, 0): -1}
+    assert out == mutate(loads(dumps(obj)), ("l2_01", 1, 0, 1), 1)
 
 
 def test_mutate_rejects_skew_diagonal():
