@@ -9,6 +9,11 @@ each row below as the median of REPEATS runs:
 * verification of the zero Lie algebra at dim 8, 12, 16 and 25;
 * verification of the zero two-term structure (zero operator triple) at
   dim0 3 to 6 and dim1 2;
+* verification of a nonzero `rb-2term` at dim0 8 and dim1 8: the adjoint
+  two-term structure of the semidirect product of solv4 (zero operator)
+  with its adjoint representation, built from `rblie.catalog` functions
+  rather than shipped (10,806 checks; loaded afresh from its text on each
+  run, so nothing cached on its tensors carries over);
 * `rblie verify catalog/solv4-module-cocycle-rb2.json`;
 * `rblie roundtrip catalog/solv4-cocycle-phi2-hom.json`;
 * `rblie verify` of every catalog document, one after the other;
@@ -43,8 +48,10 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from rblie.catalog import RB_ALGEBRAS, adjoint_rb_two_term  # noqa: E402
 from rblie.cli import main as cli_main, verify_structure  # noqa: E402
-from rblie.liealg import LieAlgebra  # noqa: E402
+from rblie.liealg import (LieAlgebra, adjoint_representation,  # noqa: E402
+                          semidirect_product)
 from rblie.serialize import dumps, loads  # noqa: E402
 from rblie.tensors import BilinearMap, LinearMap, TrilinearMap  # noqa: E402
 from rblie.twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,  # noqa: E402
@@ -120,6 +127,10 @@ def rows() -> dict:
     out = {f"zero lie dim {n}": lambda n=n: verify_object(zero_lie(n)) for n in (8, 12, 16, 25)}
     out.update({f"zero rb-2term dim0 {d} dim1 2": lambda d=d: verify_object(zero_rb_2term(d, 2))
                 for d in range(3, 7)})
+    dim8 = dumps(adjoint_rb_two_term(semidirect_product(
+        adjoint_representation(RB_ALGEBRAS["solv4-rb-zero"]))))
+    out["solv4 adjoint semidirect rb-2term dim0 8 dim1 8"] = \
+        lambda: verify_object(loads(dim8))
     out["verify solv4-module-cocycle-rb2"] = lambda: cli(CATALOG / "solv4-module-cocycle-rb2.json")
     out["roundtrip solv4-cocycle-phi2-hom"] = lambda: cli(
         CATALOG / "solv4-cocycle-phi2-hom.json", command="roundtrip")

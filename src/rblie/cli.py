@@ -11,12 +11,16 @@ list; each coherence-diagram residual is evaluated once and feeds both its
 diagram id and its cross-check id, and the `rb3` and `rbh3` chain checks
 share their single evaluation with the `coh-vs-rb3` and `cohm-vs-rbh3`
 cross-checks.  Constructed documents go to -o or stdout.
+
+The argument parser is built on the first `main` call and reused by every
+later call in the same process; parsing leaves no state on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .crossed import (LieCrossedModule, PreLieCrossedModule,
                       RBLieCrossedModule, crossed_checks, crossed_semidirect,
@@ -183,7 +187,9 @@ def cmd_compose(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     p = argparse.ArgumentParser(
         prog="rblie",
         description="Exact verification and constructions for Rota-Baxter "

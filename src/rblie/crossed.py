@@ -16,9 +16,9 @@ from itertools import combinations
 from .errors import NotStrict, ShapeMismatch
 from .liealg import (LieAlgebra, PreLieAlgebra, RotaBaxterLieAlgebra,
                      action_hom_residual, action_of, action_rb_residual,
-                     check_action_shapes, commutator, hom_residual, lie_checks,
-                     operator_product, prelie_checks, rb_checks,
-                     semidirect_data, verify_lie, verify_rb)
+                     chain_residual, check_action_shapes, commutator,
+                     hom_residual, lie_checks, operator_product, prelie_checks,
+                     rb_checks, semidirect_data, verify_lie, verify_rb)
 from .report import Check, VerificationReport, prefix_checks, run_checks
 from .tensors import BilinearMap, LinearMap, TrilinearMap, Vec, vadd, vbasis, vsub
 from .twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,
@@ -109,11 +109,6 @@ def lie_crossed_checks(cm: LieCrossedModule) -> list[Check]:
     return checks
 
 
-def _d_rb_residual(cm: RBLieCrossedModule, a: int) -> Vec:
-    """d T1 - T0 d at e_a: the operators commute with the boundary."""
-    return vsub(cm.base.d.apply(cm.t1.column(a)), cm.t0.apply(cm.base.d.column(a)))
-
-
 def rb_crossed_checks(cm: RBLieCrossedModule) -> list[Check]:
     base = cm.base
     n0, n1 = base.g0.dim, base.g1.dim
@@ -124,7 +119,8 @@ def rb_crossed_checks(cm: RBLieCrossedModule) -> list[Check]:
     checks = lie_crossed_checks(base)
     checks += prefix_checks("g0-", rb_checks(RotaBaxterLieAlgebra(base.g0, cm.t0)))
     checks += prefix_checks("g1-", rb_checks(RotaBaxterLieAlgebra(base.g1, cm.t1)))
-    checks += [("d-rb", (a,), lambda a=a: _d_rb_residual(cm, a)) for a in range(n1)]
+    checks += [("d-rb", (a,), lambda a=a: chain_residual(cm.t1, cm.t0, base.d, base.d, a))
+               for a in range(n1)]
     checks += [("action-rb", (i,), action_rb(i)) for i in range(n0)]
     return checks
 
@@ -215,7 +211,7 @@ def strict_to_crossed_data(G: TwoTermRBLInfinity) -> RBLieCrossedModule:
                 for a in range(n1) for b in range(n1)}
     g1 = LieAlgebra(n1, BilinearMap.from_map(n1, n1, n1, bracket1, skew=True))
     g0 = LieAlgebra(n0, L.l2_00)
-    rho = tuple(L.l2_01.curry_left(vbasis(n0, i)) for i in range(n0))
+    rho = tuple(L.l2_01.partial(1, i) for i in range(n0))
     return RBLieCrossedModule(LieCrossedModule(g0, g1, L.complex.l1, rho), G.rb.r0, G.rb.r1)
 
 
@@ -305,7 +301,8 @@ def derived_crossed(cm: RBLieCrossedModule) -> LieCrossedModule:
     checks: list[Check] = [("t0-hom", (i, j), t0_hom(i, j))
                            for i, j in combinations(range(n0), 2)]
     checks += [("t1-hom", (a, b), t1_hom(a, b)) for a, b in combinations(range(n1), 2)]
-    checks += [("square", (a,), lambda a=a: _d_rb_residual(cm, a)) for a in range(n1)]
+    checks += [("square", (a,), lambda a=a: chain_residual(cm.t1, cm.t0, base.d, base.d, a))
+               for a in range(n1)]
     checks += [("action-compat", (i, a), action_compat(i, a))
                for i in range(n0) for a in range(n1)]
     run_checks(checks).require_ok("operators from the derived crossed module")

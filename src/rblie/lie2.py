@@ -29,6 +29,7 @@ from itertools import combinations, product
 
 from .errors import NotComposable
 from .report import Check, VerificationReport, run_checks
+from .liealg import reader
 from .tensors import (Vec, vadd, vbasis, vneg, vsub, vzero, is_zero)
 from .twoterm import (RBLInfinityHom, TwoTermRBLInfinity,
                       quadruple_identity_residual, rb_hom_checks,
@@ -78,14 +79,6 @@ class RBLie2View:
                           vadd(vneg(L.l2_act(g.source, f.arrow)),
                                L.l2_act(self.target(f), g.arrow)))
 
-    def bracket_forms(self, f: Morphism2V, g: Morphism2V) -> tuple[Morphism2V, Morphism2V]:
-        """Both displayed expressions for the bracket of two morphisms."""
-        L = self.base.linf
-        first = self.bracket(f, g)
-        second = vadd(L.l2_act(f.source, g.arrow),
-                      vneg(L.l2_act(self.target(g), f.arrow)))
-        return first, Morphism2V(first.source, second)
-
     def jacobiator(self, x: Vec, y: Vec, z: Vec) -> Vec:
         """Arrow part l3(x, y, z) of the Jacobiator at x, y, z."""
         return self.base.linf.l3v(x, y, z)
@@ -111,12 +104,12 @@ def _path_difference(left: list[list[Vec]], right: list[list[Vec]]) -> Vec:
 
 def coherence_residual(view: RBLie2View, i: int, j: int, k: int) -> Vec:
     """Arrow-part difference of the two composite paths of the operator
-    coherence diagram at one ordered basis triple of g0."""
-    d0 = view.dim0
-    x, y, z = vbasis(d0, i), vbasis(d0, j), vbasis(d0, k)
-    br, act = view.base.linf.l2_obj, view.base.linf.l2_act
-    J, R, P = view.jacobiator, view.rb_iso, view.rb_mor
-    px, py, pz = (view.base.rb.r0.apply(t) for t in (x, y, z))
+    coherence diagram at one ordered basis triple of g0.  The basis objects
+    x, y, z are the indices i, j, k, read through `liealg.reader`."""
+    L, rb = view.base.linf, view.base.rb
+    br, act, J, R = map(reader, (L.l2_00, L.l2_01, L.l3, rb.r2))
+    P, x, y, z = view.rb_mor, i, j, k
+    px, py, pz = (rb.r0.column(t) for t in (x, y, z))
 
     return _path_difference([
         [J(px, py, pz)],
@@ -162,10 +155,12 @@ def verify_rbcoh(G: TwoTermRBLInfinity) -> VerificationReport:
 def jacobiator_coherence_residual(view: RBLie2View,
                                   i: int, j: int, k: int, l: int) -> Vec:
     """Arrow-part difference of the two composite paths of the Jacobiator
-    coherence diagram at one ordered basis quadruple of g0."""
-    d0 = view.dim0
-    w, x, y, z = (vbasis(d0, t) for t in (i, j, k, l))
-    br, act, J = view.base.linf.l2_obj, view.base.linf.l2_act, view.jacobiator
+    coherence diagram at one ordered basis quadruple of g0.  The basis
+    objects w, x, y, z are the indices i, j, k, l, read through
+    `liealg.reader`."""
+    L = view.base.linf
+    br, act, J = map(reader, (L.l2_00, L.l2_01, L.l3))
+    w, x, y, z = i, j, k, l
 
     return _path_difference([
         [vneg(act(z, J(w, x, y)))],
@@ -249,18 +244,19 @@ def hom_coherence_residual(F: RBLInfinityHom, i: int, j: int) -> Vec:
     """Arrow-part difference of the two composite paths of the
     homomorphism coherence diagram at one ordered basis pair."""
     tgt_view, f3 = RBLie2View(F.target), RBLie2Hom(F).f3
-    src, r0, R = F.source.linf, F.source.rb.r0.apply, RBLie2View(F.source).rb_iso
-    p0, p1, p2, p3 = F.hom.phi0.apply, F.hom.phi1.apply, F.hom.phi2.apply, F.phi3.apply
-    x, y = vbasis(src.dim0, i), vbasis(src.dim0, j)
+    src, r0, R = F.source.linf, F.source.rb.r0.column, F.source.rb.r2.on_basis
+    p0, p1, p3, q3 = F.hom.phi0.column, F.hom.phi1.apply, F.phi3.apply, F.phi3.column
+    p2, br = reader(F.hom.phi2), reader(src.l2_00)
     P, act = tgt_view.rb_mor, F.target.linf.l2_act
+    x, y = i, j  # basis indices, read through `liealg.reader`
 
     return _path_difference([
         [tgt_view.rb_iso(p0(x), p0(y))],
-        [P(vneg(act(p0(y), p3(x)))), P(act(p0(x), p3(y)))],
+        [P(vneg(act(p0(y), q3(x)))), P(act(p0(x), q3(y)))],
         [P(p2(r0(x), y)), P(p2(x, r0(y)))],
-        [p3(src.l2_obj(r0(x), y)), p3(src.l2_obj(x, r0(y)))],
+        [p3(br(r0(x), y)), p3(br(x, r0(y)))],
     ], [
-        [tgt_view.bracket(f3(x), f3(y)).arrow],
+        [tgt_view.bracket(f3(vbasis(src.dim0, x)), f3(vbasis(src.dim0, y))).arrow],
         [p2(r0(x), r0(y))],
         [p1(R(x, y))],
     ])

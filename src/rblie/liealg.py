@@ -13,7 +13,8 @@ from itertools import combinations
 
 from .errors import InternalInvariantBroken, ShapeMismatch
 from .report import Check, VerificationReport, run_checks
-from .tensors import BilinearMap, LinearMap, Vec, from_cells, vadd, vbasis, vsub
+from .tensors import (BilinearMap, LinearMap, TrilinearMap, Vec, from_cells,
+                      vadd, vbasis, vsub, vzero)
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class LieAlgebra:
 
     def ad(self, i: int) -> LinearMap:
         """Matrix of ad(e_i) = [e_i, -]."""
-        return self.bracket.curry_left(vbasis(self.dim, i))
+        return self.bracket.partial(1, i)
 
 
 @dataclass(frozen=True)
@@ -97,19 +98,57 @@ def check_action_shapes(dim: int, dim_v: int, rho: tuple[LinearMap, ...], what: 
             raise ShapeMismatch(f"{what} matrices must be square on the module")
 
 
+def reader(t: BilinearMap | TrilinearMap):
+    """`t` as a function of arguments that are basis indices (ints) or
+    vectors: the stored image when all are indices, the cached partial map
+    of the one vector's slot applied to it, and `apply`, with the indices
+    as basis vectors, when two or more are vectors.  A map with no stored
+    cells reads zero everywhere."""
+    if t.is_zero():
+        zero = vzero(t.shape[0])
+        return lambda *args: zero
+    on_basis, partial, apply, dims = t.on_basis, t.partial, t.apply, t.shape[1:]
+
+    def vector(a, n: int) -> Vec:
+        return vbasis(n, a) if type(a) is int else a
+
+    if len(dims) == 2:
+        def read(x, y) -> Vec:
+            if type(x) is int:
+                return on_basis(x, y) if type(y) is int else partial(1, x).apply(y)
+            return partial(0, y).apply(x) if type(y) is int else apply(x, y)
+        return read
+
+    def read3(x, y, z) -> Vec:
+        if type(x) is int:
+            if type(y) is int:
+                return on_basis(x, y, z) if type(z) is int else partial(2, x, y).apply(z)
+            if type(z) is int:
+                return partial(1, x, z).apply(y)
+        elif type(y) is int and type(z) is int:
+            return partial(0, y, z).apply(x)
+        return apply(*map(vector, (x, y, z), dims))
+    return read3
+
+
 def rb_residual(bracket: BilinearMap, r: LinearMap, i: int, j: int) -> Vec:
     """[R e_i, R e_j] - R([R e_i, e_j] + [e_i, R e_j]): the weight-zero
     Rota-Baxter identity at one basis pair."""
-    n = r.cols
-    ri, rj = r.column(i), r.column(j)
-    inner = vadd(bracket.apply(ri, vbasis(n, j)), bracket.apply(vbasis(n, i), rj))
-    return vsub(bracket.apply(ri, rj), r.apply(inner))
+    br, ri, rj = reader(bracket), r.column(i), r.column(j)
+    return vsub(br(ri, rj), r.apply(vadd(br(ri, j), br(i, rj))))
 
 
 def hom_residual(t: LinearMap, src: BilinearMap, tgt: BilinearMap, i: int, j: int) -> Vec:
     """t(m(e_i, e_j)) - m'(t e_i, t e_j): the linear map t takes the product
     m to the product m' at one basis pair."""
     return vsub(t.apply(src.on_basis(i, j)), tgt.apply(t.column(i), t.column(j)))
+
+
+def chain_residual(top: LinearMap, bottom: LinearMap, d: LinearMap, d_tgt: LinearMap,
+                   a: int) -> Vec:
+    """d'(top e_a) - bottom(d e_a): the pair (bottom, top) commutes with the
+    differentials d and d' = `d_tgt` at one basis vector of the top term."""
+    return vsub(d_tgt.apply(top.column(a)), bottom.apply(d.column(a)))
 
 
 def action_of(rho: tuple[LinearMap, ...], x: Vec, dim: int) -> LinearMap:
@@ -146,11 +185,9 @@ def skew_checks(b: BilinearMap, condition: str = "skew") -> list[Check]:
 
 
 def lie_checks(alg: LieAlgebra) -> list[Check]:
-    br = alg.bracket_vec
-    n = alg.dim
+    n, br = alg.dim, reader(alg.bracket)
 
-    def jacobi(i, j, k):
-        x, y, z = vbasis(n, i), vbasis(n, j), vbasis(n, k)
+    def jacobi(x, y, z):
         return lambda: vadd(br(x, br(y, z)), br(y, br(z, x)), br(z, br(x, y)))
 
     checks = skew_checks(alg.bracket)
@@ -307,14 +344,11 @@ def semidirect_product(rep: RBRepresentation) -> RotaBaxterLieAlgebra:
     out = semidirect_data(alg, module, rep.rho)
     verify_lie(out.base).require_ok("semidirect bracket")
     verify_rb(out).require_ok("semidirect operator")
-    for i in range(dim):
-        for j in range(dim):
-            proj = out.base.bracket.on_basis(i, j)[:n]
-            xi = vbasis(dim, i)[:n]
-            xj = vbasis(dim, j)[:n]
-            if proj != alg.base.bracket_vec(xi, xj):
-                raise InternalInvariantBroken("projection onto g is not a bracket homomorphism")
-    for i in range(dim):
-        if out.r.column(i)[:n] != alg.r.apply(vbasis(dim, i)[:n]):
-            raise InternalInvariantBroken("projection onto g does not intertwine the operators")
+    proj = LinearMap(n, dim, {(i,): ((i, 1),) for i in range(n)})
+    # the output bracket is skew, so the unordered pairs state the identity
+    if any(any(hom_residual(proj, out.base.bracket, alg.base.bracket, i, j))
+           for i, j in combinations(range(dim), 2)):
+        raise InternalInvariantBroken("projection onto g is not a bracket homomorphism")
+    if any(any(chain_residual(out.r, alg.r, proj, proj, i)) for i in range(dim)):
+        raise InternalInvariantBroken("projection onto g does not intertwine the operators")
     return out

@@ -104,8 +104,7 @@ def enumerate_rb_operators(spec: SearchSpec) -> list[RotaBaxterLieAlgebra]:
         return [RotaBaxterLieAlgebra(alg, LinearMap.zero(0, 0))]
     axes = [spec.column_axes(k) for k in range(n)]
     left = [alg.ad(i) for i in range(n)]  # x -> [e_i, x]
-    right = [LinearMap.from_columns([alg.bracket.on_basis(m, j) for m in range(n)], rows=n)
-             for j in range(n)]  # x -> [x, e_j]
+    right = [alg.bracket.partial(0, j) for j in range(n)]  # x -> [x, e_j]
 
     def new_pairs(cols):
         """``(lhs, v)`` of each pair (i, j) whose later column j was set

@@ -24,7 +24,15 @@ directly, at O(nonzero entries) whatever the declared dimensions.
 ``cells()`` reads it as the flat ``{(out, *inputs): coeff}`` entries that
 documents hold and ``search.mutate`` edits; ``from_cells`` builds from
 them.  ``apply`` visits only the nonzero coordinates of its arguments and
-looks their input tuples up in the index.
+looks their input tuples up in the index; it is the one kernel.
+
+Basis arguments are read from the store, not fed to ``apply`` as basis
+vectors: ``column`` / ``on_basis`` give the image of basis vectors, and
+``partial(slot, *fixed)`` gives the linear map of one input with the others
+fixed to basis indices, e.g. ``m.partial(1, i)`` is ``v -> m(e_i, v)``.  The
+partial maps of one slot are built together, in one pass over the store,
+on first use and cached on the map; they read the store as it is, whatever
+the skew/alternating flag.
 
 ``LinearMap.entries[r][c]`` and ``coeffs[k][i][j]`` / ``coeffs[l][i][j][k]``
 are dense nested-tuple views, built on first access and cached.  Nothing in
@@ -38,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
+from operator import neg, sub
 
 from .errors import ShapeMismatch
 
@@ -69,15 +78,15 @@ def vbasis(n: int, i: int) -> Vec:
 
 
 def vadd(*vs: Vec) -> Vec:
-    return tuple(sum(col) for col in zip(*vs))
+    return tuple(map(sum, zip(*vs)))
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vneg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
+    return tuple(map(neg, u))
 
 
 def vscale(c: int | Fraction, u: Vec) -> Vec:
@@ -173,6 +182,30 @@ class _Multilinear:
 
     def is_zero(self) -> bool:
         return not self.nonzero
+
+    _partials = cached_property(lambda self: {})  # slot -> (maps, zero map, len(fixed))
+
+    def partial(self, slot: int, *fixed: int) -> LinearMap:
+        """The linear map of input `slot` with the other inputs fixed to the
+        basis indices `fixed`, in order: ``t.partial(0, j, k)`` is
+        ``u -> t(u, e_j, e_k)``.  Fixed indices with no stored cells share
+        one zero map."""
+        try:
+            maps, zero, arity = self._partials[slot]
+        except KeyError:
+            groups: dict = {}
+            for key, group in self.nonzero.items():
+                groups.setdefault(key[:slot] + key[slot + 1:], {})[key[slot],] = group
+            rows, cols = self.shape[0], self.shape[1 + slot]
+            maps = {rest: LinearMap(rows, cols, index) for rest, index in groups.items()}
+            zero, arity = LinearMap.zero(rows, cols), len(self.shape) - 2
+            self._partials[slot] = maps, zero, arity
+        found = maps.get(fixed)
+        if found is not None:
+            return found
+        if len(fixed) != arity:
+            raise ShapeMismatch(f"a partial map of a {arity + 1}-input map fixes {arity} indices")
+        return zero
 
 
 @dataclass(frozen=True)
@@ -307,12 +340,6 @@ class BilinearMap(_Multilinear):
                 for k, c in self.nonzero.get((i, j), ()):
                     out[k] += c * a * b
         return tuple(out)
-
-    def curry_left(self, u: Vec) -> LinearMap:
-        """The linear map v -> m(u, v)."""
-        return LinearMap.from_columns(
-            [self.apply(u, vbasis(self.dim_b, j)) for j in range(self.dim_b)],
-            rows=self.dim_out)
 
 
 @dataclass(frozen=True)

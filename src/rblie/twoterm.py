@@ -27,9 +27,8 @@ from .errors import (InternalInvariantBroken, NotChainMap, ShapeMismatch,
                      SourceTargetMismatch)
 from .report import Check, VerificationReport, run_checks
 from .tensors import (BilinearMap, LinearMap, TrilinearMap, Vec,
-                      perm_sign, solve_exact, vadd, vbasis, vneg, vsub,
-                      vzero)
-from .liealg import rb_residual, skew_checks
+                      perm_sign, solve_exact, vadd, vbasis, vneg, vsub)
+from .liealg import chain_residual, rb_residual, reader, skew_checks
 
 
 @dataclass(frozen=True)
@@ -182,17 +181,18 @@ def quadruple_identity_residual(L: TwoTermLInfinity,
                                 i: int, j: int, k: int, l: int) -> Vec:
     """The four-argument homotopy-Jacobi identity at one ordered basis
     quadruple (signs follow the standard unshuffle convention)."""
-    xs = [vbasis(L.dim0, t) for t in (i, j, k, l)]
-    total = vzero(L.dim1)
+    br, act, l3 = map(reader, (L.l2_00, L.l2_01, L.l3))
+    xs = (i, j, k, l)
+    terms = []
     for p in range(4):
         rest = [xs[q] for q in range(4) if q != p]
-        term = L.l2_act(xs[p], L.l3v(*rest))
-        total = vadd(total, term if p % 2 == 0 else vneg(term))
+        term = act(xs[p], l3(*rest))
+        terms.append(term if p % 2 == 0 else vneg(term))
     for p, q in combinations(range(4), 2):
         rest = [xs[t] for t in range(4) if t not in (p, q)]
-        term = L.l3.apply(L.l2_obj(xs[p], xs[q]), *rest)
-        total = vadd(total, term if (p + q) % 2 == 0 else vneg(term))
-    return total
+        term = l3(br(xs[p], xs[q]), *rest)
+        terms.append(term if (p + q) % 2 == 0 else vneg(term))
+    return vadd(*terms)
 
 
 def rb3_residual(G: TwoTermRBLInfinity, i: int, j: int, k: int) -> Vec:
@@ -202,41 +202,35 @@ def rb3_residual(G: TwoTermRBLInfinity, i: int, j: int, k: int) -> Vec:
     homotopy term sits outside the cycle.
     """
     L, rb = G.linf, G.rb
-    d0 = L.dim0
-    r0 = rb.r0.apply
-    xs = (vbasis(d0, i), vbasis(d0, j), vbasis(d0, k))
+    r0 = rb.r0.column
+    br, act, l3, r2 = map(reader, (L.l2_00, L.l2_01, L.l3, rb.r2))
 
     def grouped(x1, x2, x3):
-        t1 = L.l2_act(r0(x1), rb.r2.apply(x2, x3))
-        t2 = rb.r2.apply(x3, vsub(L.l2_obj(r0(x1), x2), L.l2_obj(r0(x2), x1)))
-        inner = vsub(vneg(L.l2_act(x1, rb.r2.apply(x2, x3))),
-                     L.l3v(r0(x2), r0(x3), x1))
+        t1 = act(r0(x1), r2(x2, x3))
+        t2 = r2(x3, vsub(br(r0(x1), x2), br(r0(x2), x1)))
+        inner = vsub(vneg(act(x1, r2(x2, x3))), l3(r0(x2), r0(x3), x1))
         return vadd(t1, t2, rb.r1.apply(inner))
 
-    total = vadd(grouped(*xs),
-                 grouped(xs[1], xs[2], xs[0]),
-                 grouped(xs[2], xs[0], xs[1]))
-    return vadd(total, L.l3v(r0(xs[0]), r0(xs[1]), r0(xs[2])))
+    total = vadd(grouped(i, j, k), grouped(j, k, i), grouped(k, i, j))
+    return vadd(total, l3(r0(i), r0(j), r0(k)))
 
 
 def rb2_residual(G: TwoTermRBLInfinity, a: int, i: int) -> Vec:
     """Degree-one operator condition at one basis pair (g1, g0)."""
     L, rb = G.linf, G.rb
-    u, x = vbasis(L.dim1, a), vbasis(L.dim0, i)
-    r0, r1 = rb.r0.apply, rb.r1.apply
-    lhs = vadd(r1(vadd(vneg(L.l2_act(x, r1(u))), vneg(L.l2_act(r0(x), u)))),
-               L.l2_act(r0(x), r1(u)))
-    return vsub(lhs, rb.r2.apply(L.l1v(u), x))
+    act, r2, r1 = reader(L.l2_01), reader(rb.r2), rb.r1.apply
+    u, x, r0x, r1u = a, i, rb.r0.column(i), rb.r1.column(a)
+    lhs = vadd(r1(vadd(vneg(act(x, r1u)), vneg(act(r0x, u)))), act(r0x, r1u))
+    return vsub(lhs, r2(L.complex.l1.column(a), x))
 
 
 def rb_triple_checks(G: TwoTermRBLInfinity) -> list[Check]:
     L, rb = G.linf, G.rb
     d0, d1 = L.dim0, L.dim1
-    r0, r1 = rb.r0.apply, rb.r1.apply
+    l1 = L.complex.l1
 
     def chain(a):
-        u = vbasis(d1, a)
-        return lambda: vsub(L.l1v(r1(u)), r0(L.l1v(u)))
+        return lambda: chain_residual(rb.r1, rb.r0, l1, l1, a)
 
     def rb1(i, j):  # the operator defect, -rb_residual, must equal l1 R2(e_i, e_j)
         return lambda: vneg(vadd(rb_residual(L.l2_00, rb.r0, i, j),
@@ -281,8 +275,7 @@ def complete_rb_triple(L: TwoTermLInfinity, r0: LinearMap,
     """
     d0, d1 = L.dim0, L.dim1
     for a in range(d1):
-        u = vbasis(d1, a)
-        if L.l1v(r1.apply(u)) != r0.apply(L.l1v(u)):
+        if any(chain_residual(r1, r0, L.complex.l1, L.complex.l1, a)):
             raise NotChainMap(f"(R0, R1) do not commute with the differential at column {a}")
     values: dict[tuple[int, int], Vec] = {}
     for i, j in combinations(range(d0), 2):
@@ -334,14 +327,13 @@ class RBLInfinityHom:
 def hom_checks(f: LInfinityHom) -> list[Check]:
     src, tgt = f.source, f.target
     d0, d1 = src.dim0, src.dim1
-    p0, p1 = f.phi0.apply, f.phi1.apply
-    p2 = f.phi2.apply
+    p0, p1, q0 = f.phi0.apply, f.phi1.apply, f.phi0.column
+    p2, br = reader(f.phi2), reader(src.l2_00)
     e0 = lambda i: vbasis(d0, i)
     e1 = lambda a: vbasis(d1, a)
 
     def chain(a):
-        u = e1(a)
-        return lambda: vsub(tgt.l1v(p1(u)), p0(src.l1v(u)))
+        return lambda: chain_residual(f.phi1, f.phi0, src.complex.l1, tgt.complex.l1, a)
 
     def h1(i, j):
         x, y = e0(i), e0(j)
@@ -359,18 +351,16 @@ def hom_checks(f: LInfinityHom) -> list[Check]:
                         vsub(p1(src.l2_act(x, u)), tgt.l2_act(p0(x), p1(u))))
         return go
 
-    def h3(i, j, k):
-        x, y, z = e0(i), e0(j), e0(k)
-
+    def h3(x, y, z):  # basis indices, read through `reader`
         def go():
-            lhs = vadd(vneg(tgt.l2_act(p0(z), p2(x, y))),
-                       p2(src.l2_obj(x, y), z),
-                       p1(src.l3v(x, y, z)))
-            rhs = vadd(tgt.l3v(p0(x), p0(y), p0(z)),
-                       tgt.l2_act(p0(x), p2(y, z)),
-                       vneg(tgt.l2_act(p0(y), p2(x, z))),
-                       p2(x, src.l2_obj(y, z)),
-                       p2(src.l2_obj(x, z), y))
+            lhs = vadd(vneg(tgt.l2_act(q0(z), p2(x, y))),
+                       p2(br(x, y), z),
+                       p1(src.l3.on_basis(x, y, z)))
+            rhs = vadd(tgt.l3v(q0(x), q0(y), q0(z)),
+                       tgt.l2_act(q0(x), p2(y, z)),
+                       vneg(tgt.l2_act(q0(y), p2(x, z))),
+                       p2(x, br(y, z)),
+                       p2(br(x, z), y))
             return vsub(lhs, rhs)
         return go
 
@@ -393,18 +383,18 @@ def rbh3_residual(f: RBLInfinityHom, i: int, j: int) -> Vec:
     basis pair.  The bracket of two phi3 values vanishes by degree; the
     two-argument phi3 terms are read as phi3 applied to the bracket."""
     src, tgt = f.source.linf, f.target.linf
-    p0, p1 = f.hom.phi0.apply, f.hom.phi1.apply
-    p2, p3 = f.hom.phi2.apply, f.phi3.apply
-    r0, r1p = f.source.rb.r0.apply, f.target.rb.r1.apply
-    x, y = vbasis(src.dim0, i), vbasis(src.dim0, j)
+    p0, p1, p3 = f.hom.phi0.column, f.hom.phi1.apply, f.phi3.apply
+    p2, br, r2 = reader(f.hom.phi2), reader(src.l2_00), reader(f.source.rb.r2)
+    r0, r1p, q3 = f.source.rb.r0.column, f.target.rb.r1.apply, f.phi3.column
+    x, y = i, j  # basis indices, read through `reader`
     lhs = vadd(f.target.rb.r2.apply(p0(x), p0(y)),
-               r1p(vneg(tgt.l2_act(p0(y), p3(x)))),
-               r1p(tgt.l2_act(p0(x), p3(y))),
+               r1p(vneg(tgt.l2_act(p0(y), q3(x)))),
+               r1p(tgt.l2_act(p0(x), q3(y))),
                r1p(p2(r0(x), y)),
                r1p(p2(x, r0(y))),
-               p3(src.l2_obj(r0(x), y)),
-               p3(src.l2_obj(x, r0(y))))
-    rhs = vadd(p2(r0(x), r0(y)), p1(f.source.rb.r2.apply(x, y)))
+               p3(br(r0(x), y)),
+               p3(br(x, r0(y))))
+    rhs = vadd(p2(r0(x), r0(y)), p1(r2(x, y)))
     return vsub(lhs, rhs)
 
 

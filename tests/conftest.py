@@ -11,8 +11,10 @@ from rblie import catalog
 from rblie.catalog import aff1, sl2, solvable4, sl2_rb_triangular, aff1_rb_neg
 from rblie.crossed import LieCrossedModule
 from rblie.liealg import LieAlgebra, action_of
+from rblie.lie2 import Morphism2V
 from rblie.search import mutate
-from rblie.tensors import BilinearMap, LinearMap, TrilinearMap, vbasis, vec, vsub
+from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap, vadd, vbasis, vec,
+                           vneg, vsub)
 from rblie.twoterm import (LInfinityHom, RBLInfinityHom, RBTriple,
                            TwoTermComplex, TwoTermLInfinity,
                            TwoTermRBLInfinity, identity_rb_hom)
@@ -105,6 +107,16 @@ def descent_chain(cm_name: str, length: int = 3):
         homs.append(catalog.operator_descent_hom(cm))
         cm = catalog.derived_rb_crossed(cm)
     return homs
+
+
+def bracket_forms(view, f, g):
+    """Both displayed expressions for the bracket of two morphisms of the
+    view: `view.bracket`, and l2(x, b) - l2(t(g), a) on the arrow parts
+    a of f and b of g, with x the source of f."""
+    L = view.base.linf
+    first = view.bracket(f, g)
+    second = vadd(L.l2_act(f.source, g.arrow), vneg(L.l2_act(view.target(g), f.arrow)))
+    return first, Morphism2V(first.source, second)
 
 
 def closed_form_derived(cm):

@@ -6,8 +6,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
-from conftest import (CATALOG_DIR, closed_form_derived, descent_chain,
-                      hom_mutants, structure_mutants)
+from conftest import (CATALOG_DIR, bracket_forms, closed_form_derived,
+                      descent_chain, hom_mutants, structure_mutants)
 from rblie import catalog
 from rblie.cli import main as cli_main
 from rblie.crossed import (crossed_semidirect, crossed_to_strict,
@@ -184,7 +184,7 @@ def test_criterion_8_morphism_calculus():
                 assert view.compose(f, view.identity(f.source)) == f
                 a = Morphism2V(rand_vec(view.dim0), rand_vec(view.dim1))
                 b = Morphism2V(rand_vec(view.dim0), rand_vec(view.dim1))
-                first, second = view.bracket_forms(a, b)
+                first, second = bracket_forms(view, a, b)
                 assert first == second
                 fp = Morphism2V(rand_vec(view.dim0), rand_vec(view.dim1))
                 gp = Morphism2V(rand_vec(view.dim0), rand_vec(view.dim1))

@@ -1,5 +1,10 @@
+import argparse
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -9,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import CATALOG_DIR, structure_mutants
+from rblie import cli
 from rblie.cli import main, structure_checks
 from rblie.serialize import load, loads
 
@@ -201,6 +207,52 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch, tmp_path):
+    """`main` builds its parser on the first call and reuses it: a usage
+    error between two identical `verify` calls builds no further parser
+    and changes neither call's output."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    bad = tmp_path / "bad.json"
+    assert run_cli(capsys, "mutate", str(CATALOG_DIR / "sl2.json"), "--site",
+                   "bracket,0,0,1", "--delta", "1", "-o", str(bad))[0] == 0
+    first_build = len(built)
+    first = run_cli(capsys, "verify", str(bad))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--no-such-option", str(bad)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    second = run_cli(capsys, "verify", str(bad))
+    assert first == second and first[0] == 1 and first[1].startswith("VIOLATION ")
+    assert first_build == 7 and len(built) == first_build  # rblie and its 6 commands
+
+
+def test_module_entry_point_runs_once_per_process():
+    """`python -m rblie.cli` is the one-shot entry: a clean document exits 0
+    with its count on stderr, an unknown command exits 2 with usage."""
+    src = CATALOG_DIR.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "rblie.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    ok = run("verify", str(CATALOG_DIR / "sl2.json"))
+    assert (ok.returncode, ok.stdout) == (0, "")
+    assert re.fullmatch(r"checked \d+ conditions, 0 violations\n", ok.stderr)
+    unknown = run("no-such-command")
+    assert (unknown.returncode, unknown.stdout) == (2, "")
+    assert unknown.stderr.startswith("usage: rblie ") and "invalid choice" in unknown.stderr
 
 
 def test_construct_prelie(capsys):

@@ -105,6 +105,44 @@ def test_apply_and_is_zero_match_the_dense_grid_walk(data):
         wrong[pos] = vzero(n + 1)
         with pytest.raises(ShapeMismatch):
             t.apply(*wrong)
+    if len(dims) > 1:
+        # partial maps read the store as it is: check them on the map and on
+        # a copy whose skew/alternating flag is broken, at drawn basis indices
+        cells = t.cells()
+        if t.flag and cells:
+            del cells[next(iter(cells))]
+        broken = from_cells(t.shape, cells, t.flag or len(set(dims)) == 1)
+        for m in (t, broken):
+            for slot in range(len(dims)):
+                others = [n for pos, n in enumerate(dims) if pos != slot]
+                if not all(others):
+                    continue
+                fixed = [data.draw(st.integers(0, n - 1)) for n in others]
+                basis = iter(fixed)
+                at = [args[pos] if pos == slot else vbasis(n, next(basis))
+                      for pos, n in enumerate(dims)]
+                p = m.partial(slot, *fixed)
+                assert p.apply(args[slot]) == dense_apply(m, *at)
+                assert p is m.partial(slot, *fixed)  # cached
+        with pytest.raises(ShapeMismatch):
+            t.partial(0, *range(len(dims)))  # one index too many
+
+
+def test_partial_maps_read_the_store_and_are_built_once_per_slot():
+    """A skew-flagged map that stores only (0, 1): the partial maps read
+    that cell and never its mirror, all maps of a slot come from one pass,
+    and absent fixed indices share one zero map."""
+    b = from_cells((1, 3, 3), {(0, 0, 1): 2}, True)
+    assert b.partial(1, 0) == LinearMap.from_rows([[0, 2, 0]])  # v -> b(e_0, v)
+    assert b.partial(0, 1) == LinearMap.from_rows([[2, 0, 0]])  # u -> b(u, e_1)
+    assert b.partial(1, 1).is_zero() and b.partial(0, 0).is_zero()
+    assert b.partial(1, 1) is b.partial(1, 2)
+    assert set(b._partials) == {0, 1}
+    t = from_cells((2, 2, 2, 2), {(1, 0, 1, 1): 3, (0, 1, 1, 0): 1})
+    assert t.partial(2, 0, 1) == LinearMap.from_rows([[0, 0], [0, 3]])
+    assert t.partial(1, 1, 0) == LinearMap.from_rows([[0, 1], [0, 0]])
+    aff1 = LieAlgebra(2, from_cells((2, 2, 2), {(1, 0, 1): 1, (1, 1, 0): -1}, True))
+    assert aff1.ad(0) == LinearMap.from_rows([[0, 0], [0, 1]])  # [e_0, -]
 
 
 def test_zero_structure_probes_skip_the_dense_grid():
