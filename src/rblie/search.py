@@ -8,10 +8,11 @@ R v = [R e_i, R e_j] with v = [R e_i, e_j] + [e_i, R e_j].  With columns
 when v is zero on every unset column its residual (the set columns moved
 to the right-hand side) must vanish, and when its only unset coordinate is
 k it forces column k to residual / v_k, which must lie in the grid.  A
-failure prunes the branch.  Every completed matrix is then checked against
-the full identity at every pair before it is kept, and the result is
-sorted into lexicographic row-major order, so re-runs produce the same
-list as a pass over the whole grid would.
+failure prunes the branch.  A completed matrix (k = n) is decided by the
+same rule: every pair is settled, so each residual must vanish.  Only a
+matrix that passes is built as a map and confirmed against the full
+identity, and the result is sorted into lexicographic row-major order, so
+re-runs produce the same list as a pass over the whole grid would.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ def _is_rb(alg: LieAlgebra, r: LinearMap) -> bool:
 
 def _narrow(pairs, cols: tuple[Vec, ...], axes):
     """Decide the pairs that columns 0..k-1 (`cols`) settle, k = len(cols):
-    ``(pairs still open, values for column k)``, or None to prune."""
+    ``(pairs still open, values for column k)``, or None to prune.  With
+    every column set (k = n) every pair is settled."""
     k = len(cols)
     still_open, forced = [], None
     for lhs, v in pairs:
@@ -78,7 +80,7 @@ def _narrow(pairs, cols: tuple[Vec, ...], axes):
             if v[m]:
                 for r, a in enumerate(col):
                     residual[r] -= v[m] * a
-        if not v[k]:
+        if k == len(v) or not v[k]:
             if any(residual):
                 return None
             continue
@@ -102,7 +104,8 @@ def enumerate_rb_operators(spec: SearchSpec) -> list[RotaBaxterLieAlgebra]:
     n = alg.dim
     if n == 0:
         return [RotaBaxterLieAlgebra(alg, LinearMap.zero(0, 0))]
-    axes = [spec.column_axes(k) for k in range(n)]
+    # a completed node has no next column: its pairs are decided, not forced
+    axes = [spec.column_axes(k) for k in range(n)] + [()]
     left = [alg.ad(i) for i in range(n)]  # x -> [e_i, x]
     right = [alg.bracket.partial(0, j) for j in range(n)]  # x -> [x, e_j]
 
@@ -124,14 +127,15 @@ def enumerate_rb_operators(spec: SearchSpec) -> list[RotaBaxterLieAlgebra]:
             stack.pop()
             continue
         node = cols + (column,)
-        if len(node) == n:
-            r = LinearMap.from_columns(list(node), rows=n)
-            if _is_rb(alg, r):
-                found.append(r)
-            continue
         narrowed = _narrow(chain(pairs, new_pairs(node)), node, axes[len(node)])
-        if narrowed is not None:
+        if narrowed is None:
+            continue
+        if len(node) < n:
             stack.append((node,) + narrowed)
+            continue
+        r = LinearMap.from_columns(list(node), rows=n)
+        if _is_rb(alg, r):
+            found.append(r)
     found.sort(key=LinearMap.flat)
     return [RotaBaxterLieAlgebra(alg, r) for r in found]
 

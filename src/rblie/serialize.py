@@ -398,14 +398,10 @@ def _render(value, indent: int = 0) -> str:
         body = ",\n".join(f"{pad}  {json.dumps(k)}: {_render(v, indent + 2)}"
                           for k, v in value.items())
         return "{\n" + body + "\n" + pad + "}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        if all(not isinstance(v, (list, dict)) for v in value):
-            return "[" + ", ".join(json.dumps(v) for v in value) + "]"
+    if isinstance(value, list) and any(isinstance(v, (list, dict)) for v in value):
         body = ",\n".join(f"{pad}  {_render(v, indent + 2)}" for v in value)
         return "[\n" + body + "\n" + pad + "]"
-    return json.dumps(value)
+    return json.dumps(value)  # a scalar, or a list of scalars on one line
 
 
 def dumps(obj) -> str:

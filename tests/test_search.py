@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rblie import search
 from rblie.catalog import LIE_ALGEBRAS, aff1, aff1_rb_shift
 from rblie.errors import BadSite, BudgetExceeded
 from rblie.liealg import LieAlgebra, RotaBaxterLieAlgebra, verify_rb
@@ -153,6 +154,36 @@ def test_sl2_and_heis3_counts_over_minus_one_zero_one():
         flat = [rba.r.flat() for rba in found]
         assert len(flat) == count
         assert flat == sorted(flat)
+
+
+SOLV4_FORCING_MASK = _mask(4, {(0, 2), (1, 0), (1, 1), (1, 3), (2, 3), (3, 1), (3, 3)})
+
+
+@pytest.mark.parametrize("name, mask, count", [
+    ("sl2", None, 23),
+    ("heis3", None, 639),
+    ("solv4", SOLV4_FORCING_MASK, 63),  # brute force finds the same 63
+])
+def test_only_kept_operators_reach_the_full_identity_check(monkeypatch, name, mask, count):
+    """A completed matrix is decided by `_narrow` like any other node, so the
+    full identity check runs exactly once per kept operator and rejects
+    none."""
+    checked, is_rb = [], search._is_rb
+    monkeypatch.setattr(search, "_is_rb", lambda alg, r: checked.append(r) or is_rb(alg, r))
+    found = [rba.r for rba in enumerate_rb_operators(SearchSpec(LIE_ALGEBRAS[name], mask=mask))]
+    assert sorted(checked, key=LinearMap.flat) == found
+    assert len(found) == count
+
+
+def test_completed_node_is_decided_by_its_residuals():
+    """With every column set, each pair's residual lhs - sum_m v_m c_m must
+    vanish: a zero residual keeps the node with nothing left open and no
+    column to fill, a nonzero one prunes it."""
+    cols = ((1, 0), (0, 1))
+    still_open, values = _narrow([((1, 2), (1, 2)), ((0, 0), (0, 0))], cols, ())
+    assert still_open == [] and list(values) == [()]
+    assert _narrow([((0, 1), (1, 0))], cols, ()) is None          # residual (-1, 1)
+    assert _narrow([((1, 2), (1, 2)), ((0, 0), (0, 1))], cols, ()) is None
 
 
 def test_forced_column_outside_the_grid_or_masked_is_pruned():

@@ -13,10 +13,10 @@ from rblie import catalog
 from rblie.errors import (BadRational, BadSite, DuplicateEntry, ParseError,
                           UnknownKind, VersionMismatch)
 from rblie.liealg import LieAlgebra, prelie_from_rb
-from rblie.search import mutate
+from rblie.search import SearchSpec, enumerate_rb_operators, mutate
 from rblie.serialize import (DIM, KINDS, LABELS, OPERATORS, RATIONALS, _render,
-                             dumps, get_at, kind_of, load, loads, parse_rational,
-                             save)
+                             SearchResults, dumps, get_at, kind_of, load, loads,
+                             parse_rational, save)
 from rblie.tensors import BilinearMap, vec
 
 
@@ -146,6 +146,42 @@ def test_search_results_round_trip(tmp_path):
     p = tmp_path / "again.json"
     save(res, p)
     assert load(p) == res
+
+
+def _joined(values) -> str:
+    """Inline list rendering as one `json.dumps` per item, joined."""
+    return "[" + ", ".join(json.dumps(v) for v in values) + "]"
+
+
+LABEL_LISTS = [  # three labels each, for a dim-3 algebra
+    ['say "x"', "back\\slash", "\\\""],
+    ["é", "ℝ⊕𝔤", "𝔰𝔩₂"],
+    ["tab\there", "nul\u0000", "line\u2028sep"],
+]
+
+
+@pytest.mark.parametrize("values", [
+    [0, -1, 7, 10 ** 30, -(10 ** 30)],
+    ["1/2", "-7/3", "0", "11", "-123456789012345678901/2"],
+    *LABEL_LISTS,
+    [1, "1/2", "e"],
+])
+def test_scalar_lists_render_as_their_joined_items(values):
+    """A list of scalars renders on one line, byte for byte as its items
+    dumped one at a time and joined with ", ", at any indent."""
+    assert _render(values) == _joined(values)
+    assert _render({"k": values}, 4) == '{\n      "k": ' + _joined(values) + "\n    }"
+
+
+@pytest.mark.parametrize("labels", LABEL_LISTS)
+def test_labelled_search_results_round_trip_byte_for_byte(labels):
+    alg = LieAlgebra.from_brackets(3, {(0, 1): vec(0, 0, 1)}, labels=tuple(labels))
+    spec = SearchSpec(alg, (-1, 0, Fraction(1, 2)))
+    res = SearchResults(alg, spec.coeffs, tuple(rba.r for rba in enumerate_rb_operators(spec)))
+    text = dumps(res)
+    assert '  "basis": ' + _joined(labels) + ",\n" in text
+    assert loads(text) == res
+    assert dumps(loads(text)) == text
 
 
 rational_strategy = st.fractions(min_value=-5, max_value=5, max_denominator=6)
