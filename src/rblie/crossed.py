@@ -20,7 +20,7 @@ from .liealg import (LieAlgebra, PreLieAlgebra, RotaBaxterLieAlgebra,
                      hom_residual, lie_checks, operator_product, prelie_checks,
                      rb_checks, semidirect_data, verify_lie, verify_rb)
 from .report import Check, VerificationReport, prefix_checks, run_checks
-from .tensors import BilinearMap, LinearMap, TrilinearMap, Vec, vadd, vbasis, vsub
+from .tensors import BilinearMap, LinearMap, TrilinearMap, vadd, vsub
 from .twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,
                       TwoTermRBLInfinity, verify_rb_2term)
 
@@ -36,9 +36,6 @@ class LieCrossedModule:
         if (self.d.rows, self.d.cols) != (self.g0.dim, self.g1.dim):
             raise ShapeMismatch("boundary map must be a dim(g0) x dim(g1) matrix")
         check_action_shapes(self.g0.dim, self.g1.dim, self.rho, "action")
-
-    def act(self, x: Vec, u: Vec) -> Vec:
-        return action_of(self.rho, x, self.g1.dim).apply(u)
 
 
 @dataclass(frozen=True)
@@ -72,26 +69,20 @@ class PreLieCrossedModule:
 
 def lie_crossed_checks(cm: LieCrossedModule) -> list[Check]:
     n0, n1 = cm.g0.dim, cm.g1.dim
-    e0 = lambda i: vbasis(n0, i)
-    e1 = lambda a: vbasis(n1, a)
+    br0, br1, d = cm.g0.bracket, cm.g1.bracket, cm.d
 
     def action_hom(i, j):
-        return lambda: action_hom_residual(cm.rho, cm.g0.bracket.on_basis(i, j), i, j)
+        return lambda: action_hom_residual(cm.rho, br0(i, j), i, j)
 
     def action_der(i, a, b):
-        act, u, v = cm.rho[i].apply, e1(a), e1(b)
-        return lambda: vsub(act(cm.g1.bracket_vec(u, v)),
-                            vadd(cm.g1.bracket_vec(act(u), v),
-                                 cm.g1.bracket_vec(u, act(v))))
+        act = cm.rho[i]
+        return lambda: vsub(act(br1(a, b)), vadd(br1(act(a), b), br1(a, act(b))))
 
     def peiffer1(i, a):
-        u = e1(a)
-        return lambda: vsub(cm.d.apply(cm.rho[i].apply(u)),
-                            cm.g0.bracket_vec(e0(i), cm.d.apply(u)))
+        return lambda: vsub(d(cm.rho[i](a)), br0(i, d(a)))
 
     def peiffer2(a, b):
-        u, v = e1(a), e1(b)
-        return lambda: vsub(cm.act(cm.d.apply(u), v), cm.g1.bracket_vec(u, v))
+        return lambda: vsub(action_of(cm.rho, d(a), n1)(b), br1(a, b))
 
     checks = prefix_checks("g0-", lie_checks(cm.g0))
     checks += prefix_checks("g1-", lie_checks(cm.g1))
@@ -127,11 +118,10 @@ def rb_crossed_checks(cm: RBLieCrossedModule) -> list[Check]:
 
 def prelie_crossed_checks(pm: PreLieCrossedModule) -> list[Check]:
     n0, n1 = pm.p0.dim, pm.p1.dim
-    e0 = lambda i: vbasis(n0, i)
-    e1 = lambda a: vbasis(n1, a)
+    m0, m1, delta = pm.p0.mult, pm.p1.mult, pm.delta
 
     def commutator0(i, j):
-        return vsub(pm.p0.mult.on_basis(i, j), pm.p0.mult.on_basis(j, i))
+        return vsub(m0(i, j), m0(j, i))
 
     def l_rep(i, j):
         return lambda: action_hom_residual(pm.l_act, commutator0(i, j), i, j)
@@ -142,30 +132,22 @@ def prelie_crossed_checks(pm: PreLieCrossedModule) -> list[Check]:
         # p0 (+) p1 needs to satisfy the defining identity
         def go():
             lhs = pm.l_act[i].compose(pm.r_act[j]).sub(pm.r_act[j].compose(pm.l_act[i]))
-            rhs = action_of(pm.r_act, pm.p0.mult.on_basis(i, j), n1).sub(
+            rhs = action_of(pm.r_act, m0(i, j), n1).sub(
                 pm.r_act[j].compose(pm.r_act[i]))
             return lhs.sub(rhs).flat()
         return go
 
     def delta_l(i, a):
-        x, u = e0(i), e1(a)
-        return lambda: vsub(pm.delta.apply(pm.l_act[i].apply(u)),
-                            pm.p0.mult_vec(x, pm.delta.apply(u)))
+        return lambda: vsub(delta(pm.l_act[i](a)), m0(i, delta(a)))
 
     def delta_r(i, a):
-        x, u = e0(i), e1(a)
-        return lambda: vsub(pm.delta.apply(pm.r_act[i].apply(u)),
-                            pm.p0.mult_vec(pm.delta.apply(u), x))
+        return lambda: vsub(delta(pm.r_act[i](a)), m0(delta(a), i))
 
     def peiffer_l(a, b):
-        u, v = e1(a), e1(b)
-        return lambda: vsub(action_of(pm.l_act, pm.delta.apply(u), n1).apply(v),
-                            pm.p1.mult_vec(u, v))
+        return lambda: vsub(action_of(pm.l_act, delta(a), n1)(b), m1(a, b))
 
     def peiffer_r(a, b):
-        u, v = e1(a), e1(b)
-        return lambda: vsub(action_of(pm.r_act, pm.delta.apply(v), n1).apply(u),
-                            pm.p1.mult_vec(u, v))
+        return lambda: vsub(action_of(pm.r_act, delta(b), n1)(a), m1(a, b))
 
     checks = prefix_checks("p0-", prelie_checks(pm.p0))
     checks += prefix_checks("p1-", prelie_checks(pm.p1))
@@ -207,8 +189,7 @@ def strict_to_crossed_data(G: TwoTermRBLInfinity) -> RBLieCrossedModule:
     [u,v] = l2(l1(u), v), action x.u = l2(x, u), operators (R0, R1)."""
     L = G.linf
     n0, n1 = L.dim0, L.dim1
-    bracket1 = {(a, b): L.l2_act(L.l1v(vbasis(n1, a)), vbasis(n1, b))
-                for a in range(n1) for b in range(n1)}
+    bracket1 = {(a, b): L.l2_01(L.complex.l1(a), b) for a in range(n1) for b in range(n1)}
     g1 = LieAlgebra(n1, BilinearMap.from_map(n1, n1, n1, bracket1, skew=True))
     g0 = LieAlgebra(n0, L.l2_00)
     rho = tuple(L.l2_01.partial(1, i) for i in range(n0))
@@ -295,8 +276,8 @@ def derived_crossed(cm: RBLieCrossedModule) -> LieCrossedModule:
         return lambda: hom_residual(cm.t1, out.g1.bracket, base.g1.bracket, a, b)
 
     def action_compat(i, a):
-        return lambda: vsub(cm.t1.apply(out.rho[i].column(a)),
-                            base.act(cm.t0.column(i), cm.t1.column(a)))
+        return lambda: vsub(cm.t1(out.rho[i](a)),
+                            action_of(base.rho, cm.t0(i), n1)(cm.t1(a)))
 
     checks: list[Check] = [("t0-hom", (i, j), t0_hom(i, j))
                            for i, j in combinations(range(n0), 2)]

@@ -29,7 +29,6 @@ from itertools import combinations, product
 
 from .errors import NotComposable
 from .report import Check, VerificationReport, run_checks
-from .liealg import reader
 from .tensors import (Vec, vadd, vbasis, vneg, vsub, vzero, is_zero)
 from .twoterm import (RBLInfinityHom, TwoTermRBLInfinity,
                       quadruple_identity_residual, rb_hom_checks,
@@ -60,7 +59,7 @@ class RBLie2View:
         return Morphism2V(tuple(x), vzero(self.dim1))
 
     def target(self, f: Morphism2V) -> Vec:
-        return vadd(f.source, self.base.linf.l1v(f.arrow))
+        return vadd(f.source, self.base.linf.complex.l1.apply(f.arrow))
 
     def compose(self, f: Morphism2V, g: Morphism2V) -> Morphism2V:
         """g then f; defined when t(g) = s(f); arrow parts add."""
@@ -75,21 +74,9 @@ class RBLie2View:
         condition `a` on the two arrow parts, which the chain-level checks
         report, so a structure that fails it is not rejected here."""
         L = self.base.linf
-        return Morphism2V(L.l2_obj(f.source, g.source),
-                          vadd(vneg(L.l2_act(g.source, f.arrow)),
-                               L.l2_act(self.target(f), g.arrow)))
-
-    def jacobiator(self, x: Vec, y: Vec, z: Vec) -> Vec:
-        """Arrow part l3(x, y, z) of the Jacobiator at x, y, z."""
-        return self.base.linf.l3v(x, y, z)
-
-    def rb_mor(self, a: Vec) -> Vec:
-        """Arrow part R1(a) of the operator functor on arrow part a."""
-        return self.base.rb.r1.apply(a)
-
-    def rb_iso(self, x: Vec, y: Vec) -> Vec:
-        """Arrow part R2(x, y) of [Px, Py] -> P[Px, y] + P[x, Py]."""
-        return self.base.rb.r2.apply(x, y)
+        return Morphism2V(L.l2_00.apply(f.source, g.source),
+                          vadd(vneg(L.l2_01.apply(g.source, f.arrow)),
+                               L.l2_01.apply(self.target(f), g.arrow)))
 
 
 def _path_difference(left: list[list[Vec]], right: list[list[Vec]]) -> Vec:
@@ -105,11 +92,13 @@ def _path_difference(left: list[list[Vec]], right: list[list[Vec]]) -> Vec:
 def coherence_residual(view: RBLie2View, i: int, j: int, k: int) -> Vec:
     """Arrow-part difference of the two composite paths of the operator
     coherence diagram at one ordered basis triple of g0.  The basis objects
-    x, y, z are the indices i, j, k, read through `liealg.reader`."""
+    x, y, z are the indices i, j, k, at which the maps are called: J is l3,
+    P is R1 on arrow parts and R is R2, the arrow part of
+    [Px, Py] -> P[Px, y] + P[x, Py]."""
     L, rb = view.base.linf, view.base.rb
-    br, act, J, R = map(reader, (L.l2_00, L.l2_01, L.l3, rb.r2))
-    P, x, y, z = view.rb_mor, i, j, k
-    px, py, pz = (rb.r0.column(t) for t in (x, y, z))
+    br, act, J, P, R = L.l2_00, L.l2_01, L.l3, rb.r1, rb.r2
+    x, y, z = i, j, k
+    px, py, pz = rb.r0(x), rb.r0(y), rb.r0(z)
 
     return _path_difference([
         [J(px, py, pz)],
@@ -156,10 +145,10 @@ def jacobiator_coherence_residual(view: RBLie2View,
                                   i: int, j: int, k: int, l: int) -> Vec:
     """Arrow-part difference of the two composite paths of the Jacobiator
     coherence diagram at one ordered basis quadruple of g0.  The basis
-    objects w, x, y, z are the indices i, j, k, l, read through
-    `liealg.reader`."""
+    objects w, x, y, z are the indices i, j, k, l, at which the maps are
+    called; J is the Jacobiator l3."""
     L = view.base.linf
-    br, act, J = map(reader, (L.l2_00, L.l2_01, L.l3))
+    br, act, J = L.l2_00, L.l2_01, L.l3
     w, x, y, z = i, j, k, l
 
     return _path_difference([
@@ -191,17 +180,17 @@ def verify_jacobiator_coherence(G: TwoTermRBLInfinity) -> VerificationReport:
 
 def naturality_residual(view: RBLie2View, a: int, j: int) -> Vec:
     """Naturality of the comparison morphism along the basis morphism
-    (0, u_a) against the object e_j, evaluated as two composite paths."""
-    d0, d1 = view.dim0, view.dim1
-    y = vbasis(d0, j)
-    f = Morphism2V(vzero(d0), vbasis(d1, a))
-    py, act, P = view.base.rb.r0.apply(y), view.base.linf.l2_act, view.rb_mor
+    (0, u_a) against the object e_j, evaluated as two composite paths; the
+    basis morphism is read at its arrow index a and the object at j."""
+    rb, act = view.base.rb, view.base.linf.l2_01
+    P, R, py = rb.r1, rb.r2, rb.r0(j)
+    f = Morphism2V(vzero(view.dim0), vbasis(view.dim1, a))
     return _path_difference([
-        [view.rb_iso(f.source, y)],
-        [P(vneg(act(y, P(f.arrow)))), P(vneg(act(py, f.arrow)))],
+        [R(f.source, j)],
+        [P(vneg(act(j, P(a)))), P(vneg(act(py, a)))],
     ], [
-        [vneg(act(py, P(f.arrow)))],
-        [view.rb_iso(view.target(f), y)],
+        [vneg(act(py, P(a)))],
+        [R(view.target(f), j)],
     ])
 
 
@@ -233,7 +222,8 @@ class RBLie2Hom:
 
     def f2(self, x: Vec, y: Vec) -> Morphism2V:
         p0 = self.F.hom.phi0.apply
-        return Morphism2V(self.F.target.linf.l2_obj(p0(x), p0(y)), self.F.hom.phi2.apply(x, y))
+        return Morphism2V(self.F.target.linf.l2_00.apply(p0(x), p0(y)),
+                          self.F.hom.phi2.apply(x, y))
 
     def f3(self, x: Vec) -> Morphism2V:
         return Morphism2V(self.F.target.rb.r0.apply(self.F.hom.phi0.apply(x)),
@@ -242,17 +232,17 @@ class RBLie2Hom:
 
 def hom_coherence_residual(F: RBLInfinityHom, i: int, j: int) -> Vec:
     """Arrow-part difference of the two composite paths of the
-    homomorphism coherence diagram at one ordered basis pair."""
+    homomorphism coherence diagram at one ordered basis pair, at whose
+    indices x, y the maps are called."""
     tgt_view, f3 = RBLie2View(F.target), RBLie2Hom(F).f3
-    src, r0, R = F.source.linf, F.source.rb.r0.column, F.source.rb.r2.on_basis
-    p0, p1, p3, q3 = F.hom.phi0.column, F.hom.phi1.apply, F.phi3.apply, F.phi3.column
-    p2, br = reader(F.hom.phi2), reader(src.l2_00)
-    P, act = tgt_view.rb_mor, F.target.linf.l2_act
-    x, y = i, j  # basis indices, read through `liealg.reader`
+    src, r0, R = F.source.linf, F.source.rb.r0, F.source.rb.r2
+    p0, p1, p2, p3 = F.hom.phi0, F.hom.phi1, F.hom.phi2, F.phi3
+    br, P, act = src.l2_00, F.target.rb.r1, F.target.linf.l2_01
+    x, y = i, j
 
     return _path_difference([
-        [tgt_view.rb_iso(p0(x), p0(y))],
-        [P(vneg(act(p0(y), q3(x)))), P(act(p0(x), q3(y)))],
+        [F.target.rb.r2(p0(x), p0(y))],
+        [P(vneg(act(p0(y), p3(x)))), P(act(p0(x), p3(y)))],
         [P(p2(r0(x), y)), P(p2(x, r0(y)))],
         [p3(br(r0(x), y)), p3(br(x, r0(y)))],
     ], [
@@ -304,7 +294,7 @@ def roundtrip_structure(G: TwoTermRBLInfinity) -> VerificationReport:
         checks.append(("rt-l1", (a,),
                        (lambda a=a: vsub(view.target(ker(a)), L.complex.l1.column(a)))))
         checks.append(("rt-r1", (a,),
-                       (lambda a=a: vsub(view.rb_mor(vbasis(d1, a)), G.rb.r1.column(a)))))
+                       (lambda a=a: vsub(G.rb.r1.apply(vbasis(d1, a)), G.rb.r1.column(a)))))
     for i in range(d0):
         checks.append(("rt-r0", (i,),
                        (lambda i=i: vsub(G.rb.r0.apply(e0(i)), G.rb.r0.column(i)))))
@@ -318,10 +308,10 @@ def roundtrip_structure(G: TwoTermRBLInfinity) -> VerificationReport:
                 L.l2_01.on_basis(i, a)))))
     for i, j in combinations(range(d0), 2):
         checks.append(("rt-r2", (i, j), (lambda i=i, j=j: vsub(
-            view.rb_iso(e0(i), e0(j)), G.rb.r2.on_basis(i, j)))))
+            G.rb.r2.apply(e0(i), e0(j)), G.rb.r2.on_basis(i, j)))))
     for i, j, k in combinations(range(d0), 3):
         checks.append(("rt-l3", (i, j, k), (lambda i=i, j=j, k=k: vsub(
-            view.jacobiator(e0(i), e0(j), e0(k)), L.l3.on_basis(i, j, k)))))
+            L.l3.apply(e0(i), e0(j), e0(k)), L.l3.on_basis(i, j, k)))))
     return run_checks(checks)
 
 

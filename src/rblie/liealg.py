@@ -13,8 +13,7 @@ from itertools import combinations
 
 from .errors import InternalInvariantBroken, ShapeMismatch
 from .report import Check, VerificationReport, run_checks
-from .tensors import (BilinearMap, LinearMap, TrilinearMap, Vec, from_cells,
-                      vadd, vbasis, vsub, vzero)
+from .tensors import BilinearMap, LinearMap, Vec, from_cells, vadd, vsub
 
 
 @dataclass(frozen=True)
@@ -71,9 +70,6 @@ class PreLieAlgebra:
         if (m.dim_a, m.dim_b, m.dim_out) != (self.dim, self.dim, self.dim):
             raise ShapeMismatch("multiplication tensor does not match dimension")
 
-    def mult_vec(self, u: Vec, v: Vec) -> Vec:
-        return self.mult.apply(u, v)
-
 
 @dataclass(frozen=True)
 class RBRepresentation:
@@ -98,57 +94,24 @@ def check_action_shapes(dim: int, dim_v: int, rho: tuple[LinearMap, ...], what: 
             raise ShapeMismatch(f"{what} matrices must be square on the module")
 
 
-def reader(t: BilinearMap | TrilinearMap):
-    """`t` as a function of arguments that are basis indices (ints) or
-    vectors: the stored image when all are indices, the cached partial map
-    of the one vector's slot applied to it, and `apply`, with the indices
-    as basis vectors, when two or more are vectors.  A map with no stored
-    cells reads zero everywhere."""
-    if t.is_zero():
-        zero = vzero(t.shape[0])
-        return lambda *args: zero
-    on_basis, partial, apply, dims = t.on_basis, t.partial, t.apply, t.shape[1:]
-
-    def vector(a, n: int) -> Vec:
-        return vbasis(n, a) if type(a) is int else a
-
-    if len(dims) == 2:
-        def read(x, y) -> Vec:
-            if type(x) is int:
-                return on_basis(x, y) if type(y) is int else partial(1, x).apply(y)
-            return partial(0, y).apply(x) if type(y) is int else apply(x, y)
-        return read
-
-    def read3(x, y, z) -> Vec:
-        if type(x) is int:
-            if type(y) is int:
-                return on_basis(x, y, z) if type(z) is int else partial(2, x, y).apply(z)
-            if type(z) is int:
-                return partial(1, x, z).apply(y)
-        elif type(y) is int and type(z) is int:
-            return partial(0, y, z).apply(x)
-        return apply(*map(vector, (x, y, z), dims))
-    return read3
-
-
 def rb_residual(bracket: BilinearMap, r: LinearMap, i: int, j: int) -> Vec:
     """[R e_i, R e_j] - R([R e_i, e_j] + [e_i, R e_j]): the weight-zero
     Rota-Baxter identity at one basis pair."""
-    br, ri, rj = reader(bracket), r.column(i), r.column(j)
-    return vsub(br(ri, rj), r.apply(vadd(br(ri, j), br(i, rj))))
+    ri, rj = r(i), r(j)
+    return vsub(bracket(ri, rj), r(vadd(bracket(ri, j), bracket(i, rj))))
 
 
 def hom_residual(t: LinearMap, src: BilinearMap, tgt: BilinearMap, i: int, j: int) -> Vec:
     """t(m(e_i, e_j)) - m'(t e_i, t e_j): the linear map t takes the product
     m to the product m' at one basis pair."""
-    return vsub(t.apply(src.on_basis(i, j)), tgt.apply(t.column(i), t.column(j)))
+    return vsub(t(src(i, j)), tgt(t(i), t(j)))
 
 
 def chain_residual(top: LinearMap, bottom: LinearMap, d: LinearMap, d_tgt: LinearMap,
                    a: int) -> Vec:
     """d'(top e_a) - bottom(d e_a): the pair (bottom, top) commutes with the
     differentials d and d' = `d_tgt` at one basis vector of the top term."""
-    return vsub(d_tgt.apply(top.column(a)), bottom.apply(d.column(a)))
+    return vsub(d_tgt(top(a)), bottom(d(a)))
 
 
 def action_of(rho: tuple[LinearMap, ...], x: Vec, dim: int) -> LinearMap:
@@ -173,19 +136,19 @@ def action_rb_residual(rho: tuple[LinearMap, ...], r: LinearMap, k: LinearMap,
                        i: int) -> Vec:
     """rho(R x) K - K rho(R x) - K rho(x) K at x = e_i, flattened: the
     operator K on the module is compatible with R."""
-    rx = action_of(rho, r.column(i), k.rows)
+    rx = action_of(rho, r(i), k.rows)
     return rx.compose(k).sub(k.compose(rx).add(k.compose(rho[i]).compose(k))).flat()
 
 
 def skew_checks(b: BilinearMap, condition: str = "skew") -> list[Check]:
     def residual(i, j):
-        return lambda: vadd(b.on_basis(i, j), b.on_basis(j, i))
+        return lambda: vadd(b(i, j), b(j, i))
     return [(condition, (i, j), residual(i, j))
             for i in range(b.dim_a) for j in range(i, b.dim_b)]
 
 
 def lie_checks(alg: LieAlgebra) -> list[Check]:
-    n, br = alg.dim, reader(alg.bracket)
+    n, br = alg.dim, alg.bracket
 
     def jacobi(x, y, z):
         return lambda: vadd(br(x, br(y, z)), br(y, br(z, x)), br(z, br(x, y)))
@@ -214,15 +177,13 @@ def verify_rb(rba: RotaBaxterLieAlgebra) -> VerificationReport:
 
 
 def prelie_checks(p: PreLieAlgebra) -> list[Check]:
-    m = p.mult_vec
-    n = p.dim
+    m, n = p.mult, p.dim
 
     def assoc(x, y, z):
         return vsub(m(m(x, y), z), m(x, m(y, z)))
 
     def residual(i, j, k):
-        x, y, z = vbasis(n, i), vbasis(n, j), vbasis(n, k)
-        return lambda: vsub(assoc(x, y, z), assoc(y, x, z))
+        return lambda: vsub(assoc(i, j, k), assoc(j, i, k))
 
     return [("pre-lie", (i, j, k), residual(i, j, k))
             for i, j in combinations(range(n), 2) for k in range(n)]
@@ -238,7 +199,7 @@ def representation_checks(rep: RBRepresentation) -> list[Check]:
     n = alg.dim
 
     def hom_residual(i, j):
-        return lambda: action_hom_residual(rep.rho, alg.base.bracket.on_basis(i, j), i, j)
+        return lambda: action_hom_residual(rep.rho, alg.base.bracket(i, j), i, j)
 
     def rb_residual(i):
         return lambda: action_rb_residual(rep.rho, alg.r, rep.cal_r, i)
@@ -258,15 +219,14 @@ def operator_product(alg: LieAlgebra, r: LinearMap) -> PreLieAlgebra:
     """x * y = [R(x), y], unverified."""
     n = alg.dim
     return PreLieAlgebra(n, BilinearMap.from_map(
-        n, n, n, {(i, j): alg.bracket_vec(r.column(i), vbasis(n, j))
-                  for i in range(n) for j in range(n)}))
+        n, n, n, {(i, j): alg.bracket(r(i), j) for i in range(n) for j in range(n)}))
 
 
 def commutator(p: PreLieAlgebra) -> LieAlgebra:
     """[x, y] = x*y - y*x, unverified."""
     n = p.dim
     return LieAlgebra(n, BilinearMap.from_map(
-        n, n, n, {(i, j): vsub(p.mult.on_basis(i, j), p.mult.on_basis(j, i))
+        n, n, n, {(i, j): vsub(p.mult(i, j), p.mult(j, i))
                   for i in range(n) for j in range(n)}, skew=True))
 
 

@@ -26,13 +26,16 @@ documents hold and ``search.mutate`` edits; ``from_cells`` builds from
 them.  ``apply`` visits only the nonzero coordinates of its arguments and
 looks their input tuples up in the index; it is the one kernel.
 
-Basis arguments are read from the store, not fed to ``apply`` as basis
-vectors: ``column`` / ``on_basis`` give the image of basis vectors, and
-``partial(slot, *fixed)`` gives the linear map of one input with the others
-fixed to basis indices, e.g. ``m.partial(1, i)`` is ``v -> m(e_i, v)``.  The
-partial maps of one slot are built together, in one pass over the store,
-on first use and cached on the map; they read the store as it is, whatever
-the skew/alternating flag.
+Calling a map reads it at any mix of basis indices (``int``) and vectors,
+so ``m(i, v)`` is ``m(e_i, v)``.  Basis arguments are read from the store,
+not fed to ``apply`` as basis vectors: with all arguments indices the call
+reads the stored image (as ``column`` / ``on_basis`` do); with one vector it
+applies ``partial(slot, *fixed)``, the linear map of that input with the
+others fixed to basis indices (``m.partial(1, i)`` is ``v -> m(e_i, v)``);
+with two or more vectors it goes to ``apply``.  A map with no stored cells
+returns zero at once.  The partial maps of one slot are built together, in
+one pass over the store, on first use and cached on the map; they read the
+store as it is, whatever the skew/alternating flag.
 
 ``LinearMap.entries[r][c]`` and ``coeffs[k][i][j]`` / ``coeffs[l][i][j][k]``
 are dense nested-tuple views, built on first access and cached.  Nothing in
@@ -248,6 +251,11 @@ class LinearMap(_Multilinear):
     def column(self, j: int) -> Vec:
         return _vector(self.nonzero.get((j,), ()), self.rows)
 
+    def __call__(self, x) -> Vec:
+        if type(x) is int:
+            return _vector(self.nonzero.get((x,), ()), self.rows)
+        return self.apply(x)
+
     def apply(self, u: Vec) -> Vec:
         if len(u) != self.cols:
             raise ShapeMismatch(f"vector of length {len(u)} fed to {self.rows}x{self.cols} map")
@@ -328,6 +336,13 @@ class BilinearMap(_Multilinear):
     def on_basis(self, i: int, j: int) -> Vec:
         return _vector(self.nonzero.get((i, j), ()), self.dim_out)
 
+    def __call__(self, x, y) -> Vec:
+        if not self.nonzero:
+            return vzero(self.dim_out)
+        if type(x) is int:
+            return self.on_basis(x, y) if type(y) is int else self.partial(1, x).apply(y)
+        return self.partial(0, y).apply(x) if type(y) is int else self.apply(x, y)
+
     def apply(self, u: Vec, v: Vec) -> Vec:
         if len(u) != self.dim_a or len(v) != self.dim_b:
             raise ShapeMismatch("bilinear map fed vectors of wrong lengths")
@@ -368,6 +383,18 @@ class TrilinearMap(_Multilinear):
 
     def on_basis(self, i: int, j: int, k: int) -> Vec:
         return _vector(self.nonzero.get((i, j, k), ()), self.dim_out)
+
+    def __call__(self, x, y, z) -> Vec:
+        if not self.nonzero:
+            return vzero(self.dim_out)
+        if type(x) is int:
+            if type(y) is int:
+                return self.on_basis(x, y, z) if type(z) is int else self.partial(2, x, y).apply(z)
+            if type(z) is int:
+                return self.partial(1, x, z).apply(y)
+        elif type(y) is int and type(z) is int:
+            return self.partial(0, y, z).apply(x)
+        return self.apply(*(vbasis(self.dim, a) if type(a) is int else a for a in (x, y, z)))
 
     def apply(self, u: Vec, v: Vec, w: Vec) -> Vec:
         if len(u) != self.dim or len(v) != self.dim or len(w) != self.dim:

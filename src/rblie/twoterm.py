@@ -27,8 +27,8 @@ from .errors import (InternalInvariantBroken, NotChainMap, ShapeMismatch,
                      SourceTargetMismatch)
 from .report import Check, VerificationReport, run_checks
 from .tensors import (BilinearMap, LinearMap, TrilinearMap, Vec,
-                      perm_sign, solve_exact, vadd, vbasis, vneg, vsub)
-from .liealg import chain_residual, rb_residual, reader, skew_checks
+                      perm_sign, solve_exact, vadd, vneg, vsub)
+from .liealg import chain_residual, rb_residual, skew_checks
 
 
 @dataclass(frozen=True)
@@ -66,18 +66,6 @@ class TwoTermLInfinity:
     def dim1(self) -> int:
         return self.complex.dim1
 
-    def l1v(self, u: Vec) -> Vec:
-        return self.complex.l1.apply(u)
-
-    def l2_obj(self, x: Vec, y: Vec) -> Vec:
-        return self.l2_00.apply(x, y)
-
-    def l2_act(self, x: Vec, u: Vec) -> Vec:
-        return self.l2_01.apply(x, u)
-
-    def l3v(self, x: Vec, y: Vec, z: Vec) -> Vec:
-        return self.l3.apply(x, y, z)
-
 
 @dataclass(frozen=True)
 class RBTriple:
@@ -113,12 +101,12 @@ def alt_checks(t: TrilinearMap, condition: str = "alt-l3") -> list[Check]:
     def residual(i, j, k):
         def go():
             if len({i, j, k}) < 3:
-                return t.on_basis(i, j, k)
+                return t(i, j, k)
             order = tuple(sorted((i, j, k)))
             pos = {v: p for p, v in enumerate(order)}
             sign = perm_sign((pos[i], pos[j], pos[k]))
-            expect = tuple(sign * c for c in t.on_basis(*order))
-            return vsub(t.on_basis(i, j, k), expect)
+            expect = tuple(sign * c for c in t(*order))
+            return vsub(t(i, j, k), expect)
         return go
 
     for i, j, k in product(range(n), repeat=3):
@@ -130,31 +118,22 @@ def alt_checks(t: TrilinearMap, condition: str = "alt-l3") -> list[Check]:
 
 def two_term_checks(L: TwoTermLInfinity) -> list[Check]:
     d0, d1 = L.dim0, L.dim1
-    e0 = lambda i: vbasis(d0, i)
-    e1 = lambda a: vbasis(d1, a)
+    l1, br, act, l3 = L.complex.l1, L.l2_00, L.l2_01, L.l3
 
     def a_first(i, a):
-        x, u = e0(i), e1(a)
-        return lambda: vsub(L.l1v(L.l2_act(x, u)), L.l2_obj(x, L.l1v(u)))
+        return lambda: vsub(l1(act(i, a)), br(i, l1(a)))
 
     def a_second(a, b):
-        u, v = e1(a), e1(b)
-        return lambda: vadd(L.l2_act(L.l1v(u), v), L.l2_act(L.l1v(v), u))
+        return lambda: vadd(act(l1(a), b), act(l1(b), a))
 
     def b_res(i, j, k):
-        x, y, z = e0(i), e0(j), e0(k)
-        return lambda: vsub(
-            L.l1v(L.l3v(x, y, z)),
-            vadd(L.l2_obj(x, L.l2_obj(y, z)),
-                 L.l2_obj(z, L.l2_obj(x, y)),
-                 L.l2_obj(y, L.l2_obj(z, x))))
+        return lambda: vsub(l1(l3(i, j, k)),
+                            vadd(br(i, br(j, k)), br(k, br(i, j)), br(j, br(k, i))))
 
     def c_res(i, j, a):
-        x, y, u = e0(i), e0(j), e1(a)
-        rhs = vadd(L.l2_act(x, L.l2_act(y, u)),
-                   vneg(L.l2_act(L.l2_obj(x, y), u)),
-                   vneg(L.l2_act(y, L.l2_act(x, u))))
-        return lambda: vsub(L.l3.apply(x, y, L.l1v(u)), rhs)
+        return lambda: vsub(l3(i, j, l1(a)),
+                            vadd(act(i, act(j, a)), vneg(act(br(i, j), a)),
+                                 vneg(act(j, act(i, a)))))
 
     def d_res(i, j, k, l):
         return lambda: quadruple_identity_residual(L, i, j, k, l)
@@ -181,7 +160,7 @@ def quadruple_identity_residual(L: TwoTermLInfinity,
                                 i: int, j: int, k: int, l: int) -> Vec:
     """The four-argument homotopy-Jacobi identity at one ordered basis
     quadruple (signs follow the standard unshuffle convention)."""
-    br, act, l3 = map(reader, (L.l2_00, L.l2_01, L.l3))
+    br, act, l3 = L.l2_00, L.l2_01, L.l3
     xs = (i, j, k, l)
     terms = []
     for p in range(4):
@@ -202,14 +181,13 @@ def rb3_residual(G: TwoTermRBLInfinity, i: int, j: int, k: int) -> Vec:
     homotopy term sits outside the cycle.
     """
     L, rb = G.linf, G.rb
-    r0 = rb.r0.column
-    br, act, l3, r2 = map(reader, (L.l2_00, L.l2_01, L.l3, rb.r2))
+    br, act, l3, r0, r1, r2 = L.l2_00, L.l2_01, L.l3, rb.r0, rb.r1, rb.r2
 
     def grouped(x1, x2, x3):
         t1 = act(r0(x1), r2(x2, x3))
         t2 = r2(x3, vsub(br(r0(x1), x2), br(r0(x2), x1)))
         inner = vsub(vneg(act(x1, r2(x2, x3))), l3(r0(x2), r0(x3), x1))
-        return vadd(t1, t2, rb.r1.apply(inner))
+        return vadd(t1, t2, r1(inner))
 
     total = vadd(grouped(i, j, k), grouped(j, k, i), grouped(k, i, j))
     return vadd(total, l3(r0(i), r0(j), r0(k)))
@@ -218,10 +196,10 @@ def rb3_residual(G: TwoTermRBLInfinity, i: int, j: int, k: int) -> Vec:
 def rb2_residual(G: TwoTermRBLInfinity, a: int, i: int) -> Vec:
     """Degree-one operator condition at one basis pair (g1, g0)."""
     L, rb = G.linf, G.rb
-    act, r2, r1 = reader(L.l2_01), reader(rb.r2), rb.r1.apply
-    u, x, r0x, r1u = a, i, rb.r0.column(i), rb.r1.column(a)
+    act, r1, r2 = L.l2_01, rb.r1, rb.r2
+    u, x, r0x, r1u = a, i, rb.r0(i), r1(a)
     lhs = vadd(r1(vadd(vneg(act(x, r1u)), vneg(act(r0x, u)))), act(r0x, r1u))
-    return vsub(lhs, r2(L.complex.l1.column(a), x))
+    return vsub(lhs, r2(L.complex.l1(a), x))
 
 
 def rb_triple_checks(G: TwoTermRBLInfinity) -> list[Check]:
@@ -233,8 +211,7 @@ def rb_triple_checks(G: TwoTermRBLInfinity) -> list[Check]:
         return lambda: chain_residual(rb.r1, rb.r0, l1, l1, a)
 
     def rb1(i, j):  # the operator defect, -rb_residual, must equal l1 R2(e_i, e_j)
-        return lambda: vneg(vadd(rb_residual(L.l2_00, rb.r0, i, j),
-                                 L.l1v(rb.r2.on_basis(i, j))))
+        return lambda: vneg(vadd(rb_residual(L.l2_00, rb.r0, i, j), l1(rb.r2(i, j))))
 
     def rb3(idx):  # cached: the `coh-vs-rb3` cross-check reads it too
         return cache(lambda: rb3_residual(G, *idx))
@@ -327,38 +304,25 @@ class RBLInfinityHom:
 def hom_checks(f: LInfinityHom) -> list[Check]:
     src, tgt = f.source, f.target
     d0, d1 = src.dim0, src.dim1
-    p0, p1, q0 = f.phi0.apply, f.phi1.apply, f.phi0.column
-    p2, br = reader(f.phi2), reader(src.l2_00)
-    e0 = lambda i: vbasis(d0, i)
-    e1 = lambda a: vbasis(d1, a)
+    p0, p1, p2, br, act = f.phi0, f.phi1, f.phi2, src.l2_00, tgt.l2_01
 
     def chain(a):
         return lambda: chain_residual(f.phi1, f.phi0, src.complex.l1, tgt.complex.l1, a)
 
     def h1(i, j):
-        x, y = e0(i), e0(j)
-
-        def go():
-            return vsub(tgt.l1v(p2(x, y)),
-                        vsub(p0(src.l2_obj(x, y)), tgt.l2_obj(p0(x), p0(y))))
-        return go
+        return lambda: vsub(tgt.complex.l1(p2(i, j)),
+                            vsub(p0(br(i, j)), tgt.l2_00(p0(i), p0(j))))
 
     def h2(i, a):
-        x, u = e0(i), e1(a)
+        return lambda: vsub(p2(i, src.complex.l1(a)),
+                            vsub(p1(src.l2_01(i, a)), act(p0(i), p1(a))))
 
+    def h3(x, y, z):
         def go():
-            return vsub(p2(x, src.l1v(u)),
-                        vsub(p1(src.l2_act(x, u)), tgt.l2_act(p0(x), p1(u))))
-        return go
-
-    def h3(x, y, z):  # basis indices, read through `reader`
-        def go():
-            lhs = vadd(vneg(tgt.l2_act(q0(z), p2(x, y))),
-                       p2(br(x, y), z),
-                       p1(src.l3.on_basis(x, y, z)))
-            rhs = vadd(tgt.l3v(q0(x), q0(y), q0(z)),
-                       tgt.l2_act(q0(x), p2(y, z)),
-                       vneg(tgt.l2_act(q0(y), p2(x, z))),
+            lhs = vadd(vneg(act(p0(z), p2(x, y))), p2(br(x, y), z), p1(src.l3(x, y, z)))
+            rhs = vadd(tgt.l3(p0(x), p0(y), p0(z)),
+                       act(p0(x), p2(y, z)),
+                       vneg(act(p0(y), p2(x, z))),
                        p2(x, br(y, z)),
                        p2(br(x, z), y))
             return vsub(lhs, rhs)
@@ -382,14 +346,13 @@ def rbh3_residual(f: RBLInfinityHom, i: int, j: int) -> Vec:
     """Operator-compatibility condition of a homomorphism at one ordered
     basis pair.  The bracket of two phi3 values vanishes by degree; the
     two-argument phi3 terms are read as phi3 applied to the bracket."""
-    src, tgt = f.source.linf, f.target.linf
-    p0, p1, p3 = f.hom.phi0.column, f.hom.phi1.apply, f.phi3.apply
-    p2, br, r2 = reader(f.hom.phi2), reader(src.l2_00), reader(f.source.rb.r2)
-    r0, r1p, q3 = f.source.rb.r0.column, f.target.rb.r1.apply, f.phi3.column
-    x, y = i, j  # basis indices, read through `reader`
-    lhs = vadd(f.target.rb.r2.apply(p0(x), p0(y)),
-               r1p(vneg(tgt.l2_act(p0(y), q3(x)))),
-               r1p(tgt.l2_act(p0(x), q3(y))),
+    src, act = f.source.linf, f.target.linf.l2_01
+    p0, p1, p2, p3 = f.hom.phi0, f.hom.phi1, f.hom.phi2, f.phi3
+    br, r0, r2, r1p = src.l2_00, f.source.rb.r0, f.source.rb.r2, f.target.rb.r1
+    x, y = i, j
+    lhs = vadd(f.target.rb.r2(p0(x), p0(y)),
+               r1p(vneg(act(p0(y), p3(x)))),
+               r1p(act(p0(x), p3(y))),
                r1p(p2(r0(x), y)),
                r1p(p2(x, r0(y))),
                p3(br(r0(x), y)),
@@ -399,21 +362,17 @@ def rbh3_residual(f: RBLInfinityHom, i: int, j: int) -> Vec:
 
 
 def rb_hom_checks(f: RBLInfinityHom) -> list[Check]:
-    src, tgt = f.source.linf, f.target.linf
-    d0, d1 = src.dim0, src.dim1
-    p0, p1, p3 = f.hom.phi0.apply, f.hom.phi1.apply, f.phi3.apply
+    src, tgt = f.source, f.target
+    d0, d1 = src.linf.dim0, src.linf.dim1
+    p0, p1, p3 = f.hom.phi0, f.hom.phi1, f.phi3
 
     def rbh1(i):
-        x = vbasis(d0, i)
-        return lambda: vsub(tgt.l1v(p3(x)),
-                            vadd(vneg(f.target.rb.r0.apply(p0(x))),
-                                 p0(f.source.rb.r0.apply(x))))
+        return lambda: vsub(tgt.linf.complex.l1(p3(i)),
+                            vadd(vneg(tgt.rb.r0(p0(i))), p0(src.rb.r0(i))))
 
     def rbh2(a):
-        u = vbasis(d1, a)
-        return lambda: vsub(p3(src.l1v(u)),
-                            vsub(p1(f.source.rb.r1.apply(u)),
-                                 f.target.rb.r1.apply(p1(u))))
+        return lambda: vsub(p3(src.linf.complex.l1(a)),
+                            vsub(p1(src.rb.r1(a)), tgt.rb.r1(p1(a))))
 
     def rbh3(idx):  # cached: the `cohm-vs-rbh3` cross-check reads it too
         return cache(lambda: rbh3_residual(f, *idx))
@@ -452,17 +411,11 @@ def compose_rb_homs(g: RBLInfinityHom, f: RBLInfinityHom) -> RBLInfinityHom:
     d0 = src.dim0
     phi0 = g.hom.phi0.compose(f.hom.phi0)
     phi1 = g.hom.phi1.compose(f.hom.phi1)
-    values = {}
-    for i in range(d0):
-        for j in range(d0):
-            x, y = vbasis(d0, i), vbasis(d0, j)
-            values[(i, j)] = vadd(
-                g.hom.phi1.apply(f.hom.phi2.apply(x, y)),
-                g.hom.phi2.apply(f.hom.phi0.apply(x), f.hom.phi0.apply(y)))
+    f0, g1 = f.hom.phi0, g.hom.phi1
+    values = {(i, j): vadd(g1(f.hom.phi2(i, j)), g.hom.phi2(f0(i), f0(j)))
+              for i in range(d0) for j in range(d0)}
     phi2 = BilinearMap.from_map(d0, d0, tgt.dim1, values, skew=True)
-    phi3_cols = [vadd(g.hom.phi1.apply(f.phi3.column(i)),
-                      g.phi3.apply(f.hom.phi0.column(i)))
-                 for i in range(d0)]
+    phi3_cols = [vadd(g1(f.phi3(i)), g.phi3(f0(i))) for i in range(d0)]
     phi3 = LinearMap.from_columns(phi3_cols, rows=tgt.dim1)
     out = RBLInfinityHom(f.source, g.target,
                          LInfinityHom(src, tgt, phi0, phi1, phi2), phi3)

@@ -115,7 +115,7 @@ def bracket_forms(view, f, g):
     a of f and b of g, with x the source of f."""
     L = view.base.linf
     first = view.bracket(f, g)
-    second = vadd(L.l2_act(f.source, g.arrow), vneg(L.l2_act(view.target(g), f.arrow)))
+    second = vadd(L.l2_01.apply(f.source, g.arrow), vneg(L.l2_01.apply(view.target(g), f.arrow)))
     return first, Morphism2V(first.source, second)
 
 

@@ -1,0 +1,41 @@
+"""Every name a module of the package imports is used in that module, so a
+deletion cannot leave an import behind."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+MODULES = sorted(p for p in (Path(__file__).resolve().parent.parent / "src" / "rblie").glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by the imports of `source` (``__future__`` aside)
+    that no expression of it reads, quoted annotations included."""
+    tree = ast.parse(source)
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
+            note = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
+                         if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\nimport os.path\n"
+              "from x import a, b as c, d\ndef f(y: 'd') -> None:\n    return c\n")
+    assert unused_imports(source) == ["a", "os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -85,7 +85,7 @@ def test_bracket_of_identities_is_identity_of_bracket():
     rng = random.Random(3)
     x, z = rand_vec(rng, VIEW.dim0), rand_vec(rng, VIEW.dim0)
     out = VIEW.bracket(VIEW.identity(x), VIEW.identity(z))
-    assert out == VIEW.identity(VIEW.base.linf.l2_obj(x, z))
+    assert out == VIEW.identity(VIEW.base.linf.l2_00.apply(x, z))
 
 
 def test_bracket_with_identity_matches_action():
@@ -95,8 +95,8 @@ def test_bracket_with_identity_matches_action():
     f = Morphism2V(rand_vec(rng, 3), rand_vec(rng, 1))
     z = rand_vec(rng, 3)
     out = VIEW.bracket(f, VIEW.identity(z))
-    assert out.source == L.l2_obj(f.source, z)
-    assert out.arrow == tuple(-c for c in L.l2_act(z, f.arrow))
+    assert out.source == L.l2_00.apply(f.source, z)
+    assert out.arrow == tuple(-c for c in L.l2_01.apply(z, f.arrow))
 
 
 def test_bracket_functoriality_on_samples():
@@ -210,8 +210,8 @@ def phi3_bracket_term(F, i: int, j: int):
     tgt, d0 = F.target.linf, F.source.linf.dim0
     p0, p3, r0 = F.hom.phi0.apply, F.phi3.apply, F.target.rb.r0.apply
     x, y = vbasis(d0, i), vbasis(d0, j)
-    return vsub(tgt.l2_act(vadd(r0(p0(x)), tgt.l1v(p3(x))), p3(y)),
-                tgt.l2_act(r0(p0(y)), p3(x)))
+    return vsub(tgt.l2_01.apply(vadd(r0(p0(x)), tgt.complex.l1.apply(p3(x))), p3(y)),
+                tgt.l2_01.apply(r0(p0(y)), p3(x)))
 
 
 def test_hom_coherence_equals_rbh3_minus_phi3_bracket():

@@ -11,10 +11,10 @@ from rblie.errors import InternalInvariantBroken
 from rblie.liealg import (LieAlgebra, RBRepresentation, RotaBaxterLieAlgebra,
                           adjoint_representation, coadjoint_representation,
                           derived_bracket, dual_representation,
-                          prelie_from_rb, reader, semidirect_product,
+                          prelie_from_rb, semidirect_product,
                           subadjacent_lie, verify_lie, verify_prelie, verify_rb,
                           verify_representation)
-from rblie.tensors import BilinearMap, LinearMap, from_cells, vbasis, vec
+from rblie.tensors import BilinearMap, LinearMap, TrilinearMap, from_cells, vbasis, vec
 
 small = st.integers(min_value=-3, max_value=3)
 
@@ -24,25 +24,29 @@ def test_catalog_lie_algebras_valid():
         assert verify_lie(alg).ok, name
 
 
-def test_reader_agrees_with_apply_on_every_mix_of_indices_and_vectors():
-    """`reader` takes the stored image, a partial map or `apply` according
-    to which arguments are basis indices, and zero for a map with no
-    cells (`l3` and `R2` of the strict aff1 structure); each gives apply's
-    value with the indices as basis vectors."""
+def test_call_agrees_with_apply_on_every_mix_of_indices_and_vectors():
+    """Calling a map takes the stored image, a partial map or `apply`
+    according to which arguments are basis indices, and zero for a map
+    with no cells (`l3` and `R2` of the strict aff1 structure, and an empty
+    map of each arity); each gives apply's value with the indices as basis
+    vectors."""
     rng = random.Random(11)
-    for name in ("sl2-cocycle-rb2-nonstrict", "solv4-module-cocycle-rb2",
-                 "aff1-adjoint-rb2-shift"):
-        G = TWO_TERM_STRUCTURES[name]
-        for t in (G.linf.l2_00, G.linf.l2_01, G.linf.l3, G.rb.r2):
-            read, dims = reader(t), t.shape[1:]
-            for idx in product(*map(range, dims)):
-                for as_vector in product((False, True), repeat=len(dims)):
-                    args = [vec(*(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                                  for _ in range(n))) if v else i
-                            for i, n, v in zip(idx, dims, as_vector)]
-                    expect = t.apply(*(vbasis(n, a) if type(a) is int else a
-                                       for a, n in zip(args, dims)))
-                    assert read(*args) == expect, (name, idx, as_vector)
+    maps = [(name, t) for name in ("sl2-cocycle-rb2-nonstrict", "solv4-module-cocycle-rb2",
+                                   "aff1-adjoint-rb2-shift")
+            for G in [TWO_TERM_STRUCTURES[name]]
+            for t in (G.linf.complex.l1, G.linf.l2_00, G.linf.l2_01, G.linf.l3, G.rb.r2)]
+    maps += [("empty", LinearMap.zero(2, 3)), ("empty", BilinearMap.zero(2, 3, 2)),
+             ("empty", TrilinearMap.zero(3, 2))]
+    for name, t in maps:
+        dims = t.shape[1:]
+        for idx in product(*map(range, dims)):
+            for as_vector in product((False, True), repeat=len(dims)):
+                args = [vec(*(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                              for _ in range(n))) if v else i
+                        for i, n, v in zip(idx, dims, as_vector)]
+                expect = t.apply(*(vbasis(n, a) if type(a) is int else a
+                                   for a, n in zip(args, dims)))
+                assert t(*args) == expect, (name, idx, as_vector)
 
 
 def test_abelian_valid():

@@ -105,14 +105,22 @@ def test_apply_and_is_zero_match_the_dense_grid_walk(data):
         wrong[pos] = vzero(n + 1)
         with pytest.raises(ShapeMismatch):
             t.apply(*wrong)
-    if len(dims) > 1:
-        # partial maps read the store as it is: check them on the map and on
-        # a copy whose skew/alternating flag is broken, at drawn basis indices
-        cells = t.cells()
-        if t.flag and cells:
-            del cells[next(iter(cells))]
-        broken = from_cells(t.shape, cells, t.flag or len(set(dims)) == 1)
-        for m in (t, broken):
+    # the call and the partial maps read the store as it is: check them on
+    # the map and on a copy whose skew/alternating flag is broken, the call
+    # at a drawn mix of basis indices and the drawn vectors, the partial
+    # maps at drawn basis indices
+    cells = t.cells()
+    if t.flag and cells:
+        del cells[next(iter(cells))]
+    broken = from_cells(t.shape, cells, t.flag or len(set(dims)) == 1)
+    for m in (t, broken):
+        mix = [data.draw(st.integers(0, n - 1)) if n and data.draw(st.booleans()) else u
+               for u, n in zip(args, dims)]
+        got = m(*mix)
+        assert got == dense_apply(m, *(vbasis(n, a) if type(a) is int else a
+                                       for a, n in zip(mix, dims)))
+        assert all(type(x) in (int, Fraction) for x in got)
+        if len(dims) > 1:
             for slot in range(len(dims)):
                 others = [n for pos, n in enumerate(dims) if pos != slot]
                 if not all(others):
@@ -124,6 +132,7 @@ def test_apply_and_is_zero_match_the_dense_grid_walk(data):
                 p = m.partial(slot, *fixed)
                 assert p.apply(args[slot]) == dense_apply(m, *at)
                 assert p is m.partial(slot, *fixed)  # cached
+    if len(dims) > 1:
         with pytest.raises(ShapeMismatch):
             t.partial(0, *range(len(dims)))  # one index too many
 

@@ -140,10 +140,10 @@ def test_completion_reproduces_catalog_nonstrict_instance():
     assert G.rb.r2.on_basis(0, 1) == vec(2, 1)
 
     def grouped(x1, x2, x3):
-        t1 = G.linf.l2_act(G.rb.r0.apply(x1), G.rb.r2.apply(x2, x3))
-        t2 = G.rb.r2.apply(x3, vsub(G.linf.l2_obj(G.rb.r0.apply(x1), x2),
-                                    G.linf.l2_obj(G.rb.r0.apply(x2), x1)))
-        t3 = G.rb.r1.apply(vneg(G.linf.l2_act(x1, G.rb.r2.apply(x2, x3))))
+        t1 = G.linf.l2_01.apply(G.rb.r0.apply(x1), G.rb.r2.apply(x2, x3))
+        t2 = G.rb.r2.apply(x3, vsub(G.linf.l2_00.apply(G.rb.r0.apply(x1), x2),
+                                    G.linf.l2_00.apply(G.rb.r0.apply(x2), x1)))
+        t3 = G.rb.r1.apply(vneg(G.linf.l2_01.apply(x1, G.rb.r2.apply(x2, x3))))
         return [t1, t2, t3]
 
     live = 0
@@ -233,12 +233,12 @@ def test_quadruple_identity_signs_pinned_by_module_cocycle():
     first = vzero(1)
     for p in range(4):
         rest = [xs[q] for q in range(4) if q != p]
-        term = L.l2_act(xs[p], L.l3v(*rest))
+        term = L.l2_01.apply(xs[p], L.l3.apply(*rest))
         first = vadd(first, term if p % 2 == 0 else vneg(term))
     second = vzero(1)
     for p, q in combinations(range(4), 2):
         rest = [xs[t] for t in range(4) if t not in (p, q)]
-        term = L.l3.apply(L.l2_obj(xs[p], xs[q]), *rest)
+        term = L.l3.apply(L.l2_00.apply(xs[p], xs[q]), *rest)
         second = vadd(second, term if (p + q) % 2 == 0 else vneg(term))
     assert first == vec(3) and second == vec(-3)
 
@@ -253,6 +253,6 @@ def test_h3_signs_pinned_by_module_two_cocycle():
     src = F.source.linf
     p2 = F.hom.phi2.apply
     x, y, z = vbasis(4, 0), vbasis(4, 2), vbasis(4, 3)
-    assert src.l2_act(x, p2(y, z)) == vec(2)
-    assert p2(src.l2_obj(x, y), z) == vec(1)
-    assert p2(src.l2_obj(x, z), y) == vec(-1)
+    assert src.l2_01.apply(x, p2(y, z)) == vec(2)
+    assert p2(src.l2_00.apply(x, y), z) == vec(1)
+    assert p2(src.l2_00.apply(x, z), y) == vec(-1)
