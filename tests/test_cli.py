@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import io
 import json
 import os
@@ -189,6 +190,47 @@ def test_empty_bottom_term_acts_by_zero(capsys, tmp_path, case):
         assert loads(out).base.g1.dim == 2
 
 
+def empty_top(stem, **dims):
+    """The catalog document `stem` with its top term or module cut to
+    dimension 0: the dimensions `dims` replaced and the tensors that
+    read that term emptied."""
+    doc = json.loads((CATALOG_DIR / f"{stem}.json").read_text())
+    top = {"crossed-rb": ("bracket1", "d", "rho", "t1"),
+           "crossed-prelie": ("mult1", "delta", "l_act", "r_act"),
+           "representation": ("rho", "cal_r")}[doc["kind"]]
+    return {**doc, **dims, **{name: [] for name in top}}
+
+
+# (document, construction, fields of the output document)
+EMPTY_TOP = {
+    f"crossed-rb-{name}": (empty_top("sl2-adjoint-cm-tri", dim1=0), name, fields)
+    for name, fields in [
+        ("rb-to-prelie-cm", {"kind": "crossed-prelie", "dim0": 3, "dim1": 0}),
+        ("derived-cm", {"kind": "crossed-lie", "dim0": 3, "dim1": 0}),
+        ("cm-semidirect", {"kind": "rb-lie", "dim": 3}),
+        ("crossed-to-strict", {"kind": "rb-2term", "dim0": 3, "dim1": 0})]}
+EMPTY_TOP.update({
+    "crossed-prelie-prelie-to-lie-cm": (empty_top("aff1-ideal-cm-neg-prelie", dim1=0),
+                                        "prelie-to-lie-cm",
+                                        {"kind": "crossed-lie", "dim0": 2, "dim1": 0}),
+    "representation-dual": (empty_top("aff1-adjoint-rep", dim_v=0), "dual",
+                            {"kind": "representation", "dim_v": 0}),
+    "representation-semidirect": (empty_top("aff1-adjoint-rep", dim_v=0), "semidirect",
+                                  {"kind": "rb-lie", "dim": 2}),
+})
+
+
+@pytest.mark.parametrize("case", EMPTY_TOP.values(), ids=EMPTY_TOP.keys())
+def test_empty_top_term_through_every_construction(capsys, tmp_path, case):
+    doc, name, fields = case
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "construct", name, str(path))
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    assert {key: got[key] for key in fields} == fields
+
+
 def test_parse_error_exits_two(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"kind": "lie",\n  "version": 1,\n  "dim"')
@@ -350,6 +392,23 @@ def test_search_rb_reproduces_golden_file(capsys, tmp_path):
     assert "15 operators out of 81 candidates" in err
     golden = (CATALOG_DIR / "aff1-rb-search.json").read_text(encoding="utf-8")
     assert out_path.read_text(encoding="utf-8") == golden
+
+
+def test_cli_output_matches_the_pinned_digests():
+    """Exit code, stdout and stderr of every call of the differential set
+    (`verify` and `roundtrip` of each catalog document, each `construct`
+    on each document, `compose` of each ordered pair of `rb-hom`
+    documents) hash to the digests pinned in tests/cli_digests.json, and
+    the set has neither a missing nor an extra call.  Regenerate the file
+    with scripts/pin_cli_digests.py."""
+    path = CATALOG_DIR.parent / "scripts" / "pin_cli_digests.py"
+    spec = importlib.util.spec_from_file_location("pin_cli_digests", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    pinned = json.loads(script.PINNED.read_text())
+    got = script.digests()
+    assert sorted(got) == sorted(pinned)
+    assert [call for call in got if got[call] != pinned[call]] == []
 
 
 def test_search_rb_coefficient_list_is_a_set(capsys, tmp_path):
