@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Pin the digest of every call of the CLI differential set.
 
-    PYTHONPATH=src python3 scripts/pin_cli_digests.py
+    python3 scripts/pin_cli_digests.py
 
 The set is `verify` and `roundtrip` of every catalog document, every
 `construct` name on every catalog document, and `compose` of every ordered
 pair of catalog `rb-hom` documents, each run in-process through
-`rblie.cli.main` from the repository root.  Each call's exit code, stdout
-and stderr are hashed together; the digests are written to
-tests/cli_digests.json, which `tests/test_cli.py` compares against.
+`rblie.cli.main`.  Each call's exit code, stdout and stderr are hashed
+together; the digests are written to tests/cli_digests.json, which
+`tests/test_cli.py` compares against.
 Regenerate the file only for a change meant to alter the CLI's output.
 """
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -39,16 +38,11 @@ def differential_calls() -> list[list[str]]:
 
 def digest(argv: list[str]) -> str:
     """sha256 of the exit code, stdout and stderr of one in-process call,
-    run from the repository root."""
+    with the paths in `argv` taken from the repository root."""
     from rblie.cli import main
     out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(ROOT)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-    finally:
-        os.chdir(cwd)
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(ROOT / a) if a.startswith("catalog/") else a for a in argv])
     blob = json.dumps([code, out.getvalue(), err.getvalue()])
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import NotStrict, ShapeMismatch
-from .liealg import (LieAlgebra, PreLieAlgebra, RotaBaxterLieAlgebra,
-                     action_hom_residual, action_of, action_rb_residual,
-                     chain_residual, check_action_shapes, commutator,
-                     hom_residual, lie_checks, operator_product, prelie_checks,
-                     rb_checks, semidirect_data, verify_lie, verify_rb)
+from .liealg import (LieAlgebra, PreLieAlgebra, RotaBaxterLieAlgebra, act_on,
+                     action_hom_residual, action_rb_residual, chain_residual,
+                     check_action_shapes, commutator, hom_residual, lie_checks,
+                     operator_product, prelie_checks, rb_checks, row_major,
+                     semidirect_data, verify_lie, verify_rb)
 from .report import Check, VerificationReport, prefix_checks, run_checks
-from .tensors import BilinearMap, LinearMap, TrilinearMap, vadd, vsub
+from .tensors import BilinearMap, LinearMap, TrilinearMap, vadd, vneg, vsub
 from .twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,
                       TwoTermRBLInfinity, verify_rb_2term)
 
@@ -82,7 +82,7 @@ def lie_crossed_checks(cm: LieCrossedModule) -> list[Check]:
         return lambda: vsub(d(cm.rho[i](a)), br0(i, d(a)))
 
     def peiffer2(a, b):
-        return lambda: vsub(action_of(cm.rho, d(a), n1)(b), br1(a, b))
+        return lambda: vsub(act_on(cm.rho, d(a), b, n1), br1(a, b))
 
     checks = prefix_checks("g0-", lie_checks(cm.g0))
     checks += prefix_checks("g1-", lie_checks(cm.g1))
@@ -130,11 +130,13 @@ def prelie_crossed_checks(pm: PreLieCrossedModule) -> list[Check]:
         # l_x r_y - r_y l_x = r_{x*y} - r_y r_x: the mixed term composes the
         # left action outermost, which is what the semidirect product on
         # p0 (+) p1 needs to satisfy the defining identity
+        l, r = pm.l_act[i], pm.r_act[j]
+
         def go():
-            lhs = pm.l_act[i].compose(pm.r_act[j]).sub(pm.r_act[j].compose(pm.l_act[i]))
-            rhs = action_of(pm.r_act, m0(i, j), n1).sub(
-                pm.r_act[j].compose(pm.r_act[i]))
-            return lhs.sub(rhs).flat()
+            xy = m0(i, j)
+            return row_major([vsub(vsub(l(r(c)), r(l(c))),
+                                   vsub(act_on(pm.r_act, xy, c, n1), r(pm.r_act[i](c))))
+                              for c in range(n1)])
         return go
 
     def delta_l(i, a):
@@ -144,10 +146,10 @@ def prelie_crossed_checks(pm: PreLieCrossedModule) -> list[Check]:
         return lambda: vsub(delta(pm.r_act[i](a)), m0(delta(a), i))
 
     def peiffer_l(a, b):
-        return lambda: vsub(action_of(pm.l_act, delta(a), n1)(b), m1(a, b))
+        return lambda: vsub(act_on(pm.l_act, delta(a), b, n1), m1(a, b))
 
     def peiffer_r(a, b):
-        return lambda: vsub(action_of(pm.r_act, delta(b), n1)(a), m1(a, b))
+        return lambda: vsub(act_on(pm.r_act, delta(b), a, n1), m1(a, b))
 
     checks = prefix_checks("p0-", prelie_checks(pm.p0))
     checks += prefix_checks("p1-", prelie_checks(pm.p1))
@@ -238,9 +240,11 @@ def rb_crossed_to_prelie_crossed_data(cm: RBLieCrossedModule) -> PreLieCrossedMo
     """The data mapping only; no verification.  x *0 y = [T0 x, y],
     u *1 v = [T1 u, v], l_x = rho(T0 x), r_x u = -rho(x) T1 u."""
     base = cm.base
-    n0 = base.g0.dim
-    l_act = tuple(action_of(base.rho, cm.t0.column(i), base.g1.dim) for i in range(n0))
-    r_act = tuple(base.rho[i].compose(cm.t1).neg() for i in range(n0))
+    n0, n1 = base.g0.dim, base.g1.dim
+    l_act = tuple(LinearMap.from_columns(
+        [act_on(base.rho, cm.t0(i), c, n1) for c in range(n1)], n1) for i in range(n0))
+    r_act = tuple(LinearMap.from_columns(
+        [vneg(base.rho[i](cm.t1(c))) for c in range(n1)], n1) for i in range(n0))
     return PreLieCrossedModule(operator_product(base.g0, cm.t0),
                                operator_product(base.g1, cm.t1), base.d, l_act, r_act)
 
@@ -253,7 +257,9 @@ def rb_crossed_to_prelie_crossed(cm: RBLieCrossedModule) -> PreLieCrossedModule:
 
 def prelie_crossed_to_lie_crossed(pm: PreLieCrossedModule) -> LieCrossedModule:
     """Commutator brackets with action l - r."""
-    rho = tuple(pm.l_act[i].sub(pm.r_act[i]) for i in range(pm.p0.dim))
+    n1 = pm.p1.dim
+    rho = tuple(LinearMap.from_columns([vsub(l(c), r(c)) for c in range(n1)], n1)
+                for l, r in zip(pm.l_act, pm.r_act))
     out = LieCrossedModule(commutator(pm.p0), commutator(pm.p1), pm.delta, rho)
     verify_crossed(out).require_ok("Lie crossed module from pre-Lie crossed module")
     return out
@@ -276,8 +282,7 @@ def derived_crossed(cm: RBLieCrossedModule) -> LieCrossedModule:
         return lambda: hom_residual(cm.t1, out.g1.bracket, base.g1.bracket, a, b)
 
     def action_compat(i, a):
-        return lambda: vsub(cm.t1(out.rho[i](a)),
-                            action_of(base.rho, cm.t0(i), n1)(cm.t1(a)))
+        return lambda: vsub(cm.t1(out.rho[i](a)), act_on(base.rho, cm.t0(i), cm.t1(a), n1))
 
     checks: list[Check] = [("t0-hom", (i, j), t0_hom(i, j))
                            for i, j in combinations(range(n0), 2)]

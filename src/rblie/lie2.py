@@ -10,12 +10,13 @@ Since composition adds arrow parts and identities carry none, a diagram
 residual is the difference of the arrow sums of its two paths
 (`_path_difference`).  So the diagram generators return arrow parts only
 (a bracket with an identity has arrow part l2(x, a) for [1_x, g] and
--l2(y, a) for [f, 1_y], where a is the other morphism's arrow part), and a
-`Morphism2V` is built only where a source is read: the bracket
-[f3(x), f3(y)] of `cohm`, the target in `nt`, and the round trips.  Each
-diagram check is cross-checked against the corresponding chain-level
-condition; a disagreement is reported as its own violation (condition ids
-`coh-vs-rb3`, `jcoh-vs-d` and `cohm-vs-rbh3`), never patched silently.
+-l2(y, a) for [f, 1_y], where a is the other morphism's arrow part), and no
+diagram check builds a `Morphism2V`: `cohm` reads the arrow part of the
+bracket [f3(x), f3(y)] by calls, and only `nt` and the round trips build
+one.  Each diagram check is cross-checked against the corresponding
+chain-level condition; a disagreement is reported as its own violation
+(condition ids `coh-vs-rb3`, `jcoh-vs-d` and `cohm-vs-rbh3`), never
+patched silently.
 Each diagram residual is evaluated once per index tuple for both its ids,
 and the `coh-vs-rb3` and `cohm-vs-rbh3` cross-checks read the cached
 residual of the `rb3` or `rbh3` check itself.
@@ -233,11 +234,12 @@ class RBLie2Hom:
 def hom_coherence_residual(F: RBLInfinityHom, i: int, j: int) -> Vec:
     """Arrow-part difference of the two composite paths of the
     homomorphism coherence diagram at one ordered basis pair, at whose
-    indices x, y the maps are called."""
-    tgt_view, f3 = RBLie2View(F.target), RBLie2Hom(F).f3
-    src, r0, R = F.source.linf, F.source.rb.r0, F.source.rb.r2
+    indices x, y the maps are called; the bracket [f3(x), f3(y)] is read
+    as its arrow part B(x, y) (see `hom_coherence_checks`)."""
+    r0, R = F.source.rb.r0, F.source.rb.r2
     p0, p1, p2, p3 = F.hom.phi0, F.hom.phi1, F.hom.phi2, F.phi3
-    br, P, act = src.l2_00, F.target.rb.r1, F.target.linf.l2_01
+    br, P, act = F.source.linf.l2_00, F.target.rb.r1, F.target.linf.l2_01
+    r0t, l1t = F.target.rb.r0, F.target.linf.complex.l1
     x, y = i, j
 
     return _path_difference([
@@ -246,7 +248,7 @@ def hom_coherence_residual(F: RBLInfinityHom, i: int, j: int) -> Vec:
         [P(p2(r0(x), y)), P(p2(x, r0(y)))],
         [p3(br(r0(x), y)), p3(br(x, r0(y)))],
     ], [
-        [tgt_view.bracket(f3(vbasis(src.dim0, x)), f3(vbasis(src.dim0, y))).arrow],
+        [act(vadd(r0t(p0(x)), l1t(p3(x))), p3(y)), vneg(act(r0t(p0(y)), p3(x)))],
         [p2(r0(x), r0(y))],
         [p1(R(x, y))],
     ])

@@ -13,7 +13,8 @@ from itertools import combinations
 
 from .errors import InternalInvariantBroken, ShapeMismatch
 from .report import Check, VerificationReport, run_checks
-from .tensors import BilinearMap, LinearMap, Vec, from_cells, vadd, vsub
+from .tensors import (BilinearMap, LinearMap, Vec, from_cells, vadd, vscale,
+                      vsub, vzero)
 
 
 @dataclass(frozen=True)
@@ -114,30 +115,36 @@ def chain_residual(top: LinearMap, bottom: LinearMap, d: LinearMap, d_tgt: Linea
     return vsub(d_tgt(top(a)), bottom(d(a)))
 
 
-def action_of(rho: tuple[LinearMap, ...], x: Vec, dim: int) -> LinearMap:
-    """Action matrix of an arbitrary element on a module of dimension `dim`:
-    the linear extension of one matrix per basis vector."""
-    out = LinearMap.zero(dim, dim)
-    for m, c in zip(rho, x):
-        if c != 0:
-            out = out.add(m.scale(c))
-    return out
+def act_on(rho: tuple[LinearMap, ...], x, u, dim: int) -> Vec:
+    """rho(x) u on a module of dimension `dim`, with x and u each a basis
+    index or a vector: rho[x](u) for an index x, else the sum of
+    c rho[k](u) over the nonzero coordinates c = x[k]."""
+    if type(x) is int:
+        return rho[x](u)
+    return vadd(vzero(dim), *(vscale(c, rho[k](u)) for k, c in enumerate(x) if c))
+
+
+def row_major(cols: list[Vec]) -> Vec:
+    """Row-major coordinates of the matrix with columns `cols`."""
+    return tuple(a for row in zip(*cols) for a in row)
 
 
 def action_hom_residual(rho: tuple[LinearMap, ...], xy: Vec, i: int, j: int) -> Vec:
     """rho(xy) - [rho(e_i), rho(e_j)], flattened, where xy is the bracket of
     e_i and e_j: the action is a bracket homomorphism."""
-    lhs = action_of(rho, xy, rho[i].rows)
-    rhs = rho[i].compose(rho[j]).sub(rho[j].compose(rho[i]))
-    return lhs.sub(rhs).flat()
+    n, a, b = rho[i].rows, rho[i], rho[j]
+    return row_major([vsub(act_on(rho, xy, c, n), vsub(a(b(c)), b(a(c))))
+                      for c in range(n)])
 
 
 def action_rb_residual(rho: tuple[LinearMap, ...], r: LinearMap, k: LinearMap,
                        i: int) -> Vec:
     """rho(R x) K - K rho(R x) - K rho(x) K at x = e_i, flattened: the
     operator K on the module is compatible with R."""
-    rx = action_of(rho, r(i), k.rows)
-    return rx.compose(k).sub(k.compose(rx).add(k.compose(rho[i]).compose(k))).flat()
+    n, rx = k.rows, r(i)
+    return row_major([vsub(act_on(rho, rx, k(c), n),
+                           k(vadd(act_on(rho, rx, c, n), rho[i](k(c)))))
+                      for c in range(n)])
 
 
 def skew_checks(b: BilinearMap, condition: str = "skew") -> list[Check]:
@@ -265,9 +272,11 @@ def adjoint_representation(rba: RotaBaxterLieAlgebra) -> RBRepresentation:
 
 def dual_representation(rep: RBRepresentation) -> RBRepresentation:
     """(V*; -rho^T, -cal^T); applying it twice returns the original data."""
-    out = RBRepresentation(rep.algebra, rep.dim_v,
-                           tuple(m.transpose().neg() for m in rep.rho),
-                           rep.cal_r.transpose().neg())
+    def neg_transpose(m: LinearMap) -> LinearMap:
+        return from_cells((m.cols, m.rows), {(c, r): -a for (r, c), a in m.cells().items()})
+
+    out = RBRepresentation(rep.algebra, rep.dim_v, tuple(map(neg_transpose, rep.rho)),
+                           neg_transpose(rep.cal_r))
     verify_representation(out).require_ok("dual representation")
     return out
 

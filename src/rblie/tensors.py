@@ -274,27 +274,6 @@ class LinearMap(_Multilinear):
         return LinearMap.from_columns(
             [self.apply(other.column(j)) for j in range(other.cols)], rows=self.rows)
 
-    def transpose(self) -> LinearMap:
-        return from_cells((self.cols, self.rows), {(c, r): a for (r, c), a in self.cells().items()})
-
-    def add(self, other: LinearMap) -> LinearMap:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("adding maps of different shapes")
-        cells = self.cells()
-        for at, a in other.cells().items():
-            cells[at] = cells.get(at, 0) + a
-        return from_cells(self.shape, cells)
-
-    def sub(self, other: LinearMap) -> LinearMap:
-        return self.add(other.neg())
-
-    def neg(self) -> LinearMap:
-        return self.scale(-1)
-
-    def scale(self, c) -> LinearMap:
-        c = frac(c)
-        return from_cells(self.shape, {at: c * a for at, a in self.cells().items()})
-
     def flat(self) -> Vec:
         """Row-major coordinates of the whole matrix."""
         cells = self.cells()

@@ -10,7 +10,7 @@ import pytest
 from rblie import catalog
 from rblie.catalog import aff1, sl2, solvable4, sl2_rb_triangular, aff1_rb_neg
 from rblie.crossed import LieCrossedModule
-from rblie.liealg import LieAlgebra, action_of
+from rblie.liealg import LieAlgebra
 from rblie.lie2 import Morphism2V
 from rblie.search import mutate
 from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap, vadd, vbasis, vec,
@@ -132,8 +132,16 @@ def closed_form_derived(cm):
                                    alg.bracket_vec(t.column(j), vbasis(n, i)))
                       for i in range(n) for j in range(n)}, skew=True)
 
-    rho = tuple(action_of(base.rho, cm.t0.column(i), base.g1.dim).add(
-        base.rho[i].compose(cm.t1)) for i in range(base.g0.dim))
+    n0, n1 = base.g0.dim, base.g1.dim
+    acts, t0, t1 = [m.entries for m in base.rho], cm.t0.entries, cm.t1.entries
+
+    def action(i):  # entries of rho(T0 e_i) + rho(e_i) T1
+        return LinearMap.from_rows(
+            [[sum(t0[k][i] * acts[k][r][c] for k in range(n0))
+              + sum(acts[i][r][s] * t1[s][c] for s in range(n1)) for c in range(n1)]
+             for r in range(n1)])
+
+    rho = tuple(action(i) for i in range(n0))
     return LieCrossedModule(LieAlgebra(base.g0.dim, bracket(base.g0, cm.t0)),
                             LieAlgebra(base.g1.dim, bracket(base.g1, cm.t1)), base.d, rho)
 

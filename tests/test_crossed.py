@@ -1,15 +1,18 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import closed_form_derived
 from rblie.catalog import CROSSED_MODULES, derived_rb_crossed
-from rblie.crossed import (crossed_semidirect, crossed_to_strict,
+from rblie.crossed import (PreLieCrossedModule, crossed_semidirect, crossed_to_strict,
                            crossed_to_strict_data, derived_crossed,
-                           prelie_crossed_to_lie_crossed,
+                           prelie_crossed_checks, prelie_crossed_to_lie_crossed,
                            rb_crossed_to_prelie_crossed, strict_to_crossed,
                            strict_to_crossed_data, verify_crossed)
 from rblie.errors import InternalInvariantBroken, NotStrict
-from rblie.liealg import verify_lie, verify_rb
+from rblie.liealg import (PreLieAlgebra, act_on, action_hom_residual,
+                          action_rb_residual, verify_lie, verify_rb)
 from rblie.search import mutate
+from rblie.tensors import from_cells
 from rblie.twoterm import verify_rb_2term, verify_rb_triple
 
 
@@ -130,3 +133,75 @@ def test_strict_data_maps_are_mutually_inverse_on_valid_corpus():
     for name, cm in CROSSED_MODULES.items():
         G = crossed_to_strict_data(cm)
         assert strict_to_crossed_data(G) == cm, name
+
+
+def mat_mul(a, b):
+    """Product of two square nested-list matrices of one size."""
+    m = len(a)
+    return [[sum(a[r][t] * b[t][c] for t in range(m)) for c in range(m)] for r in range(m)]
+
+
+def mat_comb(terms, m):
+    """The sum of c A over the (c, A) in `terms`, as an m x m nested list."""
+    return [[sum(c * a[r][col] for c, a in terms) for col in range(m)] for r in range(m)]
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_flat(a):
+    return tuple(x for row in a for x in row)
+
+
+@given(st.data())
+def test_action_residuals_match_dense_matrix_products(data):
+    """`act_on`, `action_hom_residual`, `action_rb_residual` and every
+    `lr-rep` residual of a drawn pre-Lie crossed module equal the same
+    formulas computed here with nested-list matrix products over the dense
+    `entries`, on rational actions of an algebra of dimension 0 to 3 on a
+    module of dimension 0 to 3."""
+    coeff = st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3)
+    n, m = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+
+    def draw_map(*shape):
+        cells = data.draw(st.dictionaries(st.tuples(*(st.integers(0, d - 1) for d in shape)),
+                                          coeff, max_size=6)) if all(shape) else {}
+        return from_cells(shape, cells)
+
+    def draw_action():
+        return tuple(draw_map(m, m) for _ in range(n))
+
+    def act(rho, x):  # the matrix of rho(x) for a vector x
+        return mat_comb([(c, a.entries) for c, a in zip(x, rho)], m)
+
+    rho, r, k = draw_action(), draw_map(n, n), draw_map(m, m)
+    x = data.draw(st.tuples(*[coeff] * n))
+    u = data.draw(st.tuples(*[coeff] * m))
+    for arg in [*range(n), x]:
+        a = rho[arg].entries if type(arg) is int else act(rho, arg)
+        for w in [*range(m), u]:
+            col = [int(c == w) for c in range(m)] if type(w) is int else w
+            assert act_on(rho, arg, w, m) == tuple(
+                sum(a[row][c] * col[c] for c in range(m)) for row in range(m))
+    kk = k.entries
+    for i in range(n):
+        ri = rho[i].entries
+        rx = act(rho, [r.entries[row][i] for row in range(n)])
+        assert action_rb_residual(rho, r, k, i) == mat_flat(mat_sub(
+            mat_sub(mat_mul(rx, kk), mat_mul(kk, rx)), mat_mul(mat_mul(kk, ri), kk)))
+        for j in range(n):
+            rj = rho[j].entries
+            assert action_hom_residual(rho, x, i, j) == mat_flat(mat_sub(
+                act(rho, x), mat_sub(mat_mul(ri, rj), mat_mul(rj, ri))))
+
+    mult = draw_map(n, n, n)
+    pm = PreLieCrossedModule(PreLieAlgebra(n, mult), PreLieAlgebra(m, draw_map(m, m, m)),
+                             draw_map(n, m), draw_action(), draw_action())
+    lr = {idx: fn() for cond, idx, fn in prelie_crossed_checks(pm) if cond == "lr-rep"}
+    assert sorted(lr) == [(i, j) for i in range(n) for j in range(n)]
+    for (i, j), got in lr.items():
+        li, ri, rj = pm.l_act[i].entries, pm.r_act[i].entries, pm.r_act[j].entries
+        xy = [mult.coeffs[out][i][j] for out in range(n)]
+        assert got == mat_flat(mat_sub(mat_sub(mat_mul(li, rj), mat_mul(rj, li)),
+                                       mat_sub(act(pm.r_act, xy), mat_mul(rj, ri))))

@@ -111,7 +111,7 @@ def test_complete_rb_triple_is_exact_on_integer_input():
     comes back as exact thirds (a float would be stored as a nearby dyadic
     rational, not 1/3)."""
     G = aff1_adjoint_completed()
-    L = replace(G.linf, complex=TwoTermComplex(2, 2, LinearMap.identity(2).scale(3)))
+    L = replace(G.linf, complex=TwoTermComplex(2, 2, LinearMap.from_rows([[3, 0], [0, 3]])))
     assert verify_2term(L).ok
     triple = complete_rb_triple(L, G.rb.r0, G.rb.r1)
     assert not isinstance(triple, CompletionFailure)
