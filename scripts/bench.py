@@ -14,6 +14,8 @@ each row below as the median of REPEATS runs:
   with its adjoint representation, built from `rblie.catalog` functions
   rather than shipped (10,806 checks; loaded afresh from its text on each
   run, so nothing cached on its tensors carries over);
+* verification of its identity `rb-hom` (h3 and both endpoints' rb3 at
+  dim0 8), also loaded afresh from its text on each run;
 * `rblie verify catalog/solv4-module-cocycle-rb2.json`;
 * `rblie roundtrip catalog/solv4-cocycle-phi2-hom.json`;
 * `rblie verify` of every catalog document, one after the other;
@@ -55,7 +57,7 @@ from rblie.liealg import (LieAlgebra, adjoint_representation,  # noqa: E402
 from rblie.serialize import dumps, loads  # noqa: E402
 from rblie.tensors import BilinearMap, LinearMap, TrilinearMap  # noqa: E402
 from rblie.twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,  # noqa: E402
-                           TwoTermRBLInfinity)
+                           TwoTermRBLInfinity, identity_rb_hom)
 
 REPEATS = 3
 CATALOG = ROOT / "catalog"
@@ -131,6 +133,9 @@ def rows() -> dict:
         adjoint_representation(RB_ALGEBRAS["solv4-rb-zero"]))))
     out["solv4 adjoint semidirect rb-2term dim0 8 dim1 8"] = \
         lambda: verify_object(loads(dim8))
+    dim8_hom = dumps(identity_rb_hom(loads(dim8)))
+    out["identity rb-hom of the dim0 8 solv4 adjoint semidirect rb-2term"] = \
+        lambda: verify_object(loads(dim8_hom))
     out["verify solv4-module-cocycle-rb2"] = lambda: cli(CATALOG / "solv4-module-cocycle-rb2.json")
     out["roundtrip solv4-cocycle-phi2-hom"] = lambda: cli(
         CATALOG / "solv4-cocycle-phi2-hom.json", command="roundtrip")

@@ -19,7 +19,11 @@ chain-level condition; a disagreement is reported as its own violation
 patched silently.
 Each diagram residual is evaluated once per index tuple for both its ids,
 and the `coh-vs-rb3` and `cohm-vs-rbh3` cross-checks read the cached
-residual of the `rb3` or `rbh3` check itself.
+residual of the `rb3` or `rbh3` check itself.  `jcoh` and `coh` read their
+composite terms from the structure's term caches (see `twoterm`), which
+`d` and `rb3` fill and read too, keyed by literal argument order.  jcoh - d
+is three pairs of l3 terms that cancel whenever the l3 store is
+alternating, so `jcoh-vs-d` can fire only alongside `alt-l3`.
 """
 
 from __future__ import annotations
@@ -95,23 +99,25 @@ def coherence_residual(view: RBLie2View, i: int, j: int, k: int) -> Vec:
     coherence diagram at one ordered basis triple of g0.  The basis objects
     x, y, z are the indices i, j, k, at which the maps are called: J is l3,
     P is R1 on arrow parts and R is R2, the arrow part of
-    [Px, Py] -> P[Px, y] + P[x, Py]."""
-    L, rb = view.base.linf, view.base.rb
-    br, act, J, P, R = L.l2_00, L.l2_01, L.l3, rb.r1, rb.r2
+    [Px, Py] -> P[Px, y] + P[x, Py].  The terms `rb3_residual` reads too
+    come from the structure's term caches."""
+    G = view.base
+    br, J, P, R = G.linf.l2_00, G.linf.l3, G.rb.r1, G.rb.r2
     x, y, z = i, j, k
-    px, py, pz = rb.r0(x), rb.r0(y), rb.r0(z)
+    px, py, pz = G.rb.r0(x), G.rb.r0(y), G.rb.r0(z)
+    act_pr, p_act_r = G.act_r0_r2, G.r1_act_r2  # [P a, R(b, c)] and P[a, R(b, c)]
 
     return _path_difference([
-        [J(px, py, pz)],
-        [act(px, R(y, z)), vneg(act(py, R(x, z)))],
+        [G.l3_r0(x, y, z)],
+        [act_pr(x, y, z), vneg(act_pr(y, x, z))],
         [R(x, br(py, z)), R(x, br(y, pz)), R(br(x, pz), y), R(br(px, z), y)],
         [P(J(px, z, py))],
-        [P(vneg(act(z, R(x, y))))],
+        [vneg(p_act_r(z, x, y))],
     ], [
-        [vneg(act(pz, R(x, y)))],
+        [vneg(act_pr(z, x, y))],
         [R(br(px, y), z), R(br(x, py), z)],
         [P(J(px, y, pz)), P(J(x, py, pz))],
-        [P(vneg(act(y, R(x, z)))), P(act(x, R(y, z)))],
+        [vneg(p_act_r(y, x, z)), p_act_r(x, y, z)],
     ])
 
 
@@ -149,18 +155,18 @@ def jacobiator_coherence_residual(view: RBLie2View,
     objects w, x, y, z are the indices i, j, k, l, at which the maps are
     called; J is the Jacobiator l3."""
     L = view.base.linf
-    br, act, J = L.l2_00, L.l2_01, L.l3
+    A, B = L.act_l3, L.l3_br  # [e_p, J(q, r, s)], and J with [e_p, e_q] in a slot
     w, x, y, z = i, j, k, l
 
     return _path_difference([
-        [vneg(act(z, J(w, x, y)))],
-        [J(br(w, y), x, z), J(w, br(x, y), z)],
-        [vneg(act(x, J(w, y, z)))],
-        [act(w, J(x, y, z))],
+        [vneg(A(z, w, x, y))],
+        [B(0, w, y, x, z), B(1, x, y, w, z)],
+        [vneg(A(x, w, y, z))],
+        [A(w, x, y, z)],
     ], [
-        [J(br(w, x), y, z)],
-        [vneg(act(y, J(w, x, z)))],
-        [J(w, br(x, z), y), J(br(w, z), x, y), J(w, x, br(y, z))],
+        [B(0, w, x, y, z)],
+        [vneg(A(y, w, x, z))],
+        [B(1, x, z, w, y), B(0, w, z, x, y), B(2, y, z, w, x)],
     ])
 
 

@@ -7,12 +7,13 @@ R v = [R e_i, R e_j] with v = [R e_i, e_j] + [e_i, R e_j].  With columns
 0..k-1 set, a pair whose v has no nonzero coordinate past k is decided:
 when v is zero on every unset column its residual (the set columns moved
 to the right-hand side) must vanish, and when its only unset coordinate is
-k it forces column k to residual / v_k, which must lie in the grid.  A
-failure prunes the branch.  A completed matrix (k = n) is decided by the
-same rule: every pair is settled, so each residual must vanish.  Only a
-matrix that passes is built as a map and confirmed against the full
-identity, and the result is sorted into lexicographic row-major order, so
-re-runs produce the same list as a pass over the whole grid would.
+k it forces column k to residual / v_k, one exact division per row whose
+quotient must lie in the grid.  A failure prunes the branch.  A completed
+matrix (k = n) is decided by the same rule: every pair is settled, so each
+residual must vanish.  Only a matrix that passes is built as a map and
+confirmed against the full identity, and the result is sorted into
+lexicographic row-major order, so re-runs produce the same list as a pass
+over the whole grid would.
 """
 
 from __future__ import annotations
@@ -84,10 +85,10 @@ def _narrow(pairs, cols: tuple[Vec, ...], axes):
             if any(residual):
                 return None
             continue
-        # column k = residual / v_k, read off the grid so no value is divided
-        column = tuple(next((c for c in axis if c * v[k] == a), None)
-                       for a, axis in zip(residual, axes))
-        if None in column or forced not in (None, column):
+        # column k = residual / v_k: one exact quotient per row (an int when
+        # integral, as the axes hold it), which must be a value of its row's axis
+        column = tuple(a // v[k] if a % v[k] == 0 else Fraction(a, v[k]) for a in residual)
+        if forced not in (None, column) or any(c not in axis for c, axis in zip(column, axes)):
             return None
         forced = column
     return still_open, iter([forced]) if forced is not None else product(*axes)

@@ -3,6 +3,9 @@ condition-exact mutant suite used by the unit and acceptance tests."""
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -13,8 +16,8 @@ from rblie.crossed import LieCrossedModule
 from rblie.liealg import LieAlgebra
 from rblie.lie2 import Morphism2V
 from rblie.search import mutate
-from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap, vadd, vbasis, vec,
-                           vneg, vsub)
+from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap, from_cells, vadd,
+                           vbasis, vec, vneg, vsub)
 from rblie.twoterm import (LInfinityHom, RBLInfinityHom, RBTriple,
                            TwoTermComplex, TwoTermLInfinity,
                            TwoTermRBLInfinity, identity_rb_hom)
@@ -117,6 +120,96 @@ def bracket_forms(view, f, g):
     first = view.bracket(f, g)
     second = vadd(L.l2_01.apply(f.source, g.arrow), vneg(L.l2_01.apply(view.target(g), f.arrow)))
     return first, Morphism2V(first.source, second)
+
+
+def flag_broken_rb_hom(seed: int, d0: int = 3, d1: int = 2) -> RBLInfinityHom:
+    """An operator homomorphism between two random two-term structures whose
+    flagged stores (l2_00, l3, r2, phi2) are drawn cell by cell with the
+    flag set, so none of them is skew or alternating."""
+    rng = random.Random(seed)
+
+    def tensor(shape, flag=False):
+        cells = {idx: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+                 for idx in product(*map(range, shape)) if rng.random() < 0.6}
+        return from_cells(shape, cells, flag)
+
+    def structure():
+        linf = TwoTermLInfinity(TwoTermComplex(d0, d1, tensor((d0, d1))),
+                                tensor((d0, d0, d0), True), tensor((d1, d0, d1)),
+                                tensor((d1, d0, d0, d0), True))
+        return TwoTermRBLInfinity(linf, RBTriple(tensor((d0, d0)), tensor((d1, d1)),
+                                                 tensor((d1, d0, d0), True)))
+
+    src, tgt = structure(), structure()
+    hom = LInfinityHom(src.linf, tgt.linf, tensor((d0, d0)), tensor((d1, d1)),
+                       tensor((d1, d0, d0), True))
+    return RBLInfinityHom(src, tgt, hom, tensor((d1, d0)))
+
+
+# Reference forms of the residuals that read cached terms, written as each
+# residual reads the maps directly, term by term and without any cache.
+
+def reference_d(L, i, j, k, l):
+    br, act, l3 = L.l2_00, L.l2_01, L.l3
+    xs = (i, j, k, l)
+    terms = []
+    for p in range(4):
+        rest = [xs[q] for q in range(4) if q != p]
+        term = act(xs[p], l3(*rest))
+        terms.append(term if p % 2 == 0 else vneg(term))
+    for p, q in combinations(range(4), 2):
+        rest = [xs[t] for t in range(4) if t not in (p, q)]
+        term = l3(br(xs[p], xs[q]), *rest)
+        terms.append(term if (p + q) % 2 == 0 else vneg(term))
+    return vadd(*terms)
+
+
+def reference_jcoh(G, w, x, y, z):
+    br, act, J = G.linf.l2_00, G.linf.l2_01, G.linf.l3
+    left = vadd(vneg(act(z, J(w, x, y))), J(br(w, y), x, z), J(w, br(x, y), z),
+                vneg(act(x, J(w, y, z))), act(w, J(x, y, z)))
+    right = vadd(J(br(w, x), y, z), vneg(act(y, J(w, x, z))),
+                 J(w, br(x, z), y), J(br(w, z), x, y), J(w, x, br(y, z)))
+    return vsub(left, right)
+
+
+def reference_rb3(G, i, j, k):
+    L, rb = G.linf, G.rb
+    br, act, l3, r0, r1, r2 = L.l2_00, L.l2_01, L.l3, rb.r0, rb.r1, rb.r2
+
+    def grouped(x1, x2, x3):
+        t1 = act(r0(x1), r2(x2, x3))
+        t2 = r2(x3, vsub(br(r0(x1), x2), br(r0(x2), x1)))
+        inner = vsub(vneg(act(x1, r2(x2, x3))), l3(r0(x2), r0(x3), x1))
+        return vadd(t1, t2, r1(inner))
+
+    total = vadd(grouped(i, j, k), grouped(j, k, i), grouped(k, i, j))
+    return vadd(total, l3(r0(i), r0(j), r0(k)))
+
+
+def reference_coh(G, x, y, z):
+    L, rb = G.linf, G.rb
+    br, act, J, P, R = L.l2_00, L.l2_01, L.l3, rb.r1, rb.r2
+    px, py, pz = rb.r0(x), rb.r0(y), rb.r0(z)
+    left = vadd(J(px, py, pz), act(px, R(y, z)), vneg(act(py, R(x, z))),
+                R(x, br(py, z)), R(x, br(y, pz)), R(br(x, pz), y), R(br(px, z), y),
+                P(J(px, z, py)), P(vneg(act(z, R(x, y)))))
+    right = vadd(vneg(act(pz, R(x, y))), R(br(px, y), z), R(br(x, py), z),
+                 P(J(px, y, pz)), P(J(x, py, pz)),
+                 P(vneg(act(y, R(x, z)))), P(act(x, R(y, z))))
+    return vsub(left, right)
+
+
+def reference_h3(f, x, y, z):
+    src, tgt = f.source, f.target
+    p0, p1, p2, br, act = f.phi0, f.phi1, f.phi2, src.l2_00, tgt.l2_01
+    lhs = vadd(vneg(act(p0(z), p2(x, y))), p2(br(x, y), z), p1(src.l3(x, y, z)))
+    rhs = vadd(tgt.l3(p0(x), p0(y), p0(z)),
+               act(p0(x), p2(y, z)),
+               vneg(act(p0(y), p2(x, z))),
+               p2(x, br(y, z)),
+               p2(br(x, z), y))
+    return vsub(lhs, rhs)
 
 
 def closed_form_derived(cm):

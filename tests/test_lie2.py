@@ -1,23 +1,32 @@
+import functools
+import gc
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CATALOG_DIR, bracket_forms, hom_mutants, structure_mutants
+from conftest import (CATALOG_DIR, bracket_forms, flag_broken_rb_hom, hom_mutants,
+                      make_linf, reference_coh, reference_d, reference_h3,
+                      reference_jcoh, reference_rb3, structure_mutants, with_zero_rb)
 from rblie import lie2, twoterm
-from rblie.catalog import TWO_TERM_STRUCTURES, HOMOMORPHISMS
+from rblie.catalog import TWO_TERM_STRUCTURES, HOMOMORPHISMS, solvable4
 from rblie.cli import verify_structure
 from rblie.errors import NotComposable
-from rblie.lie2 import (Morphism2V, RBLie2Hom, RBLie2View, coherence_residual,
+from rblie.lie2 import (Morphism2V, RBLie2Hom, RBLie2View, coherence_checks,
+                        coherence_residual, jacobiator_coherence_checks,
                         naturality_residual, roundtrip_hom,
                         roundtrip_structure, verify_naturality,
                         verify_rbcoh, verify_rbcohm)
+from rblie.report import run_checks
 from rblie.search import mutate
-from rblie.serialize import load
+from rblie.serialize import dumps, load, loads
 from rblie.tensors import is_zero, vadd, vbasis, vec, vsub, vzero
-from rblie.twoterm import rb2_residual, rb3_residual, rbh3_residual
+from rblie.twoterm import (hom_checks, identity_rb_hom, rb2_residual, rb3_residual,
+                           rb_triple_checks, rbh3_residual, two_term_checks)
 
 VIEW = RBLie2View(TWO_TERM_STRUCTURES["sl2-cocycle-rb2-nonstrict"])
 
@@ -276,6 +285,108 @@ def test_each_diagram_residual_is_evaluated_once(monkeypatch):
     for path in sorted(CATALOG_DIR.glob("*.json")):
         assert verify_structure(load(path)).ok
     assert calls["Morphism2V"] == 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cached_terms_give_the_direct_residuals_on_flag_broken_stores(seed):
+    """With l2_00, r2 and phi2 not skew and l3 not alternating, every `d`,
+    `jcoh`, `rb3`, `coh` and `h3` residual, read through the term caches in
+    check-list order, equals its reference form, so no cache key folds two
+    argument orders into one; the cross-checks then fire."""
+    F = flag_broken_rb_hom(seed)
+    G, d0 = F.source, F.source.linf.dim0
+    chain = two_term_checks(G.linf) + rb_triple_checks(G)
+    checks = (chain + coherence_checks(G, chain) + jacobiator_coherence_checks(G)
+              + hom_checks(F.hom))
+    got = {(cond, idx): fn() for cond, idx, fn in checks}
+    references = {"rb3": lambda *t: reference_rb3(G, *t),
+                  "coh": lambda *t: reference_coh(G, *t),
+                  "h3": lambda *t: reference_h3(F.hom, *t)}
+    for idx in product(range(d0), repeat=3):
+        for cond, reference in references.items():
+            assert got[cond, idx] == reference(*idx), (cond, idx)
+        assert got["coh-vs-rb3", idx] == vsub(reference_coh(G, *idx), reference_rb3(G, *idx))
+    for idx in product(range(d0), repeat=4):
+        jcoh, d = reference_jcoh(G, *idx), reference_d(G.linf, *idx)
+        assert got["jcoh", idx] == jcoh and got["jcoh-vs-d", idx] == vsub(jcoh, d)
+    for idx in combinations(range(d0), 4):
+        assert got["d", idx] == reference_d(G.linf, *idx)
+    assert {"jcoh-vs-d", "coh-vs-rb3", "alt-l3"} <= run_checks(checks).conditions()
+
+
+def _term_caches(G):
+    return (G.linf.act_l3, G.linf.l3_br, G.act_r0_r2, G.r1_act_r2, G.l3_r0, G.grouped)
+
+
+def test_each_cached_term_is_evaluated_once_per_key(monkeypatch):
+    """Verifying sl2-cocycle-rb2 and its identity homomorphism evaluates
+    each term of the structure's and the homomorphism's term caches at most
+    once per argument tuple, and each cache is read again after it is
+    filled."""
+    evaluated = Counter()
+
+    def counting_cache(fn):
+        def counted(*args):
+            evaluated[fn.__qualname__, args] += 1
+            return fn(*args)
+        return functools.cache(counted)
+
+    monkeypatch.setattr(twoterm, "cache", counting_cache)
+    G = load(CATALOG_DIR / "sl2-cocycle-rb2.json")
+    F = identity_rb_hom(G)
+    assert verify_structure(G).ok and verify_structure(F).ok
+    terms = {name for name, args in evaluated if args}
+    assert {name.split(".")[1] for name in terms} == {
+        "act_l3", "l3_br", "act_r0_r2", "r1_act_r2", "l3_r0", "grouped", "act_phi2"}
+    assert max(n for (_, args), n in evaluated.items() if args) == 1
+    for term in _term_caches(G) + (F.hom.act_phi2,):
+        assert term.cache_info().hits > 0
+
+
+def test_verified_structures_are_freed_without_the_cycle_collector():
+    """The term caches hold the tensors, not the structure, so a verified
+    structure and homomorphism go as soon as their last reference does."""
+    G = load(CATALOG_DIR / "solv4-module-cocycle-rb2.json")
+    F = load(CATALOG_DIR / "aff1-phi3-hom.json")
+    gc.disable()
+    try:
+        assert verify_structure(G).ok and verify_structure(F).ok
+        assert all(term.cache_info().currsize for term in _term_caches(G))
+        assert F.hom.act_phi2.cache_info().currsize
+        refs = [weakref.ref(x) for x in (G, G.linf, F, F.hom, F.source, F.source.linf)]
+        del G, F
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def _d_mutant_base():
+    """The base of the `d` structure mutant: solv4's bracket, l3 = 0."""
+    return with_zero_rb(make_linf(4, 1, l2_00=solvable4().bracket))
+
+
+@pytest.mark.parametrize("parent, site", [
+    ("solv4-module-cocycle-rb2", ("l2_00", 1, 0, 1)),
+    ("solv4-module-cocycle-rb2", ("l2_01", 0, 0, 0)),
+    ("solv4-module-cocycle-rb2", ("r1", 0, 0)),
+    ("sl2-cocycle-rb2-nonstrict", ("r0", 0, 2)),
+    ("sl2-adjoint-cm-tri-strict", ("r2", 1, 0, 2)),
+    ("sl2-adjoint-rb2-tri", ("l3", 0, 0, 1, 2)),
+    (_d_mutant_base, ("l3", 0, 1, 2, 3)),
+    ("descent-sl2-adjoint-cm-tri", ("phi2", 0, 0, 2)),
+    ("id-sl2-cocycle-rb2-nonstrict", ("phi0", 0, 0)),
+])
+def test_mutant_verified_after_its_parent_reads_its_own_terms(parent, site):
+    """A mutant shares every unchanged part, and its term caches, with its
+    parent; verified after the parent it reports exactly what a freshly
+    loaded copy of it reports."""
+    parent = parent() if callable(parent) else load(CATALOG_DIR / f"{parent}.json")
+    assert verify_structure(parent).ok
+    mutant = mutate(parent, site, 1)
+    report = verify_structure(mutant)
+    fresh = verify_structure(loads(dumps(mutant)))
+    assert (report.checked, report.lines()) == (fresh.checked, fresh.lines())
+    assert not report.ok
 
 
 def test_roundtrip_identity_on_catalog():

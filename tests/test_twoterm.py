@@ -3,14 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (descent_chain, hom_mutants, make_linf,
+from conftest import (CATALOG_DIR, descent_chain, hom_mutants, make_linf,
                       structure_mutants, with_zero_rb)
 from rblie.catalog import (CROSSED_MODULES, TWO_TERM_STRUCTURES, aff1,
                            aff1_adjoint_completed, aff1_rb_shift, adjoint_rb_two_term,
                            adjoint_two_term, sl2_cocycle_rb)
 from rblie.crossed import crossed_to_strict
-from rblie.errors import NotChainMap, SourceTargetMismatch
+from rblie import twoterm
+from rblie.errors import InternalInvariantBroken, NotChainMap, SourceTargetMismatch
+from rblie.report import VerificationReport, Violation
 from rblie.search import mutate
+from rblie.serialize import load
 from rblie.tensors import BilinearMap, LinearMap, vec
 from rblie.twoterm import (CompletionFailure, LInfinityHom, TwoTermComplex,
                            complete_rb_triple, compose_rb_homs,
@@ -201,6 +204,31 @@ def test_composition_closure_and_associativity():
         right = compose_rb_homs(h0, compose_rb_homs(h1, h2))
         assert left == right
         assert verify_rb_hom(left).ok
+
+
+@pytest.mark.parametrize("outer", ["same", "identity"])
+def test_compose_verifies_an_input_equal_to_the_other_once(monkeypatch, outer):
+    """`compose_rb_homs` verifies each input once: an input equal to the
+    other (two loads of one document) reuses its verdict, so it verifies
+    twice in all (input, output) where distinct inputs verify three times.
+    A failing output of verified inputs still raises."""
+    if outer == "same":
+        f, g = (load(CATALOG_DIR / "id-aff1-adjoint-rb2-shift.json") for _ in range(2))
+    else:
+        f = load(CATALOG_DIR / "aff1-phi3-hom.json")
+        g = identity_rb_hom(f.target)
+    assert (g == f) == (outer == "same")
+    calls = []
+    monkeypatch.setattr(twoterm, "verify_rb_hom",
+                        lambda h: calls.append(h) or verify_rb_hom(h))
+    compose_rb_homs(g, f)
+    assert len(calls) == (2 if outer == "same" else 3)
+
+    failing = VerificationReport(1, (Violation("h1", (0, 1), (1,)),))
+    monkeypatch.setattr(twoterm, "verify_rb_hom",
+                        lambda h: verify_rb_hom(h) if h is f or h is g else failing)
+    with pytest.raises(InternalInvariantBroken):
+        compose_rb_homs(g, f)
 
 
 def test_compose_rejects_mismatched_endpoints():
