@@ -23,7 +23,12 @@ each row below as the median of REPEATS runs:
   each must come back byte for byte);
 * `rblie search-rb` of sl2, heis3 and solv4 over {-1,0,1}, which must find
   23, 639 and 5,427 operators, each within 60 s (with `--budget 43046721`,
-  solv4's whole 3^16 grid).
+  solv4's whole 3^16 grid);
+* a masked search of sl3 over {-1,0,1}, by `enumerate_rb_operators`: R maps
+  span(E21, E31, E32) into span(E12, E13, E23), 9 free entries.  sl3 is
+  built here from 3x3 matrix units, in the basis (E12, E13, E21, E23, E31,
+  E32, H1, H2).  It must find 795 operators within 60 s, the number a pass
+  of `verify_rb` over all 3^9 matrices finds.
 
 The JSON written to the one argument holds every row (median, the single
 runs, the number of checked conditions, of documents for the
@@ -53,9 +58,10 @@ sys.path.insert(0, str(ROOT / "src"))
 from rblie.catalog import RB_ALGEBRAS, adjoint_rb_two_term  # noqa: E402
 from rblie.cli import main as cli_main, verify_structure  # noqa: E402
 from rblie.liealg import (LieAlgebra, adjoint_representation,  # noqa: E402
-                          semidirect_product)
+                          semidirect_product, verify_lie)
+from rblie.search import SearchSpec, enumerate_rb_operators  # noqa: E402
 from rblie.serialize import dumps, loads  # noqa: E402
-from rblie.tensors import BilinearMap, LinearMap, TrilinearMap  # noqa: E402
+from rblie.tensors import BilinearMap, LinearMap, TrilinearMap, vec  # noqa: E402
 from rblie.twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,  # noqa: E402
                            TwoTermRBLInfinity, identity_rb_hom)
 
@@ -64,6 +70,8 @@ CATALOG = ROOT / "catalog"
 SEARCH_FOUND = {"sl2": 23, "heis3": 639, "solv4": 5427}  # operators over {-1,0,1}
 SEARCH_BUDGET = 3 ** 16  # solv4's whole grid, above the default 10^7 candidates
 SEARCH_LIMIT_S = 60
+SL3_BASIS = ("E12", "E13", "E21", "E23", "E31", "E32", "H1", "H2")
+SL3_FOUND = 795  # masked sl3 operators over {-1,0,1}
 
 
 def zero_lie(n: int) -> LieAlgebra:
@@ -77,6 +85,45 @@ def zero_rb_2term(d0: int, d1: int) -> TwoTermRBLInfinity:
                             TrilinearMap.zero(d0, d1, alt=True))
     return TwoTermRBLInfinity(linf, RBTriple(LinearMap.zero(d0, d0), LinearMap.zero(d1, d1),
                                              BilinearMap.zero(d0, d0, d1, skew=True)))
+
+
+def sl3() -> LieAlgebra:
+    """sl3 from 3x3 matrix units, [X, Y] = XY - YX, in the basis SL3_BASIS
+    with H1 = E11 - E22 and H2 = E22 - E33."""
+    units = [(int(name[1]) - 1, int(name[2]) - 1) for name in SL3_BASIS[:6]]
+    basis = [{u: 1} for u in units] + [{(0, 0): 1, (1, 1): -1}, {(1, 1): 1, (2, 2): -1}]
+
+    def commutator(x: dict, y: dict) -> dict:
+        out: dict = {}
+        for (a, b), s in x.items():
+            for (c, d), t in y.items():
+                if b == c:
+                    out[a, d] = out.get((a, d), 0) + s * t
+                if d == a:
+                    out[c, b] = out.get((c, b), 0) - t * s
+        return out
+
+    def coords(m: dict):  # a traceless diag(p, q, r) is p H1 - r H2
+        return vec(*(m.get(u, 0) for u in units), m.get((0, 0), 0), -m.get((2, 2), 0))
+
+    return LieAlgebra.from_brackets(8, {(i, j): coords(commutator(basis[i], basis[j]))
+                                        for i in range(8) for j in range(i + 1, 8)},
+                                    labels=SL3_BASIS)
+
+
+def sl3_search(alg: LieAlgebra) -> int:
+    """The masked sl3 search; the number of operators found, which must be
+    SL3_FOUND, found within SEARCH_LIMIT_S."""
+    rows, cols = {"E12", "E13", "E23"}, {"E21", "E31", "E32"}
+    mask = tuple(tuple(r in rows and c in cols for c in SL3_BASIS) for r in SL3_BASIS)
+    start = perf_counter()
+    found = len(enumerate_rb_operators(SearchSpec(alg, (-1, 0, 1), mask)))
+    elapsed = perf_counter() - start
+    if found != SL3_FOUND:
+        raise SystemExit(f"masked sl3 search found {found} operators, not {SL3_FOUND}")
+    if elapsed > SEARCH_LIMIT_S:
+        raise SystemExit(f"masked sl3 search took {elapsed:.1f} s, over {SEARCH_LIMIT_S} s")
+    return found
 
 
 def verify_object(obj) -> int:
@@ -144,6 +191,10 @@ def rows() -> dict:
     out["loads+dumps whole catalog"] = lambda: load_dump(texts)
     out.update({f"search-rb {name} over -1,0,1": lambda name=name: search(name)
                 for name in SEARCH_FOUND})
+    alg = sl3()
+    if not verify_lie(alg).ok:
+        raise SystemExit("the sl3 built from matrix units fails verification")
+    out["masked sl3 search over -1,0,1 (9 free entries)"] = lambda: sl3_search(alg)
     return out
 
 

@@ -13,7 +13,11 @@ matrix (k = n) is decided by the same rule: every pair is settled, so each
 residual must vanish.  Only a matrix that passes is built as a map and
 confirmed against the full identity, and the result is sorted into
 lexicographic row-major order, so re-runs produce the same list as a pass
-over the whole grid would.
+over the whole grid would.  A column stays fixed for its whole subtree, so
+each pair's (lhs, v) is computed once, on first use, in the pair table: a
+dict keyed by ``(i, j, R e_i, R e_j)`` that lives for one search, since it
+is valid for one algebra and one grid only.  It holds at most
+C(n, 2)·|column values|² entries, in practice the pairs the search visits.
 """
 
 from __future__ import annotations
@@ -109,13 +113,18 @@ def enumerate_rb_operators(spec: SearchSpec) -> list[RotaBaxterLieAlgebra]:
     axes = [spec.column_axes(k) for k in range(n)] + [()]
     left = [alg.ad(i) for i in range(n)]  # x -> [e_i, x]
     right = [alg.bracket.partial(0, j) for j in range(n)]  # x -> [x, e_j]
+    table = {}  # the pair table: (i, j, R e_i, R e_j) -> (lhs, v), for this call only
 
     def new_pairs(cols):
         """``(lhs, v)`` of each pair (i, j) whose later column j was set
         last: lhs = [R e_i, R e_j] and v = [R e_i, e_j] + [e_i, R e_j]."""
-        j = len(cols) - 1
-        return ((alg.bracket_vec(cols[i], cols[j]),
-                 vadd(right[j].apply(cols[i]), left[i].apply(cols[j]))) for i in range(j))
+        j, cj = len(cols) - 1, cols[-1]
+        for i, ci in enumerate(cols[:j]):
+            entry = table.get((i, j, ci, cj))
+            if entry is None:
+                entry = table[i, j, ci, cj] = (alg.bracket_vec(ci, cj),
+                                               vadd(right[j].apply(ci), left[i].apply(cj)))
+            yield entry
 
     found = []
     # depth first; a frame holds the set columns, the pairs among them still
@@ -134,11 +143,13 @@ def enumerate_rb_operators(spec: SearchSpec) -> list[RotaBaxterLieAlgebra]:
         if len(node) < n:
             stack.append((node,) + narrowed)
             continue
-        r = LinearMap.from_columns(list(node), rows=n)
+        # the columns hold exact grid values, so they are the store as it is
+        r = LinearMap(n, n, {(c,): tuple((row, a) for row, a in enumerate(col) if a)
+                             for c, col in enumerate(node) if any(col)})
         if _is_rb(alg, r):
-            found.append(r)
-    found.sort(key=LinearMap.flat)
-    return [RotaBaxterLieAlgebra(alg, r) for r in found]
+            found.append((tuple(zip(*node)), r))  # (rows, map)
+    found.sort(key=lambda rows_r: rows_r[0])  # row-major order
+    return [RotaBaxterLieAlgebra(alg, r) for _, r in found]
 
 
 def mutate(value, site: tuple, delta) -> object:

@@ -389,19 +389,30 @@ def to_document(obj) -> dict:
     return _document(_kind(obj), obj)
 
 
+_SCALARS = {int: int.__repr__, str: json.encoder.encode_basestring_ascii}
+
+
+def _scalar(value) -> str:
+    """``json.dumps(value)``, written directly for an ``int`` or a ``str``."""
+    write = _SCALARS.get(type(value))
+    return write(value) if write else json.dumps(value)
+
+
 def _render(value, indent: int = 0) -> str:
     """Canonical rendering: objects multiline, scalar-only lists inline."""
     pad = " " * indent
     if isinstance(value, dict):
         if not value:
             return "{}"
-        body = ",\n".join(f"{pad}  {json.dumps(k)}: {_render(v, indent + 2)}"
+        body = ",\n".join(f"{pad}  {_scalar(k)}: {_render(v, indent + 2)}"
                           for k, v in value.items())
         return "{\n" + body + "\n" + pad + "}"
-    if isinstance(value, list) and any(isinstance(v, (list, dict)) for v in value):
+    if not isinstance(value, list):
+        return _scalar(value)
+    if any(isinstance(v, (list, dict)) for v in value):
         body = ",\n".join(f"{pad}  {_render(v, indent + 2)}" for v in value)
         return "[\n" + body + "\n" + pad + "]"
-    return json.dumps(value)  # a scalar, or a list of scalars on one line
+    return "[" + ", ".join(map(_scalar, value)) + "]"
 
 
 def dumps(obj) -> str:

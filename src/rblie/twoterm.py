@@ -21,7 +21,8 @@ at several ordered tuples is cached on its structure, as partial maps are
 on a tensor: `functools.cache` over a closure of the tensors, not of the
 structure (so no reference cycle), keyed by the literal argument order and
 slot, never by a sorted key, so a store that breaks its flag gives the
-residuals of evaluating each term.
+residuals of evaluating each term.  A zero term is stored as the one zero
+tuple of its length (`_shared`), not as a tuple of its own per key.
 """
 
 from __future__ import annotations
@@ -34,8 +35,15 @@ from .errors import (InternalInvariantBroken, NotChainMap, ShapeMismatch,
                      SourceTargetMismatch)
 from .report import Check, VerificationReport, run_checks
 from .tensors import (BilinearMap, LinearMap, TrilinearMap, Vec,
-                      perm_sign, solve_exact, vadd, vneg, vsub)
+                      perm_sign, solve_exact, vadd, vneg, vsub, vzero)
 from .liealg import chain_residual, rb_residual, skew_checks
+
+_zero = cache(vzero)  # length -> the one zero vector the term caches share
+
+
+def _shared(v: Vec) -> Vec:
+    """`v`, or the one zero tuple of its length when `v` is zero."""
+    return v if any(v) else _zero(len(v))
 
 
 @dataclass(frozen=True)
@@ -76,12 +84,13 @@ class TwoTermLInfinity:
     @cached_property
     def act_l3(self):  # p, q, r, s -> l2(e_p, l3(e_q, e_r, e_s))
         act, l3 = self.l2_01, self.l3
-        return cache(lambda p, q, r, s: act(p, l3(q, r, s)))
+        return cache(lambda p, q, r, s: _shared(act(p, l3(q, r, s))))
 
     @cached_property
     def l3_br(self):  # slot, p, q, r, s -> l3 of l2(e_p, e_q) in `slot`, then e_r, e_s
         br, l3 = self.l2_00, self.l3
-        return cache(lambda slot, p, q, r, s: l3(*(r, s)[:slot], br(p, q), *(r, s)[slot:]))
+        return cache(lambda slot, p, q, r, s: _shared(
+            l3(*(r, s)[:slot], br(p, q), *(r, s)[slot:])))
 
 
 @dataclass(frozen=True)
@@ -112,17 +121,17 @@ class TwoTermRBLInfinity:
     @cached_property
     def act_r0_r2(self):  # a, b, c -> l2(R0 e_a, R2(e_b, e_c))
         act, r0, r2 = self.linf.l2_01, self.rb.r0, self.rb.r2
-        return cache(lambda a, b, c: act(r0(a), r2(b, c)))
+        return cache(lambda a, b, c: _shared(act(r0(a), r2(b, c))))
 
     @cached_property
     def r1_act_r2(self):  # a, b, c -> R1 l2(e_a, R2(e_b, e_c))
         act, r1, r2 = self.linf.l2_01, self.rb.r1, self.rb.r2
-        return cache(lambda a, b, c: r1(act(a, r2(b, c))))
+        return cache(lambda a, b, c: _shared(r1(act(a, r2(b, c)))))
 
     @cached_property
     def l3_r0(self):  # a, b, c -> l3(R0 e_a, R0 e_b, R0 e_c)
         l3, r0 = self.linf.l3, self.rb.r0
-        return cache(lambda a, b, c: l3(r0(a), r0(b), r0(c)))
+        return cache(lambda a, b, c: _shared(l3(r0(a), r0(b), r0(c))))
 
     @cached_property
     def grouped(self):  # the cyclic summand of `rb3_residual` at (x1, x2, x3):
@@ -134,7 +143,7 @@ class TwoTermRBLInfinity:
         def term(x1, x2, x3):
             t2 = r2(x3, vsub(br(r0(x1), x2), br(r0(x2), x1)))
             inner = vadd(r1_act_r2(x1, x2, x3), r1(l3(r0(x2), r0(x3), x1)))
-            return vsub(vadd(act_r0_r2(x1, x2, x3), t2), inner)
+            return _shared(vsub(vadd(act_r0_r2(x1, x2, x3), t2), inner))
         return cache(term)
 
 
@@ -323,7 +332,7 @@ class LInfinityHom:
     @cached_property
     def act_phi2(self):  # a, b, c -> l2'(phi0 e_a, phi2(e_b, e_c))
         act, p0, p2 = self.target.l2_01, self.phi0, self.phi2
-        return cache(lambda a, b, c: act(p0(a), p2(b, c)))
+        return cache(lambda a, b, c: _shared(act(p0(a), p2(b, c))))
 
 
 @dataclass(frozen=True)

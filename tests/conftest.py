@@ -3,6 +3,7 @@ condition-exact mutant suite used by the unit and acceptance tests."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -120,6 +121,22 @@ def bracket_forms(view, f, g):
     first = view.bracket(f, g)
     second = vadd(L.l2_01.apply(f.source, g.arrow), vneg(L.l2_01.apply(view.target(g), f.arrow)))
     return first, Morphism2V(first.source, second)
+
+
+def reference_render(value, indent: int = 0) -> str:
+    """The canonical rendering written with `json.dumps` for every scalar
+    and every list of scalars: the bytes `serialize.dumps` must give."""
+    pad = " " * indent
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = ",\n".join(f"{pad}  {json.dumps(k)}: {reference_render(v, indent + 2)}"
+                          for k, v in value.items())
+        return "{\n" + body + "\n" + pad + "}"
+    if isinstance(value, list) and any(isinstance(v, (list, dict)) for v in value):
+        body = ",\n".join(f"{pad}  {reference_render(v, indent + 2)}" for v in value)
+        return "[\n" + body + "\n" + pad + "]"
+    return json.dumps(value)  # a scalar, or a list of scalars on one line
 
 
 def flag_broken_rb_hom(seed: int, d0: int = 3, d1: int = 2) -> RBLInfinityHom:

@@ -343,6 +343,28 @@ def test_each_cached_term_is_evaluated_once_per_key(monkeypatch):
         assert term.cache_info().hits > 0
 
 
+def test_zero_terms_share_one_tuple_per_length(monkeypatch):
+    """After verifying sl2-cocycle-rb2 and its identity homomorphism, every
+    zero value held by a term cache is one object per vector length."""
+    held = []
+
+    def recording_cache(fn):
+        def recorded(*args):
+            value = fn(*args)
+            if args:  # a term, not a check's zero-argument residual thunk
+                held.append(value)
+            return value
+        return functools.cache(recorded)
+
+    monkeypatch.setattr(twoterm, "cache", recording_cache)
+    G = load(CATALOG_DIR / "sl2-cocycle-rb2.json")
+    F = identity_rb_hom(G)
+    assert verify_structure(G).ok and verify_structure(F).ok
+    zeros = Counter(len(v) for v in held if not any(v))
+    assert max(zeros.values()) > 1
+    assert len({id(v) for v in held if not any(v)}) == len(zeros)
+
+
 def test_verified_structures_are_freed_without_the_cycle_collector():
     """The term caches hold the tensors, not the structure, so a verified
     structure and homomorphism go as soon as their last reference does."""

@@ -1,5 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +178,60 @@ def test_only_kept_operators_reach_the_full_identity_check(monkeypatch, name, ma
     found = [rba.r for rba in enumerate_rb_operators(SearchSpec(LIE_ALGEBRAS[name], mask=mask))]
     assert sorted(checked, key=LinearMap.flat) == found
     assert len(found) == count
+
+
+HEIS3_MASK = _mask(3, {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)})
+ABELIAN3_MASK = _mask(3, {(0, 1), (0, 2), (1, 2), (2, 0), (2, 2)})
+INTERLEAVED = [  # same dimension, different brackets, grids and coefficients
+    ("sl2", (-1, 0, 1), None),
+    ("heis3", (-1, 0, 1), None),
+    ("abelian3", (-1, 0, 1), ABELIAN3_MASK),
+    ("heis3", (-1, 0, 1), HEIS3_MASK),
+    ("sl2", ("-1/2", 1), None),
+    ("abelian3", ("-1/2", 1), None),
+    ("heis3", ("-1/2", 1), HEIS3_MASK),
+]
+FRESH_SEARCH = """
+import json, sys
+from fractions import Fraction
+from rblie.liealg import LieAlgebra
+from rblie.catalog import LIE_ALGEBRAS
+from rblie.search import SearchSpec, enumerate_rb_operators
+name, coeffs, mask = json.loads(sys.argv[1])
+alg = LieAlgebra.abelian(3) if name == "abelian3" else LIE_ALGEBRAS[name]
+mask = None if mask is None else tuple(map(tuple, mask))
+spec = SearchSpec(alg, tuple(map(Fraction, coeffs)), mask)
+print(json.dumps([list(map(str, rba.r.flat())) for rba in enumerate_rb_operators(spec)]))
+"""
+
+
+def _spec(name, coeffs, mask) -> SearchSpec:
+    alg = LieAlgebra.abelian(3) if name == "abelian3" else LIE_ALGEBRAS[name]
+    return SearchSpec(alg, tuple(map(Fraction, coeffs)), mask)
+
+
+def test_the_pair_table_lives_for_one_search(monkeypatch):
+    """Searches of three dim-3 algebras over masked and unmasked grids and
+    two coefficient lists, interleaved in one process, each give what the
+    same search gives as the only one in a new process; a repeated search
+    gives an equal list, and each kept operator meets the full identity
+    check once."""
+    src = str(Path(search.__file__).resolve().parents[1])
+    procs = [subprocess.Popen([sys.executable, "-c", FRESH_SEARCH, json.dumps(spec)],
+                              stdout=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": src})
+             for spec in INTERLEAVED]
+    fresh = [json.loads(proc.communicate(timeout=120)[0]) for proc in procs]
+    assert all(proc.returncode == 0 for proc in procs)
+    checked, is_rb = [], search._is_rb
+    monkeypatch.setattr(search, "_is_rb", lambda alg, r: checked.append(r) or is_rb(alg, r))
+    kept = 0
+    # forward, then backward: the last search runs twice in a row
+    for spec, expected in zip(INTERLEAVED + INTERLEAVED[::-1], fresh + fresh[::-1]):
+        found = [rba.r for rba in enumerate_rb_operators(_spec(*spec))]
+        assert [list(map(str, r.flat())) for r in found] == expected, spec
+        kept += len(found)
+    assert len(checked) == kept
+    assert [len(f) for f in fresh[:2]] == [23, 639]
 
 
 def test_completed_node_is_decided_by_its_residuals():

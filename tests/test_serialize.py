@@ -8,7 +8,7 @@ from time import perf_counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CATALOG_DIR
+from conftest import CATALOG_DIR, reference_render
 from rblie import catalog
 from rblie.errors import (BadRational, BadSite, DuplicateEntry, ParseError,
                           UnknownKind, VersionMismatch)
@@ -16,7 +16,7 @@ from rblie.liealg import LieAlgebra, prelie_from_rb
 from rblie.search import SearchSpec, enumerate_rb_operators, mutate
 from rblie.serialize import (DIM, KINDS, LABELS, OPERATORS, RATIONALS, _render,
                              SearchResults, dumps, get_at, kind_of, load, loads,
-                             parse_rational, save)
+                             parse_rational, save, to_document)
 from rblie.tensors import BilinearMap, vec
 
 
@@ -182,6 +182,32 @@ def test_labelled_search_results_round_trip_byte_for_byte(labels):
     assert '  "basis": ' + _joined(labels) + ",\n" in text
     assert loads(text) == res
     assert dumps(loads(text)) == text
+
+
+def test_every_catalog_document_dumps_as_the_json_dumps_reference():
+    files = sorted(CATALOG_DIR.glob("*.json"))
+    assert len(files) >= 30
+    for path in files:
+        obj = load(path)
+        assert dumps(obj) == reference_render(to_document(obj)) + "\n", path.name
+
+
+def test_heis3_search_results_dump_as_the_json_dumps_reference():
+    alg = catalog.LIE_ALGEBRAS["heis3"]
+    spec = SearchSpec(alg)
+    res = SearchResults(alg, spec.coeffs, tuple(rba.r for rba in enumerate_rb_operators(spec)))
+    assert len(res.operators) == 639
+    assert dumps(res) == reference_render(to_document(res)) + "\n"
+
+
+def test_escaped_labels_dump_as_the_json_dumps_reference():
+    """Quotes, backslashes, control characters and non-ASCII letters (one
+    outside the basic plane) in the basis labels of a `lie` document."""
+    labels = ('q"uote\\', "ctl\x00\x1f\x7f\b\n\t", "héllo ℝ⊕𝔤 \u2028")
+    alg = LieAlgebra.from_brackets(3, {(0, 1): vec(0, 0, 1)}, labels=labels)
+    text = dumps(alg)
+    assert text == reference_render(to_document(alg)) + "\n"
+    assert text.isascii() and loads(text).labels == labels
 
 
 rational_strategy = st.fractions(min_value=-5, max_value=5, max_denominator=6)
