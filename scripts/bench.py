@@ -12,7 +12,7 @@ each row below as the median of REPEATS runs:
 * verification of a nonzero `rb-2term` at dim0 8 and dim1 8: the adjoint
   two-term structure of the semidirect product of solv4 (zero operator)
   with its adjoint representation, built from `rblie.catalog` functions
-  rather than shipped (10,806 checks; loaded afresh from its text on each
+  rather than shipped (6,198 checks; loaded afresh from its text on each
   run, so nothing cached on its tensors carries over);
 * verification of its identity `rb-hom` (h3 and both endpoints' rb3 at
   dim0 8), also loaded afresh from its text on each run;

@@ -8,7 +8,8 @@ The set is `verify` and `roundtrip` of every catalog document, every
 pair of catalog `rb-hom` documents, each run in-process through
 `rblie.cli.main`.  Each call's exit code, stdout and stderr are hashed
 together; the digests are written to tests/cli_digests.json, which
-`tests/test_cli.py` compares against.
+`tests/test_cli.py` compares against.  Each run prints to stderr every
+key it adds, removes or changes against the file it overwrites.
 Regenerate the file only for a change meant to alter the CLI's output.
 """
 
@@ -52,7 +53,16 @@ def digests() -> dict[str, str]:
 
 
 def main() -> int:
-    PINNED.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    old = json.loads(PINNED.read_text()) if PINNED.exists() else {}
+    new = digests()
+    for key in sorted(old.keys() | new.keys()):
+        if key not in new:
+            print(f"removed {key}", file=sys.stderr)
+        elif key not in old:
+            print(f"added {key}", file=sys.stderr)
+        elif old[key] != new[key]:
+            print(f"changed {key}", file=sys.stderr)
+    PINNED.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     print(f"wrote {PINNED.relative_to(ROOT)}", file=sys.stderr)
     return 0
 

@@ -7,10 +7,9 @@ errors.  Violation lines are machine-parseable and sorted:
     VIOLATION <condition-id> <index-tuple> <residual>
 
 Every verification runs its checks serially in one pass over one check
-list; each coherence-diagram residual is evaluated once and feeds both its
-diagram id and its cross-check id, and the `rb3` and `rbh3` chain checks
-share their single evaluation with the `coh-vs-rb3` and `cohm-vs-rbh3`
-cross-checks.  Constructed documents go to -o or stdout.
+list; the `cohm` diagram residual and the `rbh3` chain residual are each
+evaluated once and also feed the `cohm-vs-rbh3` cross-check.  Constructed
+documents go to -o or stdout.
 
 The argument parser is built on the first `main` call and reused by every
 later call in the same process; parsing leaves no state on it.
@@ -59,9 +58,8 @@ def structure_checks(obj) -> list[Check]:
         return (prefix_checks("alg-", lie_checks(alg.base) + rb_checks(alg))
                 + representation_checks(obj))
     if isinstance(obj, TwoTermRBLInfinity):
-        triple = rb_triple_checks(obj)
-        return (two_term_checks(obj.linf) + triple
-                + coherence_checks(obj, triple) + jacobiator_coherence_checks(obj))
+        return (two_term_checks(obj.linf) + rb_triple_checks(obj)
+                + coherence_checks(obj) + jacobiator_coherence_checks(obj))
     if isinstance(obj, TwoTermLInfinity):
         return two_term_checks(obj)
     if isinstance(obj, RBLInfinityHom):

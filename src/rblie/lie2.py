@@ -13,17 +13,17 @@ residual is the difference of the arrow sums of its two paths
 -l2(y, a) for [f, 1_y], where a is the other morphism's arrow part), and no
 diagram check builds a `Morphism2V`: `cohm` reads the arrow part of the
 bracket [f3(x), f3(y)] by calls, and only `nt` and the round trips build
-one.  Each diagram check is cross-checked against the corresponding
-chain-level condition; a disagreement is reported as its own violation
-(condition ids `coh-vs-rb3`, `jcoh-vs-d` and `cohm-vs-rbh3`), never
-patched silently.
-Each diagram residual is evaluated once per index tuple for both its ids,
-and the `coh-vs-rb3` and `cohm-vs-rbh3` cross-checks read the cached
-residual of the `rb3` or `rbh3` check itself.  `jcoh` and `coh` read their
-composite terms from the structure's term caches (see `twoterm`), which
-`d` and `rb3` fill and read too, keyed by literal argument order.  jcoh - d
-is three pairs of l3 terms that cancel whenever the l3 store is
-alternating, so `jcoh-vs-d` can fire only alongside `alt-l3`.
+one.
+
+`coh` and `jcoh` read their composite terms from the structure's term
+caches (see `twoterm`), which `rb3` and `d` fill and read too, keyed by
+literal argument order.  Once the skew and alternating flags hold, the
+`coh` and `jcoh` residuals are term by term the chain conditions `rb3` and
+`d` (the tests prove both identities), so neither is compared with its
+chain condition here.  `cohm` differs from `rbh3` by the phi3 bracket
+term, and its `cohm-vs-rbh3` cross-check reads the same single evaluation
+of the diagram residual and of the `rbh3` chain residual; a disagreement
+is reported as its own violation, never patched silently.
 """
 
 from __future__ import annotations
@@ -35,9 +35,7 @@ from itertools import combinations, product
 from .errors import NotComposable
 from .report import Check, VerificationReport, run_checks
 from .tensors import (Vec, vadd, vbasis, vneg, vsub, vzero, is_zero)
-from .twoterm import (RBLInfinityHom, TwoTermRBLInfinity,
-                      quadruple_identity_residual, rb_hom_checks,
-                      rb_triple_checks)
+from .twoterm import RBLInfinityHom, TwoTermRBLInfinity, rb_hom_checks
 
 
 @dataclass(frozen=True)
@@ -121,31 +119,15 @@ def coherence_residual(view: RBLie2View, i: int, j: int, k: int) -> Vec:
     ])
 
 
-def _with_crosscheck(diagram: str, crosscheck: str, residual,
-                     chain: dict, agree=vsub) -> list[Check]:
-    """Per index tuple of `chain` (index tuple -> chain-level residual
-    thunk), the diagram check and its cross-check against that chain-level
-    residual; both read one cached evaluation of the diagram residual."""
-    def pair(idx, chain_residual):
-        once = cache(lambda: residual(*idx))
-        return [(diagram, idx, once),
-                (crosscheck, idx, lambda: agree(once(), chain_residual()))]
-    return [check for idx, thunk in chain.items() for check in pair(idx, thunk)]
-
-
-def coherence_checks(G: TwoTermRBLInfinity, chain: list[Check]) -> list[Check]:
-    """Diagram-level operator coherence over every ordered basis triple,
-    cross-checked triple-by-triple against the chain-level cyclic
-    condition (id `coh-vs-rb3` flags any disagreement), read from the
-    cached `rb3` checks of `chain`, the list `rb_triple_checks(G)`."""
+def coherence_checks(G: TwoTermRBLInfinity) -> list[Check]:
+    """Diagram-level operator coherence over every ordered basis triple."""
     view = RBLie2View(G)
-    return _with_crosscheck("coh", "coh-vs-rb3",
-                            lambda *idx: coherence_residual(view, *idx),
-                            {idx: fn for cond, idx, fn in chain if cond == "rb3"})
+    return [("coh", idx, (lambda t=idx: coherence_residual(view, *t)))
+            for idx in product(range(G.linf.dim0), repeat=3)]
 
 
 def verify_rbcoh(G: TwoTermRBLInfinity) -> VerificationReport:
-    return run_checks(coherence_checks(G, rb_triple_checks(G)))
+    return run_checks(coherence_checks(G))
 
 
 def jacobiator_coherence_residual(view: RBLie2View,
@@ -172,13 +154,10 @@ def jacobiator_coherence_residual(view: RBLie2View,
 
 def jacobiator_coherence_checks(G: TwoTermRBLInfinity) -> list[Check]:
     """Diagram-level Jacobiator coherence over every ordered basis
-    quadruple, cross-checked against the chain-level four-argument
-    identity (id `jcoh-vs-d` flags any disagreement)."""
+    quadruple."""
     view = RBLie2View(G)
-    return _with_crosscheck(
-        "jcoh", "jcoh-vs-d", lambda *idx: jacobiator_coherence_residual(view, *idx),
-        {idx: (lambda t=idx: quadruple_identity_residual(G.linf, *t))
-         for idx in product(range(G.linf.dim0), repeat=4)})
+    return [("jcoh", idx, (lambda t=idx: jacobiator_coherence_residual(view, *t)))
+            for idx in product(range(G.linf.dim0), repeat=4)]
 
 
 def verify_jacobiator_coherence(G: TwoTermRBLInfinity) -> VerificationReport:
@@ -276,12 +255,15 @@ def hom_coherence_checks(F: RBLInfinityHom, chain: list[Check]) -> list[Check]:
 
     The cross-check still asserts only zero iff zero pair-by-pair, reading
     the cached `rbh3` checks of `chain` (the list `rb_hom_checks(F)`), and
-    reports any disagreement under `cohm-vs-rbh3`.
+    reports any disagreement under `cohm-vs-rbh3`; both ids read one
+    cached evaluation of the diagram residual.
     """
-    return _with_crosscheck("cohm", "cohm-vs-rbh3",
-                            lambda *idx: hom_coherence_residual(F, *idx),
-                            {idx: fn for cond, idx, fn in chain if cond == "rbh3"},
-                            _zero_iff_zero)
+    def pair(idx, rbh3):
+        once = cache(lambda: hom_coherence_residual(F, *idx))
+        return [("cohm", idx, once),
+                ("cohm-vs-rbh3", idx, lambda: _zero_iff_zero(once(), rbh3()))]
+    return [check for cond, idx, fn in chain if cond == "rbh3"
+            for check in pair(idx, fn)]
 
 
 def verify_rbcohm(F: RBLInfinityHom) -> VerificationReport:

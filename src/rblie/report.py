@@ -68,14 +68,15 @@ class VerificationReport:
 
 
 def run_checks(checks: Iterable[Check], workers: int = 1) -> VerificationReport:
-    """Evaluate every check serially, in one pass.  `workers` is accepted
-    for compatibility and ignored."""
-    checks = list(checks)
-    residuals = [fn() for _, _, fn in checks]
-    violations = tuple(Violation(cond, idx, res)
-                       for (cond, idx, _), res in zip(checks, residuals)
-                       if any(x != 0 for x in res))
-    return VerificationReport(checked=len(checks), violations=violations)
+    """Evaluate every check serially, in one pass over `checks`, counting
+    them and keeping only the violations.  `workers` is accepted for
+    compatibility and ignored."""
+    checked, violations = 0, []
+    for checked, (cond, idx, fn) in enumerate(checks, 1):
+        res = fn()
+        if any(res):
+            violations.append(Violation(cond, idx, res))
+    return VerificationReport(checked=checked, violations=tuple(violations))
 
 
 def prefix_checks(prefix: str, checks: Iterable[Check]) -> list[Check]:

@@ -257,15 +257,13 @@ def rb_triple_checks(G: TwoTermRBLInfinity) -> list[Check]:
     def rb1(i, j):  # the operator defect, -rb_residual, must equal l1 R2(e_i, e_j)
         return lambda: vneg(vadd(rb_residual(L.l2_00, rb.r0, i, j), l1(rb.r2(i, j))))
 
-    def rb3(idx):  # cached: the `coh-vs-rb3` cross-check reads it too
-        return cache(lambda: rb3_residual(G, *idx))
-
     checks: list[Check] = [("chain", (a,), chain(a)) for a in range(d1)]
     checks += skew_checks(rb.r2, "skew-r2")
     checks += [("rb1", (i, j), rb1(i, j)) for i, j in combinations(range(d0), 2)]
     checks += [("rb2", (a, i), (lambda t: (lambda: rb2_residual(G, *t)))((a, i)))
                for a in range(d1) for i in range(d0)]
-    checks += [("rb3", idx, rb3(idx)) for idx in product(range(d0), repeat=3)]
+    checks += [("rb3", idx, (lambda t=idx: rb3_residual(G, *t)))
+               for idx in product(range(d0), repeat=3)]
     return checks
 
 

@@ -139,15 +139,24 @@ def reference_render(value, indent: int = 0) -> str:
     return json.dumps(value)  # a scalar, or a list of scalars on one line
 
 
-def flag_broken_rb_hom(seed: int, d0: int = 3, d1: int = 2) -> RBLInfinityHom:
-    """An operator homomorphism between two random two-term structures whose
-    flagged stores (l2_00, l3, r2, phi2) are drawn cell by cell with the
-    flag set, so none of them is skew or alternating."""
+def _random_rb_hom(seed: int, d0: int, d1: int, flags_hold: bool) -> RBLInfinityHom:
+    """An operator homomorphism between two random two-term structures.
+    Every store is drawn cell by cell; the flagged ones (l2_00, l3, r2,
+    phi2) either get cells at sorted input tuples only, completed with
+    signs by `from_map`, or get cells anywhere with the flag set."""
     rng = random.Random(seed)
 
+    def coeff():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+
     def tensor(shape, flag=False):
-        cells = {idx: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
-                 for idx in product(*map(range, shape)) if rng.random() < 0.6}
+        if flag and flags_hold:
+            out, n, *rest = shape
+            values = {idx: tuple(coeff() if rng.random() < 0.6 else 0 for _ in range(out))
+                      for idx in combinations(range(n), 1 + len(rest))}
+            return (BilinearMap.from_map(n, n, out, values, skew=True) if len(rest) == 1
+                    else TrilinearMap.from_map(n, out, values, alt=True))
+        cells = {idx: coeff() for idx in product(*map(range, shape)) if rng.random() < 0.6}
         return from_cells(shape, cells, flag)
 
     def structure():
@@ -161,6 +170,18 @@ def flag_broken_rb_hom(seed: int, d0: int = 3, d1: int = 2) -> RBLInfinityHom:
     hom = LInfinityHom(src.linf, tgt.linf, tensor((d0, d0)), tensor((d1, d1)),
                        tensor((d1, d0, d0), True))
     return RBLInfinityHom(src, tgt, hom, tensor((d1, d0)))
+
+
+def flag_broken_rb_hom(seed: int, d0: int = 3, d1: int = 2) -> RBLInfinityHom:
+    """Random stores (`_random_rb_hom`) whose flagged stores carry the flag
+    but are not skew or alternating."""
+    return _random_rb_hom(seed, d0, d1, flags_hold=False)
+
+
+def flag_respecting_rb_hom(seed: int, d0: int = 4, d1: int = 2) -> RBLInfinityHom:
+    """Random stores (`_random_rb_hom`) whose flagged stores are skew or
+    alternating as flagged; no axiom is expected to hold on them."""
+    return _random_rb_hom(seed, d0, d1, flags_hold=True)
 
 
 # Reference forms of the residuals that read cached terms, written as each

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib.util
 import io
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import CATALOG_DIR, structure_mutants
+from conftest import CATALOG_DIR, hom_mutants, structure_mutants
 from rblie import cli
 from rblie.cli import main, structure_checks
 from rblie.serialize import load, loads
@@ -53,6 +54,44 @@ def test_every_residual_coordinate_is_exact():
             if any(type(x) not in (int, Fraction) for x in r):
                 inexact.append((cond, idx, r))
     assert nonzero and not inexact, inexact[:3]
+
+
+def documented_condition_ids() -> list[tuple[list[str], str]]:
+    """The rows of the condition-id table of docs/FORMAT.md: the ids of
+    each row, with a range such as `h1`..`h3` expanded, and its text."""
+    text = (CATALOG_DIR.parent / "docs" / "FORMAT.md").read_text(encoding="utf-8")
+    table = text.split("### Condition ids")[1].split("| --- | --- |\n")[1].split("\n\n")[0]
+    rows = []
+    for row in table.splitlines():
+        ids, what = row.strip("|").split("|", 1)
+        ids = re.sub(r"`([a-z-]+)(\d+)`\.\.`\1(\d+)`", lambda m: ", ".join(
+            f"`{m[1]}{n}`" for n in range(int(m[2]), int(m[3]) + 1)), ids)
+        rows.append((re.findall(r"`([^`]+)`", ids), what))
+    return rows
+
+
+def test_format_doc_condition_ids_match_the_code():
+    """Every id of the condition-id table, other than the `*` patterns, is
+    a string literal of the package, so a removed id cannot keep its row;
+    and every id that `structure_checks` emits on the catalog and on the
+    structure and homomorphism mutants, with its constituent prefixes
+    (the `*` patterns of the constituent row) stripped, has a row."""
+    rows = documented_condition_ids()
+    exact = {i for ids, _ in rows for i in ids if "*" not in i}
+    assert {"h1", "h2", "h3", "rbh2", "coh", "cohm-vs-rbh3"} <= exact
+    literals = {node.value for path in (CATALOG_DIR.parent / "src" / "rblie").glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert sorted(exact - literals) == []
+
+    [constituents] = [ids for ids, what in rows if "constituent" in what]
+    prefix = re.compile("^(?:" + "|".join(
+        re.escape(p.removesuffix("*")).replace("N", r"\d+") for p in constituents) + ")+")
+    objs = [load(p) for p in sorted(CATALOG_DIR.glob("*.json"))]
+    objs += [m for _, m in structure_mutants()] + [m for _, m in hom_mutants()]
+    emitted = {cond for obj in objs for cond, _, _ in structure_checks(obj)}
+    assert any(prefix.match(cond) for cond in emitted)
+    assert sorted({prefix.sub("", cond) for cond in emitted} - exact) == []
 
 
 def test_verify_mutated_file_exits_one_with_violation_lines(capsys, tmp_path):
