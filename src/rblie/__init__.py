@@ -24,7 +24,7 @@ from .twoterm import (CompletionFailure, LInfinityHom, RBLInfinityHom,
                       verify_rb_triple)
 from .lie2 import (Morphism2V, RBLie2View, roundtrip_hom,
                    roundtrip_structure, verify_jacobiator_coherence,
-                   verify_naturality, verify_rbcoh, verify_rbcohm)
+                   verify_rbcoh, verify_rbcohm)
 from .crossed import (LieCrossedModule, PreLieCrossedModule,
                       RBLieCrossedModule, crossed_semidirect,
                       crossed_to_strict, derived_crossed,

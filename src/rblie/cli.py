@@ -7,9 +7,10 @@ errors.  Violation lines are machine-parseable and sorted:
     VIOLATION <condition-id> <index-tuple> <residual>
 
 Every verification runs its checks serially in one pass over one check
-list; the `cohm` diagram residual and the `rbh3` chain residual are each
-evaluated once and also feed the `cohm-vs-rbh3` cross-check.  Constructed
-documents go to -o or stdout.
+list; the `rbh3` chain residual is evaluated once per pair and feeds the
+`rbh3` check, the `cohm` diagram check (`rbh3` minus the phi3 bracket
+term) and the `cohm-vs-rbh3` cross-check.  Constructed documents go to -o
+or stdout.
 
 The argument parser is built on the first `main` call and reused by every
 later call in the same process; parsing leaves no state on it.

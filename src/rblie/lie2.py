@@ -10,20 +10,21 @@ Since composition adds arrow parts and identities carry none, a diagram
 residual is the difference of the arrow sums of its two paths
 (`_path_difference`).  So the diagram generators return arrow parts only
 (a bracket with an identity has arrow part l2(x, a) for [1_x, g] and
--l2(y, a) for [f, 1_y], where a is the other morphism's arrow part), and no
-diagram check builds a `Morphism2V`: `cohm` reads the arrow part of the
-bracket [f3(x), f3(y)] by calls, and only `nt` and the round trips build
-one.
+-l2(y, a) for [f, 1_y], where a is the other morphism's arrow part), the
+diagram residuals take the structure itself, and no diagram check builds a
+`Morphism2V` or an `RBLie2View`; only the round trips do.
 
 `coh` and `jcoh` read their composite terms from the structure's term
 caches (see `twoterm`), which `rb3` and `d` fill and read too, keyed by
 literal argument order.  Once the skew and alternating flags hold, the
 `coh` and `jcoh` residuals are term by term the chain conditions `rb3` and
 `d` (the tests prove both identities), so neither is compared with its
-chain condition here.  `cohm` differs from `rbh3` by the phi3 bracket
-term, and its `cohm-vs-rbh3` cross-check reads the same single evaluation
-of the diagram residual and of the `rbh3` chain residual; a disagreement
-is reported as its own violation, never patched silently.
+chain condition here.  The homomorphism diagram `cohm` has every term of
+the chain condition `rbh3` plus the arrow part B of the bracket
+[f3(x), f3(y)] (`phi3_bracket`), so it is read as `rbh3` - B from the one
+evaluation of `rbh3`; its `cohm-vs-rbh3` cross-check reads the same
+evaluations, and a disagreement is reported as its own violation, never
+patched silently.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from itertools import combinations, product
 from .errors import NotComposable
 from .report import Check, VerificationReport, run_checks
 from .tensors import (Vec, vadd, vbasis, vneg, vsub, vzero, is_zero)
-from .twoterm import RBLInfinityHom, TwoTermRBLInfinity, rb_hom_checks
+from .twoterm import (RBLInfinityHom, TwoTermRBLInfinity, rb_hom_checks,
+                      rbh3_residual)
 
 
 @dataclass(frozen=True)
@@ -92,14 +94,13 @@ def _path_difference(left: list[list[Vec]], right: list[list[Vec]]) -> Vec:
     return vsub(arrows(left), arrows(right))
 
 
-def coherence_residual(view: RBLie2View, i: int, j: int, k: int) -> Vec:
+def coherence_residual(G: TwoTermRBLInfinity, i: int, j: int, k: int) -> Vec:
     """Arrow-part difference of the two composite paths of the operator
     coherence diagram at one ordered basis triple of g0.  The basis objects
     x, y, z are the indices i, j, k, at which the maps are called: J is l3,
     P is R1 on arrow parts and R is R2, the arrow part of
     [Px, Py] -> P[Px, y] + P[x, Py].  The terms `rb3_residual` reads too
     come from the structure's term caches."""
-    G = view.base
     br, J, P, R = G.linf.l2_00, G.linf.l3, G.rb.r1, G.rb.r2
     x, y, z = i, j, k
     px, py, pz = G.rb.r0(x), G.rb.r0(y), G.rb.r0(z)
@@ -121,8 +122,7 @@ def coherence_residual(view: RBLie2View, i: int, j: int, k: int) -> Vec:
 
 def coherence_checks(G: TwoTermRBLInfinity) -> list[Check]:
     """Diagram-level operator coherence over every ordered basis triple."""
-    view = RBLie2View(G)
-    return [("coh", idx, (lambda t=idx: coherence_residual(view, *t)))
+    return [("coh", idx, (lambda t=idx: coherence_residual(G, *t)))
             for idx in product(range(G.linf.dim0), repeat=3)]
 
 
@@ -130,13 +130,13 @@ def verify_rbcoh(G: TwoTermRBLInfinity) -> VerificationReport:
     return run_checks(coherence_checks(G))
 
 
-def jacobiator_coherence_residual(view: RBLie2View,
+def jacobiator_coherence_residual(G: TwoTermRBLInfinity,
                                   i: int, j: int, k: int, l: int) -> Vec:
     """Arrow-part difference of the two composite paths of the Jacobiator
     coherence diagram at one ordered basis quadruple of g0.  The basis
     objects w, x, y, z are the indices i, j, k, l, at which the maps are
     called; J is the Jacobiator l3."""
-    L = view.base.linf
+    L = G.linf
     A, B = L.act_l3, L.l3_br  # [e_p, J(q, r, s)], and J with [e_p, e_q] in a slot
     w, x, y, z = i, j, k, l
 
@@ -155,42 +155,12 @@ def jacobiator_coherence_residual(view: RBLie2View,
 def jacobiator_coherence_checks(G: TwoTermRBLInfinity) -> list[Check]:
     """Diagram-level Jacobiator coherence over every ordered basis
     quadruple."""
-    view = RBLie2View(G)
-    return [("jcoh", idx, (lambda t=idx: jacobiator_coherence_residual(view, *t)))
+    return [("jcoh", idx, (lambda t=idx: jacobiator_coherence_residual(G, *t)))
             for idx in product(range(G.linf.dim0), repeat=4)]
 
 
 def verify_jacobiator_coherence(G: TwoTermRBLInfinity) -> VerificationReport:
     return run_checks(jacobiator_coherence_checks(G))
-
-
-def naturality_residual(view: RBLie2View, a: int, j: int) -> Vec:
-    """Naturality of the comparison morphism along the basis morphism
-    (0, u_a) against the object e_j, evaluated as two composite paths; the
-    basis morphism is read at its arrow index a and the object at j."""
-    rb, act = view.base.rb, view.base.linf.l2_01
-    P, R, py = rb.r1, rb.r2, rb.r0(j)
-    f = Morphism2V(vzero(view.dim0), vbasis(view.dim1, a))
-    return _path_difference([
-        [R(f.source, j)],
-        [P(vneg(act(j, P(a)))), P(vneg(act(py, a)))],
-    ], [
-        [vneg(act(py, P(a)))],
-        [R(view.target(f), j)],
-    ])
-
-
-def verify_naturality(G: TwoTermRBLInfinity) -> VerificationReport:
-    """The morphism-calculus form of the degree-one operator condition;
-    its residuals coincide with the chain-level ones."""
-    view = RBLie2View(G)
-
-    def res(a, j):
-        return lambda: naturality_residual(view, a, j)
-
-    checks = [("nt", (a, j), res(a, j))
-              for a in range(view.dim1) for j in range(view.dim0)]
-    return run_checks(checks)
 
 
 class RBLie2Hom:
@@ -201,7 +171,6 @@ class RBLie2Hom:
 
     def __init__(self, F: RBLInfinityHom):
         self.F = F
-        self.target = RBLie2View(F.target)
 
     def f1(self, f: Morphism2V) -> Morphism2V:
         return Morphism2V(self.F.hom.phi0.apply(f.source), self.F.hom.phi1.apply(f.arrow))
@@ -216,27 +185,22 @@ class RBLie2Hom:
                           self.F.phi3.apply(x))
 
 
+def phi3_bracket(F: RBLInfinityHom, i: int, j: int) -> Vec:
+    """Arrow part B(x, y) = l2'(R0' phi0 x + l1' phi3 x, phi3 y)
+    - l2'(R0' phi0 y, phi3 x) of the diagram bracket [f3(x), f3(y)] of the
+    comparison morphisms, read by calls at the basis indices x, y."""
+    p0, p3 = F.hom.phi0, F.phi3
+    act, r0, l1 = F.target.linf.l2_01, F.target.rb.r0, F.target.linf.complex.l1
+    x, y = i, j
+    return vsub(act(vadd(r0(p0(x)), l1(p3(x))), p3(y)), act(r0(p0(y)), p3(x)))
+
+
 def hom_coherence_residual(F: RBLInfinityHom, i: int, j: int) -> Vec:
     """Arrow-part difference of the two composite paths of the
-    homomorphism coherence diagram at one ordered basis pair, at whose
-    indices x, y the maps are called; the bracket [f3(x), f3(y)] is read
-    as its arrow part B(x, y) (see `hom_coherence_checks`)."""
-    r0, R = F.source.rb.r0, F.source.rb.r2
-    p0, p1, p2, p3 = F.hom.phi0, F.hom.phi1, F.hom.phi2, F.phi3
-    br, P, act = F.source.linf.l2_00, F.target.rb.r1, F.target.linf.l2_01
-    r0t, l1t = F.target.rb.r0, F.target.linf.complex.l1
-    x, y = i, j
-
-    return _path_difference([
-        [F.target.rb.r2(p0(x), p0(y))],
-        [P(vneg(act(p0(y), p3(x)))), P(act(p0(x), p3(y)))],
-        [P(p2(r0(x), y)), P(p2(x, r0(y)))],
-        [p3(br(r0(x), y)), p3(br(x, r0(y)))],
-    ], [
-        [act(vadd(r0t(p0(x)), l1t(p3(x))), p3(y)), vneg(act(r0t(p0(y)), p3(x)))],
-        [p2(r0(x), r0(y))],
-        [p1(R(x, y))],
-    ])
+    homomorphism coherence diagram at one ordered basis pair: every term of
+    the chain condition `rbh3` and, on the second path, the bracket
+    [f3(x), f3(y)], read as its arrow part B(x, y) (`phi3_bracket`)."""
+    return vsub(rbh3_residual(F, i, j), phi3_bracket(F, i, j))
 
 
 def _zero_iff_zero(a: Vec, b: Vec) -> Vec:
@@ -247,21 +211,20 @@ def hom_coherence_checks(F: RBLInfinityHom, chain: list[Check]) -> list[Check]:
     """Diagram-level homomorphism coherence over every ordered basis pair.
 
     The diagram bracket of the two comparison morphisms f3(x), f3(y) has
-    arrow part B(x, y) = l2'(R0' phi0 x + l1' phi3 x, phi3 y)
-    - l2'(R0' phi0 y, phi3 x), which the chain-level condition reads as
-    zero by degree; the two residuals differ by exactly that term:
+    arrow part B(x, y) (`phi3_bracket`), which the chain-level condition
+    reads as zero by degree; the two residuals differ by exactly that term:
 
         cohm(x, y) = rbh3(x, y) - B(x, y).
 
-    The cross-check still asserts only zero iff zero pair-by-pair, reading
-    the cached `rbh3` checks of `chain` (the list `rb_hom_checks(F)`), and
-    reports any disagreement under `cohm-vs-rbh3`; both ids read one
-    cached evaluation of the diagram residual.
+    So `cohm` reads the cached `rbh3` check of `chain` (the list
+    `rb_hom_checks(F)`) and subtracts B.  The cross-check still asserts
+    only zero iff zero pair-by-pair and reports any disagreement under
+    `cohm-vs-rbh3`; it reads the same two cached evaluations.
     """
     def pair(idx, rbh3):
-        once = cache(lambda: hom_coherence_residual(F, *idx))
-        return [("cohm", idx, once),
-                ("cohm-vs-rbh3", idx, lambda: _zero_iff_zero(once(), rbh3()))]
+        cohm = cache(lambda: vsub(rbh3(), phi3_bracket(F, *idx)))
+        return [("cohm", idx, cohm),
+                ("cohm-vs-rbh3", idx, lambda: _zero_iff_zero(cohm(), rbh3()))]
     return [check for cond, idx, fn in chain if cond == "rbh3"
             for check in pair(idx, fn)]
 

@@ -421,7 +421,7 @@ def rb_hom_checks(f: RBLInfinityHom) -> list[Check]:
         return lambda: vsub(p3(src.linf.complex.l1(a)),
                             vsub(p1(src.rb.r1(a)), tgt.rb.r1(p1(a))))
 
-    def rbh3(idx):  # cached: the `cohm-vs-rbh3` cross-check reads it too
+    def rbh3(idx):  # cached: `cohm` and `cohm-vs-rbh3` read it too
         return cache(lambda: rbh3_residual(f, *idx))
 
     checks: list[Check] = [("rbh1", (i,), rbh1(i)) for i in range(d0)]

@@ -238,6 +238,22 @@ def reference_coh(G, x, y, z):
     return vsub(left, right)
 
 
+def reference_cohm(F, x, y):
+    """The homomorphism coherence diagram as the arrow parts of its two
+    paths, all eleven terms; the right path's first two are the bracket
+    [f3(x), f3(y)]."""
+    src, tgt, p0, p1, p2, p3 = F.source, F.target, F.hom.phi0, F.hom.phi1, F.hom.phi2, F.phi3
+    br, r0, R = src.linf.l2_00, src.rb.r0, src.rb.r2
+    act, P, r0t, l1t = tgt.linf.l2_01, tgt.rb.r1, tgt.rb.r0, tgt.linf.complex.l1
+    left = vadd(tgt.rb.r2(p0(x), p0(y)),
+                P(vneg(act(p0(y), p3(x)))), P(act(p0(x), p3(y))),
+                P(p2(r0(x), y)), P(p2(x, r0(y))),
+                p3(br(r0(x), y)), p3(br(x, r0(y))))
+    right = vadd(act(vadd(r0t(p0(x)), l1t(p3(x))), p3(y)), vneg(act(r0t(p0(y)), p3(x))),
+                 p2(r0(x), r0(y)), p1(R(x, y)))
+    return vsub(left, right)
+
+
 def reference_h3(f, x, y, z):
     src, tgt = f.source, f.target
     p0, p1, p2, br, act = f.phi0, f.phi1, f.phi2, src.l2_00, tgt.l2_01

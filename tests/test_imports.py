@@ -1,13 +1,14 @@
-"""Every name a module of the package imports is used in that module, so a
-deletion cannot leave an import behind."""
+"""Every name a module of the package, a test module or a script imports is
+used in that module, so a deletion cannot leave an import behind."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted(p for p in (Path(__file__).resolve().parent.parent / "src" / "rblie").glob("*.py")
-                 if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = (sorted(p for p in (ROOT / "src" / "rblie").glob("*.py") if p.name != "__init__.py")
+           + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:

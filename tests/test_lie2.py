@@ -11,24 +11,25 @@ from hypothesis import given, strategies as st
 
 from conftest import (CATALOG_DIR, bracket_forms, flag_broken_rb_hom,
                       flag_respecting_rb_hom, hom_mutants, make_linf,
-                      reference_coh, reference_d, reference_h3, reference_jcoh,
-                      reference_rb3, structure_mutants, with_zero_rb)
+                      reference_coh, reference_cohm, reference_d, reference_h3,
+                      reference_jcoh, reference_rb3, structure_mutants,
+                      with_zero_rb)
 from rblie import lie2, twoterm
 from rblie.catalog import TWO_TERM_STRUCTURES, HOMOMORPHISMS, solvable4
 from rblie.cli import verify_structure
 from rblie.errors import NotComposable
 from rblie.lie2 import (Morphism2V, RBLie2Hom, RBLie2View, coherence_checks,
-                        coherence_residual, jacobiator_coherence_checks,
-                        jacobiator_coherence_residual, naturality_residual,
-                        roundtrip_hom, roundtrip_structure,
-                        verify_jacobiator_coherence, verify_naturality,
+                        coherence_residual, hom_coherence_checks,
+                        jacobiator_coherence_checks,
+                        jacobiator_coherence_residual, roundtrip_hom,
+                        roundtrip_structure, verify_jacobiator_coherence,
                         verify_rbcoh, verify_rbcohm)
 from rblie.report import run_checks
 from rblie.search import mutate
 from rblie.serialize import dumps, load, loads
-from rblie.tensors import is_zero, vadd, vbasis, vec, vsub, vzero
+from rblie.tensors import is_zero, vadd, vbasis, vec, vzero
 from rblie.twoterm import (hom_checks, identity_rb_hom, quadruple_identity_residual,
-                           rb2_residual, rb3_residual, rb_triple_checks,
+                           rb3_residual, rb_hom_checks, rb_triple_checks,
                            rbh3_residual, two_term_checks)
 
 VIEW = RBLie2View(TWO_TERM_STRUCTURES["sl2-cocycle-rb2-nonstrict"])
@@ -145,14 +146,13 @@ def test_coherence_residual_equals_chain_condition_everywhere():
     reference form, and is nonzero at some triples)."""
     instances = list(TWO_TERM_STRUCTURES.values()) + [m for _, m in structure_mutants()]
     for G in instances:
-        view = RBLie2View(G)
         for idx in product(range(G.linf.dim0), repeat=3):
-            assert coherence_residual(view, *idx) == rb3_residual(G, *idx)
+            assert coherence_residual(G, *idx) == rb3_residual(G, *idx)
     for G in flag_respecting_structures():
-        view, nonzero = RBLie2View(G), 0
+        nonzero = 0
         for idx in product(range(G.linf.dim0), repeat=3):
             rb3 = rb3_residual(G, *idx)
-            assert coherence_residual(view, *idx) == rb3 == reference_rb3(G, *idx)
+            assert coherence_residual(G, *idx) == rb3 == reference_rb3(G, *idx)
             nonzero += not is_zero(rb3)
         assert nonzero
 
@@ -180,15 +180,14 @@ def test_jacobiator_coherence_equals_quadruple_identity_everywhere():
     also equals its reference form, and is nonzero at some quadruples)."""
     instances = list(TWO_TERM_STRUCTURES.values()) + [m for _, m in structure_mutants()]
     for G in instances:
-        view = RBLie2View(G)
         for idx in product(range(G.linf.dim0), repeat=4):
-            assert jacobiator_coherence_residual(view, *idx) == \
+            assert jacobiator_coherence_residual(G, *idx) == \
                 quadruple_identity_residual(G.linf, *idx)
     for G in flag_respecting_structures():
-        view, nonzero = RBLie2View(G), 0
+        nonzero = 0
         for idx in product(range(G.linf.dim0), repeat=4):
             d = quadruple_identity_residual(G.linf, *idx)
-            assert jacobiator_coherence_residual(view, *idx) == d == reference_d(G.linf, *idx)
+            assert jacobiator_coherence_residual(G, *idx) == d == reference_d(G.linf, *idx)
             nonzero += not is_zero(d)
         assert nonzero
 
@@ -196,19 +195,6 @@ def test_jacobiator_coherence_equals_quadruple_identity_everywhere():
 def test_jacobiator_coherence_flags_d_mutant():
     mutant = dict(structure_mutants())["d"]
     assert verify_jacobiator_coherence(mutant).conditions() == {"jcoh"}
-
-
-def test_naturality_equals_degree_one_condition():
-    """The naturality difference IS the degree-one operator condition, on
-    the catalog (all zero) and on every structure mutant."""
-    instances = list(TWO_TERM_STRUCTURES.items()) + structure_mutants()
-    for name, G in instances:
-        view = RBLie2View(G)
-        for a in range(G.linf.dim1):
-            for i in range(G.linf.dim0):
-                assert naturality_residual(view, a, i) == rb2_residual(G, a, i), name
-    for name, G in TWO_TERM_STRUCTURES.items():
-        assert verify_naturality(G).ok, name
 
 
 def test_hom_coherence_clean_on_catalog():
@@ -227,45 +213,46 @@ def test_hom_coherence_agrees_with_chain_condition_on_mutants():
         assert cohm_pairs == rbh3_pairs, condition
 
 
-def phi3_bracket_term(F, i: int, j: int):
-    """B(x, y) = l2'(R0' phi0 x + l1' phi3 x, phi3 y) - l2'(R0' phi0 y, phi3 x),
-    from the chain data alone: the arrow part of the diagram bracket of
-    the comparison morphisms f3(x) and f3(y)."""
-    tgt, d0 = F.target.linf, F.source.linf.dim0
-    p0, p3, r0 = F.hom.phi0.apply, F.phi3.apply, F.target.rb.r0.apply
-    x, y = vbasis(d0, i), vbasis(d0, j)
-    return vsub(tgt.l2_01.apply(vadd(r0(p0(x)), tgt.complex.l1.apply(p3(x))), p3(y)),
-                tgt.l2_01.apply(r0(p0(y)), p3(x)))
-
-
 def test_hom_coherence_equals_rbh3_minus_phi3_bracket():
-    """cohm = rbh3 - B exactly, on every catalog homomorphism and each of
-    its single-site phi3 mutants (where B is nonzero at some pairs)."""
+    """`hom_coherence_residual` and the `cohm` check, both read as `rbh3`
+    minus `phi3_bracket`, equal the diagram's two-path formula term by term
+    at every ordered pair: on every catalog homomorphism, each of its
+    single-site phi3 mutants, and seeded random flag-respecting and
+    flag-broken homomorphisms.  B is nonzero at some pairs of the mutants
+    and of the random homomorphisms."""
     instances = []
     for F in HOMOMORPHISMS.values():
         instances.append(F)
         instances += [mutate(F, ("phi3", r, c), 1)
                       for r in range(F.phi3.rows) for c in range(F.phi3.cols)]
-    pairs = nonzero_b = 0
-    for F in instances:
-        d0 = F.source.linf.dim0
-        for i in range(d0):
-            for j in range(d0):
-                b = phi3_bracket_term(F, i, j)
-                assert lie2.hom_coherence_residual(F, i, j) == \
-                    vsub(rbh3_residual(F, i, j), b)
-                pairs += 1
-                nonzero_b += not is_zero(b)
+    random_homs = [make(seed) for make in (flag_respecting_rb_hom, flag_broken_rb_hom)
+                   for seed in range(3)]
+
+    def nonzero_b(homs):
+        """Pairs with B != 0, after checking every `cohm` pair of `homs`."""
+        count = 0
+        for F in homs:
+            cohm = [(idx, fn) for cond, idx, fn in hom_coherence_checks(F, rb_hom_checks(F))
+                    if cond == "cohm"]
+            assert len(cohm) == F.source.linf.dim0 ** 2
+            for (i, j), check in cohm:
+                assert lie2.hom_coherence_residual(F, i, j) == check() == \
+                    reference_cohm(F, i, j)
+                count += not is_zero(lie2.phi3_bracket(F, i, j))
+        return count
+
     # 73 catalog pairs and 285 mutant pairs; B is nonzero only on mutants
-    assert (pairs, nonzero_b) == (73 + 285, 12)
+    assert sum(F.source.linf.dim0 ** 2 for F in instances) == 73 + 285
+    assert nonzero_b(instances) == 12
+    assert nonzero_b(random_homs)
 
 
 def test_each_diagram_residual_is_evaluated_once(monkeypatch):
     """Each diagram and chain residual is evaluated once per index tuple:
-    `cohm` and `cohm-vs-rbh3` share one evaluation of the diagram residual
-    and `rbh3` shares its own with `cohm-vs-rbh3`.  No diagram builds a
-    `Morphism2V`: `cohm` reads the arrow part of the bracket
-    [f3(x), f3(y)] by calls, so `verify` builds none on any catalog
+    `rbh3`, `cohm` and `cohm-vs-rbh3` share one evaluation of the `rbh3`
+    chain residual, and `cohm` adds one of the phi3 bracket term B.  No
+    diagram builds a `Morphism2V`: `cohm` reads the arrow part of the
+    bracket [f3(x), f3(y)] by calls, so `verify` builds none on any catalog
     document."""
     calls = Counter()
 
@@ -276,7 +263,7 @@ def test_each_diagram_residual_is_evaluated_once(monkeypatch):
         return wrapper
 
     names = ("coherence_residual", "jacobiator_coherence_residual",
-             "hom_coherence_residual", "rb3_residual", "rbh3_residual")
+             "rb3_residual", "rbh3_residual", "phi3_bracket")
     for name in names:
         for module in (lie2, twoterm):  # wherever the module calls it by name
             if hasattr(module, name):
@@ -294,7 +281,7 @@ def test_each_diagram_residual_is_evaluated_once(monkeypatch):
     calls.clear()
     assert verify_structure(F).ok
     h0 = F.source.linf.dim0  # 4, 4 and 12
-    assert (calls["hom_coherence_residual"], calls["rbh3_residual"],
+    assert (calls["rbh3_residual"], calls["phi3_bracket"],
             calls["Morphism2V"]) == (h0 ** 2, h0 ** 2, 0)
 
     for path in sorted(CATALOG_DIR.glob("*.json")):
@@ -302,16 +289,18 @@ def test_each_diagram_residual_is_evaluated_once(monkeypatch):
     assert calls["Morphism2V"] == 0
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_cached_terms_give_the_direct_residuals_on_flag_broken_stores(seed):
+@pytest.mark.parametrize("seed, d0", [(0, 3), (1, 3), (2, 3), (0, 4)],
+                         ids=["0", "1", "2", "0-dim0-4"])
+def test_cached_terms_give_the_direct_residuals_on_flag_broken_stores(seed, d0):
     """With l2_00, r2 and phi2 not skew and l3 not alternating, every `d`,
     `jcoh`, `rb3`, `coh` and `h3` residual, read through the term caches in
     check-list order, equals its reference form, and so does the
     four-argument identity at every ordered quadruple, read through the
     same caches after them; so no cache key folds two argument orders into
-    one.  The flag checks fire, so such a store fails `verify`."""
-    F = flag_broken_rb_hom(seed)
-    G, d0 = F.source, F.source.linf.dim0
+    one.  The `d` check exists only from dim0 4 on, so one case has dim0
+    4.  The flag checks fire, so such a store fails `verify`."""
+    F = flag_broken_rb_hom(seed, d0)
+    G = F.source
     checks = (two_term_checks(G.linf) + rb_triple_checks(G) + coherence_checks(G)
               + jacobiator_coherence_checks(G) + hom_checks(F.hom))
     got = {(cond, idx): fn() for cond, idx, fn in checks}
@@ -324,7 +313,9 @@ def test_cached_terms_give_the_direct_residuals_on_flag_broken_stores(seed):
     for idx in product(range(d0), repeat=4):
         assert got["jcoh", idx] == reference_jcoh(G, *idx)
         assert quadruple_identity_residual(G.linf, *idx) == reference_d(G.linf, *idx)
-    for idx in combinations(range(d0), 4):
+    d_tuples = [idx for cond, idx in got if cond == "d"]
+    assert d_tuples == list(combinations(range(d0), 4))
+    for idx in d_tuples:
         assert got["d", idx] == reference_d(G.linf, *idx)
     assert {"skew-l2", "skew-r2", "alt-l3"} <= run_checks(checks).conditions()
 
