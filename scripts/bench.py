@@ -28,7 +28,7 @@ each row below as the median of REPEATS runs:
   span(E21, E31, E32) into span(E12, E13, E23), 9 free entries.  sl3 is
   built here from 3x3 matrix units, in the basis (E12, E13, E21, E23, E31,
   E32, H1, H2).  It must find 795 operators within 60 s, the number a pass
-  of `verify_rb` over all 3^9 matrices finds.
+  of the `rota-baxter` checks over all 3^9 matrices finds.
 
 The JSON written to the one argument holds every row (median, the single
 runs, the number of checked conditions, of documents for the
@@ -58,7 +58,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from rblie.catalog import RB_ALGEBRAS, adjoint_rb_two_term  # noqa: E402
 from rblie.cli import main as cli_main, verify_structure  # noqa: E402
 from rblie.liealg import (LieAlgebra, adjoint_representation,  # noqa: E402
-                          semidirect_product, verify_lie)
+                          semidirect_product)
 from rblie.search import SearchSpec, enumerate_rb_operators  # noqa: E402
 from rblie.serialize import dumps, loads  # noqa: E402
 from rblie.tensors import BilinearMap, LinearMap, TrilinearMap, vec  # noqa: E402
@@ -192,7 +192,7 @@ def rows() -> dict:
     out.update({f"search-rb {name} over -1,0,1": lambda name=name: search(name)
                 for name in SEARCH_FOUND})
     alg = sl3()
-    if not verify_lie(alg).ok:
+    if not verify_structure(alg).ok:
         raise SystemExit("the sl3 built from matrix units fails verification")
     out["masked sl3 search over -1,0,1 (9 free entries)"] = lambda: sl3_search(alg)
     return out

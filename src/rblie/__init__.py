@@ -14,23 +14,17 @@ from .liealg import (LieAlgebra, PreLieAlgebra, RBRepresentation,
                      RotaBaxterLieAlgebra, adjoint_representation,
                      coadjoint_representation, derived_bracket,
                      dual_representation, prelie_from_rb, semidirect_product,
-                     subadjacent_lie, verify_lie, verify_prelie, verify_rb,
-                     verify_representation)
+                     subadjacent_lie)
 from .twoterm import (CompletionFailure, LInfinityHom, RBLInfinityHom,
                       RBTriple, TwoTermComplex, TwoTermLInfinity,
                       TwoTermRBLInfinity, complete_rb_triple,
-                      compose_rb_homs, identity_rb_hom, verify_2term,
-                      verify_hom, verify_rb_2term, verify_rb_hom,
-                      verify_rb_triple)
-from .lie2 import (Morphism2V, RBLie2View, roundtrip_hom,
-                   roundtrip_structure, verify_jacobiator_coherence,
-                   verify_rbcoh, verify_rbcohm)
+                      compose_rb_homs, identity_rb_hom)
+from .lie2 import Morphism2V, RBLie2View, roundtrip_hom, roundtrip_structure
 from .crossed import (LieCrossedModule, PreLieCrossedModule,
                       RBLieCrossedModule, crossed_semidirect,
                       crossed_to_strict, derived_crossed,
                       prelie_crossed_to_lie_crossed,
-                      rb_crossed_to_prelie_crossed, strict_to_crossed,
-                      verify_crossed)
+                      rb_crossed_to_prelie_crossed, strict_to_crossed)
 from .search import SearchSpec, enumerate_rb_operators, mutate
 from .serialize import SearchResults, dumps, load, loads, save
 

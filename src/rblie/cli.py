@@ -23,16 +23,17 @@ import sys
 from functools import cache
 
 from .crossed import (LieCrossedModule, PreLieCrossedModule,
-                      RBLieCrossedModule, crossed_checks, crossed_semidirect,
-                      crossed_to_strict, derived_crossed,
-                      prelie_crossed_to_lie_crossed,
-                      rb_crossed_to_prelie_crossed, strict_to_crossed)
+                      RBLieCrossedModule, crossed_semidirect, crossed_to_strict,
+                      derived_crossed, lie_crossed_checks,
+                      prelie_crossed_checks, prelie_crossed_to_lie_crossed,
+                      rb_crossed_checks, rb_crossed_to_prelie_crossed,
+                      strict_to_crossed)
 from .errors import StructureError
 from .liealg import (LieAlgebra, PreLieAlgebra, RBRepresentation,
                      RotaBaxterLieAlgebra, adjoint_representation,
                      dual_representation, lie_checks, prelie_checks,
                      prelie_from_rb, rb_checks, representation_checks,
-                     semidirect_product, subadjacent_lie, verify_lie)
+                     semidirect_product, subadjacent_lie)
 from .lie2 import (coherence_checks, hom_coherence_checks,
                    jacobiator_coherence_checks, roundtrip_hom,
                    roundtrip_structure)
@@ -45,7 +46,8 @@ from .twoterm import (LInfinityHom, RBLInfinityHom, TwoTermLInfinity,
 
 
 def structure_checks(obj) -> list[Check]:
-    """The full check list for the object's kind.  Operator-carrying
+    """The full check list for the object's kind: the one place that knows
+    which check families make up a whole document.  Operator-carrying
     two-term structures and homomorphisms include the diagram-level
     coherence checks, so exit 0 certifies both layers."""
     if isinstance(obj, RotaBaxterLieAlgebra):
@@ -74,8 +76,12 @@ def structure_checks(obj) -> list[Check]:
         return (prefix_checks("src-", two_term_checks(obj.source))
                 + prefix_checks("tgt-", two_term_checks(obj.target))
                 + hom_checks(obj))
-    if isinstance(obj, (LieCrossedModule, RBLieCrossedModule, PreLieCrossedModule)):
-        return crossed_checks(obj)
+    if isinstance(obj, RBLieCrossedModule):
+        return rb_crossed_checks(obj)
+    if isinstance(obj, LieCrossedModule):
+        return lie_crossed_checks(obj)
+    if isinstance(obj, PreLieCrossedModule):
+        return prelie_crossed_checks(obj)
     if isinstance(obj, SearchResults):
         checks = lie_checks(obj.algebra)
         for pos, op in enumerate(obj.operators):
@@ -152,7 +158,7 @@ def cmd_search_rb(args) -> int:
     if not isinstance(alg, LieAlgebra):
         print("error: search-rb expects a lie document", file=sys.stderr)
         return 2
-    report = verify_lie(alg)
+    report = verify_structure(alg)
     if not report.ok:
         return _emit(report)
     coeffs = tuple(parse_rational(c) for c in args.coeffs.split(","))

@@ -1,7 +1,9 @@
 """Crossed modules of Lie, operator-equipped Lie, and pre-Lie algebras,
-their exact verifiers, the correspondence with strict two-term structures,
-the pre-Lie construction and its Lie composite (the derived crossed
-module), and semidirect assembly.
+one check builder per flavour, the correspondence with strict two-term
+structures, the pre-Lie construction and its Lie composite (the derived
+crossed module), and semidirect assembly.  `cli.verify_structure` runs
+the builder of a document's flavour; each construction runs the builders
+of its output.
 
 Action data mirrors `RBRepresentation`: one endomorphism matrix of the top
 term per basis vector of the bottom term, extended linearly, with shapes
@@ -18,11 +20,11 @@ from .liealg import (LieAlgebra, PreLieAlgebra, RotaBaxterLieAlgebra, act_on,
                      action_hom_residual, action_rb_residual, chain_residual,
                      check_action_shapes, commutator, hom_residual, lie_checks,
                      operator_product, prelie_checks, rb_checks, row_major,
-                     semidirect_data, verify_lie, verify_rb)
-from .report import Check, VerificationReport, prefix_checks, run_checks
+                     semidirect_data)
+from .report import Check, prefix_checks, run_checks
 from .tensors import BilinearMap, LinearMap, TrilinearMap, vadd, vneg, vsub
 from .twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,
-                      TwoTermRBLInfinity, verify_rb_2term)
+                      TwoTermRBLInfinity, rb_triple_checks, two_term_checks)
 
 
 @dataclass(frozen=True)
@@ -170,22 +172,6 @@ def prelie_crossed_checks(pm: PreLieCrossedModule) -> list[Check]:
     return checks
 
 
-def crossed_checks(cm) -> list[Check]:
-    """Axiom-by-axiom checks for any of the three crossed-module flavours;
-    violations carry the axiom name and basis indices."""
-    if isinstance(cm, RBLieCrossedModule):
-        return rb_crossed_checks(cm)
-    if isinstance(cm, LieCrossedModule):
-        return lie_crossed_checks(cm)
-    if isinstance(cm, PreLieCrossedModule):
-        return prelie_crossed_checks(cm)
-    raise ShapeMismatch(f"not a crossed module: {type(cm).__name__}")
-
-
-def verify_crossed(cm) -> VerificationReport:
-    return run_checks(crossed_checks(cm))
-
-
 def strict_to_crossed_data(G: TwoTermRBLInfinity) -> RBLieCrossedModule:
     """The data mapping only; no verification.  Top bracket
     [u,v] = l2(l1(u), v), action x.u = l2(x, u), operators (R0, R1)."""
@@ -202,7 +188,7 @@ def strict_to_crossed(G: TwoTermRBLInfinity) -> RBLieCrossedModule:
     if not G.is_strict:
         raise NotStrict("structure has a nonzero homotopy component")
     out = strict_to_crossed_data(G)
-    verify_crossed(out).require_ok("crossed module from strict structure")
+    run_checks(rb_crossed_checks(out)).require_ok("crossed module from strict structure")
     return out
 
 
@@ -221,7 +207,8 @@ def crossed_to_strict_data(cm: RBLieCrossedModule) -> TwoTermRBLInfinity:
 
 def crossed_to_strict(cm: RBLieCrossedModule) -> TwoTermRBLInfinity:
     out = crossed_to_strict_data(cm)
-    verify_rb_2term(out).require_ok("strict structure from crossed module")
+    run_checks(two_term_checks(out.linf) + rb_triple_checks(out)).require_ok(
+        "strict structure from crossed module")
     return out
 
 
@@ -231,8 +218,8 @@ def crossed_semidirect(cm: RBLieCrossedModule) -> RotaBaxterLieAlgebra:
     base = cm.base
     out = semidirect_data(RotaBaxterLieAlgebra(base.g0, cm.t0),
                           RotaBaxterLieAlgebra(base.g1, cm.t1), base.rho)
-    verify_lie(out.base).require_ok("semidirect bracket of crossed module")
-    verify_rb(out).require_ok("semidirect operator of crossed module")
+    run_checks(lie_checks(out.base) + rb_checks(out)).require_ok(
+        "semidirect product of crossed module")
     return out
 
 
@@ -251,7 +238,8 @@ def rb_crossed_to_prelie_crossed_data(cm: RBLieCrossedModule) -> PreLieCrossedMo
 
 def rb_crossed_to_prelie_crossed(cm: RBLieCrossedModule) -> PreLieCrossedModule:
     out = rb_crossed_to_prelie_crossed_data(cm)
-    verify_crossed(out).require_ok("pre-Lie crossed module from operator crossed module")
+    run_checks(prelie_crossed_checks(out)).require_ok(
+        "pre-Lie crossed module from operator crossed module")
     return out
 
 
@@ -261,7 +249,8 @@ def prelie_crossed_to_lie_crossed(pm: PreLieCrossedModule) -> LieCrossedModule:
     rho = tuple(LinearMap.from_columns([vsub(l(c), r(c)) for c in range(n1)], n1)
                 for l, r in zip(pm.l_act, pm.r_act))
     out = LieCrossedModule(commutator(pm.p0), commutator(pm.p1), pm.delta, rho)
-    verify_crossed(out).require_ok("Lie crossed module from pre-Lie crossed module")
+    run_checks(lie_crossed_checks(out)).require_ok(
+        "Lie crossed module from pre-Lie crossed module")
     return out
 
 

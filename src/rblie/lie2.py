@@ -36,8 +36,7 @@ from itertools import combinations, product
 from .errors import NotComposable
 from .report import Check, VerificationReport, run_checks
 from .tensors import (Vec, vadd, vbasis, vneg, vsub, vzero, is_zero)
-from .twoterm import (RBLInfinityHom, TwoTermRBLInfinity, rb_hom_checks,
-                      rbh3_residual)
+from .twoterm import RBLInfinityHom, TwoTermRBLInfinity, rbh3_residual
 
 
 @dataclass(frozen=True)
@@ -126,10 +125,6 @@ def coherence_checks(G: TwoTermRBLInfinity) -> list[Check]:
             for idx in product(range(G.linf.dim0), repeat=3)]
 
 
-def verify_rbcoh(G: TwoTermRBLInfinity) -> VerificationReport:
-    return run_checks(coherence_checks(G))
-
-
 def jacobiator_coherence_residual(G: TwoTermRBLInfinity,
                                   i: int, j: int, k: int, l: int) -> Vec:
     """Arrow-part difference of the two composite paths of the Jacobiator
@@ -157,10 +152,6 @@ def jacobiator_coherence_checks(G: TwoTermRBLInfinity) -> list[Check]:
     quadruple."""
     return [("jcoh", idx, (lambda t=idx: jacobiator_coherence_residual(G, *t)))
             for idx in product(range(G.linf.dim0), repeat=4)]
-
-
-def verify_jacobiator_coherence(G: TwoTermRBLInfinity) -> VerificationReport:
-    return run_checks(jacobiator_coherence_checks(G))
 
 
 class RBLie2Hom:
@@ -227,10 +218,6 @@ def hom_coherence_checks(F: RBLInfinityHom, chain: list[Check]) -> list[Check]:
                 ("cohm-vs-rbh3", idx, lambda: _zero_iff_zero(cohm(), rbh3()))]
     return [check for cond, idx, fn in chain if cond == "rbh3"
             for check in pair(idx, fn)]
-
-
-def verify_rbcohm(F: RBLInfinityHom) -> VerificationReport:
-    return run_checks(hom_coherence_checks(F, rb_hom_checks(F)))
 
 
 def roundtrip_structure(G: TwoTermRBLInfinity) -> VerificationReport:

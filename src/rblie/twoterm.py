@@ -7,11 +7,12 @@ l2_01 on g0 x g1 -> g1); the bracket of two degree-one elements vanishes
 because no degree-two component exists.  The skew extension across degrees
 is l2(u, x) = -l2(x, u) for x in g0, u in g1.
 
-Condition ids used in reports:
-  chain, skew-l2, alt-l3, a, b, c, d          (structures)
-  skew-r2, rb1, rb2, rb3                      (operator triples)
-  skew-phi2, h1, h2, h3                       (homomorphisms)
-  rbh1, rbh2, rbh3                            (operator homomorphisms)
+Condition ids, by check builder (each builder leaves out the families it
+builds on; `cli.verify_structure` runs every family of a document):
+  skew-l2, alt-l3, a, b, c, d     two_term_checks (structures)
+  chain, skew-r2, rb1, rb2, rb3   rb_triple_checks (operator triples)
+  skew-phi2, chain, h1, h2, h3    hom_checks (homomorphisms)
+  rbh1, rbh2, rbh3                rb_hom_checks (operator homomorphisms)
 Condition `a` has two displayed equations; the first index of its violation
 tuple selects the equation (0: differential compatibility on g0 x g1,
 1: unambiguity of the induced degree-one bracket).
@@ -171,6 +172,8 @@ def alt_checks(t: TrilinearMap, condition: str = "alt-l3") -> list[Check]:
 
 
 def two_term_checks(L: TwoTermLInfinity) -> list[Check]:
+    """Flag consistency plus the four defining conditions of the bracket,
+    the homotopy, and their compatibilities."""
     d0, d1 = L.dim0, L.dim1
     l1, br, act, l3 = L.complex.l1, L.l2_00, L.l2_01, L.l3
 
@@ -202,12 +205,6 @@ def two_term_checks(L: TwoTermLInfinity) -> list[Check]:
                for i, j in combinations(range(d0), 2) for a in range(d1)]
     checks += [("d", idx, d_res(*idx)) for idx in combinations(range(d0), 4)]
     return checks
-
-
-def verify_2term(L: TwoTermLInfinity) -> VerificationReport:
-    """Flag consistency plus the four defining conditions of the bracket,
-    the homotopy, and their compatibilities."""
-    return run_checks(two_term_checks(L))
 
 
 def quadruple_identity_residual(L: TwoTermLInfinity,
@@ -247,6 +244,8 @@ def rb2_residual(G: TwoTermRBLInfinity, a: int, i: int) -> Vec:
 
 
 def rb_triple_checks(G: TwoTermRBLInfinity) -> list[Check]:
+    """Chain-map property and the three operator conditions; the underlying
+    two-term structure's own conditions are `two_term_checks(G.linf)`."""
     L, rb = G.linf, G.rb
     d0, d1 = L.dim0, L.dim1
     l1 = L.complex.l1
@@ -265,16 +264,6 @@ def rb_triple_checks(G: TwoTermRBLInfinity) -> list[Check]:
     checks += [("rb3", idx, (lambda t=idx: rb3_residual(G, *t)))
                for idx in product(range(d0), repeat=3)]
     return checks
-
-
-def verify_rb_triple(G: TwoTermRBLInfinity) -> VerificationReport:
-    """Chain-map property and the three operator conditions; assumes the
-    underlying two-term structure already passed `verify_2term`."""
-    return run_checks(rb_triple_checks(G))
-
-
-def verify_rb_2term(G: TwoTermRBLInfinity) -> VerificationReport:
-    return run_checks(two_term_checks(G.linf) + rb_triple_checks(G))
 
 
 @dataclass(frozen=True)
@@ -304,7 +293,7 @@ def complete_rb_triple(L: TwoTermLInfinity, r0: LinearMap,
         values[(i, j)] = sol
     r2 = BilinearMap.from_map(d0, d0, d1, values, skew=True)
     candidate = TwoTermRBLInfinity(L, RBTriple(r0, r1, r2))
-    report = verify_rb_triple(candidate)
+    report = run_checks(rb_triple_checks(candidate))
     if not report.ok:
         return CompletionFailure("conditions-2-3", None, report)
     return candidate.rb
@@ -349,6 +338,8 @@ class RBLInfinityHom:
 
 
 def hom_checks(f: LInfinityHom) -> list[Check]:
+    """Chain-map property and the three homomorphism conditions; the
+    endpoints' own conditions are not included."""
     src, tgt = f.source, f.target
     d0, d1 = src.dim0, src.dim1
     p0, p1, p2, br, act, act_phi2 = f.phi0, f.phi1, f.phi2, src.l2_00, tgt.l2_01, f.act_phi2
@@ -383,12 +374,6 @@ def hom_checks(f: LInfinityHom) -> list[Check]:
     return checks
 
 
-def verify_hom(f: LInfinityHom) -> VerificationReport:
-    """Chain-map property and the three homomorphism conditions; assumes
-    both endpoints already passed `verify_2term`."""
-    return run_checks(hom_checks(f))
-
-
 def rbh3_residual(f: RBLInfinityHom, i: int, j: int) -> Vec:
     """Operator-compatibility condition of a homomorphism at one ordered
     basis pair.  The bracket of two phi3 values vanishes by degree; the
@@ -409,6 +394,8 @@ def rbh3_residual(f: RBLInfinityHom, i: int, j: int) -> Vec:
 
 
 def rb_hom_checks(f: RBLInfinityHom) -> list[Check]:
+    """The three operator compatibilities; the underlying homomorphism
+    conditions are `hom_checks(f.hom)`."""
     src, tgt = f.source, f.target
     d0, d1 = src.linf.dim0, src.linf.dim1
     p0, p1, p3 = f.hom.phi0, f.hom.phi1, f.phi3
@@ -430,12 +417,6 @@ def rb_hom_checks(f: RBLInfinityHom) -> list[Check]:
     return checks
 
 
-def verify_rb_hom(f: RBLInfinityHom) -> VerificationReport:
-    """Underlying homomorphism conditions plus the three operator
-    compatibilities."""
-    return run_checks(hom_checks(f.hom) + rb_hom_checks(f))
-
-
 def identity_rb_hom(G: TwoTermRBLInfinity) -> RBLInfinityHom:
     d0, d1 = G.linf.dim0, G.linf.dim1
     return RBLInfinityHom(
@@ -449,8 +430,9 @@ def compose_rb_homs(g: RBLInfinityHom, f: RBLInfinityHom) -> RBLInfinityHom:
     """g after f; structural endpoint equality is required.
 
     Output data: (g o f)_2(x, y) = g1(f2(x, y)) + g2(f0 x, f0 y) and
-    (g o f)_3(x) = g1(f3(x)) + g3(f0 x).  When both inputs verify, the
-    output is re-verified; an input equal to the other is verified once.
+    (g o f)_3(x) = g1(f3(x)) + g3(f0 x).  The output is verified on
+    `hom_checks` and `rb_hom_checks`; only when it fails are the inputs
+    verified, in order, and it raises when both of them pass.
     """
     if f.target != g.source:
         raise SourceTargetMismatch("cannot compose: intermediate structures differ")
@@ -466,6 +448,7 @@ def compose_rb_homs(g: RBLInfinityHom, f: RBLInfinityHom) -> RBLInfinityHom:
     phi3 = LinearMap.from_columns(phi3_cols, rows=tgt.dim1)
     out = RBLInfinityHom(f.source, g.target,
                          LInfinityHom(src, tgt, phi0, phi1, phi2), phi3)
-    if verify_rb_hom(f).ok and (g == f or verify_rb_hom(g).ok) and not verify_rb_hom(out).ok:
+    oks = (run_checks(hom_checks(h.hom) + rb_hom_checks(h)).ok for h in (out, f, g))
+    if not next(oks) and all(oks):
         raise InternalInvariantBroken("composite of verified homomorphisms failed verification")
     return out

@@ -9,25 +9,25 @@ from itertools import product
 from conftest import (CATALOG_DIR, bracket_forms, closed_form_derived,
                       descent_chain, hom_mutants, structure_mutants)
 from rblie import catalog
-from rblie.cli import main as cli_main
+from rblie.cli import main as cli_main, verify_structure
 from rblie.crossed import (crossed_semidirect, crossed_to_strict,
                            derived_crossed, prelie_crossed_to_lie_crossed,
-                           rb_crossed_to_prelie_crossed, strict_to_crossed,
-                           verify_crossed)
+                           rb_crossed_to_prelie_crossed, strict_to_crossed)
 from rblie.liealg import (RotaBaxterLieAlgebra, adjoint_representation,
                           coadjoint_representation, derived_bracket,
-                          dual_representation, prelie_from_rb,
-                          semidirect_product, subadjacent_lie, verify_lie,
-                          verify_prelie, verify_rb, verify_representation)
+                          dual_representation, prelie_from_rb, rb_checks,
+                          representation_checks, semidirect_product,
+                          subadjacent_lie)
 from rblie.lie2 import (Morphism2V, RBLie2View, coherence_residual,
                         hom_coherence_residual, roundtrip_hom,
                         roundtrip_structure)
+from rblie.report import run_checks
 from rblie.search import SearchSpec, enumerate_rb_operators
 from rblie.serialize import dumps, load, loads
 from rblie.tensors import LinearMap, is_zero, vec
-from rblie.twoterm import (compose_rb_homs, identity_rb_hom, rb3_residual,
-                           rbh3_residual, verify_2term, verify_rb_2term,
-                           verify_rb_hom, verify_rb_triple)
+from rblie.twoterm import (compose_rb_homs, hom_checks, identity_rb_hom,
+                           rb3_residual, rb_hom_checks, rb_triple_checks,
+                           rbh3_residual, two_term_checks)
 
 
 @contextmanager
@@ -46,8 +46,8 @@ def test_criterion_1_classical_layer():
         assert len(algebras) >= 5
         for name, alg in algebras.items():
             assert alg.dim <= 4, name
-            assert verify_lie(alg).ok, name
-        assert verify_rb(catalog.aff1_rb_shift()).ok
+            assert verify_structure(alg).ok, name
+        assert run_checks(rb_checks(catalog.aff1_rb_shift())).ok
 
         spec = SearchSpec(algebras["aff1"])
         found = enumerate_rb_operators(spec)
@@ -58,7 +58,7 @@ def test_criterion_1_classical_layer():
         candidates = 0
         for a, b, c, d in product(grid, repeat=4):
             r = LinearMap.from_rows([[a, b], [c, d]])
-            ok = verify_rb(RotaBaxterLieAlgebra(algebras["aff1"], r)).ok
+            ok = run_checks(rb_checks(RotaBaxterLieAlgebra(algebras["aff1"], r))).ok
             assert ok == (r in found_set)
             # independent closed-form oracle for the identity on this algebra
             assert ok == ((b * (a + d) == 0) and (d * d == -b * c))
@@ -70,7 +70,7 @@ def test_criterion_2_prelie_chain(golden_operators):
     with criterion(2, "pre-Lie-chain"):
         for rba in golden_operators:
             p = prelie_from_rb(rba)
-            assert verify_prelie(p).ok
+            assert verify_structure(p).ok
             derived = derived_bracket(rba)  # also certifies the homomorphism
             assert derived.bracket == subadjacent_lie(p).bracket
             for i in range(rba.dim):
@@ -85,27 +85,27 @@ def test_criterion_3_representations():
         for name, rba in catalog.RB_ALGEBRAS.items():
             adj = adjoint_representation(rba)
             coadj = coadjoint_representation(rba)
-            assert verify_representation(adj).ok, name
-            assert verify_representation(coadj).ok, name
+            assert run_checks(representation_checks(adj)).ok, name
+            assert run_checks(representation_checks(coadj)).ok, name
             assert dual_representation(dual_representation(adj)) == adj
             assert dual_representation(dual_representation(coadj)) == coadj
             for rep in (adj, coadj):
                 out = semidirect_product(rep)
-                assert verify_lie(out.base).ok and verify_rb(out).ok, name
+                assert verify_structure(out).ok, name
 
 
 def test_criterion_4_two_term_and_mutations():
     with criterion(4, "two-term-and-mutation-coverage"):
         for name, G in catalog.TWO_TERM_STRUCTURES.items():
-            assert verify_2term(G.linf).ok, name
-            assert verify_rb_triple(G).ok, name
+            assert verify_structure(G.linf).ok, name
+            assert run_checks(rb_triple_checks(G)).ok, name
         seen = {}
         for condition, mutant in structure_mutants():
-            report = verify_rb_2term(mutant)
+            report = run_checks(two_term_checks(mutant.linf) + rb_triple_checks(mutant))
             assert report.conditions() == {condition}, condition
             seen[condition] = True
         for condition, mutant in hom_mutants():
-            report = verify_rb_hom(mutant)
+            report = run_checks(hom_checks(mutant.hom) + rb_hom_checks(mutant))
             assert report.conditions() == {condition}, condition
             seen[condition] = True
         assert sorted(seen) == ["a", "b", "c", "d", "rb1", "rb2", "rb3",
@@ -140,12 +140,12 @@ def test_criterion_6_crossed_modules():
             assert strict_to_crossed(G) == cm, name
             assert crossed_to_strict(strict_to_crossed(G)) == G, name
             pm = rb_crossed_to_prelie_crossed(cm)
-            assert verify_crossed(pm).ok, name
+            assert verify_structure(pm).ok, name
             chain = prelie_crossed_to_lie_crossed(pm)
-            assert verify_crossed(chain).ok, name
+            assert verify_structure(chain).ok, name
             assert derived_crossed(cm) == chain == closed_form_derived(cm), name
             semi = crossed_semidirect(cm)
-            assert verify_lie(semi.base).ok and verify_rb(semi).ok, name
+            assert verify_structure(semi).ok, name
 
 
 def test_criterion_7_hom_algebra():
@@ -153,14 +153,15 @@ def test_criterion_7_hom_algebra():
         for cm_name in ("aff1-ideal-cm-neg", "heis3-center-cm", "sl2-adjoint-cm-tri"):
             h0, h1, h2 = descent_chain(cm_name, 3)
             for f in (h0, h1, h2):
-                assert verify_rb_hom(f).ok
+                assert run_checks(hom_checks(f.hom) + rb_hom_checks(f)).ok
                 assert compose_rb_homs(identity_rb_hom(f.target), f) == f
                 assert compose_rb_homs(f, identity_rb_hom(f.source)) == f
             inner = compose_rb_homs(h0, h1)
-            assert verify_rb_hom(inner).ok  # closure
+            assert run_checks(hom_checks(inner.hom) + rb_hom_checks(inner)).ok  # closure
             assert compose_rb_homs(inner, h2) == compose_rb_homs(h0, compose_rb_homs(h1, h2))
         for F in catalog.HOMOMORPHISMS.values():
-            assert verify_rb_hom(compose_rb_homs(identity_rb_hom(F.target), F)).ok
+            left = compose_rb_homs(identity_rb_hom(F.target), F)
+            assert run_checks(hom_checks(left.hom) + rb_hom_checks(left)).ok
 
 
 def test_criterion_8_morphism_calculus():

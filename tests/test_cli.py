@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import CATALOG_DIR, hom_mutants, structure_mutants
 from rblie import cli
-from rblie.cli import main, structure_checks
+from rblie.cli import main, structure_checks, verify_structure
 from rblie.serialize import load, loads
 
 
@@ -341,9 +341,9 @@ def test_construct_prelie(capsys):
                            str(CATALOG_DIR / "aff1-rb-shift.json"))
     assert code == 0
     obj = loads(out)
-    from rblie.liealg import PreLieAlgebra, verify_prelie
+    from rblie.liealg import PreLieAlgebra
     assert isinstance(obj, PreLieAlgebra)
-    assert verify_prelie(obj).ok
+    assert verify_structure(obj).ok
 
 
 def test_construct_chain_through_files(capsys, tmp_path):

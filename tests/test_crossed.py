@@ -7,28 +7,30 @@ from rblie.crossed import (PreLieCrossedModule, crossed_semidirect, crossed_to_s
                            crossed_to_strict_data, derived_crossed,
                            prelie_crossed_checks, prelie_crossed_to_lie_crossed,
                            rb_crossed_to_prelie_crossed, strict_to_crossed,
-                           strict_to_crossed_data, verify_crossed)
+                           strict_to_crossed_data)
+from rblie.cli import verify_structure
 from rblie.errors import InternalInvariantBroken, NotStrict
 from rblie.liealg import (PreLieAlgebra, act_on, action_hom_residual,
-                          action_rb_residual, verify_lie, verify_rb)
+                          action_rb_residual)
+from rblie.report import run_checks
 from rblie.search import mutate
 from rblie.tensors import from_cells
-from rblie.twoterm import verify_rb_2term, verify_rb_triple
+from rblie.twoterm import rb_triple_checks, two_term_checks
 
 
 def test_catalog_crossed_modules_valid():
     for name, cm in CROSSED_MODULES.items():
-        assert verify_crossed(cm).ok, name
+        assert verify_structure(cm).ok, name
 
 
 def test_trivial_crossed_module_valid():
-    assert verify_crossed(CROSSED_MODULES["trivial-cm"]).ok
+    assert verify_structure(CROSSED_MODULES["trivial-cm"]).ok
 
 
 def test_action_mutation_flags_peiffer_or_derivation_axioms():
     cm = CROSSED_MODULES["heis3-center-cm"]
     mutant = mutate(cm, ("rho", 0, 0, 0), 1)
-    report = verify_crossed(mutant)
+    report = verify_structure(mutant)
     assert not report.ok
     assert report.conditions() <= {"peiffer1", "peiffer2", "action-hom",
                                    "action-der", "action-rb"}
@@ -51,7 +53,7 @@ def test_strict_crossed_roundtrip_identity():
 
 def test_crossed_to_strict_passes_all_operator_conditions():
     for name, cm in CROSSED_MODULES.items():
-        report = verify_rb_triple(crossed_to_strict(cm))
+        report = run_checks(rb_triple_checks(crossed_to_strict(cm)))
         assert report.ok, name
 
 
@@ -60,7 +62,7 @@ def test_crossed_semidirect_valid_and_block_restriction():
         out = crossed_semidirect(cm)
         n0, n1 = cm.base.g0.dim, cm.base.g1.dim
         assert out.dim == n0 + n1
-        assert verify_lie(out.base).ok and verify_rb(out).ok
+        assert verify_structure(out).ok
         for i in range(n0):
             for j in range(n0):
                 assert out.base.bracket.on_basis(i, j)[:n0] == \
@@ -76,11 +78,11 @@ def test_crossed_semidirect_valid_and_block_restriction():
 def test_prelie_chain_matches_derived_construction():
     for name, cm in CROSSED_MODULES.items():
         pm = rb_crossed_to_prelie_crossed(cm)
-        assert verify_crossed(pm).ok, name
+        assert verify_structure(pm).ok, name
         via_prelie = prelie_crossed_to_lie_crossed(pm)
         derived = derived_crossed(cm)
         assert via_prelie == derived == closed_form_derived(cm), name
-        assert verify_crossed(derived).ok, name
+        assert verify_structure(derived).ok, name
 
 
 @pytest.mark.parametrize("site, condition", [(("t0", 0, 0), "t0-hom"),
@@ -103,16 +105,16 @@ def test_operator_mutation_breaks_prelie_representation():
     from rblie.crossed import rb_crossed_to_prelie_crossed_data
     cm = CROSSED_MODULES["sl2-adjoint-cm-tri"]
     mutant = mutate(cm, ("t1", 0, 0), 1)
-    assert "action-rb" in verify_crossed(mutant).conditions()
+    assert "action-rb" in verify_structure(mutant).conditions()
     pm = rb_crossed_to_prelie_crossed_data(mutant)
-    assert "lr-rep" in verify_crossed(pm).conditions()
+    assert "lr-rep" in verify_structure(pm).conditions()
 
 
 def test_derived_iterates():
     cm = CROSSED_MODULES["sl2-adjoint-cm-tri"]
     once = derived_rb_crossed(cm)
     twice = derived_rb_crossed(once)
-    assert verify_crossed(once).ok and verify_crossed(twice).ok
+    assert verify_structure(once).ok and verify_structure(twice).ok
 
 
 def test_strict_validity_iff_crossed_validity_on_mutants():
@@ -123,8 +125,8 @@ def test_strict_validity_iff_crossed_validity_on_mutants():
              ("r0", 0, 1), ("r1", 0, 1)]
     for site in sites:
         mutant = mutate(G, site, 1)
-        strict_report = verify_rb_2term(mutant)
-        crossed_report = verify_crossed(strict_to_crossed_data(mutant))
+        strict_report = run_checks(two_term_checks(mutant.linf) + rb_triple_checks(mutant))
+        crossed_report = verify_structure(strict_to_crossed_data(mutant))
         assert not strict_report.ok, site
         assert not crossed_report.ok, site
 

@@ -22,8 +22,7 @@ from rblie.lie2 import (Morphism2V, RBLie2Hom, RBLie2View, coherence_checks,
                         coherence_residual, hom_coherence_checks,
                         jacobiator_coherence_checks,
                         jacobiator_coherence_residual, roundtrip_hom,
-                        roundtrip_structure, verify_jacobiator_coherence,
-                        verify_rbcoh, verify_rbcohm)
+                        roundtrip_structure)
 from rblie.report import run_checks
 from rblie.search import mutate
 from rblie.serialize import dumps, load, loads
@@ -129,7 +128,7 @@ def test_bracket_functoriality_on_samples():
 
 def test_coherence_clean_on_catalog():
     for name, G in TWO_TERM_STRUCTURES.items():
-        assert verify_rbcoh(G).ok, name
+        assert run_checks(coherence_checks(G)).ok, name
 
 
 def flag_respecting_structures():
@@ -159,18 +158,17 @@ def test_coherence_residual_equals_chain_condition_everywhere():
 
 def test_coherence_flags_r2_mutants_at_same_triples():
     mutant = dict(structure_mutants())["rb3"]
-    coh = verify_rbcoh(mutant)
+    coh = run_checks(coherence_checks(mutant))
     assert coh.conditions() == {"coh"}
     coh_triples = {v.indices for v in coh.violations if v.condition == "coh"}
-    from rblie.twoterm import verify_rb_triple
-    rb = verify_rb_triple(mutant)
+    rb = run_checks(rb_triple_checks(mutant))
     rb3_triples = {v.indices for v in rb.violations if v.condition == "rb3"}
     assert coh_triples == rb3_triples and coh_triples
 
 
 def test_jacobiator_coherence_clean_on_catalog():
     for name, G in TWO_TERM_STRUCTURES.items():
-        assert verify_jacobiator_coherence(G).ok, name
+        assert run_checks(jacobiator_coherence_checks(G)).ok, name
 
 
 def test_jacobiator_coherence_equals_quadruple_identity_everywhere():
@@ -194,17 +192,17 @@ def test_jacobiator_coherence_equals_quadruple_identity_everywhere():
 
 def test_jacobiator_coherence_flags_d_mutant():
     mutant = dict(structure_mutants())["d"]
-    assert verify_jacobiator_coherence(mutant).conditions() == {"jcoh"}
+    assert run_checks(jacobiator_coherence_checks(mutant)).conditions() == {"jcoh"}
 
 
 def test_hom_coherence_clean_on_catalog():
     for name, F in HOMOMORPHISMS.items():
-        assert verify_rbcohm(F).ok, name
+        assert run_checks(hom_coherence_checks(F, rb_hom_checks(F))).ok, name
 
 
 def test_hom_coherence_agrees_with_chain_condition_on_mutants():
     for condition, mutant in hom_mutants():
-        report = verify_rbcohm(mutant)
+        report = run_checks(hom_coherence_checks(mutant, rb_hom_checks(mutant)))
         assert "cohm-vs-rbh3" not in report.conditions(), condition
         cohm_pairs = {v.indices for v in report.violations if v.condition == "cohm"}
         d0 = mutant.source.linf.dim0

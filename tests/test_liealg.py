@@ -7,13 +7,14 @@ from hypothesis import given, strategies as st
 
 from rblie.catalog import (LIE_ALGEBRAS, RB_ALGEBRAS, TWO_TERM_STRUCTURES, aff1,
                            aff1_rb_shift, sl2_rb_zero)
+from rblie.cli import verify_structure
 from rblie.errors import InternalInvariantBroken
 from rblie.liealg import (LieAlgebra, RBRepresentation, RotaBaxterLieAlgebra,
                           adjoint_representation, coadjoint_representation,
                           derived_bracket, dual_representation,
-                          prelie_from_rb, semidirect_product,
-                          subadjacent_lie, verify_lie, verify_prelie, verify_rb,
-                          verify_representation)
+                          prelie_from_rb, rb_checks, representation_checks,
+                          semidirect_product, subadjacent_lie)
+from rblie.report import run_checks
 from rblie.tensors import BilinearMap, LinearMap, TrilinearMap, from_cells, vbasis, vec
 
 small = st.integers(min_value=-3, max_value=3)
@@ -21,7 +22,7 @@ small = st.integers(min_value=-3, max_value=3)
 
 def test_catalog_lie_algebras_valid():
     for name, alg in LIE_ALGEBRAS.items():
-        assert verify_lie(alg).ok, name
+        assert verify_structure(alg).ok, name
 
 
 def test_call_agrees_with_apply_on_every_mix_of_indices_and_vectors():
@@ -50,14 +51,14 @@ def test_call_agrees_with_apply_on_every_mix_of_indices_and_vectors():
 
 
 def test_abelian_valid():
-    assert verify_lie(LieAlgebra.abelian(3)).ok
+    assert verify_structure(LieAlgebra.abelian(3)).ok
 
 
 def test_non_skew_bracket_flagged_at_pair():
     # [e0,e1] = e0+e1 but [e1,e0] = e1: not skew
     bad = LieAlgebra(2, BilinearMap.from_map(
         2, 2, 2, {(0, 1): vec(1, 1), (1, 0): vec(0, 1)}))
-    report = verify_lie(bad)
+    report = verify_structure(bad)
     assert report.at("skew", (0, 1)) is not None
     assert report.at("skew", (0, 1)).residual == vec(1, 2)
 
@@ -66,7 +67,7 @@ def test_jacobi_violation_localized():
     # [e0,e1] = e2 and [e0,e2] = e0 leave J(e0,e1,e2) = e2
     bad = LieAlgebra.from_brackets(3, {(0, 1): vec(0, 0, 1),
                                        (0, 2): vec(1, 0, 0)})
-    report = verify_lie(bad)
+    report = verify_structure(bad)
     assert report.conditions() == {"jacobi"}
     assert report.at("jacobi", (0, 1, 2)).residual == vec(0, 0, 1)
 
@@ -74,16 +75,16 @@ def test_jacobi_violation_localized():
 def test_rb_zero_operator_always_valid():
     for alg in LIE_ALGEBRAS.values():
         rba = RotaBaxterLieAlgebra(alg, LinearMap.zero(alg.dim, alg.dim))
-        assert verify_rb(rba).ok
+        assert run_checks(rb_checks(rba)).ok
 
 
 def test_rb_shift_operator_valid():
-    assert verify_rb(aff1_rb_shift()).ok
+    assert run_checks(rb_checks(aff1_rb_shift())).ok
 
 
 def test_rb_identity_operator_invalid_with_residual():
     rba = RotaBaxterLieAlgebra(aff1(), LinearMap.identity(2))
-    report = verify_rb(rba)
+    report = run_checks(rb_checks(rba))
     v = report.at("rota-baxter", (0, 1))
     assert v is not None
     # [e0,e1] - R(2[e0,e1]) = e1 - 2 e1 = -e1
@@ -92,13 +93,13 @@ def test_rb_identity_operator_invalid_with_residual():
 
 def test_catalog_rb_algebras_valid():
     for name, rba in RB_ALGEBRAS.items():
-        assert verify_rb(rba).ok, name
+        assert run_checks(rb_checks(rba)).ok, name
 
 
 @given(st.lists(st.lists(small, min_size=2, max_size=2), min_size=2, max_size=2))
 def test_every_operator_is_rb_on_abelian(rows):
     rba = RotaBaxterLieAlgebra(LieAlgebra.abelian(2), LinearMap.from_rows(rows))
-    assert verify_rb(rba).ok
+    assert run_checks(rb_checks(rba)).ok
 
 
 def test_prelie_from_rb_frozen_products():
@@ -146,17 +147,17 @@ def test_derived_bracket_equals_subadjacent_of_prelie(golden_operators):
         derived = derived_bracket(rba)
         via_prelie = subadjacent_lie(prelie_from_rb(rba))
         assert derived.bracket == via_prelie.bracket
-        assert verify_lie(derived).ok
+        assert verify_structure(derived).ok
 
 
 def test_adjoint_representation_valid():
     for rba in RB_ALGEBRAS.values():
-        assert verify_representation(adjoint_representation(rba)).ok
+        assert run_checks(representation_checks(adjoint_representation(rba))).ok
 
 
 def test_coadjoint_representation_valid():
     for rba in RB_ALGEBRAS.values():
-        assert verify_representation(coadjoint_representation(rba)).ok
+        assert run_checks(representation_checks(coadjoint_representation(rba))).ok
 
 
 def test_dual_is_involution_on_data():
@@ -182,22 +183,30 @@ def test_semidirect_trivial_representation_is_direct_sum():
 def test_semidirect_adjoint_aff1_valid():
     out = semidirect_product(adjoint_representation(aff1_rb_shift()))
     assert out.dim == 4
-    assert verify_lie(out.base).ok and verify_rb(out).ok
+    assert verify_structure(out).ok
 
 
 def test_semidirect_coadjoint_sl2_valid():
     out = semidirect_product(coadjoint_representation(sl2_rb_zero()))
     assert out.dim == 6
-    assert verify_lie(out.base).ok and verify_rb(out).ok
+    assert verify_structure(out).ok
 
 
 def test_semidirect_restricts_to_base():
-    rba = aff1_rb_shift()
-    out = semidirect_product(adjoint_representation(rba))
-    for i in range(2):
-        for j in range(2):
-            assert out.base.bracket.on_basis(i, j)[:2] == rba.base.bracket.on_basis(i, j)
-        assert out.r.column(i)[:2] == rba.r.column(i)
+    """The projection of g (+) V onto g is a homomorphism of operator
+    algebras: proj [x+u, y+v] = [x, y] at every ordered basis pair, and
+    proj R = R proj on every basis vector, for the adjoint, coadjoint and
+    trivial representations of every catalog operator algebra."""
+    for name, rba in RB_ALGEBRAS.items():
+        n, zero = rba.dim, (0,) * rba.dim
+        trivial = RBRepresentation(rba, n, (LinearMap.zero(n, n),) * n, rba.r)
+        for rep in (adjoint_representation(rba), coadjoint_representation(rba), trivial):
+            out = semidirect_product(rep)
+            for p, q in product(range(out.dim), repeat=2):
+                base = rba.base.bracket(p, q) if p < n and q < n else zero
+                assert out.base.bracket(p, q)[:n] == base, (name, p, q)
+            for p in range(out.dim):
+                assert out.r(p)[:n] == (rba.r(p) if p < n else zero), (name, p)
 
 
 def test_pre_lie_verifier_rejects_half_bracket():
@@ -206,4 +215,4 @@ def test_pre_lie_verifier_rejects_half_bracket():
     alg = sl2()
     halved = from_cells((3, 3, 3), {idx: c / 2 for idx, c in alg.bracket.cells().items()})
     from rblie.liealg import PreLieAlgebra
-    assert not verify_prelie(PreLieAlgebra(3, halved)).ok
+    assert not verify_structure(PreLieAlgebra(3, halved)).ok

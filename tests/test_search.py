@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from rblie import search
 from rblie.catalog import LIE_ALGEBRAS, aff1, aff1_rb_shift
 from rblie.errors import BadSite, BudgetExceeded
-from rblie.liealg import LieAlgebra, RotaBaxterLieAlgebra, verify_rb
+from rblie.liealg import LieAlgebra, RotaBaxterLieAlgebra, rb_checks
+from rblie.report import run_checks
 from rblie.search import SearchSpec, _narrow, enumerate_rb_operators, mutate
 from rblie.serialize import dumps, loads
 from rblie.tensors import LinearMap, from_cells, vec
@@ -25,7 +26,7 @@ def brute_force(alg, coeffs, mask=None) -> list[LinearMap]:
     sites = [(r, c) for r in range(n) for c in range(n) if mask is None or mask[r][c]]
     return [r for values in product(sorted(set(coeffs)), repeat=len(sites))
             for r in [from_cells((n, n), dict(zip(sites, values)))]
-            if verify_rb(RotaBaxterLieAlgebra(alg, r)).ok]
+            if run_checks(rb_checks(RotaBaxterLieAlgebra(alg, r))).ok]
 
 
 def _mask(n, sites):
@@ -79,7 +80,7 @@ def test_aff1_search_matches_closed_form_oracle(golden_operators):
         r = LinearMap.from_rows([[a, b], [c, d]])
         expected = (b * (a + d) == 0) and (d * d == -b * c)
         assert (r in golden) == expected
-        assert verify_rb(RotaBaxterLieAlgebra(alg, r)).ok == expected
+        assert run_checks(rb_checks(RotaBaxterLieAlgebra(alg, r))).ok == expected
         seen += 1
     assert seen == 81
     assert len(golden) == 15
@@ -150,7 +151,7 @@ def test_search_matches_brute_force_on_masked_grids(grid):
 def test_every_kept_operator_passes_the_verifier(grid):
     alg, coeffs, mask = grid
     for rba in enumerate_rb_operators(SearchSpec(alg, coeffs, mask)):
-        assert verify_rb(rba).ok
+        assert run_checks(rb_checks(rba)).ok
 
 
 def test_sl2_and_heis3_counts_over_minus_one_zero_one():
@@ -342,7 +343,7 @@ def test_mutated_operator_report_is_consistent_with_recheck(r, c, delta):
     """The verifier on a mutant agrees with a from-scratch evaluation of the
     defining identity; accidental validity is certified, not assumed."""
     mutant = mutate(aff1_rb_shift(), ("r", r, c), delta)
-    report = verify_rb(mutant)
+    report = run_checks(rb_checks(mutant))
     alg = mutant.base
     manual_bad = []
     from rblie.tensors import vadd, vbasis

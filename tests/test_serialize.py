@@ -132,13 +132,13 @@ def test_mutated_documents_load_without_semantic_checks(tmp_path):
     """Loading performs shape validation only; a semantically invalid
     structure round-trips untouched."""
     from rblie.search import mutate
-    from rblie.liealg import verify_lie
+    from rblie.cli import verify_structure
     bad = mutate(catalog.LIE_ALGEBRAS["sl2"], ("bracket", 0, 0, 1), 7)
     path = tmp_path / "bad.json"
     save(bad, path)
     loaded = load(path)
     assert loaded == bad
-    assert not verify_lie(loaded).ok
+    assert not verify_structure(loaded).ok
 
 
 def test_search_results_round_trip(tmp_path):

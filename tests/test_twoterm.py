@@ -8,33 +8,34 @@ from conftest import (CATALOG_DIR, descent_chain, hom_mutants, make_linf,
 from rblie.catalog import (CROSSED_MODULES, TWO_TERM_STRUCTURES, aff1,
                            aff1_adjoint_completed, aff1_rb_shift, adjoint_rb_two_term,
                            adjoint_two_term, sl2_cocycle_rb)
+from rblie.cli import verify_structure
 from rblie.crossed import crossed_to_strict
 from rblie import twoterm
 from rblie.errors import InternalInvariantBroken, NotChainMap, SourceTargetMismatch
-from rblie.report import VerificationReport, Violation
+from rblie.report import run_checks
 from rblie.search import mutate
 from rblie.serialize import load
 from rblie.tensors import BilinearMap, LinearMap, vec
 from rblie.twoterm import (CompletionFailure, LInfinityHom, TwoTermComplex,
                            complete_rb_triple, compose_rb_homs,
-                           identity_rb_hom, verify_2term, verify_hom,
-                           verify_rb_2term, verify_rb_hom, verify_rb_triple)
+                           hom_checks, identity_rb_hom, rb_hom_checks,
+                           rb_triple_checks, two_term_checks)
 
 
 def test_lie_algebra_with_empty_top_term_is_valid():
     from rblie.catalog import sl2
-    assert verify_2term(make_linf(2, 0, l2_00=aff1().bracket)).ok
-    assert verify_2term(make_linf(3, 0, l2_00=sl2().bracket)).ok
+    assert verify_structure(make_linf(2, 0, l2_00=aff1().bracket)).ok
+    assert verify_structure(make_linf(3, 0, l2_00=sl2().bracket)).ok
 
 
 def test_adjoint_complex_valid():
-    assert verify_2term(adjoint_two_term(aff1())).ok
+    assert verify_structure(adjoint_two_term(aff1())).ok
 
 
 def test_catalog_two_term_structures_valid():
     for name, G in TWO_TERM_STRUCTURES.items():
-        assert verify_2term(G.linf).ok, name
-        assert verify_rb_triple(G).ok, name
+        assert verify_structure(G.linf).ok, name
+        assert run_checks(rb_triple_checks(G)).ok, name
 
 
 def test_perturbed_homotopy_violates_condition_b():
@@ -42,32 +43,32 @@ def test_perturbed_homotopy_violates_condition_b():
     from rblie.catalog import sl2_rb_zero
     H = adjoint_rb_two_term(sl2_rb_zero())  # dim0 = 3 so l3 sites exist
     mutant = mutate(H, ("l3", 0, 0, 1, 2), 1)
-    report = verify_2term(mutant.linf)
+    report = verify_structure(mutant.linf)
     assert "b" in report.conditions()
 
 
 def test_zero_triple_valid_on_any_valid_structure():
     G = with_zero_rb(adjoint_two_term(aff1()))
-    assert verify_rb_triple(G).ok
+    assert run_checks(rb_triple_checks(G)).ok
 
 
 def test_r2_mutation_caught():
     G = TWO_TERM_STRUCTURES["aff1-adjoint-rb2-shift"]
     mutant = mutate(G, ("r2", 0, 0, 1), 1)
-    report = verify_rb_triple(mutant)
+    report = run_checks(rb_triple_checks(mutant))
     assert not report.ok
     assert {"rb1", "rb2", "rb3"} & report.conditions()
 
 
 def test_structure_mutants_hit_exactly_one_condition():
     for condition, mutant in structure_mutants():
-        report = verify_rb_2term(mutant)
+        report = run_checks(two_term_checks(mutant.linf) + rb_triple_checks(mutant))
         assert report.conditions() == {condition}, condition
 
 
 def test_hom_mutants_hit_exactly_one_condition():
     for condition, mutant in hom_mutants():
-        report = verify_rb_hom(mutant)
+        report = run_checks(hom_checks(mutant.hom) + rb_hom_checks(mutant))
         assert report.conditions() == {condition}, condition
 
 
@@ -105,7 +106,7 @@ def test_complete_rb_triple_on_adjoint_complex():
         assert res.report is not None and not res.report.ok
     else:
         from rblie.twoterm import TwoTermRBLInfinity
-        assert verify_rb_triple(TwoTermRBLInfinity(G.linf, res)).ok
+        assert run_checks(rb_triple_checks(TwoTermRBLInfinity(G.linf, res))).ok
 
 
 def test_complete_rb_triple_is_exact_on_integer_input():
@@ -115,7 +116,7 @@ def test_complete_rb_triple_is_exact_on_integer_input():
     rational, not 1/3)."""
     G = aff1_adjoint_completed()
     L = replace(G.linf, complex=TwoTermComplex(2, 2, LinearMap.from_rows([[3, 0], [0, 3]])))
-    assert verify_2term(L).ok
+    assert verify_structure(L).ok
     triple = complete_rb_triple(L, G.rb.r0, G.rb.r1)
     assert not isinstance(triple, CompletionFailure)
     assert triple.r2.on_basis(0, 1) == (Fraction(2, 3), Fraction(1, 3))
@@ -156,12 +157,13 @@ def test_completion_reproduces_catalog_nonstrict_instance():
                  + grouped(xs[2], xs[0], xs[1]))
         live = max(live, sum(1 for t in terms if not is_zero(t)))
     assert live >= 6
-    assert verify_rb_2term(G).ok
+    assert run_checks(two_term_checks(G.linf) + rb_triple_checks(G)).ok
 
 
 def test_identity_hom_valid():
     for name, G in TWO_TERM_STRUCTURES.items():
-        assert verify_rb_hom(identity_rb_hom(G)).ok, name
+        f = identity_rb_hom(G)
+        assert run_checks(hom_checks(f.hom) + rb_hom_checks(f)).ok, name
 
 
 def test_zero_hom_into_zero_structure_valid():
@@ -170,7 +172,7 @@ def test_zero_hom_into_zero_structure_valid():
     tgt = make_linf(0, 0)
     f = LInfinityHom(src, tgt, LinearMap.zero(0, 2), LinearMap.zero(0, 1),
                      BilinearMap.zero(2, 2, 0, skew=True))
-    assert verify_hom(f).ok
+    assert run_checks(hom_checks(f)).ok
 
 
 def test_identity_maps_between_different_brackets_fail_h1():
@@ -178,13 +180,13 @@ def test_identity_maps_between_different_brackets_fail_h1():
     src, tgt = adjoint_two_term(sl2()), adjoint_two_term(heisenberg3())
     f = LInfinityHom(src, tgt, LinearMap.identity(3), LinearMap.identity(3),
                      BilinearMap.zero(3, 3, 3, skew=True))
-    report = verify_hom(f)
+    report = run_checks(hom_checks(f))
     assert "h1" in report.conditions()
 
 
 def test_descent_homs_verify(hom_catalog):
     for name, f in hom_catalog.items():
-        assert verify_rb_hom(f).ok, name
+        assert run_checks(hom_checks(f.hom) + rb_hom_checks(f)).ok, name
 
 
 def test_compose_with_identity_is_identity_on_data(hom_catalog):
@@ -199,36 +201,43 @@ def test_composition_closure_and_associativity():
         h0, h1, h2 = descent_chain(cm_name, 3)
         # h2 maps deepest; h0 shallowest: compose pairwise
         gf = compose_rb_homs(h0, h1)
-        assert verify_rb_hom(gf).ok
+        assert run_checks(hom_checks(gf.hom) + rb_hom_checks(gf)).ok
         left = compose_rb_homs(compose_rb_homs(h0, h1), h2)
         right = compose_rb_homs(h0, compose_rb_homs(h1, h2))
         assert left == right
-        assert verify_rb_hom(left).ok
+        assert run_checks(hom_checks(left.hom) + rb_hom_checks(left)).ok
 
 
-@pytest.mark.parametrize("outer", ["same", "identity"])
-def test_compose_verifies_an_input_equal_to_the_other_once(monkeypatch, outer):
-    """`compose_rb_homs` verifies each input once: an input equal to the
-    other (two loads of one document) reuses its verdict, so it verifies
-    twice in all (input, output) where distinct inputs verify three times.
-    A failing output of verified inputs still raises."""
-    if outer == "same":
+@pytest.mark.parametrize("kind", ["same", "identity"])
+def test_compose_verifies_the_inputs_only_when_the_output_fails(monkeypatch, kind):
+    """A composite that verifies is the only homomorphism whose checks
+    `compose_rb_homs` evaluates.  With the output forced to fail, it raises
+    exactly when both inputs verify.  The inputs are two loads of one
+    identity document (equal but distinct objects), or a homomorphism and
+    the identity of its target."""
+    if kind == "same":
         f, g = (load(CATALOG_DIR / "id-aff1-adjoint-rb2-shift.json") for _ in range(2))
     else:
         f = load(CATALOG_DIR / "aff1-phi3-hom.json")
         g = identity_rb_hom(f.target)
-    assert (g == f) == (outer == "same")
-    calls = []
-    monkeypatch.setattr(twoterm, "verify_rb_hom",
-                        lambda h: calls.append(h) or verify_rb_hom(h))
-    compose_rb_homs(g, f)
-    assert len(calls) == (2 if outer == "same" else 3)
+    bad_f, bad_g = (mutate(h, ("phi0", 0, 0), 1) for h in (f, g))  # same endpoints
+    for h, ok in ((f, True), (g, True), (bad_f, False), (bad_g, False)):
+        assert run_checks(hom_checks(h.hom) + rb_hom_checks(h)).ok == ok
 
-    failing = VerificationReport(1, (Violation("h1", (0, 1), (1,)),))
-    monkeypatch.setattr(twoterm, "verify_rb_hom",
-                        lambda h: verify_rb_hom(h) if h is f or h is g else failing)
+    seen = []
+    monkeypatch.setattr(twoterm, "rb_hom_checks",
+                        lambda h: seen.append(h) or rb_hom_checks(h))
+    out = compose_rb_homs(g, f)
+    assert len(seen) == 1 and seen[0] is out
+
+    inputs = (f, g, bad_f, bad_g)
+    forced = ("forced", (), lambda: (1,))
+    monkeypatch.setattr(twoterm, "rb_hom_checks", lambda h: rb_hom_checks(h) + (
+        [] if any(h is x for x in inputs) else [forced]))
     with pytest.raises(InternalInvariantBroken):
         compose_rb_homs(g, f)
+    compose_rb_homs(g, bad_f)
+    compose_rb_homs(bad_g, f)
 
 
 def test_compose_rejects_mismatched_endpoints():
@@ -244,7 +253,8 @@ def test_rbh3_interpretation_identity_hom_consistent():
     residual vanishes even when R2 is nonzero."""
     G = sl2_cocycle_rb(1)
     assert not G.rb.r2.is_zero()
-    assert verify_rb_hom(identity_rb_hom(G)).ok
+    f = identity_rb_hom(G)
+    assert run_checks(hom_checks(f.hom) + rb_hom_checks(f)).ok
 
 
 def test_quadruple_identity_signs_pinned_by_module_cocycle():
@@ -255,7 +265,7 @@ def test_quadruple_identity_signs_pinned_by_module_cocycle():
     from rblie.catalog import solv4_module_cocycle_rb
     from rblie.tensors import vadd, vbasis, vneg, vzero
     G = solv4_module_cocycle_rb()
-    assert verify_2term(G.linf).ok
+    assert verify_structure(G.linf).ok
     L = G.linf
     xs = [vbasis(4, t) for t in range(4)]
     first = vzero(1)
@@ -277,7 +287,7 @@ def test_h3_signs_pinned_by_module_two_cocycle():
     from rblie.catalog import solv4_cocycle_phi2_hom
     from rblie.tensors import vbasis
     F = solv4_cocycle_phi2_hom()
-    assert verify_rb_hom(F).ok
+    assert run_checks(hom_checks(F.hom) + rb_hom_checks(F)).ok
     src = F.source.linf
     p2 = F.hom.phi2.apply
     x, y, z = vbasis(4, 0), vbasis(4, 2), vbasis(4, 3)
