@@ -259,9 +259,8 @@ TWO_TERM_STRUCTURES = two_term_catalog()
 
 def derived_rb_crossed(cm: RBLieCrossedModule) -> RBLieCrossedModule:
     """The derived crossed module with the same operators (T0, T1), which
-    `derived_crossed` certifies as a homomorphism back to `cm`; whether they
-    are operators on the derived module the caller checks with the
-    verifier."""
+    `operator_descent_hom` maps back to `cm`; whether they are operators on
+    the derived module the caller checks with the verifier."""
     return RBLieCrossedModule(derived_crossed(cm), cm.t0, cm.t1)
 
 

@@ -257,28 +257,7 @@ def prelie_crossed_to_lie_crossed(pm: PreLieCrossedModule) -> LieCrossedModule:
 def derived_crossed(cm: RBLieCrossedModule) -> LieCrossedModule:
     """The Lie crossed module of the pre-Lie crossed module of `cm`: brackets
     [x,y] = [T0 x, y] - [T0 y, x] and action x.u = rho(T0 x) u + rho(x) T1 u.
-    (T0, T1) is certified a crossed-module homomorphism back to `cm`: on the
-    brackets (t0-hom, t1-hom), the boundary (square) and the actions
-    (action-compat)."""
-    out = prelie_crossed_to_lie_crossed(rb_crossed_to_prelie_crossed_data(cm))
-    base = cm.base
-    n0, n1 = base.g0.dim, base.g1.dim
-
-    def t0_hom(i, j):
-        return lambda: hom_residual(cm.t0, out.g0.bracket, base.g0.bracket, i, j)
-
-    def t1_hom(a, b):
-        return lambda: hom_residual(cm.t1, out.g1.bracket, base.g1.bracket, a, b)
-
-    def action_compat(i, a):
-        return lambda: vsub(cm.t1(out.rho[i](a)), act_on(base.rho, cm.t0(i), cm.t1(a), n1))
-
-    checks: list[Check] = [("t0-hom", (i, j), t0_hom(i, j))
-                           for i, j in combinations(range(n0), 2)]
-    checks += [("t1-hom", (a, b), t1_hom(a, b)) for a, b in combinations(range(n1), 2)]
-    checks += [("square", (a,), lambda a=a: chain_residual(cm.t1, cm.t0, base.d, base.d, a))
-               for a in range(n1)]
-    checks += [("action-compat", (i, a), action_compat(i, a))
-               for i in range(n0) for a in range(n1)]
-    run_checks(checks).require_ok("operators from the derived crossed module")
-    return out
+    Only the output is verified: (T0, T1) maps it back to `cm` exactly when
+    `cm`'s operator identities hold, and the `descent-*` homomorphisms of
+    the catalog carry that map."""
+    return prelie_crossed_to_lie_crossed(rb_crossed_to_prelie_crossed_data(cm))

@@ -71,9 +71,9 @@ def test_criterion_2_prelie_chain(golden_operators):
         for rba in golden_operators:
             p = prelie_from_rb(rba)
             assert verify_structure(p).ok
-            derived = derived_bracket(rba)  # also certifies the homomorphism
+            derived = derived_bracket(rba)
             assert derived.bracket == subadjacent_lie(p).bracket
-            for i in range(rba.dim):
+            for i in range(rba.dim):  # R is a homomorphism off the derived bracket
                 for j in range(rba.dim):
                     lhs = rba.r.apply(derived.bracket.on_basis(i, j))
                     rhs = rba.base.bracket_vec(rba.r.column(i), rba.r.column(j))

@@ -397,13 +397,27 @@ def test_construct_crossed_chain(capsys, tmp_path):
     assert run_cli(capsys, "verify", str(semi))[0] == 0
 
 
-def test_construct_rejects_invalid_input(capsys, tmp_path):
-    bad = tmp_path / "bad.json"
-    run_cli(capsys, "mutate", str(CATALOG_DIR / "aff1-rb-shift.json"),
-            "--site", "r,0,0", "--delta", "1", "-o", str(bad))
-    code, out, _ = run_cli(capsys, "construct", "prelie", str(bad))
+@pytest.mark.parametrize("construction, source, site, condition", [
+    ("prelie", "aff1-rb-shift", "r,0,0", "rota-baxter"),
+    ("derived-cm", "heis3-center-cm", "t0,0,0", "g0-rota-baxter"),
+    ("derived-cm", "heis3-center-cm", "t1,0,0", "d-rb"),
+    ("crossed-to-strict", "heis3-center-cm", "t0,0,0", "g0-rota-baxter"),
+    ("rb-to-prelie-cm", "heis3-center-cm", "t0,0,0", "g0-rota-baxter"),
+    ("cm-semidirect", "heis3-center-cm", "t0,0,0", "g0-rota-baxter"),
+], ids=["prelie", "derived-cm-t0", "derived-cm-t1", "crossed-to-strict",
+        "rb-to-prelie-cm", "cm-semidirect"])
+def test_construct_rejects_invalid_input(capsys, tmp_path, construction, source, site,
+                                         condition):
+    """A construction never sees an unverified input: `construct` prints
+    exactly what `verify` prints, exits 1 and writes no document."""
+    bad, out_path = tmp_path / "bad.json", tmp_path / "out.json"
+    run_cli(capsys, "mutate", str(CATALOG_DIR / f"{source}.json"),
+            "--site", site, "--delta", "1", "-o", str(bad))
+    code, out, _ = run_cli(capsys, "construct", construction, str(bad), "-o", str(out_path))
     assert code == 1
-    assert any(line.startswith("VIOLATION rota-baxter") for line in out.splitlines())
+    assert any(line.startswith(f"VIOLATION {condition} ") for line in out.splitlines())
+    assert out == run_cli(capsys, "verify", str(bad))[1]
+    assert not out_path.exists()
 
 
 def test_construct_wrong_kind_exits_two(capsys):
