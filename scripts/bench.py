@@ -16,6 +16,11 @@ each row below as the median of REPEATS runs:
   run, so nothing cached on its tensors carries over);
 * verification of its identity `rb-hom` (h3 and both endpoints' rb3 at
   dim0 8), also loaded afresh from its text on each run;
+* verification of the same dim0-8 structure with l3 cell (0, 0, 1, 2) set
+  to 1 without its alternating partners, loaded afresh on each run: it
+  breaks `alt-l3`, so `jcoh` is evaluated at each of its 4,096 ordered
+  quadruples rather than once per sorted one, and it must report 37
+  violations of 6,198 checks;
 * `rblie verify catalog/solv4-module-cocycle-rb2.json`;
 * `rblie roundtrip catalog/solv4-cocycle-phi2-hom.json`;
 * `rblie verify` of every catalog document, one after the other;
@@ -33,8 +38,9 @@ each row below as the median of REPEATS runs:
 The JSON written to the one argument holds every row (median, the single
 runs, the number of checked conditions, of documents for the
 `loads`/`dumps` row, or of operators found for the `search-rb` rows) and
-the line count of `src/`.  A probe that fails verification, or a search
-that finds another number of operators or takes longer, exits nonzero.
+the line count of `src/`.  A probe that fails verification, the
+flag-broken probe when it reports other counts, or a search that finds
+another number of operators or takes longer, exits nonzero.
 Only the standard library is used, so the same file can be copied into an
 older checkout to measure a before/after pair on one machine.  The zero
 dim-25 row of a dense tensor kernel takes minutes, so this is not a CI
@@ -61,7 +67,8 @@ from rblie.liealg import (LieAlgebra, adjoint_representation,  # noqa: E402
                           semidirect_product)
 from rblie.search import SearchSpec, enumerate_rb_operators  # noqa: E402
 from rblie.serialize import dumps, loads  # noqa: E402
-from rblie.tensors import BilinearMap, LinearMap, TrilinearMap, vec  # noqa: E402
+from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap,  # noqa: E402
+                           from_cells, vec)
 from rblie.twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,  # noqa: E402
                            TwoTermRBLInfinity, identity_rb_hom)
 
@@ -72,6 +79,7 @@ SEARCH_BUDGET = 3 ** 16  # solv4's whole grid, above the default 10^7 candidates
 SEARCH_LIMIT_S = 60
 SL3_BASIS = ("E12", "E13", "E21", "E23", "E31", "E32", "H1", "H2")
 SL3_FOUND = 795  # masked sl3 operators over {-1,0,1}
+FLAG_BROKEN_REPORT = (6198, 37)  # checks and violations of the flag-broken dim0-8 row
 
 
 def zero_lie(n: int) -> LieAlgebra:
@@ -133,6 +141,16 @@ def verify_object(obj) -> int:
     return report.checked
 
 
+def verify_flag_broken(obj) -> int:
+    """Verify a structure that breaks a flag; it must fail with the pinned
+    FLAG_BROKEN_REPORT counts."""
+    report = verify_structure(obj)
+    if (report.checked, len(report.violations)) != FLAG_BROKEN_REPORT:
+        raise SystemExit(f"flag-broken probe gave {report.checked} checks and "
+                         f"{len(report.violations)} violations, not {FLAG_BROKEN_REPORT}")
+    return report.checked
+
+
 def cli(*paths: Path, command: str = "verify") -> int:
     """Run `command` on each document; the summed checked counts."""
     checked = 0
@@ -176,13 +194,21 @@ def rows() -> dict:
     out = {f"zero lie dim {n}": lambda n=n: verify_object(zero_lie(n)) for n in (8, 12, 16, 25)}
     out.update({f"zero rb-2term dim0 {d} dim1 2": lambda d=d: verify_object(zero_rb_2term(d, 2))
                 for d in range(3, 7)})
-    dim8 = dumps(adjoint_rb_two_term(semidirect_product(
-        adjoint_representation(RB_ALGEBRAS["solv4-rb-zero"]))))
+    G = adjoint_rb_two_term(semidirect_product(
+        adjoint_representation(RB_ALGEBRAS["solv4-rb-zero"])))
+    dim8 = dumps(G)
     out["solv4 adjoint semidirect rb-2term dim0 8 dim1 8"] = \
         lambda: verify_object(loads(dim8))
     dim8_hom = dumps(identity_rb_hom(loads(dim8)))
     out["identity rb-hom of the dim0 8 solv4 adjoint semidirect rb-2term"] = \
         lambda: verify_object(loads(dim8_hom))
+    l3 = G.linf.l3
+    broken = TwoTermRBLInfinity(TwoTermLInfinity(
+        G.linf.complex, G.linf.l2_00, G.linf.l2_01,
+        from_cells(l3.shape, {**l3.cells(), (0, 0, 1, 2): 1}, l3.flag)), G.rb)
+    dim8_broken = dumps(broken)
+    out["dim0 8 rb-2term with one l3 cell without its partners (flag broken)"] = \
+        lambda: verify_flag_broken(loads(dim8_broken))
     out["verify solv4-module-cocycle-rb2"] = lambda: cli(CATALOG / "solv4-module-cocycle-rb2.json")
     out["roundtrip solv4-cocycle-phi2-hom"] = lambda: cli(
         CATALOG / "solv4-cocycle-phi2-hom.json", command="roundtrip")

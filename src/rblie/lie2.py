@@ -14,12 +14,14 @@ residual is the difference of the arrow sums of its two paths
 diagram residuals take the structure itself, and no diagram check builds a
 `Morphism2V` or an `RBLie2View`; only the round trips do.
 
-`coh` and `jcoh` read their composite terms from the structure's term
-caches (see `twoterm`), which `rb3` and `d` fill and read too, keyed by
-literal argument order.  Once the skew and alternating flags hold, the
-`coh` and `jcoh` residuals are term by term the chain conditions `rb3` and
-`d` (the tests prove both identities), so neither is compared with its
-chain condition here.  The homomorphism diagram `cohm` has every term of
+`coh` and `jcoh` run at every ordered tuple through
+`twoterm.ordered_checks`: once per sorted tuple of distinct indices when
+the maps they need (l2_00, l3 and, for `coh`, R2) are skew and
+alternating, read with the sign of each ordering; literally at each tuple
+when one is not.  Once the skew and alternating flags hold, the `coh` and
+`jcoh` residuals are term by term the chain conditions `rb3` and `d` (the
+tests prove both identities), so neither is compared with its chain
+condition here.  The homomorphism diagram `cohm` has every term of
 the chain condition `rbh3` plus the arrow part B of the bracket
 [f3(x), f3(y)] (`phi3_bracket`), so it is read as `rbh3` - B from the one
 evaluation of `rbh3`; its `cohm-vs-rbh3` cross-check reads the same
@@ -30,13 +32,14 @@ patched silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import combinations, product
+from functools import cache, partial
+from itertools import combinations
 
 from .errors import NotComposable
 from .report import Check, VerificationReport, run_checks
 from .tensors import (Vec, vadd, vbasis, vneg, vsub, vzero, is_zero)
-from .twoterm import RBLInfinityHom, TwoTermRBLInfinity, rbh3_residual
+from .twoterm import (RBLInfinityHom, TwoTermRBLInfinity, ordered_checks,
+                      rbh3_residual)
 
 
 @dataclass(frozen=True)
@@ -98,31 +101,30 @@ def coherence_residual(G: TwoTermRBLInfinity, i: int, j: int, k: int) -> Vec:
     coherence diagram at one ordered basis triple of g0.  The basis objects
     x, y, z are the indices i, j, k, at which the maps are called: J is l3,
     P is R1 on arrow parts and R is R2, the arrow part of
-    [Px, Py] -> P[Px, y] + P[x, Py].  The terms `rb3_residual` reads too
-    come from the structure's term caches."""
-    br, J, P, R = G.linf.l2_00, G.linf.l3, G.rb.r1, G.rb.r2
+    [Px, Py] -> P[Px, y] + P[x, Py]."""
+    br, act, J, P, R = G.linf.l2_00, G.linf.l2_01, G.linf.l3, G.rb.r1, G.rb.r2
     x, y, z = i, j, k
     px, py, pz = G.rb.r0(x), G.rb.r0(y), G.rb.r0(z)
-    act_pr, p_act_r = G.act_r0_r2, G.r1_act_r2  # [P a, R(b, c)] and P[a, R(b, c)]
 
     return _path_difference([
-        [G.l3_r0(x, y, z)],
-        [act_pr(x, y, z), vneg(act_pr(y, x, z))],
+        [J(px, py, pz)],
+        [act(px, R(y, z)), vneg(act(py, R(x, z)))],
         [R(x, br(py, z)), R(x, br(y, pz)), R(br(x, pz), y), R(br(px, z), y)],
         [P(J(px, z, py))],
-        [vneg(p_act_r(z, x, y))],
+        [vneg(P(act(z, R(x, y))))],
     ], [
-        [vneg(act_pr(z, x, y))],
+        [vneg(act(pz, R(x, y)))],
         [R(br(px, y), z), R(br(x, py), z)],
         [P(J(px, y, pz)), P(J(x, py, pz))],
-        [vneg(p_act_r(y, x, z)), p_act_r(x, y, z)],
+        [vneg(P(act(y, R(x, z)))), P(act(x, R(y, z)))],
     ])
 
 
 def coherence_checks(G: TwoTermRBLInfinity) -> list[Check]:
     """Diagram-level operator coherence over every ordered basis triple."""
-    return [("coh", idx, (lambda t=idx: coherence_residual(G, *t)))
-            for idx in product(range(G.linf.dim0), repeat=3)]
+    L = G.linf
+    return ordered_checks("coh", L.dim0, 3, partial(coherence_residual, G), L.dim1,
+                          all(m.is_alternating() for m in (L.l2_00, L.l3, G.rb.r2)))
 
 
 def jacobiator_coherence_residual(G: TwoTermRBLInfinity,
@@ -131,27 +133,27 @@ def jacobiator_coherence_residual(G: TwoTermRBLInfinity,
     coherence diagram at one ordered basis quadruple of g0.  The basis
     objects w, x, y, z are the indices i, j, k, l, at which the maps are
     called; J is the Jacobiator l3."""
-    L = G.linf
-    A, B = L.act_l3, L.l3_br  # [e_p, J(q, r, s)], and J with [e_p, e_q] in a slot
+    br, act, J = G.linf.l2_00, G.linf.l2_01, G.linf.l3
     w, x, y, z = i, j, k, l
 
     return _path_difference([
-        [vneg(A(z, w, x, y))],
-        [B(0, w, y, x, z), B(1, x, y, w, z)],
-        [vneg(A(x, w, y, z))],
-        [A(w, x, y, z)],
+        [vneg(act(z, J(w, x, y)))],
+        [J(br(w, y), x, z), J(w, br(x, y), z)],
+        [vneg(act(x, J(w, y, z)))],
+        [act(w, J(x, y, z))],
     ], [
-        [B(0, w, x, y, z)],
-        [vneg(A(y, w, x, z))],
-        [B(1, x, z, w, y), B(0, w, z, x, y), B(2, y, z, w, x)],
+        [J(br(w, x), y, z)],
+        [vneg(act(y, J(w, x, z)))],
+        [J(w, br(x, z), y), J(br(w, z), x, y), J(w, x, br(y, z))],
     ])
 
 
 def jacobiator_coherence_checks(G: TwoTermRBLInfinity) -> list[Check]:
     """Diagram-level Jacobiator coherence over every ordered basis
     quadruple."""
-    return [("jcoh", idx, (lambda t=idx: jacobiator_coherence_residual(G, *t)))
-            for idx in product(range(G.linf.dim0), repeat=4)]
+    L = G.linf
+    return ordered_checks("jcoh", L.dim0, 4, partial(jacobiator_coherence_residual, G),
+                          L.dim1, all(m.is_alternating() for m in (L.l2_00, L.l3)))
 
 
 class RBLie2Hom:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import permutations
 from operator import neg, sub
 
@@ -123,6 +123,12 @@ def perm_sign(p: tuple[int, ...]) -> int:
     return sign
 
 
+@cache
+def signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each permutation of ``range(k)`` with its sign."""
+    return tuple((p, perm_sign(p)) for p in permutations(range(k)))
+
+
 def _image_cells(values: dict, flag: bool) -> dict:
     """The cells of the images `values` (input tuple -> vector).  With
     `flag`, each permutation of a given tuple that is not given itself
@@ -130,8 +136,8 @@ def _image_cells(values: dict, flag: bool) -> dict:
     vals = {key: vec(*v) for key, v in values.items()}
     if flag:
         for key, v in list(vals.items()):
-            for p in permutations(range(len(key))):
-                vals.setdefault(tuple(key[q] for q in p), vscale(perm_sign(p), v))
+            for p, sign in signed_permutations(len(key)):
+                vals.setdefault(tuple(key[q] for q in p), vscale(sign, v))
     return {(out, *key): a for key, v in vals.items() for out, a in enumerate(v)}
 
 
@@ -185,6 +191,17 @@ class _Multilinear:
 
     def is_zero(self) -> bool:
         return not self.nonzero
+
+    def is_alternating(self) -> bool:
+        """Whether permuting the inputs scales every image by the sign of
+        the permutation: exactly when the map's `skew-*` or `alt-l3` checks
+        report nothing, whatever its flag.  A stored image at repeated
+        inputs fails, as an odd permutation fixes them.  O(nonzero
+        entries)."""
+        signs = signed_permutations(len(self.shape) - 1)
+        return all(self.nonzero.get(tuple(key[q] for q in p))
+                   == tuple((o, s * a) for o, a in group)
+                   for key, group in self.nonzero.items() for p, s in signs)
 
     _partials = cached_property(lambda self: {})  # slot -> (maps, zero map, len(fixed))
 

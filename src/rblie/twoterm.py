@@ -17,34 +17,34 @@ Condition `a` has two displayed equations; the first index of its violation
 tuple selects the equation (0: differential compatibility on g0 x g1,
 1: unambiguity of the induced degree-one bracket).
 
-Term caches: a composite term that `d`, `jcoh`, `rb3`, `coh` or `h3` reads
-at several ordered tuples is cached on its structure, as partial maps are
-on a tensor: `functools.cache` over a closure of the tensors, not of the
-structure (so no reference cycle), keyed by the literal argument order and
-slot, never by a sorted key, so a store that breaks its flag gives the
-residuals of evaluating each term.  A zero term is stored as the one zero
-tuple of its length (`_shared`), not as a tuple of its own per key.
+Orbit evaluation: `rb3`, `h3` and the diagram checks `coh` and `jcoh`
+(`lie2`) are checked at every ordered tuple of g0 basis indices, and each
+is alternating in them whenever the maps it needs are skew or alternating:
+l3 and R2 for `rb3` (its R2 terms sum every ordering of their arguments
+with its sign), l2_00, l3 and R2 for `coh`, l2_00 and l3 for `jcoh`, and
+the source's l2_00 and l3, the target's l3 and phi2 for `h3`.  Then
+`ordered_checks` evaluates the residual once per sorted tuple of distinct
+indices; every other ordering of those indices reports sign(pi) times that
+value, and a tuple with a repeated index reports zero.  Whether the maps
+are alternating is read from their stores (`is_alternating`), never from
+their flags or from the flag checks' results.  When one is not, its flag
+check fires and every ordered tuple is evaluated literally, so a store
+that breaks its flag reports the residuals of the maps as stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, partial
 from itertools import combinations, product
 
 from .errors import (InternalInvariantBroken, NotChainMap, ShapeMismatch,
                      SourceTargetMismatch)
 from .report import Check, VerificationReport, run_checks
 from .tensors import (BilinearMap, LinearMap, TrilinearMap, Vec,
-                      perm_sign, solve_exact, vadd, vneg, vsub, vzero)
+                      signed_permutations, solve_exact, vadd, vneg, vscale, vsub,
+                      vzero)
 from .liealg import chain_residual, rb_residual, skew_checks
-
-_zero = cache(vzero)  # length -> the one zero vector the term caches share
-
-
-def _shared(v: Vec) -> Vec:
-    """`v`, or the one zero tuple of its length when `v` is zero."""
-    return v if any(v) else _zero(len(v))
 
 
 @dataclass(frozen=True)
@@ -82,17 +82,6 @@ class TwoTermLInfinity:
     def dim1(self) -> int:
         return self.complex.dim1
 
-    @cached_property
-    def act_l3(self):  # p, q, r, s -> l2(e_p, l3(e_q, e_r, e_s))
-        act, l3 = self.l2_01, self.l3
-        return cache(lambda p, q, r, s: _shared(act(p, l3(q, r, s))))
-
-    @cached_property
-    def l3_br(self):  # slot, p, q, r, s -> l3 of l2(e_p, e_q) in `slot`, then e_r, e_s
-        br, l3 = self.l2_00, self.l3
-        return cache(lambda slot, p, q, r, s: _shared(
-            l3(*(r, s)[:slot], br(p, q), *(r, s)[slot:])))
-
 
 @dataclass(frozen=True)
 class RBTriple:
@@ -119,56 +108,43 @@ class TwoTermRBLInfinity:
     def is_strict(self) -> bool:
         return self.linf.l3.is_zero() and self.rb.r2.is_zero()
 
-    @cached_property
-    def act_r0_r2(self):  # a, b, c -> l2(R0 e_a, R2(e_b, e_c))
-        act, r0, r2 = self.linf.l2_01, self.rb.r0, self.rb.r2
-        return cache(lambda a, b, c: _shared(act(r0(a), r2(b, c))))
 
-    @cached_property
-    def r1_act_r2(self):  # a, b, c -> R1 l2(e_a, R2(e_b, e_c))
-        act, r1, r2 = self.linf.l2_01, self.rb.r1, self.rb.r2
-        return cache(lambda a, b, c: _shared(r1(act(a, r2(b, c)))))
+def _orbits(n: int, arity: int):
+    """(tuple, its sorted tuple, the sign of the permutation that sorts it)
+    for every ordered `arity`-tuple of distinct indices below `n`."""
+    for s in combinations(range(n), arity):
+        for p, sign in signed_permutations(arity):
+            yield tuple(s[q] for q in p), s, sign
 
-    @cached_property
-    def l3_r0(self):  # a, b, c -> l3(R0 e_a, R0 e_b, R0 e_c)
-        l3, r0 = self.linf.l3, self.rb.r0
-        return cache(lambda a, b, c: _shared(l3(r0(a), r0(b), r0(c))))
 
-    @cached_property
-    def grouped(self):  # the cyclic summand of `rb3_residual` at (x1, x2, x3):
-        # l2(R0 x1, R2(x2, x3)) + R2(x3, l2(R0 x1, x2) - l2(R0 x2, x1))
-        #     - R1(l2(x1, R2(x2, x3)) + l3(R0 x2, R0 x3, x1))
-        br, l3, r0, r1, r2 = self.linf.l2_00, self.linf.l3, self.rb.r0, self.rb.r1, self.rb.r2
-        act_r0_r2, r1_act_r2 = self.act_r0_r2, self.r1_act_r2
-
-        def term(x1, x2, x3):
-            t2 = r2(x3, vsub(br(r0(x1), x2), br(r0(x2), x1)))
-            inner = vadd(r1_act_r2(x1, x2, x3), r1(l3(r0(x2), r0(x3), x1)))
-            return _shared(vsub(vadd(act_r0_r2(x1, x2, x3), t2), inner))
-        return cache(term)
+def ordered_checks(cond: str, n: int, arity: int, residual, dim_out: int,
+                   alternating: bool) -> list[Check]:
+    """`cond` at every ordered `arity`-tuple of basis indices below `n`, in
+    lexicographic order, with residual `residual(*idx)` of length `dim_out`.
+    When `alternating`, the residual is evaluated once per sorted tuple of
+    distinct indices, which every ordering of them reads with its sign, and
+    a tuple with a repeated index reads zero; otherwise each tuple is
+    evaluated as given."""
+    tuples = product(range(n), repeat=arity)
+    if not alternating:
+        return [(cond, idx, (lambda t=idx: residual(*t))) for idx in tuples]
+    zero = vzero(dim_out)
+    fns = dict.fromkeys(tuples, lambda: zero)
+    at = {s: cache(lambda s=s: residual(*s)) for s in combinations(range(n), arity)}
+    for idx, s, sign in _orbits(n, arity):
+        fns[idx] = at[s] if sign > 0 else (lambda f=at[s]: vneg(f()))
+    return [(cond, idx, fn) for idx, fn in fns.items()]
 
 
 def alt_checks(t: TrilinearMap, condition: str = "alt-l3") -> list[Check]:
     """value(i,j,k) must equal sign * value(sorted(i,j,k)); repeats force 0."""
-    checks: list[Check] = []
-    n = t.dim
-
-    def residual(i, j, k):
-        def go():
-            if len({i, j, k}) < 3:
-                return t(i, j, k)
-            order = tuple(sorted((i, j, k)))
-            pos = {v: p for p, v in enumerate(order)}
-            sign = perm_sign((pos[i], pos[j], pos[k]))
-            expect = tuple(sign * c for c in t(*order))
-            return vsub(t(i, j, k), expect)
-        return go
-
-    for i, j, k in product(range(n), repeat=3):
-        if i < j < k:
-            continue
-        checks.append((condition, (i, j, k), residual(i, j, k)))
-    return checks
+    fns = {idx: (lambda idx=idx: t(*idx)) for idx in product(range(t.dim), repeat=3)}
+    for idx, s, sign in _orbits(t.dim, 3):
+        if idx == s:
+            del fns[idx]
+        else:
+            fns[idx] = lambda idx=idx, s=s, sign=sign: vsub(t(*idx), vscale(sign, t(*s)))
+    return [(condition, idx, fn) for idx, fn in fns.items()]
 
 
 def two_term_checks(L: TwoTermLInfinity) -> list[Check]:
@@ -211,15 +187,16 @@ def quadruple_identity_residual(L: TwoTermLInfinity,
                                 i: int, j: int, k: int, l: int) -> Vec:
     """The four-argument homotopy-Jacobi identity at one ordered basis
     quadruple (signs follow the standard unshuffle convention)."""
+    br, act, l3 = L.l2_00, L.l2_01, L.l3
     xs = (i, j, k, l)
     terms = []
     for p in range(4):
         rest = [xs[q] for q in range(4) if q != p]
-        term = L.act_l3(xs[p], *rest)
+        term = act(xs[p], l3(*rest))
         terms.append(term if p % 2 == 0 else vneg(term))
     for p, q in combinations(range(4), 2):
         rest = [xs[t] for t in range(4) if t not in (p, q)]
-        term = L.l3_br(0, xs[p], xs[q], *rest)
+        term = l3(br(xs[p], xs[q]), *rest)
         terms.append(term if (p + q) % 2 == 0 else vneg(term))
     return vadd(*terms)
 
@@ -227,11 +204,24 @@ def quadruple_identity_residual(L: TwoTermLInfinity,
 def rb3_residual(G: TwoTermRBLInfinity, i: int, j: int, k: int) -> Vec:
     """Cyclic homotopy Rota-Baxter condition at one ordered basis triple.
 
-    The three grouped summands (`TwoTermRBLInfinity.grouped`) cycle jointly
-    over (x1,x2,x3); the trailing homotopy term sits outside the cycle.
+    The three grouped summands
+
+        l2(R0 x1, R2(x2, x3)) + R2(x3, l2(R0 x1, x2) - l2(R0 x2, x1))
+            - R1(l2(x1, R2(x2, x3)) + l3(R0 x2, R0 x3, x1))
+
+    cycle jointly over (x1,x2,x3); the trailing homotopy term sits outside
+    the cycle.
     """
-    total = vadd(G.grouped(i, j, k), G.grouped(j, k, i), G.grouped(k, i, j))
-    return vadd(total, G.l3_r0(i, j, k))
+    L, rb = G.linf, G.rb
+    br, act, l3, r0, r1, r2 = L.l2_00, L.l2_01, L.l3, rb.r0, rb.r1, rb.r2
+
+    def grouped(x1, x2, x3):
+        t2 = r2(x3, vsub(br(r0(x1), x2), br(r0(x2), x1)))
+        inner = vadd(act(x1, r2(x2, x3)), l3(r0(x2), r0(x3), x1))
+        return vsub(vadd(act(r0(x1), r2(x2, x3)), t2), r1(inner))
+
+    total = vadd(grouped(i, j, k), grouped(j, k, i), grouped(k, i, j))
+    return vadd(total, l3(r0(i), r0(j), r0(k)))
 
 
 def rb2_residual(G: TwoTermRBLInfinity, a: int, i: int) -> Vec:
@@ -261,8 +251,8 @@ def rb_triple_checks(G: TwoTermRBLInfinity) -> list[Check]:
     checks += [("rb1", (i, j), rb1(i, j)) for i, j in combinations(range(d0), 2)]
     checks += [("rb2", (a, i), (lambda t: (lambda: rb2_residual(G, *t)))((a, i)))
                for a in range(d1) for i in range(d0)]
-    checks += [("rb3", idx, (lambda t=idx: rb3_residual(G, *t)))
-               for idx in product(range(d0), repeat=3)]
+    checks += ordered_checks("rb3", d0, 3, partial(rb3_residual, G), d1,
+                             all(m.is_alternating() for m in (L.l3, rb.r2)))
     return checks
 
 
@@ -316,11 +306,6 @@ class LInfinityHom:
         if (self.phi2.dim_a, self.phi2.dim_b, self.phi2.dim_out) != (s.dim0, s.dim0, t.dim1):
             raise ShapeMismatch("phi2 must map source g0 pairs to target g1")
 
-    @cached_property
-    def act_phi2(self):  # a, b, c -> l2'(phi0 e_a, phi2(e_b, e_c))
-        act, p0, p2 = self.target.l2_01, self.phi0, self.phi2
-        return cache(lambda a, b, c: _shared(act(p0(a), p2(b, c))))
-
 
 @dataclass(frozen=True)
 class RBLInfinityHom:
@@ -342,7 +327,7 @@ def hom_checks(f: LInfinityHom) -> list[Check]:
     endpoints' own conditions are not included."""
     src, tgt = f.source, f.target
     d0, d1 = src.dim0, src.dim1
-    p0, p1, p2, br, act, act_phi2 = f.phi0, f.phi1, f.phi2, src.l2_00, tgt.l2_01, f.act_phi2
+    p0, p1, p2, br, act = f.phi0, f.phi1, f.phi2, src.l2_00, tgt.l2_01
 
     def chain(a):
         return lambda: chain_residual(f.phi1, f.phi0, src.complex.l1, tgt.complex.l1, a)
@@ -355,23 +340,26 @@ def hom_checks(f: LInfinityHom) -> list[Check]:
         return lambda: vsub(p2(i, src.complex.l1(a)),
                             vsub(p1(src.l2_01(i, a)), act(p0(i), p1(a))))
 
-    def h3(x, y, z):
-        def go():
-            lhs = vadd(vneg(act_phi2(z, x, y)), p2(br(x, y), z), p1(src.l3(x, y, z)))
-            rhs = vadd(tgt.l3(p0(x), p0(y), p0(z)),
-                       act_phi2(x, y, z),
-                       vneg(act_phi2(y, x, z)),
-                       p2(x, br(y, z)),
-                       p2(br(x, z), y))
-            return vsub(lhs, rhs)
-        return go
-
     checks = skew_checks(f.phi2, "skew-phi2")
     checks += [("chain", (a,), chain(a)) for a in range(d1)]
     checks += [("h1", (i, j), h1(i, j)) for i, j in combinations(range(d0), 2)]
     checks += [("h2", (i, a), h2(i, a)) for i in range(d0) for a in range(d1)]
-    checks += [("h3", idx, h3(*idx)) for idx in product(range(d0), repeat=3)]
+    checks += ordered_checks("h3", d0, 3, partial(h3_residual, f), tgt.dim1,
+                             all(m.is_alternating() for m in (br, src.l3, tgt.l3, p2)))
     return checks
+
+
+def h3_residual(f: LInfinityHom, x: int, y: int, z: int) -> Vec:
+    """Third homomorphism condition at one ordered basis triple."""
+    src, tgt = f.source, f.target
+    p0, p1, p2, br, act = f.phi0, f.phi1, f.phi2, src.l2_00, tgt.l2_01
+    lhs = vadd(vneg(act(p0(z), p2(x, y))), p2(br(x, y), z), p1(src.l3(x, y, z)))
+    rhs = vadd(tgt.l3(p0(x), p0(y), p0(z)),
+               act(p0(x), p2(y, z)),
+               vneg(act(p0(y), p2(x, z))),
+               p2(x, br(y, z)),
+               p2(br(x, z), y))
+    return vsub(lhs, rhs)
 
 
 def rbh3_residual(f: RBLInfinityHom, i: int, j: int) -> Vec:

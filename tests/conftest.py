@@ -184,8 +184,8 @@ def flag_respecting_rb_hom(seed: int, d0: int = 4, d1: int = 2) -> RBLInfinityHo
     return _random_rb_hom(seed, d0, d1, flags_hold=True)
 
 
-# Reference forms of the residuals that read cached terms, written as each
-# residual reads the maps directly, term by term and without any cache.
+# Reference forms of `d` and of the residuals checked once per orbit, written
+# term by term from the maps, at the literal argument order.
 
 def reference_d(L, i, j, k, l):
     br, act, l3 = L.l2_00, L.l2_01, L.l3

@@ -1,10 +1,11 @@
-import functools
 import gc
 import random
 import weakref
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from rblie import lie2, twoterm
 from rblie.catalog import TWO_TERM_STRUCTURES, HOMOMORPHISMS, solvable4
 from rblie.cli import verify_structure
 from rblie.errors import NotComposable
+from rblie.liealg import skew_checks
 from rblie.lie2 import (Morphism2V, RBLie2Hom, RBLie2View, coherence_checks,
                         coherence_residual, hom_coherence_checks,
                         jacobiator_coherence_checks,
@@ -26,10 +28,11 @@ from rblie.lie2 import (Morphism2V, RBLie2Hom, RBLie2View, coherence_checks,
 from rblie.report import run_checks
 from rblie.search import mutate
 from rblie.serialize import dumps, load, loads
-from rblie.tensors import is_zero, vadd, vbasis, vec, vzero
-from rblie.twoterm import (hom_checks, identity_rb_hom, quadruple_identity_residual,
-                           rb3_residual, rb_hom_checks, rb_triple_checks,
-                           rbh3_residual, two_term_checks)
+from rblie.tensors import (TrilinearMap, from_cells, is_zero, perm_sign, vadd, vbasis,
+                           vec, vscale, vzero)
+from rblie.twoterm import (RBLInfinityHom, alt_checks, h3_residual, hom_checks,
+                           quadruple_identity_residual, rb3_residual, rb_hom_checks,
+                           rb_triple_checks, rbh3_residual, two_term_checks)
 
 VIEW = RBLie2View(TWO_TERM_STRUCTURES["sl2-cocycle-rb2-nonstrict"])
 
@@ -141,8 +144,8 @@ def flag_respecting_structures():
 def test_coherence_residual_equals_chain_condition_everywhere():
     """The diagram difference IS the cyclic operator condition on any
     flag-valid data: the catalog, the structure mutants, and seeded random
-    stores on which no axiom holds (there the cached `rb3` also equals its
-    reference form, and is nonzero at some triples)."""
+    stores on which no axiom holds (there `rb3` also equals its reference
+    form, and is nonzero at some triples)."""
     instances = list(TWO_TERM_STRUCTURES.values()) + [m for _, m in structure_mutants()]
     for G in instances:
         for idx in product(range(G.linf.dim0), repeat=3):
@@ -246,12 +249,13 @@ def test_hom_coherence_equals_rbh3_minus_phi3_bracket():
 
 
 def test_each_diagram_residual_is_evaluated_once(monkeypatch):
-    """Each diagram and chain residual is evaluated once per index tuple:
+    """The alternating families `coh`, `jcoh`, `rb3` and `h3` of a valid
+    document are evaluated once per sorted tuple of distinct indices, and
     `rbh3`, `cohm` and `cohm-vs-rbh3` share one evaluation of the `rbh3`
-    chain residual, and `cohm` adds one of the phi3 bracket term B.  No
-    diagram builds a `Morphism2V`: `cohm` reads the arrow part of the
-    bracket [f3(x), f3(y)] by calls, so `verify` builds none on any catalog
-    document."""
+    chain residual per ordered pair, to which `cohm` adds one of the phi3
+    bracket term B.  No diagram builds a `Morphism2V`: `cohm` reads the
+    arrow part of the bracket [f3(x), f3(y)] by calls, so `verify` builds
+    none on any catalog document."""
     calls = Counter()
 
     def counted(name, fn):
@@ -261,19 +265,21 @@ def test_each_diagram_residual_is_evaluated_once(monkeypatch):
         return wrapper
 
     names = ("coherence_residual", "jacobiator_coherence_residual",
-             "rb3_residual", "rbh3_residual", "phi3_bracket")
+             "rb3_residual", "h3_residual", "rbh3_residual", "phi3_bracket")
     for name in names:
         for module in (lie2, twoterm):  # wherever the module calls it by name
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(Morphism2V, "__init__", counted("Morphism2V", Morphism2V.__init__))
 
-    G = load(CATALOG_DIR / "sl2-cocycle-rb2.json")
-    calls.clear()
-    assert verify_structure(G).ok
-    d0 = G.linf.dim0  # 27, 81, 27 and 0
-    assert (calls["coherence_residual"], calls["jacobiator_coherence_residual"],
-            calls["rb3_residual"], calls["Morphism2V"]) == (d0 ** 3, d0 ** 4, d0 ** 3, 0)
+    for name in ("sl2-cocycle-rb2", "solv4-module-cocycle-rb2"):
+        G = load(CATALOG_DIR / f"{name}.json")
+        calls.clear()
+        assert verify_structure(G).ok
+        d0 = G.linf.dim0  # 1, 0, 1 and 0 at dim0 3; 4, 1, 4 and 0 at dim0 4
+        assert (calls["coherence_residual"], calls["jacobiator_coherence_residual"],
+                calls["rb3_residual"], calls["Morphism2V"]) == \
+            (comb(d0, 3), comb(d0, 4), comb(d0, 3), 0)
 
     F = load(CATALOG_DIR / "aff1-phi3-hom.json")
     calls.clear()
@@ -281,6 +287,12 @@ def test_each_diagram_residual_is_evaluated_once(monkeypatch):
     h0 = F.source.linf.dim0  # 4, 4 and 12
     assert (calls["rbh3_residual"], calls["phi3_bracket"],
             calls["Morphism2V"]) == (h0 ** 2, h0 ** 2, 0)
+
+    F = load(CATALOG_DIR / "solv4-cocycle-phi2-hom.json")
+    calls.clear()
+    assert verify_structure(F).ok
+    h0 = F.source.linf.dim0  # 4 for h3, 4 for each endpoint's rb3
+    assert (calls["h3_residual"], calls["rb3_residual"]) == (comb(h0, 3), 2 * comb(h0, 3))
 
     for path in sorted(CATALOG_DIR.glob("*.json")):
         assert verify_structure(load(path)).ok
@@ -291,12 +303,12 @@ def test_each_diagram_residual_is_evaluated_once(monkeypatch):
                          ids=["0", "1", "2", "0-dim0-4"])
 def test_cached_terms_give_the_direct_residuals_on_flag_broken_stores(seed, d0):
     """With l2_00, r2 and phi2 not skew and l3 not alternating, every `d`,
-    `jcoh`, `rb3`, `coh` and `h3` residual, read through the term caches in
-    check-list order, equals its reference form, and so does the
-    four-argument identity at every ordered quadruple, read through the
-    same caches after them; so no cache key folds two argument orders into
-    one.  The `d` check exists only from dim0 4 on, so one case has dim0
-    4.  The flag checks fire, so such a store fails `verify`."""
+    `jcoh`, `rb3`, `coh` and `h3` residual of the check lists, evaluated
+    literally at each ordered tuple, equals its reference form, and so does
+    the four-argument identity at every ordered quadruple; so no orbit
+    evaluation stands in for a literal one.  The `d` check exists only from
+    dim0 4 on, so one case has dim0 4.  The flag checks fire, so such a
+    store fails `verify`."""
     F = flag_broken_rb_hom(seed, d0)
     G = F.source
     checks = (two_term_checks(G.linf) + rb_triple_checks(G) + coherence_checks(G)
@@ -318,67 +330,135 @@ def test_cached_terms_give_the_direct_residuals_on_flag_broken_stores(seed, d0):
     assert {"skew-l2", "skew-r2", "alt-l3"} <= run_checks(checks).conditions()
 
 
-def _term_caches(G):
-    return (G.linf.act_l3, G.linf.l3_br, G.act_r0_r2, G.r1_act_r2, G.l3_r0, G.grouped)
+# The families checked once per orbit: arity, public residual, reference.
+ORBIT_FAMILIES = {
+    "rb3": (3, rb3_residual, reference_rb3),
+    "coh": (3, coherence_residual, reference_coh),
+    "jcoh": (4, jacobiator_coherence_residual, reference_jcoh),
+    "h3": (3, h3_residual, reference_h3),
+}
 
 
-def test_each_cached_term_is_evaluated_once_per_key(monkeypatch):
-    """Verifying sl2-cocycle-rb2 and its identity homomorphism evaluates
-    each term of the structure's and the homomorphism's term caches at most
-    once per argument tuple, and each cache is read again after it is
-    filled."""
-    evaluated = Counter()
-
-    def counting_cache(fn):
-        def counted(*args):
-            evaluated[fn.__qualname__, args] += 1
-            return fn(*args)
-        return functools.cache(counted)
-
-    monkeypatch.setattr(twoterm, "cache", counting_cache)
-    G = load(CATALOG_DIR / "sl2-cocycle-rb2.json")
-    F = identity_rb_hom(G)
-    assert verify_structure(G).ok and verify_structure(F).ok
-    terms = {name for name, args in evaluated if args}
-    assert {name.split(".")[1] for name in terms} == {
-        "act_l3", "l3_br", "act_r0_r2", "r1_act_r2", "l3_r0", "grouped", "act_phi2"}
-    assert max(n for (_, args), n in evaluated.items() if args) == 1
-    for term in _term_caches(G) + (F.hom.act_phi2,):
-        assert term.cache_info().hits > 0
+def _assert_orbit_checks_give_references(F):
+    """Every `rb3`, `coh` and `jcoh` check of both endpoints of F and every
+    `h3` check of F, one at every ordered tuple, equals its reference form."""
+    lists = [(G, rb_triple_checks(G) + coherence_checks(G) + jacobiator_coherence_checks(G))
+             for G in (F.source, F.target)] + [(F.hom, hom_checks(F.hom))]
+    for owner, checks in lists:
+        seen = Counter()
+        for cond, idx, fn in checks:
+            if cond in ORBIT_FAMILIES:
+                assert fn() == ORBIT_FAMILIES[cond][2](owner, *idx), (cond, idx)
+                seen[cond] += 1
+        d0 = F.source.linf.dim0
+        assert seen and seen == {cond: d0 ** ORBIT_FAMILIES[cond][0] for cond in seen}
 
 
-def test_zero_terms_share_one_tuple_per_length(monkeypatch):
-    """After verifying sl2-cocycle-rb2 and its identity homomorphism, every
-    zero value held by a term cache is one object per vector length."""
-    held = []
+def test_orbit_families_alternate_on_flag_respecting_stores():
+    """On seeded random stores with skew l2_00, R2 and phi2 and alternating
+    l3, where no axiom holds, each of `rb3`, `coh`, `jcoh` and `h3` is at
+    every ordered tuple sign(pi) times its value at the sorted tuple, zero
+    at every tuple with a repeated index and nonzero somewhere; and every
+    residual the check lists give equals its reference form."""
+    for seed in range(8):
+        F = flag_respecting_rb_hom(seed)
+        d0 = F.source.linf.dim0
+        assert d0 == 4
+        for cond, (arity, residual, _) in ORBIT_FAMILIES.items():
+            owner = F.hom if cond == "h3" else F.source
+            at_sorted = {s: residual(owner, *s) for s in combinations(range(d0), arity)}
+            nonzero = 0
+            for idx in product(range(d0), repeat=arity):
+                value = residual(owner, *idx)
+                if len(set(idx)) < arity:
+                    assert is_zero(value), (seed, cond, idx)
+                    continue
+                s = tuple(sorted(idx))
+                sign = perm_sign(tuple(s.index(i) for i in idx))
+                assert value == vscale(sign, at_sorted[s]), (seed, cond, idx)
+                nonzero += not is_zero(value)
+            assert nonzero, (seed, cond)
+        _assert_orbit_checks_give_references(F)
 
-    def recording_cache(fn):
-        def recorded(*args):
-            value = fn(*args)
-            if args:  # a term, not a check's zero-argument residual thunk
-                held.append(value)
-            return value
-        return functools.cache(recorded)
 
-    monkeypatch.setattr(twoterm, "cache", recording_cache)
-    G = load(CATALOG_DIR / "sl2-cocycle-rb2.json")
-    F = identity_rb_hom(G)
-    assert verify_structure(G).ok and verify_structure(F).ok
-    zeros = Counter(len(v) for v in held if not any(v))
-    assert max(zeros.values()) > 1
-    assert len({id(v) for v in held if not any(v)}) == len(zeros)
+def _raise_cell(t, cell):
+    """`t` with the coefficient of `cell` raised by one and its partners
+    left as they are, under the same flag."""
+    cells = t.cells()
+    cells[cell] = cells.get(cell, 0) + 1
+    return from_cells(t.shape, cells, t.flag)
+
+
+def _broken_store(F, store):
+    """F with the store `store` (`src-l2_00`, `src-l3`, `src-r2`, the same
+    with `tgt-`, or `phi2`) raised by one at output 0 and inputs (0, 1) or
+    (0, 1, 2), so that it alone is not skew or alternating."""
+    def broken(t):
+        return _raise_cell(t, (0, *range(len(t.shape) - 1)))
+
+    side, _, name = store.rpartition("-")
+    src, tgt, hom = F.source, F.target, F.hom
+    if not side:
+        return RBLInfinityHom(src, tgt, replace(hom, phi2=broken(hom.phi2)), F.phi3)
+    G = src if side == "src" else tgt
+    if name == "r2":
+        G = replace(G, rb=replace(G.rb, r2=broken(G.rb.r2)))
+    else:
+        G = replace(G, linf=replace(G.linf, **{name: broken(getattr(G.linf, name))}))
+    src, tgt = (G, tgt) if side == "src" else (src, G)
+    return RBLInfinityHom(src, tgt, replace(hom, source=src.linf, target=tgt.linf), F.phi3)
+
+
+@pytest.mark.parametrize("store, flag", [
+    ("src-l2_00", "src-skew-l2"), ("src-l3", "src-alt-l3"), ("src-r2", "src-skew-r2"),
+    ("tgt-l2_00", "tgt-skew-l2"), ("tgt-l3", "tgt-alt-l3"), ("tgt-r2", "tgt-skew-r2"),
+    ("phi2", "skew-phi2")])
+def test_orbit_checks_give_references_with_one_flag_broken(store, flag):
+    """With one store of a flag-respecting homomorphism broken, only its
+    flag check among the flag checks fires, and every ordered `rb3`, `coh`,
+    `jcoh` and `h3` residual of the check lists still equals its reference
+    form: a family that reads the broken store is evaluated literally, so
+    the predicate leaves out no store that a family needs."""
+    for seed in range(2):
+        F = _broken_store(flag_respecting_rb_hom(seed), store)
+        flags = {c for c in verify_structure(F).conditions()
+                 if "skew" in c or "alt" in c}
+        assert flags == {flag}
+        _assert_orbit_checks_give_references(F)
+
+
+def test_is_alternating_is_exactly_the_flag_checks_passing():
+    """`is_alternating` is true exactly when the store's `skew-*` or
+    `alt-l3` checks report nothing: on the flagged stores of seeded random
+    homomorphisms that keep their flags and that break them, and on the
+    kept ones with one cell raised at distinct or at repeated inputs."""
+    stores = []
+    for seed in range(4):
+        for F in (flag_respecting_rb_hom(seed), flag_broken_rb_hom(seed)):
+            stores += [t for G in (F.source.linf, F.target.linf) for t in (G.l2_00, G.l3)]
+            stores += [F.source.rb.r2, F.target.rb.r2, F.hom.phi2]
+    kept = [t for t in stores if t.is_alternating()]
+    for t in kept:
+        arity = len(t.shape) - 1
+        stores += [_raise_cell(t, (0, *range(arity))), _raise_cell(t, (0,) * (arity + 1))]
+    verdicts = Counter()
+    for t in stores:
+        checks = alt_checks(t) if isinstance(t, TrilinearMap) else skew_checks(t)
+        ok = run_checks(checks).ok
+        assert t.is_alternating() == ok
+        verdicts[ok] += 1
+    assert len(kept) == 28 and verdicts == {True: 28, False: 28 + 2 * 28}
 
 
 def test_verified_structures_are_freed_without_the_cycle_collector():
-    """The term caches hold the tensors, not the structure, so a verified
-    structure and homomorphism go as soon as their last reference does."""
+    """Nothing that verifying caches on the tensors refers back to the
+    structure, so a verified structure and homomorphism go as soon as their
+    last reference does."""
     G = load(CATALOG_DIR / "solv4-module-cocycle-rb2.json")
     F = load(CATALOG_DIR / "aff1-phi3-hom.json")
     gc.disable()
     try:
         assert verify_structure(G).ok and verify_structure(F).ok
-        assert all(term.cache_info().currsize for term in _term_caches(G))
-        assert F.hom.act_phi2.cache_info().currsize
         refs = [weakref.ref(x) for x in (G, G.linf, F, F.hom, F.source, F.source.linf)]
         del G, F
         assert [r() for r in refs] == [None] * len(refs)
@@ -403,9 +483,9 @@ def _d_mutant_base():
     ("id-sl2-cocycle-rb2-nonstrict", ("phi0", 0, 0)),
 ])
 def test_mutant_verified_after_its_parent_reads_its_own_terms(parent, site):
-    """A mutant shares every unchanged part, and its term caches, with its
-    parent; verified after the parent it reports exactly what a freshly
-    loaded copy of it reports."""
+    """A mutant shares every unchanged tensor, and the partial maps cached
+    on it, with its parent; verified after the parent it reports exactly
+    what a freshly loaded copy of it reports."""
     parent = parent() if callable(parent) else load(CATALOG_DIR / f"{parent}.json")
     assert verify_structure(parent).ok
     mutant = mutate(parent, site, 1)
