@@ -33,7 +33,13 @@ each row below as the median of REPEATS runs:
   span(E21, E31, E32) into span(E12, E13, E23), 9 free entries.  sl3 is
   built here from 3x3 matrix units, in the basis (E12, E13, E21, E23, E31,
   E32, H1, H2).  It must find 795 operators within 60 s, the number a pass
-  of the `rota-baxter` checks over all 3^9 matrices finds.
+  of the `rota-baxter` checks over all 3^9 matrices finds;
+* start-up: fresh interpreters (this one's executable, `src/` on their
+  path) running ``python -c "import rblie.cli"``, and ones running
+  ``python -m rblie.cli verify catalog/abelian1.json`` (1 check).  A run
+  of each row starts FRESH_RUNS interpreters one after another, so its
+  time is FRESH_RUNS start-ups: one start-up is near 0.1 s, and the
+  median of 3 single ones moves by a third on a shared host.
 
 The JSON written to the one argument holds every row (median, the single
 runs, the number of checked conditions, of documents for the
@@ -51,8 +57,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import platform
 import statistics
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -80,6 +88,7 @@ SEARCH_LIMIT_S = 60
 SL3_BASIS = ("E12", "E13", "E21", "E23", "E31", "E32", "H1", "H2")
 SL3_FOUND = 795  # masked sl3 operators over {-1,0,1}
 FLAG_BROKEN_REPORT = (6198, 37)  # checks and violations of the flag-broken dim0-8 row
+FRESH_RUNS = 5  # fresh interpreters per run of a start-up row
 
 
 def zero_lie(n: int) -> LieAlgebra:
@@ -190,6 +199,17 @@ def search(name: str) -> int:
     return found
 
 
+def fresh(*args: str) -> int:
+    """FRESH_RUNS fresh interpreters, one after another, running `args`
+    with `src/` on their path; the checked count a `verify` prints, else 0."""
+    for _ in range(FRESH_RUNS):
+        done = subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        if done.returncode != 0:
+            raise SystemExit(f"python {' '.join(args)} exited {done.returncode}: {done.stderr}")
+    return int(done.stderr.split()[1]) if done.stderr else 0
+
+
 def rows() -> dict:
     out = {f"zero lie dim {n}": lambda n=n: verify_object(zero_lie(n)) for n in (8, 12, 16, 25)}
     out.update({f"zero rb-2term dim0 {d} dim1 2": lambda d=d: verify_object(zero_rb_2term(d, 2))
@@ -221,6 +241,10 @@ def rows() -> dict:
     if not verify_structure(alg).ok:
         raise SystemExit("the sl3 built from matrix units fails verification")
     out["masked sl3 search over -1,0,1 (9 free entries)"] = lambda: sl3_search(alg)
+    out[f"{FRESH_RUNS} fresh python -c 'import rblie.cli'"] = lambda: fresh(
+        "-c", "import rblie.cli")
+    out[f"{FRESH_RUNS} fresh python -m rblie.cli verify catalog/abelian1.json"] = lambda: fresh(
+        "-m", "rblie.cli", "verify", str(CATALOG / "abelian1.json"))
     return out
 
 

@@ -8,14 +8,13 @@ document files and refuses to write anything that fails).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .crossed import (LieCrossedModule, RBLieCrossedModule,
                       crossed_to_strict, derived_crossed)
 from .liealg import LieAlgebra, RotaBaxterLieAlgebra
 from .tensors import BilinearMap, LinearMap, TrilinearMap, from_cells, vec
 from .twoterm import (LInfinityHom, RBLInfinityHom, RBTriple, TwoTermComplex,
                       TwoTermLInfinity, TwoTermRBLInfinity, identity_rb_hom)
+from .value import replace
 
 
 # --- Lie algebras ---------------------------------------------------------

@@ -12,7 +12,6 @@ checked by the same `check_action_shapes`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import NotStrict, ShapeMismatch
@@ -25,10 +24,10 @@ from .report import Check, prefix_checks, run_checks
 from .tensors import BilinearMap, LinearMap, TrilinearMap, vadd, vneg, vsub
 from .twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,
                       TwoTermRBLInfinity, rb_triple_checks, two_term_checks)
+from .value import Value
 
 
-@dataclass(frozen=True)
-class LieCrossedModule:
+class LieCrossedModule(Value):
     g0: LieAlgebra
     g1: LieAlgebra
     d: LinearMap                  # g1 -> g0
@@ -40,8 +39,7 @@ class LieCrossedModule:
         check_action_shapes(self.g0.dim, self.g1.dim, self.rho, "action")
 
 
-@dataclass(frozen=True)
-class RBLieCrossedModule:
+class RBLieCrossedModule(Value):
     base: LieCrossedModule
     t0: LinearMap
     t1: LinearMap
@@ -54,8 +52,7 @@ class RBLieCrossedModule:
             raise ShapeMismatch("top operator must be square on g1")
 
 
-@dataclass(frozen=True)
-class PreLieCrossedModule:
+class PreLieCrossedModule(Value):
     p0: PreLieAlgebra
     p1: PreLieAlgebra
     delta: LinearMap

@@ -31,7 +31,6 @@ patched silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations
 
@@ -40,16 +39,15 @@ from .report import Check, VerificationReport, run_checks
 from .tensors import (Vec, vadd, vbasis, vneg, vsub, vzero, is_zero)
 from .twoterm import (RBLInfinityHom, TwoTermRBLInfinity, ordered_checks,
                       rbh3_residual)
+from .value import Value
 
 
-@dataclass(frozen=True)
-class Morphism2V:
+class Morphism2V(Value):
     source: Vec  # in g0
     arrow: Vec   # in g1
 
 
-@dataclass(frozen=True)
-class RBLie2View:
+class RBLie2View(Value):
     """Derived accessors over a two-term structure: objects are g0,
     morphisms are g0 (+) g1, and the operator functor acts by (R0, R1)."""
     base: TwoTermRBLInfinity

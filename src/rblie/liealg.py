@@ -9,20 +9,19 @@ All types are immutable values; every function here is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import ShapeMismatch
 from .report import Check, run_checks
 from .tensors import (BilinearMap, LinearMap, Vec, from_cells, vadd, vscale,
                       vsub, vzero)
+from .value import Value
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(Value, uncompared=("labels",)):
     dim: int
     bracket: BilinearMap  # skew-flagged, dim x dim -> dim
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
+    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         b = self.bracket
@@ -48,8 +47,7 @@ class LieAlgebra:
         return self.bracket.partial(1, i)
 
 
-@dataclass(frozen=True)
-class RotaBaxterLieAlgebra:
+class RotaBaxterLieAlgebra(Value):
     base: LieAlgebra
     r: LinearMap
 
@@ -62,8 +60,7 @@ class RotaBaxterLieAlgebra:
         return self.base.dim
 
 
-@dataclass(frozen=True)
-class PreLieAlgebra:
+class PreLieAlgebra(Value):
     dim: int
     mult: BilinearMap  # not skew
 
@@ -73,8 +70,7 @@ class PreLieAlgebra:
             raise ShapeMismatch("multiplication tensor does not match dimension")
 
 
-@dataclass(frozen=True)
-class RBRepresentation:
+class RBRepresentation(Value):
     algebra: RotaBaxterLieAlgebra
     dim_v: int
     rho: tuple[LinearMap, ...]  # one matrix per basis vector of g

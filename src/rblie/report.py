@@ -8,11 +8,12 @@ line rendering is stable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Callable, Iterable
 
 from .errors import InternalInvariantBroken
+from .value import Value
 
 Residual = tuple[int | Fraction, ...]  # exact coordinates, never float
 # (condition id, basis index tuple, thunk computing the residual)
@@ -23,18 +24,22 @@ def _fmt_tuple(xs) -> str:
     return "(" + ",".join(str(x) for x in xs) + ")"
 
 
-@dataclass(frozen=True, order=True)
-class Violation:
+@total_ordering
+class Violation(Value):
     condition: str
     indices: tuple[int, ...]
     residual: Residual
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared(self) < other._compared(other)
 
     def line(self) -> str:
         return f"VIOLATION {self.condition} {_fmt_tuple(self.indices)} {_fmt_tuple(self.residual)}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Value):
     checked: int
     violations: tuple[Violation, ...]
 

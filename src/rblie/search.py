@@ -22,7 +22,6 @@ C(n, 2)·|column values|² entries, in practice the pairs the search visits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
 
@@ -30,10 +29,10 @@ from .errors import BadSite, BudgetExceeded
 from .liealg import LieAlgebra, RotaBaxterLieAlgebra, rb_residual
 from .serialize import KIND_OF_CLASS, get_at, put_at
 from .tensors import LinearMap, Vec, exact, frac, perm_sign, vadd
+from .value import Value
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(Value):
     """A grid of candidate matrices: every free entry takes each value of
     `coeffs` (stored deduplicated, ascending, integral values as ``int``)
     and every masked entry is 0.  `budget` bounds the grid size."""

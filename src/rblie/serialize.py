@@ -24,8 +24,8 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 from typing import Callable
 
@@ -34,28 +34,30 @@ from .errors import (BadRational, DuplicateEntry, ParseError, UnknownKind,
                      VersionMismatch)
 from .liealg import (LieAlgebra, PreLieAlgebra, RBRepresentation,
                      RotaBaxterLieAlgebra)
-from .tensors import LinearMap, from_cells
+from .tensors import LinearMap, exact, from_cells
 from .twoterm import (LInfinityHom, RBLInfinityHom, RBTriple, TwoTermComplex,
                       TwoTermLInfinity, TwoTermRBLInfinity)
+from .value import Value, replace
 
 FORMAT_VERSION = 1
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-@dataclass(frozen=True)
-class SearchResults:
+class SearchResults(Value):
     algebra: LieAlgebra
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
     operators: tuple[LinearMap, ...]
 
 
-def parse_rational(text) -> Fraction:
+def parse_rational(text) -> int | Fraction:
+    """The exact value of a literal "p" or "p/q": an ``int`` when integral
+    (as `tensors.exact` stores it), else a ``Fraction``."""
     if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
         raise BadRational(f"not a rational literal: {text!r}")
     num, _, den = text.partition("/")
     try:  # a zero denominator, or more digits than int() converts
-        return Fraction(int(num), int(den or 1))
+        return exact(Fraction(int(num), int(den))) if den else int(num)
     except (ValueError, ZeroDivisionError) as e:
         raise BadRational(f"not a rational literal: {text[:20]!r}: {e}") from e
 
@@ -84,8 +86,7 @@ def _entries_to_values(entries, bounds: tuple[int, ...], where: str):
 
 # --- codecs ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Codec:
+class Codec(Value):
     """Reads one document key and writes its value back.  `embeds` is the
     kind of an embedded document; `tensor` marks the codecs of `TensorCodec`,
     whose values `search.mutate` edits."""
@@ -105,8 +106,7 @@ def _action(shape, cells: dict, flag) -> tuple[LinearMap, ...]:
                  for x in range(shape[0]))
 
 
-@dataclass(frozen=True)
-class TensorCodec:
+class TensorCodec(Value):
     """A tensor as its flat nonzero cells `(out, *inputs) -> Fraction`, read
     from and written to the tensor's own store (see `tensors`); `search.mutate`
     edits the same cells.  `shape` gives the index bounds, output first; the
@@ -180,26 +180,26 @@ def embedded(kind: Kind) -> Codec:
 
 # --- the table --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Field:
+class Field(Value):
     key: str                      # document key
     path: str                     # attribute path on the object, e.g. "rb.r0"
     codec: Codec | TensorCodec
     shape: str = ""               # index bounds: value names, e.g. "dim1 dim0 dim0"
     flag: bool = False            # skew (bilinear) or alternating (trilinear)
 
+    def __post_init__(self):
+        object.__setattr__(self, "_bounds", tuple(
+            name.partition(".")[::2] for name in self.shape.split()))
+
     def bounds(self, values: dict) -> tuple[int, ...]:
         """`shape` read from the values decoded so far ("target.dim0" is
         attribute dim0 of the decoded "target")."""
-        return tuple(get_at(values[key], rest) for key, _, rest in
-                     (name.partition(".") for name in self.shape.split()))
+        return tuple(get_at(values[key], rest) for key, rest in self._bounds)
 
 
 def get_at(obj, path: str):
     """The attribute at a dotted `path`, e.g. "rb.r0"."""
-    for name in path.split(".") if path else ():
-        obj = getattr(obj, name)
-    return obj
+    return reduce(getattr, path.split("."), obj) if path else obj
 
 
 def put_at(obj, path: str, value):

@@ -19,12 +19,13 @@ Construction validates shapes only.
 One store: a map holds only ``nonzero``, its nonzero cells grouped by
 input indices (``(c,)``, ``(i, j)`` or ``(i, j, k)`` -> ``((out, coeff),
 ...)``) with outputs ascending, no zero coefficient and no empty group, so
-dataclass ``==`` is exact value equality.  Every builder writes it
+``==`` of the fields is exact value equality.  Every builder writes it
 directly, at O(nonzero entries) whatever the declared dimensions.
 ``cells()`` reads it as the flat ``{(out, *inputs): coeff}`` entries that
 documents hold and ``search.mutate`` edits; ``from_cells`` builds from
-them.  ``apply`` visits only the nonzero coordinates of its arguments and
-looks their input tuples up in the index; it is the one kernel.
+them.  ``apply`` walks the store (a bilinear or trilinear map's entries
+grouped by first input, built on first use and cached on the map) and
+reads its arguments only at stored inputs; it is the one kernel.
 
 Calling a map reads it at any mix of basis indices (``int``) and vectors,
 so ``m(i, v)`` is ``m(e_i, v)``.  Basis arguments are read from the store,
@@ -45,13 +46,13 @@ per-layer tracer do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations
-from operator import neg, sub
+from operator import ge, neg, sub
 
 from .errors import ShapeMismatch
+from .value import Value, _set
 
 Vec = tuple[int | Fraction, ...]
 
@@ -108,10 +109,6 @@ def _vector(group, n: int) -> Vec:
     return tuple(out)
 
 
-def _support(u: Vec) -> list[tuple[int, int | Fraction]]:
-    return [(i, a) for i, a in enumerate(u) if a]
-
-
 def perm_sign(p: tuple[int, ...]) -> int:
     sign = 1
     p = list(p)
@@ -147,10 +144,10 @@ def from_cells(shape: tuple[int, ...], cells: dict, flag: bool = False):
     length of `shape`, with skew/alternating `flag`.  Zero coefficients are
     left out; an integral coefficient is stored as an ``int``."""
     groups: dict = {}
-    for (out, *ins), a in sorted(cells.items()):
+    for key, a in cells.items():
         if a:
-            groups.setdefault(tuple(ins), []).append((out, exact(a)))
-    index = {ins: tuple(g) for ins, g in groups.items()}
+            groups.setdefault(key[1:], []).append((key[0], exact(a)))
+    index = {ins: tuple(sorted(g)) for ins, g in groups.items()}
     if len(shape) == 2:
         return LinearMap(*shape, index)
     if len(shape) == 3:
@@ -158,17 +155,18 @@ def from_cells(shape: tuple[int, ...], cells: dict, flag: bool = False):
     return TrilinearMap(shape[1], shape[0], index, flag)
 
 
-class _Multilinear:
+class _Multilinear(Value):
     """The store and its readers, shared by the three map classes.  Each
     names the index bounds of its cells (`shape`, output first) and its
-    skew/alternating `flag`, and restates `__hash__`: a frozen dataclass
-    would otherwise hash its fields, and the index is a dict."""
+    skew/alternating `flag`.  The store is a dict, so `__hash__` hashes its
+    items.  Each class writes out its `__init__`: maps are the values built
+    most often."""
 
     def __post_init__(self):
         out, *ins = self.shape
         for key, group in self.nonzero.items():
-            if (len(key) != len(ins) or not all(0 <= i < n for i, n in zip(key, ins))
-                    or not all(0 <= o < out for o, _ in group)):
+            if (len(key) != len(ins) or min(key) < 0 or any(map(ge, key, ins))
+                    or group and (min(group)[0] < 0 or max(group)[0] >= out)):
                 raise ShapeMismatch(
                     f"entry {key} outside the {'x'.join(map(str, self.shape))} map")
 
@@ -205,6 +203,14 @@ class _Multilinear:
 
     _partials = cached_property(lambda self: {})  # slot -> (maps, zero map, len(fixed))
 
+    @cached_property
+    def _by_first(self) -> dict:
+        """The stored entries grouped by first input: ``i -> [(*rest, group), ...]``."""
+        groups: dict = {}
+        for key, group in self.nonzero.items():
+            groups.setdefault(key[0], []).append((*key[1:], group))
+        return groups
+
     def partial(self, slot: int, *fixed: int) -> LinearMap:
         """The linear map of input `slot` with the other inputs fixed to the
         basis indices `fixed`, in order: ``t.partial(0, j, k)`` is
@@ -228,13 +234,17 @@ class _Multilinear:
         return zero
 
 
-@dataclass(frozen=True)
 class LinearMap(_Multilinear):
     rows: int
     cols: int
     nonzero: dict  # (c,) -> ((r, coeff), ...)
 
-    __hash__ = _Multilinear.__hash__
+    def __init__(self, rows: int, cols: int, nonzero: dict):
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "nonzero", nonzero)
+        self.__post_init__()
+
     shape = property(lambda self: (self.rows, self.cols))
     flag = False
     entries = cached_property(_Multilinear._dense)  # entries[r][c]
@@ -276,12 +286,12 @@ class LinearMap(_Multilinear):
     def apply(self, u: Vec) -> Vec:
         if len(u) != self.cols:
             raise ShapeMismatch(f"vector of length {len(u)} fed to {self.rows}x{self.cols} map")
-        if not self.nonzero:
-            return vzero(self.rows)
         out = [0] * self.rows
-        for c, a in _support(u):
-            for r, x in self.nonzero.get((c,), ()):
-                out[r] += x * a
+        for (c,), group in self.nonzero.items():
+            a = u[c]
+            if a:
+                for r, x in group:
+                    out[r] += x * a
         return tuple(out)
 
     def compose(self, other: LinearMap) -> LinearMap:
@@ -297,7 +307,6 @@ class LinearMap(_Multilinear):
         return tuple(cells.get((r, c), 0) for r in range(self.rows) for c in range(self.cols))
 
 
-@dataclass(frozen=True)
 class BilinearMap(_Multilinear):
     dim_a: int
     dim_b: int
@@ -305,12 +314,16 @@ class BilinearMap(_Multilinear):
     nonzero: dict  # (i, j) -> ((k, coeff), ...)
     skew: bool = False
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.skew and self.dim_a != self.dim_b:
+    def __init__(self, dim_a: int, dim_b: int, dim_out: int, nonzero: dict, skew: bool = False):
+        _set(self, "dim_a", dim_a)
+        _set(self, "dim_b", dim_b)
+        _set(self, "dim_out", dim_out)
+        _set(self, "nonzero", nonzero)
+        _set(self, "skew", skew)
+        self.__post_init__()
+        if skew and dim_a != dim_b:
             raise ShapeMismatch("skew flag requires equal domain dimensions")
 
-    __hash__ = _Multilinear.__hash__
     shape = property(lambda self: (self.dim_out, self.dim_a, self.dim_b))
     flag = property(lambda self: self.skew)
     coeffs = cached_property(_Multilinear._dense)  # coeffs[k][i][j]
@@ -342,25 +355,31 @@ class BilinearMap(_Multilinear):
     def apply(self, u: Vec, v: Vec) -> Vec:
         if len(u) != self.dim_a or len(v) != self.dim_b:
             raise ShapeMismatch("bilinear map fed vectors of wrong lengths")
-        if not self.nonzero:
-            return vzero(self.dim_out)
         out = [0] * self.dim_out
-        vs = _support(v)
-        for i, a in _support(u):
-            for j, b in vs:
-                for k, c in self.nonzero.get((i, j), ()):
-                    out[k] += c * a * b
+        for i, entries in self._by_first.items():
+            a = u[i]
+            if a:
+                for j, group in entries:
+                    b = v[j]
+                    if b:
+                        for k, c in group:
+                            out[k] += c * a * b
         return tuple(out)
 
 
-@dataclass(frozen=True)
 class TrilinearMap(_Multilinear):
     dim: int
     dim_out: int
     nonzero: dict  # (i, j, k) -> ((l, coeff), ...)
     alt: bool = False
 
-    __hash__ = _Multilinear.__hash__
+    def __init__(self, dim: int, dim_out: int, nonzero: dict, alt: bool = False):
+        _set(self, "dim", dim)
+        _set(self, "dim_out", dim_out)
+        _set(self, "nonzero", nonzero)
+        _set(self, "alt", alt)
+        self.__post_init__()
+
     shape = property(lambda self: (self.dim_out, self.dim, self.dim, self.dim))
     flag = property(lambda self: self.alt)
     coeffs = cached_property(_Multilinear._dense)  # coeffs[l][i][j][k]
@@ -395,15 +414,15 @@ class TrilinearMap(_Multilinear):
     def apply(self, u: Vec, v: Vec, w: Vec) -> Vec:
         if len(u) != self.dim or len(v) != self.dim or len(w) != self.dim:
             raise ShapeMismatch("trilinear map fed vectors of wrong lengths")
-        if not self.nonzero:
-            return vzero(self.dim_out)
         out = [0] * self.dim_out
-        vs, ws = _support(v), _support(w)
-        for i, a in _support(u):
-            for j, b in vs:
-                for k, c in ws:
-                    for l, x in self.nonzero.get((i, j, k), ()):
-                        out[l] += x * a * b * c
+        for i, entries in self._by_first.items():
+            a = u[i]
+            if a:
+                for j, k, group in entries:
+                    b, c = v[j], w[k]
+                    if b and c:
+                        for l, x in group:
+                            out[l] += x * a * b * c
         return tuple(out)
 
 

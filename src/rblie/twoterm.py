@@ -34,7 +34,6 @@ that breaks its flag reports the residuals of the maps as stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations, product
 
@@ -45,10 +44,10 @@ from .tensors import (BilinearMap, LinearMap, TrilinearMap, Vec,
                       signed_permutations, solve_exact, vadd, vneg, vscale, vsub,
                       vzero)
 from .liealg import chain_residual, rb_residual, skew_checks
+from .value import Value
 
 
-@dataclass(frozen=True)
-class TwoTermComplex:
+class TwoTermComplex(Value):
     dim0: int
     dim1: int
     l1: LinearMap  # g1 -> g0
@@ -58,8 +57,7 @@ class TwoTermComplex:
             raise ShapeMismatch("differential must be a dim0 x dim1 matrix")
 
 
-@dataclass(frozen=True)
-class TwoTermLInfinity:
+class TwoTermLInfinity(Value):
     complex: TwoTermComplex
     l2_00: BilinearMap   # g0 x g0 -> g0, skew
     l2_01: BilinearMap   # g0 x g1 -> g1
@@ -83,15 +81,13 @@ class TwoTermLInfinity:
         return self.complex.dim1
 
 
-@dataclass(frozen=True)
-class RBTriple:
+class RBTriple(Value):
     r0: LinearMap          # g0 -> g0
     r1: LinearMap          # g1 -> g1
     r2: BilinearMap        # g0 x g0 -> g1, skew
 
 
-@dataclass(frozen=True)
-class TwoTermRBLInfinity:
+class TwoTermRBLInfinity(Value):
     linf: TwoTermLInfinity
     rb: RBTriple
 
@@ -256,8 +252,7 @@ def rb_triple_checks(G: TwoTermRBLInfinity) -> list[Check]:
     return checks
 
 
-@dataclass(frozen=True)
-class CompletionFailure:
+class CompletionFailure(Value):
     stage: str  # "condition-1" when the defect misses the image of l1
     pair: tuple[int, int] | None
     report: VerificationReport | None
@@ -289,8 +284,7 @@ def complete_rb_triple(L: TwoTermLInfinity, r0: LinearMap,
     return candidate.rb
 
 
-@dataclass(frozen=True)
-class LInfinityHom:
+class LInfinityHom(Value):
     source: TwoTermLInfinity
     target: TwoTermLInfinity
     phi0: LinearMap   # g0 -> g0'
@@ -307,8 +301,7 @@ class LInfinityHom:
             raise ShapeMismatch("phi2 must map source g0 pairs to target g1")
 
 
-@dataclass(frozen=True)
-class RBLInfinityHom:
+class RBLInfinityHom(Value):
     source: TwoTermRBLInfinity
     target: TwoTermRBLInfinity
     hom: LInfinityHom  # between the underlying two-term structures

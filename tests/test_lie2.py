@@ -2,7 +2,6 @@ import gc
 import random
 import weakref
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -33,6 +32,7 @@ from rblie.tensors import (TrilinearMap, from_cells, is_zero, perm_sign, vadd, v
 from rblie.twoterm import (RBLInfinityHom, alt_checks, h3_residual, hom_checks,
                            quadruple_identity_residual, rb3_residual, rb_hom_checks,
                            rb_triple_checks, rbh3_residual, two_term_checks)
+from rblie.value import replace
 
 VIEW = RBLie2View(TWO_TERM_STRUCTURES["sl2-cocycle-rb2-nonstrict"])
 

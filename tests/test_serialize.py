@@ -1,6 +1,5 @@
 import json
 import re
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from time import perf_counter
@@ -18,6 +17,7 @@ from rblie.serialize import (DIM, KINDS, LABELS, OPERATORS, RATIONALS, _render,
                              SearchResults, dumps, get_at, kind_of, load, loads,
                              parse_rational, save, to_document)
 from rblie.tensors import BilinearMap, vec
+from rblie.value import replace
 
 
 def test_parse_rational_accepts_canonical_and_shorthand():

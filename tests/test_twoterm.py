@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +19,7 @@ from rblie.twoterm import (CompletionFailure, LInfinityHom, TwoTermComplex,
                            complete_rb_triple, compose_rb_homs,
                            hom_checks, identity_rb_hom, rb_hom_checks,
                            rb_triple_checks, two_term_checks)
+from rblie.value import replace
 
 
 def test_lie_algebra_with_empty_top_term_is_valid():
