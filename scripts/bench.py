@@ -21,6 +21,10 @@ each row below as the median of REPEATS runs:
   breaks `alt-l3`, so `jcoh` is evaluated at each of its 4,096 ordered
   quadruples rather than once per sorted one, and it must report 37
   violations of 6,198 checks;
+* the exact inverse of a dim-8 unimodular basis change P, a unit lower
+  times a unit upper triangular integer matrix: P is built afresh from
+  its rows on each run and inverted by one `solve_exact` call per column,
+  8 calls on one `LinearMap`; P P^-1 must be the identity exactly;
 * `rblie verify catalog/solv4-module-cocycle-rb2.json`;
 * `rblie roundtrip catalog/solv4-cocycle-phi2-hom.json`;
 * `rblie verify` of every catalog document, one after the other;
@@ -45,8 +49,9 @@ The JSON written to the one argument holds every row (median, the single
 runs, the number of checked conditions, of documents for the
 `loads`/`dumps` row, or of operators found for the `search-rb` rows) and
 the line count of `src/`.  A probe that fails verification, the
-flag-broken probe when it reports other counts, or a search that finds
-another number of operators or takes longer, exits nonzero.
+flag-broken probe when it reports other counts, an inverse that is not
+exact, or a search that finds another number of operators or takes
+longer, exits nonzero.
 Only the standard library is used, so the same file can be copied into an
 older checkout to measure a before/after pair on one machine.  The zero
 dim-25 row of a dense tensor kernel takes minutes, so this is not a CI
@@ -76,7 +81,7 @@ from rblie.liealg import (LieAlgebra, adjoint_representation,  # noqa: E402
 from rblie.search import SearchSpec, enumerate_rb_operators  # noqa: E402
 from rblie.serialize import dumps, loads  # noqa: E402
 from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap,  # noqa: E402
-                           from_cells, vec)
+                           from_cells, solve_exact, vbasis, vec)
 from rblie.twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,  # noqa: E402
                            TwoTermRBLInfinity, identity_rb_hom)
 
@@ -89,6 +94,7 @@ SL3_BASIS = ("E12", "E13", "E21", "E23", "E31", "E32", "H1", "H2")
 SL3_FOUND = 795  # masked sl3 operators over {-1,0,1}
 FLAG_BROKEN_REPORT = (6198, 37)  # checks and violations of the flag-broken dim0-8 row
 FRESH_RUNS = 5  # fresh interpreters per run of a start-up row
+INVERSE_DIM = 8  # the basis change of the exact-inverse row
 
 
 def zero_lie(n: int) -> LieAlgebra:
@@ -141,6 +147,27 @@ def sl3_search(alg: LieAlgebra) -> int:
     if elapsed > SEARCH_LIMIT_S:
         raise SystemExit(f"masked sl3 search took {elapsed:.1f} s, over {SEARCH_LIMIT_S} s")
     return found
+
+
+def unimodular_rows(n: int) -> list[list[int]]:
+    """The rows of L U, with L unit lower and U unit upper triangular and
+    +-1 entries off their diagonals: a dense integer matrix of determinant 1."""
+    sign = [[1 if (r + 2 * c) % 3 else -1 for c in range(n)] for r in range(n)]
+    lower = [[1 if r == c else sign[r][c] * (r > c) for c in range(n)] for r in range(n)]
+    upper = [[1 if r == c else sign[c][r] * (r < c) for c in range(n)] for r in range(n)]
+    return [[sum(lower[r][k] * upper[k][c] for k in range(n)) for c in range(n)]
+            for r in range(n)]
+
+
+def exact_inverse(rows_p: list[list[int]]) -> int:
+    """Invert P, built from `rows_p`, by one `solve_exact` call per column;
+    P P^-1 must be the identity exactly.  The number of solves."""
+    p = LinearMap.from_rows(rows_p)
+    n = p.rows
+    inverse = LinearMap.from_columns([solve_exact(p, vbasis(n, i)) for i in range(n)], rows=n)
+    if p.compose(inverse) != LinearMap.identity(n):
+        raise SystemExit(f"the dim-{n} basis change times its computed inverse is not the identity")
+    return n
 
 
 def verify_object(obj) -> int:
@@ -229,6 +256,9 @@ def rows() -> dict:
     dim8_broken = dumps(broken)
     out["dim0 8 rb-2term with one l3 cell without its partners (flag broken)"] = \
         lambda: verify_flag_broken(loads(dim8_broken))
+    rows_p = unimodular_rows(INVERSE_DIM)
+    out[f"exact inverse of a dim-{INVERSE_DIM} unimodular basis change"] = \
+        lambda: exact_inverse(rows_p)
     out["verify solv4-module-cocycle-rb2"] = lambda: cli(CATALOG / "solv4-module-cocycle-rb2.json")
     out["roundtrip solv4-cocycle-phi2-hom"] = lambda: cli(
         CATALOG / "solv4-cocycle-phi2-hom.json", command="roundtrip")

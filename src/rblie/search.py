@@ -28,7 +28,7 @@ from itertools import chain, combinations, permutations, product
 from .errors import BadSite, BudgetExceeded
 from .liealg import LieAlgebra, RotaBaxterLieAlgebra, rb_residual
 from .serialize import KIND_OF_CLASS, get_at, put_at
-from .tensors import LinearMap, Vec, exact, frac, perm_sign, vadd
+from .tensors import LinearMap, Vec, exact, frac, group_cells, perm_sign, vadd
 from .value import Value
 
 
@@ -180,4 +180,4 @@ def mutate(value, site: tuple, delta) -> object:
     for p in moves:
         at = out + tuple(args[q] for q in p)
         entries[at] = entries.get(at, 0) + perm_sign(p) * delta
-    return put_at(value, field.path, codec.build(shape, entries, flag))
+    return put_at(value, field.path, codec.build(shape, group_cells(entries), flag))

@@ -14,9 +14,10 @@ Each document kind is one row of `KINDS`: its class, its ordered fields
 dimensions, skew/alternating flag) and the function assembling the object
 from the decoded fields.  Loading, dumping and `search.mutate` all read
 that table.  A tensor's entries are its own store read back: `TENSOR`
-writes a document's entries into a map with `tensors.from_cells` and dumps
-`cells()`, so no dense grid is built and a declared dimension costs
-nothing.  The full grammar lives in docs/FORMAT.md.
+checks each of a document's entries and groups it straight into the map's
+store (`tensors.from_groups`), and dumps `cells()`, so no dense grid is
+built and a declared dimension costs nothing.  The full grammar lives in
+docs/FORMAT.md.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import reduce
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
@@ -34,7 +36,7 @@ from .errors import (BadRational, DuplicateEntry, ParseError, UnknownKind,
                      VersionMismatch)
 from .liealg import (LieAlgebra, PreLieAlgebra, RBRepresentation,
                      RotaBaxterLieAlgebra)
-from .tensors import LinearMap, exact, from_cells
+from .tensors import LinearMap, exact, from_groups
 from .twoterm import (LInfinityHom, RBLInfinityHom, RBTriple, TwoTermComplex,
                       TwoTermLInfinity, TwoTermRBLInfinity)
 from .value import Value, replace
@@ -66,11 +68,14 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _entries_to_values(entries, bounds: tuple[int, ...], where: str):
+def _entries_to_groups(entries, bounds: tuple[int, ...], where: str) -> dict:
+    """The document's tensor `entries`, each checked and grouped straight
+    into store groups ``inputs -> [(out, coeff), ...]`` (see
+    `tensors.from_groups`); zero coefficients are left out."""
     arity = len(bounds)
     if not isinstance(entries, list):
         raise ParseError(f"{where}: expected a list of entries")
-    seen = {}
+    seen, groups = set(), {}
     for pos, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != arity + 1:
             raise ParseError(f"{where}[{pos}]: expected [{arity} indices, coefficient]")
@@ -80,8 +85,11 @@ def _entries_to_values(entries, bounds: tuple[int, ...], where: str):
                 raise ParseError(f"{where}[{pos}]: index {v!r} out of range 0..{bound - 1}")
         if idx in seen:
             raise DuplicateEntry(f"{where}: duplicate entry at {idx}")
-        seen[idx] = parse_rational(entry[arity])
-    return seen
+        seen.add(idx)
+        q = parse_rational(entry[arity])
+        if q:
+            groups.setdefault(idx[1:], []).append((idx[0], q))
+    return groups
 
 
 # --- codecs ----------------------------------------------------------------
@@ -96,31 +104,35 @@ class Codec(Value):
     tensor = False
 
 
-def _action(shape, cells: dict, flag) -> tuple[LinearMap, ...]:
-    """One matrix per element; the elements without entries share one zero map."""
+def _action(shape, groups: dict, flag) -> tuple[LinearMap, ...]:
+    """One matrix per element from the groups ``(row, col) -> [(element,
+    coeff), ...]``; the elements without entries share one zero map."""
     split: dict[int, dict] = {}
-    for (x, *rc), q in cells.items():
-        split.setdefault(x, {})[tuple(rc)] = q
+    for (r, c), group in groups.items():
+        for x, q in group:
+            split.setdefault(x, {}).setdefault((c,), []).append((r, q))
     zero = LinearMap.zero(*shape[1:])
-    return tuple(from_cells(shape[1:], split[x]) if x in split else zero
+    return tuple(from_groups(shape[1:], split[x]) if x in split else zero
                  for x in range(shape[0]))
 
 
 class TensorCodec(Value):
     """A tensor as its flat nonzero cells `(out, *inputs) -> Fraction`, read
     from and written to the tensor's own store (see `tensors`); `search.mutate`
-    edits the same cells.  `shape` gives the index bounds, output first; the
+    edits the same cells.  `build` takes them grouped by input indices, as
+    the decoder groups a document's entries and `tensors.group_cells` groups
+    cells.  `shape` gives the index bounds, output first; the
     skew/alternating flag is the field's."""
     cells: Callable = lambda t: t.cells()
-    build: Callable = from_cells           # (shape, cells, flag) -> tensor
+    build: Callable = from_groups          # (shape, groups, flag) -> tensor
     shape: Callable = lambda t: t.shape
     embeds = None
     tensor = True
 
     def load(self, doc, field, values):
         shape = field.bounds(values)
-        entries = _entries_to_values(doc.get(field.key, []), shape, field.key)
-        return self.build(shape, entries, field.flag)
+        groups = _entries_to_groups(doc.get(field.key, []), shape, field.key)
+        return self.build(shape, groups, field.flag)
 
     def dump(self, t):
         return [[*idx, str(q)] for idx, q in self.cells(t).items()]
@@ -159,7 +171,7 @@ def _list(doc, field, values) -> list:
 
 def _operators(doc, field, values):
     shape = field.bounds(values)
-    return tuple(from_cells(shape, _entries_to_values(m, shape, f"operators[{pos}]"))
+    return tuple(from_groups(shape, _entries_to_groups(m, shape, f"operators[{pos}]"))
                  for pos, m in enumerate(_list(doc, field, values)))
 
 
@@ -187,14 +199,16 @@ class Field(Value):
     shape: str = ""               # index bounds: value names, e.g. "dim1 dim0 dim0"
     flag: bool = False            # skew (bilinear) or alternating (trilinear)
 
-    def __post_init__(self):
+    def __post_init__(self):  # each bound as (value name, attribute getter or None)
         object.__setattr__(self, "_bounds", tuple(
-            name.partition(".")[::2] for name in self.shape.split()))
+            (key, attrgetter(rest) if rest else None)
+            for key, _, rest in (name.partition(".") for name in self.shape.split())))
 
     def bounds(self, values: dict) -> tuple[int, ...]:
         """`shape` read from the values decoded so far ("target.dim0" is
         attribute dim0 of the decoded "target")."""
-        return tuple(get_at(values[key], rest) for key, rest in self._bounds)
+        return tuple(values[key] if get is None else get(values[key])
+                     for key, get in self._bounds)
 
 
 def get_at(obj, path: str):

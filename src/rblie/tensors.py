@@ -1,9 +1,11 @@
 """Exact tensor containers over the rationals.
 
 Every coefficient is an exact ``int`` or `fractions.Fraction` (stores and
-`vec` keep integral ones as ``int``, see `exact`; the one division, in
-`solve_exact`, divides a ``Fraction``), so all identities checked in this
-package are exact equalities; there are no tolerances anywhere.
+`vec` keep integral ones as ``int``, see `exact`), so all identities
+checked in this package are exact equalities; there are no tolerances
+anywhere.  `solve_exact` eliminates each matrix once, over the integers,
+and caches the result on the map; a solve then divides once per pivot,
+a ``Fraction`` by an ``int``.
 
 Index conventions, fixed project-wide and mirrored by the file format: a
 cell ``(out, *inputs)`` is coordinate ``out`` of the image of the input
@@ -23,9 +25,11 @@ input indices (``(c,)``, ``(i, j)`` or ``(i, j, k)`` -> ``((out, coeff),
 directly, at O(nonzero entries) whatever the declared dimensions.
 ``cells()`` reads it as the flat ``{(out, *inputs): coeff}`` entries that
 documents hold and ``search.mutate`` edits; ``from_cells`` builds from
-them.  ``apply`` walks the store (a bilinear or trilinear map's entries
-grouped by first input, built on first use and cached on the map) and
-reads its arguments only at stored inputs; it is the one kernel.
+them, and ``from_groups`` from entries already grouped by input indices,
+as a document's decoder groups them.  ``apply`` walks the store (a
+bilinear or trilinear map's entries grouped by first input, built on
+first use and cached on the map) and reads its arguments only at stored
+inputs; it is the one kernel.
 
 Calling a map reads it at any mix of basis indices (``int``) and vectors,
 so ``m(i, v)`` is ``m(e_i, v)``.  Basis arguments are read from the store,
@@ -49,6 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import permutations
+from math import gcd, lcm
 from operator import ge, neg, sub
 
 from .errors import ShapeMismatch
@@ -138,15 +143,27 @@ def _image_cells(values: dict, flag: bool) -> dict:
     return {(out, *key): a for key, v in vals.items() for out, a in enumerate(v)}
 
 
-def from_cells(shape: tuple[int, ...], cells: dict, flag: bool = False):
-    """The map with nonzero cells ``{(out, *inputs): coeff}`` and index
-    bounds `shape` (output first): linear, bilinear or trilinear by the
-    length of `shape`, with skew/alternating `flag`.  Zero coefficients are
-    left out; an integral coefficient is stored as an ``int``."""
+def group_cells(cells: dict) -> dict:
+    """The cells ``{(out, *inputs): coeff}`` as store groups ``inputs ->
+    [(out, coeff), ...]``.  Zero coefficients are left out; an integral
+    coefficient is stored as an ``int``."""
     groups: dict = {}
     for key, a in cells.items():
         if a:
             groups.setdefault(key[1:], []).append((key[0], exact(a)))
+    return groups
+
+
+def from_cells(shape: tuple[int, ...], cells: dict, flag: bool = False):
+    """The map with nonzero cells ``{(out, *inputs): coeff}``; see `from_groups`."""
+    return from_groups(shape, group_cells(cells), flag)
+
+
+def from_groups(shape: tuple[int, ...], groups: dict, flag: bool = False):
+    """The map with index bounds `shape` (output first) whose store holds
+    `groups` (``inputs -> [(out, coeff), ...]``, nonzero exact coefficients,
+    distinct outputs, each group sorted here): linear, bilinear or
+    trilinear by the length of `shape`, with skew/alternating `flag`."""
     index = {ins: tuple(sorted(g)) for ins, g in groups.items()}
     if len(shape) == 2:
         return LinearMap(*shape, index)
@@ -306,6 +323,42 @@ class LinearMap(_Multilinear):
         cells = self.cells()
         return tuple(cells.get((r, c), 0) for r in range(self.rows) for c in range(self.cols))
 
+    @cached_property
+    def _elimination(self) -> tuple:
+        """Leftmost-pivot Gauss-Jordan elimination over the integers, once
+        per map, for `solve_exact`: each row, with its unit row of the
+        transform T appended, is scaled by the lcm of its denominators; each
+        update is ``pv row - f pivot_row`` divided by the row's gcd
+        (fraction-free, cf. Bareiss, Math. Comp. 22, 1968).  The pivots
+        ``((column, value), ...)`` and the integer rows of T: row k < rank
+        of ``T A`` is ``value`` at the k-th pivot column and 0 at the other
+        pivot columns, and each row ``t`` of T below the rank has ``t A = 0``."""
+        m, n = self.rows, self.cols
+        cells, rows = self.cells(), []
+        for r in range(m):
+            row = [cells.get((r, c), 0) for c in range(n)]
+            d = lcm(*(a.denominator for a in row))
+            rows.append([a.numerator * (d // a.denominator) for a in row]
+                        + [d if j == r else 0 for j in range(m)])
+        pivots = []
+        for c in range(n):
+            k = len(pivots)
+            pr = next((i for i in range(k, m) if rows[i][c]), None)
+            if pr is None:
+                continue
+            rows[k], rows[pr] = rows[pr], rows[k]
+            top = rows[k]
+            pv = top[c]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f and i != k:
+                    row = [pv * x - f * y for x, y in zip(row, top)]
+                    g = gcd(*row)
+                    rows[i] = [x // g for x in row] if g > 1 else row
+            pivots.append(c)
+        return (tuple((c, rows[k][c]) for k, c in enumerate(pivots)),
+                tuple(row[n:] for row in rows))
+
 
 class BilinearMap(_Multilinear):
     dim_a: int
@@ -431,34 +484,18 @@ def solve_exact(a: LinearMap, b: Vec) -> Vec | None:
 
     Underdetermined systems get the unique solution whose free coordinates
     (free = non-pivot columns under leftmost-pivot elimination) are zero;
-    this makes completion constructions deterministic.
+    this makes completion constructions deterministic.  The elimination is
+    done once per map (`LinearMap._elimination`); a solve is ``y = T b``,
+    a zero test of ``y`` below the rank and one division per pivot.
     """
     if len(b) != a.rows:
         raise ShapeMismatch("right-hand side has wrong length")
-    m, n = a.rows, a.cols
-    cells = a.cells()
-    rows = [[cells.get((r, c), 0) for c in range(n)] + [b[r]] for r in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [frac(x) / pv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            return None
-    x = [0] * n
-    for pr, pc in pivots:
-        x[pc] = rows[pr][n]
+    pivots, transform = a._elimination
+    rank, support = len(pivots), [(j, x) for j, x in enumerate(b) if x]
+    y = [sum(t[j] * x for j, x in support) for t in transform]
+    if any(y[rank:]):
+        return None
+    x = [0] * a.cols
+    for (c, pv), yr in zip(pivots, y):
+        x[c] = frac(yr) / pv
     return tuple(x)

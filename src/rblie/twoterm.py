@@ -264,7 +264,8 @@ def complete_rb_triple(L: TwoTermLInfinity, r0: LinearMap,
 
     The linear system per basis pair may be underdetermined; free
     coordinates (lexicographic pivot order) are pinned to zero so the
-    completion is deterministic.
+    completion is deterministic.  All pairs share one elimination of l1,
+    cached on the map by `solve_exact`.
     """
     d0, d1 = L.dim0, L.dim1
     for a in range(d1):

@@ -14,11 +14,12 @@ import pytest
 from rblie import catalog
 from rblie.catalog import aff1, sl2, solvable4, sl2_rb_triangular, aff1_rb_neg
 from rblie.crossed import LieCrossedModule
+from rblie.errors import ShapeMismatch
 from rblie.liealg import LieAlgebra
 from rblie.lie2 import Morphism2V
 from rblie.search import mutate
-from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap, from_cells, vadd,
-                           vbasis, vec, vneg, vsub)
+from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap, Vec, frac, from_cells,
+                           vadd, vbasis, vec, vneg, vsub)
 from rblie.twoterm import (LInfinityHom, RBLInfinityHom, RBTriple,
                            TwoTermComplex, TwoTermLInfinity,
                            TwoTermRBLInfinity, identity_rb_hom)
@@ -137,6 +138,44 @@ def reference_render(value, indent: int = 0) -> str:
         body = ",\n".join(f"{pad}  {reference_render(v, indent + 2)}" for v in value)
         return "[\n" + body + "\n" + pad + "]"
     return json.dumps(value)  # a scalar, or a list of scalars on one line
+
+
+def reference_solve(a: LinearMap, b: Vec) -> Vec | None:
+    """Solve ``a x = b`` exactly, or return None when inconsistent.
+
+    Underdetermined systems get the unique solution whose free coordinates
+    (free = non-pivot columns under leftmost-pivot elimination) are zero;
+    this makes completion constructions deterministic.
+    """
+    if len(b) != a.rows:
+        raise ShapeMismatch("right-hand side has wrong length")
+    m, n = a.rows, a.cols
+    cells = a.cells()
+    rows = [[cells.get((r, c), 0) for c in range(n)] + [b[r]] for r in range(m)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [frac(x) / pv for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append((r, c))
+        r += 1
+    for i in range(r, m):
+        if rows[i][n] != 0:
+            return None
+    x = [0] * n
+    for pr, pc in pivots:
+        x[pc] = rows[pr][n]
+    return tuple(x)
 
 
 def _random_rb_hom(seed: int, d0: int, d1: int, flags_hold: bool) -> RBLInfinityHom:

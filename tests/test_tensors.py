@@ -1,16 +1,27 @@
+import importlib.util
+import sys
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_linf, with_zero_rb
+import rblie
+from conftest import make_linf, reference_solve, with_zero_rb
+from rblie import tensors, twoterm
+from rblie.catalog import CROSSED_MODULES
 from rblie.cli import verify_structure
+from rblie.crossed import crossed_to_strict
 from rblie.errors import ShapeMismatch
 from rblie.liealg import LieAlgebra
 from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap, from_cells,
                            perm_sign, solve_exact, vbasis, vec, vzero)
+from rblie.twoterm import CompletionFailure
+
+ROOT = Path(__file__).resolve().parent.parent
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 
@@ -280,3 +291,105 @@ def test_solve_exact_solution_property(rows, x):
     sol = solve_exact(a, b)
     assert sol is not None
     assert a.apply(sol) == b
+
+
+# --- the cached integer elimination against the Fraction oracle --------------
+
+coefficients = st.one_of(st.just(0), st.integers(-3, 3),
+                         st.fractions(min_value=-5, max_value=5, max_denominator=6))
+
+
+@st.composite
+def systems(draw):
+    """A matrix of up to 5x5 integer or rational entries (0 rows or 0
+    columns included), sometimes with a row that is a combination of two
+    others, and a right-hand side that is either the image of a drawn
+    vector (consistent) or drawn itself (often inconsistent)."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(coefficients, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m >= 3 and draw(st.booleans()):
+        s, t = draw(coefficients), draw(coefficients)
+        rows[-1] = [s * x + t * y for x, y in zip(rows[0], rows[1])]
+    a = from_cells((m, n), {(r, c): x for r, row in enumerate(rows) for c, x in enumerate(row)})
+    if draw(st.booleans()):
+        b = a.apply(tuple(draw(st.lists(coefficients, min_size=n, max_size=n))))
+    else:
+        b = tuple(draw(st.lists(coefficients, min_size=m, max_size=m)))
+    return a, b
+
+
+@settings(max_examples=300)
+@given(systems())
+def test_solve_exact_matches_the_fraction_oracle(system):
+    a, b = system
+    got, want = solve_exact(a, b), reference_solve(a, b)
+    assert got == want
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert list(map(type, got)) == list(map(type, want))
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The maps eliminated while the test runs, one entry per elimination."""
+    maps = []
+    original = LinearMap._elimination.func
+    counted = cached_property(lambda a: maps.append(a) or original(a))
+    counted.__set_name__(LinearMap, "_elimination")
+    monkeypatch.setattr(LinearMap, "_elimination", counted)
+    return maps
+
+
+def counted_solves(monkeypatch, module) -> list:
+    """Count the `solve_exact` calls that `module` makes."""
+    calls = []
+    monkeypatch.setattr(module, "solve_exact", lambda a, b: calls.append(a) or solve_exact(a, b))
+    return calls
+
+
+def test_dense_build_eliminates_each_basis_change_once(eliminations, monkeypatch):
+    """One `dense_structures` build of the benchmark solves 27 right-hand
+    sides against 5 basis changes, so it eliminates 5 times."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    solves = counted_solves(monkeypatch, tensors)
+    workloads.dense_structures(rblie, 1)  # reads rblie.catalog, .liealg and .tensors
+    assert len(solves) == 27
+    assert len(eliminations) == len({id(a) for a in solves}) == 5
+
+
+def test_completion_eliminates_the_differential_once(eliminations, monkeypatch):
+    cm = CROSSED_MODULES["heis3-center-cm"]
+    G = crossed_to_strict(cm)
+    assert G.linf.dim0 >= 3
+    solves = counted_solves(monkeypatch, twoterm)
+    assert not isinstance(twoterm.complete_rb_triple(G.linf, cm.t0, cm.t1), CompletionFailure)
+    assert len(solves) == 3  # one per basis pair of g0
+    assert eliminations == [G.linf.complex.l1]
+
+
+@settings(max_examples=200)
+@given(systems())
+def test_transform_rows_below_the_rank_annihilate_the_map(system):
+    """The rows of T below the rank are left-kernel covectors, t A = 0."""
+    a, _ = system
+    pivots, transform = a._elimination
+    assert len(transform) == a.rows
+    for t in transform[len(pivots):]:
+        assert any(t)
+        assert all(sum(t[r] * a.entries[r][c] for r in range(a.rows)) == 0
+                   for c in range(a.cols))
+
+
+def test_equal_maps_get_equal_solutions():
+    """A map that is `==` to an eliminated one but another object gets the
+    same answers from its own elimination."""
+    a = LinearMap.from_rows([[2, Fraction(1, 3), 0], [4, Fraction(2, 3), 0], [0, 1, 5]])
+    twin = LinearMap(a.rows, a.cols, dict(a.nonzero))
+    rhs = [vec(1, 2, 3), vec(1, 0, 0), vec(0, 0, 7)]
+    first = [solve_exact(a, b) for b in rhs]
+    assert twin == a and twin is not a and "_elimination" not in vars(twin)
+    assert [solve_exact(twin, b) for b in rhs] == first
+    assert first[1] is None and first[0] == (0, 3, 0)
