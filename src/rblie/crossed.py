@@ -1,9 +1,11 @@
 """Crossed modules of Lie, operator-equipped Lie, and pre-Lie algebras,
 one check builder per flavour, the correspondence with strict two-term
 structures, the pre-Lie construction and its Lie composite (the derived
-crossed module), and semidirect assembly.  `cli.verify_structure` runs
-the builder of a document's flavour; each construction runs the builders
-of its output.
+crossed module), and semidirect assembly.  Each check builder is the
+constituents' checks under a `g0-`/`g1-` or `p0-`/`p1-` prefix plus one
+`report.family` per axiom, over a residual of basis indices.
+`cli.verify_structure` runs the builder of a document's flavour; each
+construction runs the builders of its output.
 
 Action data mirrors `RBRepresentation`: one endomorphism matrix of the top
 term per basis vector of the bottom term, extended linearly, with shapes
@@ -12,7 +14,8 @@ checked by the same `check_action_shapes`.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import partial
+from itertools import combinations, product
 
 from .errors import NotStrict, ShapeMismatch
 from .liealg import (LieAlgebra, PreLieAlgebra, RotaBaxterLieAlgebra, act_on,
@@ -20,7 +23,7 @@ from .liealg import (LieAlgebra, PreLieAlgebra, RotaBaxterLieAlgebra, act_on,
                      check_action_shapes, commutator, hom_residual, lie_checks,
                      operator_product, prelie_checks, rb_checks, row_major,
                      semidirect_data)
-from .report import Check, prefix_checks, run_checks
+from .report import Check, family, prefix_checks, run_checks
 from .tensors import BilinearMap, LinearMap, TrilinearMap, vadd, vneg, vsub
 from .twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,
                       TwoTermRBLInfinity, rb_triple_checks, two_term_checks)
@@ -68,105 +71,62 @@ class PreLieCrossedModule(Value):
 
 def lie_crossed_checks(cm: LieCrossedModule) -> list[Check]:
     n0, n1 = cm.g0.dim, cm.g1.dim
-    br0, br1, d = cm.g0.bracket, cm.g1.bracket, cm.d
-
-    def action_hom(i, j):
-        return lambda: action_hom_residual(cm.rho, br0(i, j), i, j)
+    br0, br1, d, rho = cm.g0.bracket, cm.g1.bracket, cm.d, cm.rho
 
     def action_der(i, a, b):
-        act = cm.rho[i]
-        return lambda: vsub(act(br1(a, b)), vadd(br1(act(a), b), br1(a, act(b))))
+        act = rho[i]
+        return vsub(act(br1(a, b)), vadd(br1(act(a), b), br1(a, act(b))))
 
-    def peiffer1(i, a):
-        return lambda: vsub(d(cm.rho[i](a)), br0(i, d(a)))
-
-    def peiffer2(a, b):
-        return lambda: vsub(act_on(cm.rho, d(a), b, n1), br1(a, b))
-
-    checks = prefix_checks("g0-", lie_checks(cm.g0))
-    checks += prefix_checks("g1-", lie_checks(cm.g1))
-    checks += [("d-hom", (a, b),
-                lambda a=a, b=b: hom_residual(cm.d, cm.g1.bracket, cm.g0.bracket, a, b))
-               for a, b in combinations(range(n1), 2)]
-    checks += [("action-hom", (i, j), action_hom(i, j))
-               for i, j in combinations(range(n0), 2)]
-    checks += [("action-der", (i, a, b), action_der(i, a, b))
-               for i in range(n0) for a, b in combinations(range(n1), 2)]
-    checks += [("peiffer1", (i, a), peiffer1(i, a))
-               for i in range(n0) for a in range(n1)]
-    checks += [("peiffer2", (a, b), peiffer2(a, b))
-               for a in range(n1) for b in range(n1)]
-    return checks
+    return (prefix_checks("g0-", lie_checks(cm.g0)) + prefix_checks("g1-", lie_checks(cm.g1))
+            + family("d-hom", partial(hom_residual, d, br1, br0), combinations(range(n1), 2))
+            + family("action-hom", lambda i, j: action_hom_residual(rho, br0(i, j), i, j),
+                     combinations(range(n0), 2))
+            + family("action-der", action_der,
+                     ((i, a, b) for i in range(n0) for a, b in combinations(range(n1), 2)))
+            + family("peiffer1", lambda i, a: vsub(d(rho[i](a)), br0(i, d(a))),
+                     product(range(n0), range(n1)))
+            + family("peiffer2", lambda a, b: vsub(act_on(rho, d(a), b, n1), br1(a, b)),
+                     product(range(n1), repeat=2)))
 
 
 def rb_crossed_checks(cm: RBLieCrossedModule) -> list[Check]:
     base = cm.base
-    n0, n1 = base.g0.dim, base.g1.dim
-
-    def action_rb(i):
-        return lambda: action_rb_residual(base.rho, cm.t0, cm.t1, i)
-
-    checks = lie_crossed_checks(base)
-    checks += prefix_checks("g0-", rb_checks(RotaBaxterLieAlgebra(base.g0, cm.t0)))
-    checks += prefix_checks("g1-", rb_checks(RotaBaxterLieAlgebra(base.g1, cm.t1)))
-    checks += [("d-rb", (a,), lambda a=a: chain_residual(cm.t1, cm.t0, base.d, base.d, a))
-               for a in range(n1)]
-    checks += [("action-rb", (i,), action_rb(i)) for i in range(n0)]
-    return checks
+    return (lie_crossed_checks(base)
+            + prefix_checks("g0-", rb_checks(RotaBaxterLieAlgebra(base.g0, cm.t0)))
+            + prefix_checks("g1-", rb_checks(RotaBaxterLieAlgebra(base.g1, cm.t1)))
+            + family("d-rb", partial(chain_residual, cm.t1, cm.t0, base.d, base.d),
+                     product(range(base.g1.dim)))
+            + family("action-rb", partial(action_rb_residual, base.rho, cm.t0, cm.t1),
+                     product(range(base.g0.dim))))
 
 
 def prelie_crossed_checks(pm: PreLieCrossedModule) -> list[Check]:
     n0, n1 = pm.p0.dim, pm.p1.dim
-    m0, m1, delta = pm.p0.mult, pm.p1.mult, pm.delta
-
-    def commutator0(i, j):
-        return vsub(m0(i, j), m0(j, i))
+    m0, m1, delta, l_act, r_act = pm.p0.mult, pm.p1.mult, pm.delta, pm.l_act, pm.r_act
 
     def l_rep(i, j):
-        return lambda: action_hom_residual(pm.l_act, commutator0(i, j), i, j)
+        return action_hom_residual(l_act, vsub(m0(i, j), m0(j, i)), i, j)
 
     def lr_rep(i, j):
         # l_x r_y - r_y l_x = r_{x*y} - r_y r_x: the mixed term composes the
         # left action outermost, which is what the semidirect product on
         # p0 (+) p1 needs to satisfy the defining identity
-        l, r = pm.l_act[i], pm.r_act[j]
+        l, r, xy = l_act[i], r_act[j], m0(i, j)
+        return row_major([vsub(vsub(l(r(c)), r(l(c))),
+                               vsub(act_on(r_act, xy, c, n1), r(r_act[i](c))))
+                          for c in range(n1)])
 
-        def go():
-            xy = m0(i, j)
-            return row_major([vsub(vsub(l(r(c)), r(l(c))),
-                                   vsub(act_on(pm.r_act, xy, c, n1), r(pm.r_act[i](c))))
-                              for c in range(n1)])
-        return go
-
-    def delta_l(i, a):
-        return lambda: vsub(delta(pm.l_act[i](a)), m0(i, delta(a)))
-
-    def delta_r(i, a):
-        return lambda: vsub(delta(pm.r_act[i](a)), m0(delta(a), i))
-
-    def peiffer_l(a, b):
-        return lambda: vsub(act_on(pm.l_act, delta(a), b, n1), m1(a, b))
-
-    def peiffer_r(a, b):
-        return lambda: vsub(act_on(pm.r_act, delta(b), a, n1), m1(a, b))
-
-    checks = prefix_checks("p0-", prelie_checks(pm.p0))
-    checks += prefix_checks("p1-", prelie_checks(pm.p1))
-    checks += [("delta-hom", (a, b),
-                lambda a=a, b=b: hom_residual(pm.delta, pm.p1.mult, pm.p0.mult, a, b))
-               for a in range(n1) for b in range(n1)]
-    checks += [("l-rep", (i, j), l_rep(i, j)) for i, j in combinations(range(n0), 2)]
-    checks += [("lr-rep", (i, j), lr_rep(i, j))
-               for i in range(n0) for j in range(n0)]
-    checks += [("delta-l", (i, a), delta_l(i, a))
-               for i in range(n0) for a in range(n1)]
-    checks += [("delta-r", (i, a), delta_r(i, a))
-               for i in range(n0) for a in range(n1)]
-    checks += [("peiffer-l", (a, b), peiffer_l(a, b))
-               for a in range(n1) for b in range(n1)]
-    checks += [("peiffer-r", (a, b), peiffer_r(a, b))
-               for a in range(n1) for b in range(n1)]
-    return checks
+    pairs1, mixed = list(product(range(n1), repeat=2)), list(product(range(n0), range(n1)))
+    return (prefix_checks("p0-", prelie_checks(pm.p0)) + prefix_checks("p1-", prelie_checks(pm.p1))
+            + family("delta-hom", partial(hom_residual, delta, m1, m0), pairs1)
+            + family("l-rep", l_rep, combinations(range(n0), 2))
+            + family("lr-rep", lr_rep, product(range(n0), repeat=2))
+            + family("delta-l", lambda i, a: vsub(delta(l_act[i](a)), m0(i, delta(a))), mixed)
+            + family("delta-r", lambda i, a: vsub(delta(r_act[i](a)), m0(delta(a), i)), mixed)
+            + family("peiffer-l", lambda a, b: vsub(act_on(l_act, delta(a), b, n1), m1(a, b)),
+                     pairs1)
+            + family("peiffer-r", lambda a, b: vsub(act_on(r_act, delta(b), a, n1), m1(a, b)),
+                     pairs1))
 
 
 def strict_to_crossed_data(G: TwoTermRBLInfinity) -> RBLieCrossedModule:

@@ -32,10 +32,10 @@ patched silently.
 from __future__ import annotations
 
 from functools import cache, partial
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import NotComposable
-from .report import Check, VerificationReport, run_checks
+from .report import Check, VerificationReport, family, run_checks
 from .tensors import (Vec, vadd, vbasis, vneg, vsub, vzero, is_zero)
 from .twoterm import (RBLInfinityHom, TwoTermRBLInfinity, ordered_checks,
                       rbh3_residual)
@@ -212,47 +212,40 @@ def hom_coherence_checks(F: RBLInfinityHom, chain: list[Check]) -> list[Check]:
     only zero iff zero pair-by-pair and reports any disagreement under
     `cohm-vs-rbh3`; it reads the same two cached evaluations.
     """
-    def pair(idx, rbh3):
-        cohm = cache(lambda: vsub(rbh3(), phi3_bracket(F, *idx)))
-        return [("cohm", idx, cohm),
-                ("cohm-vs-rbh3", idx, lambda: _zero_iff_zero(cohm(), rbh3()))]
-    return [check for cond, idx, fn in chain if cond == "rbh3"
-            for check in pair(idx, fn)]
+    rbh3 = {idx: fn for cond, idx, fn in chain if cond == "rbh3"}
+    cohm = cache(lambda i, j: vsub(rbh3[i, j](), phi3_bracket(F, i, j)))
+    return (family("cohm", cohm, rbh3)
+            + family("cohm-vs-rbh3", lambda i, j: _zero_iff_zero(cohm(i, j), rbh3[i, j]()),
+                     rbh3))
 
 
 def roundtrip_structure(G: TwoTermRBLInfinity) -> VerificationReport:
     """Extract the two-term data back out of the skeletal view through the
     morphism calculus and compare it entrywise with the original."""
     view = RBLie2View(G)
-    L = G.linf
+    L, rb = G.linf, G.rb
     d0, d1 = L.dim0, L.dim1
     e0 = lambda i: vbasis(d0, i)
     ker = lambda a: Morphism2V(vzero(d0), vbasis(d1, a))
+    unit = lambda x: view.identity(e0(x))
 
-    checks: list[Check] = []
-    for a in range(d1):
-        checks.append(("rt-l1", (a,),
-                       (lambda a=a: vsub(view.target(ker(a)), L.complex.l1.column(a)))))
-        checks.append(("rt-r1", (a,),
-                       (lambda a=a: vsub(G.rb.r1.apply(vbasis(d1, a)), G.rb.r1.column(a)))))
-    for i in range(d0):
-        checks.append(("rt-r0", (i,),
-                       (lambda i=i: vsub(G.rb.r0.apply(e0(i)), G.rb.r0.column(i)))))
-        for j in range(d0):
-            checks.append(("rt-l2-obj", (i, j), (lambda i=i, j=j: vsub(
-                view.bracket(view.identity(e0(i)), view.identity(e0(j))).source,
-                L.l2_00.on_basis(i, j)))))
-        for a in range(d1):
-            checks.append(("rt-l2-act", (i, a), (lambda i=i, a=a: vsub(
-                view.bracket(view.identity(e0(i)), ker(a)).arrow,
-                L.l2_01.on_basis(i, a)))))
-    for i, j in combinations(range(d0), 2):
-        checks.append(("rt-r2", (i, j), (lambda i=i, j=j: vsub(
-            G.rb.r2.apply(e0(i), e0(j)), G.rb.r2.on_basis(i, j)))))
-    for i, j, k in combinations(range(d0), 3):
-        checks.append(("rt-l3", (i, j, k), (lambda i=i, j=j, k=k: vsub(
-            L.l3.apply(e0(i), e0(j), e0(k)), L.l3.on_basis(i, j, k)))))
-    return run_checks(checks)
+    return run_checks(
+        family("rt-l1", lambda a: vsub(view.target(ker(a)), L.complex.l1.column(a)),
+               product(range(d1)))
+        + family("rt-r1", lambda a: vsub(rb.r1.apply(vbasis(d1, a)), rb.r1.column(a)),
+                 product(range(d1)))
+        + family("rt-r0", lambda i: vsub(rb.r0.apply(e0(i)), rb.r0.column(i)), product(range(d0)))
+        + family("rt-l2-obj", lambda i, j: vsub(view.bracket(unit(i), unit(j)).source,
+                                                L.l2_00.on_basis(i, j)),
+                 product(range(d0), repeat=2))
+        + family("rt-l2-act", lambda i, a: vsub(view.bracket(unit(i), ker(a)).arrow,
+                                                L.l2_01.on_basis(i, a)),
+                 product(range(d0), range(d1)))
+        + family("rt-r2", lambda i, j: vsub(rb.r2.apply(e0(i), e0(j)), rb.r2.on_basis(i, j)),
+                 combinations(range(d0), 2))
+        + family("rt-l3", lambda i, j, k: vsub(L.l3.apply(e0(i), e0(j), e0(k)),
+                                               L.l3.on_basis(i, j, k)),
+                 combinations(range(d0), 3)))
 
 
 def roundtrip_hom(F: RBLInfinityHom) -> VerificationReport:
@@ -262,16 +255,13 @@ def roundtrip_hom(F: RBLInfinityHom) -> VerificationReport:
     d0, d1 = F.source.linf.dim0, F.source.linf.dim1
     e0 = lambda i: vbasis(d0, i)
 
-    checks: list[Check] = []
-    for i in range(d0):
-        checks.append(("rt-phi0", (i,), (lambda i=i: vsub(
-            hom.f1(Morphism2V(e0(i), vzero(d1))).source, F.hom.phi0.column(i)))))
-        checks.append(("rt-phi3", (i,), (lambda i=i: vsub(
-            hom.f3(e0(i)).arrow, F.phi3.column(i)))))
-        for j in range(d0):
-            checks.append(("rt-phi2", (i, j), (lambda i=i, j=j: vsub(
-                hom.f2(e0(i), e0(j)).arrow, F.hom.phi2.on_basis(i, j)))))
-    for a in range(d1):
-        checks.append(("rt-phi1", (a,), (lambda a=a: vsub(
-            hom.f1(Morphism2V(vzero(d0), vbasis(d1, a))).arrow, F.hom.phi1.column(a)))))
-    return run_checks(checks)
+    return run_checks(
+        family("rt-phi0", lambda i: vsub(hom.f1(Morphism2V(e0(i), vzero(d1))).source,
+                                         F.hom.phi0.column(i)), product(range(d0)))
+        + family("rt-phi3", lambda i: vsub(hom.f3(e0(i)).arrow, F.phi3.column(i)),
+                 product(range(d0)))
+        + family("rt-phi2", lambda i, j: vsub(hom.f2(e0(i), e0(j)).arrow,
+                                              F.hom.phi2.on_basis(i, j)),
+                 product(range(d0), repeat=2))
+        + family("rt-phi1", lambda a: vsub(hom.f1(Morphism2V(vzero(d0), vbasis(d1, a))).arrow,
+                                           F.hom.phi1.column(a)), product(range(d1))))

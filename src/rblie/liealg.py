@@ -1,18 +1,21 @@
 """Classical layer: Lie algebras, Rota-Baxter operators, pre-Lie algebras,
 representations, duals and semidirect products.
 
-Each `*_checks` builder returns one family of identities for
-`report.run_checks`; constructions run the families they certify on their
-outputs and raise `InternalInvariantBroken` on failure.
+Each `*_checks` builder returns its identities for `report.run_checks` as
+a sum of `report.family` lists over residuals of basis indices (the
+module-level `*_residual` functions bound with `partial`, or a local
+function); constructions run the builders they certify on their outputs
+and raise `InternalInvariantBroken` on failure.
 All types are immutable values; every function here is pure.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import partial
+from itertools import combinations, combinations_with_replacement, product
 
 from .errors import ShapeMismatch
-from .report import Check, run_checks
+from .report import Check, family, run_checks
 from .tensors import (BilinearMap, LinearMap, Vec, from_cells, vadd, vscale,
                       vsub, vzero)
 from .value import Value
@@ -145,31 +148,23 @@ def action_rb_residual(rho: tuple[LinearMap, ...], r: LinearMap, k: LinearMap,
 
 
 def skew_checks(b: BilinearMap, condition: str = "skew") -> list[Check]:
-    def residual(i, j):
-        return lambda: vadd(b(i, j), b(j, i))
-    return [(condition, (i, j), residual(i, j))
-            for i in range(b.dim_a) for j in range(i, b.dim_b)]
+    return family(condition, lambda i, j: vadd(b(i, j), b(j, i)),
+                  combinations_with_replacement(range(b.dim_a), 2))
 
 
 def lie_checks(alg: LieAlgebra) -> list[Check]:
     """Skew-symmetry on basis pairs, Jacobi on basis triple classes."""
-    n, br = alg.dim, alg.bracket
-
-    def jacobi(x, y, z):
-        return lambda: vadd(br(x, br(y, z)), br(y, br(z, x)), br(z, br(x, y)))
-
-    checks = skew_checks(alg.bracket)
-    checks += [("jacobi", (i, j, k), jacobi(i, j, k))
-               for i, j, k in combinations(range(n), 3)]
-    return checks
+    br = alg.bracket
+    return skew_checks(br) + family(
+        "jacobi", lambda x, y, z: vadd(br(x, br(y, z)), br(y, br(z, x)), br(z, br(x, y))),
+        combinations(range(alg.dim), 3))
 
 
 def rb_checks(rba: RotaBaxterLieAlgebra) -> list[Check]:
     """The weight-zero operator identity on basis pair classes; the base's
     own identities are `lie_checks(rba.base)`."""
-    br, r = rba.base.bracket, rba.r
-    return [("rota-baxter", (i, j), lambda i=i, j=j: rb_residual(br, r, i, j))
-            for i, j in combinations(range(rba.dim), 2)]
+    return family("rota-baxter", partial(rb_residual, rba.base.bracket, rba.r),
+                  combinations(range(rba.dim), 2))
 
 
 def prelie_checks(p: PreLieAlgebra) -> list[Check]:
@@ -179,29 +174,18 @@ def prelie_checks(p: PreLieAlgebra) -> list[Check]:
     def assoc(x, y, z):
         return vsub(m(m(x, y), z), m(x, m(y, z)))
 
-    def residual(i, j, k):
-        return lambda: vsub(assoc(i, j, k), assoc(j, i, k))
-
-    return [("pre-lie", (i, j, k), residual(i, j, k))
-            for i, j in combinations(range(n), 2) for k in range(n)]
+    return family("pre-lie", lambda i, j, k: vsub(assoc(i, j, k), assoc(j, i, k)),
+                  ((i, j, k) for i, j in combinations(range(n), 2) for k in range(n)))
 
 
 def representation_checks(rep: RBRepresentation) -> list[Check]:
     """Lie-action property plus the module-operator compatibility identity;
     the algebra's own identities are not included."""
-    alg = rep.algebra
-    n = alg.dim
-
-    def hom_residual(i, j):
-        return lambda: action_hom_residual(rep.rho, alg.base.bracket(i, j), i, j)
-
-    def rb_residual(i):
-        return lambda: action_rb_residual(rep.rho, alg.r, rep.cal_r, i)
-
-    checks: list[Check] = [("rep-hom", (i, j), hom_residual(i, j))
-                           for i, j in combinations(range(n), 2)]
-    checks += [("rep-rb", (i,), rb_residual(i)) for i in range(n)]
-    return checks
+    alg, rho = rep.algebra, rep.rho
+    return (family("rep-hom", lambda i, j: action_hom_residual(rho, alg.base.bracket(i, j), i, j),
+                   combinations(range(alg.dim), 2))
+            + family("rep-rb", partial(action_rb_residual, rho, alg.r, rep.cal_r),
+                     product(range(alg.dim))))
 
 
 def operator_product(alg: LieAlgebra, r: LinearMap) -> PreLieAlgebra:

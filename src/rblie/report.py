@@ -3,13 +3,17 @@
 Verifiers never return bare booleans.  Each check evaluates one condition
 at one basis index tuple and yields a residual vector; a nonzero residual
 becomes a `Violation`.  Reports are sorted by (condition, indices) so their
-line rendering is stable across runs.
+line rendering is stable across runs, whatever order the checks come in.
+
+A check builder is a sum of `family` lists: one condition id, a residual
+function of basis indices and the index tuples it is checked at, each
+bound with `functools.partial`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
+from functools import partial, total_ordering
 from typing import Callable, Iterable
 
 from .errors import InternalInvariantBroken
@@ -70,6 +74,13 @@ class VerificationReport(Value):
             if v.condition == condition and v.indices == indices:
                 return v
         return None
+
+
+def family(condition: str, residual: Callable[..., Residual],
+           indices: Iterable[tuple[int, ...]]) -> list[Check]:
+    """`condition` at each tuple of `indices`, its thunk `residual(*idx)`
+    bound by `partial`, so each thunk keeps its own tuple."""
+    return [(condition, idx, partial(residual, *idx)) for idx in indices]
 
 
 def run_checks(checks: Iterable[Check], workers: int = 1) -> VerificationReport:

@@ -26,7 +26,9 @@ directly, at O(nonzero entries) whatever the declared dimensions.
 ``cells()`` reads it as the flat ``{(out, *inputs): coeff}`` entries that
 documents hold and ``search.mutate`` edits; ``from_cells`` builds from
 them, and ``from_groups`` from entries already grouped by input indices,
-as a document's decoder groups them.  ``apply`` walks the store (a
+as a document's decoder groups them and as the image builders
+(``from_map``, ``from_columns``, ``from_rows``) group the nonzero
+coordinates of each image, with no cell made for a zero.  ``apply`` walks the store (a
 bilinear or trilinear map's entries grouped by first input, built on
 first use and cached on the map) and reads its arguments only at stored
 inputs; it is the one kernel.
@@ -131,16 +133,17 @@ def signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple((p, perm_sign(p)) for p in permutations(range(k)))
 
 
-def _image_cells(values: dict, flag: bool) -> dict:
-    """The cells of the images `values` (input tuple -> vector).  With
-    `flag`, each permutation of a given tuple that is not given itself
-    takes the image times the sign of the permutation."""
-    vals = {key: vec(*v) for key, v in values.items()}
+def _image_groups(images, flag: bool = False) -> dict:
+    """Store groups of `images`, pairs (input tuple, vector): the nonzero
+    coordinates of each vector as `exact` coefficients, zero vectors left
+    out.  With `flag`, each permutation of a given tuple that is not given
+    itself takes the image times the sign of the permutation."""
+    groups = {key: [(out, exact(a)) for out, a in enumerate(v) if a] for key, v in images}
     if flag:
-        for key, v in list(vals.items()):
+        for key, g in list(groups.items()):
             for p, sign in signed_permutations(len(key)):
-                vals.setdefault(tuple(key[q] for q in p), vscale(sign, v))
-    return {(out, *key): a for key, v in vals.items() for out, a in enumerate(v)}
+                groups.setdefault(tuple(key[q] for q in p), [(out, sign * a) for out, a in g])
+    return {key: g for key, g in groups.items() if g}
 
 
 def group_cells(cells: dict) -> dict:
@@ -280,8 +283,8 @@ class LinearMap(_Multilinear):
         cols = len(rows_data[0]) if rows_data else 0
         if any(len(row) != cols for row in rows_data):
             raise ShapeMismatch("rows of a linear map differ in length")
-        return from_cells((len(rows_data), cols), {
-            (r, c): a for r, row in enumerate(rows_data) for c, a in enumerate(row)})
+        return from_groups((len(rows_data), cols),
+                           _image_groups(((c,), col) for c, col in enumerate(zip(*rows_data))))
 
     @staticmethod
     def from_columns(cols: list[Vec], rows: int | None = None) -> LinearMap:
@@ -289,8 +292,8 @@ class LinearMap(_Multilinear):
             if not cols:
                 raise ShapeMismatch("cannot infer row count from no columns")
             rows = len(cols[0])
-        return from_cells((rows, len(cols)), {
-            (r, c): a for c, col in enumerate(cols) for r, a in enumerate(col)})
+        return from_groups((rows, len(cols)),
+                           _image_groups(((c,), col) for c, col in enumerate(cols)))
 
     def column(self, j: int) -> Vec:
         return _vector(self.nonzero.get((j,), ()), self.rows)
@@ -393,7 +396,7 @@ class BilinearMap(_Multilinear):
         With ``skew=True`` the mirror pair is auto-filled with the negated
         value whenever only one orientation is given.
         """
-        return from_cells((dim_out, dim_a, dim_b), _image_cells(values, skew), skew)
+        return from_groups((dim_out, dim_a, dim_b), _image_groups(values.items(), skew), skew)
 
     def on_basis(self, i: int, j: int) -> Vec:
         return _vector(self.nonzero.get((i, j), ()), self.dim_out)
@@ -447,7 +450,7 @@ class TrilinearMap(_Multilinear):
         """Build from images of index triples; with ``alt=True`` each given
         triple of distinct indices is propagated over all permutations with
         the permutation sign."""
-        return from_cells((dim_out, dim, dim, dim), _image_cells(values, alt), alt)
+        return from_groups((dim_out, dim, dim, dim), _image_groups(values.items(), alt), alt)
 
     def on_basis(self, i: int, j: int, k: int) -> Vec:
         return _vector(self.nonzero.get((i, j, k), ()), self.dim_out)

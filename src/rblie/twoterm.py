@@ -7,8 +7,10 @@ l2_01 on g0 x g1 -> g1); the bracket of two degree-one elements vanishes
 because no degree-two component exists.  The skew extension across degrees
 is l2(u, x) = -l2(x, u) for x in g0, u in g1.
 
-Condition ids, by check builder (each builder leaves out the families it
-builds on; `cli.verify_structure` runs every family of a document):
+Each check builder is a sum of `report.family` lists, one per condition,
+over residual functions of basis indices.  Condition ids, by check builder
+(each builder leaves out the families it builds on;
+`cli.verify_structure` runs every family of a document):
   skew-l2, alt-l3, a, b, c, d     two_term_checks (structures)
   chain, skew-r2, rb1, rb2, rb3   rb_triple_checks (operator triples)
   skew-phi2, chain, h1, h2, h3    hom_checks (homomorphisms)
@@ -24,22 +26,23 @@ l3 and R2 for `rb3` (its R2 terms sum every ordering of their arguments
 with its sign), l2_00, l3 and R2 for `coh`, l2_00 and l3 for `jcoh`, and
 the source's l2_00 and l3, the target's l3 and phi2 for `h3`.  Then
 `ordered_checks` evaluates the residual once per sorted tuple of distinct
-indices; every other ordering of those indices reports sign(pi) times that
-value, and a tuple with a repeated index reports zero.  Whether the maps
-are alternating is read from their stores (`is_alternating`), never from
-their flags or from the flag checks' results.  When one is not, its flag
-check fires and every ordered tuple is evaluated literally, so a store
-that breaks its flag reports the residuals of the maps as stored.
+indices (cached, so the order the checks run in does not matter); every
+other ordering of those indices reports sign(pi) times that value, and a
+tuple with a repeated index reports zero.  Whether the maps are
+alternating is read from their stores (`is_alternating`), never from their
+flags or from the flag checks' results.  When one is not, its flag check
+fires and every ordered tuple is evaluated literally, so a store that
+breaks its flag reports the residuals of the maps as stored.
 """
 
 from __future__ import annotations
 
 from functools import cache, partial
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from .errors import (InternalInvariantBroken, NotChainMap, ShapeMismatch,
                      SourceTargetMismatch)
-from .report import Check, VerificationReport, run_checks
+from .report import Check, VerificationReport, family, run_checks
 from .tensors import (BilinearMap, LinearMap, TrilinearMap, Vec,
                       signed_permutations, solve_exact, vadd, vneg, vscale, vsub,
                       vzero)
@@ -123,24 +126,31 @@ def ordered_checks(cond: str, n: int, arity: int, residual, dim_out: int,
     evaluated as given."""
     tuples = product(range(n), repeat=arity)
     if not alternating:
-        return [(cond, idx, (lambda t=idx: residual(*t))) for idx in tuples]
+        return family(cond, residual, tuples)
     zero = vzero(dim_out)
     fns = dict.fromkeys(tuples, lambda: zero)
-    at = {s: cache(lambda s=s: residual(*s)) for s in combinations(range(n), arity)}
+    at = {s: cache(partial(residual, *s)) for s in combinations(range(n), arity)}
     for idx, s, sign in _orbits(n, arity):
-        fns[idx] = at[s] if sign > 0 else (lambda f=at[s]: vneg(f()))
+        fns[idx] = at[s] if sign > 0 else partial(_negated, at[s])
     return [(cond, idx, fn) for idx, fn in fns.items()]
+
+
+def _negated(thunk) -> Vec:
+    return vneg(thunk())
 
 
 def alt_checks(t: TrilinearMap, condition: str = "alt-l3") -> list[Check]:
     """value(i,j,k) must equal sign * value(sorted(i,j,k)); repeats force 0."""
-    fns = {idx: (lambda idx=idx: t(*idx)) for idx in product(range(t.dim), repeat=3)}
-    for idx, s, sign in _orbits(t.dim, 3):
-        if idx == s:
-            del fns[idx]
-        else:
-            fns[idx] = lambda idx=idx, s=s, sign=sign: vsub(t(*idx), vscale(sign, t(*s)))
-    return [(condition, idx, fn) for idx, fn in fns.items()]
+    orbit = {idx: (s, sign) for idx, s, sign in _orbits(t.dim, 3) if idx != s}
+
+    def residual(*idx):
+        if idx not in orbit:  # a repeated index
+            return t(*idx)
+        s, sign = orbit[idx]
+        return vsub(t(*idx), vscale(sign, t(*s)))
+
+    return family(condition, residual, (idx for idx in product(range(t.dim), repeat=3)
+                                        if not idx[0] < idx[1] < idx[2]))
 
 
 def two_term_checks(L: TwoTermLInfinity) -> list[Check]:
@@ -149,34 +159,22 @@ def two_term_checks(L: TwoTermLInfinity) -> list[Check]:
     d0, d1 = L.dim0, L.dim1
     l1, br, act, l3 = L.complex.l1, L.l2_00, L.l2_01, L.l3
 
-    def a_first(i, a):
-        return lambda: vsub(l1(act(i, a)), br(i, l1(a)))
-
-    def a_second(a, b):
-        return lambda: vadd(act(l1(a), b), act(l1(b), a))
-
     def b_res(i, j, k):
-        return lambda: vsub(l1(l3(i, j, k)),
-                            vadd(br(i, br(j, k)), br(k, br(i, j)), br(j, br(k, i))))
+        return vsub(l1(l3(i, j, k)), vadd(br(i, br(j, k)), br(k, br(i, j)), br(j, br(k, i))))
 
     def c_res(i, j, a):
-        return lambda: vsub(l3(i, j, l1(a)),
-                            vadd(act(i, act(j, a)), vneg(act(br(i, j), a)),
-                                 vneg(act(j, act(i, a)))))
+        return vsub(l3(i, j, l1(a)), vadd(act(i, act(j, a)), vneg(act(br(i, j), a)),
+                                          vneg(act(j, act(i, a)))))
 
-    def d_res(i, j, k, l):
-        return lambda: quadruple_identity_residual(L, i, j, k, l)
-
-    checks = skew_checks(L.l2_00, "skew-l2") + alt_checks(L.l3)
-    checks += [("a", (0, i, a), a_first(i, a)) for i in range(d0) for a in range(d1)]
-    checks += [("a", (1, a, b), a_second(a, b))
-               for a in range(d1) for b in range(a, d1)]
-    checks += [("b", (i, j, k), b_res(i, j, k))
-               for i, j, k in combinations(range(d0), 3)]
-    checks += [("c", (i, j, a), c_res(i, j, a))
-               for i, j in combinations(range(d0), 2) for a in range(d1)]
-    checks += [("d", idx, d_res(*idx)) for idx in combinations(range(d0), 4)]
-    return checks
+    return (skew_checks(L.l2_00, "skew-l2") + alt_checks(L.l3)
+            + family("a", lambda _, i, a: vsub(l1(act(i, a)), br(i, l1(a))),
+                     product((0,), range(d0), range(d1)))
+            + family("a", lambda _, a, b: vadd(act(l1(a), b), act(l1(b), a)),
+                     ((1, a, b) for a, b in combinations_with_replacement(range(d1), 2)))
+            + family("b", b_res, combinations(range(d0), 3))
+            + family("c", c_res, ((i, j, a) for i, j in combinations(range(d0), 2)
+                                  for a in range(d1)))
+            + family("d", partial(quadruple_identity_residual, L), combinations(range(d0), 4)))
 
 
 def quadruple_identity_residual(L: TwoTermLInfinity,
@@ -236,20 +234,15 @@ def rb_triple_checks(G: TwoTermRBLInfinity) -> list[Check]:
     d0, d1 = L.dim0, L.dim1
     l1 = L.complex.l1
 
-    def chain(a):
-        return lambda: chain_residual(rb.r1, rb.r0, l1, l1, a)
-
     def rb1(i, j):  # the operator defect, -rb_residual, must equal l1 R2(e_i, e_j)
-        return lambda: vneg(vadd(rb_residual(L.l2_00, rb.r0, i, j), l1(rb.r2(i, j))))
+        return vneg(vadd(rb_residual(L.l2_00, rb.r0, i, j), l1(rb.r2(i, j))))
 
-    checks: list[Check] = [("chain", (a,), chain(a)) for a in range(d1)]
-    checks += skew_checks(rb.r2, "skew-r2")
-    checks += [("rb1", (i, j), rb1(i, j)) for i, j in combinations(range(d0), 2)]
-    checks += [("rb2", (a, i), (lambda t: (lambda: rb2_residual(G, *t)))((a, i)))
-               for a in range(d1) for i in range(d0)]
-    checks += ordered_checks("rb3", d0, 3, partial(rb3_residual, G), d1,
-                             all(m.is_alternating() for m in (L.l3, rb.r2)))
-    return checks
+    return (family("chain", partial(chain_residual, rb.r1, rb.r0, l1, l1), product(range(d1)))
+            + skew_checks(rb.r2, "skew-r2")
+            + family("rb1", rb1, combinations(range(d0), 2))
+            + family("rb2", partial(rb2_residual, G), product(range(d1), range(d0)))
+            + ordered_checks("rb3", d0, 3, partial(rb3_residual, G), d1,
+                             all(m.is_alternating() for m in (L.l3, rb.r2))))
 
 
 class CompletionFailure(Value):
@@ -323,24 +316,19 @@ def hom_checks(f: LInfinityHom) -> list[Check]:
     d0, d1 = src.dim0, src.dim1
     p0, p1, p2, br, act = f.phi0, f.phi1, f.phi2, src.l2_00, tgt.l2_01
 
-    def chain(a):
-        return lambda: chain_residual(f.phi1, f.phi0, src.complex.l1, tgt.complex.l1, a)
-
     def h1(i, j):
-        return lambda: vsub(tgt.complex.l1(p2(i, j)),
-                            vsub(p0(br(i, j)), tgt.l2_00(p0(i), p0(j))))
+        return vsub(tgt.complex.l1(p2(i, j)), vsub(p0(br(i, j)), tgt.l2_00(p0(i), p0(j))))
 
     def h2(i, a):
-        return lambda: vsub(p2(i, src.complex.l1(a)),
-                            vsub(p1(src.l2_01(i, a)), act(p0(i), p1(a))))
+        return vsub(p2(i, src.complex.l1(a)), vsub(p1(src.l2_01(i, a)), act(p0(i), p1(a))))
 
-    checks = skew_checks(f.phi2, "skew-phi2")
-    checks += [("chain", (a,), chain(a)) for a in range(d1)]
-    checks += [("h1", (i, j), h1(i, j)) for i, j in combinations(range(d0), 2)]
-    checks += [("h2", (i, a), h2(i, a)) for i in range(d0) for a in range(d1)]
-    checks += ordered_checks("h3", d0, 3, partial(h3_residual, f), tgt.dim1,
-                             all(m.is_alternating() for m in (br, src.l3, tgt.l3, p2)))
-    return checks
+    return (skew_checks(p2, "skew-phi2")
+            + family("chain", partial(chain_residual, p1, p0, src.complex.l1, tgt.complex.l1),
+                     product(range(d1)))
+            + family("h1", h1, combinations(range(d0), 2))
+            + family("h2", h2, product(range(d0), range(d1)))
+            + ordered_checks("h3", d0, 3, partial(h3_residual, f), tgt.dim1,
+                             all(m.is_alternating() for m in (br, src.l3, tgt.l3, p2))))
 
 
 def h3_residual(f: LInfinityHom, x: int, y: int, z: int) -> Vec:
@@ -383,20 +371,15 @@ def rb_hom_checks(f: RBLInfinityHom) -> list[Check]:
     p0, p1, p3 = f.hom.phi0, f.hom.phi1, f.phi3
 
     def rbh1(i):
-        return lambda: vsub(tgt.linf.complex.l1(p3(i)),
-                            vadd(vneg(tgt.rb.r0(p0(i))), p0(src.rb.r0(i))))
+        return vsub(tgt.linf.complex.l1(p3(i)), vadd(vneg(tgt.rb.r0(p0(i))), p0(src.rb.r0(i))))
 
     def rbh2(a):
-        return lambda: vsub(p3(src.linf.complex.l1(a)),
-                            vsub(p1(src.rb.r1(a)), tgt.rb.r1(p1(a))))
+        return vsub(p3(src.linf.complex.l1(a)), vsub(p1(src.rb.r1(a)), tgt.rb.r1(p1(a))))
 
-    def rbh3(idx):  # cached: `cohm` and `cohm-vs-rbh3` read it too
-        return cache(lambda: rbh3_residual(f, *idx))
-
-    checks: list[Check] = [("rbh1", (i,), rbh1(i)) for i in range(d0)]
-    checks += [("rbh2", (a,), rbh2(a)) for a in range(d1)]
-    checks += [("rbh3", idx, rbh3(idx)) for idx in product(range(d0), repeat=2)]
-    return checks
+    return (family("rbh1", rbh1, product(range(d0)))
+            + family("rbh2", rbh2, product(range(d1)))
+            # cached: `cohm` and `cohm-vs-rbh3` read it too
+            + family("rbh3", cache(partial(rbh3_residual, f)), product(range(d0), repeat=2)))
 
 
 def identity_rb_hom(G: TwoTermRBLInfinity) -> RBLInfinityHom:

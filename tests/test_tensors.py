@@ -224,6 +224,47 @@ def test_equal_values_have_equal_stores():
     assert vec(Fraction(0), 1) == vbasis(2, 1) and type(vec(Fraction(1))[0]) is int
 
 
+def _typed_store(t):
+    return {key: tuple((out, type(a), a) for out, a in g) for key, g in t.nonzero.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_image_builders_store_what_from_cells_stores(data):
+    """`from_map`, `from_columns` and `from_rows` keep only the nonzero
+    coordinates of each image, and their stores, coefficient types
+    included, equal `from_cells` of every cell, zeros and all (with a flag,
+    each permutation of a given input tuple that is not given itself takes
+    the signed image).  Most coordinates are zero, some inputs are given in
+    two orders and some images are zero vectors."""
+    coeffs = st.one_of(st.sampled_from((0, 0, 0, Fraction(0), Fraction(4, 2))), rationals)
+    n, out = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    flag = data.draw(st.booleans())
+    arity = data.draw(st.sampled_from((2, 3)))
+    keys = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * arity), unique=True))
+    values = {key: tuple(data.draw(st.lists(coeffs, min_size=out, max_size=out)))
+              for key in keys}
+    images = {key: vec(*v) for key, v in values.items()}
+    if flag:
+        for key, v in list(images.items()):
+            for p, sign in tensors.signed_permutations(arity):
+                images.setdefault(tuple(key[q] for q in p), tuple(sign * a for a in v))
+    cells = {(o, *key): a for key, v in images.items() for o, a in enumerate(v)}
+    shape = (out,) + (n,) * arity
+    built = (BilinearMap.from_map(n, n, out, values, skew=flag) if arity == 2
+             else TrilinearMap.from_map(n, out, values, alt=flag))
+    assert built == from_cells(shape, cells, flag)
+    assert _typed_store(built) == _typed_store(from_cells(shape, cells, flag))
+
+    cols = [values.get((c,) * arity, (0,) * out) for c in range(n)]
+    by_cols = LinearMap.from_columns(cols, rows=out)
+    whole = from_cells((out, n), {(r, c): a for c, col in enumerate(cols)
+                                  for r, a in enumerate(col)})
+    assert _typed_store(by_cols) == _typed_store(whole)
+    if out:
+        assert _typed_store(LinearMap.from_rows(list(zip(*cols)))) == _typed_store(whole)
+
+
 def test_compose_matches_matrix_product():
     a = LinearMap.from_rows([[1, 2], [0, 1]])
     b = LinearMap.from_rows([[0, 1], [1, 0]])
