@@ -28,7 +28,7 @@ from .crossed import (LieCrossedModule, PreLieCrossedModule,
                       prelie_crossed_checks, prelie_crossed_to_lie_crossed,
                       rb_crossed_checks, rb_crossed_to_prelie_crossed,
                       strict_to_crossed)
-from .errors import StructureError
+from .errors import BadSite, StructureError
 from .liealg import (LieAlgebra, PreLieAlgebra, RBRepresentation,
                      RotaBaxterLieAlgebra, adjoint_representation,
                      dual_representation, lie_checks, prelie_checks,
@@ -134,8 +134,7 @@ def cmd_construct(args) -> int:
     want, fn = _CONSTRUCTIONS[args.name]
     obj = load(args.file)
     if not isinstance(obj, want):
-        print(f"error: {args.name} expects a {want.__name__} document", file=sys.stderr)
-        return 2
+        raise StructureError(f"{args.name} expects a {want.__name__} document")
     report = verify_structure(obj)
     if not report.ok:
         return _emit(report)
@@ -149,15 +148,13 @@ def cmd_roundtrip(args) -> int:
         return _emit(roundtrip_structure(obj))
     if isinstance(obj, RBLInfinityHom):
         return _emit(roundtrip_hom(obj))
-    print("error: roundtrip expects an rb-2term or rb-hom document", file=sys.stderr)
-    return 2
+    raise StructureError("roundtrip expects an rb-2term or rb-hom document")
 
 
 def cmd_search_rb(args) -> int:
     alg = load(args.file)
     if not isinstance(alg, LieAlgebra):
-        print("error: search-rb expects a lie document", file=sys.stderr)
-        return 2
+        raise StructureError("search-rb expects a lie document")
     report = verify_structure(alg)
     if not report.ok:
         return _emit(report)
@@ -177,8 +174,7 @@ def cmd_mutate(args) -> int:
     try:
         site = (parts[0],) + tuple(int(p) for p in parts[1:])
     except ValueError:
-        print(f"error: site indices must be integers: {args.site!r}", file=sys.stderr)
-        return 2
+        raise BadSite(f"site indices must be integers: {args.site!r}") from None
     _output(mutate(obj, site, parse_rational(args.delta)), args.out)
     return 0
 
@@ -186,8 +182,7 @@ def cmd_mutate(args) -> int:
 def cmd_compose(args) -> int:
     f, g = load(args.f), load(args.g)
     if not isinstance(f, RBLInfinityHom) or not isinstance(g, RBLInfinityHom):
-        print("error: compose expects two rb-hom documents", file=sys.stderr)
-        return 2
+        raise StructureError("compose expects two rb-hom documents")
     _output(compose_rb_homs(g, f), args.out)  # f first, then g
     return 0
 
@@ -213,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_construct)
 
     r = sub.add_parser("roundtrip",
-                       help="extract a structure back out of its categorified "
-                            "view and compare entrywise")
+                       help="read each map of an rb-2term or rb-hom document back "
+                            "at basis vectors and compare it with its stored image")
     r.add_argument("file")
     r.set_defaults(fn=cmd_roundtrip)
 

@@ -139,7 +139,7 @@ def _negated(thunk) -> Vec:
     return vneg(thunk())
 
 
-def alt_checks(t: TrilinearMap, condition: str = "alt-l3") -> list[Check]:
+def alt_checks(t: TrilinearMap) -> list[Check]:
     """value(i,j,k) must equal sign * value(sorted(i,j,k)); repeats force 0."""
     orbit = {idx: (s, sign) for idx, s, sign in _orbits(t.dim, 3) if idx != s}
 
@@ -149,8 +149,8 @@ def alt_checks(t: TrilinearMap, condition: str = "alt-l3") -> list[Check]:
         s, sign = orbit[idx]
         return vsub(t(*idx), vscale(sign, t(*s)))
 
-    return family(condition, residual, (idx for idx in product(range(t.dim), repeat=3)
-                                        if not idx[0] < idx[1] < idx[2]))
+    return family("alt-l3", residual, (idx for idx in product(range(t.dim), repeat=3)
+                                       if not idx[0] < idx[1] < idx[2]))
 
 
 def two_term_checks(L: TwoTermLInfinity) -> list[Check]:

@@ -19,7 +19,7 @@ from rblie.catalog import TWO_TERM_STRUCTURES, HOMOMORPHISMS, solvable4
 from rblie.cli import verify_structure
 from rblie.errors import NotComposable
 from rblie.liealg import skew_checks
-from rblie.lie2 import (Morphism2V, RBLie2Hom, RBLie2View, coherence_checks,
+from rblie.lie2 import (Morphism2V, RBLie2View, coherence_checks,
                         coherence_residual, hom_coherence_checks,
                         jacobiator_coherence_checks,
                         jacobiator_coherence_residual, roundtrip_hom,
@@ -27,11 +27,12 @@ from rblie.lie2 import (Morphism2V, RBLie2Hom, RBLie2View, coherence_checks,
 from rblie.report import run_checks
 from rblie.search import mutate
 from rblie.serialize import dumps, load, loads
-from rblie.tensors import (TrilinearMap, from_cells, is_zero, perm_sign, vadd, vbasis,
-                           vec, vscale, vzero)
-from rblie.twoterm import (RBLInfinityHom, alt_checks, h3_residual, hom_checks,
-                           quadruple_identity_residual, rb3_residual, rb_hom_checks,
-                           rb_triple_checks, rbh3_residual, two_term_checks)
+from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap, from_cells, is_zero,
+                           perm_sign, vadd, vbasis, vec, vscale, vzero)
+from rblie.twoterm import (RBLInfinityHom, TwoTermRBLInfinity, alt_checks, h3_residual,
+                           hom_checks, identity_rb_hom, quadruple_identity_residual,
+                           rb3_residual, rb_hom_checks, rb_triple_checks, rbh3_residual,
+                           two_term_checks)
 from rblie.value import replace
 
 VIEW = RBLie2View(TWO_TERM_STRUCTURES["sl2-cocycle-rb2-nonstrict"])
@@ -505,19 +506,58 @@ def test_roundtrip_hom_identity_on_catalog():
         assert roundtrip_hom(F).ok, name
 
 
-def test_roundtrip_hom_catches_a_wrong_view_map(monkeypatch):
-    """rt-phi2 and rt-phi3 read their arrows through the view maps, so a
-    view that shifts the arrow parts of f2 and f3 is reported."""
-    def shifted(view_map):
-        def wrong(self, *args):
-            m = view_map(self, *args)
-            return Morphism2V(m.source, vadd(m.arrow, vbasis(len(m.arrow), 0)))
-        return wrong
+def test_each_roundtrip_id_reads_its_own_map(monkeypatch):
+    """Each `rt-*` id reads exactly the map it names: shifting the `apply`
+    of one map class by e_0 fires exactly the ids over maps of that class,
+    and neither round trip builds a `Morphism2V` or an `RBLie2View`."""
+    calls = Counter()
+    for cls in (Morphism2V, RBLie2View):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            calls[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
 
-    F = HOMOMORPHISMS["id-aff1-adjoint-rb2-shift"]
-    monkeypatch.setattr(RBLie2Hom, "f2", shifted(RBLie2Hom.f2))
-    monkeypatch.setattr(RBLie2Hom, "f3", shifted(RBLie2Hom.f3))
-    assert roundtrip_hom(F).conditions() == {"rt-phi2", "rt-phi3"}
+    G = TWO_TERM_STRUCTURES["sl2-adjoint-rb2-tri"]
+    F = HOMOMORPHISMS["id-sl2-cocycle-rb2-nonstrict"]
+    assert roundtrip_structure(G).ok and roundtrip_hom(F).ok
+    assert calls == Counter()
+
+    expected = {
+        LinearMap: ({"rt-l1", "rt-r0", "rt-r1"}, {"rt-phi0", "rt-phi1", "rt-phi3"}),
+        BilinearMap: ({"rt-l2-act", "rt-l2-obj", "rt-r2"}, {"rt-phi2"}),
+        TrilinearMap: ({"rt-l3"}, set()),
+    }
+    for cls, (structure_ids, hom_ids) in expected.items():
+        def shifted(self, *args, _apply=cls.apply):
+            out = _apply(self, *args)
+            return vadd(out, vbasis(len(out), 0))
+        with monkeypatch.context() as m:
+            m.setattr(cls, "apply", shifted)
+            assert roundtrip_structure(G).conditions() == structure_ids, cls.__name__
+            assert roundtrip_hom(F).conditions() == hom_ids, cls.__name__
+
+
+def test_roundtrip_counts_have_closed_forms():
+    """`roundtrip_structure` checks 2 d1 + d0 + d0^2 + d0 d1 + C(d0,2)
+    + C(d0,3) entries and `roundtrip_hom` 2 d0 + d0^2 + d1, in the
+    source's dimensions."""
+    def structure_count(G):
+        d0, d1 = G.linf.dim0, G.linf.dim1
+        return 2 * d1 + d0 + d0 ** 2 + d0 * d1 + comb(d0, 2) + comb(d0, 3)
+
+    def hom_count(F):
+        d0, d1 = F.source.linf.dim0, F.source.linf.dim1
+        return 2 * d0 + d0 ** 2 + d1
+
+    docs = [load(path) for path in sorted(CATALOG_DIR.glob("*.json"))]
+    structures = [G for G in docs if isinstance(G, TwoTermRBLInfinity)]
+    homs = [F for F in docs if isinstance(F, RBLInfinityHom)]
+    assert len(structures) + len(homs) == 22
+    zeros = [with_zero_rb(make_linf(d0, d1)) for d0 in range(6) for d1 in range(4)]
+    for G in structures + zeros:
+        assert roundtrip_structure(G).checked == structure_count(G)
+    for F in homs + [identity_rb_hom(G) for G in zeros]:
+        assert roundtrip_hom(F).checked == hom_count(F)
 
 
 @given(st.lists(coords, min_size=3, max_size=3),
