@@ -43,12 +43,20 @@ each row below as the median of REPEATS runs:
   ``python -m rblie.cli verify catalog/abelian1.json`` (1 check).  A run
   of each row starts FRESH_RUNS interpreters one after another, so its
   time is FRESH_RUNS start-ups: one start-up is near 0.1 s, and the
-  median of 3 single ones moves by a third on a shared host.
+  median of 3 single ones moves by a third on a shared host;
+* a fresh interpreter running `rblie.cli.main(["verify", ...])` on a `lie`
+  document with two bracket entries ([e0, e1] = e2) declaring dim 50,
+  and one declaring dim 100 (20,875 and 166,750 checks): the time of one
+  run and the child's peak RSS (its own VmHWM, so Linux only);
+* the closed-form `count` of the checks of the same document declaring
+  dim 200, which must be 200 + C(200,2) + C(200,3) = 1,333,500, with no
+  check made.
 
 The JSON written to the one argument holds every row (median, the single
 runs, the number of checked conditions, of documents for the
-`loads`/`dumps` row, or of operators found for the `search-rb` rows) and
-the line count of `src/`.  A probe that fails verification, the
+`loads`/`dumps` row, of operators found for the `search-rb` rows, or the
+count of the dim-200 row; the largest child peak RSS of the fresh
+`verify` rows) and the line count of `src/`.  A probe that fails verification, the
 flag-broken probe when it reports other counts, an inverse that is not
 exact, or a search that finds another number of operators or takes
 longer, exits nonzero.
@@ -67,6 +75,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from time import perf_counter
@@ -75,7 +84,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from rblie.catalog import RB_ALGEBRAS, adjoint_rb_two_term  # noqa: E402
-from rblie.cli import main as cli_main, verify_structure  # noqa: E402
+from rblie.cli import main as cli_main, structure_checks, verify_structure  # noqa: E402
 from rblie.liealg import (LieAlgebra, adjoint_representation,  # noqa: E402
                           semidirect_product)
 from rblie.search import SearchSpec, enumerate_rb_operators  # noqa: E402
@@ -94,6 +103,10 @@ SL3_BASIS = ("E12", "E13", "E21", "E23", "E31", "E32", "H1", "H2")
 SL3_FOUND = 795  # masked sl3 operators over {-1,0,1}
 FLAG_BROKEN_REPORT = (6198, 37)  # checks and violations of the flag-broken dim0-8 row
 FRESH_RUNS = 5  # fresh interpreters per run of a start-up row
+SPARSE_COUNT = (200, 1_333_500)  # dim of the counted sparse `lie` document, its checks
+VERIFY_PEAK = ("import sys; from rblie.cli import main; code = main(['verify', sys.argv[1]]); "
+               "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM'))); "
+               "sys.exit(code)")
 INVERSE_DIM = 8  # the basis change of the exact-inverse row
 
 
@@ -237,7 +250,35 @@ def fresh(*args: str) -> int:
     return int(done.stderr.split()[1]) if done.stderr else 0
 
 
-def rows() -> dict:
+def sparse_lie(n: int) -> str:
+    """A `lie` document declaring dim n with two bracket entries,
+    [e0, e1] = e2 and its skew partner."""
+    return dumps(LieAlgebra.from_brackets(n, {(0, 1): vbasis(n, 2)}))
+
+
+def fresh_verify(path: Path) -> tuple[int, float]:
+    """One fresh interpreter verifying `path` as ``rblie.cli verify`` does;
+    the checked count and the child's peak RSS in MB.  The child reads its
+    own VmHWM from /proc/self/status as it ends: `getrusage` would also
+    count the measuring process, whose peak a child inherits at exec."""
+    done = subprocess.run([sys.executable, "-c", VERIFY_PEAK, str(path)], cwd=ROOT,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    if done.returncode != 0:
+        raise SystemExit(f"verify {path.name} exited {done.returncode}: {done.stderr}")
+    return int(done.stderr.split()[1]), int(done.stdout.split()[1]) / 1024
+
+
+def sparse_count(text: str) -> int:
+    """The closed-form check count of the SPARSE_COUNT document."""
+    count = structure_checks(loads(text)).count
+    if count != SPARSE_COUNT[1]:
+        raise SystemExit(f"the dim-{SPARSE_COUNT[0]} sparse lie document counts {count} checks, "
+                         f"not {SPARSE_COUNT[1]}")
+    return count
+
+
+def rows(work: Path) -> dict:
     out = {f"zero lie dim {n}": lambda n=n: verify_object(zero_lie(n)) for n in (8, 12, 16, 25)}
     out.update({f"zero rb-2term dim0 {d} dim1 2": lambda d=d: verify_object(zero_rb_2term(d, 2))
                 for d in range(3, 7)})
@@ -275,6 +316,14 @@ def rows() -> dict:
         "-c", "import rblie.cli")
     out[f"{FRESH_RUNS} fresh python -m rblie.cli verify catalog/abelian1.json"] = lambda: fresh(
         "-m", "rblie.cli", "verify", str(CATALOG / "abelian1.json"))
+    for n in (50, 100):
+        path = work / f"sparse-lie-{n}.json"
+        path.write_text(sparse_lie(n), encoding="utf-8")
+        out[f"fresh-interpreter verify of a two-entry lie document of dim {n}"] = \
+            lambda path=path: fresh_verify(path)
+    text = sparse_lie(SPARSE_COUNT[0])
+    out[f"count of the two-entry lie document of dim {SPARSE_COUNT[0]}"] = \
+        lambda: sparse_count(text)
     return out
 
 
@@ -284,16 +333,23 @@ def main(argv: list[str]) -> int:
         return 2
     result = {"python": platform.python_version(), "machine": platform.machine(),
               "repeats": REPEATS, "rows": {}}
-    for name, fn in rows().items():
-        runs = []
-        for _ in range(REPEATS):
-            start = perf_counter()
-            checked = fn()
-            runs.append(perf_counter() - start)
-        median = statistics.median(runs)
-        result["rows"][name] = {"median_s": round(median, 4),
-                                "runs_s": [round(t, 4) for t in runs], "checked": checked}
-        print(f"{name}: {median:.3f} s ({checked} checks)", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as work:
+        for name, fn in rows(Path(work)).items():
+            runs, rss = [], []
+            for _ in range(REPEATS):
+                start = perf_counter()
+                checked = fn()
+                runs.append(perf_counter() - start)
+                if isinstance(checked, tuple):  # a fresh `verify`: (checks, peak RSS)
+                    checked, mb = checked
+                    rss.append(mb)
+            median = statistics.median(runs)
+            row = result["rows"][name] = {"median_s": round(median, 4),
+                                          "runs_s": [round(t, 4) for t in runs],
+                                          "checked": checked}
+            if rss:
+                row["peak_rss_mb"] = round(max(rss), 1)
+            print(f"{name}: {median:.3f} s ({checked} checks)", file=sys.stderr)
     result["src_lines"] = sum(len(p.read_text().splitlines())
                               for p in sorted((ROOT / "src").rglob("*.py")))
     Path(argv[0]).write_text(json.dumps(result, indent=2) + "\n")

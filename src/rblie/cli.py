@@ -6,11 +6,11 @@ errors.  Violation lines are machine-parseable and sorted:
 
     VIOLATION <condition-id> <index-tuple> <residual>
 
-Every verification runs its checks serially in one pass over one check
-list; the `rbh3` chain residual is evaluated once per pair and feeds the
-`rbh3` check, the `cohm` diagram check (`rbh3` minus the phi3 bracket
-term) and the `cohm-vs-rbh3` cross-check.  Constructed documents go to -o
-or stdout.
+Every verification runs its checks serially in one pass over the
+document's check families; the `rbh3` chain residual is evaluated once
+per pair and feeds the `rbh3` check, the `cohm` diagram check (`rbh3`
+minus the phi3 bracket term) and the `cohm-vs-rbh3` cross-check.
+Constructed documents go to -o or stdout.
 
 The argument parser is built on the first `main` call and reused by every
 later call in the same process; parsing leaves no state on it.
@@ -37,7 +37,7 @@ from .liealg import (LieAlgebra, PreLieAlgebra, RBRepresentation,
 from .lie2 import (coherence_checks, hom_coherence_checks,
                    jacobiator_coherence_checks, roundtrip_hom,
                    roundtrip_structure)
-from .report import Check, VerificationReport, prefix_checks, run_checks
+from .report import Checks, VerificationReport, run_checks
 from .search import SearchSpec, enumerate_rb_operators, mutate
 from .serialize import (SearchResults, dumps, load, parse_rational, save)
 from .twoterm import (LInfinityHom, RBLInfinityHom, TwoTermLInfinity,
@@ -45,10 +45,10 @@ from .twoterm import (LInfinityHom, RBLInfinityHom, TwoTermLInfinity,
                       hom_checks, two_term_checks, rb_triple_checks)
 
 
-def structure_checks(obj) -> list[Check]:
-    """The full check list for the object's kind: the one place that knows
-    which check families make up a whole document.  Operator-carrying
-    two-term structures and homomorphisms include the diagram-level
+def structure_checks(obj) -> Checks:
+    """The check families of the object's kind (`count` checks): the one
+    place that knows which families make up a whole document.  Operator-
+    carrying two-term structures and homomorphisms include the diagram-level
     coherence checks, so exit 0 certifies both layers."""
     if isinstance(obj, RotaBaxterLieAlgebra):
         return lie_checks(obj.base) + rb_checks(obj)
@@ -58,8 +58,7 @@ def structure_checks(obj) -> list[Check]:
         return prelie_checks(obj)
     if isinstance(obj, RBRepresentation):
         alg = obj.algebra
-        return (prefix_checks("alg-", lie_checks(alg.base) + rb_checks(alg))
-                + representation_checks(obj))
+        return (lie_checks(alg.base) + rb_checks(alg)).prefixed("alg-") + representation_checks(obj)
     if isinstance(obj, TwoTermRBLInfinity):
         return (two_term_checks(obj.linf) + rb_triple_checks(obj)
                 + coherence_checks(obj) + jacobiator_coherence_checks(obj))
@@ -67,15 +66,12 @@ def structure_checks(obj) -> list[Check]:
         return two_term_checks(obj)
     if isinstance(obj, RBLInfinityHom):
         rb_hom = rb_hom_checks(obj)
-        return (prefix_checks("src-", two_term_checks(obj.source.linf)
-                              + rb_triple_checks(obj.source))
-                + prefix_checks("tgt-", two_term_checks(obj.target.linf)
-                                + rb_triple_checks(obj.target))
+        return ((two_term_checks(obj.source.linf) + rb_triple_checks(obj.source)).prefixed("src-")
+                + (two_term_checks(obj.target.linf) + rb_triple_checks(obj.target)).prefixed("tgt-")
                 + hom_checks(obj.hom) + rb_hom + hom_coherence_checks(obj, rb_hom))
     if isinstance(obj, LInfinityHom):
-        return (prefix_checks("src-", two_term_checks(obj.source))
-                + prefix_checks("tgt-", two_term_checks(obj.target))
-                + hom_checks(obj))
+        return (two_term_checks(obj.source).prefixed("src-")
+                + two_term_checks(obj.target).prefixed("tgt-") + hom_checks(obj))
     if isinstance(obj, RBLieCrossedModule):
         return rb_crossed_checks(obj)
     if isinstance(obj, LieCrossedModule):
@@ -85,8 +81,7 @@ def structure_checks(obj) -> list[Check]:
     if isinstance(obj, SearchResults):
         checks = lie_checks(obj.algebra)
         for pos, op in enumerate(obj.operators):
-            checks += prefix_checks(f"op{pos}-",
-                                    rb_checks(RotaBaxterLieAlgebra(obj.algebra, op)))
+            checks += rb_checks(RotaBaxterLieAlgebra(obj.algebra, op)).prefixed(f"op{pos}-")
         return checks
     raise StructureError(f"no verifier for {type(obj).__name__}")
 

@@ -2,7 +2,7 @@
 one check builder per flavour, the correspondence with strict two-term
 structures, the pre-Lie construction and its Lie composite (the derived
 crossed module), and semidirect assembly.  Each check builder is the
-constituents' checks under a `g0-`/`g1-` or `p0-`/`p1-` prefix plus one
+constituents' checks `prefixed` by `g0-`/`g1-` or `p0-`/`p1-` plus one
 `report.family` per axiom, over a residual of basis indices.
 `cli.verify_structure` runs the builder of a document's flavour; each
 construction runs the builders of its output.
@@ -15,7 +15,8 @@ checked by the same `check_action_shapes`.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations
+from math import comb
 
 from .errors import NotStrict, ShapeMismatch
 from .liealg import (LieAlgebra, PreLieAlgebra, RotaBaxterLieAlgebra, act_on,
@@ -23,7 +24,7 @@ from .liealg import (LieAlgebra, PreLieAlgebra, RotaBaxterLieAlgebra, act_on,
                      check_action_shapes, commutator, hom_residual, lie_checks,
                      operator_product, prelie_checks, rb_checks, row_major,
                      semidirect_data)
-from .report import Check, family, prefix_checks, run_checks
+from .report import Checks, choose, family, grid, run_checks
 from .tensors import BilinearMap, LinearMap, TrilinearMap, vadd, vneg, vsub
 from .twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,
                       TwoTermRBLInfinity, rb_triple_checks, two_term_checks)
@@ -69,7 +70,7 @@ class PreLieCrossedModule(Value):
         check_action_shapes(self.p0.dim, self.p1.dim, self.r_act, "right action")
 
 
-def lie_crossed_checks(cm: LieCrossedModule) -> list[Check]:
+def lie_crossed_checks(cm: LieCrossedModule) -> Checks:
     n0, n1 = cm.g0.dim, cm.g1.dim
     br0, br1, d, rho = cm.g0.bracket, cm.g1.bracket, cm.d, cm.rho
 
@@ -77,30 +78,30 @@ def lie_crossed_checks(cm: LieCrossedModule) -> list[Check]:
         act = rho[i]
         return vsub(act(br1(a, b)), vadd(br1(act(a), b), br1(a, act(b))))
 
-    return (prefix_checks("g0-", lie_checks(cm.g0)) + prefix_checks("g1-", lie_checks(cm.g1))
-            + family("d-hom", partial(hom_residual, d, br1, br0), combinations(range(n1), 2))
+    return (lie_checks(cm.g0).prefixed("g0-") + lie_checks(cm.g1).prefixed("g1-")
+            + family("d-hom", partial(hom_residual, d, br1, br0), *choose(n1, 2))
             + family("action-hom", lambda i, j: action_hom_residual(rho, br0(i, j), i, j),
-                     combinations(range(n0), 2))
+                     *choose(n0, 2))
             + family("action-der", action_der,
-                     ((i, a, b) for i in range(n0) for a, b in combinations(range(n1), 2)))
-            + family("peiffer1", lambda i, a: vsub(d(rho[i](a)), br0(i, d(a))),
-                     product(range(n0), range(n1)))
+                     lambda: ((i, a, b) for i in range(n0) for a, b in combinations(range(n1), 2)),
+                     n0 * comb(n1, 2))
+            + family("peiffer1", lambda i, a: vsub(d(rho[i](a)), br0(i, d(a))), *grid(n0, n1))
             + family("peiffer2", lambda a, b: vsub(act_on(rho, d(a), b, n1), br1(a, b)),
-                     product(range(n1), repeat=2)))
+                     *grid(n1, n1)))
 
 
-def rb_crossed_checks(cm: RBLieCrossedModule) -> list[Check]:
+def rb_crossed_checks(cm: RBLieCrossedModule) -> Checks:
     base = cm.base
     return (lie_crossed_checks(base)
-            + prefix_checks("g0-", rb_checks(RotaBaxterLieAlgebra(base.g0, cm.t0)))
-            + prefix_checks("g1-", rb_checks(RotaBaxterLieAlgebra(base.g1, cm.t1)))
+            + rb_checks(RotaBaxterLieAlgebra(base.g0, cm.t0)).prefixed("g0-")
+            + rb_checks(RotaBaxterLieAlgebra(base.g1, cm.t1)).prefixed("g1-")
             + family("d-rb", partial(chain_residual, cm.t1, cm.t0, base.d, base.d),
-                     product(range(base.g1.dim)))
+                     *grid(base.g1.dim))
             + family("action-rb", partial(action_rb_residual, base.rho, cm.t0, cm.t1),
-                     product(range(base.g0.dim))))
+                     *grid(base.g0.dim)))
 
 
-def prelie_crossed_checks(pm: PreLieCrossedModule) -> list[Check]:
+def prelie_crossed_checks(pm: PreLieCrossedModule) -> Checks:
     n0, n1 = pm.p0.dim, pm.p1.dim
     m0, m1, delta, l_act, r_act = pm.p0.mult, pm.p1.mult, pm.delta, pm.l_act, pm.r_act
 
@@ -116,17 +117,17 @@ def prelie_crossed_checks(pm: PreLieCrossedModule) -> list[Check]:
                                vsub(act_on(r_act, xy, c, n1), r(r_act[i](c))))
                           for c in range(n1)])
 
-    pairs1, mixed = list(product(range(n1), repeat=2)), list(product(range(n0), range(n1)))
-    return (prefix_checks("p0-", prelie_checks(pm.p0)) + prefix_checks("p1-", prelie_checks(pm.p1))
-            + family("delta-hom", partial(hom_residual, delta, m1, m0), pairs1)
-            + family("l-rep", l_rep, combinations(range(n0), 2))
-            + family("lr-rep", lr_rep, product(range(n0), repeat=2))
-            + family("delta-l", lambda i, a: vsub(delta(l_act[i](a)), m0(i, delta(a))), mixed)
-            + family("delta-r", lambda i, a: vsub(delta(r_act[i](a)), m0(delta(a), i)), mixed)
+    pairs1, mixed = grid(n1, n1), grid(n0, n1)
+    return (prelie_checks(pm.p0).prefixed("p0-") + prelie_checks(pm.p1).prefixed("p1-")
+            + family("delta-hom", partial(hom_residual, delta, m1, m0), *pairs1)
+            + family("l-rep", l_rep, *choose(n0, 2))
+            + family("lr-rep", lr_rep, *grid(n0, n0))
+            + family("delta-l", lambda i, a: vsub(delta(l_act[i](a)), m0(i, delta(a))), *mixed)
+            + family("delta-r", lambda i, a: vsub(delta(r_act[i](a)), m0(delta(a), i)), *mixed)
             + family("peiffer-l", lambda a, b: vsub(act_on(l_act, delta(a), b, n1), m1(a, b)),
-                     pairs1)
+                     *pairs1)
             + family("peiffer-r", lambda a, b: vsub(act_on(r_act, delta(b), a, n1), m1(a, b)),
-                     pairs1))
+                     *pairs1))
 
 
 def strict_to_crossed_data(G: TwoTermRBLInfinity) -> RBLieCrossedModule:

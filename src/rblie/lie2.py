@@ -23,10 +23,10 @@ when one is not.  Once the skew and alternating flags hold, the `coh` and
 tests prove both identities), so neither is compared with its chain
 condition here.  The homomorphism diagram `cohm` has every term of
 the chain condition `rbh3` plus the arrow part B of the bracket
-[f3(x), f3(y)] (`phi3_bracket`), so it is read as `rbh3` - B from the one
-evaluation of `rbh3`; its `cohm-vs-rbh3` cross-check reads the same
-evaluations, and a disagreement is reported as its own violation, never
-patched silently.
+[f3(x), f3(y)] (`phi3_bracket`), so it is read as `rbh3` - B from the
+cached residual of the `rbh3` family; its `cohm-vs-rbh3` cross-check reads
+the same evaluations, and a disagreement is reported as its own violation,
+never patched silently.
 
 The round trips read each map back at basis vectors against its stored
 image (`_read_back`), one `rt-*` id per map.  That compares a map with
@@ -37,10 +37,9 @@ structure (Baez-Crans, *HDA VI*).
 from __future__ import annotations
 
 from functools import cache, partial
-from itertools import combinations, product
 
 from .errors import NotComposable
-from .report import Check, VerificationReport, family, run_checks
+from .report import Checks, VerificationReport, choose, family, grid, run_checks
 from .tensors import (Vec, vadd, vbasis, vneg, vsub, vzero, is_zero)
 from .twoterm import (RBLInfinityHom, TwoTermRBLInfinity, ordered_checks,
                       rbh3_residual)
@@ -123,7 +122,7 @@ def coherence_residual(G: TwoTermRBLInfinity, i: int, j: int, k: int) -> Vec:
     ])
 
 
-def coherence_checks(G: TwoTermRBLInfinity) -> list[Check]:
+def coherence_checks(G: TwoTermRBLInfinity) -> Checks:
     """Diagram-level operator coherence over every ordered basis triple."""
     L = G.linf
     return ordered_checks("coh", L.dim0, 3, partial(coherence_residual, G), L.dim1,
@@ -151,7 +150,7 @@ def jacobiator_coherence_residual(G: TwoTermRBLInfinity,
     ])
 
 
-def jacobiator_coherence_checks(G: TwoTermRBLInfinity) -> list[Check]:
+def jacobiator_coherence_checks(G: TwoTermRBLInfinity) -> Checks:
     """Diagram-level Jacobiator coherence over every ordered basis
     quadruple."""
     L = G.linf
@@ -181,7 +180,7 @@ def _zero_iff_zero(a: Vec, b: Vec) -> Vec:
     return vzero(len(a)) if is_zero(a) == is_zero(b) else vsub(a, b)
 
 
-def hom_coherence_checks(F: RBLInfinityHom, chain: list[Check]) -> list[Check]:
+def hom_coherence_checks(F: RBLInfinityHom, chain: Checks) -> Checks:
     """Diagram-level homomorphism coherence over every ordered basis pair.
 
     The diagram bracket of the two comparison morphisms f3(x), f3(y) has
@@ -190,23 +189,23 @@ def hom_coherence_checks(F: RBLInfinityHom, chain: list[Check]) -> list[Check]:
 
         cohm(x, y) = rbh3(x, y) - B(x, y).
 
-    So `cohm` reads the cached `rbh3` check of `chain` (the list
-    `rb_hom_checks(F)`) and subtracts B.  The cross-check still asserts
+    So `cohm` reads the cached residual of the `rbh3` family of `chain`
+    (`rb_hom_checks(F)`) and subtracts B.  The cross-check still asserts
     only zero iff zero pair-by-pair and reports any disagreement under
     `cohm-vs-rbh3`; it reads the same two cached evaluations.
     """
-    rbh3 = {idx: fn for cond, idx, fn in chain if cond == "rbh3"}
-    cohm = cache(lambda i, j: vsub(rbh3[i, j](), phi3_bracket(F, i, j)))
-    return (family("cohm", cohm, rbh3)
-            + family("cohm-vs-rbh3", lambda i, j: _zero_iff_zero(cohm(i, j), rbh3[i, j]()),
-                     rbh3))
+    [(rbh3, *pairs)] = [fam[1:] for fam in chain.families if fam[0] == "rbh3"]
+    cohm = cache(lambda i, j: vsub(rbh3(i, j), phi3_bracket(F, i, j)))
+    return (family("cohm", cohm, *pairs)
+            + family("cohm-vs-rbh3", lambda i, j: _zero_iff_zero(cohm(i, j), rbh3(i, j)),
+                     *pairs))
 
 
-def _read_back(cond: str, m, indices) -> list[Check]:
-    """`cond` at each tuple of `indices`: `m` applied to those basis vectors
-    minus its stored image there."""
+def _read_back(cond: str, m, tuples, count: int) -> Checks:
+    """`cond` at each of the tuples that `tuples()` makes: `m` applied to
+    those basis vectors minus its stored image there."""
     return family(cond, lambda *idx: vsub(m.apply(*map(vbasis, m.shape[1:], idx)), m(*idx)),
-                  indices)
+                  tuples, count)
 
 
 def roundtrip_structure(G: TwoTermRBLInfinity) -> VerificationReport:
@@ -215,13 +214,13 @@ def roundtrip_structure(G: TwoTermRBLInfinity) -> VerificationReport:
     L, rb = G.linf, G.rb
     d0, d1 = L.dim0, L.dim1
     return run_checks(
-        _read_back("rt-l1", L.complex.l1, product(range(d1)))
-        + _read_back("rt-r1", rb.r1, product(range(d1)))
-        + _read_back("rt-r0", rb.r0, product(range(d0)))
-        + _read_back("rt-l2-obj", L.l2_00, product(range(d0), repeat=2))
-        + _read_back("rt-l2-act", L.l2_01, product(range(d0), range(d1)))
-        + _read_back("rt-r2", rb.r2, combinations(range(d0), 2))
-        + _read_back("rt-l3", L.l3, combinations(range(d0), 3)))
+        _read_back("rt-l1", L.complex.l1, *grid(d1))
+        + _read_back("rt-r1", rb.r1, *grid(d1))
+        + _read_back("rt-r0", rb.r0, *grid(d0))
+        + _read_back("rt-l2-obj", L.l2_00, *grid(d0, d0))
+        + _read_back("rt-l2-act", L.l2_01, *grid(d0, d1))
+        + _read_back("rt-r2", rb.r2, *choose(d0, 2))
+        + _read_back("rt-l3", L.l3, *choose(d0, 3)))
 
 
 def roundtrip_hom(F: RBLInfinityHom) -> VerificationReport:
@@ -229,7 +228,7 @@ def roundtrip_hom(F: RBLInfinityHom) -> VerificationReport:
     id per map; this certifies nothing independent of the maps themselves."""
     d0, d1 = F.source.linf.dim0, F.source.linf.dim1
     return run_checks(
-        _read_back("rt-phi0", F.hom.phi0, product(range(d0)))
-        + _read_back("rt-phi3", F.phi3, product(range(d0)))
-        + _read_back("rt-phi2", F.hom.phi2, product(range(d0), repeat=2))
-        + _read_back("rt-phi1", F.hom.phi1, product(range(d1))))
+        _read_back("rt-phi0", F.hom.phi0, *grid(d0))
+        + _read_back("rt-phi3", F.phi3, *grid(d0))
+        + _read_back("rt-phi2", F.hom.phi2, *grid(d0, d0))
+        + _read_back("rt-phi1", F.hom.phi1, *grid(d1)))

@@ -2,7 +2,7 @@
 representations, duals and semidirect products.
 
 Each `*_checks` builder returns its identities for `report.run_checks` as
-a sum of `report.family` lists over residuals of basis indices (the
+a sum of `report.family` values over residuals of basis indices (the
 module-level `*_residual` functions bound with `partial`, or a local
 function); constructions run the builders they certify on their outputs
 and raise `InternalInvariantBroken` on failure.
@@ -12,10 +12,11 @@ All types are immutable values; every function here is pure.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations
+from math import comb
 
 from .errors import ShapeMismatch
-from .report import Check, family, run_checks
+from .report import Checks, choose, family, grid, run_checks
 from .tensors import (BilinearMap, LinearMap, Vec, from_cells, vadd, vscale,
                       vsub, vzero)
 from .value import Value
@@ -147,27 +148,27 @@ def action_rb_residual(rho: tuple[LinearMap, ...], r: LinearMap, k: LinearMap,
                       for c in range(n)])
 
 
-def skew_checks(b: BilinearMap, condition: str = "skew") -> list[Check]:
+def skew_checks(b: BilinearMap, condition: str = "skew") -> Checks:
     return family(condition, lambda i, j: vadd(b(i, j), b(j, i)),
-                  combinations_with_replacement(range(b.dim_a), 2))
+                  *choose(b.dim_a, 2, repeat=True))
 
 
-def lie_checks(alg: LieAlgebra) -> list[Check]:
+def lie_checks(alg: LieAlgebra) -> Checks:
     """Skew-symmetry on basis pairs, Jacobi on basis triple classes."""
     br = alg.bracket
     return skew_checks(br) + family(
         "jacobi", lambda x, y, z: vadd(br(x, br(y, z)), br(y, br(z, x)), br(z, br(x, y))),
-        combinations(range(alg.dim), 3))
+        *choose(alg.dim, 3))
 
 
-def rb_checks(rba: RotaBaxterLieAlgebra) -> list[Check]:
+def rb_checks(rba: RotaBaxterLieAlgebra) -> Checks:
     """The weight-zero operator identity on basis pair classes; the base's
     own identities are `lie_checks(rba.base)`."""
     return family("rota-baxter", partial(rb_residual, rba.base.bracket, rba.r),
-                  combinations(range(rba.dim), 2))
+                  *choose(rba.dim, 2))
 
 
-def prelie_checks(p: PreLieAlgebra) -> list[Check]:
+def prelie_checks(p: PreLieAlgebra) -> Checks:
     """Associator symmetry in the first two arguments, exactly."""
     m, n = p.mult, p.dim
 
@@ -175,17 +176,18 @@ def prelie_checks(p: PreLieAlgebra) -> list[Check]:
         return vsub(m(m(x, y), z), m(x, m(y, z)))
 
     return family("pre-lie", lambda i, j, k: vsub(assoc(i, j, k), assoc(j, i, k)),
-                  ((i, j, k) for i, j in combinations(range(n), 2) for k in range(n)))
+                  lambda: ((i, j, k) for i, j in combinations(range(n), 2) for k in range(n)),
+                  comb(n, 2) * n)
 
 
-def representation_checks(rep: RBRepresentation) -> list[Check]:
+def representation_checks(rep: RBRepresentation) -> Checks:
     """Lie-action property plus the module-operator compatibility identity;
     the algebra's own identities are not included."""
     alg, rho = rep.algebra, rep.rho
     return (family("rep-hom", lambda i, j: action_hom_residual(rho, alg.base.bracket(i, j), i, j),
-                   combinations(range(alg.dim), 2))
+                   *choose(alg.dim, 2))
             + family("rep-rb", partial(action_rb_residual, rho, alg.r, rep.cal_r),
-                     product(range(alg.dim))))
+                     *grid(alg.dim)))
 
 
 def operator_product(alg: LieAlgebra, r: LinearMap) -> PreLieAlgebra:

@@ -7,7 +7,7 @@ l2_01 on g0 x g1 -> g1); the bracket of two degree-one elements vanishes
 because no degree-two component exists.  The skew extension across degrees
 is l2(u, x) = -l2(x, u) for x in g0, u in g1.
 
-Each check builder is a sum of `report.family` lists, one per condition,
+Each check builder is a sum of `report.family` values, one per condition,
 over residual functions of basis indices.  Condition ids, by check builder
 (each builder leaves out the families it builds on;
 `cli.verify_structure` runs every family of a document):
@@ -26,23 +26,25 @@ l3 and R2 for `rb3` (its R2 terms sum every ordering of their arguments
 with its sign), l2_00, l3 and R2 for `coh`, l2_00 and l3 for `jcoh`, and
 the source's l2_00 and l3, the target's l3 and phi2 for `h3`.  Then
 `ordered_checks` evaluates the residual once per sorted tuple of distinct
-indices (cached, so the order the checks run in does not matter); every
-other ordering of those indices reports sign(pi) times that value, and a
-tuple with a repeated index reports zero.  Whether the maps are
-alternating is read from their stores (`is_alternating`), never from their
-flags or from the flag checks' results.  When one is not, its flag check
-fires and every ordered tuple is evaluated literally, so a store that
-breaks its flag reports the residuals of the maps as stored.
+indices (memoized, so the order the checks run in does not matter); every
+ordering of those indices reads sign(pi) times that value, and the tuples
+with a repeated index are a second family, the constant zero.  Whether the
+maps are alternating is read from their stores (`is_alternating`), never
+from their flags or from the flag checks' results.  When one is not, its
+flag check fires and every ordered tuple is evaluated literally, so a
+store that breaks its flag reports the residuals of the maps as stored.
 """
 
 from __future__ import annotations
 
 from functools import cache, partial
-from itertools import combinations, combinations_with_replacement, product
+from itertools import (combinations, combinations_with_replacement, filterfalse, permutations,
+                       product)
+from math import comb, perm
 
 from .errors import (InternalInvariantBroken, NotChainMap, ShapeMismatch,
                      SourceTargetMismatch)
-from .report import Check, VerificationReport, family, run_checks
+from .report import Checks, VerificationReport, choose, family, grid, run_checks
 from .tensors import (BilinearMap, LinearMap, TrilinearMap, Vec,
                       signed_permutations, solve_exact, vadd, vneg, vscale, vsub,
                       vzero)
@@ -108,52 +110,47 @@ class TwoTermRBLInfinity(Value):
         return self.linf.l3.is_zero() and self.rb.r2.is_zero()
 
 
-def _orbits(n: int, arity: int):
-    """(tuple, its sorted tuple, the sign of the permutation that sorts it)
-    for every ordered `arity`-tuple of distinct indices below `n`."""
-    for s in combinations(range(n), arity):
-        for p, sign in signed_permutations(arity):
-            yield tuple(s[q] for q in p), s, sign
-
-
 def ordered_checks(cond: str, n: int, arity: int, residual, dim_out: int,
-                   alternating: bool) -> list[Check]:
-    """`cond` at every ordered `arity`-tuple of basis indices below `n`, in
-    lexicographic order, with residual `residual(*idx)` of length `dim_out`.
-    When `alternating`, the residual is evaluated once per sorted tuple of
-    distinct indices, which every ordering of them reads with its sign, and
-    a tuple with a repeated index reads zero; otherwise each tuple is
-    evaluated as given."""
-    tuples = product(range(n), repeat=arity)
+                   alternating: bool) -> Checks:
+    """`cond` at every ordered `arity`-tuple of basis indices below `n`, with
+    residual `residual(*idx)` of length `dim_out`.  When `alternating`, it is
+    evaluated once per sorted tuple of distinct indices, which every
+    ordering reads with its sign, and a tuple with a repeated index is zero."""
     if not alternating:
-        return family(cond, residual, tuples)
-    zero = vzero(dim_out)
-    fns = dict.fromkeys(tuples, lambda: zero)
-    at = {s: cache(partial(residual, *s)) for s in combinations(range(n), arity)}
-    for idx, s, sign in _orbits(n, arity):
-        fns[idx] = at[s] if sign > 0 else partial(_negated, at[s])
-    return [(cond, idx, fn) for idx, fn in fns.items()]
+        return family(cond, residual, *grid(*(n,) * arity))
+    signed = {}  # each ordering of an evaluated sorted tuple: its signed value
+
+    def read(*idx):
+        if idx not in signed:
+            s = tuple(sorted(idx))
+            value = residual(*s)
+            for p, sign in signed_permutations(arity):
+                signed[tuple(s[q] for q in p)] = value if sign > 0 else vneg(value)
+        return signed[idx]
+
+    def repeated():  # every ordered tuple that is not an ordering of distinct indices
+        return filterfalse(set(permutations(range(n), arity)).__contains__,
+                           product(range(n), repeat=arity))
+
+    distinct = perm(n, arity)
+    return (family(cond, read, lambda: permutations(range(n), arity), distinct)
+            + family(cond, vzero(dim_out), repeated, n ** arity - distinct))
 
 
-def _negated(thunk) -> Vec:
-    return vneg(thunk())
-
-
-def alt_checks(t: TrilinearMap) -> list[Check]:
+def alt_checks(t: TrilinearMap) -> Checks:
     """value(i,j,k) must equal sign * value(sorted(i,j,k)); repeats force 0."""
-    orbit = {idx: (s, sign) for idx, s, sign in _orbits(t.dim, 3) if idx != s}
+    def residual(i, j, k):
+        if i == j or j == k or k == i:  # a repeated index
+            return t(i, j, k)
+        sign = 1 if (i < j) + (j < k) + (k < i) == 2 else -1  # two ascents: a rotation
+        return vsub(t(i, j, k), vscale(sign, t(*sorted((i, j, k)))))
 
-    def residual(*idx):
-        if idx not in orbit:  # a repeated index
-            return t(*idx)
-        s, sign = orbit[idx]
-        return vsub(t(*idx), vscale(sign, t(*s)))
-
-    return family("alt-l3", residual, (idx for idx in product(range(t.dim), repeat=3)
-                                       if not idx[0] < idx[1] < idx[2]))
+    return family("alt-l3", residual, lambda: (idx for idx in product(range(t.dim), repeat=3)
+                                               if not idx[0] < idx[1] < idx[2]),
+                  t.dim ** 3 - comb(t.dim, 3))
 
 
-def two_term_checks(L: TwoTermLInfinity) -> list[Check]:
+def two_term_checks(L: TwoTermLInfinity) -> Checks:
     """Flag consistency plus the four defining conditions of the bracket,
     the homotopy, and their compatibilities."""
     d0, d1 = L.dim0, L.dim1
@@ -167,14 +164,14 @@ def two_term_checks(L: TwoTermLInfinity) -> list[Check]:
                                           vneg(act(j, act(i, a)))))
 
     return (skew_checks(L.l2_00, "skew-l2") + alt_checks(L.l3)
-            + family("a", lambda _, i, a: vsub(l1(act(i, a)), br(i, l1(a))),
-                     product((0,), range(d0), range(d1)))
+            + family("a", lambda _, i, a: vsub(l1(act(i, a)), br(i, l1(a))), *grid(1, d0, d1))
             + family("a", lambda _, a, b: vadd(act(l1(a), b), act(l1(b), a)),
-                     ((1, a, b) for a, b in combinations_with_replacement(range(d1), 2)))
-            + family("b", b_res, combinations(range(d0), 3))
-            + family("c", c_res, ((i, j, a) for i, j in combinations(range(d0), 2)
-                                  for a in range(d1)))
-            + family("d", partial(quadruple_identity_residual, L), combinations(range(d0), 4)))
+                     lambda: ((1, a, b) for a, b in combinations_with_replacement(range(d1), 2)),
+                     comb(d1 + 1, 2))
+            + family("b", b_res, *choose(d0, 3))
+            + family("c", c_res, lambda: ((i, j, a) for i, j in combinations(range(d0), 2)
+                                          for a in range(d1)), comb(d0, 2) * d1)
+            + family("d", partial(quadruple_identity_residual, L), *choose(d0, 4)))
 
 
 def quadruple_identity_residual(L: TwoTermLInfinity,
@@ -227,7 +224,7 @@ def rb2_residual(G: TwoTermRBLInfinity, a: int, i: int) -> Vec:
     return vsub(lhs, r2(L.complex.l1(a), x))
 
 
-def rb_triple_checks(G: TwoTermRBLInfinity) -> list[Check]:
+def rb_triple_checks(G: TwoTermRBLInfinity) -> Checks:
     """Chain-map property and the three operator conditions; the underlying
     two-term structure's own conditions are `two_term_checks(G.linf)`."""
     L, rb = G.linf, G.rb
@@ -237,10 +234,10 @@ def rb_triple_checks(G: TwoTermRBLInfinity) -> list[Check]:
     def rb1(i, j):  # the operator defect, -rb_residual, must equal l1 R2(e_i, e_j)
         return vneg(vadd(rb_residual(L.l2_00, rb.r0, i, j), l1(rb.r2(i, j))))
 
-    return (family("chain", partial(chain_residual, rb.r1, rb.r0, l1, l1), product(range(d1)))
+    return (family("chain", partial(chain_residual, rb.r1, rb.r0, l1, l1), *grid(d1))
             + skew_checks(rb.r2, "skew-r2")
-            + family("rb1", rb1, combinations(range(d0), 2))
-            + family("rb2", partial(rb2_residual, G), product(range(d1), range(d0)))
+            + family("rb1", rb1, *choose(d0, 2))
+            + family("rb2", partial(rb2_residual, G), *grid(d1, d0))
             + ordered_checks("rb3", d0, 3, partial(rb3_residual, G), d1,
                              all(m.is_alternating() for m in (L.l3, rb.r2))))
 
@@ -309,7 +306,7 @@ class RBLInfinityHom(Value):
             raise ShapeMismatch("phi3 must map source g0 to target g1")
 
 
-def hom_checks(f: LInfinityHom) -> list[Check]:
+def hom_checks(f: LInfinityHom) -> Checks:
     """Chain-map property and the three homomorphism conditions; the
     endpoints' own conditions are not included."""
     src, tgt = f.source, f.target
@@ -324,9 +321,9 @@ def hom_checks(f: LInfinityHom) -> list[Check]:
 
     return (skew_checks(p2, "skew-phi2")
             + family("chain", partial(chain_residual, p1, p0, src.complex.l1, tgt.complex.l1),
-                     product(range(d1)))
-            + family("h1", h1, combinations(range(d0), 2))
-            + family("h2", h2, product(range(d0), range(d1)))
+                     *grid(d1))
+            + family("h1", h1, *choose(d0, 2))
+            + family("h2", h2, *grid(d0, d1))
             + ordered_checks("h3", d0, 3, partial(h3_residual, f), tgt.dim1,
                              all(m.is_alternating() for m in (br, src.l3, tgt.l3, p2))))
 
@@ -363,7 +360,7 @@ def rbh3_residual(f: RBLInfinityHom, i: int, j: int) -> Vec:
     return vsub(lhs, rhs)
 
 
-def rb_hom_checks(f: RBLInfinityHom) -> list[Check]:
+def rb_hom_checks(f: RBLInfinityHom) -> Checks:
     """The three operator compatibilities; the underlying homomorphism
     conditions are `hom_checks(f.hom)`."""
     src, tgt = f.source, f.target
@@ -376,10 +373,10 @@ def rb_hom_checks(f: RBLInfinityHom) -> list[Check]:
     def rbh2(a):
         return vsub(p3(src.linf.complex.l1(a)), vsub(p1(src.rb.r1(a)), tgt.rb.r1(p1(a))))
 
-    return (family("rbh1", rbh1, product(range(d0)))
-            + family("rbh2", rbh2, product(range(d1)))
+    return (family("rbh1", rbh1, *grid(d0))
+            + family("rbh2", rbh2, *grid(d1))
             # cached: `cohm` and `cohm-vs-rbh3` read it too
-            + family("rbh3", cache(partial(rbh3_residual, f)), product(range(d0), repeat=2)))
+            + family("rbh3", cache(partial(rbh3_residual, f)), *grid(d0, d0)))
 
 
 def identity_rb_hom(G: TwoTermRBLInfinity) -> RBLInfinityHom:

@@ -304,7 +304,7 @@ def test_each_diagram_residual_is_evaluated_once(monkeypatch):
                          ids=["0", "1", "2", "0-dim0-4"])
 def test_cached_terms_give_the_direct_residuals_on_flag_broken_stores(seed, d0):
     """With l2_00, r2 and phi2 not skew and l3 not alternating, every `d`,
-    `jcoh`, `rb3`, `coh` and `h3` residual of the check lists, evaluated
+    `jcoh`, `rb3`, `coh` and `h3` residual of the check families, evaluated
     literally at each ordered tuple, equals its reference form, and so does
     the four-argument identity at every ordered quadruple; so no orbit
     evaluation stands in for a literal one.  The `d` check exists only from
@@ -360,7 +360,7 @@ def test_orbit_families_alternate_on_flag_respecting_stores():
     l3, where no axiom holds, each of `rb3`, `coh`, `jcoh` and `h3` is at
     every ordered tuple sign(pi) times its value at the sorted tuple, zero
     at every tuple with a repeated index and nonzero somewhere; and every
-    residual the check lists give equals its reference form."""
+    residual the check families give equals its reference form."""
     for seed in range(8):
         F = flag_respecting_rb_hom(seed)
         d0 = F.source.linf.dim0
@@ -417,7 +417,7 @@ def _broken_store(F, store):
 def test_orbit_checks_give_references_with_one_flag_broken(store, flag):
     """With one store of a flag-respecting homomorphism broken, only its
     flag check among the flag checks fires, and every ordered `rb3`, `coh`,
-    `jcoh` and `h3` residual of the check lists still equals its reference
+    `jcoh` and `h3` residual of the check families still equals its reference
     form: a family that reads the broken store is evaluated literally, so
     the predicate leaves out no store that a family needs."""
     for seed in range(2):

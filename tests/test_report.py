@@ -1,13 +1,17 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import product
+from math import comb
 
-from conftest import CATALOG_DIR, hom_mutants, structure_mutants
+from conftest import (CATALOG_DIR, hom_mutants, make_linf, structure_mutants,
+                      with_zero_rb)
 from rblie.cli import structure_checks, verify_structure
 from rblie.liealg import LieAlgebra
-from rblie.report import VerificationReport, Violation, family, run_checks
+from rblie.report import VerificationReport, Violation, choose, family, grid, run_checks
 from rblie.search import mutate
-from rblie.serialize import load
+from rblie.serialize import dumps, load, loads
+from rblie.twoterm import identity_rb_hom
 from rblie.tensors import BilinearMap, vbasis, vec
 
 
@@ -48,29 +52,32 @@ def test_run_checks_consumes_a_one_shot_generator():
     assert run_checks(iter(())).checked == 0
 
 
-def test_verify_holds_no_more_than_its_check_list():
-    """`run_checks` keeps only the violations, not every residual, so the
-    tracemalloc peak of `verify` on a sparse dim-40 Lie algebra (10,700
-    checks, one bracket pair) stays within 1.25x the peak of building its
-    check list alone; keeping every residual reads about 1.7x."""
-    def peak(fn):
-        n = 40
+def test_verify_peak_does_not_grow_with_the_check_count():
+    """No check list is built and `run_checks` keeps only the violations,
+    so the tracemalloc peak of `verify` on a sparse Lie algebra (one
+    bracket pair) does not grow with its check count: at dim 40 (10,700
+    checks) it is within 1.5x the peak at dim 20 (1,350 checks), and
+    under 64 KB."""
+    def peak(n):
         alg = LieAlgebra(n, BilinearMap.from_map(n, n, n, {(0, 1): vbasis(n, 2)}, skew=True))
         tracemalloc.start()
         try:
-            fn(alg)
-            return tracemalloc.get_traced_memory()[1]
+            checked = verify_structure(alg).checked
+            return checked, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    build, verify = peak(structure_checks), peak(verify_structure)
-    assert verify <= 1.25 * build, (verify, build)
+    peak(20)  # the first verify of a process makes its one-off allocations
+    (small_checks, small), (large_checks, large) = peak(20), peak(40)
+    assert (small_checks, large_checks) == (1350, 10700)
+    assert large <= 1.5 * small and large < 64 * 1024, (small, large)
 
 
 def test_family_binds_each_thunk_to_its_own_indices():
     """Each thunk of a family evaluates the residual at its own index
-    tuple, also when the tuples come from a one-shot generator that is
-    exhausted before any thunk runs (no late binding)."""
+    tuple, also when every thunk is made before any runs and they run in
+    reverse (no late binding); iterating the same `Checks` again makes the
+    same checks, as its index tuples are made afresh."""
     seen = []
 
     def residual(i, j):
@@ -78,16 +85,69 @@ def test_family_binds_each_thunk_to_its_own_indices():
         return vec(i, 10 * j)
 
     pairs = [(0, 1), (2, 0), (1, 1)]
-    for indices in (pairs, (p for p in pairs), iter(pairs)):
+    checks = family("cond", residual, lambda: (p for p in pairs), len(pairs))
+    for _ in range(2):
         seen.clear()
-        checks = family("cond", residual, indices)
+        made = list(checks)
         assert seen == []
-        assert [(c, idx) for c, idx, _ in checks] == [("cond", p) for p in pairs]
-        assert [fn() for _, _, fn in reversed(checks)] == [vec(1, 10), vec(2, 0), vec(0, 10)]
+        assert [(c, idx) for c, idx, _ in made] == [("cond", p) for p in pairs]
+        assert [fn() for _, _, fn in reversed(made)] == [vec(1, 10), vec(2, 0), vec(0, 10)]
         assert seen == pairs[::-1]
-    assert family("cond", residual, ()) == []
-    report = run_checks(family("odd", lambda i: vec(i % 2), ((i,) for i in range(5))))
+    assert list(family("cond", residual, *choose(1, 2))) == []
+    report = run_checks(family("odd", lambda i: vec(i % 2), *grid(5)))
     assert report.checked == 5 and [v.indices for v in report.violations] == [(1,), (3,)]
+
+
+def test_checks_add_rename_and_count_in_closed_form():
+    """`+` concatenates families, `prefixed` renames them, `count` is the
+    sum of their closed forms, and a constant family hands every tuple one
+    shared thunk."""
+    zero = vec(0, 0)
+    checks = (family("a", lambda i, j: vec(i, j), *choose(4, 2))
+              + family("z", zero, *grid(2, 3))).prefixed("p-")
+    made = list(checks)
+    assert checks.count == len(made) == 12
+    assert [c for c, _, _ in made] == ["p-a"] * 6 + ["p-z"] * 6
+    assert len({fn for c, _, fn in made if c == "p-z"}) == 1 and made[-1][2]() == zero
+    for n, k, repeat in product(range(5), range(1, 4), (False, True)):
+        tuples, count = choose(n, k, repeat)
+        assert len(list(tuples())) == count, (n, k, repeat)
+
+
+def test_count_is_the_number_of_checks_run():
+    """`count`, a sum of closed forms, is the number of checks `run_checks`
+    runs on every catalog document, every structure and homomorphism
+    mutant, and every zero structure and its identity homomorphism at
+    dim0 0..5 and dim1 0..3."""
+    objs = [load(path) for path in sorted(CATALOG_DIR.glob("*.json"))]
+    objs += [m for _, m in structure_mutants() + hom_mutants()]
+    for d0, d1 in product(range(6), range(4)):
+        G = with_zero_rb(make_linf(d0, d1))
+        objs += [G, identity_rb_hom(G)]
+    for obj in objs:
+        checks = structure_checks(obj)
+        assert checks.count == run_checks(checks).checked, obj
+
+
+def test_count_of_the_dim_200_document_evaluates_no_residual(monkeypatch):
+    """The two-entry `lie` document declaring dim 200 counts
+    200 + C(200,2) + C(200,3) = 1,333,500 checks with no residual
+    evaluated, at a tracemalloc peak under 64 KB."""
+    alg = loads(dumps(LieAlgebra.from_brackets(200, {(0, 1): vbasis(200, 2)})))
+
+    def evaluated(*args):
+        raise AssertionError("a residual was evaluated")
+
+    monkeypatch.setattr(BilinearMap, "__call__", evaluated)
+    monkeypatch.setattr(BilinearMap, "apply", evaluated)
+    tracemalloc.start()
+    try:
+        count = structure_checks(alg).count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 200 + comb(200, 2) + comb(200, 3) == 1_333_500
+    assert peak < 64 * 1024, peak
 
 
 def _catalog_mutants():
@@ -101,15 +161,16 @@ def _catalog_mutants():
 
 
 def test_reports_do_not_depend_on_the_order_of_the_checks():
-    """`run_checks` on a seeded shuffle of a document's check list gives
-    the report of the list as built, on every catalog document and on
-    mutants with violations, so no check relies on another having run
-    first (the cached orbit, `rbh3` and `cohm` evaluations included)."""
+    """`run_checks` on a seeded shuffle of a document's checks gives the
+    report of the checks in the order they are made, on every catalog
+    document and on mutants with violations, so no check relies on another
+    having run first (the cached orbit, `rbh3` and `cohm` evaluations
+    included)."""
     docs = [load(path) for path in sorted(CATALOG_DIR.glob("*.json"))]
     mutants = [m for _, m in structure_mutants() + hom_mutants()] + _catalog_mutants()
     violations = 0
     for seed, obj in enumerate(docs + mutants):
-        shuffled = structure_checks(obj)
+        shuffled = list(structure_checks(obj))
         random.Random(seed).shuffle(shuffled)
         report, expected = run_checks(shuffled), run_checks(structure_checks(obj))
         assert report == expected and report.lines() == expected.lines()

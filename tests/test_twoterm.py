@@ -11,7 +11,7 @@ from rblie.cli import verify_structure
 from rblie.crossed import crossed_to_strict
 from rblie import twoterm
 from rblie.errors import InternalInvariantBroken, NotChainMap, SourceTargetMismatch
-from rblie.report import run_checks
+from rblie.report import family, grid, run_checks
 from rblie.search import mutate
 from rblie.serialize import load
 from rblie.tensors import BilinearMap, LinearMap, vec
@@ -231,9 +231,9 @@ def test_compose_verifies_the_inputs_only_when_the_output_fails(monkeypatch, kin
     assert len(seen) == 1 and seen[0] is out
 
     inputs = (f, g, bad_f, bad_g)
-    forced = ("forced", (), lambda: (1,))
-    monkeypatch.setattr(twoterm, "rb_hom_checks", lambda h: rb_hom_checks(h) + (
-        [] if any(h is x for x in inputs) else [forced]))
+    forced = family("forced", lambda: (1,), *grid())  # one check, at the empty tuple
+    monkeypatch.setattr(twoterm, "rb_hom_checks", lambda h: rb_hom_checks(h) if any(
+        h is x for x in inputs) else rb_hom_checks(h) + forced)
     with pytest.raises(InternalInvariantBroken):
         compose_rb_homs(g, f)
     compose_rb_homs(g, bad_f)
