@@ -17,7 +17,7 @@ diagram residuals take the structure itself, and no check builds a
 `coh` and `jcoh` run at every ordered tuple through
 `twoterm.ordered_checks`: once per sorted tuple of distinct indices when
 the maps they need (l2_00, l3 and, for `coh`, R2) are skew and
-alternating, read with the sign of each ordering; literally at each tuple
+alternating, read times each ordering's `parity`; literally at each tuple
 when one is not.  Once the skew and alternating flags hold, the `coh` and
 `jcoh` residuals are term by term the chain conditions `rb3` and `d` (the
 tests prove both identities), so neither is compared with its chain
@@ -126,7 +126,7 @@ def coherence_checks(G: TwoTermRBLInfinity) -> Checks:
     """Diagram-level operator coherence over every ordered basis triple."""
     L = G.linf
     return ordered_checks("coh", L.dim0, 3, partial(coherence_residual, G), L.dim1,
-                          all(m.is_alternating() for m in (L.l2_00, L.l3, G.rb.r2)))
+                          (L.l2_00, L.l3, G.rb.r2))
 
 
 def jacobiator_coherence_residual(G: TwoTermRBLInfinity,
@@ -155,7 +155,7 @@ def jacobiator_coherence_checks(G: TwoTermRBLInfinity) -> Checks:
     quadruple."""
     L = G.linf
     return ordered_checks("jcoh", L.dim0, 4, partial(jacobiator_coherence_residual, G),
-                          L.dim1, all(m.is_alternating() for m in (L.l2_00, L.l3)))
+                          L.dim1, (L.l2_00, L.l3))
 
 
 def phi3_bracket(F: RBLInfinityHom, i: int, j: int) -> Vec:

@@ -28,7 +28,7 @@ from itertools import chain, combinations, permutations, product
 from .errors import BadSite, BudgetExceeded
 from .liealg import LieAlgebra, RotaBaxterLieAlgebra, rb_residual
 from .serialize import KIND_OF_CLASS, get_at, put_at
-from .tensors import LinearMap, Vec, exact, frac, group_cells, perm_sign, vadd
+from .tensors import LinearMap, Vec, exact, frac, group_cells, parity, vadd
 from .value import Value
 
 
@@ -172,12 +172,12 @@ def mutate(value, site: tuple, delta) -> object:
     if not all(0 <= i < bound for i, bound in zip(idx, shape)):
         raise BadSite(f"index {idx} outside the {'x'.join(map(str, shape))} tensor {name}")
     out, args = idx[:1], idx[1:]
-    if flag and len(set(args)) < len(args):
+    sign = parity(args) if flag else 1
+    if not sign:
         raise BadSite(f"{name} is skew/alternating: repeated indices are pinned to zero")
-    # a flagged tensor moves every permutation of the arguments with its sign
-    moves = permutations(range(len(args))) if flag else [tuple(range(len(args)))]
+    # a flagged tensor moves each ordering of the arguments, by the sign taking args to it
+    moves = [(p, sign * parity(p)) for p in permutations(args)] if flag else [(args, 1)]
     entries = codec.cells(tensor)
-    for p in moves:
-        at = out + tuple(args[q] for q in p)
-        entries[at] = entries.get(at, 0) + perm_sign(p) * delta
+    for p, s in moves:
+        entries[out + p] = entries.get(out + p, 0) + s * delta
     return put_at(value, field.path, codec.build(shape, group_cells(entries), flag))

@@ -18,6 +18,9 @@ enforced at construction: verifiers check them and report violations,
 which is what lets mutation tests build deliberately broken structures.
 Construction validates shapes only.
 
+`parity` is the package's one sign rule for skew and alternating maps: the
+sign of the permutation that sorts a tuple of indices, 0 at a repeat.
+
 One store: a map holds only ``nonzero``, its nonzero cells grouped by
 input indices (``(c,)``, ``(i, j)`` or ``(i, j, k)`` -> ``((out, coeff),
 ...)``) with outputs ascending, no zero coefficient and no empty group, so
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd, lcm
 from operator import ge, neg, sub
 
@@ -116,13 +119,18 @@ def _vector(group, n: int) -> Vec:
     return tuple(out)
 
 
-def perm_sign(p: tuple[int, ...]) -> int:
+_pairs = cache(lambda k: tuple(combinations(range(k), 2)))  # position pairs p < q of a k-tuple
+
+
+def parity(idx: tuple[int, ...]) -> int:
+    """The sign (1 or -1) of the permutation that sorts `idx`, or 0 when an
+    index repeats: -1 to the number of inversions."""
     sign = 1
-    p = list(p)
-    for i in range(len(p)):
-        while p[i] != i:
-            j = p[i]
-            p[i], p[j] = p[j], p[i]
+    for p, q in _pairs(len(idx)):
+        a, b = idx[p], idx[q]
+        if a >= b:
+            if a == b:
+                return 0
             sign = -sign
     return sign
 
@@ -130,7 +138,7 @@ def perm_sign(p: tuple[int, ...]) -> int:
 @cache
 def signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Each permutation of ``range(k)`` with its sign."""
-    return tuple((p, perm_sign(p)) for p in permutations(range(k)))
+    return tuple((p, parity(p)) for p in permutations(range(k)))
 
 
 def _image_groups(images, flag: bool = False) -> dict:
@@ -317,7 +325,8 @@ class LinearMap(_Multilinear):
     def compose(self, other: LinearMap) -> LinearMap:
         """self after other (matrix product self @ other)."""
         if self.cols != other.rows:
-            raise ShapeMismatch(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
+            raise ShapeMismatch(
+                f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
         return LinearMap.from_columns(
             [self.apply(other.column(j)) for j in range(other.cols)], rows=self.rows)
 

@@ -26,11 +26,12 @@ l3 and R2 for `rb3` (its R2 terms sum every ordering of their arguments
 with its sign), l2_00, l3 and R2 for `coh`, l2_00 and l3 for `jcoh`, and
 the source's l2_00 and l3, the target's l3 and phi2 for `h3`.  Then
 `ordered_checks` evaluates the residual once per sorted tuple of distinct
-indices (memoized, so the order the checks run in does not matter); every
-ordering of those indices reads sign(pi) times that value, and the tuples
-with a repeated index are a second family, the constant zero.  Whether the
-maps are alternating is read from their stores (`is_alternating`), never
-from their flags or from the flag checks' results.  When one is not, its
+indices, memoized as C(n, arity) values, one per sorted tuple (so the order
+the checks run in does not matter); every ordering reads `tensors.parity`
+of its indices times that value, and the tuples with a repeated index
+(parity 0) are a second family, the constant zero.  Whether the maps are
+alternating is read from their stores (`is_alternating`), never from
+their flags or from the flag checks' results.  When one is not, its
 flag check fires and every ordered tuple is evaluated literally, so a
 store that breaks its flag reports the residuals of the maps as stored.
 """
@@ -38,16 +39,14 @@ store that breaks its flag reports the residuals of the maps as stored.
 from __future__ import annotations
 
 from functools import cache, partial
-from itertools import (combinations, combinations_with_replacement, filterfalse, permutations,
-                       product)
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, perm
 
 from .errors import (InternalInvariantBroken, NotChainMap, ShapeMismatch,
                      SourceTargetMismatch)
 from .report import Checks, VerificationReport, choose, family, grid, run_checks
-from .tensors import (BilinearMap, LinearMap, TrilinearMap, Vec,
-                      signed_permutations, solve_exact, vadd, vneg, vscale, vsub,
-                      vzero)
+from .tensors import (BilinearMap, LinearMap, TrilinearMap, Vec, parity, solve_exact, vadd,
+                      vneg, vscale, vsub, vzero)
 from .liealg import chain_residual, rb_residual, skew_checks
 from .value import Value
 
@@ -110,40 +109,31 @@ class TwoTermRBLInfinity(Value):
         return self.linf.l3.is_zero() and self.rb.r2.is_zero()
 
 
-def ordered_checks(cond: str, n: int, arity: int, residual, dim_out: int,
-                   alternating: bool) -> Checks:
+def ordered_checks(cond: str, n: int, arity: int, residual, dim_out: int, maps) -> Checks:
     """`cond` at every ordered `arity`-tuple of basis indices below `n`, with
-    residual `residual(*idx)` of length `dim_out`.  When `alternating`, it is
-    evaluated once per sorted tuple of distinct indices, which every
-    ordering reads with its sign, and a tuple with a repeated index is zero."""
-    if not alternating:
+    residual `residual(*idx)` of length `dim_out`.  When every map of `maps`
+    is alternating, it is evaluated once per sorted tuple of distinct
+    indices, which every ordering reads times its `parity`, and a tuple with
+    a repeated index (parity 0) is zero."""
+    if not all(m.is_alternating() for m in maps):
         return family(cond, residual, *grid(*(n,) * arity))
-    signed = {}  # each ordering of an evaluated sorted tuple: its signed value
+    at_sorted = cache(residual)  # one value per sorted tuple, C(n, arity) at most
 
     def read(*idx):
-        if idx not in signed:
-            s = tuple(sorted(idx))
-            value = residual(*s)
-            for p, sign in signed_permutations(arity):
-                signed[tuple(s[q] for q in p)] = value if sign > 0 else vneg(value)
-        return signed[idx]
-
-    def repeated():  # every ordered tuple that is not an ordering of distinct indices
-        return filterfalse(set(permutations(range(n), arity)).__contains__,
-                           product(range(n), repeat=arity))
+        value = at_sorted(*sorted(idx))
+        return value if parity(idx) > 0 else vneg(value)
 
     distinct = perm(n, arity)
     return (family(cond, read, lambda: permutations(range(n), arity), distinct)
-            + family(cond, vzero(dim_out), repeated, n ** arity - distinct))
+            + family(cond, vzero(dim_out), lambda: (idx for idx in product(range(n), repeat=arity)
+                                                    if not parity(idx)), n ** arity - distinct))
 
 
 def alt_checks(t: TrilinearMap) -> Checks:
-    """value(i,j,k) must equal sign * value(sorted(i,j,k)); repeats force 0."""
-    def residual(i, j, k):
-        if i == j or j == k or k == i:  # a repeated index
-            return t(i, j, k)
-        sign = 1 if (i < j) + (j < k) + (k < i) == 2 else -1  # two ascents: a rotation
-        return vsub(t(i, j, k), vscale(sign, t(*sorted((i, j, k)))))
+    """value(i,j,k) must equal parity * value(sorted(i,j,k)); repeats force 0."""
+    def residual(*idx):
+        sign = parity(idx)
+        return vsub(t(*idx), vscale(sign, t(*sorted(idx)))) if sign else t(*idx)
 
     return family("alt-l3", residual, lambda: (idx for idx in product(range(t.dim), repeat=3)
                                                if not idx[0] < idx[1] < idx[2]),
@@ -238,8 +228,7 @@ def rb_triple_checks(G: TwoTermRBLInfinity) -> Checks:
             + skew_checks(rb.r2, "skew-r2")
             + family("rb1", rb1, *choose(d0, 2))
             + family("rb2", partial(rb2_residual, G), *grid(d1, d0))
-            + ordered_checks("rb3", d0, 3, partial(rb3_residual, G), d1,
-                             all(m.is_alternating() for m in (L.l3, rb.r2))))
+            + ordered_checks("rb3", d0, 3, partial(rb3_residual, G), d1, (L.l3, rb.r2)))
 
 
 class CompletionFailure(Value):
@@ -325,7 +314,7 @@ def hom_checks(f: LInfinityHom) -> Checks:
             + family("h1", h1, *choose(d0, 2))
             + family("h2", h2, *grid(d0, d1))
             + ordered_checks("h3", d0, 3, partial(h3_residual, f), tgt.dim1,
-                             all(m.is_alternating() for m in (br, src.l3, tgt.l3, p2))))
+                             (br, src.l3, tgt.l3, p2)))
 
 
 def h3_residual(f: LInfinityHom, x: int, y: int, z: int) -> Vec:

@@ -140,6 +140,18 @@ def reference_render(value, indent: int = 0) -> str:
     return json.dumps(value)  # a scalar, or a list of scalars on one line
 
 
+def reference_perm_sign(p: tuple[int, ...]) -> int:
+    """The sign of the permutation `p` of ``range(len(p))``, by cycle sort:
+    a sign rule independent of `tensors.parity`."""
+    sign, p = 1, list(p)
+    for i in range(len(p)):
+        while p[i] != i:
+            j = p[i]
+            p[i], p[j] = p[j], p[i]
+            sign = -sign
+    return sign
+
+
 def reference_solve(a: LinearMap, b: Vec) -> Vec | None:
     """Solve ``a x = b`` exactly, or return None when inconsistent.
 

@@ -1,5 +1,6 @@
 """Every name a module of the package, a test module or a script imports is
-used in that module, so a deletion cannot leave an import behind."""
+used in that module, so a deletion cannot leave an import behind; and no
+line under src/ is longer than 100 characters."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,10 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_no_src_line_is_longer_than_100_characters():
+    long = [f"{p.name}:{n}" for p in sorted((ROOT / "src").rglob("*.py"))
+            for n, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 100]
+    assert long == []

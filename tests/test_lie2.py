@@ -12,8 +12,8 @@ from hypothesis import given, strategies as st
 from conftest import (CATALOG_DIR, bracket_forms, flag_broken_rb_hom,
                       flag_respecting_rb_hom, hom_mutants, make_linf,
                       reference_coh, reference_cohm, reference_d, reference_h3,
-                      reference_jcoh, reference_rb3, structure_mutants,
-                      with_zero_rb)
+                      reference_jcoh, reference_perm_sign, reference_rb3,
+                      structure_mutants, with_zero_rb)
 from rblie import lie2, twoterm
 from rblie.catalog import TWO_TERM_STRUCTURES, HOMOMORPHISMS, solvable4
 from rblie.cli import verify_structure
@@ -28,7 +28,7 @@ from rblie.report import run_checks
 from rblie.search import mutate
 from rblie.serialize import dumps, load, loads
 from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap, from_cells, is_zero,
-                           perm_sign, vadd, vbasis, vec, vscale, vzero)
+                           vadd, vbasis, vec, vscale, vzero)
 from rblie.twoterm import (RBLInfinityHom, TwoTermRBLInfinity, alt_checks, h3_residual,
                            hom_checks, identity_rb_hom, quadruple_identity_residual,
                            rb3_residual, rb_hom_checks, rb_triple_checks, rbh3_residual,
@@ -375,7 +375,7 @@ def test_orbit_families_alternate_on_flag_respecting_stores():
                     assert is_zero(value), (seed, cond, idx)
                     continue
                 s = tuple(sorted(idx))
-                sign = perm_sign(tuple(s.index(i) for i in idx))
+                sign = reference_perm_sign(tuple(s.index(i) for i in idx))
                 assert value == vscale(sign, at_sorted[s]), (seed, cond, idx)
                 nonzero += not is_zero(value)
             assert nonzero, (seed, cond)

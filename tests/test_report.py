@@ -73,6 +73,25 @@ def test_verify_peak_does_not_grow_with_the_check_count():
     assert large <= 1.5 * small and large < 64 * 1024, (small, large)
 
 
+def test_verify_peak_of_the_orbit_families_holds_one_value_per_sorted_tuple():
+    """An alternating structure's orbit families (`rb3`, `coh`, `jcoh`)
+    memoize one residual per sorted tuple of distinct indices, C(n, arity)
+    of them, and nothing per ordering: after a warm-up, the tracemalloc
+    peak of `verify` of the zero `rb-2term` at dim0 9, dim1 1 (9,056
+    checks) is under 320 KB.  A memo of every ordering's signed value,
+    perm(n, arity) entries, peaked at 0.9 MB there."""
+    G = with_zero_rb(make_linf(9, 1))
+    verify_structure(G)
+    tracemalloc.start()
+    try:
+        checked = verify_structure(G).checked
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked == 9056
+    assert peak < 320 * 1024, peak
+
+
 def test_family_binds_each_thunk_to_its_own_indices():
     """Each thunk of a family evaluates the residual at its own index
     tuple, also when every thunk is made before any runs and they run in

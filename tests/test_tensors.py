@@ -10,15 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rblie
-from conftest import make_linf, reference_solve, with_zero_rb
+from conftest import make_linf, reference_perm_sign, reference_solve, with_zero_rb
 from rblie import tensors, twoterm
 from rblie.catalog import CROSSED_MODULES
 from rblie.cli import verify_structure
 from rblie.crossed import crossed_to_strict
 from rblie.errors import ShapeMismatch
 from rblie.liealg import LieAlgebra
-from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap, from_cells,
-                           perm_sign, solve_exact, vbasis, vec, vzero)
+from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap, from_cells, parity,
+                           solve_exact, vbasis, vec, vzero)
 from rblie.twoterm import CompletionFailure
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -297,10 +297,20 @@ def test_alternating_fill():
     assert t.on_basis(0, 0, 1) == vec(0)
 
 
-def test_perm_sign():
-    assert perm_sign((0, 1, 2)) == 1
-    assert perm_sign((1, 0, 2)) == -1
-    assert perm_sign((2, 0, 1)) == 1
+def test_parity():
+    """`parity` is -1 to the number of inversions, counted here pair by
+    pair, at every tuple of length 0 to 4 over range(5), and 0 at every
+    tuple with a repeated index; `signed_permutations` pairs each
+    permutation with the sign the cycle-sort reference gives it."""
+    for k in range(5):
+        for idx in product(range(5), repeat=k):
+            pairs = [(idx[p], idx[q]) for p in range(k) for q in range(p + 1, k)]
+            if any(a == b for a, b in pairs):
+                assert parity(idx) == 0, idx
+            else:
+                assert parity(idx) == (-1) ** sum(a > b for a, b in pairs), idx
+        assert tensors.signed_permutations(k) == tuple(
+            (p, reference_perm_sign(p)) for p in product(range(k), repeat=k) if len(set(p)) == k)
 
 
 def test_solve_exact_unique():
