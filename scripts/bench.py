@@ -30,6 +30,11 @@ each row below as the median of REPEATS runs:
 * `rblie verify` of every catalog document, one after the other;
 * `loads` then `dumps` of every catalog document (texts read beforehand;
   each must come back byte for byte);
+* `dumps` of the heis3 search results (its 639 operators over {-1,0,1},
+  found beforehand), whose text must load back and dump byte for byte;
+* `rblie mutate` of each site of MUTATE_SITES, written to a file, then
+  `rblie verify` of that file, all through `rblie.cli.main`; every
+  mutant must verify with violations (exit 1);
 * `rblie search-rb` of sl2, heis3 and solv4 over {-1,0,1}, which must find
   23, 639 and 5,427 operators, each within 60 s (with `--budget 43046721`,
   solv4's whole 3^16 grid);
@@ -83,12 +88,12 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from rblie.catalog import RB_ALGEBRAS, adjoint_rb_two_term  # noqa: E402
+from rblie.catalog import LIE_ALGEBRAS, RB_ALGEBRAS, adjoint_rb_two_term  # noqa: E402
 from rblie.cli import main as cli_main, structure_checks, verify_structure  # noqa: E402
 from rblie.liealg import (LieAlgebra, adjoint_representation,  # noqa: E402
                           semidirect_product)
 from rblie.search import SearchSpec, enumerate_rb_operators  # noqa: E402
-from rblie.serialize import dumps, loads  # noqa: E402
+from rblie.serialize import SearchResults, dumps, loads  # noqa: E402
 from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap,  # noqa: E402
                            from_cells, solve_exact, vbasis, vec)
 from rblie.twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,  # noqa: E402
@@ -108,6 +113,14 @@ VERIFY_PEAK = ("import sys; from rblie.cli import main; code = main(['verify', s
                "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM'))); "
                "sys.exit(code)")
 INVERSE_DIM = 8  # the basis change of the exact-inverse row
+MUTATE_SITES = (  # (catalog document, --site, --delta) of the mutate-then-verify row
+    ("sl2", "bracket,0,0,1", "1"),
+    ("aff1-rb-shift", "r,0,0", "1"),
+    ("solv4-module-cocycle-rb2", "l2_00,0,0,1", "-1/2"),
+    ("id-aff1-adjoint-rb2-shift", "phi3,0,1", "1"),
+    ("sl2-adjoint-cm-tri", "t0,0,1", "2"),
+    ("aff1-ideal-cm-neg-prelie", "mult0,0,0,1", "1"),
+)
 
 
 def zero_lie(n: int) -> LieAlgebra:
@@ -221,6 +234,30 @@ def load_dump(texts: list[str]) -> int:
     return len(texts)
 
 
+def dump_results(results, text: str) -> int:
+    """`dumps` of the search results, which must be `text`, a text that
+    loads back to them; the number of operators."""
+    if dumps(results) != text:
+        raise SystemExit("the heis3 search results do not dump back byte for byte")
+    return len(results.operators)
+
+
+def mutate_verify(work: Path) -> int:
+    """`mutate` then `verify` through the CLI for each of MUTATE_SITES;
+    the summed checked counts."""
+    checked, path = 0, str(work / "mutant.json")
+    for name, site, delta in MUTATE_SITES:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            made = cli_main(["mutate", str(CATALOG / f"{name}.json"), "--site", site,
+                             f"--delta={delta}", "-o", path])
+            code = cli_main(["verify", path]) if made == 0 else None
+        if (made, code) != (0, 1):
+            raise SystemExit(f"mutate {name} {site} exited {made}, its verify {code}, not 0 and 1")
+        checked += int(err.getvalue().split()[1])
+    return checked
+
+
 def search(name: str) -> int:
     """`search-rb` of a catalog algebra; the number of operators found,
     which must be the pinned one, found within SEARCH_LIMIT_S."""
@@ -306,6 +343,16 @@ def rows(work: Path) -> dict:
     out["verify whole catalog"] = lambda: cli(*sorted(CATALOG.glob("*.json")))
     texts = [path.read_text(encoding="utf-8") for path in sorted(CATALOG.glob("*.json"))]
     out["loads+dumps whole catalog"] = lambda: load_dump(texts)
+    heis3 = LIE_ALGEBRAS["heis3"]
+    spec = SearchSpec(heis3)
+    results = SearchResults(heis3, spec.coeffs,
+                            tuple(rba.r for rba in enumerate_rb_operators(spec)))
+    results_text = dumps(results)
+    if loads(results_text) != results or len(results.operators) != SEARCH_FOUND["heis3"]:
+        raise SystemExit("the heis3 search results do not load back from their text")
+    out["dumps of the heis3 search results (639 operators)"] = \
+        lambda: dump_results(results, results_text)
+    out[f"mutate then verify of {len(MUTATE_SITES)} catalog sites"] = lambda: mutate_verify(work)
     out.update({f"search-rb {name} over -1,0,1": lambda name=name: search(name)
                 for name in SEARCH_FOUND})
     alg = sl3()

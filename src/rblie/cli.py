@@ -12,8 +12,9 @@ per pair and feeds the `rbh3` check, the `cohm` diagram check (`rbh3`
 minus the phi3 bracket term) and the `cohm-vs-rbh3` cross-check.
 Constructed documents go to -o or stdout.
 
-The argument parser is built on the first `main` call and reused by every
-later call in the same process; parsing leaves no state on it.
+The parsers are built on the first `main` call and reused in the process,
+keeping no state.  `main` parses argv once, with the parser of the command
+it names (the top parser when argv does not start with a command name).
 """
 
 from __future__ import annotations
@@ -183,8 +184,8 @@ def cmd_compose(args) -> int:
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top parser and the command parsers by name, built on first use."""
     p = argparse.ArgumentParser(
         prog="rblie",
         description="Exact verification and constructions for Rota-Baxter "
@@ -233,12 +234,16 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("g")
     k.add_argument("-o", "--out")
     k.set_defaults(fn=cmd_compose)
-    return p
+    return p, dict(sub.choices)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    args, extra = command.parse_known_args(argv[1:]) if command else (parser.parse_args(argv), [])
+    if extra:  # reported by the top parser, as its own pass through the command would
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
     except (StructureError, OSError) as e:

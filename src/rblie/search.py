@@ -28,7 +28,7 @@ from itertools import chain, combinations, permutations, product
 from .errors import BadSite, BudgetExceeded
 from .liealg import LieAlgebra, RotaBaxterLieAlgebra, rb_residual
 from .serialize import KIND_OF_CLASS, get_at, put_at
-from .tensors import LinearMap, Vec, exact, frac, group_cells, parity, vadd
+from .tensors import LinearMap, Vec, exact, group_cells, parity, vadd
 from .value import Value
 
 
@@ -156,7 +156,7 @@ def mutate(value, site: tuple, delta) -> object:
     partner entries demanded by a skew/alternating flag).  `site` is the
     document key of the tensor followed by its indices.  The result is
     unverified."""
-    delta = frac(delta)
+    delta = exact(delta)
     name, idx = site[0], tuple(site[1:])
     kind = KIND_OF_CLASS.get(type(value))
     if kind is None or not kind.mutable:

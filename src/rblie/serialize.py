@@ -15,9 +15,11 @@ dimensions, skew/alternating flag) and the function assembling the object
 from the decoded fields.  Loading, dumping and `search.mutate` all read
 that table.  A tensor's entries are its own store read back: `TENSOR`
 checks each of a document's entries and groups it straight into the map's
-store (`tensors.from_groups`), and dumps `cells()`, so no dense grid is
-built and a declared dimension costs nothing.  The full grammar lives in
-docs/FORMAT.md.
+store (`tensors.from_groups`), and `dumps` writes one line per entry of
+`cells()`, so no dense grid is built and a declared dimension costs nothing.
+`dumps` writes the text straight from the table, each codec rendering its
+own value, with no JSON value tree in between; `load` and `save` open the
+file directly.  The full grammar lives in docs/FORMAT.md.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from operator import attrgetter
-from pathlib import Path
 from typing import Callable
 
 from .crossed import LieCrossedModule, PreLieCrossedModule, RBLieCrossedModule
@@ -94,12 +95,20 @@ def _entries_to_groups(entries, bounds: tuple[int, ...], where: str) -> dict:
 
 # --- codecs ----------------------------------------------------------------
 
+def _block(items: list[str], indent: int, brackets: str = "[]") -> str:
+    """Rendered items one per line inside `brackets`, which close at
+    `indent`; just the brackets when there are none."""
+    pad = " " * (indent + 2)
+    return (f"{brackets[0]}\n{pad}" + f",\n{pad}".join(items) + f"\n{' ' * indent}{brackets[1]}"
+            if items else brackets)
+
+
 class Codec(Value):
-    """Reads one document key and writes its value back.  `embeds` is the
-    kind of an embedded document; `tensor` marks the codecs of `TensorCodec`,
-    whose values `search.mutate` edits."""
+    """Reads one document key and writes its value back as canonical text.
+    `embeds` is the kind of an embedded document; `tensor` marks the codecs
+    of `TensorCodec`, whose values `search.mutate` edits."""
     load: Callable               # (document, field, values decoded so far) -> value
-    dump: Callable               # value -> JSON value, or None to leave the key out
+    render: Callable             # (value, indent) -> text, or None to leave the key out
     embeds: Kind | None = None
     tensor = False
 
@@ -134,8 +143,11 @@ class TensorCodec(Value):
         groups = _entries_to_groups(doc.get(field.key, []), shape, field.key)
         return self.build(shape, groups, field.flag)
 
-    def dump(self, t):
-        return [[*idx, str(q)] for idx, q in self.cells(t).items()]
+    def render(self, t, indent: int) -> str:
+        """One line ``[out, *inputs, "q"]`` per stored entry, in index order
+        (an index tuple ``(2, 0, 1)`` writes ``2, 0, 1``)."""
+        return _block([f'[{str(idx)[1:-1]}, "{q!s}"]' for idx, q in self.cells(t).items()],
+                      indent)
 
 
 TENSOR = TensorCodec()
@@ -175,19 +187,20 @@ def _operators(doc, field, values):
                  for pos, m in enumerate(_list(doc, field, values)))
 
 
-DIM = Codec(_dim, lambda n: n)
+DIM = Codec(_dim, lambda n, indent: str(n))
 # LABELS and the items of RATIONALS are checked by the kind's build, so
 # errors in tensor data are reported before them.
 LABELS = Codec(lambda doc, field, values: doc.get(field.key),
-               lambda labels: None if labels is None else list(labels))
-RATIONALS = Codec(_list, lambda qs: [str(q) for q in qs])
-OPERATORS = Codec(_operators, lambda ops: [TENSOR.dump(m) for m in ops])
+               lambda labels, indent: None if labels is None else json.dumps(labels))
+RATIONALS = Codec(_list, lambda qs, indent: json.dumps([str(q) for q in qs]))
+OPERATORS = Codec(_operators, lambda ops, indent: _block(
+    [TENSOR.render(m, indent + 2) for m in ops], indent))
 
 
 def embedded(kind: Kind) -> Codec:
     """A complete document of `kind` under one key (`_load` checks its header)."""
     return Codec(lambda doc, field, values: _load(kind, doc.get(field.key)),
-                 lambda obj: _document(kind, obj), kind)
+                 lambda obj, indent: _document(kind, obj, indent), kind)
 
 
 # --- the table --------------------------------------------------------------
@@ -377,19 +390,22 @@ def loads(text: str):
 
 def load(path):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except UnicodeDecodeError as e:
         raise ParseError(f"document is not UTF-8: {e}") from e
     return loads(text)
 
 
-def _document(kind: Kind, obj) -> dict:
-    doc = {"kind": kind.name, "version": FORMAT_VERSION}
+def _document(kind: Kind, obj, indent: int) -> str:
+    """The canonical text of `obj` as a `kind` document whose braces close
+    at `indent`: one ``"key": value`` line per field, in table order."""
+    lines = [f'"kind": "{kind.name}"', f'"version": {FORMAT_VERSION}']
     for f in kind.fields:
-        value = f.codec.dump(get_at(obj, f.path))
-        if value is not None:
-            doc[f.key] = value
-    return doc
+        text = f.codec.render(get_at(obj, f.path), indent + 2)
+        if text is not None:
+            lines.append(f'"{f.key}": {text}')
+    return _block(lines, indent, "{}")
 
 
 def _kind(obj) -> Kind:
@@ -399,42 +415,14 @@ def _kind(obj) -> Kind:
     return kind
 
 
-def to_document(obj) -> dict:
-    return _document(_kind(obj), obj)
-
-
-_SCALARS = {int: int.__repr__, str: json.encoder.encode_basestring_ascii}
-
-
-def _scalar(value) -> str:
-    """``json.dumps(value)``, written directly for an ``int`` or a ``str``."""
-    write = _SCALARS.get(type(value))
-    return write(value) if write else json.dumps(value)
-
-
-def _render(value, indent: int = 0) -> str:
-    """Canonical rendering: objects multiline, scalar-only lists inline."""
-    pad = " " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = ",\n".join(f"{pad}  {_scalar(k)}: {_render(v, indent + 2)}"
-                          for k, v in value.items())
-        return "{\n" + body + "\n" + pad + "}"
-    if not isinstance(value, list):
-        return _scalar(value)
-    if any(isinstance(v, (list, dict)) for v in value):
-        body = ",\n".join(f"{pad}  {_render(v, indent + 2)}" for v in value)
-        return "[\n" + body + "\n" + pad + "]"
-    return "[" + ", ".join(map(_scalar, value)) + "]"
-
-
 def dumps(obj) -> str:
-    return _render(to_document(obj)) + "\n"
+    return _document(_kind(obj), obj, 0) + "\n"
 
 
 def save(obj, path):
-    Path(path).write_text(dumps(obj), encoding="utf-8")
+    text = dumps(obj)
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(text)
 
 
 def kind_of(obj) -> str:

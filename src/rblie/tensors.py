@@ -218,12 +218,13 @@ class _Multilinear(Value):
     def is_zero(self) -> bool:
         return not self.nonzero
 
+    @cached_property
     def is_alternating(self) -> bool:
         """Whether permuting the inputs scales every image by the sign of
         the permutation: exactly when the map's `skew-*` or `alt-l3` checks
         report nothing, whatever its flag.  A stored image at repeated
         inputs fails, as an odd permutation fixes them.  O(nonzero
-        entries)."""
+        entries), once per map."""
         signs = signed_permutations(len(self.shape) - 1)
         return all(self.nonzero.get(tuple(key[q] for q in p))
                    == tuple((o, s * a) for o, a in group)
@@ -327,8 +328,14 @@ class LinearMap(_Multilinear):
         if self.cols != other.rows:
             raise ShapeMismatch(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        return LinearMap.from_columns(
-            [self.apply(other.column(j)) for j in range(other.cols)], rows=self.rows)
+        images = []
+        for key, column in other.nonzero.items():  # the stored columns of other only
+            image = [0] * self.rows
+            for k, b in column:
+                for r, a in self.nonzero.get((k,), ()):
+                    image[r] += a * b
+            images.append((key, image))
+        return from_groups((self.rows, other.cols), _image_groups(images))
 
     def flat(self) -> Vec:
         """Row-major coordinates of the whole matrix."""

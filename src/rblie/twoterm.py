@@ -39,7 +39,7 @@ store that breaks its flag reports the residuals of the maps as stored.
 from __future__ import annotations
 
 from functools import cache, partial
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, compress, permutations, product
 from math import comb, perm
 
 from .errors import (InternalInvariantBroken, NotChainMap, ShapeMismatch,
@@ -115,7 +115,7 @@ def ordered_checks(cond: str, n: int, arity: int, residual, dim_out: int, maps) 
     is alternating, it is evaluated once per sorted tuple of distinct
     indices, which every ordering reads times its `parity`, and a tuple with
     a repeated index (parity 0) is zero."""
-    if not all(m.is_alternating() for m in maps):
+    if not all(m.is_alternating for m in maps):
         return family(cond, residual, *grid(*(n,) * arity))
     at_sorted = cache(residual)  # one value per sorted tuple, C(n, arity) at most
 
@@ -123,10 +123,10 @@ def ordered_checks(cond: str, n: int, arity: int, residual, dim_out: int, maps) 
         value = at_sorted(*sorted(idx))
         return value if parity(idx) > 0 else vneg(value)
 
-    distinct = perm(n, arity)
+    distinct, tuples = perm(n, arity), partial(product, range(n), repeat=arity)
     return (family(cond, read, lambda: permutations(range(n), arity), distinct)
-            + family(cond, vzero(dim_out), lambda: (idx for idx in product(range(n), repeat=arity)
-                                                    if not parity(idx)), n ** arity - distinct))
+            + family(cond, vzero(dim_out), lambda: compress(  # a repeated index, tested in C
+                tuples(), map(arity.__ne__, map(len, map(set, tuples())))), n ** arity - distinct))
 
 
 def alt_checks(t: TrilinearMap) -> Checks:

@@ -18,6 +18,8 @@ from rblie.errors import ShapeMismatch
 from rblie.liealg import LieAlgebra
 from rblie.lie2 import Morphism2V
 from rblie.search import mutate
+from rblie.serialize import (DIM, FORMAT_VERSION, KIND_OF_CLASS, LABELS, OPERATORS,
+                             RATIONALS, TENSOR, get_at)
 from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap, Vec, frac, from_cells,
                            vadd, vbasis, vec, vneg, vsub)
 from rblie.twoterm import (LInfinityHom, RBLInfinityHom, RBTriple,
@@ -138,6 +140,37 @@ def reference_render(value, indent: int = 0) -> str:
         body = ",\n".join(f"{pad}  {reference_render(v, indent + 2)}" for v in value)
         return "[\n" + body + "\n" + pad + "]"
     return json.dumps(value)  # a scalar, or a list of scalars on one line
+
+
+def to_document(obj) -> dict:
+    """The document of `obj` as a JSON value tree, built from the kinds table
+    apart from `serialize.dumps`; `reference_render` of it is the text
+    `dumps` must write."""
+    return _tree(KIND_OF_CLASS[type(obj)], obj)
+
+
+def _tree(kind, obj) -> dict:
+    def entries(t, codec=TENSOR):
+        return [[*idx, str(q)] for idx, q in codec.cells(t).items()]
+
+    doc = {"kind": kind.name, "version": FORMAT_VERSION}
+    for f in kind.fields:
+        value = get_at(obj, f.path)
+        if f.codec.tensor:
+            doc[f.key] = entries(value, f.codec)
+        elif f.codec.embeds:
+            doc[f.key] = _tree(f.codec.embeds, value)
+        elif f.codec is OPERATORS:
+            doc[f.key] = [entries(m) for m in value]
+        elif f.codec is RATIONALS:
+            doc[f.key] = [str(q) for q in value]
+        elif f.codec is LABELS:
+            if value is not None:
+                doc[f.key] = list(value)
+        else:
+            assert f.codec is DIM
+            doc[f.key] = value
+    return doc
 
 
 def reference_perm_sign(p: tuple[int, ...]) -> int:

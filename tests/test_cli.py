@@ -313,6 +313,48 @@ def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch, tmp_path):
     assert first_build == 7 and len(built) == first_build  # rblie and its 6 commands
 
 
+USAGE_CASES = json.loads((CATALOG_DIR.parent / "tests" / "cli_usage.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE_CASES, ids=[" ".join(c["argv"]) for c in USAGE_CASES])
+def test_usage_cases_match_the_pinned_outputs(capsys, monkeypatch, case):
+    """Exit code, stdout and stderr of malformed, abbreviated and help argv
+    (no command, an unknown one, extra arguments, `-h` at both levels,
+    `--` in both places, `--delta -1/2`, a bad `--budget` or construct
+    name) as pinned in tests/cli_usage.json, run from the repository root
+    at a help width of 80 columns."""
+    monkeypatch.chdir(CATALOG_DIR.parent)
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(case["argv"]))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["code"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "catalog/aff1-rb-shift.json"],
+    ["roundtrip", "catalog/aff1-adjoint-rb2-shift.json"],
+    ["search-rb", "catalog/aff1.json", "--coeffs=-1,0,1"],
+    ["mutate", "catalog/aff1.json", "--site", "bracket,0,0,1", "--delta", "1"],
+])
+def test_a_command_parses_its_argv_once(capsys, monkeypatch, argv):
+    """`main` hands argv to the parser of the command it names: one
+    argparse pass per command."""
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.chdir(CATALOG_DIR.parent)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert calls == [f"rblie {argv[0]}"]
+
+
 def test_module_entry_point_runs_once_per_process():
     """`python -m rblie.cli` is the one-shot entry: a clean document exits 0
     with its count on stderr, an unknown command exits 2 with usage."""

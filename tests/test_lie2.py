@@ -438,7 +438,7 @@ def test_is_alternating_is_exactly_the_flag_checks_passing():
         for F in (flag_respecting_rb_hom(seed), flag_broken_rb_hom(seed)):
             stores += [t for G in (F.source.linf, F.target.linf) for t in (G.l2_00, G.l3)]
             stores += [F.source.rb.r2, F.target.rb.r2, F.hom.phi2]
-    kept = [t for t in stores if t.is_alternating()]
+    kept = [t for t in stores if t.is_alternating]
     for t in kept:
         arity = len(t.shape) - 1
         stores += [_raise_cell(t, (0, *range(arity))), _raise_cell(t, (0,) * (arity + 1))]
@@ -446,7 +446,7 @@ def test_is_alternating_is_exactly_the_flag_checks_passing():
     for t in stores:
         checks = alt_checks(t) if isinstance(t, TrilinearMap) else skew_checks(t)
         ok = run_checks(checks).ok
-        assert t.is_alternating() == ok
+        assert t.is_alternating == ok
         verdicts[ok] += 1
     assert len(kept) == 28 and verdicts == {True: 28, False: 28 + 2 * 28}
 

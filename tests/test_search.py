@@ -302,6 +302,30 @@ def test_mutate_reads_the_flag_from_the_kinds_table():
     assert out == mutate(loads(dumps(obj)), ("l2_01", 1, 0, 1), 1)
 
 
+@pytest.mark.parametrize("site", [("bracket", 0, 0, 1), ("bracket", 2, 1, 2), ("r", 1, 0)])
+def test_mutate_keeps_an_integral_delta_an_int(monkeypatch, site):
+    """An integral delta, given as an ``int`` or a ``Fraction``, moves the
+    entries by ``int`` arithmetic: both give the same store, every
+    coefficient an ``int``, and the cells handed to `group_cells` hold no
+    ``Fraction``."""
+    rba = RotaBaxterLieAlgebra(LIE_ALGEBRAS["sl2"], LinearMap.identity(3))
+    grouped = []
+    group_cells = search.group_cells
+
+    def spied(cells):
+        grouped.append(cells)
+        return group_cells(cells)
+
+    def tensor(obj):
+        return obj.r if site[0] == "r" else obj.base.bracket
+
+    monkeypatch.setattr(search, "group_cells", spied)
+    by_int, by_fraction = mutate(rba, site, 1), mutate(rba, site, Fraction(1))
+    assert by_int == by_fraction and tensor(by_int).nonzero == tensor(by_fraction).nonzero
+    assert all(type(q) is int for q in tensor(by_int).cells().values())
+    assert all(type(q) is int for cells in grouped for q in cells.values())
+
+
 def test_mutate_rejects_skew_diagonal():
     with pytest.raises(BadSite):
         mutate(aff1(), ("bracket", 0, 0, 0), 1)

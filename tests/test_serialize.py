@@ -2,21 +2,23 @@ import json
 import re
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CATALOG_DIR, reference_render
+from conftest import CATALOG_DIR, reference_render, to_document
 from rblie import catalog
+from rblie.crossed import LieCrossedModule
 from rblie.errors import (BadRational, BadSite, DuplicateEntry, ParseError,
                           UnknownKind, VersionMismatch)
-from rblie.liealg import LieAlgebra, prelie_from_rb
+from rblie.liealg import LieAlgebra, RBRepresentation, RotaBaxterLieAlgebra, prelie_from_rb
 from rblie.search import SearchSpec, enumerate_rb_operators, mutate
-from rblie.serialize import (DIM, KINDS, LABELS, OPERATORS, RATIONALS, _render,
-                             SearchResults, dumps, get_at, kind_of, load, loads,
-                             parse_rational, save, to_document)
-from rblie.tensors import BilinearMap, vec
+from rblie.serialize import (DIM, KINDS, LABELS, OPERATORS, RATIONALS, SearchResults,
+                             dumps, embedded, get_at, kind_of, load, loads, parse_rational,
+                             save)
+from rblie.tensors import BilinearMap, LinearMap, vec
 from rblie.value import replace
 
 
@@ -33,6 +35,24 @@ def test_parse_rational_rejects_bad_literals():
                 "1\n", "-1/2\n"):
         with pytest.raises(BadRational):
             parse_rational(bad)
+
+
+@pytest.mark.parametrize("name", ["no-such-file.json", ".", "no-such-dir/doc.json"])
+def test_file_errors_read_as_pathlib_reports_them(tmp_path, monkeypatch, name):
+    """`load` of a missing file, a directory or a file in a missing
+    directory, and `save` to a directory or into a missing one, raise the
+    error `pathlib` raises, with the same text."""
+    monkeypatch.chdir(tmp_path)
+    obj = catalog.LIE_ALGEBRAS["aff1"]
+    calls = [(lambda: load(name), lambda: Path(name).read_text(encoding="utf-8"))]
+    if name != "no-such-file.json":
+        calls.append((lambda: save(obj, name), lambda: Path(name).write_text("", encoding="utf-8")))
+    for ours, theirs in calls:
+        with pytest.raises(OSError) as got:
+            ours()
+        with pytest.raises(OSError) as want:
+            theirs()
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 def test_load_save_byte_identity_on_catalog_files():
@@ -167,10 +187,66 @@ LABEL_LISTS = [  # three labels each, for a dim-3 algebra
     [1, "1/2", "e"],
 ])
 def test_scalar_lists_render_as_their_joined_items(values):
-    """A list of scalars renders on one line, byte for byte as its items
-    dumped one at a time and joined with ", ", at any indent."""
-    assert _render(values) == _joined(values)
-    assert _render({"k": values}, 4) == '{\n      "k": ' + _joined(values) + "\n    }"
+    """A list of labels renders on one line, byte for byte as its items
+    dumped one at a time and joined with ", ", in a document at any depth."""
+    labels = tuple(map(str, values))
+    alg = LieAlgebra(len(labels), BilinearMap.zero(*(len(labels),) * 3, skew=True), labels)
+    assert '\n  "basis": ' + _joined(labels) + ",\n" in dumps(alg)
+    assert '\n    "basis": ' + _joined(labels) + ",\n" in dumps(SearchResults(alg, (), ()))
+
+
+@pytest.mark.parametrize("coeffs", [
+    (0, -1, 7, 10 ** 30, -(10 ** 30)),
+    (Fraction(1, 2), Fraction(-7, 3), 0, 11, Fraction(-123456789012345678901, 2)),
+    (),
+])
+def test_coefficient_lists_render_as_their_joined_items(coeffs):
+    """A coefficient list renders on one line, byte for byte as its items
+    dumped one at a time and joined with ", "."""
+    res = SearchResults(catalog.LIE_ALGEBRAS["abelian1"], coeffs, ())
+    assert '\n  "coeffs": ' + _joined([str(q) for q in coeffs]) + ",\n" in dumps(res)
+
+
+def _edge_documents() -> dict:
+    """Objects at the edges of the encoder: empty tensors and lists, basis
+    labels present, empty and absent, `Fraction` coefficients, operators and
+    action elements without entries."""
+    def lie(labels=None, coeff=1):
+        return LieAlgebra.from_brackets(3, {(0, 1): vec(0, 0, coeff)}, labels)
+
+    empty = LieAlgebra(0, BilinearMap.zero(0, 0, 0, skew=True), ())
+    op = LinearMap.from_rows([[0, 0, Fraction(-1, 2)], [0, 0, 0], [0, 0, 0]])
+    zero3, zero1 = LinearMap.zero(3, 3), LinearMap.zero(1, 1)
+    d = LinearMap.zero(3, 1)
+    return {
+        "empty tensor": LieAlgebra(2, BilinearMap.zero(2, 2, 2, skew=True)),
+        "basis absent": lie(),
+        "basis present": lie(("x", "y", "z"), Fraction(-7, 3)),
+        "basis empty": empty,
+        "no operators": SearchResults(lie(), (-1, 0, 1), ()),
+        "operators without entries": SearchResults(lie(), (), (zero3, zero3)),
+        "fraction operators": SearchResults(lie(), (Fraction(1, 3),), (zero3, op)),
+        "action without entries": LieCrossedModule(lie(), LieAlgebra.from_brackets(1, {}), d,
+                                                   (zero1,) * 3),
+        "action of no elements": LieCrossedModule(empty, empty, LinearMap.zero(0, 0), ()),
+        "embedded fraction": RBRepresentation(RotaBaxterLieAlgebra(lie(), op), 1,
+                                              (zero1, LinearMap.from_rows([[Fraction(5, 4)]]),
+                                               zero1), zero1),
+    }
+
+
+EDGE_DOCUMENTS = _edge_documents()
+
+
+@pytest.mark.parametrize("obj", EDGE_DOCUMENTS.values(), ids=EDGE_DOCUMENTS.keys())
+def test_edge_documents_dump_as_the_json_dumps_reference(obj):
+    """Each object dumps as `reference_render` of its value tree, loads back
+    equal, and renders as an embedded document at indent 4 the same way."""
+    text = dumps(obj)
+    assert text == reference_render(to_document(obj)) + "\n"
+    assert loads(text) == obj and dumps(loads(text)) == text
+    kind = KINDS[kind_of(obj)]
+    assert embedded(kind).render(obj, 4) == reference_render(to_document(obj), 4)
 
 
 @pytest.mark.parametrize("labels", LABEL_LISTS)
@@ -319,7 +395,7 @@ def test_fuzz_covers_every_kind():
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(COVERED).flatmap(lambda name: documents(KINDS[name])))
 def test_load_then_dump_is_the_identity_on_canonical_documents(doc):
-    text = _render(doc) + "\n"
+    text = reference_render(doc) + "\n"
     assert dumps(loads(text)) == text
 
 

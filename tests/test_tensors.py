@@ -273,6 +273,42 @@ def test_compose_matches_matrix_product():
         assert ab.column(j) == a.apply(b.column(j))
 
 
+@st.composite
+def matrices(draw, rows: int, cols: int):
+    """A rows x cols map with no, a few or all entries set, by ``int`` or
+    by ``Fraction`` coefficients."""
+    coeff = draw(st.sampled_from([st.integers(-3, 3), rationals]))
+    cells = list(product(range(rows), range(cols)))
+    fill = draw(st.sampled_from(["zero", "sparse", "dense"]))
+    if fill == "zero" or not cells:
+        return LinearMap.zero(rows, cols)
+    if fill == "sparse":
+        return from_cells((rows, cols), draw(st.dictionaries(st.sampled_from(cells), coeff,
+                                                             max_size=3)))
+    return from_cells((rows, cols), {c: draw(coeff) for c in cells})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_compose_is_the_dense_product_of_the_entries_views(data):
+    """`compose` equals the product of the dense `entries` views, and its
+    store is canonical: `exact` coefficients, no zero, sorted groups."""
+    n, k, m = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, b = data.draw(matrices(n, k)), data.draw(matrices(k, m))
+    product_cells = {(r, c): sum(a.entries[r][i] * b.entries[i][c] for i in range(k))
+                     for r in range(n) for c in range(m)}
+    ab = a.compose(b)
+    assert ab.shape == (n, m)
+    assert _typed_store(ab) == _typed_store(from_cells((n, m), product_cells))
+    assert all(g == tuple(sorted(g)) and all(x for _, x in g) for g in ab.nonzero.values())
+
+
+def test_is_alternating_is_computed_once_per_map():
+    t = TrilinearMap.from_map(3, 1, {(0, 1, 2): vec(5)}, alt=True)
+    assert "is_alternating" not in vars(t)
+    assert t.is_alternating is True and vars(t)["is_alternating"] is True
+
+
 def test_zero_width_maps():
     m = LinearMap.zero(2, 0)
     assert m.apply(()) == vec(0, 0)

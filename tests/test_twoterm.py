@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,12 +15,24 @@ from rblie.errors import InternalInvariantBroken, NotChainMap, SourceTargetMisma
 from rblie.report import family, grid, run_checks
 from rblie.search import mutate
 from rblie.serialize import load
-from rblie.tensors import BilinearMap, LinearMap, vec
+from rblie.tensors import BilinearMap, LinearMap, parity, vec, vzero
 from rblie.twoterm import (CompletionFailure, LInfinityHom, TwoTermComplex,
                            complete_rb_triple, compose_rb_homs,
                            hom_checks, identity_rb_hom, rb_hom_checks,
                            rb_triple_checks, two_term_checks)
 from rblie.value import replace
+
+
+@pytest.mark.parametrize("arity", [3, 4])
+def test_repeated_index_family_is_the_parity_zero_tuples(arity):
+    """The zero family of an alternating `ordered_checks` makes exactly the
+    tuples of `product` at parity 0, in its order, and counts them."""
+    for n in range(7):
+        checks = twoterm.ordered_checks("x", n, arity, lambda *idx: vzero(1), 1, ())
+        (_, _, orderings, distinct), (_, _, repeated, count) = checks.families
+        want = [idx for idx in product(range(n), repeat=arity) if not parity(idx)]
+        assert list(repeated()) == want and count == len(want)
+        assert len(list(orderings())) == distinct == n ** arity - count
 
 
 def test_lie_algebra_with_empty_top_term_is_valid():
