@@ -11,13 +11,27 @@ k it forces column k to residual / v_k, one exact division per row whose
 quotient must lie in the grid.  A failure prunes the branch.  A completed
 matrix (k = n) is decided by the same rule: every pair is settled, so each
 residual must vanish.  Only a matrix that passes is built as a map and
-confirmed against the full identity, and the result is sorted into
+confirmed against the full identity.
+
+The weight-zero identity [Rx, Ry] = R([Rx, y] + [x, Ry]) is homogeneous of
+degree 2 in R, so -R is an operator exactly when R is.  (This is for
+weight zero only: the weight-w term R(w[x, y]) has degree 1, and -R is an
+operator of weight -w.)  On a grid closed under negation the search walks
+only the matrices whose first nonzero entry, column 0 first and top row
+first, is positive: while every set column is zero, each pair has lhs =
+v = 0, nothing is forced, and a candidate column whose leading nonzero
+entry is negative is skipped.  Each nonzero matrix kept is emitted with
+its negative, and both are confirmed.  The result is sorted into
 lexicographic row-major order, so re-runs produce the same list as a pass
-over the whole grid would.  A column stays fixed for its whole subtree, so
-each pair's (lhs, v) is computed once, on first use, in the pair table: a
-dict keyed by ``(i, j, R e_i, R e_j)`` that lives for one search, since it
-is valid for one algebra and one grid only.  It holds at most
-C(n, 2)·|column values|² entries, in practice the pairs the search visits.
+over the whole grid would, mirrored or not.
+
+A column stays fixed for its whole subtree, so each pair's (lhs, v) is
+computed once, on first use, in the pair table: a dict keyed by
+``(i, j, R e_i, R e_j)`` that lives for one search, since it is valid for
+one algebra and one grid only.  It holds at most C(n, 2)·|column values|²
+entries, in practice the pairs the search visits; the weight-zero mirror
+leaves the bound as it is, since past the zero prefix every column value
+is still tried.
 """
 
 from __future__ import annotations
@@ -125,10 +139,22 @@ def enumerate_rb_operators(spec: SearchSpec) -> list[RotaBaxterLieAlgebra]:
                                                vadd(right[j].apply(ci), left[i].apply(cj)))
             yield entry
 
+    # weight zero: on a grid closed under negation -R is an operator exactly
+    # when R is, so walk only the matrices whose first nonzero entry is positive
+    mirror = all(-c in spec.coeffs for c in spec.coeffs)
+
+    def values_of(node, values):
+        """The values to try after `node`: while its columns are all zero
+        (its pairs have lhs = v = 0, so nothing is forced), only the columns
+        whose leading nonzero entry is positive, or the zero column."""
+        if mirror and not any(map(any, node)):
+            return (col for col in values if next((a > 0 for a in col if a), True))
+        return values
+
     found = []
     # depth first; a frame holds the set columns, the pairs among them still
     # open, and the values left to try for the next column
-    stack = [((), [], product(*axes[0]))]
+    stack = [((), [], values_of((), product(*axes[0])))]
     while stack:
         cols, pairs, values = stack[-1]
         column = next(values, None)
@@ -140,13 +166,18 @@ def enumerate_rb_operators(spec: SearchSpec) -> list[RotaBaxterLieAlgebra]:
         if narrowed is None:
             continue
         if len(node) < n:
-            stack.append((node,) + narrowed)
+            still_open, values = narrowed
+            stack.append((node, still_open, values_of(node, values)))
             continue
-        # the columns hold exact grid values, so they are the store as it is
-        r = LinearMap(n, n, {(c,): tuple((row, a) for row, a in enumerate(col) if a)
-                             for c, col in enumerate(node) if any(col)})
-        if _is_rb(alg, r):
-            found.append((tuple(zip(*node)), r))  # (rows, map)
+        matrices = [node]
+        if mirror and any(map(any, node)):
+            matrices.append(tuple(tuple(-a for a in col) for col in node))
+        for matrix in matrices:
+            # the columns hold exact grid values, so they are the store as it is
+            r = LinearMap(n, n, {(c,): tuple((row, a) for row, a in enumerate(col) if a)
+                                 for c, col in enumerate(matrix) if any(col)})
+            if _is_rb(alg, r):
+                found.append((tuple(zip(*matrix)), r))  # (rows, map)
     found.sort(key=lambda rows_r: rows_r[0])  # row-major order
     return [RotaBaxterLieAlgebra(alg, r) for _, r in found]
 

@@ -15,8 +15,9 @@ dimensions, skew/alternating flag) and the function assembling the object
 from the decoded fields.  Loading, dumping and `search.mutate` all read
 that table.  A tensor's entries are its own store read back: `TENSOR`
 checks each of a document's entries and groups it straight into the map's
-store (`tensors.from_groups`), and `dumps` writes one line per entry of
-`cells()`, so no dense grid is built and a declared dimension costs nothing.
+store (`tensors.from_groups`), and `dumps` writes one line per stored
+entry, sorted once, so no dense grid is built and a declared dimension
+costs nothing.
 `dumps` writes the text straight from the table, each codec rendering its
 own value, with no JSON value tree in between; `load` and `save` open the
 file directly.  The full grammar lives in docs/FORMAT.md.
@@ -125,18 +126,28 @@ def _action(shape, groups: dict, flag) -> tuple[LinearMap, ...]:
                  for x in range(shape[0]))
 
 
+def _stored(t):
+    """The stored entries ``((out, *inputs), coeff)`` of a map, in store order."""
+    return (((out, *key), a) for key, g in t.nonzero.items() for out, a in g)
+
+
 class TensorCodec(Value):
     """A tensor as its flat nonzero cells `(out, *inputs) -> Fraction`, read
     from and written to the tensor's own store (see `tensors`); `search.mutate`
-    edits the same cells.  `build` takes them grouped by input indices, as
-    the decoder groups a document's entries and `tensors.group_cells` groups
-    cells.  `shape` gives the index bounds, output first; the
-    skew/alternating flag is the field's."""
-    cells: Callable = lambda t: t.cells()
+    edits the same cells.  `entries` reads them off the store, unsorted;
+    `build` takes them grouped by input indices, as the decoder groups a
+    document's entries and `tensors.group_cells` groups cells.  `shape`
+    gives the index bounds, output first; the skew/alternating flag is the
+    field's."""
+    entries: Callable = _stored
     build: Callable = from_groups          # (shape, groups, flag) -> tensor
     shape: Callable = lambda t: t.shape
     embeds = None
     tensor = True
+
+    def cells(self, t) -> dict:
+        """The nonzero cells ``{(out, *inputs): coeff}`` in index order."""
+        return dict(sorted(self.entries(t)))
 
     def load(self, doc, field, values):
         shape = field.bounds(values)
@@ -145,15 +156,16 @@ class TensorCodec(Value):
 
     def render(self, t, indent: int) -> str:
         """One line ``[out, *inputs, "q"]`` per stored entry, in index order
-        (an index tuple ``(2, 0, 1)`` writes ``2, 0, 1``)."""
-        return _block([f'[{str(idx)[1:-1]}, "{q!s}"]' for idx, q in self.cells(t).items()],
+        (an index tuple ``(2, 0, 1)`` writes ``2, 0, 1``), sorted once
+        straight from the store."""
+        return _block([f'[{str(idx)[1:-1]}, "{q!s}"]' for idx, q in sorted(self.entries(t))],
                       indent)
 
 
 TENSOR = TensorCodec()
 # One matrix per basis vector of the acting algebra: [element, row, col].
 ACTION = TensorCodec(
-    lambda rho: {(x, *rc): q for x, m in enumerate(rho) for rc, q in m.cells().items()},
+    lambda rho: (((x, *idx), q) for x, m in enumerate(rho) for idx, q in _stored(m)),
     _action, lambda rho: (len(rho), rho[0].rows, rho[0].cols) if rho else (0, 0, 0))
 
 

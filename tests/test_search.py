@@ -129,10 +129,18 @@ def test_search_matches_brute_force_on_dim2_grids(name, coeffs):
     ("heis3", (-1, 0, Fraction(-1, 2)), _mask(3, {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)})),
     # a pair whose v reaches two unset columns must stay open (dim 4 only)
     ("solv4", (-1, 0, 1), _mask(4, {(0, 2), (1, 0), (1, 1), (1, 3), (2, 3), (3, 1), (3, 3)})),
+    # closed under negation, so only half of each grid is walked:
+    ("heis3", (Fraction(-1, 2), Fraction(1, 2)), None),  # no 0
+    ("heis3", (Fraction(-1, 2), Fraction(1, 2)), _mask(3, {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)})),
+    ("sl2", (-2, -1, 0, 1, 2), _mask(3, {(0, 0), (1, 0), (2, 1), (0, 2), (2, 2)})),
+    # columns 0 and 1 masked, row 0 of column 2 too: a zero prefix of 8 entries
+    ("solv4", (-1, 0, 1), _mask(4, {(1, 2), (2, 2), (3, 2), (0, 3), (1, 3), (3, 3)})),
 ])
 def test_search_matches_brute_force_on_forcing_grids(name, coeffs, mask):
     """Grids on which columns are forced often enough that a wrong residual,
-    a wrong forced value or a pair decided too early loses operators."""
+    a wrong forced value or a pair decided too early loses operators, and
+    grids closed under negation, on which a wrong mirror would lose or
+    repeat them."""
     alg = LIE_ALGEBRAS[name]
     assert ([rba.r for rba in enumerate_rb_operators(SearchSpec(alg, coeffs, mask))]
             == brute_force(alg, coeffs, mask))
@@ -160,6 +168,28 @@ def test_sl2_and_heis3_counts_over_minus_one_zero_one():
         flat = [rba.r.flat() for rba in found]
         assert len(flat) == count
         assert flat == sorted(flat)
+
+
+@pytest.mark.parametrize("name, coeffs, calls, mirrored", [
+    ("sl2", (-1, 0, 1), 709, True),
+    ("heis3", (-1, 0, 1), 1671, True),
+    ("sl2", (0, 1), 143, False),
+    ("heis3", (-1, 0, Fraction(1, 2)), 2205, False),
+])
+def test_narrow_calls_pin_the_walk(monkeypatch, name, coeffs, calls, mirrored):
+    """On a grid closed under negation the walk visits only nodes whose first
+    nonzero entry, column 0 first and top row first, is positive (the
+    weight-zero identity is homogeneous of degree 2 in R, so -R is found
+    with R): half the nodes a whole walk visits (1,415 for sl2, 3,339 for
+    heis3).  On any other grid it visits every node, as many as before the
+    mirror."""
+    nodes, narrow = [], search._narrow
+    monkeypatch.setattr(search, "_narrow", lambda pairs, cols, axes: nodes.append(cols)
+                        or narrow(pairs, cols, axes))
+    enumerate_rb_operators(SearchSpec(LIE_ALGEBRAS[name], coeffs))
+    assert len(nodes) == calls
+    if mirrored:
+        assert all(next((a for col in node for a in col if a), 0) >= 0 for node in nodes)
 
 
 SOLV4_FORCING_MASK = _mask(4, {(0, 2), (1, 0), (1, 1), (1, 3), (2, 3), (3, 1), (3, 3)})

@@ -18,7 +18,7 @@ from rblie.search import SearchSpec, enumerate_rb_operators, mutate
 from rblie.serialize import (DIM, KINDS, LABELS, OPERATORS, RATIONALS, SearchResults,
                              dumps, embedded, get_at, kind_of, load, loads, parse_rational,
                              save)
-from rblie.tensors import BilinearMap, LinearMap, vec
+from rblie.tensors import BilinearMap, LinearMap, _Multilinear, vec
 from rblie.value import replace
 
 
@@ -61,6 +61,20 @@ def test_load_save_byte_identity_on_catalog_files():
     for path in files:
         text = path.read_text(encoding="utf-8")
         assert dumps(loads(text)) == text, path.name
+
+
+def test_dumps_renders_the_stores_without_a_cells_dict(monkeypatch):
+    """`dumps` writes each tensor's lines from its store, sorted once, with
+    no `cells()` dict: every catalog document, action documents included,
+    dumps back byte for byte with `cells()` unavailable."""
+    texts = [path.read_text(encoding="utf-8") for path in sorted(CATALOG_DIR.glob("*.json"))]
+    objs = [loads(text) for text in texts]
+
+    def unavailable(self):
+        raise AssertionError("cells() called while dumping")
+
+    monkeypatch.setattr(_Multilinear, "cells", unavailable)
+    assert [dumps(obj) for obj in objs] == texts
 
 
 def test_shipped_catalog_matches_builder():

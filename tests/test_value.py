@@ -109,8 +109,9 @@ def test_violations_keep_their_order():
 
 def test_tensor_codec_lambda_defaults_are_stored_not_bound():
     m = LinearMap.identity(2)
-    assert TENSOR.__dict__["cells"] is TensorCodec.cells
-    assert TENSOR.cells(m) == {(0, 0): 1, (1, 1): 1}  # called with the map only
+    assert TENSOR.__dict__["entries"] is TensorCodec.entries
+    assert sorted(TENSOR.entries(m)) == [((0, 0), 1), ((1, 1), 1)]  # called with the map only
+    assert TENSOR.cells(m) == {(0, 0): 1, (1, 1): 1}
     assert TENSOR.shape(m) == (2, 2)
 
 
