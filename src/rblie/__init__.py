@@ -18,7 +18,8 @@ from .liealg import (LieAlgebra, PreLieAlgebra, RBRepresentation,
 from .twoterm import (CompletionFailure, LInfinityHom, RBLInfinityHom,
                       RBTriple, TwoTermComplex, TwoTermLInfinity,
                       TwoTermRBLInfinity, complete_rb_triple,
-                      compose_rb_homs, identity_rb_hom)
+                      compose_rb_homs, identity_rb_hom, rb_hom, two_term,
+                      with_operators)
 from .lie2 import Morphism2V, RBLie2View, roundtrip_hom, roundtrip_structure
 from .crossed import (LieCrossedModule, PreLieCrossedModule,
                       RBLieCrossedModule, crossed_semidirect,

@@ -12,16 +12,12 @@ from .crossed import (LieCrossedModule, RBLieCrossedModule,
                       crossed_to_strict, derived_crossed)
 from .liealg import LieAlgebra, RotaBaxterLieAlgebra
 from .tensors import BilinearMap, LinearMap, TrilinearMap, from_cells, vec
-from .twoterm import (LInfinityHom, RBLInfinityHom, RBTriple, TwoTermComplex,
-                      TwoTermLInfinity, TwoTermRBLInfinity, identity_rb_hom)
+from .twoterm import (RBLInfinityHom, TwoTermLInfinity, TwoTermRBLInfinity,
+                      identity_rb_hom, rb_hom, two_term, with_operators)
 from .value import replace
 
 
 # --- Lie algebras ---------------------------------------------------------
-
-def abelian(dim: int) -> LieAlgebra:
-    return LieAlgebra.abelian(dim)
-
 
 def aff1() -> LieAlgebra:
     """Nonabelian dim 2: [e0, e1] = e1."""
@@ -52,9 +48,9 @@ def solvable4() -> LieAlgebra:
 
 
 LIE_ALGEBRAS = {
-    "abelian1": abelian(1),
-    "abelian2": abelian(2),
-    "abelian3": abelian(3),
+    "abelian1": LieAlgebra.abelian(1),
+    "abelian2": LieAlgebra.abelian(2),
+    "abelian3": LieAlgebra.abelian(3),
     "aff1": aff1(),
     "heis3": heisenberg3(),
     "sl2": sl2(),
@@ -92,7 +88,7 @@ def heis3_rb_center() -> RotaBaxterLieAlgebra:
 
 def abelian2_rb_jordan() -> RotaBaxterLieAlgebra:
     """Any operator works on an abelian algebra; this one is non-normal."""
-    return RotaBaxterLieAlgebra(abelian(2), LinearMap.from_rows([[1, 1], [0, 1]]))
+    return RotaBaxterLieAlgebra(LieAlgebra.abelian(2), LinearMap.from_rows([[1, 1], [0, 1]]))
 
 
 def solv4_rb_zero() -> RotaBaxterLieAlgebra:
@@ -156,7 +152,7 @@ def sl2_adjoint_cm_tri() -> RBLieCrossedModule:
 def trivial_cm() -> RBLieCrossedModule:
     """Zero boundary, abelian top term, trivial action."""
     return RBLieCrossedModule(
-        LieCrossedModule(abelian(2), abelian(1), LinearMap.zero(2, 1),
+        LieCrossedModule(LieAlgebra.abelian(2), LieAlgebra.abelian(1), LinearMap.zero(2, 1),
                          (LinearMap.zero(1, 1), LinearMap.zero(1, 1))),
         LinearMap.zero(2, 2), LinearMap.zero(1, 1))
 
@@ -176,36 +172,26 @@ def adjoint_two_term(alg: LieAlgebra) -> TwoTermLInfinity:
     """g1 = g0 = g, identity differential, bracket acting in both degrees.
     The action copy l2_01 carries no skew flag, like its document field."""
     n = alg.dim
-    return TwoTermLInfinity(TwoTermComplex(n, n, LinearMap.identity(n)),
-                            alg.bracket, replace(alg.bracket, skew=False),
-                            TrilinearMap.zero(n, n, alt=True))
+    return two_term(n, n, LinearMap.identity(n), alg.bracket, replace(alg.bracket, skew=False))
 
 
 def adjoint_rb_two_term(rba: RotaBaxterLieAlgebra) -> TwoTermRBLInfinity:
-    n = rba.dim
-    return TwoTermRBLInfinity(
-        adjoint_two_term(rba.base),
-        RBTriple(rba.r, rba.r, BilinearMap.zero(n, n, n, skew=True)))
+    return with_operators(adjoint_two_term(rba.base), rba.r, rba.r)
 
 
 def sl2_cocycle_two_term() -> TwoTermLInfinity:
     """g0 = sl2, g1 one-dimensional, zero differential and action; the
     homotopy is the invariant-form 3-cocycle B([x,y], z) with B(e,f) = 1,
     B(h,h) = 2."""
-    alg = sl2()
     l3 = TrilinearMap.from_map(3, 1, {(0, 1, 2): vec(2)}, alt=True)
-    return TwoTermLInfinity(TwoTermComplex(3, 1, LinearMap.zero(3, 1)),
-                            alg.bracket, BilinearMap.zero(3, 1, 1),
-                            l3)
+    return two_term(3, 1, l2_00=sl2().bracket, l3=l3)
 
 
 def sl2_cocycle_rb(r2_value: int = 0) -> TwoTermRBLInfinity:
     """Operator triple (0, 1, R2) on the cocycle structure; with zero
     degree-zero operator every skew R2 satisfies the cyclic condition."""
     r2 = BilinearMap.from_map(3, 3, 1, {(0, 2): vec(r2_value)}, skew=True)
-    return TwoTermRBLInfinity(
-        sl2_cocycle_two_term(),
-        RBTriple(LinearMap.zero(3, 3), LinearMap.identity(1), r2))
+    return with_operators(sl2_cocycle_two_term(), r1=LinearMap.identity(1), r2=r2)
 
 
 def solv4_module_cocycle_rb() -> TwoTermRBLInfinity:
@@ -214,14 +200,9 @@ def solv4_module_cocycle_rb() -> TwoTermRBLInfinity:
     sums of the four-argument homotopy identity are individually nonzero
     here (+3 and -3 at the full quadruple) and cancel only under the
     adopted sign convention, so this instance pins it."""
-    alg = solvable4()
     action = BilinearMap.from_map(4, 1, 1, {(0, 0): vec(3)})
     l3 = TrilinearMap.from_map(4, 1, {(1, 2, 3): vec(1)}, alt=True)
-    linf = TwoTermLInfinity(TwoTermComplex(4, 1, LinearMap.zero(4, 1)),
-                            alg.bracket, action, l3)
-    return TwoTermRBLInfinity(linf, RBTriple(
-        LinearMap.zero(4, 4), LinearMap.zero(1, 1),
-        BilinearMap.zero(4, 4, 1, skew=True)))
+    return with_operators(two_term(4, 1, l2_00=solvable4().bracket, l2_01=action, l3=l3))
 
 
 def aff1_adjoint_completed() -> TwoTermRBLInfinity:
@@ -232,7 +213,7 @@ def aff1_adjoint_completed() -> TwoTermRBLInfinity:
     cyclic bookkeeping is exercised against live cancellations."""
     r0 = LinearMap.from_rows([[-1, -1], [0, -1]])
     r2 = BilinearMap.from_map(2, 2, 2, {(0, 1): vec(2, 1)}, skew=True)
-    return TwoTermRBLInfinity(adjoint_two_term(aff1()), RBTriple(r0, r0, r2))
+    return with_operators(adjoint_two_term(aff1()), r0, r0, r2)
 
 
 def two_term_catalog() -> dict[str, TwoTermRBLInfinity]:
@@ -266,14 +247,8 @@ def derived_rb_crossed(cm: RBLieCrossedModule) -> RBLieCrossedModule:
 def operator_descent_hom(cm: RBLieCrossedModule) -> RBLInfinityHom:
     """The (T0, T1)-homomorphism from the strict structure of the derived
     crossed module to the strict structure of the original one."""
-    src = crossed_to_strict(derived_rb_crossed(cm))
-    tgt = crossed_to_strict(cm)
-    d0, d1 = src.linf.dim0, src.linf.dim1
-    return RBLInfinityHom(
-        src, tgt,
-        LInfinityHom(src.linf, tgt.linf, cm.t0, cm.t1,
-                     BilinearMap.zero(d0, d0, d1, skew=True)),
-        LinearMap.zero(d1, d0))
+    return rb_hom(crossed_to_strict(derived_rb_crossed(cm)), crossed_to_strict(cm),
+                  cm.t0, cm.t1)
 
 
 def heis3_cocycle_phi2_hom() -> RBLInfinityHom:
@@ -282,18 +257,10 @@ def heis3_cocycle_phi2_hom() -> RBLInfinityHom:
     The degree-zero operator moves e0 off the center, so the corrector
     terms of the compatibility conditions are computed with live data and
     cancel only with the correct signs."""
-    heis = heisenberg3()
-    linf = TwoTermLInfinity(TwoTermComplex(3, 1, LinearMap.zero(3, 1)),
-                            heis.bracket, BilinearMap.zero(3, 1, 1),
-                            TrilinearMap.zero(3, 1, alt=True))
     r0 = LinearMap.from_columns([vec(0, 1, 0), vec(0, 0, 0), vec(0, 0, 0)])
-    G = TwoTermRBLInfinity(linf, RBTriple(r0, LinearMap.identity(1),
-                                          BilinearMap.zero(3, 3, 1, skew=True)))
+    G = with_operators(two_term(3, 1, l2_00=heisenberg3().bracket), r0, LinearMap.identity(1))
     phi2 = BilinearMap.from_map(3, 3, 1, {(0, 1): vec(1)}, skew=True)
-    return RBLInfinityHom(
-        G, G,
-        LInfinityHom(linf, linf, LinearMap.identity(3), LinearMap.identity(1), phi2),
-        LinearMap.zero(1, 3))
+    return rb_hom(G, G, LinearMap.identity(3), LinearMap.identity(1), phi2)
 
 
 def solv4_cocycle_phi2_hom() -> RBLInfinityHom:
@@ -302,19 +269,10 @@ def solv4_cocycle_phi2_hom() -> RBLInfinityHom:
     a module-valued 2-cocycle, so the action and bracket corrector terms
     of the third homomorphism condition are individually nonzero (2, -1,
     -1 at the triple (e0, e2, e3)) and cancel only with correct signs."""
-    alg = solvable4()
     action = BilinearMap.from_map(4, 1, 1, {(0, 0): vec(2)})
-    linf = TwoTermLInfinity(TwoTermComplex(4, 1, LinearMap.zero(4, 1)),
-                            alg.bracket, action,
-                            TrilinearMap.zero(4, 1, alt=True))
-    G = TwoTermRBLInfinity(linf, RBTriple(
-        LinearMap.zero(4, 4), LinearMap.zero(1, 1),
-        BilinearMap.zero(4, 4, 1, skew=True)))
+    G = with_operators(two_term(4, 1, l2_00=solvable4().bracket, l2_01=action))
     phi2 = BilinearMap.from_map(4, 4, 1, {(2, 3): vec(1)}, skew=True)
-    return RBLInfinityHom(
-        G, G,
-        LInfinityHom(linf, linf, LinearMap.identity(4), LinearMap.identity(1), phi2),
-        LinearMap.zero(1, 4))
+    return rb_hom(G, G, LinearMap.identity(4), LinearMap.identity(1), phi2)
 
 
 def aff1_phi3_hom() -> RBLInfinityHom:
@@ -322,26 +280,11 @@ def aff1_phi3_hom() -> RBLInfinityHom:
     structure with empty top term.  The shift operator makes the two phi3
     summands of the compatibility condition individually nonzero at the
     pair (e1, e1); they cancel only with the correct relative sign."""
-    base = aff1()
-    shift = aff1_rb_shift().r
-    src = TwoTermRBLInfinity(
-        TwoTermLInfinity(TwoTermComplex(2, 0, LinearMap.zero(2, 0)),
-                         base.bracket, BilinearMap.zero(2, 0, 0),
-                         TrilinearMap.zero(2, 0, alt=True)),
-        RBTriple(shift, LinearMap.zero(0, 0),
-                 BilinearMap.zero(2, 2, 0, skew=True)))
-    tgt = TwoTermRBLInfinity(
-        TwoTermLInfinity(TwoTermComplex(2, 1, LinearMap.zero(2, 1)),
-                         base.bracket, BilinearMap.zero(2, 1, 1),
-                         TrilinearMap.zero(2, 1, alt=True)),
-        RBTriple(shift, LinearMap.zero(1, 1),
-                 BilinearMap.zero(2, 2, 1, skew=True)))
+    bracket, shift = aff1().bracket, aff1_rb_shift().r
+    src = with_operators(two_term(2, 0, l2_00=bracket), shift)
+    tgt = with_operators(two_term(2, 1, l2_00=bracket), shift)
     phi3 = LinearMap.from_rows([[1, 1]])  # e0 -> f0', e1 -> f0'
-    return RBLInfinityHom(
-        src, tgt,
-        LInfinityHom(src.linf, tgt.linf, LinearMap.identity(2),
-                     LinearMap.zero(1, 0), BilinearMap.zero(2, 2, 1, skew=True)),
-        phi3)
+    return rb_hom(src, tgt, LinearMap.identity(2), phi3=phi3)
 
 
 def hom_catalog() -> dict[str, RBLInfinityHom]:
@@ -382,9 +325,7 @@ def shipped_documents() -> dict[str, object]:
 
     plain = adjoint_two_term(LIE_ALGEBRAS["aff1"])
     docs["aff1-adjoint-2term"] = plain
-    docs["aff1-adjoint-2term-idhom"] = LInfinityHom(
-        plain, plain, LinearMap.identity(2), LinearMap.identity(2),
-        BilinearMap.zero(2, 2, 2, skew=True))
+    docs["aff1-adjoint-2term-idhom"] = identity_rb_hom(with_operators(plain)).hom
 
     spec = SearchSpec(LIE_ALGEBRAS["aff1"])
     found = enumerate_rb_operators(spec)

@@ -25,9 +25,9 @@ from .liealg import (LieAlgebra, PreLieAlgebra, RotaBaxterLieAlgebra, act_on,
                      operator_product, prelie_checks, rb_checks, row_major,
                      semidirect_data)
 from .report import Checks, choose, family, grid, run_checks
-from .tensors import BilinearMap, LinearMap, TrilinearMap, vadd, vneg, vsub
-from .twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,
-                      TwoTermRBLInfinity, rb_triple_checks, two_term_checks)
+from .tensors import BilinearMap, LinearMap, vadd, vneg, vsub
+from .twoterm import (TwoTermRBLInfinity, rb_triple_checks, two_term, two_term_checks,
+                      with_operators)
 from .value import Value
 
 
@@ -156,11 +156,7 @@ def crossed_to_strict_data(cm: RBLieCrossedModule) -> TwoTermRBLInfinity:
     l2_01 = BilinearMap.from_map(
         n0, n1, n1,
         {(i, a): base.rho[i].column(a) for i in range(n0) for a in range(n1)})
-    linf = TwoTermLInfinity(TwoTermComplex(n0, n1, base.d),
-                            base.g0.bracket, l2_01,
-                            TrilinearMap.zero(n0, n1, alt=True))
-    r2 = BilinearMap.zero(n0, n0, n1, skew=True)
-    return TwoTermRBLInfinity(linf, RBTriple(cm.t0, cm.t1, r2))
+    return with_operators(two_term(n0, n1, base.d, base.g0.bracket, l2_01), cm.t0, cm.t1)
 
 
 def crossed_to_strict(cm: RBLieCrossedModule) -> TwoTermRBLInfinity:

@@ -269,8 +269,7 @@ def semidirect_product(rep: RBRepresentation) -> RotaBaxterLieAlgebra:
     """Algebra on g (+) V with [x+u, y+v] = [x,y] + x.v - y.u and the
     block-diagonal operator; the projection onto g is a homomorphism of the
     operator algebras by construction (`semidirect_data`)."""
-    m = rep.dim_v
-    module = RotaBaxterLieAlgebra(LieAlgebra(m, BilinearMap.zero(m, m, m, skew=True)), rep.cal_r)
+    module = RotaBaxterLieAlgebra(LieAlgebra.abelian(rep.dim_v), rep.cal_r)
     out = semidirect_data(rep.algebra, module, rep.rho)
     run_checks(lie_checks(out.base) + rb_checks(out)).require_ok("semidirect product")
     return out

@@ -39,8 +39,8 @@ from .errors import (BadRational, DuplicateEntry, ParseError, UnknownKind,
 from .liealg import (LieAlgebra, PreLieAlgebra, RBRepresentation,
                      RotaBaxterLieAlgebra)
 from .tensors import LinearMap, exact, from_groups
-from .twoterm import (LInfinityHom, RBLInfinityHom, RBTriple, TwoTermComplex,
-                      TwoTermLInfinity, TwoTermRBLInfinity)
+from .twoterm import (LInfinityHom, RBLInfinityHom, TwoTermLInfinity, TwoTermRBLInfinity,
+                      rb_hom, two_term, with_operators)
 from .value import Value, replace
 
 FORMAT_VERSION = 1
@@ -292,15 +292,13 @@ TWO_TERM = Kind("2term", TwoTermLInfinity, (
     Field("l2_00", "l2_00", TENSOR, "dim0 dim0 dim0", True),
     Field("l2_01", "l2_01", TENSOR, "dim1 dim0 dim1"),
     Field("l3", "l3", TENSOR, "dim1 dim0 dim0 dim0", True),
-), lambda dim0, dim1, l1, l2_00, l2_01, l3: TwoTermLInfinity(
-    TwoTermComplex(dim0, dim1, l1), l2_00, l2_01, l3))
+), two_term)
 
 RB_TWO_TERM = Kind("rb-2term", TwoTermRBLInfinity, (
     Field("r0", "rb.r0", TENSOR, "linf.dim0 linf.dim0"),
     Field("r1", "rb.r1", TENSOR, "linf.dim1 linf.dim1"),
     Field("r2", "rb.r2", TENSOR, "linf.dim1 linf.dim0 linf.dim0", True),
-), lambda linf, r0, r1, r2: TwoTermRBLInfinity(linf, RBTriple(r0, r1, r2)),
-    base=(TWO_TERM, "linf"))
+), with_operators, base=(TWO_TERM, "linf"))
 
 HOM = Kind("hom", LInfinityHom, (
     Field("source", "source", embedded(TWO_TERM)),
@@ -317,8 +315,7 @@ RB_HOM = Kind("rb-hom", RBLInfinityHom, (
     Field("phi1", "hom.phi1", TENSOR, "target.linf.dim1 source.linf.dim1"),
     Field("phi2", "hom.phi2", TENSOR, "target.linf.dim1 source.linf.dim0 source.linf.dim0", True),
     Field("phi3", "phi3", TENSOR, "target.linf.dim1 source.linf.dim0"),
-), lambda source, target, phi0, phi1, phi2, phi3: RBLInfinityHom(
-    source, target, LInfinityHom(source.linf, target.linf, phi0, phi1, phi2), phi3))
+), rb_hom)
 
 CROSSED_LIE = Kind("crossed-lie", LieCrossedModule, (
     Field("dim0", "g0.dim", DIM),

@@ -34,6 +34,14 @@ alternating is read from their stores (`is_alternating`), never from
 their flags or from the flag checks' results.  When one is not, its
 flag check fires and every ordered tuple is evaluated literally, so a
 store that breaks its flag reports the residuals of the maps as stored.
+
+Constructors: `two_term(dim0, dim1, l1, l2_00, l2_01, l3)`,
+`with_operators(linf, r0, r1, r2)` and `rb_hom(source, target, phi0, phi1,
+phi2, phi3)` assemble a structure, its operator triple and an operator
+homomorphism from their maps.  Their parameter names are the document keys,
+so `serialize.KINDS` builds the `2term`, `rb-2term` and `rb-hom` kinds with
+them.  A map not given is the zero map, skew or alternating where its
+document field is, as a tensor key left out of a document loads.
 """
 
 from __future__ import annotations
@@ -107,6 +115,25 @@ class TwoTermRBLInfinity(Value):
     @property
     def is_strict(self) -> bool:
         return self.linf.l3.is_zero() and self.rb.r2.is_zero()
+
+
+def two_term(dim0: int, dim1: int, l1: LinearMap | None = None, l2_00: BilinearMap | None = None,
+             l2_01: BilinearMap | None = None, l3: TrilinearMap | None = None) -> TwoTermLInfinity:
+    return TwoTermLInfinity(
+        TwoTermComplex(dim0, dim1, LinearMap.zero(dim0, dim1) if l1 is None else l1),
+        BilinearMap.zero(dim0, dim0, dim0, skew=True) if l2_00 is None else l2_00,
+        BilinearMap.zero(dim0, dim1, dim1) if l2_01 is None else l2_01,
+        TrilinearMap.zero(dim0, dim1, alt=True) if l3 is None else l3)
+
+
+def with_operators(linf: TwoTermLInfinity, r0: LinearMap | None = None,
+                   r1: LinearMap | None = None,
+                   r2: BilinearMap | None = None) -> TwoTermRBLInfinity:
+    d0, d1 = linf.dim0, linf.dim1
+    return TwoTermRBLInfinity(linf, RBTriple(
+        LinearMap.zero(d0, d0) if r0 is None else r0,
+        LinearMap.zero(d1, d1) if r1 is None else r1,
+        BilinearMap.zero(d0, d0, d1, skew=True) if r2 is None else r2))
 
 
 def ordered_checks(cond: str, n: int, arity: int, residual, dim_out: int, maps) -> Checks:
@@ -256,8 +283,7 @@ def complete_rb_triple(L: TwoTermLInfinity, r0: LinearMap,
         if sol is None:
             return CompletionFailure("condition-1", (i, j), None)
         values[(i, j)] = sol
-    r2 = BilinearMap.from_map(d0, d0, d1, values, skew=True)
-    candidate = TwoTermRBLInfinity(L, RBTriple(r0, r1, r2))
+    candidate = with_operators(L, r0, r1, BilinearMap.from_map(d0, d0, d1, values, skew=True))
     report = run_checks(rb_triple_checks(candidate))
     if not report.ok:
         return CompletionFailure("conditions-2-3", None, report)
@@ -293,6 +319,18 @@ class RBLInfinityHom(Value):
         s, t = self.hom.source, self.hom.target
         if (self.phi3.rows, self.phi3.cols) != (t.dim1, s.dim0):
             raise ShapeMismatch("phi3 must map source g0 to target g1")
+
+
+def rb_hom(source: TwoTermRBLInfinity, target: TwoTermRBLInfinity,
+           phi0: LinearMap | None = None, phi1: LinearMap | None = None,
+           phi2: BilinearMap | None = None, phi3: LinearMap | None = None) -> RBLInfinityHom:
+    s, t = source.linf, target.linf
+    return RBLInfinityHom(source, target, LInfinityHom(
+        s, t,
+        LinearMap.zero(t.dim0, s.dim0) if phi0 is None else phi0,
+        LinearMap.zero(t.dim1, s.dim1) if phi1 is None else phi1,
+        BilinearMap.zero(s.dim0, s.dim0, t.dim1, skew=True) if phi2 is None else phi2),
+        LinearMap.zero(t.dim1, s.dim0) if phi3 is None else phi3)
 
 
 def hom_checks(f: LInfinityHom) -> Checks:
@@ -369,12 +407,7 @@ def rb_hom_checks(f: RBLInfinityHom) -> Checks:
 
 
 def identity_rb_hom(G: TwoTermRBLInfinity) -> RBLInfinityHom:
-    d0, d1 = G.linf.dim0, G.linf.dim1
-    return RBLInfinityHom(
-        G, G,
-        LInfinityHom(G.linf, G.linf, LinearMap.identity(d0), LinearMap.identity(d1),
-                     BilinearMap.zero(d0, d0, d1, skew=True)),
-        LinearMap.zero(d1, d0))
+    return rb_hom(G, G, LinearMap.identity(G.linf.dim0), LinearMap.identity(G.linf.dim1))
 
 
 def compose_rb_homs(g: RBLInfinityHom, f: RBLInfinityHom) -> RBLInfinityHom:
@@ -387,18 +420,16 @@ def compose_rb_homs(g: RBLInfinityHom, f: RBLInfinityHom) -> RBLInfinityHom:
     """
     if f.target != g.source:
         raise SourceTargetMismatch("cannot compose: intermediate structures differ")
-    src, tgt = f.source.linf, g.target.linf
-    d0 = src.dim0
+    d0, d1 = f.source.linf.dim0, g.target.linf.dim1
     phi0 = g.hom.phi0.compose(f.hom.phi0)
     phi1 = g.hom.phi1.compose(f.hom.phi1)
     f0, g1 = f.hom.phi0, g.hom.phi1
     values = {(i, j): vadd(g1(f.hom.phi2(i, j)), g.hom.phi2(f0(i), f0(j)))
               for i in range(d0) for j in range(d0)}
-    phi2 = BilinearMap.from_map(d0, d0, tgt.dim1, values, skew=True)
+    phi2 = BilinearMap.from_map(d0, d0, d1, values, skew=True)
     phi3_cols = [vadd(g1(f.phi3(i)), g.phi3(f0(i))) for i in range(d0)]
-    phi3 = LinearMap.from_columns(phi3_cols, rows=tgt.dim1)
-    out = RBLInfinityHom(f.source, g.target,
-                         LInfinityHom(src, tgt, phi0, phi1, phi2), phi3)
+    phi3 = LinearMap.from_columns(phi3_cols, rows=d1)
+    out = rb_hom(f.source, g.target, phi0, phi1, phi2, phi3)
     oks = (run_checks(hom_checks(h.hom) + rb_hom_checks(h)).ok for h in (out, f, g))
     if not next(oks) and all(oks):
         raise InternalInvariantBroken("composite of verified homomorphisms failed verification")

@@ -22,25 +22,10 @@ from rblie.serialize import (DIM, FORMAT_VERSION, KIND_OF_CLASS, LABELS, OPERATO
                              RATIONALS, TENSOR, get_at)
 from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap, Vec, frac, from_cells,
                            vadd, vbasis, vec, vneg, vsub)
-from rblie.twoterm import (LInfinityHom, RBLInfinityHom, RBTriple,
-                           TwoTermComplex, TwoTermLInfinity,
-                           TwoTermRBLInfinity, identity_rb_hom)
+from rblie.twoterm import (RBLInfinityHom, TwoTermRBLInfinity, identity_rb_hom, rb_hom,
+                           two_term, with_operators)
 
 CATALOG_DIR = Path(__file__).resolve().parent.parent / "catalog"
-
-
-def make_linf(d0, d1, l1=None, l2_00=None, l2_01=None, l3=None) -> TwoTermLInfinity:
-    return TwoTermLInfinity(
-        TwoTermComplex(d0, d1, l1 or LinearMap.zero(d0, d1)),
-        l2_00 or BilinearMap.zero(d0, d0, d0, skew=True),
-        l2_01 or BilinearMap.zero(d0, d1, d1),
-        l3 or TrilinearMap.zero(d0, d1, alt=True))
-
-
-def with_zero_rb(L: TwoTermLInfinity) -> TwoTermRBLInfinity:
-    return TwoTermRBLInfinity(L, RBTriple(
-        LinearMap.zero(L.dim0, L.dim0), LinearMap.zero(L.dim1, L.dim1),
-        BilinearMap.zero(L.dim0, L.dim0, L.dim1, skew=True)))
 
 
 def structure_mutants() -> list[tuple[str, TwoTermRBLInfinity]]:
@@ -48,29 +33,26 @@ def structure_mutants() -> list[tuple[str, TwoTermRBLInfinity]]:
     operator-structure verifier with a violation list naming exactly that
     condition."""
     out = []
-    base_a = with_zero_rb(make_linf(1, 1, l1=LinearMap.identity(1)))
+    base_a = with_operators(two_term(1, 1, l1=LinearMap.identity(1)))
     out.append(("a", mutate(base_a, ("l2_01", 0, 0, 0), 1)))
 
-    base_b = with_zero_rb(make_linf(4, 1, l1=LinearMap.from_rows([[0], [0], [0], [1]])))
+    base_b = with_operators(two_term(4, 1, l1=LinearMap.from_rows([[0], [0], [0], [1]])))
     out.append(("b", mutate(base_b, ("l3", 0, 0, 1, 2), 1)))
 
-    base_c = with_zero_rb(make_linf(3, 2, l1=LinearMap.from_rows([[0, 0], [0, 0], [0, 1]])))
+    base_c = with_operators(two_term(3, 2, l1=LinearMap.from_rows([[0, 0], [0, 0], [0, 1]])))
     out.append(("c", mutate(base_c, ("l3", 0, 0, 1, 2), 1)))
 
-    base_d = with_zero_rb(make_linf(4, 1, l2_00=solvable4().bracket))
+    base_d = with_operators(two_term(4, 1, l2_00=solvable4().bracket))
     out.append(("d", mutate(base_d, ("l3", 0, 1, 2, 3), 1)))
 
-    base_1 = with_zero_rb(make_linf(3, 1, l1=LinearMap.from_rows([[1], [0], [0]])))
+    base_1 = with_operators(two_term(3, 1, l1=LinearMap.from_rows([[1], [0], [0]])))
     out.append(("rb1", mutate(base_1, ("r2", 0, 1, 2), 1)))
 
     action = BilinearMap.from_map(2, 1, 1, {(0, 0): vec(1)})
-    base_2 = with_zero_rb(make_linf(2, 1, l2_00=aff1().bracket, l2_01=action))
+    base_2 = with_operators(two_term(2, 1, l2_00=aff1().bracket, l2_01=action))
     out.append(("rb2", mutate(base_2, ("r1", 0, 0), 1)))
 
-    base_3 = TwoTermRBLInfinity(
-        make_linf(3, 1, l2_00=sl2().bracket),
-        RBTriple(sl2_rb_triangular().r, LinearMap.zero(1, 1),
-                 BilinearMap.zero(3, 3, 1, skew=True)))
+    base_3 = with_operators(two_term(3, 1, l2_00=sl2().bracket), sl2_rb_triangular().r)
     out.append(("rb3", mutate(base_3, ("r2", 0, 0, 2), 1)))
     return out
 
@@ -79,25 +61,17 @@ def rbh3_base_hom() -> RBLInfinityHom:
     """A valid homomorphism whose phi3 can be mutated without touching the
     other operator conditions: empty top term on the source side, zero
     differential and zero degree-one action on the target side."""
-    src = TwoTermRBLInfinity(
-        make_linf(2, 0, l2_00=aff1().bracket),
-        RBTriple(aff1_rb_neg().r, LinearMap.zero(0, 0),
-                 BilinearMap.zero(2, 2, 0, skew=True)))
-    tgt = TwoTermRBLInfinity(
-        make_linf(2, 1, l2_00=aff1().bracket),
-        RBTriple(aff1_rb_neg().r, LinearMap.zero(1, 1),
-                 BilinearMap.zero(2, 2, 1, skew=True)))
-    hom = LInfinityHom(src.linf, tgt.linf, LinearMap.identity(2),
-                       LinearMap.zero(1, 0), BilinearMap.zero(2, 2, 1, skew=True))
-    return RBLInfinityHom(src, tgt, hom, LinearMap.zero(1, 2))
+    src = with_operators(two_term(2, 0, l2_00=aff1().bracket), aff1_rb_neg().r)
+    tgt = with_operators(two_term(2, 1, l2_00=aff1().bracket), aff1_rb_neg().r)
+    return rb_hom(src, tgt, LinearMap.identity(2))
 
 
 def hom_mutants() -> list[tuple[str, RBLInfinityHom]]:
     out = []
-    g1 = with_zero_rb(make_linf(2, 1, l1=LinearMap.from_rows([[1], [0]])))
+    g1 = with_operators(two_term(2, 1, l1=LinearMap.from_rows([[1], [0]])))
     out.append(("rbh1", mutate(identity_rb_hom(g1), ("phi3", 0, 1), 1)))
 
-    g2 = with_zero_rb(make_linf(2, 2, l1=LinearMap.from_rows([[1, 0], [0, 0]])))
+    g2 = with_operators(two_term(2, 2, l1=LinearMap.from_rows([[1, 0], [0, 0]])))
     out.append(("rbh2", mutate(identity_rb_hom(g2), ("phi3", 1, 0), 1)))
 
     out.append(("rbh3", mutate(rbh3_base_hom(), ("phi3", 0, 1), 1)))
@@ -244,16 +218,14 @@ def _random_rb_hom(seed: int, d0: int, d1: int, flags_hold: bool) -> RBLInfinity
         return from_cells(shape, cells, flag)
 
     def structure():
-        linf = TwoTermLInfinity(TwoTermComplex(d0, d1, tensor((d0, d1))),
-                                tensor((d0, d0, d0), True), tensor((d1, d0, d1)),
-                                tensor((d1, d0, d0, d0), True))
-        return TwoTermRBLInfinity(linf, RBTriple(tensor((d0, d0)), tensor((d1, d1)),
-                                                 tensor((d1, d0, d0), True)))
+        linf = two_term(d0, d1, tensor((d0, d1)), tensor((d0, d0, d0), True),
+                        tensor((d1, d0, d1)), tensor((d1, d0, d0, d0), True))
+        return with_operators(linf, tensor((d0, d0)), tensor((d1, d1)),
+                              tensor((d1, d0, d0), True))
 
     src, tgt = structure(), structure()
-    hom = LInfinityHom(src.linf, tgt.linf, tensor((d0, d0)), tensor((d1, d1)),
-                       tensor((d1, d0, d0), True))
-    return RBLInfinityHom(src, tgt, hom, tensor((d1, d0)))
+    return rb_hom(src, tgt, tensor((d0, d0)), tensor((d1, d1)), tensor((d1, d0, d0), True),
+                  tensor((d1, d0)))
 
 
 def flag_broken_rb_hom(seed: int, d0: int = 3, d1: int = 2) -> RBLInfinityHom:

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (CATALOG_DIR, bracket_forms, flag_broken_rb_hom,
-                      flag_respecting_rb_hom, hom_mutants, make_linf,
+                      flag_respecting_rb_hom, hom_mutants,
                       reference_coh, reference_cohm, reference_d, reference_h3,
                       reference_jcoh, reference_perm_sign, reference_rb3,
-                      structure_mutants, with_zero_rb)
+                      structure_mutants)
 from rblie import lie2, twoterm
 from rblie.catalog import TWO_TERM_STRUCTURES, HOMOMORPHISMS, solvable4
 from rblie.cli import verify_structure
@@ -32,7 +32,7 @@ from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap, from_cells, is_
 from rblie.twoterm import (RBLInfinityHom, TwoTermRBLInfinity, alt_checks, h3_residual,
                            hom_checks, identity_rb_hom, quadruple_identity_residual,
                            rb3_residual, rb_hom_checks, rb_triple_checks, rbh3_residual,
-                           two_term_checks)
+                           two_term, two_term_checks, with_operators)
 from rblie.value import replace
 
 VIEW = RBLie2View(TWO_TERM_STRUCTURES["sl2-cocycle-rb2-nonstrict"])
@@ -469,7 +469,7 @@ def test_verified_structures_are_freed_without_the_cycle_collector():
 
 def _d_mutant_base():
     """The base of the `d` structure mutant: solv4's bracket, l3 = 0."""
-    return with_zero_rb(make_linf(4, 1, l2_00=solvable4().bracket))
+    return with_operators(two_term(4, 1, l2_00=solvable4().bracket))
 
 
 @pytest.mark.parametrize("parent, site", [
@@ -553,7 +553,7 @@ def test_roundtrip_counts_have_closed_forms():
     structures = [G for G in docs if isinstance(G, TwoTermRBLInfinity)]
     homs = [F for F in docs if isinstance(F, RBLInfinityHom)]
     assert len(structures) + len(homs) == 22
-    zeros = [with_zero_rb(make_linf(d0, d1)) for d0 in range(6) for d1 in range(4)]
+    zeros = [with_operators(two_term(d0, d1)) for d0 in range(6) for d1 in range(4)]
     for G in structures + zeros:
         assert roundtrip_structure(G).checked == structure_count(G)
     for F in homs + [identity_rb_hom(G) for G in zeros]:

@@ -4,14 +4,13 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from conftest import (CATALOG_DIR, hom_mutants, make_linf, structure_mutants,
-                      with_zero_rb)
+from conftest import CATALOG_DIR, hom_mutants, structure_mutants
 from rblie.cli import structure_checks, verify_structure
 from rblie.liealg import LieAlgebra
 from rblie.report import VerificationReport, Violation, choose, family, grid, run_checks
 from rblie.search import mutate
 from rblie.serialize import dumps, load, loads
-from rblie.twoterm import identity_rb_hom
+from rblie.twoterm import identity_rb_hom, two_term, with_operators
 from rblie.tensors import BilinearMap, vbasis, vec
 
 
@@ -80,7 +79,7 @@ def test_verify_peak_of_the_orbit_families_holds_one_value_per_sorted_tuple():
     peak of `verify` of the zero `rb-2term` at dim0 9, dim1 1 (9,056
     checks) is under 320 KB.  A memo of every ordering's signed value,
     perm(n, arity) entries, peaked at 0.9 MB there."""
-    G = with_zero_rb(make_linf(9, 1))
+    G = with_operators(two_term(9, 1))
     verify_structure(G)
     tracemalloc.start()
     try:
@@ -141,7 +140,7 @@ def test_count_is_the_number_of_checks_run():
     objs = [load(path) for path in sorted(CATALOG_DIR.glob("*.json"))]
     objs += [m for _, m in structure_mutants() + hom_mutants()]
     for d0, d1 in product(range(6), range(4)):
-        G = with_zero_rb(make_linf(d0, d1))
+        G = with_operators(two_term(d0, d1))
         objs += [G, identity_rb_hom(G)]
     for obj in objs:
         checks = structure_checks(obj)

@@ -19,6 +19,7 @@ from rblie.serialize import (DIM, KINDS, LABELS, OPERATORS, RATIONALS, SearchRes
                              dumps, embedded, get_at, kind_of, load, loads, parse_rational,
                              save)
 from rblie.tensors import BilinearMap, LinearMap, _Multilinear, vec
+from rblie.twoterm import rb_hom, two_term, with_operators
 from rblie.value import replace
 
 
@@ -155,6 +156,42 @@ def test_explicit_zero_entries_dropped_on_save():
     obj = loads(text)
     assert obj == LieAlgebra.abelian(2)
     assert '"0"' not in dumps(obj)
+
+
+def _without_empty_keys(doc: dict) -> tuple[dict, int]:
+    """`doc` with each key whose value is [] left out, in embedded documents
+    too, and the number of keys left out."""
+    out, dropped = {}, 0
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            value, inner = _without_empty_keys(value)
+            dropped += inner
+        if value == []:
+            dropped += 1
+        else:
+            out[key] = value
+    return out, dropped
+
+
+def test_omitted_tensor_keys_load_as_the_zero_map():
+    """A tensor key left out of a document is the zero map (docs/FORMAT.md):
+    with every [] key of a catalog document left out, the document loads as
+    the shipped object and dumps as the shipped bytes."""
+    total = 0
+    for path in sorted(CATALOG_DIR.glob("*.json")):
+        text = path.read_text(encoding="utf-8")
+        sparse, dropped = _without_empty_keys(json.loads(text))
+        obj = loads(json.dumps(sparse))
+        assert obj == loads(text), path.name
+        assert dumps(obj) == text, path.name
+        total += dropped
+    assert total == 145
+
+
+def test_two_term_kinds_build_through_the_constructors():
+    assert KINDS["2term"].build is two_term
+    assert KINDS["rb-2term"].build is with_operators
+    assert KINDS["rb-hom"].build is rb_hom
 
 
 def test_labels_round_trip():

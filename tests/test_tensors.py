@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rblie
-from conftest import make_linf, reference_perm_sign, reference_solve, with_zero_rb
+from conftest import reference_perm_sign, reference_solve
 from rblie import tensors, twoterm
 from rblie.catalog import CROSSED_MODULES
 from rblie.cli import verify_structure
@@ -173,7 +173,7 @@ def test_zero_structure_probes_skip_the_dense_grid():
     a slow machine and still catches that."""
     start = perf_counter()
     lie = verify_structure(LieAlgebra(25, BilinearMap.zero(25, 25, 25, skew=True)))
-    two_term = verify_structure(with_zero_rb(make_linf(5, 2)))
+    two_term = verify_structure(twoterm.with_operators(twoterm.two_term(5, 2)))
     elapsed = perf_counter() - start
     assert (lie.checked, len(lie.violations)) == (2625, 0)
     # 1,840 before the `coh-vs-rb3` (5^3) and `jcoh-vs-d` (5^4) checks left

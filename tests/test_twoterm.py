@@ -3,8 +3,7 @@ from itertools import product
 
 import pytest
 
-from conftest import (CATALOG_DIR, descent_chain, hom_mutants, make_linf,
-                      structure_mutants, with_zero_rb)
+from conftest import CATALOG_DIR, descent_chain, hom_mutants, structure_mutants
 from rblie.catalog import (CROSSED_MODULES, TWO_TERM_STRUCTURES, aff1,
                            aff1_adjoint_completed, aff1_rb_shift, adjoint_rb_two_term,
                            adjoint_two_term, sl2_cocycle_rb)
@@ -14,12 +13,13 @@ from rblie import twoterm
 from rblie.errors import InternalInvariantBroken, NotChainMap, SourceTargetMismatch
 from rblie.report import family, grid, run_checks
 from rblie.search import mutate
-from rblie.serialize import load
-from rblie.tensors import BilinearMap, LinearMap, parity, vec, vzero
-from rblie.twoterm import (CompletionFailure, LInfinityHom, TwoTermComplex,
+from rblie.serialize import dumps, load, loads
+from rblie.tensors import BilinearMap, LinearMap, TrilinearMap, parity, vec, vzero
+from rblie.twoterm import (CompletionFailure, LInfinityHom, RBLInfinityHom, RBTriple,
+                           TwoTermComplex, TwoTermLInfinity, TwoTermRBLInfinity,
                            complete_rb_triple, compose_rb_homs,
-                           hom_checks, identity_rb_hom, rb_hom_checks,
-                           rb_triple_checks, two_term_checks)
+                           hom_checks, identity_rb_hom, rb_hom, rb_hom_checks,
+                           rb_triple_checks, two_term, two_term_checks, with_operators)
 from rblie.value import replace
 
 
@@ -35,10 +35,34 @@ def test_repeated_index_family_is_the_parity_zero_tuples(arity):
         assert len(list(orderings())) == distinct == n ** arity - count
 
 
+@pytest.mark.parametrize("d0, d1", product(range(4), range(4)))
+def test_constructors_default_to_the_zero_maps_of_the_document_fields(d0, d1):
+    """A map left out of `two_term`, `with_operators` or `rb_hom` is the
+    zero map, skew or alternating as its document field is; each result
+    round-trips through its document."""
+    L = two_term(d0, d1)
+    assert L == TwoTermLInfinity(TwoTermComplex(d0, d1, LinearMap.zero(d0, d1)),
+                                 BilinearMap.zero(d0, d0, d0, skew=True),
+                                 BilinearMap.zero(d0, d1, d1),
+                                 TrilinearMap.zero(d0, d1, alt=True))
+    G = with_operators(L)
+    assert G == TwoTermRBLInfinity(L, RBTriple(LinearMap.zero(d0, d0), LinearMap.zero(d1, d1),
+                                               BilinearMap.zero(d0, d0, d1, skew=True)))
+    H = with_operators(two_term(d1, d0))  # a target of other dimensions
+    F = rb_hom(G, H)
+    assert F == RBLInfinityHom(G, H, LInfinityHom(
+        L, H.linf, LinearMap.zero(d1, d0), LinearMap.zero(d0, d1),
+        BilinearMap.zero(d0, d0, d0, skew=True)), LinearMap.zero(d0, d0))
+    assert ([L.l2_00.skew, L.l2_01.skew, L.l3.alt, G.rb.r2.skew, F.hom.phi2.skew]
+            == [True, False, True, True, True])
+    for obj in (L, G, F):
+        assert loads(dumps(obj)) == obj
+
+
 def test_lie_algebra_with_empty_top_term_is_valid():
     from rblie.catalog import sl2
-    assert verify_structure(make_linf(2, 0, l2_00=aff1().bracket)).ok
-    assert verify_structure(make_linf(3, 0, l2_00=sl2().bracket)).ok
+    assert verify_structure(two_term(2, 0, l2_00=aff1().bracket)).ok
+    assert verify_structure(two_term(3, 0, l2_00=sl2().bracket)).ok
 
 
 def test_adjoint_complex_valid():
@@ -61,7 +85,7 @@ def test_perturbed_homotopy_violates_condition_b():
 
 
 def test_zero_triple_valid_on_any_valid_structure():
-    G = with_zero_rb(adjoint_two_term(aff1()))
+    G = with_operators(adjoint_two_term(aff1()))
     assert run_checks(rb_triple_checks(G)).ok
 
 
@@ -95,7 +119,7 @@ def test_complete_rb_triple_recovers_zero_corrector():
 
 def test_complete_rb_triple_unsolvable_when_differential_vanishes():
     # zero differential leaves nothing to absorb the defect of a bad operator
-    L = make_linf(2, 1, l2_00=aff1().bracket)
+    L = two_term(2, 1, l2_00=aff1().bracket)
     bad = LinearMap.identity(2)
     res = complete_rb_triple(L, bad, LinearMap.zero(1, 1))
     assert isinstance(res, CompletionFailure)
@@ -180,9 +204,9 @@ def test_identity_hom_valid():
 
 
 def test_zero_hom_into_zero_structure_valid():
-    src = make_linf(2, 1, l2_00=aff1().bracket,
+    src = two_term(2, 1, l2_00=aff1().bracket,
                     l2_01=BilinearMap.from_map(2, 1, 1, {(0, 0): vec(1)}))
-    tgt = make_linf(0, 0)
+    tgt = two_term(0, 0)
     f = LInfinityHom(src, tgt, LinearMap.zero(0, 2), LinearMap.zero(0, 1),
                      BilinearMap.zero(2, 2, 0, skew=True))
     assert run_checks(hom_checks(f)).ok
