@@ -97,10 +97,9 @@ from rblie.liealg import (LieAlgebra, adjoint_representation,  # noqa: E402
                           semidirect_product)
 from rblie.search import SearchSpec, enumerate_rb_operators  # noqa: E402
 from rblie.serialize import SearchResults, dumps, loads  # noqa: E402
-from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap,  # noqa: E402
-                           from_cells, solve_exact, vbasis, vec)
-from rblie.twoterm import (RBTriple, TwoTermComplex, TwoTermLInfinity,  # noqa: E402
-                           TwoTermRBLInfinity, identity_rb_hom)
+from rblie.tensors import (LinearMap, from_cells, solve_exact, vbasis,  # noqa: E402
+                           vec)
+from rblie.twoterm import identity_rb_hom, two_term, with_operators  # noqa: E402
 
 REPEATS = 3
 CATALOG = ROOT / "catalog"
@@ -124,17 +123,6 @@ MUTATE_SITES = (  # (catalog document, --site, --delta) of the mutate-then-verif
     ("sl2-adjoint-cm-tri", "t0,0,1", "2"),
     ("aff1-ideal-cm-neg-prelie", "mult0,0,0,1", "1"),
 )
-
-
-def zero_rb_2term(d0: int, d1: int) -> TwoTermRBLInfinity:
-    """Built from the classes rather than `rblie.twoterm.two_term` and
-    `with_operators`, so that this file also runs in older checkouts."""
-    linf = TwoTermLInfinity(TwoTermComplex(d0, d1, LinearMap.zero(d0, d1)),
-                            BilinearMap.zero(d0, d0, d0, skew=True),
-                            BilinearMap.zero(d0, d1, d1),
-                            TrilinearMap.zero(d0, d1, alt=True))
-    return TwoTermRBLInfinity(linf, RBTriple(LinearMap.zero(d0, d0), LinearMap.zero(d1, d1),
-                                             BilinearMap.zero(d0, d0, d1, skew=True)))
 
 
 def sl3() -> LieAlgebra:
@@ -319,7 +307,8 @@ def sparse_count(text: str) -> int:
 def rows(work: Path) -> dict:
     out = {f"zero lie dim {n}": lambda n=n: verify_object(LieAlgebra.abelian(n))
            for n in (8, 12, 16, 25)}
-    out.update({f"zero rb-2term dim0 {d} dim1 2": lambda d=d: verify_object(zero_rb_2term(d, 2))
+    out.update({f"zero rb-2term dim0 {d} dim1 2":
+                lambda d=d: verify_object(with_operators(two_term(d, 2)))
                 for d in range(3, 7)})
     G = adjoint_rb_two_term(semidirect_product(
         adjoint_representation(RB_ALGEBRAS["solv4-rb-zero"])))
@@ -329,10 +318,9 @@ def rows(work: Path) -> dict:
     dim8_hom = dumps(identity_rb_hom(loads(dim8)))
     out["identity rb-hom of the dim0 8 solv4 adjoint semidirect rb-2term"] = \
         lambda: verify_object(loads(dim8_hom))
-    l3 = G.linf.l3
-    broken = TwoTermRBLInfinity(TwoTermLInfinity(
-        G.linf.complex, G.linf.l2_00, G.linf.l2_01,
-        from_cells(l3.shape, {**l3.cells(), (0, 0, 1, 2): 1}, l3.flag)), G.rb)
+    L, l3 = G.linf, G.linf.l3
+    broken = with_operators(two_term(L.dim0, L.dim1, L.complex.l1, L.l2_00, L.l2_01, from_cells(
+        l3.shape, {**l3.cells(), (0, 0, 1, 2): 1}, l3.flag)), G.rb.r0, G.rb.r1, G.rb.r2)
     dim8_broken = dumps(broken)
     out["dim0 8 rb-2term with one l3 cell without its partners (flag broken)"] = \
         lambda: verify_flag_broken(loads(dim8_broken))

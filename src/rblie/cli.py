@@ -249,6 +249,9 @@ def main(argv=None) -> int:
     except (StructureError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:  # a declared dimension too large to walk or hold
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

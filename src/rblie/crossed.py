@@ -8,8 +8,7 @@ constituents' checks `prefixed` by `g0-`/`g1-` or `p0-`/`p1-` plus one
 construction runs the builders of its output.
 
 Action data mirrors `RBRepresentation`: one endomorphism matrix of the top
-term per basis vector of the bottom term, extended linearly, with shapes
-checked by the same `check_action_shapes`.
+term per basis vector of the bottom term, extended linearly.
 """
 
 from __future__ import annotations
@@ -18,10 +17,10 @@ from functools import partial
 from itertools import combinations
 from math import comb
 
-from .errors import NotStrict, ShapeMismatch
+from .errors import NotStrict
 from .liealg import (LieAlgebra, PreLieAlgebra, RotaBaxterLieAlgebra, act_on,
                      action_hom_residual, action_rb_residual, chain_residual,
-                     check_action_shapes, commutator, hom_residual, lie_checks,
+                     commutator, hom_residual, lie_checks,
                      operator_product, prelie_checks, rb_checks, row_major,
                      semidirect_data)
 from .report import Checks, choose, family, grid, run_checks
@@ -31,43 +30,28 @@ from .twoterm import (TwoTermRBLInfinity, rb_triple_checks, two_term, two_term_c
 from .value import Value
 
 
-class LieCrossedModule(Value):
+class LieCrossedModule(Value, shapes={"d": "g0.dim g1.dim", "rho": "g0.dim g1.dim g1.dim"}):
     g0: LieAlgebra
     g1: LieAlgebra
     d: LinearMap                  # g1 -> g0
     rho: tuple[LinearMap, ...]    # action of g0 on g1
 
-    def __post_init__(self):
-        if (self.d.rows, self.d.cols) != (self.g0.dim, self.g1.dim):
-            raise ShapeMismatch("boundary map must be a dim(g0) x dim(g1) matrix")
-        check_action_shapes(self.g0.dim, self.g1.dim, self.rho, "action")
 
-
-class RBLieCrossedModule(Value):
+class RBLieCrossedModule(Value, shapes={"t0": "base.g0.dim base.g0.dim",
+                                        "t1": "base.g1.dim base.g1.dim"}):
     base: LieCrossedModule
     t0: LinearMap
     t1: LinearMap
 
-    def __post_init__(self):
-        n0, n1 = self.base.g0.dim, self.base.g1.dim
-        if (self.t0.rows, self.t0.cols) != (n0, n0):
-            raise ShapeMismatch("bottom operator must be square on g0")
-        if (self.t1.rows, self.t1.cols) != (n1, n1):
-            raise ShapeMismatch("top operator must be square on g1")
 
-
-class PreLieCrossedModule(Value):
+class PreLieCrossedModule(Value, shapes={"delta": "p0.dim p1.dim",
+                                         "l_act": "p0.dim p1.dim p1.dim",
+                                         "r_act": "p0.dim p1.dim p1.dim"}):
     p0: PreLieAlgebra
     p1: PreLieAlgebra
     delta: LinearMap
     l_act: tuple[LinearMap, ...]
     r_act: tuple[LinearMap, ...]
-
-    def __post_init__(self):
-        if (self.delta.rows, self.delta.cols) != (self.p0.dim, self.p1.dim):
-            raise ShapeMismatch("boundary map must be a dim(p0) x dim(p1) matrix")
-        check_action_shapes(self.p0.dim, self.p1.dim, self.l_act, "left action")
-        check_action_shapes(self.p0.dim, self.p1.dim, self.r_act, "right action")
 
 
 def lie_crossed_checks(cm: LieCrossedModule) -> Checks:

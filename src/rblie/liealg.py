@@ -22,15 +22,12 @@ from .tensors import (BilinearMap, LinearMap, Vec, from_cells, vadd, vscale,
 from .value import Value
 
 
-class LieAlgebra(Value, uncompared=("labels",)):
+class LieAlgebra(Value, uncompared=("labels",), shapes={"bracket": "dim dim dim"}):
     dim: int
     bracket: BilinearMap  # skew-flagged, dim x dim -> dim
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        b = self.bracket
-        if (b.dim_a, b.dim_b, b.dim_out) != (self.dim, self.dim, self.dim):
-            raise ShapeMismatch("bracket tensor does not match algebra dimension")
         if self.labels is not None and len(self.labels) != self.dim:
             raise ShapeMismatch("label count does not match dimension")
 
@@ -51,49 +48,26 @@ class LieAlgebra(Value, uncompared=("labels",)):
         return self.bracket.partial(1, i)
 
 
-class RotaBaxterLieAlgebra(Value):
+class RotaBaxterLieAlgebra(Value, shapes={"r": "base.dim base.dim"}):
     base: LieAlgebra
     r: LinearMap
-
-    def __post_init__(self):
-        if (self.r.rows, self.r.cols) != (self.base.dim, self.base.dim):
-            raise ShapeMismatch("operator matrix does not match algebra dimension")
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
 
-class PreLieAlgebra(Value):
+class PreLieAlgebra(Value, shapes={"mult": "dim dim dim"}):
     dim: int
     mult: BilinearMap  # not skew
 
-    def __post_init__(self):
-        m = self.mult
-        if (m.dim_a, m.dim_b, m.dim_out) != (self.dim, self.dim, self.dim):
-            raise ShapeMismatch("multiplication tensor does not match dimension")
 
-
-class RBRepresentation(Value):
+class RBRepresentation(Value, shapes={"rho": "algebra.dim dim_v dim_v",
+                                      "cal_r": "dim_v dim_v"}):
     algebra: RotaBaxterLieAlgebra
     dim_v: int
     rho: tuple[LinearMap, ...]  # one matrix per basis vector of g
     cal_r: LinearMap            # operator on V
-
-    def __post_init__(self):
-        check_action_shapes(self.algebra.dim, self.dim_v, self.rho, "action")
-        if (self.cal_r.rows, self.cal_r.cols) != (self.dim_v, self.dim_v):
-            raise ShapeMismatch("module operator does not match module dimension")
-
-
-def check_action_shapes(dim: int, dim_v: int, rho: tuple[LinearMap, ...], what: str):
-    """`rho` holds one dim_v x dim_v matrix per basis vector of an algebra
-    of dimension `dim`."""
-    if len(rho) != dim:
-        raise ShapeMismatch(f"{what} needs one matrix per basis vector of the acting algebra")
-    for m in rho:
-        if (m.rows, m.cols) != (dim_v, dim_v):
-            raise ShapeMismatch(f"{what} matrices must be square on the module")
 
 
 def rb_residual(bracket: BilinearMap, r: LinearMap, i: int, j: int) -> Vec:

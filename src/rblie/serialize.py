@@ -17,7 +17,8 @@ that table.  A tensor's entries are its own store read back: `TENSOR`
 checks each of a document's entries and groups it straight into the map's
 store (`tensors.from_groups`), and `dumps` writes one line per stored
 entry, sorted once, so no dense grid is built and a declared dimension
-costs nothing.
+costs nothing, except in an action, which holds one matrix per basis
+vector of the acting algebra.
 `dumps` writes the text straight from the table, each codec rendering its
 own value, with no JSON value tree in between; `load` and `save` open the
 file directly.  The full grammar lives in docs/FORMAT.md.

@@ -59,30 +59,18 @@ from .liealg import chain_residual, rb_residual, skew_checks
 from .value import Value
 
 
-class TwoTermComplex(Value):
+class TwoTermComplex(Value, shapes={"l1": "dim0 dim1"}):
     dim0: int
     dim1: int
     l1: LinearMap  # g1 -> g0
 
-    def __post_init__(self):
-        if (self.l1.rows, self.l1.cols) != (self.dim0, self.dim1):
-            raise ShapeMismatch("differential must be a dim0 x dim1 matrix")
 
-
-class TwoTermLInfinity(Value):
+class TwoTermLInfinity(Value, shapes={"l2_00": "dim0 dim0 dim0", "l2_01": "dim1 dim0 dim1",
+                                      "l3": "dim1 dim0 dim0 dim0"}):
     complex: TwoTermComplex
     l2_00: BilinearMap   # g0 x g0 -> g0, skew
     l2_01: BilinearMap   # g0 x g1 -> g1
     l3: TrilinearMap     # alt, three copies of g0 -> g1
-
-    def __post_init__(self):
-        d0, d1 = self.complex.dim0, self.complex.dim1
-        if (self.l2_00.dim_a, self.l2_00.dim_b, self.l2_00.dim_out) != (d0, d0, d0):
-            raise ShapeMismatch("l2_00 must map g0 x g0 -> g0")
-        if (self.l2_01.dim_a, self.l2_01.dim_b, self.l2_01.dim_out) != (d0, d1, d1):
-            raise ShapeMismatch("l2_01 must map g0 x g1 -> g1")
-        if (self.l3.dim, self.l3.dim_out) != (d0, d1):
-            raise ShapeMismatch("l3 must map three copies of g0 into g1")
 
     @property
     def dim0(self) -> int:
@@ -99,18 +87,11 @@ class RBTriple(Value):
     r2: BilinearMap        # g0 x g0 -> g1, skew
 
 
-class TwoTermRBLInfinity(Value):
+class TwoTermRBLInfinity(Value, shapes={"rb.r0": "linf.dim0 linf.dim0",
+                                        "rb.r1": "linf.dim1 linf.dim1",
+                                        "rb.r2": "linf.dim1 linf.dim0 linf.dim0"}):
     linf: TwoTermLInfinity
     rb: RBTriple
-
-    def __post_init__(self):
-        d0, d1 = self.linf.dim0, self.linf.dim1
-        if (self.rb.r0.rows, self.rb.r0.cols) != (d0, d0):
-            raise ShapeMismatch("R0 must be square on g0")
-        if (self.rb.r1.rows, self.rb.r1.cols) != (d1, d1):
-            raise ShapeMismatch("R1 must be square on g1")
-        if (self.rb.r2.dim_a, self.rb.r2.dim_b, self.rb.r2.dim_out) != (d0, d0, d1):
-            raise ShapeMismatch("R2 must map g0 x g0 -> g1")
 
     @property
     def is_strict(self) -> bool:
@@ -290,24 +271,17 @@ def complete_rb_triple(L: TwoTermLInfinity, r0: LinearMap,
     return candidate.rb
 
 
-class LInfinityHom(Value):
+class LInfinityHom(Value, shapes={"phi0": "target.dim0 source.dim0",
+                                  "phi1": "target.dim1 source.dim1",
+                                  "phi2": "target.dim1 source.dim0 source.dim0"}):
     source: TwoTermLInfinity
     target: TwoTermLInfinity
     phi0: LinearMap   # g0 -> g0'
     phi1: LinearMap   # g1 -> g1'
     phi2: BilinearMap  # g0 x g0 -> g1', skew
 
-    def __post_init__(self):
-        s, t = self.source, self.target
-        if (self.phi0.rows, self.phi0.cols) != (t.dim0, s.dim0):
-            raise ShapeMismatch("phi0 must map source g0 to target g0")
-        if (self.phi1.rows, self.phi1.cols) != (t.dim1, s.dim1):
-            raise ShapeMismatch("phi1 must map source g1 to target g1")
-        if (self.phi2.dim_a, self.phi2.dim_b, self.phi2.dim_out) != (s.dim0, s.dim0, t.dim1):
-            raise ShapeMismatch("phi2 must map source g0 pairs to target g1")
 
-
-class RBLInfinityHom(Value):
+class RBLInfinityHom(Value, shapes={"phi3": "target.linf.dim1 source.linf.dim0"}):
     source: TwoTermRBLInfinity
     target: TwoTermRBLInfinity
     hom: LInfinityHom  # between the underlying two-term structures
@@ -316,9 +290,6 @@ class RBLInfinityHom(Value):
     def __post_init__(self):
         if self.hom.source != self.source.linf or self.hom.target != self.target.linf:
             raise ShapeMismatch("homomorphism endpoints disagree with the given structures")
-        s, t = self.hom.source, self.hom.target
-        if (self.phi3.rows, self.phi3.cols) != (t.dim1, s.dim0):
-            raise ShapeMismatch("phi3 must map source g0 to target g1")
 
 
 def rb_hom(source: TwoTermRBLInfinity, target: TwoTermRBLInfinity,

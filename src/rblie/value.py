@@ -12,21 +12,36 @@ generated source for every class (about 150 methods for this package's
 (2 CPUs, Python 3.11.7) the decorator took 25-27 ms of 80-82 ms.  Fields
 are written one by one with ``object.__setattr__``, as the decorator's
 code does; the tensor maps, built most often, spell out their `__init__`.
+
+``class C(Value, shapes={"phi3": "target.linf.dim1 source.linf.dim0"})``
+declares the bounds of the map at each attribute path, output first, as
+attribute paths of the object (the notation of the `serialize` kinds
+table); subclasses inherit them.  `__init__` checks them before
+`__post_init__`: a map must have ``shape == bounds``, an action (a tuple of
+maps) must hold ``bounds[0]`` maps of shape ``bounds[1:]``, or it raises
+`ShapeMismatch` naming the path.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import attrgetter
 
+from .errors import ShapeMismatch
+
 _set = object.__setattr__
+_shape = attrgetter("shape")
 
 
 class Value:
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
     _uncompared: frozenset = frozenset()
+    _shapes: dict[str, str] = {}          # map path -> its bounds
+    _checked: tuple[tuple[str, slice], ...] = ()  # (path, its bounds in `_shaped`)
 
-    def __init_subclass__(cls, uncompared: tuple[str, ...] = (), **kwargs):
+    def __init_subclass__(cls, uncompared: tuple[str, ...] = (),
+                          shapes: dict[str, str] | None = None, **kwargs):
         super().__init_subclass__(**kwargs)
         own = tuple(name for name in cls.__dict__.get("__annotations__", {})
                     if name not in cls._fields)
@@ -37,12 +52,26 @@ class Value:
         # the class and the compared fields, as one tuple
         cls._compared = attrgetter("__class__", *(
             name for name in cls._fields if name not in cls._uncompared))
+        cls._shapes = {**cls._shapes, **(shapes or {})}
+        if cls._shapes:
+            bounds = [b.split() for b in cls._shapes.values()]
+            # the maps, then all their bounds, as one tuple
+            cls._shaped = attrgetter(*cls._shapes, *(b for names in bounds for b in names))
+            ends = list(accumulate(map(len, bounds), initial=len(bounds)))
+            cls._checked = tuple(zip(cls._shapes, map(slice, ends, ends[1:])))
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._fields):
             args = self._bind(args, kwargs)
         for field, value in zip(self._fields, args):
             _set(self, field, value)
+        if self._checked:
+            got = self._shaped(self)
+            for at, (path, bounds) in enumerate(self._checked):
+                m, want = got[at], got[bounds]
+                if not (len(m) == want[0] and all(map(want[1:].__eq__, map(_shape, m)))
+                        if m.__class__ is tuple else m.shape == want):
+                    raise ShapeMismatch(f"{path} is not a {'x'.join(map(str, want))} map")
         self.__post_init__()
 
     @classmethod

@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import CATALOG_DIR, hom_mutants, structure_mutants
 from rblie import cli
 from rblie.cli import main, structure_checks, verify_structure
-from rblie.serialize import load, loads
+from rblie.liealg import prelie_from_rb
+from rblie.serialize import KIND_OF_CLASS, KINDS, dumps, load, loads
 
 
 def run_cli(capsys, *argv):
@@ -154,8 +155,8 @@ def replaced(doc, path, value):
 
 
 @st.composite
-def corrupted_documents(draw) -> bytes:
-    doc = CATALOG_DOCS[draw(st.sampled_from(sorted(CATALOG_DOCS)))]
+def corrupted_documents(draw, docs=CATALOG_DOCS) -> bytes:
+    doc = docs[draw(st.sampled_from(sorted(docs)))]
     paths = leaf_paths(doc)
     for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3)):
         doc = replaced(doc, path, draw(LEAVES))
@@ -173,6 +174,61 @@ def test_verify_and_roundtrip_exit_codes_on_arbitrary_input(data):
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = main([command, str(path)])
             assert code in (0, 1, 2), (command, data[:200])
+
+
+# a pre-lie document from each rb-lie one, as the catalog ships none
+PRELIE_DOCS = {f"{name[:-5]}-prelie": json.loads(dumps(prelie_from_rb(load(CATALOG_DIR / name))))
+               for name, doc in CATALOG_DOCS.items() if doc["kind"] == "rb-lie"}
+OF_KIND = {kind: {name: doc for name, doc in {**CATALOG_DOCS, **PRELIE_DOCS}.items()
+                  if doc["kind"] == kind} for kind in KINDS}
+CONSTRUCT_INPUT = {name: KIND_OF_CLASS[cls].name for name, (cls, _) in cli._CONSTRUCTIONS.items()}
+SMALL_LIE = {name: doc for name, doc in OF_KIND["lie"].items() if doc["dim"] <= 3}
+
+
+@st.composite
+def command_calls(draw) -> list[tuple]:
+    """The calls of one fuzz case, each an argv with its documents as bytes:
+    a construction on a corrupted document of its input kind, `compose` of
+    a corrupted `rb-hom` with a catalog one in both orders, `mutate` of a
+    catalog document at a random site by a random delta, or `search-rb` on
+    a corrupted `lie` document of dim at most 3."""
+    command = draw(st.sampled_from(("construct", "compose", "mutate", "search-rb")))
+    if command == "construct":
+        name = draw(st.sampled_from(sorted(CONSTRUCT_INPUT)))
+        return [(command, name, draw(corrupted_documents(OF_KIND[CONSTRUCT_INPUT[name]])))]
+    if command == "compose":  # the catalog one is often the corrupted one's own original
+        homs = OF_KIND["rb-hom"]
+        name = draw(st.sampled_from(sorted(homs)))
+        bad = draw(corrupted_documents({name: homs[name]}))
+        good = json.dumps(homs[draw(st.just(name) | st.sampled_from(sorted(homs)))]).encode()
+        return [(command, bad, good), (command, good, bad)]
+    if command == "mutate":
+        doc = CATALOG_DOCS[draw(st.sampled_from(sorted(CATALOG_DOCS)))]
+        key = draw(st.sampled_from([*(k for k, v in doc.items() if isinstance(v, list)), "x"]))
+        idx = draw(st.lists(st.integers(-1, 2), min_size=2, max_size=4))
+        delta = draw(st.sampled_from(["1", "-2/3", "0", "7/1", "x", "1/0", ""]))
+        return [(command, json.dumps(doc).encode(), f"--site={','.join(map(str, [key, *idx]))}",
+                 f"--delta={delta}")]
+    return [(command, draw(corrupted_documents(SMALL_LIE)), "--budget", "20000")]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command_calls())
+def test_every_command_exit_code_on_corrupted_input(calls):
+    """Any call of any command gives exit 0, 1 or 2 and never lets an
+    exception escape."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in calls:
+            args = []
+            for pos, arg in enumerate(argv):
+                if isinstance(arg, bytes):
+                    path = Path(tmp) / f"doc{pos}.json"
+                    path.write_bytes(arg)
+                    arg = str(path)
+                args.append(arg)
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(args)
+            assert code in (0, 1, 2), argv
 
 
 def test_hom_with_invalid_target_reports_violations(capsys, tmp_path):
@@ -273,6 +329,39 @@ def test_parse_error_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == "" and err.startswith("error: invalid document: Expecting ':' delimiter")
     assert "line 3 column 8" in err
+
+
+def test_label_count_other_than_the_dimension_exits_two(capsys, tmp_path):
+    doc = json.loads((CATALOG_DIR / "sl2.json").read_text())
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps({**doc, "basis": doc["basis"][:-1]}))
+    assert run_cli(capsys, "verify", str(path)) == (
+        2, "", "error: label count does not match dimension\n")
+
+
+# a dimension whose checks (lie) or whose action tuple (crossed-lie) outgrow
+# the address space of the test's child process
+HUGE = {
+    "lie": {"kind": "lie", "version": 1, "dim": 10 ** 9, "bracket": [[2, 0, 1, "1"]]},
+    "crossed-lie": {"kind": "crossed-lie", "version": 1, "dim0": 10 ** 9, "dim1": 1,
+                    "bracket0": [], "bracket1": [], "d": [], "rho": []},
+}
+CAPPED_VERIFY = ("import resource, sys; "
+                 "resource.setrlimit(resource.RLIMIT_AS, (100 << 20,) * 2); "
+                 "from rblie.cli import main; sys.exit(main(['verify', sys.argv[1]]))")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+@pytest.mark.parametrize("doc", HUGE.values(), ids=HUGE.keys())
+def test_out_of_memory_exits_two_without_traceback(tmp_path, doc):
+    """In a child process whose address space is capped at 100 MB, so the
+    allocation fails rather than the host running short."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    env = {**os.environ, "PYTHONPATH": str(CATALOG_DIR.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", CAPPED_VERIFY, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
 
 
 def test_missing_file_exits_two(capsys):

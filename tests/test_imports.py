@@ -1,6 +1,7 @@
 """Every name a module of the package, a test module or a script imports is
-used in that module, so a deletion cannot leave an import behind; and no
-line under src/ is longer than 100 characters."""
+used in that module, so a deletion cannot leave an import behind; every
+one of them parses as Python 3.10, the oldest version the package
+supports; and no line under src/ is longer than 100 characters."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,13 @@ def test_no_src_line_is_longer_than_100_characters():
             for n, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1)
             if len(line) > 100]
     assert long == []
+
+
+def test_every_module_parses_as_python_3_10():
+    """The grammar of the oldest supported version, so syntax newer than
+    `requires-python` (``except*``, say) fails here and not only on a 3.10
+    interpreter."""
+    for path in [ROOT / "src" / "rblie" / "__init__.py", *MODULES]:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

@@ -11,11 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from rblie.liealg import LieAlgebra
+from rblie.crossed import LieCrossedModule, PreLieCrossedModule, RBLieCrossedModule
+from rblie.errors import ShapeMismatch
+from rblie.liealg import LieAlgebra, PreLieAlgebra, RBRepresentation, RotaBaxterLieAlgebra
 from rblie.report import Violation
 from rblie.search import SearchSpec
-from rblie.serialize import TENSOR, TensorCodec
-from rblie.tensors import BilinearMap, LinearMap
+from rblie.serialize import TENSOR, TensorCodec, get_at, load, put_at
+from rblie.tensors import BilinearMap, LinearMap, from_cells
+from rblie.twoterm import (LInfinityHom, RBLInfinityHom, TwoTermComplex, TwoTermLInfinity,
+                           TwoTermRBLInfinity, two_term, with_operators)
 from rblie.value import Value, replace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,6 +101,102 @@ def test_replace_copies_with_fields_changed_and_reruns_post_init():
     assert spec.coeffs == (0, 1) and all(type(c) is int for c in spec.coeffs)
     bracket = replace(LieAlgebra.abelian(2).bracket, skew=False)
     assert not bracket.skew and bracket.dim_a == 2
+
+
+class Arrow(Value, shapes={"m": "rows cols", "act": "n rows rows"}):
+    rows: int
+    cols: int
+    m: LinearMap
+    n: int = 0
+    act: tuple = ()
+
+
+class LabelledArrow(Arrow):
+    label: str = ""
+
+
+class TwoWayArrow(Arrow, shapes={"back": "cols rows"}):
+    back: LinearMap
+
+
+class Loose(Value):
+    m: LinearMap
+
+
+def test_declared_shapes_are_checked_and_inherited():
+    m, back, square = LinearMap.zero(2, 3), LinearMap.zero(3, 2), LinearMap.zero(2, 2)
+    assert Arrow(2, 3, m, 1, (square,)).act == (square,)
+    assert TwoWayArrow(2, 3, m, back=back).back is back
+    for cls, more in ((Arrow, {}), (LabelledArrow, {}), (TwoWayArrow, {"back": back})):
+        with pytest.raises(ShapeMismatch, match="^m is not a 2x3 map$"):
+            cls(2, 3, back, **more)
+        with pytest.raises(ShapeMismatch, match="^act is not a 2x2x2 map$"):
+            cls(2, 3, m, 2, (square,), **more)
+        with pytest.raises(ShapeMismatch, match="^act is not a 1x2x2 map$"):
+            cls(2, 3, m, 1, (m,), **more)
+    with pytest.raises(ShapeMismatch, match="^back is not a 3x2 map$"):
+        TwoWayArrow(2, 3, m, back=m)
+    assert list(TwoWayArrow._shapes) == ["m", "act", "back"]
+    assert list(Arrow._shapes) == list(LabelledArrow._shapes) == ["m", "act"]
+
+
+def test_a_class_without_shapes_checks_none():
+    assert Loose._shapes == {} and Point._shapes == {}
+    assert Loose(None).m is None and Loose(LinearMap.zero(2, 3)).m.shape == (2, 3)
+
+
+# (catalog document, attribute path of an instance in it, its class, the
+# paths of its maps, the paths of its actions); most instances have unequal
+# dimensions, so a transposed shape would show
+SHAPED = (
+    ("sl2", "", LieAlgebra, ("bracket",), ()),
+    ("sl2-rb-tri", "", RotaBaxterLieAlgebra, ("r",), ()),
+    ("aff1-ideal-cm-neg-prelie", "p0", PreLieAlgebra, ("mult",), ()),
+    ("aff1-adjoint-rep", "", RBRepresentation, ("cal_r",), ("rho",)),
+    ("sl2-cocycle-rb2-nonstrict", "linf.complex", TwoTermComplex, ("l1",), ()),
+    ("sl2-cocycle-rb2-nonstrict", "linf", TwoTermLInfinity, ("l2_00", "l2_01", "l3"), ()),
+    ("sl2-cocycle-rb2-nonstrict", "", TwoTermRBLInfinity, ("rb.r0", "rb.r1", "rb.r2"), ()),
+    ("aff1-phi3-hom", "hom", LInfinityHom, ("phi0", "phi1", "phi2"), ()),
+    ("aff1-phi3-hom", "", RBLInfinityHom, ("phi3",), ()),
+    ("aff1-ideal-cm-lie", "", LieCrossedModule, ("d",), ("rho",)),
+    ("heis3-center-cm", "", RBLieCrossedModule, ("t0", "t1"), ()),
+    ("aff1-ideal-cm-neg-prelie", "", PreLieCrossedModule, ("delta",), ("l_act", "r_act")),
+)
+
+
+def enlarged(m) -> list:
+    """`m` with one more row, and with one more column in each input (in
+    every input at once when the map is flagged skew or alternating)."""
+    out, *ins = m.shape
+    shapes = [(out + 1, *ins)] + ([(out, *(n + 1 for n in ins))] if m.flag else
+                                  [(out, *ins[:k], ins[k] + 1, *ins[k + 1:])
+                                   for k in range(len(ins))])
+    return [from_cells(shape, m.cells(), m.flag) for shape in shapes]
+
+
+@pytest.mark.parametrize("doc, at, cls, maps, actions", SHAPED,
+                         ids=[case[2].__name__ for case in SHAPED])
+def test_each_structure_rejects_a_map_of_the_wrong_shape(doc, at, cls, maps, actions):
+    """Every map of a catalog instance one row or column too large, and
+    every action one matrix short or with one matrix too large, is a
+    `ShapeMismatch` when the instance is rebuilt."""
+    obj = get_at(load(ROOT / "catalog" / f"{doc}.json"), at)
+    assert type(obj) is cls and set(cls._shapes) == {*maps, *actions}
+    wrong = [(path, m) for path in maps for m in enlarged(get_at(obj, path))]
+    for path in actions:
+        rho = get_at(obj, path)
+        wrong += [(path, rho[:-1])] + [(path, (*rho[:-1], m)) for m in enlarged(rho[-1])]
+    for path, value in wrong:
+        with pytest.raises(ShapeMismatch, match=rf"^{re.escape(path)} is not a \d+(x\d+)+ map$"):
+            put_at(obj, path, value)
+
+
+def test_rb_hom_endpoints_must_be_those_of_its_homomorphism():
+    f = load(ROOT / "catalog" / "aff1-phi3-hom.json")
+    for end in ("source", "target"):
+        linf = get_at(f, end).linf
+        with pytest.raises(ShapeMismatch, match="endpoints disagree"):
+            replace(f, **{end: with_operators(two_term(linf.dim0, linf.dim1))})
 
 
 def test_violations_keep_their_order():
