@@ -64,10 +64,13 @@ The JSON written to the one argument holds every row (median, minimum, the
 single runs, the number of checked conditions, of documents for the
 `loads`/`dumps` row, of operators found for the `search-rb` rows, or the
 count of the dim-200 row; the largest child peak RSS of the fresh
-`verify` rows) and the line count of `src/`.  A probe that fails verification, the
-flag-broken probe when it reports other counts, an inverse that is not
-exact, or a search that finds another number of operators or takes
-longer, exits nonzero.
+`verify` rows) and the line count of `src/`.  Each `search-rb` row and the
+masked sl3 row also hold `walk`: the nodes of the search (its `_narrow`
+calls, counted by wrapping `rblie.search._narrow`) and the operators
+found, from one more run after the timed ones, untimed.  A probe that
+fails verification, the flag-broken probe when it reports other counts,
+an inverse that is not exact, or a search that finds another number of
+operators or takes longer, exits nonzero.
 Only the standard library is used, so the same file can be copied into an
 older checkout to measure a before/after pair on one machine.  The zero
 dim-25 row of a dense tensor kernel takes minutes, so this is not a CI
@@ -91,6 +94,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from rblie import search as search_module  # noqa: E402
 from rblie.catalog import LIE_ALGEBRAS, RB_ALGEBRAS, adjoint_rb_two_term  # noqa: E402
 from rblie.cli import main as cli_main, structure_checks, verify_structure  # noqa: E402
 from rblie.liealg import (LieAlgebra, adjoint_representation,  # noqa: E402
@@ -265,6 +269,19 @@ def search(name: str) -> int:
     return found
 
 
+def walk(run) -> dict:
+    """One more run of a search row, untimed, with `rblie.search._narrow`
+    wrapped: the nodes it visits (its `_narrow` calls) and the operators
+    found."""
+    nodes, narrow = [], search_module._narrow
+    search_module._narrow = lambda *args: nodes.append(1) or narrow(*args)
+    try:
+        found = run()
+    finally:
+        search_module._narrow = narrow
+    return {"narrow_calls": len(nodes), "found": found}
+
+
 def fresh(*args: str) -> int:
     """FRESH_RUNS fresh interpreters, one after another, running `args`
     with `src/` on their path; the checked count a `verify` prints, else 0."""
@@ -384,6 +401,8 @@ def main(argv: list[str]) -> int:
                     out, mb = out
                     rss[name].append(mb)
                 checked[name] = out
+        walks = {name: walk(fn) for name, fn in table.items()
+                 if name.startswith(("search-rb ", "masked sl3 search "))}
     for name, times in runs.items():
         median = statistics.median(times)
         row = result["rows"][name] = {"median_s": round(median, 4),
@@ -394,6 +413,10 @@ def main(argv: list[str]) -> int:
             row["peak_rss_mb"] = round(max(rss[name]), 1)
         print(f"{name}: {median:.3f} s, min {min(times):.3f} s ({checked[name]} checks)",
               file=sys.stderr)
+        if name in walks:
+            row["walk"] = walks[name]
+            print(f"  {walks[name]['narrow_calls']} _narrow calls, "
+                  f"{walks[name]['found']} operators", file=sys.stderr)
     result["src_lines"] = sum(len(p.read_text().splitlines())
                               for p in sorted((ROOT / "src").rglob("*.py")))
     Path(argv[0]).write_text(json.dumps(result, indent=2) + "\n")

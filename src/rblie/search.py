@@ -10,8 +10,17 @@ to the right-hand side) must vanish, and when its only unset coordinate is
 k it forces column k to residual / v_k, one exact division per row whose
 quotient must lie in the grid.  A failure prunes the branch.  A completed
 matrix (k = n) is decided by the same rule: every pair is settled, so each
-residual must vanish.  Only a matrix that passes is built as a map and
-confirmed against the full identity.
+residual must vanish.
+
+Each matrix kept, mirrored ones included (below), is confirmed once more,
+exactly, by `_is_rb`: at every pair i < j the residual lhs - sum_m v_m c_m
+of the pair's (lhs, v), read from the pair table below, must vanish on
+the completed matrix.  That is the weight-zero identity at every basis
+pair.  A matrix the walk kept finds all its pairs in the table, so no
+bracket or map is applied again; a mirrored one adds the entries of its
+negated columns.  Only a matrix that passes is built as a map.  The
+brute-force oracle of `tests/test_search.py` still judges by the full
+`rota-baxter` checks (`liealg.rb_checks`).
 
 The weight-zero identity [Rx, Ry] = R([Rx, y] + [x, Ry]) is homogeneous of
 degree 2 in R, so -R is an operator exactly when R is.  (This is for
@@ -29,9 +38,9 @@ A column stays fixed for its whole subtree, so each pair's (lhs, v) is
 computed once, on first use, in the pair table: a dict keyed by
 ``(i, j, R e_i, R e_j)`` that lives for one search, since it is valid for
 one algebra and one grid only.  It holds at most C(n, 2)·|column values|²
-entries, in practice the pairs the search visits; the weight-zero mirror
-leaves the bound as it is, since past the zero prefix every column value
-is still tried.
+entries, in practice the pairs the search visits and the confirmation
+adds; the weight-zero mirror leaves the bound as it is, since a negated
+column is a column of the grid too.
 """
 
 from __future__ import annotations
@@ -40,10 +49,10 @@ from fractions import Fraction
 from itertools import chain, combinations, permutations, product
 
 from .errors import BadSite, BudgetExceeded
-from .liealg import LieAlgebra, RotaBaxterLieAlgebra, rb_residual
+from .liealg import LieAlgebra, RotaBaxterLieAlgebra
 from .serialize import KIND_OF_CLASS, get_at, put_at
 from .tensors import LinearMap, Vec, exact, group_cells, parity, vadd
-from .value import Value
+from .value import Value, declared_shape
 
 
 class SearchSpec(Value):
@@ -78,9 +87,22 @@ class SearchSpec(Value):
                      for r in range(self.target.dim))
 
 
-def _is_rb(alg: LieAlgebra, r: LinearMap) -> bool:
-    return not any(any(rb_residual(alg.bracket, r, i, j))
-                   for i, j in combinations(range(alg.dim), 2))
+def _residual(lhs: Vec, v: Vec, cols: tuple[Vec, ...]) -> list:
+    """lhs - sum_m v_m c_m over the set columns c_m (`cols`)."""
+    residual = list(lhs)
+    for m, col in enumerate(cols):
+        if v[m]:
+            for r, a in enumerate(col):
+                residual[r] -= v[m] * a
+    return residual
+
+
+def _is_rb(pair, matrix: tuple[Vec, ...]) -> bool:
+    """Whether the completed `matrix` (its columns) satisfies the identity at
+    every pair i < j: the residual of ``pair(i, j, c_i, c_j)``'s (lhs, v)
+    must vanish."""
+    return not any(any(_residual(*pair(i, j, matrix[i], matrix[j]), matrix))
+                   for i, j in combinations(range(len(matrix)), 2))
 
 
 def _narrow(pairs, cols: tuple[Vec, ...], axes):
@@ -93,11 +115,7 @@ def _narrow(pairs, cols: tuple[Vec, ...], axes):
         if any(v[k + 1:]):
             still_open.append((lhs, v))
             continue
-        residual = list(lhs)
-        for m, col in enumerate(cols):
-            if v[m]:
-                for r, a in enumerate(col):
-                    residual[r] -= v[m] * a
+        residual = _residual(lhs, v, cols)
         if k == len(v) or not v[k]:
             if any(residual):
                 return None
@@ -128,16 +146,19 @@ def enumerate_rb_operators(spec: SearchSpec) -> list[RotaBaxterLieAlgebra]:
     right = [alg.bracket.partial(0, j) for j in range(n)]  # x -> [x, e_j]
     table = {}  # the pair table: (i, j, R e_i, R e_j) -> (lhs, v), for this call only
 
+    def pair(i, j, ci, cj):
+        """``(lhs, v)`` of the pair (i, j) with R e_i = ci and R e_j = cj:
+        lhs = [R e_i, R e_j] and v = [R e_i, e_j] + [e_i, R e_j]."""
+        entry = table.get((i, j, ci, cj))
+        if entry is None:
+            entry = table[i, j, ci, cj] = (alg.bracket_vec(ci, cj),
+                                           vadd(right[j].apply(ci), left[i].apply(cj)))
+        return entry
+
     def new_pairs(cols):
-        """``(lhs, v)`` of each pair (i, j) whose later column j was set
-        last: lhs = [R e_i, R e_j] and v = [R e_i, e_j] + [e_i, R e_j]."""
+        """The pairs (i, j) whose later column j was set last."""
         j, cj = len(cols) - 1, cols[-1]
-        for i, ci in enumerate(cols[:j]):
-            entry = table.get((i, j, ci, cj))
-            if entry is None:
-                entry = table[i, j, ci, cj] = (alg.bracket_vec(ci, cj),
-                                               vadd(right[j].apply(ci), left[i].apply(cj)))
-            yield entry
+        return (pair(i, j, ci, cj) for i, ci in enumerate(cols[:j]))
 
     # weight zero: on a grid closed under negation -R is an operator exactly
     # when R is, so walk only the matrices whose first nonzero entry is positive
@@ -173,11 +194,11 @@ def enumerate_rb_operators(spec: SearchSpec) -> list[RotaBaxterLieAlgebra]:
         if mirror and any(map(any, node)):
             matrices.append(tuple(tuple(-a for a in col) for col in node))
         for matrix in matrices:
-            # the columns hold exact grid values, so they are the store as it is
-            r = LinearMap(n, n, {(c,): tuple((row, a) for row, a in enumerate(col) if a)
-                                 for c, col in enumerate(matrix) if any(col)})
-            if _is_rb(alg, r):
-                found.append((tuple(zip(*matrix)), r))  # (rows, map)
+            if _is_rb(pair, matrix):
+                # the columns hold exact grid values, so they are the store as it is
+                found.append((tuple(zip(*matrix)), LinearMap(n, n, {  # (rows, map)
+                    (c,): tuple((row, a) for row, a in enumerate(col) if a)
+                    for c, col in enumerate(matrix) if any(col)})))
     found.sort(key=lambda rows_r: rows_r[0])  # row-major order
     return [RotaBaxterLieAlgebra(alg, r) for _, r in found]
 
@@ -196,8 +217,7 @@ def mutate(value, site: tuple, delta) -> object:
                   if f.key == name and f.codec.tensor), None)
     if field is None:
         raise BadSite(f"unknown tensor {name!r} for {type(value).__name__}")
-    codec, tensor = field.codec, get_at(value, field.path)
-    shape, flag = codec.shape(tensor), field.flag
+    codec, shape, flag = field.codec, declared_shape(value, field.path), field.flag
     if len(idx) != len(shape):
         raise BadSite(f"{name} sites take {len(shape)} indices")
     if not all(0 <= i < bound for i, bound in zip(idx, shape)):
@@ -208,7 +228,7 @@ def mutate(value, site: tuple, delta) -> object:
         raise BadSite(f"{name} is skew/alternating: repeated indices are pinned to zero")
     # a flagged tensor moves each ordering of the arguments, by the sign taking args to it
     moves = [(p, sign * parity(p)) for p in permutations(args)] if flag else [(args, 1)]
-    entries = codec.cells(tensor)
+    entries = codec.cells(get_at(value, field.path))
     for p, s in moves:
         entries[out + p] = entries.get(out + p, 0) + s * delta
     return put_at(value, field.path, codec.build(shape, group_cells(entries), flag))

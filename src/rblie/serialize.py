@@ -137,12 +137,11 @@ class TensorCodec(Value):
     from and written to the tensor's own store (see `tensors`); `search.mutate`
     edits the same cells.  `entries` reads them off the store, unsorted;
     `build` takes them grouped by input indices, as the decoder groups a
-    document's entries and `tensors.group_cells` groups cells.  `shape`
-    gives the index bounds, output first; the skew/alternating flag is the
-    field's."""
+    document's entries and `tensors.group_cells` groups cells.  The index
+    bounds are those the class declares (`value.declared_shape`) and the
+    skew/alternating flag is the field's."""
     entries: Callable = _stored
     build: Callable = from_groups          # (shape, groups, flag) -> tensor
-    shape: Callable = lambda t: t.shape
     embeds = None
     tensor = True
 
@@ -167,7 +166,7 @@ TENSOR = TensorCodec()
 # One matrix per basis vector of the acting algebra: [element, row, col].
 ACTION = TensorCodec(
     lambda rho: (((x, *idx), q) for x, m in enumerate(rho) for idx, q in _stored(m)),
-    _action, lambda rho: (len(rho), rho[0].rows, rho[0].cols) if rho else (0, 0, 0))
+    _action)
 
 
 def _dim(doc, field, values) -> int:

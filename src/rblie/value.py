@@ -19,7 +19,8 @@ attribute paths of the object (the notation of the `serialize` kinds
 table); subclasses inherit them.  `__init__` checks them before
 `__post_init__`: a map must have ``shape == bounds``, an action (a tuple of
 maps) must hold ``bounds[0]`` maps of shape ``bounds[1:]``, or it raises
-`ShapeMismatch` naming the path.
+`ShapeMismatch` naming the path.  `declared_shape` reads the bounds back,
+for `search.mutate`'s index check.
 """
 
 from __future__ import annotations
@@ -116,3 +117,17 @@ def replace(obj: Value, **changes):
     """A copy of `obj` with the fields in `changes` replaced; `__init__`
     and `__post_init__` run again."""
     return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})
+
+
+def declared_shape(obj: Value, path: str) -> tuple[int, ...]:
+    """The bounds of the map at the dotted `path` of `obj`, as declared by
+    the class of the first object along the path that declares it.  (A
+    stored map's own shape can say less: an empty action holds no matrix
+    to read its bounds from.)"""
+    rest = path
+    while rest not in obj._shapes:
+        if "." not in rest:
+            raise KeyError(f"no class along {path!r} declares its shape")
+        head, _, rest = rest.partition(".")
+        obj = getattr(obj, head)
+    return tuple(attrgetter(name)(obj) for name in obj._shapes[rest].split())

@@ -620,6 +620,20 @@ def test_mutate_bad_site_exits_two(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_mutate_names_the_declared_bounds_of_an_empty_action(capsys, tmp_path):
+    """A crossed module acting by dim0 = 0 stores no matrix of rho, so the
+    bounds in the message are the declared 0x2x2, not read off the empty
+    tuple."""
+    path = tmp_path / "empty-action.json"
+    path.write_text(json.dumps({"kind": "crossed-lie", "version": 1, "dim0": 0, "dim1": 2,
+                                "bracket0": [], "bracket1": [], "d": [], "rho": []}))
+    code, out, err = run_cli(capsys, "mutate", str(path), "--site", "rho,0,1,1", "--delta", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: index (0, 1, 1) outside the 0x2x2 tensor rho\n"
+    code, out, err = run_cli(capsys, "mutate", str(path), "--site", "d,0,1", "--delta", "1")
+    assert code == 2 and err == "error: index (0, 1) outside the 0x2 tensor d\n"
+
+
 def test_compose_cli(capsys, tmp_path):
     ident = str(CATALOG_DIR / "id-aff1-adjoint-rb2-shift.json")
     out_path = tmp_path / "composed.json"

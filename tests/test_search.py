@@ -16,7 +16,7 @@ from rblie.liealg import LieAlgebra, RotaBaxterLieAlgebra, rb_checks
 from rblie.report import run_checks
 from rblie.search import SearchSpec, _narrow, enumerate_rb_operators, mutate
 from rblie.serialize import dumps, loads
-from rblie.tensors import LinearMap, from_cells, vec
+from rblie.tensors import LinearMap, from_cells, vadd, vec
 
 
 def brute_force(alg, coeffs, mask=None) -> list[LinearMap]:
@@ -170,6 +170,36 @@ def test_sl2_and_heis3_counts_over_minus_one_zero_one():
         assert flat == sorted(flat)
 
 
+def test_every_operator_of_the_benchmark_searches_passes_the_verifier():
+    """The searches the benchmark runs, sl2 and heis3 over {-1,0,1}: each
+    operator found, the mirrored half included, passes the full
+    `rota-baxter` checks."""
+    for name, count in (("sl2", 23), ("heis3", 639)):
+        found = enumerate_rb_operators(SearchSpec(LIE_ALGEBRAS[name]))
+        flat = {rba.r.flat() for rba in found}
+        assert len(flat) == count
+        assert {tuple(-a for a in r) for r in flat} == flat  # both signs of each
+        assert all(run_checks(rb_checks(rba)).ok for rba in found)
+
+
+@pytest.mark.parametrize("name, coeffs, entries", [
+    ("sl2", (-1, 0, 1), 635),
+    ("heis3", (-1, 0, 1), 1059),
+    ("sl2", (0, 1), 120),
+    ("heis3", (-1, 0, Fraction(1, 2)), 1089),
+])
+def test_pair_table_entries_pin_the_work(monkeypatch, name, coeffs, entries):
+    """Each pair-table entry is computed once, by the module's one `vadd`
+    (v = [R e_i, e_j] + [e_i, R e_j]).  On a grid closed under negation
+    the confirmation of the mirrored operators adds the entries of their
+    negated columns (613 -> 635 for sl2, 785 -> 1,059 for heis3, against
+    the walk's own); any other grid has no mirror and adds none."""
+    computed, vadd = [], search.vadd
+    monkeypatch.setattr(search, "vadd", lambda a, b: computed.append(1) or vadd(a, b))
+    enumerate_rb_operators(SearchSpec(LIE_ALGEBRAS[name], coeffs))
+    assert len(computed) == entries
+
+
 @pytest.mark.parametrize("name, coeffs, calls, mirrored", [
     ("sl2", (-1, 0, 1), 709, True),
     ("heis3", (-1, 0, 1), 1671, True),
@@ -205,9 +235,12 @@ def test_only_kept_operators_reach_the_full_identity_check(monkeypatch, name, ma
     full identity check runs exactly once per kept operator and rejects
     none."""
     checked, is_rb = [], search._is_rb
-    monkeypatch.setattr(search, "_is_rb", lambda alg, r: checked.append(r) or is_rb(alg, r))
+    monkeypatch.setattr(search, "_is_rb", lambda pair, matrix: checked.append(matrix)
+                        or is_rb(pair, matrix))
     found = [rba.r for rba in enumerate_rb_operators(SearchSpec(LIE_ALGEBRAS[name], mask=mask))]
-    assert sorted(checked, key=LinearMap.flat) == found
+    n = LIE_ALGEBRAS[name].dim
+    assert sorted((LinearMap.from_columns(list(m), rows=n) for m in checked),
+                  key=LinearMap.flat) == found
     assert len(found) == count
 
 
@@ -254,7 +287,8 @@ def test_the_pair_table_lives_for_one_search(monkeypatch):
     fresh = [json.loads(proc.communicate(timeout=120)[0]) for proc in procs]
     assert all(proc.returncode == 0 for proc in procs)
     checked, is_rb = [], search._is_rb
-    monkeypatch.setattr(search, "_is_rb", lambda alg, r: checked.append(r) or is_rb(alg, r))
+    monkeypatch.setattr(search, "_is_rb", lambda pair, matrix: checked.append(matrix)
+                        or is_rb(pair, matrix))
     kept = 0
     # forward, then backward: the last search runs twice in a row
     for spec, expected in zip(INTERLEAVED + INTERLEAVED[::-1], fresh + fresh[::-1]):
@@ -274,6 +308,49 @@ def test_completed_node_is_decided_by_its_residuals():
     assert still_open == [] and list(values) == [()]
     assert _narrow([((0, 1), (1, 0))], cols, ()) is None          # residual (-1, 1)
     assert _narrow([((1, 2), (1, 2)), ((0, 0), (0, 1))], cols, ()) is None
+
+
+def test_confirmation_rejects_a_nonzero_pair_residual():
+    """`_is_rb` reads each pair's (lhs, v) under (i, j, c_i, c_j) and keeps a
+    completed matrix only when every residual lhs - sum_m v_m c_m is zero."""
+    cols = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    table = {(0, 1): ((1, 2, 0), (1, 2, 0)), (0, 2): ((0, 0, 0), (0, 0, 0)),
+             (1, 2): ((0, 3, -1), (0, 3, -1))}
+    asked = []
+
+    def pair(i, j, ci, cj):
+        asked.append((i, j, ci, cj))
+        return table[i, j]
+
+    assert search._is_rb(pair, cols)
+    assert asked == [(i, j, cols[i], cols[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    table[1, 2] = ((0, 3, 0), (0, 3, -1))                       # residual (0, 0, 1)
+    assert not search._is_rb(pair, cols)
+
+
+@pytest.mark.parametrize("name, coeffs, operators", [
+    ("aff1", (-1, 0, 1), 15),  # the aff1 search's 15 of 81
+    ("sl2", (0, 1), 9),  # the sl2 search over {0, 1} finds 9
+])
+def test_confirmation_agrees_with_the_verifier_on_every_grid_matrix(name, coeffs, operators):
+    """Over every matrix of the grid, operator or not, the confirmation with
+    (lhs, v) computed as the search's pair table computes them gives the
+    verdict of the full `rota-baxter` checks."""
+    alg = LIE_ALGEBRAS[name]
+    n = alg.dim
+
+    def pair(i, j, ci, cj):
+        return alg.bracket_vec(ci, cj), vadd(alg.bracket.partial(0, j).apply(ci),
+                                             alg.ad(i).apply(cj))
+
+    kept = 0
+    for entries in product(coeffs, repeat=n * n):
+        cols = tuple(entries[c * n:(c + 1) * n] for c in range(n))
+        confirmed = search._is_rb(pair, cols)
+        r = LinearMap.from_columns(list(cols), rows=n)
+        assert confirmed == run_checks(rb_checks(RotaBaxterLieAlgebra(alg, r))).ok, cols
+        kept += confirmed
+    assert kept == operators
 
 
 def test_forced_column_outside_the_grid_or_masked_is_pruned():

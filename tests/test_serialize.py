@@ -15,12 +15,12 @@ from rblie.errors import (BadRational, BadSite, DuplicateEntry, ParseError,
                           UnknownKind, VersionMismatch)
 from rblie.liealg import LieAlgebra, RBRepresentation, RotaBaxterLieAlgebra, prelie_from_rb
 from rblie.search import SearchSpec, enumerate_rb_operators, mutate
-from rblie.serialize import (DIM, KINDS, LABELS, OPERATORS, RATIONALS, SearchResults,
+from rblie.serialize import (DIM, KINDS, LABELS, OPERATORS, RATIONALS, TENSOR, SearchResults,
                              dumps, embedded, get_at, kind_of, load, loads, parse_rational,
                              save)
 from rblie.tensors import BilinearMap, LinearMap, _Multilinear, vec
 from rblie.twoterm import rb_hom, two_term, with_operators
-from rblie.value import replace
+from rblie.value import declared_shape, replace
 
 
 def test_parse_rational_accepts_canonical_and_shorthand():
@@ -478,8 +478,9 @@ def test_samples_cover_every_kind():
 def test_mutate_sites_follow_the_kinds_table(kind, key):
     obj = SAMPLES[kind]
     field = next(f for f in KINDS[kind].fields if f.key == key)
-    codec, tensor = field.codec, get_at(obj, field.path)
-    shape, flag = codec.shape(tensor), field.flag
+    tensor, shape, flag = get_at(obj, field.path), declared_shape(obj, field.path), field.flag
+    # the sample's maps have the bounds their classes declare
+    assert shape == (tensor.shape if field.codec is TENSOR else (len(tensor), *tensor[0].shape))
     args = tuple(range(len(shape) - 1)) if flag else (0,) * (len(shape) - 1)
     idx = (0,) + args
     assert getattr(tensor, "flag", False) == flag  # the sample agrees with its field
