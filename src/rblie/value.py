@@ -130,4 +130,4 @@ def declared_shape(obj: Value, path: str) -> tuple[int, ...]:
             raise KeyError(f"no class along {path!r} declares its shape")
         head, _, rest = rest.partition(".")
         obj = getattr(obj, head)
-    return tuple(attrgetter(name)(obj) for name in obj._shapes[rest].split())
+    return attrgetter(*obj._shapes[rest].split())(obj)  # every map has two bounds or more
