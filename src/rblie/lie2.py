@@ -41,8 +41,7 @@ from functools import cache, partial
 from .errors import NotComposable
 from .report import Checks, VerificationReport, choose, family, grid, run_checks
 from .tensors import (Vec, vadd, vbasis, vneg, vsub, vzero, is_zero)
-from .twoterm import (RBLInfinityHom, TwoTermRBLInfinity, ordered_checks,
-                      rbh3_residual)
+from .twoterm import RBLInfinityHom, TwoTermRBLInfinity, ordered_checks
 from .value import Value
 
 
@@ -166,14 +165,6 @@ def phi3_bracket(F: RBLInfinityHom, i: int, j: int) -> Vec:
     act, r0, l1 = F.target.linf.l2_01, F.target.rb.r0, F.target.linf.complex.l1
     x, y = i, j
     return vsub(act(vadd(r0(p0(x)), l1(p3(x))), p3(y)), act(r0(p0(y)), p3(x)))
-
-
-def hom_coherence_residual(F: RBLInfinityHom, i: int, j: int) -> Vec:
-    """Arrow-part difference of the two composite paths of the
-    homomorphism coherence diagram at one ordered basis pair: every term of
-    the chain condition `rbh3` and, on the second path, the bracket
-    [f3(x), f3(y)], read as its arrow part B(x, y) (`phi3_bracket`)."""
-    return vsub(rbh3_residual(F, i, j), phi3_bracket(F, i, j))
 
 
 def _zero_iff_zero(a: Vec, b: Vec) -> Vec:

@@ -52,7 +52,7 @@ from .errors import BadSite, BudgetExceeded
 from .liealg import LieAlgebra, RotaBaxterLieAlgebra
 from .serialize import KIND_OF_CLASS, get_at, put_at
 from .tensors import LinearMap, Vec, exact, group_cells, parity, vadd
-from .value import Value, declared_shape
+from .value import Value
 
 
 class SearchSpec(Value):
@@ -206,18 +206,19 @@ def enumerate_rb_operators(spec: SearchSpec) -> list[RotaBaxterLieAlgebra]:
 def mutate(value, site: tuple, delta) -> object:
     """Return a copy with one tensor entry changed by `delta` (plus the
     partner entries demanded by a skew/alternating flag).  `site` is the
-    document key of the tensor followed by its indices.  The result is
-    unverified."""
+    document key of the tensor followed by its indices, which must be those
+    of an entry the document could hold: the bounds are the loader's
+    `Field.bounds`.  The result is unverified."""
     delta = exact(delta)
     name, idx = site[0], tuple(site[1:])
     kind = KIND_OF_CLASS.get(type(value))
-    if kind is None or not kind.mutable:
+    if kind is None or not any(f.codec.tensor for f in kind.fields):
         raise BadSite(f"cannot mutate a {type(value).__name__}")
     field = next((f for f in kind.fields
                   if f.key == name and f.codec.tensor), None)
     if field is None:
         raise BadSite(f"unknown tensor {name!r} for {type(value).__name__}")
-    codec, shape, flag = field.codec, declared_shape(value, field.path), field.flag
+    codec, shape, flag = field.codec, field.bounds(kind.values(value)), field.flag
     if len(idx) != len(shape):
         raise BadSite(f"{name} sites take {len(shape)} indices")
     if not all(0 <= i < bound for i, bound in zip(idx, shape)):

@@ -13,12 +13,14 @@ Each document kind is one row of `KINDS`: its class, its ordered fields
 (document key, attribute path on the object, codec, shape from the
 dimensions, skew/alternating flag) and the function assembling the object
 from the decoded fields.  Loading, dumping and `search.mutate` all read
-that table.  A tensor's entries are its own store read back: `TENSOR`
-checks each of a document's entries and groups it straight into the map's
-store (`tensors.from_groups`), and `dumps` writes one line per stored
-entry, sorted once, so no dense grid is built and a declared dimension
-costs nothing, except in an action, which holds one matrix per basis
-vector of the acting algebra.
+that table, and nothing else: each codec checks what it reads when it
+reads it, so the fields are checked in document order, and `mutate` takes
+a site exactly where a document entry would load.  A tensor's entries are
+its own store read back: `TENSOR` checks each of a document's entries and
+groups it straight into the map's store (`tensors.from_groups`), and
+`dumps` writes one line per stored entry, sorted once, so no dense grid is
+built and a declared dimension costs nothing, except in an action, which
+holds one matrix per basis vector of the acting algebra.
 `dumps` writes the text straight from the table, each codec rendering its
 own value, with no JSON value tree in between; `load` and `save` open the
 file directly.  The full grammar lives in docs/FORMAT.md.
@@ -106,9 +108,10 @@ def _block(items: list[str], indent: int, brackets: str = "[]") -> str:
 
 
 class Codec(Value):
-    """Reads one document key and writes its value back as canonical text.
-    `embeds` is the kind of an embedded document; `tensor` marks the codecs
-    of `TensorCodec`, whose values `search.mutate` edits."""
+    """Reads one document key, checking what it reads, and writes its value
+    back as canonical text.  `embeds` is the kind of an embedded document;
+    `tensor` marks the codecs of `TensorCodec`, whose values `search.mutate`
+    edits."""
     load: Callable               # (document, field, values decoded so far) -> value
     render: Callable             # (value, indent) -> text, or None to leave the key out
     embeds: Kind | None = None
@@ -138,8 +141,8 @@ class TensorCodec(Value):
     edits the same cells.  `entries` reads them off the store, unsorted;
     `build` takes them grouped by input indices, as the decoder groups a
     document's entries and `tensors.group_cells` groups cells.  The index
-    bounds are those the class declares (`value.declared_shape`) and the
-    skew/alternating flag is the field's."""
+    bounds are the field's `Field.bounds`, for loading and mutation alike,
+    and so is the skew/alternating flag."""
     entries: Callable = _stored
     build: Callable = from_groups          # (shape, groups, flag) -> tensor
     embeds = None
@@ -178,11 +181,12 @@ def _dim(doc, field, values) -> int:
     return v
 
 
-def _labels(v):
+def _labels(doc, field, values):
+    v = doc.get(field.key)
     if v is None:
         return None
     if not isinstance(v, list) or not all(isinstance(s, str) for s in v):
-        raise ParseError("basis must be a list of strings")
+        raise ParseError(f"{field.key} must be a list of strings")
     return tuple(v)
 
 
@@ -200,18 +204,18 @@ def _operators(doc, field, values):
 
 
 DIM = Codec(_dim, lambda n, indent: str(n))
-# LABELS and the items of RATIONALS are checked by the kind's build, so
-# errors in tensor data are reported before them.
-LABELS = Codec(lambda doc, field, values: doc.get(field.key),
-               lambda labels, indent: None if labels is None else json.dumps(labels))
-RATIONALS = Codec(_list, lambda qs, indent: json.dumps([str(q) for q in qs]))
+LABELS = Codec(_labels, lambda labels, indent: None if labels is None else json.dumps(labels))
+RATIONALS = Codec(lambda doc, field, values: tuple(map(parse_rational, _list(doc, field, values))),
+                  lambda qs, indent: json.dumps([str(q) for q in qs]))
 OPERATORS = Codec(_operators, lambda ops, indent: _block(
     [TENSOR.render(m, indent + 2) for m in ops], indent))
 
 
 def embedded(kind: Kind) -> Codec:
-    """A complete document of `kind` under one key (`_load` checks its header)."""
-    return Codec(lambda doc, field, values: _load(kind, doc.get(field.key)),
+    """A complete document of `kind` under one key, its header checked as
+    `loads` checks one."""
+    return Codec(lambda doc, field, values: _load(_check_header(doc.get(field.key), kind),
+                                                  doc[field.key]),
                  lambda obj, indent: _document(kind, obj, indent), kind)
 
 
@@ -251,23 +255,32 @@ def put_at(obj, path: str, value):
 class Kind:
     """One document kind.  With `base` = (kind, attribute), the document
     holds that kind's fields and then `own`; the object holds the base
-    object at `attribute`.  `build` takes the decoded values by key;
-    `mutable` says whether `search.mutate` edits the kind's tensors."""
+    object at `attribute`.  `build` takes the decoded values by key."""
 
     def __init__(self, name: str, cls: type, own: tuple[Field, ...], build: Callable,
-                 base: tuple[Kind, str] | None = None, mutable: bool = True):
-        self.name, self.cls, self.own, self.build = name, cls, own, build
-        self.base, self.mutable = base, mutable
+                 base: tuple[Kind, str] | None = None):
+        self.name, self.cls, self.own, self.build, self.base = name, cls, own, build, base
         inherited = () if base is None else tuple(
             replace(f, path=f"{base[1]}.{f.path}") for f in base[0].fields)
         self.fields = inherited + own
+
+    def values(self, obj) -> dict:
+        """The values `_load` decodes from the document of `obj`, which
+        `Field.bounds` reads: each field's by its key, the base object by
+        its attribute."""
+        values = {f.key: get_at(obj, f.path) for f in self.own}
+        if self.base is not None:
+            kind, attribute = self.base
+            base = values[attribute] = get_at(obj, attribute)
+            values.update(kind.values(base))
+        return values
 
 
 LIE = Kind("lie", LieAlgebra, (
     Field("dim", "dim", DIM),
     Field("basis", "labels", LABELS),
     Field("bracket", "bracket", TENSOR, "dim dim dim", True),
-), lambda dim, basis, bracket: LieAlgebra(dim, bracket, _labels(basis)))
+), lambda dim, basis, bracket: LieAlgebra(dim, bracket, basis))
 
 RB_LIE = Kind("rb-lie", RotaBaxterLieAlgebra, (
     Field("r", "r", TENSOR, "base.dim base.dim"),
@@ -283,7 +296,7 @@ REPRESENTATION = Kind("representation", RBRepresentation, (
     Field("dim_v", "dim_v", DIM),
     Field("rho", "rho", ACTION, "algebra.dim dim_v dim_v"),
     Field("cal_r", "cal_r", TENSOR, "dim_v dim_v"),
-), RBRepresentation, mutable=False)
+), RBRepresentation)
 
 TWO_TERM = Kind("2term", TwoTermLInfinity, (
     Field("dim0", "dim0", DIM),
@@ -347,8 +360,7 @@ SEARCH_RESULTS = Kind("search-results", SearchResults, (
     Field("algebra", "algebra", embedded(LIE)),
     Field("coeffs", "coeffs", RATIONALS),
     Field("operators", "operators", OPERATORS, "algebra.dim algebra.dim"),
-), lambda algebra, coeffs, operators: SearchResults(
-    algebra, tuple(parse_rational(c) for c in coeffs), operators), mutable=False)
+), SearchResults)
 
 KINDS = {k.name: k for k in (LIE, RB_LIE, PRE_LIE, REPRESENTATION, TWO_TERM,
                              RB_TWO_TERM, HOM, RB_HOM, CROSSED_LIE, CROSSED_RB,
@@ -358,7 +370,7 @@ KIND_OF_CLASS = {k.cls: k for k in KINDS.values()}
 
 # --- load and dump ----------------------------------------------------------
 
-def _check_header(doc, expected_kind: str | None = None) -> Kind:
+def _check_header(doc, expected: Kind | None = None) -> Kind:
     if not isinstance(doc, dict):
         raise ParseError("document must be an object")
     version = doc.get("version")
@@ -367,18 +379,15 @@ def _check_header(doc, expected_kind: str | None = None) -> Kind:
     kind = doc.get("kind")
     if not isinstance(kind, str) or kind not in KINDS:
         raise UnknownKind(f"unknown document kind {kind!r}")
-    if expected_kind is not None and kind != expected_kind:
-        raise ParseError(f"expected an embedded {expected_kind!r} document, got {kind!r}")
+    if expected is not None and kind != expected.name:
+        raise ParseError(f"expected an embedded {expected.name!r} document, got {kind!r}")
     return KINDS[kind]
 
 
 def _load(kind: Kind, doc):
-    """Decode `kind`'s fields in document order and build the object.  The
-    headers of embedded documents are all checked before any field is
-    decoded; a base kind is decoded and built before this kind's fields."""
-    for f in kind.own:
-        if f.codec.embeds:
-            _check_header(doc.get(f.key), f.codec.embeds.name)
+    """Decode `kind`'s fields in document order, each codec checking what it
+    reads, and build the object.  A base kind is decoded and built before
+    this kind's fields."""
     values = {}
     if kind.base is not None:
         values[kind.base[1]] = _load(kind.base[0], doc)

@@ -14,9 +14,13 @@ vectors), ``(k, i, j)`` of ``m(e_i, e_j)`` for a ``BilinearMap`` and
 ``(l, i, j, k)`` of ``m(e_i, e_j, e_k)`` for a ``TrilinearMap``.
 
 ``skew`` / ``alt`` flags declare intended (anti)symmetry.  They are *not*
-enforced at construction: verifiers check them and report violations,
-which is what lets mutation tests build deliberately broken structures.
-Construction validates shapes only.
+enforced at construction, and no verifier reads them: the `skew*` and
+`alt-l3` families check the store whatever the flag says, and orbit
+evaluation asks the store too (`is_alternating`).  A flag steers building
+and comparing only: ``from_map`` fills in the partners of each given
+image, the document decoder sets it from its field, and ``==`` compares
+it.  Construction validates shapes only, which is what lets mutation
+tests build deliberately broken structures.
 
 `parity` is the package's one sign rule for skew and alternating maps: the
 sign of the permutation that sorts a tuple of indices, 0 at a repeat.

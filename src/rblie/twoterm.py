@@ -55,7 +55,7 @@ from .errors import (InternalInvariantBroken, NotChainMap, ShapeMismatch,
 from .report import Checks, VerificationReport, choose, family, grid, run_checks
 from .tensors import (BilinearMap, LinearMap, TrilinearMap, Vec, parity, solve_exact, vadd,
                       vneg, vscale, vsub, vzero)
-from .liealg import chain_residual, rb_residual, skew_checks
+from .liealg import chain_residual, hom_residual, rb_residual, skew_checks
 from .value import Value
 
 
@@ -312,7 +312,7 @@ def hom_checks(f: LInfinityHom) -> Checks:
     p0, p1, p2, br, act = f.phi0, f.phi1, f.phi2, src.l2_00, tgt.l2_01
 
     def h1(i, j):
-        return vsub(tgt.complex.l1(p2(i, j)), vsub(p0(br(i, j)), tgt.l2_00(p0(i), p0(j))))
+        return vsub(tgt.complex.l1(p2(i, j)), hom_residual(p0, br, tgt.l2_00, i, j))
 
     def h2(i, a):
         return vsub(p2(i, src.complex.l1(a)), vsub(p1(src.l2_01(i, a)), act(p0(i), p1(a))))

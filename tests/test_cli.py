@@ -116,6 +116,7 @@ MALFORMED = {
     "coefficient-newline": (b'{"kind": "lie", "version": 1, "dim": 2, '
                             b'"bracket": [[0, 0, 1, "1\\n"]]}'),
     "huge-dimension": b'{"kind": "lie", "version": 1, "dim": 1' + b"0" * 30 + b', "bracket": []}',
+    "not-an-object": b"[]",
 }
 
 
@@ -608,6 +609,26 @@ def test_search_rb_budget_exceeded_exits_two(capsys):
     assert code == 2 and "budget" in err
 
 
+def test_search_rb_wrong_kind_exits_two(capsys):
+    code, out, err = run_cli(capsys, "search-rb", str(CATALOG_DIR / "aff1-rb-shift.json"))
+    assert (code, out, err) == (2, "", "error: search-rb expects a lie document\n")
+
+
+def test_search_rb_on_an_invalid_algebra_reports_its_violations(capsys, tmp_path):
+    """A `lie` document that fails verification is reported, as `verify`
+    reports it, and searched for no operator."""
+    bad = tmp_path / "bad.json"
+    main(["mutate", str(CATALOG_DIR / "sl2.json"), "--site", "bracket,0,0,1", "--delta", "1",
+          "-o", str(bad)])
+    capsys.readouterr()
+    expected = run_cli(capsys, "verify", str(bad))
+    out_path = tmp_path / "found.json"
+    code, out, err = run_cli(capsys, "search-rb", str(bad), "-o", str(out_path))
+    assert (code, out, err) == expected
+    assert code == 1 and out.startswith("VIOLATION ")
+    assert not out_path.exists()
+
+
 def test_mutate_bad_site_exits_two(capsys):
     code, _, err = run_cli(capsys, "mutate", str(CATALOG_DIR / "aff1.json"),
                            "--site", "bracket,0,0,0", "--delta", "1")
@@ -640,6 +661,14 @@ def test_compose_cli(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "compose", ident, ident, "-o", str(out_path))
     assert code == 0
     assert load(out_path) == load(ident)
+
+
+@pytest.mark.parametrize("f, g", [("sl2", "sl2"), ("sl2", "id-aff1-adjoint-rb2-shift"),
+                                  ("id-aff1-adjoint-rb2-shift", "sl2-adjoint-rb2-tri")])
+def test_compose_wrong_kind_exits_two(capsys, f, g):
+    code, out, err = run_cli(capsys, "compose", str(CATALOG_DIR / f"{f}.json"),
+                             str(CATALOG_DIR / f"{g}.json"))
+    assert (code, out, err) == (2, "", "error: compose expects two rb-hom documents\n")
 
 
 def test_compose_mismatched_exits_two(capsys):

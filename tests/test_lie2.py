@@ -28,7 +28,7 @@ from rblie.report import run_checks
 from rblie.search import mutate
 from rblie.serialize import dumps, load, loads
 from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap, from_cells, is_zero,
-                           vadd, vbasis, vec, vscale, vzero)
+                           vadd, vbasis, vec, vscale, vsub, vzero)
 from rblie.twoterm import (RBLInfinityHom, TwoTermRBLInfinity, alt_checks, h3_residual,
                            hom_checks, identity_rb_hom, quadruple_identity_residual,
                            rb3_residual, rb_hom_checks, rb_triple_checks, rbh3_residual,
@@ -216,9 +216,9 @@ def test_hom_coherence_agrees_with_chain_condition_on_mutants():
 
 
 def test_hom_coherence_equals_rbh3_minus_phi3_bracket():
-    """`hom_coherence_residual` and the `cohm` check, both read as `rbh3`
-    minus `phi3_bracket`, equal the diagram's two-path formula term by term
-    at every ordered pair: on every catalog homomorphism, each of its
+    """The `cohm` check, read as `rbh3` minus `phi3_bracket`, equals the
+    diagram's two-path formula term by term (`reference_cohm`) and that
+    difference of the two residuals at every ordered pair: on every catalog homomorphism, each of its
     single-site phi3 mutants, and seeded random flag-respecting and
     flag-broken homomorphisms.  B is nonzero at some pairs of the mutants
     and of the random homomorphisms."""
@@ -238,8 +238,8 @@ def test_hom_coherence_equals_rbh3_minus_phi3_bracket():
                     if cond == "cohm"]
             assert len(cohm) == F.source.linf.dim0 ** 2
             for (i, j), check in cohm:
-                assert lie2.hom_coherence_residual(F, i, j) == check() == \
-                    reference_cohm(F, i, j)
+                assert check() == reference_cohm(F, i, j) == vsub(
+                    rbh3_residual(F, i, j), lie2.phi3_bracket(F, i, j))
                 count += not is_zero(lie2.phi3_bracket(F, i, j))
         return count
 

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from rblie import search
 from rblie.catalog import LIE_ALGEBRAS, aff1, aff1_rb_shift
 from rblie.errors import BadSite, BudgetExceeded
-from rblie.liealg import LieAlgebra, RotaBaxterLieAlgebra, rb_checks
+from rblie.liealg import LieAlgebra, RotaBaxterLieAlgebra, rb_checks, rb_residual
 from rblie.report import run_checks
 from rblie.search import SearchSpec, _narrow, enumerate_rb_operators, mutate
 from rblie.serialize import dumps, loads
@@ -236,6 +236,32 @@ def test_only_kept_operators_reach_the_full_identity_check(monkeypatch, name, ma
     assert len(found) == count
 
 
+@pytest.mark.parametrize("name, count", [("sl2", 23), ("heis3", 639)])
+def test_each_confirmed_pair_residual_is_the_operator_identity(monkeypatch, name, count):
+    """The search's own pair table, read as `_is_rb` reads it, gives at every
+    pair i < j of every matrix it confirms, mirrored ones included, the
+    residual `liealg.rb_residual` computes from the bracket and the built
+    operator, vector for vector: a wrong table rule cannot be confirmed by
+    the same rule."""
+    confirmed, is_rb = [], search._is_rb
+
+    def hooked(pair, matrix):
+        ok = is_rb(pair, matrix)
+        if ok:
+            confirmed.append((pair, matrix))
+        return ok
+
+    monkeypatch.setattr(search, "_is_rb", hooked)
+    alg = LIE_ALGEBRAS[name]
+    found = enumerate_rb_operators(SearchSpec(alg))
+    assert len(confirmed) == len(found) == count
+    for pair, matrix in confirmed:
+        r = LinearMap.from_columns(list(matrix), rows=alg.dim)
+        for i, j in combinations(range(alg.dim), 2):
+            table = tuple(search._residual(*pair(i, j, matrix[i], matrix[j]), matrix))
+            assert table == rb_residual(alg.bracket, r, i, j), (matrix, i, j)
+
+
 HEIS3_MASK = _mask(3, {(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)})
 ABELIAN3_MASK = _mask(3, {(0, 1), (0, 2), (1, 2), (2, 0), (2, 2)})
 INTERLEAVED = [  # same dimension, different brackets, grids and coefficients
@@ -375,6 +401,18 @@ def test_spec_normalises_coefficients():
     assert spec.coeffs == (Fraction(-1, 2), 0, 1)
     assert [type(c) for c in spec.coeffs] == [Fraction, int, int]
     assert spec.candidate_count() == 3 ** 4
+
+
+def test_spec_rejects_an_empty_coefficient_set():
+    with pytest.raises(BadSite, match="^coefficient set must be non-empty$"):
+        SearchSpec(aff1(), ())
+
+
+@pytest.mark.parametrize("mask", [((True, True),), ((True, True), (True,)),
+                                  ((True, True), (True, True), (True, True))])
+def test_spec_rejects_a_mask_of_the_wrong_shape(mask):
+    with pytest.raises(BadSite, match="^mask must be an n x n boolean grid$"):
+        SearchSpec(aff1(), mask=mask)
 
 
 def test_mutate_zero_delta_is_identity():

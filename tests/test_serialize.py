@@ -20,7 +20,7 @@ from rblie.serialize import (DIM, KINDS, LABELS, OPERATORS, RATIONALS, TENSOR, S
                              save)
 from rblie.tensors import BilinearMap, LinearMap, _Multilinear, vec
 from rblie.twoterm import rb_hom, two_term, with_operators
-from rblie.value import declared_shape, replace
+from rblie.value import replace
 
 
 def test_parse_rational_accepts_canonical_and_shorthand():
@@ -132,9 +132,51 @@ def test_out_of_range_index_rejected():
 
 
 def test_wrong_entry_arity_rejected():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^bracket\[0\]: expected \[3 indices, coefficient\]$"):
         loads('{"kind": "lie", "version": 1, "dim": 2, '
               '"bracket": [[0, 1, "1"]]}')
+
+
+def _catalog_with(name: str, edit) -> str:
+    """The catalog document `name` with `edit` applied to its JSON tree."""
+    doc = json.loads((CATALOG_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    edit(doc)
+    return json.dumps(doc)
+
+
+# One document per input check of the loader, each with that one fault, and
+# the error the check raises.  With the check disabled the document loads,
+# or fails with another error: none of them has a second fault to report.
+# (`tests/test_cli.py` feeds `verify` a document that is not an object.)
+LOADER_FAULTS = {
+    "embedded-wrong-kind": (
+        _catalog_with("id-aff1-adjoint-rb2-shift",
+                      lambda doc: doc["source"].update(kind="2term")),
+        ParseError, "expected an embedded 'rb-2term' document, got '2term'"),
+    "embedded-wrong-version": (
+        _catalog_with("id-aff1-adjoint-rb2-shift",
+                      lambda doc: doc["target"].update(version=2)),
+        VersionMismatch, "unsupported format version 2"),
+    "entries-not-a-list": (
+        '{"kind": "lie", "version": 1, "dim": 2, "bracket": {}}',
+        ParseError, "bracket: expected a list of entries"),
+    "coeffs-not-a-list": (
+        _catalog_with("aff1-rb-search", lambda doc: doc.update(coeffs="1")),
+        ParseError, "coeffs must be a list"),
+    "operators-not-a-list": (
+        _catalog_with("aff1-rb-search", lambda doc: doc.update(operators={})),
+        ParseError, "operators must be a list"),
+    "basis-not-strings": (
+        _catalog_with("sl2", lambda doc: doc.update(basis=[0, 1, 2])),
+        ParseError, "basis must be a list of strings"),
+}
+
+
+@pytest.mark.parametrize("case", LOADER_FAULTS.values(), ids=LOADER_FAULTS.keys())
+def test_each_loader_check_rejects_its_fault(case):
+    text, error, message = case
+    with pytest.raises(error, match=f"^{message}$"):
+        loads(text)
 
 
 def test_integer_coefficients_must_be_strings():
@@ -466,7 +508,7 @@ def _samples():
 
 
 SAMPLES = _samples()
-TENSOR_FIELDS = [(kind.name, f.key) for kind in KINDS.values() if kind.mutable
+TENSOR_FIELDS = [(kind.name, f.key) for kind in KINDS.values()
                  for f in kind.fields if f.codec.tensor]
 
 
@@ -478,8 +520,9 @@ def test_samples_cover_every_kind():
 def test_mutate_sites_follow_the_kinds_table(kind, key):
     obj = SAMPLES[kind]
     field = next(f for f in KINDS[kind].fields if f.key == key)
-    tensor, shape, flag = get_at(obj, field.path), declared_shape(obj, field.path), field.flag
-    # the sample's maps have the bounds their classes declare
+    tensor, flag = get_at(obj, field.path), field.flag
+    shape = field.bounds(KINDS[kind].values(obj))
+    # the sample's maps have the bounds the loader reads
     assert shape == (tensor.shape if field.codec is TENSOR else (len(tensor), *tensor[0].shape))
     args = tuple(range(len(shape) - 1)) if flag else (0,) * (len(shape) - 1)
     idx = (0,) + args
@@ -497,12 +540,51 @@ def test_mutate_sites_follow_the_kinds_table(kind, key):
             mutate(obj, (key,) + site, delta)
 
 
-def test_representation_and_search_results_refuse_every_site():
+def test_search_results_and_non_tensor_keys_refuse_every_site():
+    """A kind without a tensor field (search-results) takes no site, and no
+    kind takes one at a key that is not a tensor."""
     for kind in KINDS.values():
-        if not kind.mutable:
-            for f in kind.fields:
-                with pytest.raises(BadSite):
+        tensors = any(f.codec.tensor for f in kind.fields)
+        for f in kind.fields:
+            if not f.codec.tensor:
+                with pytest.raises(BadSite, match="^unknown tensor" if tensors
+                                   else "^cannot mutate a SearchResults$"):
                     mutate(SAMPLES[kind.name], (f.key, 0, 0, 0), 1)
+    assert [k.name for k in KINDS.values()
+            if not any(f.codec.tensor for f in k.fields)] == ["search-results"]
+
+
+def _index_tuples(bounds: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Index tuples at and just past each bound, of the right length and one
+    index short or long."""
+    right = set(product(*({-1, 0, b - 1, b} for b in bounds)))
+    return right | {(0,) * (len(bounds) + k) for k in (-1, 1)} | {bounds[:-1], bounds + (0,)}
+
+
+@pytest.mark.parametrize("kind, key", TENSOR_FIELDS)
+def test_mutate_refuses_a_site_exactly_where_an_entry_fails_to_load(kind, key):
+    """`mutate` refuses an index tuple as out of range or of the wrong
+    length exactly when the document holding one entry there fails to load.
+    The tuples come from the sample's stored maps, not from the table."""
+    obj, doc = SAMPLES[kind], to_document(SAMPLES[kind])
+    tensor = get_at(obj, next(f for f in KINDS[kind].fields if f.key == key).path)
+    bounds = (len(tensor), *tensor[0].shape) if isinstance(tensor, tuple) else tensor.shape
+    refused = loaded = 0
+    for idx in sorted(_index_tuples(bounds)):
+        try:
+            mutate(obj, (key, *idx), 1)
+            takes = True
+        except BadSite as e:
+            takes = "pinned to zero" in str(e)  # a skew diagonal is in range
+        try:
+            loads(json.dumps({**doc, key: [[*idx, "1"]]}))
+            loads_ok = True
+        except ParseError:
+            loads_ok = False
+        assert takes == loads_ok, idx
+        refused += not takes
+        loaded += loads_ok
+    assert refused and loaded
 
 
 def test_format_doc_lists_the_keys_of_every_kind():

@@ -273,6 +273,12 @@ def test_compose_matches_matrix_product():
         assert ab.column(j) == a.apply(b.column(j))
 
 
+def test_compose_rejects_factors_that_do_not_chain():
+    a, b = LinearMap.identity(2), LinearMap.from_rows([[1, 0], [0, 1], [1, 1]])
+    with pytest.raises(ShapeMismatch, match="^cannot compose 2x2 with 3x2$"):
+        a.compose(b)
+
+
 @st.composite
 def matrices(draw, rows: int, cols: int):
     """A rows x cols map with no, a few or all entries set, by ``int`` or
@@ -368,6 +374,13 @@ def test_solve_exact_underdetermined_pins_free_coordinates():
     a = LinearMap.from_rows([[1, 1]])
     # second column is free under leftmost pivoting, so it stays zero
     assert solve_exact(a, vec(7)) == vec(7, 0)
+
+
+def test_solve_exact_rejects_a_right_hand_side_of_the_wrong_length():
+    a = LinearMap.from_rows([[1, 0], [0, 1], [0, 0]])
+    for b in (vec(1, 1), vec(1, 1, 0, 0)):
+        with pytest.raises(ShapeMismatch, match="^right-hand side has wrong length$"):
+            solve_exact(a, b)
 
 
 @given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=2, max_size=2),

@@ -20,7 +20,7 @@ from rblie.serialize import TENSOR, TensorCodec, get_at, load, put_at
 from rblie.tensors import BilinearMap, LinearMap, from_cells
 from rblie.twoterm import (LInfinityHom, RBLInfinityHom, TwoTermComplex, TwoTermLInfinity,
                            TwoTermRBLInfinity, two_term, with_operators)
-from rblie.value import Value, declared_shape, replace
+from rblie.value import Value, replace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -138,18 +138,6 @@ def test_declared_shapes_are_checked_and_inherited():
         TwoWayArrow(2, 3, m, back=m)
     assert list(TwoWayArrow._shapes) == ["m", "act", "back"]
     assert list(Arrow._shapes) == list(LabelledArrow._shapes) == ["m", "act"]
-
-
-def test_declared_shape_reads_the_class_that_declares_the_map():
-    """The bounds come from the declaring object along the path, not from
-    the stored map: an empty action still has its declared bounds."""
-    arrow = Arrow(2, 3, LinearMap.zero(2, 3))  # n = 0: no matrix to read
-    assert declared_shape(arrow, "act") == (0, 2, 2)
-    assert declared_shape(arrow, "m") == (2, 3)
-    assert declared_shape(TwoWayArrow(2, 3, arrow.m, back=LinearMap.zero(3, 2)), "back") == (3, 2)
-    assert declared_shape(Loose(arrow), "m.act") == (0, 2, 2)  # Loose declares nothing
-    with pytest.raises(KeyError, match="no class along 'm' declares its shape"):
-        declared_shape(Loose(arrow.m), "m")
 
 
 def test_a_class_without_shapes_checks_none():
