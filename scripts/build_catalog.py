@@ -11,7 +11,7 @@ from pathlib import Path
 
 from rblie.catalog import shipped_documents
 from rblie.cli import verify_structure
-from rblie.serialize import dumps
+from rblie.serialize import save
 
 
 def main() -> int:
@@ -28,7 +28,7 @@ def main() -> int:
             print(f"REFUSING {name}: {report.lines()[:3]}", file=sys.stderr)
             failures += 1
             continue
-        (out / f"{name}.json").write_text(dumps(obj), encoding="utf-8")
+        save(obj, out / f"{name}.json")
         print(f"wrote {name}.json ({report.checked} checks)")
     return 1 if failures else 0
 

@@ -23,12 +23,18 @@ built and a declared dimension costs nothing, except in an action, which
 holds one matrix per basis vector of the acting algebra.
 `dumps` writes the text straight from the table, each codec rendering its
 own value, with no JSON value tree in between; `load` and `save` open the
-file directly.  The full grammar lives in docs/FORMAT.md.
+file directly.  `save` dumps first, then writes the file in place and cuts
+a longer old file to length: a truncating open makes ext4 flush the file
+on close, about four times the cost of the write (see `save`).  An
+interrupted `save` can leave new bytes over old ones; a truncating open
+would be no safer, since it can leave a truncated prefix.  The full grammar
+lives in docs/FORMAT.md.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -438,9 +444,27 @@ def dumps(obj) -> str:
 
 
 def save(obj, path):
-    text = dumps(obj)
-    with open(path, "w", encoding="utf-8") as file:
-        file.write(text)
+    """Write the document of `obj` over `path` in place.
+
+    The document is dumped first, so an object that cannot be dumped
+    leaves the file as it was.  The file is then written from its start,
+    without ``O_TRUNC``, and cut to length only when the old file was
+    longer; a device or a pipe (`os.devnull`, ``/dev/stdout``) has no
+    length to cut.  A truncating ``open(path, "w")`` would cost a flush:
+    ext4 (with its default ``auto_da_alloc``) writes a file truncated to
+    zero and rewritten out to disk on close.  One 3.6 KB overwrite takes a
+    median of 87-109 us that way, against 24-25 us in place and 99-115 us
+    through a temporary file renamed over the document, which ext4 flushes
+    too and which gives the document a new inode (two runs of 300 on 2
+    CPUs, Python 3.11).  An interrupted write can leave new bytes over old
+    ones: `save` makes no atomicity promise, and a truncating open would
+    make none either, since it can leave a truncated prefix.
+    """
+    data = dumps(obj).encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as file:
+        file.write(data)
+        if os.fstat(file.fileno()).st_size > len(data):
+            file.truncate(len(data))
 
 
 def kind_of(obj) -> str:

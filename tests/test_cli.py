@@ -105,6 +105,27 @@ def test_verify_mutated_file_exits_one_with_violation_lines(capsys, tmp_path):
     assert any(line.startswith("VIOLATION jacobi ") for line in lines)
 
 
+def test_output_to_the_null_device_exits_zero(capsys):
+    code, out, _ = run_cli(capsys, "mutate", str(CATALOG_DIR / "sl2.json"),
+                           "--site", "bracket,0,0,1", "--delta", "1", "-o", os.devnull)
+    assert (code, out) == (0, "")
+
+
+def test_mutate_over_its_own_input_gives_the_mutant_verdict(capsys, tmp_path):
+    """`mutate X -o X` loads X before it writes, so X then holds the
+    mutant, here shorter than the original, and `verify X` gives the
+    verdict of the mutant written to a fresh file."""
+    path, fresh = tmp_path / "sl2.json", tmp_path / "fresh.json"
+    path.write_bytes((CATALOG_DIR / "sl2.json").read_bytes())
+    site = ("--site", "bracket,0,0,2", "--delta", "2")
+    assert run_cli(capsys, "mutate", str(path), *site, "-o", str(fresh))[0] == 0
+    assert run_cli(capsys, "mutate", str(path), *site, "-o", str(path))[0] == 0
+    assert path.read_bytes() == fresh.read_bytes()
+    assert len(path.read_bytes()) < len((CATALOG_DIR / "sl2.json").read_bytes())
+    verdict = run_cli(capsys, "verify", str(path))
+    assert verdict[0] == 1 and verdict == run_cli(capsys, "verify", str(fresh))
+
+
 MALFORMED = {
     "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
     "not-utf8": b'\xff\xfe{"kind": "lie", "version": 1}',

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import stat
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -54,6 +56,68 @@ def test_file_errors_read_as_pathlib_reports_them(tmp_path, monkeypatch, name):
         with pytest.raises(OSError) as want:
             theirs()
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_save_leaves_exactly_the_document_over_any_old_file(tmp_path):
+    """`save` over a longer file leaves no tail of it, and over a shorter
+    one (or over the document itself padded with zero bytes) writes all of
+    the new document."""
+    path = tmp_path / "doc.json"
+    short, long = catalog.LIE_ALGEBRAS["aff1"], catalog.LIE_ALGEBRAS["solv4"]
+    assert len(dumps(short)) < len(dumps(long))
+    for old, new in ((dumps(long), short), (dumps(short), long),
+                     (dumps(short) + "\0" * 4096, short)):
+        path.write_text(old, encoding="utf-8")
+        save(new, path)
+        assert path.read_bytes() == dumps(new).encode("utf-8")
+
+
+def test_save_overwrites_the_file_in_place(tmp_path):
+    """An existing file keeps its inode and mode, so a hard link made
+    before the save reads the new text; a new file gets the mode
+    `pathlib` would give it."""
+    path, link = tmp_path / "doc.json", tmp_path / "link.json"
+    path.write_text(dumps(catalog.LIE_ALGEBRAS["solv4"]), encoding="utf-8")
+    path.chmod(0o640)
+    os.link(path, link)
+    before = path.stat()
+    obj = catalog.LIE_ALGEBRAS["aff1"]
+    save(obj, path)
+    after = path.stat()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+    assert link.read_text(encoding="utf-8") == dumps(obj)
+    fresh, reference = tmp_path / "fresh.json", tmp_path / "reference.json"
+    save(obj, fresh)
+    reference.write_text("", encoding="utf-8")
+    assert stat.S_IMODE(fresh.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+
+def test_save_writes_through_devices_and_pipes():
+    """The null device and a pipe take the document as they are: neither
+    can be cut to length."""
+    obj = catalog.LIE_ALGEBRAS["sl2"]
+    save(obj, os.devnull)
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as reader:
+        try:
+            save(obj, f"/dev/fd/{write_end}")
+        finally:
+            os.close(write_end)
+        assert reader.read() == dumps(obj).encode("utf-8")
+
+
+def test_save_of_an_object_of_no_kind_leaves_the_file_unchanged(tmp_path):
+    """The document is dumped before the file is opened, so an object
+    that cannot be dumped leaves an existing file as it was and creates
+    no new one."""
+    path, missing = tmp_path / "doc.json", tmp_path / "missing.json"
+    text = dumps(catalog.LIE_ALGEBRAS["sl2"]).encode("utf-8")
+    path.write_bytes(text)
+    for target in (path, missing):
+        with pytest.raises(UnknownKind):
+            save(object(), target)
+    assert path.read_bytes() == text
+    assert not missing.exists()
 
 
 def test_load_save_byte_identity_on_catalog_files():
