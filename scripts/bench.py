@@ -33,6 +33,11 @@ shared host lands on one run of many rows rather than on every run of one:
 * `rblie verify` of every catalog document, one after the other;
 * `loads` then `dumps` of every catalog document (texts read beforehand;
   each must come back byte for byte);
+* `load` of every catalog document from its file, each after a
+  `gc.collect()`, as `perfbench/run.py` runs every operation: the read
+  path with cold caches.  The row times the loads only, not the
+  collections, and each object must equal the one `loads` makes of the
+  file's text;
 * `dumps` of the heis3 search results (its 639 operators over {-1,0,1},
   found beforehand), whose text must load back and dump byte for byte;
 * `rblie mutate` of each site of MUTATE_SITES, written to a file, then
@@ -62,9 +67,9 @@ shared host lands on one run of many rows rather than on every run of one:
 
 The JSON written to the one argument holds every row (median, minimum, the
 single runs, the number of checked conditions, of documents for the
-`loads`/`dumps` row, of operators found for the `search-rb` rows, or the
-count of the dim-200 row; the largest child peak RSS of the fresh
-`verify` rows) and the line count of `src/`.  Each `search-rb` row and the
+`loads`/`dumps` and cold `load` rows, of operators found for the
+`search-rb` rows, or the count of the dim-200 row; the largest child peak
+RSS of the fresh `verify` rows) and the line count of `src/`.  Each `search-rb` row and the
 masked sl3 row also hold `walk`: the nodes of the search (its `_narrow`
 calls, counted by wrapping `rblie.search._narrow`) and the operators
 found, from one more run after the timed ones, untimed.  A probe that
@@ -79,6 +84,7 @@ step.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -90,6 +96,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from time import perf_counter
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -100,7 +107,7 @@ from rblie.cli import main as cli_main, structure_checks, verify_structure  # no
 from rblie.liealg import (LieAlgebra, adjoint_representation,  # noqa: E402
                           semidirect_product)
 from rblie.search import SearchSpec, enumerate_rb_operators  # noqa: E402
-from rblie.serialize import SearchResults, dumps, loads  # noqa: E402
+from rblie.serialize import SearchResults, dumps, load, loads  # noqa: E402
 from rblie.tensors import (LinearMap, from_cells, solve_exact, vbasis,  # noqa: E402
                            vec)
 from rblie.twoterm import identity_rb_hom, two_term, with_operators  # noqa: E402
@@ -127,6 +134,13 @@ MUTATE_SITES = (  # (catalog document, --site, --delta) of the mutate-then-verif
     ("sl2-adjoint-cm-tri", "t0,0,1", "2"),
     ("aff1-ideal-cm-neg-prelie", "mult0,0,0,1", "1"),
 )
+
+
+class Timed(NamedTuple):
+    """What a row returns when it times itself, leaving out the work
+    between its timed parts: its count and the seconds timed."""
+    count: int
+    seconds: float
 
 
 def sl3() -> LieAlgebra:
@@ -225,6 +239,21 @@ def load_dump(texts: list[str]) -> int:
         if dumps(loads(text)) != text:
             raise SystemExit("a catalog document does not load and dump back byte for byte")
     return len(texts)
+
+
+def cold_loads(paths: list[Path], objs: list) -> Timed:
+    """`load` of each file after a `gc.collect()`, each object checked
+    against `objs`; the number of documents and the seconds spent in
+    `load` alone."""
+    spent = 0.0
+    for path, obj in zip(paths, objs):
+        gc.collect()
+        start = perf_counter()
+        got = load(path)
+        spent += perf_counter() - start
+        if got != obj:
+            raise SystemExit(f"{path.name} loads from its file as another object")
+    return Timed(len(paths), spent)
 
 
 def dump_results(results, text: str) -> int:
@@ -350,6 +379,10 @@ def rows(work: Path) -> dict:
     out["verify whole catalog"] = lambda: cli(*sorted(CATALOG.glob("*.json")))
     texts = [path.read_text(encoding="utf-8") for path in sorted(CATALOG.glob("*.json"))]
     out["loads+dumps whole catalog"] = lambda: load_dump(texts)
+    paths = sorted(CATALOG.glob("*.json"))
+    objs = [loads(text) for text in texts]
+    out["load every catalog file from disk, after gc.collect()"] = \
+        lambda: cold_loads(paths, objs)
     heis3 = LIE_ALGEBRAS["heis3"]
     spec = SearchSpec(heis3)
     results = SearchResults(heis3, spec.coeffs,
@@ -396,7 +429,10 @@ def main(argv: list[str]) -> int:
             for name, fn in table.items():
                 start = perf_counter()
                 out = fn()
-                runs[name].append(perf_counter() - start)
+                elapsed = perf_counter() - start
+                if isinstance(out, Timed):  # a row that times its own parts
+                    out, elapsed = out
+                runs[name].append(elapsed)
                 if isinstance(out, tuple):  # a fresh `verify`: (checks, peak RSS)
                     out, mb = out
                     rss[name].append(mb)

@@ -353,6 +353,15 @@ def test_parse_error_exits_two(capsys, tmp_path):
     assert "line 3 column 8" in err
 
 
+def test_a_latin1_byte_exits_two_naming_the_utf8_error(capsys, tmp_path):
+    text = (CATALOG_DIR / "sl2.json").read_text(encoding="utf-8")
+    path = tmp_path / "sl2.json"
+    path.write_bytes(text.replace('"e"', '"\xe9"').encode("latin-1"))
+    assert run_cli(capsys, "verify", str(path)) == (
+        2, "", "error: document is not UTF-8: 'utf-8' codec can't decode byte 0xe9 in "
+               "position 60: invalid continuation byte\n")
+
+
 def test_label_count_other_than_the_dimension_exits_two(capsys, tmp_path):
     doc = json.loads((CATALOG_DIR / "sl2.json").read_text())
     path = tmp_path / "sl2.json"

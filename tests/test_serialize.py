@@ -13,14 +13,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import CATALOG_DIR, reference_render, to_document
 from rblie import catalog
 from rblie.crossed import LieCrossedModule
-from rblie.errors import (BadRational, BadSite, DuplicateEntry, ParseError,
+from rblie.errors import (BadRational, BadSite, DuplicateEntry, ParseError, StructureError,
                           UnknownKind, VersionMismatch)
 from rblie.liealg import LieAlgebra, RBRepresentation, RotaBaxterLieAlgebra, prelie_from_rb
 from rblie.search import SearchSpec, enumerate_rb_operators, mutate
 from rblie.serialize import (DIM, KINDS, LABELS, OPERATORS, RATIONALS, TENSOR, SearchResults,
-                             dumps, embedded, get_at, kind_of, load, loads, parse_rational,
-                             save)
-from rblie.tensors import BilinearMap, LinearMap, _Multilinear, vec
+                             _entries_to_groups, dumps, embedded, get_at, kind_of, load, loads,
+                             parse_rational, save)
+from rblie.tensors import BilinearMap, LinearMap, _Multilinear, exact, vec
 from rblie.twoterm import rb_hom, two_term, with_operators
 from rblie.value import replace
 
@@ -56,6 +56,172 @@ def test_file_errors_read_as_pathlib_reports_them(tmp_path, monkeypatch, name):
         with pytest.raises(OSError) as want:
             theirs()
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+SL2_TEXT = (CATALOG_DIR / "sl2.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_load_reads_any_line_ending_as_a_newline(tmp_path, newline):
+    """A document with CRLF or CR line endings loads, and a syntax error in
+    it is reported at the position it has with LF endings."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(SL2_TEXT.replace("\n", newline).encode("utf-8"))
+    assert load(path) == catalog.LIE_ALGEBRAS["sl2"]
+    broken = SL2_TEXT.replace('"dim": 3', '"dim": ')
+    path.write_bytes(broken.replace("\n", newline).encode("utf-8"))
+    with pytest.raises(ParseError, match=re.escape(
+            "invalid document: Expecting value: line 4 column 10 (char 44)")):
+        load(path)
+
+
+def test_load_of_a_latin1_byte_names_the_utf8_error(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(SL2_TEXT.replace('"e"', '"\xe9"').encode("latin-1"))
+    with pytest.raises(ParseError) as got:
+        load(path)
+    assert str(got.value) == ("document is not UTF-8: 'utf-8' codec can't decode byte 0xe9 "
+                              "in position 60: invalid continuation byte")
+
+
+def test_load_of_an_empty_file_reports_the_json_error(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"")
+    with pytest.raises(ParseError) as got:
+        load(path)
+    assert str(got.value) == "invalid document: Expecting value: line 1 column 1 (char 0)"
+
+
+def test_load_reads_a_pipe_to_its_end():
+    read_end, write_end = os.pipe()
+    try:
+        with open(write_end, "wb") as writer:
+            writer.write(SL2_TEXT.encode("utf-8"))
+        assert load(f"/dev/fd/{read_end}") == catalog.LIE_ALGEBRAS["sl2"]
+    finally:
+        os.close(read_end)
+
+
+@pytest.mark.parametrize("pad", [0, 1])
+def test_load_joins_a_long_document_before_decoding_it(tmp_path, pad):
+    """A 1.2 MB document is longer than a read chunk.  Its one label is
+    400,000 3-byte characters, and one of the two paddings puts any byte
+    offset within the label inside a character, so a chunk boundary splits
+    one."""
+    label = "x" * pad + "€" * 400_000
+    path = tmp_path / "doc.json"
+    path.write_text(dumps(LieAlgebra.from_brackets(1, {}, labels=(label,))), encoding="utf-8")
+    assert load(path).labels == (label,)
+
+
+def _outcome(fn, *args):
+    """What `fn(*args)` gives: its value's repr (which tells ``int`` from
+    ``Fraction`` and shows dict order), or its error's type and text."""
+    try:
+        return repr(fn(*args))
+    except StructureError as e:
+        return type(e), str(e)
+
+
+def text_mode_load(path):
+    """`load` as a text-mode read gives it: the reference of the read path."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"document is not UTF-8: {e}") from e
+    return loads(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([SL2_TEXT.encode("utf-8"), b"\r", b"\n", b"\r\n", b"\xe9",
+                                 b"\xe2\x82", "€".encode("utf-8"), b"\xef\xbb\xbf", b" ", b'"',
+                                 b"{}"]), max_size=6),
+       st.integers(0, len(SL2_TEXT)))
+def test_load_reads_what_text_mode_reads(tmp_path_factory, pieces, at):
+    """Bytes spliced into a document, with stray line endings, broken
+    UTF-8 sequences and byte order marks: `load` gives what a text-mode
+    read then `loads` gives, object or error text."""
+    data = SL2_TEXT.encode("utf-8")
+    data = data[:at] + b"".join(pieces) + data[at:]
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    path.write_bytes(data)
+    assert _outcome(load, path) == _outcome(text_mode_load, path)
+
+
+_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def reference_rational(text):
+    """`parse_rational` by the pattern of docs/FORMAT.md."""
+    if not isinstance(text, str) or not _LITERAL.fullmatch(text):
+        raise BadRational(f"not a rational literal: {text!r}")
+    num, _, den = text.partition("/")
+    try:
+        return exact(Fraction(int(num), int(den))) if den else int(num)
+    except (ValueError, ZeroDivisionError) as e:
+        raise BadRational(f"not a rational literal: {text[:20]!r}: {e}") from e
+
+
+def reference_groups(entries, bounds, where):
+    """The entry decoder as a plain loop: `isinstance` rejecting ``bool``
+    for indices, `reference_rational` for coefficients."""
+    arity = len(bounds)
+    if not isinstance(entries, list):
+        raise ParseError(f"{where}: expected a list of entries")
+    seen, groups = set(), {}
+    for pos, entry in enumerate(entries):
+        if not isinstance(entry, list) or len(entry) != arity + 1:
+            raise ParseError(f"{where}[{pos}]: expected [{arity} indices, coefficient]")
+        idx = tuple(entry[:arity])
+        for v, bound in zip(idx, bounds):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < bound:
+                raise ParseError(f"{where}[{pos}]: index {v!r} out of range 0..{bound - 1}")
+        if idx in seen:
+            raise DuplicateEntry(f"{where}: duplicate entry at {idx}")
+        seen.add(idx)
+        q = reference_rational(entry[arity])
+        if q:
+            groups.setdefault(idx[1:], []).append((idx[0], q))
+    return groups
+
+
+ODD_LITERALS = ["١", "1_000", " 1", "1\n", "+1", "-0", "007", "10/4", "1" * 5000, "-" + "7" * 5000,
+                "1/" + "3" * 5000, "0/3", "-6/4", "1/0", "1/-2", "--1", "-", "", "/2", "1/",
+                "²", "1.5", "1e3", "０", "1/١", "-١", "1/²", "1/2/3"]
+COEFFICIENTS = st.one_of(st.sampled_from([True, False, None, 1, 1.0, 1.5, [], ["1"], {}]),
+                         st.sampled_from(ODD_LITERALS), st.integers(-30, 30).map(str),
+                         st.fractions(max_denominator=12).map(str),
+                         st.text(alphabet="-0123456789/ _+١", max_size=6))
+INDICES = st.one_of(st.integers(-1, 3), st.sampled_from([True, False, 1.0, "0", None]))
+
+
+@st.composite
+def entry_lists(draw):
+    """A tensor's bounds and entries: mostly well formed, with wrong
+    arities, non-list entries, out-of-range and repeated indices."""
+    bounds = draw(st.sampled_from([(2, 3), (3, 2, 2), (2, 3, 3, 3), (0, 2)]))
+    entry = st.one_of(
+        st.tuples(st.tuples(*[INDICES] * len(bounds)), COEFFICIENTS).map(
+            lambda e: [*e[0], e[1]]),
+        st.lists(INDICES, max_size=5), st.sampled_from(["0,1,1", {}, 3]))
+    entries = draw(st.lists(entry, max_size=6))
+    if entries and draw(st.booleans()):  # a repeated index tuple
+        entries.append(draw(st.sampled_from(entries)))
+    return bounds, draw(st.sampled_from([entries, entries, {}, "[]"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(entry_lists())
+def test_entry_decoder_matches_its_reference(case):
+    bounds, entries = case
+    assert (_outcome(_entries_to_groups, entries, bounds, "t")
+            == _outcome(reference_groups, entries, bounds, "t"))
+
+
+@given(st.one_of(COEFFICIENTS, st.text(max_size=8)))
+def test_parse_rational_matches_its_reference(text):
+    assert _outcome(parse_rational, text) == _outcome(reference_rational, text)
 
 
 def test_save_leaves_exactly_the_document_over_any_old_file(tmp_path):
