@@ -38,6 +38,10 @@ shared host lands on one run of many rows rather than on every run of one:
   path with cold caches.  The row times the loads only, not the
   collections, and each object must equal the one `loads` makes of the
   file's text;
+* `loads` of a `crossed-lie` document declaring dim0 10^7 with one action
+  entry (WIDE_ACTION), timed alone; it must then dump back byte for byte.
+  An action stored as one matrix per acting basis vector would hold ten
+  million of them;
 * `dumps` of the heis3 search results (its 639 operators over {-1,0,1},
   found beforehand), whose text must load back and dump byte for byte;
 * `rblie mutate` of each site of MUTATE_SITES, written to a file, then
@@ -67,7 +71,7 @@ shared host lands on one run of many rows rather than on every run of one:
 
 The JSON written to the one argument holds every row (median, minimum, the
 single runs, the number of checked conditions, of documents for the
-`loads`/`dumps` and cold `load` rows, of operators found for the
+`loads`/`dumps`, wide-action `loads` and cold `load` rows, of operators found for the
 `search-rb` rows, or the count of the dim-200 row; the largest child peak
 RSS of the fresh `verify` rows) and the line count of `src/`.  Each `search-rb` row and the
 masked sl3 row also hold `walk`: the nodes of the search (its `_narrow`
@@ -126,6 +130,9 @@ VERIFY_PEAK = ("import sys; from rblie.cli import main; code = main(['verify', s
                "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM'))); "
                "sys.exit(code)")
 INVERSE_DIM = 8  # the basis change of the exact-inverse row
+WIDE_ACTION = ('{\n  "kind": "crossed-lie",\n  "version": 1,\n  "dim0": 10000000,\n'
+               '  "dim1": 1,\n  "bracket0": [],\n  "bracket1": [],\n  "d": [],\n'
+               '  "rho": [\n    [7, 0, 0, "1"]\n  ]\n}\n')
 MUTATE_SITES = (  # (catalog document, --site, --delta) of the mutate-then-verify row
     ("sl2", "bracket,0,0,1", "1"),
     ("aff1-rb-shift", "r,0,0", "1"),
@@ -256,6 +263,17 @@ def cold_loads(paths: list[Path], objs: list) -> Timed:
     return Timed(len(paths), spent)
 
 
+def wide_action_load() -> Timed:
+    """`loads` of WIDE_ACTION, then its `dumps`, which must give the text
+    back; one document and the seconds spent in `loads` alone."""
+    start = perf_counter()
+    obj = loads(WIDE_ACTION)
+    spent = perf_counter() - start
+    if dumps(obj) != WIDE_ACTION:
+        raise SystemExit("the dim0 10^7 crossed-lie document does not dump back byte for byte")
+    return Timed(1, spent)
+
+
 def dump_results(results, text: str) -> int:
     """`dumps` of the search results, which must be `text`, a text that
     loads back to them; the number of operators."""
@@ -383,6 +401,8 @@ def rows(work: Path) -> dict:
     objs = [loads(text) for text in texts]
     out["load every catalog file from disk, after gc.collect()"] = \
         lambda: cold_loads(paths, objs)
+    out["loads of a crossed-lie document declaring dim0 10^7, one action entry"] = \
+        wide_action_load
     heis3 = LIE_ALGEBRAS["heis3"]
     spec = SearchSpec(heis3)
     results = SearchResults(heis3, spec.coeffs,

@@ -125,10 +125,9 @@ def _ideal_crossed(alg: LieAlgebra, ideal_indices: tuple[int, ...],
                 for a in range(m) for b in range(m)}
     g1 = LieAlgebra(m, BilinearMap.from_map(m, m, m, bracket1, skew=True))
     d = from_cells((n, m), {(g, a): 1 for a, g in enumerate(ideal_indices)})
-    rho = tuple(LinearMap.from_columns(
-        [restrict(alg.bracket.on_basis(i, g)) for g in ideal_indices], rows=m)
-        for i in range(n))
-    return RBLieCrossedModule(LieCrossedModule(alg, g1, d, rho), t0, t1)
+    act = BilinearMap.from_map(n, m, m, {(i, a): restrict(alg.bracket.on_basis(i, g))
+                                         for i in range(n) for a, g in enumerate(ideal_indices)})
+    return RBLieCrossedModule(LieCrossedModule(alg, g1, d, act), t0, t1)
 
 
 def aff1_ideal_cm_zero() -> RBLieCrossedModule:
@@ -153,7 +152,7 @@ def trivial_cm() -> RBLieCrossedModule:
     """Zero boundary, abelian top term, trivial action."""
     return RBLieCrossedModule(
         LieCrossedModule(LieAlgebra.abelian(2), LieAlgebra.abelian(1), LinearMap.zero(2, 1),
-                         (LinearMap.zero(1, 1), LinearMap.zero(1, 1))),
+                         BilinearMap.zero(2, 1, 1)),
         LinearMap.zero(2, 2), LinearMap.zero(1, 1))
 
 

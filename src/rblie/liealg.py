@@ -5,7 +5,9 @@ Each `*_checks` builder returns its identities for `report.run_checks` as
 a sum of `report.family` values over residuals of basis indices (the
 module-level `*_residual` functions bound with `partial`, or a local
 function); constructions run the builders they certify on their outputs
-and raise `InternalInvariantBroken` on failure.
+and raise `InternalInvariantBroken` on failure.  An action is one
+bilinear map x.u = act(x, u) with cells (row; element, col), which the
+residuals call at basis indices or vectors like any other map.
 All types are immutable values; every function here is pure.
 """
 
@@ -17,9 +19,8 @@ from math import comb
 
 from .errors import ShapeMismatch
 from .report import Checks, choose, family, grid, run_checks
-from .tensors import (BilinearMap, LinearMap, Vec, from_cells, vadd, vscale,
-                      vsub, vzero)
-from .value import Value
+from .tensors import BilinearMap, LinearMap, Vec, from_cells, vadd, vsub
+from .value import Value, replace
 
 
 class LieAlgebra(Value, uncompared=("labels",), shapes={"bracket": "dim dim dim"}):
@@ -62,12 +63,12 @@ class PreLieAlgebra(Value, shapes={"mult": "dim dim dim"}):
     mult: BilinearMap  # not skew
 
 
-class RBRepresentation(Value, shapes={"rho": "algebra.dim dim_v dim_v",
+class RBRepresentation(Value, shapes={"act": "dim_v algebra.dim dim_v",
                                       "cal_r": "dim_v dim_v"}):
     algebra: RotaBaxterLieAlgebra
     dim_v: int
-    rho: tuple[LinearMap, ...]  # one matrix per basis vector of g
-    cal_r: LinearMap            # operator on V
+    act: BilinearMap  # x.u = act(x, u), cells (row; element of g, col)
+    cal_r: LinearMap  # operator on V
 
 
 def rb_residual(bracket: BilinearMap, r: LinearMap, i: int, j: int) -> Vec:
@@ -90,36 +91,25 @@ def chain_residual(top: LinearMap, bottom: LinearMap, d: LinearMap, d_tgt: Linea
     return vsub(d_tgt(top(a)), bottom(d(a)))
 
 
-def act_on(rho: tuple[LinearMap, ...], x, u, dim: int) -> Vec:
-    """rho(x) u on a module of dimension `dim`, with x and u each a basis
-    index or a vector: rho[x](u) for an index x, else the sum of
-    c rho[k](u) over the nonzero coordinates c = x[k]."""
-    if type(x) is int:
-        return rho[x](u)
-    return vadd(vzero(dim), *(vscale(c, rho[k](u)) for k, c in enumerate(x) if c))
-
-
 def row_major(cols: list[Vec]) -> Vec:
     """Row-major coordinates of the matrix with columns `cols`."""
     return tuple(a for row in zip(*cols) for a in row)
 
 
-def action_hom_residual(rho: tuple[LinearMap, ...], xy: Vec, i: int, j: int) -> Vec:
-    """rho(xy) - [rho(e_i), rho(e_j)], flattened, where xy is the bracket of
-    e_i and e_j: the action is a bracket homomorphism."""
-    n, a, b = rho[i].rows, rho[i], rho[j]
-    return row_major([vsub(act_on(rho, xy, c, n), vsub(a(b(c)), b(a(c))))
-                      for c in range(n)])
+def action_hom_residual(act: BilinearMap, xy: Vec, i: int, j: int) -> Vec:
+    """rho(xy) - [rho(e_i), rho(e_j)], flattened, where rho(x) u = act(x, u)
+    and xy is the bracket of e_i and e_j: the action is a bracket
+    homomorphism."""
+    return row_major([vsub(act(xy, c), vsub(act(i, act(j, c)), act(j, act(i, c))))
+                      for c in range(act.dim_out)])
 
 
-def action_rb_residual(rho: tuple[LinearMap, ...], r: LinearMap, k: LinearMap,
-                       i: int) -> Vec:
-    """rho(R x) K - K rho(R x) - K rho(x) K at x = e_i, flattened: the
-    operator K on the module is compatible with R."""
-    n, rx = k.rows, r(i)
-    return row_major([vsub(act_on(rho, rx, k(c), n),
-                           k(vadd(act_on(rho, rx, c, n), rho[i](k(c)))))
-                      for c in range(n)])
+def action_rb_residual(act: BilinearMap, r: LinearMap, k: LinearMap, i: int) -> Vec:
+    """rho(R x) K - K rho(R x) - K rho(x) K at x = e_i, flattened, where
+    rho(x) u = act(x, u): the operator K on the module is compatible with R."""
+    rx = r(i)
+    return row_major([vsub(act(rx, k(c)), k(vadd(act(rx, c), act(i, k(c)))))
+                      for c in range(k.rows)])
 
 
 def skew_checks(b: BilinearMap, condition: str = "skew") -> Checks:
@@ -157,10 +147,10 @@ def prelie_checks(p: PreLieAlgebra) -> Checks:
 def representation_checks(rep: RBRepresentation) -> Checks:
     """Lie-action property plus the module-operator compatibility identity;
     the algebra's own identities are not included."""
-    alg, rho = rep.algebra, rep.rho
-    return (family("rep-hom", lambda i, j: action_hom_residual(rho, alg.base.bracket(i, j), i, j),
+    alg, act = rep.algebra, rep.act
+    return (family("rep-hom", lambda i, j: action_hom_residual(act, alg.base.bracket(i, j), i, j),
                    *choose(alg.dim, 2))
-            + family("rep-rb", partial(action_rb_residual, rho, alg.r, rep.cal_r),
+            + family("rep-rb", partial(action_rb_residual, act, alg.r, rep.cal_r),
                      *grid(alg.dim)))
 
 
@@ -194,25 +184,26 @@ def subadjacent_lie(p: PreLieAlgebra) -> LieAlgebra:
 
 
 def derived_bracket(rba: RotaBaxterLieAlgebra) -> LieAlgebra:
-    """[x,y] = [R(x),y] + [x,R(y)]; only the output is verified (R maps it
-    to the original bracket exactly when `rba`'s `rota-baxter` holds)."""
-    return subadjacent_lie(prelie_from_rb(rba))
+    """[x,y] = [R(x),y] + [x,R(y)], the commutator of the unverified
+    `operator_product`; only the output is verified (R maps it to the
+    original bracket exactly when `rba`'s `rota-baxter` holds)."""
+    return subadjacent_lie(operator_product(rba.base, rba.r))
 
 
 def adjoint_representation(rba: RotaBaxterLieAlgebra) -> RBRepresentation:
-    """(g; ad, R) with the algebra acting on itself."""
-    rho = tuple(rba.base.ad(i) for i in range(rba.dim))
-    out = RBRepresentation(rba, rba.dim, rho, rba.r)
+    """(g; ad, R) with the algebra acting on itself: the action is the
+    bracket's store, without its skew flag."""
+    out = RBRepresentation(rba, rba.dim, replace(rba.base.bracket, skew=False), rba.r)
     run_checks(representation_checks(out)).require_ok("adjoint representation")
     return out
 
 
 def dual_representation(rep: RBRepresentation) -> RBRepresentation:
     """(V*; -rho^T, -cal^T); applying it twice returns the original data."""
-    def neg_transpose(m: LinearMap) -> LinearMap:
-        return from_cells((m.cols, m.rows), {(c, r): -a for (r, c), a in m.cells().items()})
+    def neg_transpose(m):  # the cell (row, ..., col) to (col, ..., row), negated
+        return from_cells(m.shape[::-1], {key[::-1]: -a for key, a in m.cells().items()})
 
-    out = RBRepresentation(rep.algebra, rep.dim_v, tuple(map(neg_transpose, rep.rho)),
+    out = RBRepresentation(rep.algebra, rep.dim_v, neg_transpose(rep.act),
                            neg_transpose(rep.cal_r))
     run_checks(representation_checks(out)).require_ok("dual representation")
     return out
@@ -223,16 +214,15 @@ def coadjoint_representation(rba: RotaBaxterLieAlgebra) -> RBRepresentation:
 
 
 def semidirect_data(g: RotaBaxterLieAlgebra, h: RotaBaxterLieAlgebra,
-                    rho: tuple[LinearMap, ...]) -> RotaBaxterLieAlgebra:
+                    act: BilinearMap) -> RotaBaxterLieAlgebra:
     """The data mapping only; no verification.  Algebra on g (+) h with
-    [x+u, y+v] = [x,y] + x.v - y.u + [u,v] (x.v = rho(x) v) and the
+    [x+u, y+v] = [x,y] + x.v - y.u + [u,v] (x.v = act(x, v)) and the
     block-diagonal operator."""
     n, dim = g.dim, g.dim + h.dim
     bracket = g.base.bracket.cells()
     bracket.update({(n + k, n + a, n + b): q for (k, a, b), q in h.base.bracket.cells().items()})
-    for i, act in enumerate(rho):
-        for (a, b), q in act.cells().items():  # coordinate n + a of [e_i, e_{n+b}]
-            bracket[n + a, i, n + b], bracket[n + a, n + b, i] = q, -q
+    for (a, i, b), q in act.cells().items():  # coordinate n + a of [e_i, e_{n+b}]
+        bracket[n + a, i, n + b], bracket[n + a, n + b, i] = q, -q
     r = g.r.cells()
     r.update({(n + a, n + b): q for (a, b), q in h.r.cells().items()})
     return RotaBaxterLieAlgebra(LieAlgebra(dim, from_cells((dim,) * 3, bracket, True)),
@@ -244,6 +234,6 @@ def semidirect_product(rep: RBRepresentation) -> RotaBaxterLieAlgebra:
     block-diagonal operator; the projection onto g is a homomorphism of the
     operator algebras by construction (`semidirect_data`)."""
     module = RotaBaxterLieAlgebra(LieAlgebra.abelian(rep.dim_v), rep.cal_r)
-    out = semidirect_data(rep.algebra, module, rep.rho)
+    out = semidirect_data(rep.algebra, module, rep.act)
     run_checks(lie_checks(out.base) + rb_checks(out)).require_ok("semidirect product")
     return out

@@ -19,8 +19,9 @@ a site exactly where a document entry would load.  A tensor's entries are
 its own store read back: `TENSOR` checks each of a document's entries and
 groups it straight into the map's store (`tensors.from_groups`), and
 `dumps` writes one line per stored entry, sorted once, so no dense grid is
-built and a declared dimension costs nothing, except in an action, which
-holds one matrix per basis vector of the acting algebra.
+built and a declared dimension costs nothing.  An action is stored as the
+bilinear map (row; element, col), as ``l2_01`` is, and written
+``[element, row, col, q]``: `ACTION` permutes the indices between the two.
 `dumps` writes the text straight from the table, each codec rendering its
 own value, with no JSON value tree in between.  `load` and `save` use the
 file's descriptor, with no buffered file object: `load` reads the bytes to
@@ -49,7 +50,7 @@ from .errors import (BadRational, DuplicateEntry, ParseError, UnknownKind,
                      VersionMismatch)
 from .liealg import (LieAlgebra, PreLieAlgebra, RBRepresentation,
                      RotaBaxterLieAlgebra)
-from .tensors import LinearMap, exact, from_groups
+from .tensors import BilinearMap, LinearMap, exact, from_groups
 from .twoterm import (LInfinityHom, RBLInfinityHom, TwoTermLInfinity, TwoTermRBLInfinity,
                       rb_hom, two_term, with_operators)
 from .value import Value, replace
@@ -128,16 +129,15 @@ class Codec(Value):
     tensor = False
 
 
-def _action(shape, groups: dict, flag) -> tuple[LinearMap, ...]:
-    """One matrix per element from the groups ``(row, col) -> [(element,
-    coeff), ...]``; the elements without entries share one zero map."""
-    split: dict[int, dict] = {}
+def _action(shape, groups: dict, flag) -> BilinearMap:
+    """The action (row; element, col) from the groups ``(row, col) ->
+    [(element, coeff), ...]`` of its entries ``[element, row, col, q]``."""
+    regrouped: dict = {}
     for (r, c), group in groups.items():
         for x, q in group:
-            split.setdefault(x, {}).setdefault((c,), []).append((r, q))
-    zero = LinearMap.zero(*shape[1:])
-    return tuple(from_groups(shape[1:], split[x]) if x in split else zero
-                 for x in range(shape[0]))
+            regrouped.setdefault((x, c), []).append((r, q))
+    elements, rows, cols = shape
+    return from_groups((rows, elements, cols), regrouped)
 
 
 def _stored(t):
@@ -176,10 +176,9 @@ class TensorCodec(Value):
 
 
 TENSOR = TensorCodec()
-# One matrix per basis vector of the acting algebra: [element, row, col].
+# An action: the map (row; element, col), written [element, row, col].
 ACTION = TensorCodec(
-    lambda rho: (((x, *idx), q) for x, m in enumerate(rho) for idx, q in _stored(m)),
-    _action)
+    lambda act: (((x, r, c), q) for (x, c), g in act.nonzero.items() for r, q in g), _action)
 
 
 def _dim(doc, field, values) -> int:
@@ -304,9 +303,9 @@ PRE_LIE = Kind("pre-lie", PreLieAlgebra, (
 REPRESENTATION = Kind("representation", RBRepresentation, (
     Field("algebra", "algebra", embedded(RB_LIE)),
     Field("dim_v", "dim_v", DIM),
-    Field("rho", "rho", ACTION, "algebra.dim dim_v dim_v"),
+    Field("rho", "act", ACTION, "algebra.dim dim_v dim_v"),
     Field("cal_r", "cal_r", TENSOR, "dim_v dim_v"),
-), RBRepresentation)
+), lambda algebra, dim_v, rho, cal_r: RBRepresentation(algebra, dim_v, rho, cal_r))
 
 TWO_TERM = Kind("2term", TwoTermLInfinity, (
     Field("dim0", "dim0", DIM),
@@ -346,7 +345,7 @@ CROSSED_LIE = Kind("crossed-lie", LieCrossedModule, (
     Field("bracket0", "g0.bracket", TENSOR, "dim0 dim0 dim0", True),
     Field("bracket1", "g1.bracket", TENSOR, "dim1 dim1 dim1", True),
     Field("d", "d", TENSOR, "dim0 dim1"),
-    Field("rho", "rho", ACTION, "dim0 dim1 dim1"),
+    Field("rho", "act", ACTION, "dim0 dim1 dim1"),
 ), lambda dim0, dim1, bracket0, bracket1, d, rho: LieCrossedModule(
     LieAlgebra(dim0, bracket0), LieAlgebra(dim1, bracket1), d, rho))
 
@@ -361,8 +360,8 @@ CROSSED_PRELIE = Kind("crossed-prelie", PreLieCrossedModule, (
     Field("mult0", "p0.mult", TENSOR, "dim0 dim0 dim0"),
     Field("mult1", "p1.mult", TENSOR, "dim1 dim1 dim1"),
     Field("delta", "delta", TENSOR, "dim0 dim1"),
-    Field("l_act", "l_act", ACTION, "dim0 dim1 dim1"),
-    Field("r_act", "r_act", ACTION, "dim0 dim1 dim1"),
+    Field("l_act", "left", ACTION, "dim0 dim1 dim1"),
+    Field("r_act", "right", ACTION, "dim0 dim1 dim1"),
 ), lambda dim0, dim1, mult0, mult1, delta, l_act, r_act: PreLieCrossedModule(
     PreLieAlgebra(dim0, mult0), PreLieAlgebra(dim1, mult1), delta, l_act, r_act))
 

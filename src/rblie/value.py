@@ -17,8 +17,7 @@ code does; the tensor maps, built most often, spell out their `__init__`.
 declares the bounds of the map at each attribute path, output first, as
 attribute paths of the object (the notation of the `serialize` kinds
 table); subclasses inherit them.  `__init__` checks them before
-`__post_init__`: a map must have ``shape == bounds``, an action (a tuple of
-maps) must hold ``bounds[0]`` maps of shape ``bounds[1:]``, or it raises
+`__post_init__`: a map must have ``shape == bounds``, or it raises
 `ShapeMismatch` naming the path.
 """
 
@@ -30,7 +29,6 @@ from operator import attrgetter
 from .errors import ShapeMismatch
 
 _set = object.__setattr__
-_shape = attrgetter("shape")
 
 
 class Value:
@@ -68,10 +66,8 @@ class Value:
         if self._checked:
             got = self._shaped(self)
             for at, (path, bounds) in enumerate(self._checked):
-                m, want = got[at], got[bounds]
-                if not (len(m) == want[0] and all(map(want[1:].__eq__, map(_shape, m)))
-                        if m.__class__ is tuple else m.shape == want):
-                    raise ShapeMismatch(f"{path} is not a {'x'.join(map(str, want))} map")
+                if got[at].shape != got[bounds]:
+                    raise ShapeMismatch(f"{path} is not a {'x'.join(map(str, got[bounds]))} map")
         self.__post_init__()
 
     @classmethod

@@ -325,7 +325,7 @@ def reference_h3(f, x, y, z):
 def closed_form_derived(cm):
     """The derived crossed module from its formulas, a reference apart from
     the pre-Lie route that `derived_crossed` takes: brackets
-    [x,y] = [T0 x, y] - [T0 y, x], action x.u = rho(T0 x) u + rho(x) T1 u."""
+    [x,y] = [T0 x, y] - [T0 y, x], action x.u = T0 x . u + x . T1 u."""
     base = cm.base
 
     def bracket(alg, t):
@@ -336,17 +336,16 @@ def closed_form_derived(cm):
                       for i in range(n) for j in range(n)}, skew=True)
 
     n0, n1 = base.g0.dim, base.g1.dim
-    acts, t0, t1 = [m.entries for m in base.rho], cm.t0.entries, cm.t1.entries
+    acts, t0, t1 = base.act.coeffs, cm.t0.entries, cm.t1.entries
 
-    def action(i):  # entries of rho(T0 e_i) + rho(e_i) T1
-        return LinearMap.from_rows(
-            [[sum(t0[k][i] * acts[k][r][c] for k in range(n0))
-              + sum(acts[i][r][s] * t1[s][c] for s in range(n1)) for c in range(n1)]
-             for r in range(n1)])
+    def action(r, i, c):  # coordinate r of T0 e_i . e_c + e_i . T1 e_c
+        return (sum(t0[k][i] * acts[r][k][c] for k in range(n0))
+                + sum(acts[r][i][s] * t1[s][c] for s in range(n1)))
 
-    rho = tuple(action(i) for i in range(n0))
+    act = from_cells((n1, n0, n1), {(r, i, c): action(r, i, c)
+                                    for r in range(n1) for i in range(n0) for c in range(n1)})
     return LieCrossedModule(LieAlgebra(base.g0.dim, bracket(base.g0, cm.t0)),
-                            LieAlgebra(base.g1.dim, bracket(base.g1, cm.t1)), base.d, rho)
+                            LieAlgebra(base.g1.dim, bracket(base.g1, cm.t1)), base.d, act)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,9 @@
+import ast
+import json
 import random
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,13 +18,51 @@ from rblie.crossed import (LieCrossedModule, PreLieCrossedModule, RBLieCrossedMo
                            strict_to_crossed_data)
 from rblie.cli import verify_structure
 from rblie.errors import NotStrict
-from rblie.liealg import (LieAlgebra, PreLieAlgebra, RotaBaxterLieAlgebra, act_on,
+from rblie.liealg import (LieAlgebra, PreLieAlgebra, RotaBaxterLieAlgebra,
                           action_hom_residual, action_rb_residual, chain_residual,
                           hom_residual, rb_checks)
 from rblie.report import run_checks
 from rblie.search import mutate
+from rblie.serialize import load, parse_rational
 from rblie.tensors import BilinearMap, LinearMap, from_cells, vneg, vsub
 from rblie.twoterm import LInfinityHom, hom_checks, rb_triple_checks, two_term_checks
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_action_views_hold_one_matrix_per_acting_basis_vector():
+    """`rho`, `l_act` and `r_act` of every catalog crossed-lie, crossed-rb
+    and crossed-prelie document hold one dim1 x dim1 matrix per basis
+    vector of the acting algebra, in order, and each matrix's cells
+    (row, col) are the document's entries at that element: the sites the
+    benchmark's mutants enumerate from them."""
+    views = {"crossed-lie": {"rho": lambda o: o.rho}, "crossed-rb": {"rho": lambda o: o.base.rho},
+             "crossed-prelie": {"l_act": lambda o: o.l_act, "r_act": lambda o: o.r_act}}
+    seen = set()
+    for path in sorted((ROOT / "catalog").glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if doc["kind"] not in views:
+            continue
+        seen.add(doc["kind"])
+        obj = load(path)
+        for key, view in views[doc["kind"]].items():
+            matrices = view(obj)
+            assert len(matrices) == doc["dim0"], (path.name, key)
+            for x, m in enumerate(matrices):
+                assert m.shape == (doc["dim1"], doc["dim1"]), (path.name, key, x)
+                assert m.cells() == {(r, c): parse_rational(q)
+                                     for e, r, c, q in doc[key] if e == x}, (path.name, key, x)
+    assert seen == set(views)
+
+
+def test_no_module_under_src_reads_the_action_views():
+    """The package reads each action as its map; the tuple views are read
+    by the benchmark's mutation sites only."""
+    reads = [f"{p.name}:{node.lineno}" for p in sorted((ROOT / "src").rglob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in {"rho", "l_act", "r_act"}]
+    assert reads == []
 
 
 def test_catalog_crossed_modules_valid():
@@ -155,7 +196,7 @@ def test_operators_map_the_derived_module_back_exactly_by_the_inputs_own_identit
             for i in range(n0):
                 rb = own["action-rb", (i,)]
                 for a in range(n1):
-                    compat = vsub(t1(out.rho[i](a)), act_on(base.rho, t0(i), t1(a), n1))
+                    compat = vsub(t1(out.act(i, a)), base.act(t0(i), t1(a)))
                     column = tuple(rb[r * n1 + a] for r in range(n1))
                     assert compat == vneg(column) == vneg(descent["h2", (i, a)]), (i, a)
                     nonzero["action-compat"] += any(compat)
@@ -164,7 +205,7 @@ def test_operators_map_the_derived_module_back_exactly_by_the_inputs_own_identit
         for _ in range(15):
             r = random_operator(rng, n)
             zero_top = LieCrossedModule(g, LieAlgebra.abelian(0), LinearMap.zero(n, 0),
-                                        (LinearMap.zero(0, 0),) * n)
+                                        BilinearMap.zero(n, 0, 0))
             derived = closed_form_derived(RBLieCrossedModule(zero_top, r, LinearMap.zero(0, 0)))
             own = residuals(rb_checks(RotaBaxterLieAlgebra(g, r)))
             for i, j in combinations(range(n), 2):
@@ -179,7 +220,7 @@ def test_operators_map_the_derived_module_back_exactly_by_the_inputs_own_identit
 def test_zero_operators_give_zero_prelie_data():
     pm = rb_crossed_to_prelie_crossed(CROSSED_MODULES["aff1-ideal-cm-zero"])
     assert pm.p0.mult.is_zero() and pm.p1.mult.is_zero()
-    assert all(m.is_zero() for m in pm.l_act + pm.r_act)
+    assert pm.left.is_zero() and pm.right.is_zero()
 
 
 def test_operator_mutation_breaks_prelie_representation():
@@ -213,20 +254,19 @@ def test_strict_validity_iff_crossed_validity_on_mutants():
 
 
 def test_strict_data_maps_are_mutually_inverse_on_valid_corpus():
+    """The data maps invert each other, and both pass the action through
+    as the same map: the crossed module's action is the structure's l2_01."""
     for name, cm in CROSSED_MODULES.items():
         G = crossed_to_strict_data(cm)
         assert strict_to_crossed_data(G) == cm, name
+        assert G.linf.l2_01 is cm.base.act, name
+        assert crossed_to_strict_data(strict_to_crossed_data(G)).linf.l2_01 is G.linf.l2_01, name
 
 
 def mat_mul(a, b):
     """Product of two square nested-list matrices of one size."""
     m = len(a)
     return [[sum(a[r][t] * b[t][c] for t in range(m)) for c in range(m)] for r in range(m)]
-
-
-def mat_comb(terms, m):
-    """The sum of c A over the (c, A) in `terms`, as an m x m nested list."""
-    return [[sum(c * a[r][col] for c, a in terms) for col in range(m)] for r in range(m)]
 
 
 def mat_sub(a, b):
@@ -239,11 +279,12 @@ def mat_flat(a):
 
 @given(st.data())
 def test_action_residuals_match_dense_matrix_products(data):
-    """`act_on`, `action_hom_residual`, `action_rb_residual` and every
-    `lr-rep` residual of a drawn pre-Lie crossed module equal the same
-    formulas computed here with nested-list matrix products over the dense
-    `entries`, on rational actions of an algebra of dimension 0 to 3 on a
-    module of dimension 0 to 3."""
+    """An action's `act(x, u)`, with each of x and u a basis index or a
+    vector, `action_hom_residual`, `action_rb_residual` and every `lr-rep`
+    residual of a drawn pre-Lie crossed module equal the same formulas
+    computed here with nested-list matrix products over the dense
+    `entries` and `coeffs`, on rational actions of an algebra of dimension
+    0 to 3 on a module of dimension 0 to 3."""
     coeff = st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3)
     n, m = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
 
@@ -253,30 +294,32 @@ def test_action_residuals_match_dense_matrix_products(data):
         return from_cells(shape, cells)
 
     def draw_action():
-        return tuple(draw_map(m, m) for _ in range(n))
+        return draw_map(m, n, m)
 
-    def act(rho, x):  # the matrix of rho(x) for a vector x
-        return mat_comb([(c, a.entries) for c, a in zip(x, rho)], m)
+    def matrix(act, x):  # the matrix of u -> act(x, u), x an index or a vector
+        x = [int(k == x) for k in range(n)] if type(x) is int else x
+        return [[sum(c * act.coeffs[row][k][col] for k, c in enumerate(x)) for col in range(m)]
+                for row in range(m)]
 
-    rho, r, k = draw_action(), draw_map(n, n), draw_map(m, m)
+    act, r, k = draw_action(), draw_map(n, n), draw_map(m, m)
     x = data.draw(st.tuples(*[coeff] * n))
     u = data.draw(st.tuples(*[coeff] * m))
     for arg in [*range(n), x]:
-        a = rho[arg].entries if type(arg) is int else act(rho, arg)
+        a = matrix(act, arg)
         for w in [*range(m), u]:
             col = [int(c == w) for c in range(m)] if type(w) is int else w
-            assert act_on(rho, arg, w, m) == tuple(
+            assert act(arg, w) == tuple(
                 sum(a[row][c] * col[c] for c in range(m)) for row in range(m))
     kk = k.entries
     for i in range(n):
-        ri = rho[i].entries
-        rx = act(rho, [r.entries[row][i] for row in range(n)])
-        assert action_rb_residual(rho, r, k, i) == mat_flat(mat_sub(
+        ri = matrix(act, i)
+        rx = matrix(act, [r.entries[row][i] for row in range(n)])
+        assert action_rb_residual(act, r, k, i) == mat_flat(mat_sub(
             mat_sub(mat_mul(rx, kk), mat_mul(kk, rx)), mat_mul(mat_mul(kk, ri), kk)))
         for j in range(n):
-            rj = rho[j].entries
-            assert action_hom_residual(rho, x, i, j) == mat_flat(mat_sub(
-                act(rho, x), mat_sub(mat_mul(ri, rj), mat_mul(rj, ri))))
+            rj = matrix(act, j)
+            assert action_hom_residual(act, x, i, j) == mat_flat(mat_sub(
+                matrix(act, x), mat_sub(mat_mul(ri, rj), mat_mul(rj, ri))))
 
     mult = draw_map(n, n, n)
     pm = PreLieCrossedModule(PreLieAlgebra(n, mult), PreLieAlgebra(m, draw_map(m, m, m)),
@@ -284,7 +327,7 @@ def test_action_residuals_match_dense_matrix_products(data):
     lr = {idx: fn() for cond, idx, fn in prelie_crossed_checks(pm) if cond == "lr-rep"}
     assert sorted(lr) == [(i, j) for i in range(n) for j in range(n)]
     for (i, j), got in lr.items():
-        li, ri, rj = pm.l_act[i].entries, pm.r_act[i].entries, pm.r_act[j].entries
+        li, ri, rj = matrix(pm.left, i), matrix(pm.right, i), matrix(pm.right, j)
         xy = [mult.coeffs[out][i][j] for out in range(n)]
         assert got == mat_flat(mat_sub(mat_sub(mat_mul(li, rj), mat_mul(rj, li)),
-                                       mat_sub(act(pm.r_act, xy), mat_mul(rj, ri))))
+                                       mat_sub(matrix(pm.right, xy), mat_mul(rj, ri))))

@@ -7,11 +7,12 @@ from hypothesis import given, strategies as st
 
 from rblie.catalog import (LIE_ALGEBRAS, RB_ALGEBRAS, TWO_TERM_STRUCTURES, aff1,
                            aff1_rb_shift, sl2_rb_zero)
+from rblie import liealg
 from rblie.cli import verify_structure
 from rblie.errors import InternalInvariantBroken
 from rblie.liealg import (LieAlgebra, RBRepresentation, RotaBaxterLieAlgebra,
                           adjoint_representation, coadjoint_representation,
-                          derived_bracket, dual_representation,
+                          derived_bracket, dual_representation, lie_checks,
                           prelie_from_rb, rb_checks, representation_checks,
                           semidirect_product, subadjacent_lie)
 from rblie.report import run_checks
@@ -124,11 +125,9 @@ def test_prelie_on_abelian_is_zero_for_any_operator():
 
 def test_dual_of_zero_action_is_zero():
     rba = aff1_rb_shift()
-    zero_rep = RBRepresentation(rba, 2,
-                                (LinearMap.zero(2, 2), LinearMap.zero(2, 2)),
-                                LinearMap.zero(2, 2))
+    zero_rep = RBRepresentation(rba, 2, BilinearMap.zero(2, 2, 2), LinearMap.zero(2, 2))
     dual = dual_representation(zero_rep)
-    assert all(m.is_zero() for m in dual.rho) and dual.cal_r.is_zero()
+    assert dual.act.is_zero() and dual.cal_r.is_zero()
 
 
 def test_prelie_from_rb_rejects_bad_operator():
@@ -150,6 +149,25 @@ def test_derived_bracket_equals_subadjacent_of_prelie(golden_operators):
         assert verify_structure(derived).ok
 
 
+def test_derived_bracket_runs_exactly_the_lie_checks_of_its_output(monkeypatch):
+    """`derived_bracket` verifies its output only: one `run_checks` call, on
+    the `lie_checks` of the algebra it returns, and no `pre-lie` check of
+    the operator product on the way.  So an operator that is not
+    Rota-Baxter but whose derived bracket is a Lie bracket passes: the
+    identity on aff1 gives 2 [x, y], where `prelie_from_rb` raises."""
+    calls = []
+    monkeypatch.setattr(liealg, "run_checks", lambda checks: calls.append(list(checks))
+                        or run_checks(checks))
+    identity = RotaBaxterLieAlgebra(aff1(), LinearMap.identity(2))
+    for rba in (*RB_ALGEBRAS.values(), identity):
+        calls.clear()
+        out = derived_bracket(rba)
+        assert [[(cond, idx, fn()) for cond, idx, fn in made] for made in calls] == [
+            [(cond, idx, fn()) for cond, idx, fn in lie_checks(out)]]
+    doubled = from_cells((2, 2, 2), {k: 2 * q for k, q in aff1().bracket.cells().items()})
+    assert out.bracket.cells() == doubled.cells()
+
+
 def test_adjoint_representation_valid():
     for rba in RB_ALGEBRAS.values():
         assert run_checks(representation_checks(adjoint_representation(rba))).ok
@@ -169,9 +187,7 @@ def test_dual_is_involution_on_data():
 def test_semidirect_trivial_representation_is_direct_sum():
     rba = aff1_rb_shift()
     rep_zero = adjoint_representation(rba)
-    trivial = rep_zero.__class__(rba, 2,
-                                 (LinearMap.zero(2, 2), LinearMap.zero(2, 2)),
-                                 LinearMap.zero(2, 2))
+    trivial = rep_zero.__class__(rba, 2, BilinearMap.zero(2, 2, 2), LinearMap.zero(2, 2))
     out = semidirect_product(trivial)
     assert out.dim == 4
     # cross-block brackets vanish
@@ -199,7 +215,7 @@ def test_semidirect_restricts_to_base():
     trivial representations of every catalog operator algebra."""
     for name, rba in RB_ALGEBRAS.items():
         n, zero = rba.dim, (0,) * rba.dim
-        trivial = RBRepresentation(rba, n, (LinearMap.zero(n, n),) * n, rba.r)
+        trivial = RBRepresentation(rba, n, BilinearMap.zero(n, n, n), rba.r)
         for rep in (adjoint_representation(rba), coadjoint_representation(rba), trivial):
             out = semidirect_product(rep)
             for p, q in product(range(out.dim), repeat=2):

@@ -20,7 +20,7 @@ from rblie.search import SearchSpec, enumerate_rb_operators, mutate
 from rblie.serialize import (DIM, KINDS, LABELS, OPERATORS, RATIONALS, TENSOR, SearchResults,
                              _entries_to_groups, dumps, embedded, get_at, kind_of, load, loads,
                              parse_rational, save)
-from rblie.tensors import BilinearMap, LinearMap, _Multilinear, exact, vec
+from rblie.tensors import BilinearMap, LinearMap, _Multilinear, exact, from_cells, vec
 from rblie.twoterm import rb_hom, two_term, with_operators
 from rblie.value import replace
 
@@ -550,11 +550,12 @@ def _edge_documents() -> dict:
         "operators without entries": SearchResults(lie(), (), (zero3, zero3)),
         "fraction operators": SearchResults(lie(), (Fraction(1, 3),), (zero3, op)),
         "action without entries": LieCrossedModule(lie(), LieAlgebra.from_brackets(1, {}), d,
-                                                   (zero1,) * 3),
-        "action of no elements": LieCrossedModule(empty, empty, LinearMap.zero(0, 0), ()),
+                                                   BilinearMap.zero(3, 1, 1)),
+        "action of no elements": LieCrossedModule(empty, empty, LinearMap.zero(0, 0),
+                                                  BilinearMap.zero(0, 0, 0)),
         "embedded fraction": RBRepresentation(RotaBaxterLieAlgebra(lie(), op), 1,
-                                              (zero1, LinearMap.from_rows([[Fraction(5, 4)]]),
-                                               zero1), zero1),
+                                              from_cells((1, 3, 1), {(0, 1, 0): Fraction(5, 4)}),
+                                              zero1),
     }
 
 
@@ -643,18 +644,43 @@ def test_declared_dimension_costs_nothing_at_load():
     assert elapsed < 1, f"took {elapsed:.2f} s"
 
 
+ACTION_DOCUMENTS = {
+    "crossed-lie": ('{\n  "kind": "crossed-lie",\n  "version": 1,\n  "dim0": 10000000,\n'
+                    '  "dim1": 1,\n  "bracket0": [],\n  "bracket1": [],\n  "d": [],\n'
+                    '  "rho": [\n    [7, 0, 0, "1"]\n  ]\n}\n'),
+    "crossed-prelie": ('{\n  "kind": "crossed-prelie",\n  "version": 1,\n  "dim0": 10000000,\n'
+                       '  "dim1": 2,\n  "mult0": [],\n  "mult1": [],\n  "delta": [],\n'
+                       '  "l_act": [\n    [3, 0, 1, "-2"],\n    [9999999, 1, 0, "1"]\n  ],\n'
+                       '  "r_act": [\n    [5, 0, 0, "1/2"]\n  ]\n}\n'),
+    "representation": ('{\n  "kind": "representation",\n  "version": 1,\n  "algebra": {\n'
+                       '    "kind": "rb-lie",\n    "version": 1,\n    "dim": 10000000,\n'
+                       '    "bracket": [],\n    "r": []\n  },\n  "dim_v": 1,\n'
+                       '  "rho": [\n    [9999999, 0, 0, "3"]\n  ],\n  "cal_r": []\n}\n'),
+}
+
+
+@pytest.mark.parametrize("kind", ACTION_DOCUMENTS)
+def test_action_fields_load_in_time_of_their_entries(kind):
+    """An action is one map of its entries: a document whose acting
+    algebra declares dimension 10^7 loads and dumps back byte for byte at
+    once (one matrix per acting basis vector would be ten million)."""
+    text = ACTION_DOCUMENTS[kind]
+    start = perf_counter()
+    obj = loads(text)
+    out = dumps(obj)
+    elapsed = perf_counter() - start
+    assert out == text
+    assert elapsed < 0.5, f"took {elapsed:.2f} s"
+
+
 def test_action_elements_without_entries_share_one_map():
-    """An action builds a map only for the elements that have entries: a
-    crossed-lie document with dim0 10^5 and one action entry holds one
-    shared zero map for the other elements, and dumps back unchanged."""
-    text = ('{\n  "kind": "crossed-lie",\n  "version": 1,\n  "dim0": 100000,\n'
-            '  "dim1": 1,\n  "bracket0": [],\n  "bracket1": [],\n  "d": [],\n'
-            '  "rho": [\n    [7, 0, 0, "1"]\n  ]\n}\n')
-    cm = loads(text)
-    assert len(cm.rho) == 100000 and cm.rho[7].cells() == {(0, 0): 1}
-    assert len({id(m) for x, m in enumerate(cm.rho) if x != 7}) == 1
-    assert cm.rho[0].is_zero()
-    assert dumps(cm) == text
+    """The crossed-lie document of `ACTION_DOCUMENTS` holds its one entry
+    as the cell (row; element, col), and the elements without entries read
+    one shared zero map."""
+    cm = loads(ACTION_DOCUMENTS["crossed-lie"])
+    assert cm.act.shape == (1, 10 ** 7, 1) and cm.act.cells() == {(0, 7, 0): 1}
+    assert cm.act(7, 0) == (1,) and cm.act(0, 0) == (0,)
+    assert cm.act.partial(1, 0) is cm.act.partial(1, 9999999) and cm.act.partial(1, 0).is_zero()
 
 
 # --- load/save fuzz over the kinds table -------------------------------------
@@ -752,8 +778,9 @@ def test_mutate_sites_follow_the_kinds_table(kind, key):
     field = next(f for f in KINDS[kind].fields if f.key == key)
     tensor, flag = get_at(obj, field.path), field.flag
     shape = field.bounds(KINDS[kind].values(obj))
-    # the sample's maps have the bounds the loader reads
-    assert shape == (tensor.shape if field.codec is TENSOR else (len(tensor), *tensor[0].shape))
+    # the sample's maps have the bounds the loader reads, an action's element first
+    assert shape == (tensor.shape if field.codec is TENSOR
+                     else (tensor.dim_a, tensor.dim_out, tensor.dim_b))
     args = tuple(range(len(shape) - 1)) if flag else (0,) * (len(shape) - 1)
     idx = (0,) + args
     assert getattr(tensor, "flag", False) == flag  # the sample agrees with its field

@@ -103,12 +103,12 @@ def test_replace_copies_with_fields_changed_and_reruns_post_init():
     assert not bracket.skew and bracket.dim_a == 2
 
 
-class Arrow(Value, shapes={"m": "rows cols", "act": "n rows rows"}):
+class Arrow(Value, shapes={"m": "rows cols", "act": "rows n rows"}):
     rows: int
     cols: int
     m: LinearMap
-    n: int = 0
-    act: tuple = ()
+    n: int
+    act: BilinearMap
 
 
 class LabelledArrow(Arrow):
@@ -124,18 +124,18 @@ class Loose(Value):
 
 
 def test_declared_shapes_are_checked_and_inherited():
-    m, back, square = LinearMap.zero(2, 3), LinearMap.zero(3, 2), LinearMap.zero(2, 2)
-    assert Arrow(2, 3, m, 1, (square,)).act == (square,)
-    assert TwoWayArrow(2, 3, m, back=back).back is back
+    m, back, act = LinearMap.zero(2, 3), LinearMap.zero(3, 2), BilinearMap.zero(1, 2, 2)
+    assert Arrow(2, 3, m, 1, act).act is act
+    assert TwoWayArrow(2, 3, m, 1, act, back=back).back is back
     for cls, more in ((Arrow, {}), (LabelledArrow, {}), (TwoWayArrow, {"back": back})):
         with pytest.raises(ShapeMismatch, match="^m is not a 2x3 map$"):
-            cls(2, 3, back, **more)
+            cls(2, 3, back, 1, act, **more)
         with pytest.raises(ShapeMismatch, match="^act is not a 2x2x2 map$"):
-            cls(2, 3, m, 2, (square,), **more)
-        with pytest.raises(ShapeMismatch, match="^act is not a 1x2x2 map$"):
-            cls(2, 3, m, 1, (m,), **more)
+            cls(2, 3, m, 2, act, **more)
+        with pytest.raises(ShapeMismatch, match="^act is not a 2x1x2 map$"):
+            cls(2, 3, m, 1, BilinearMap.zero(1, 3, 2), **more)
     with pytest.raises(ShapeMismatch, match="^back is not a 3x2 map$"):
-        TwoWayArrow(2, 3, m, back=m)
+        TwoWayArrow(2, 3, m, 1, act, back=m)
     assert list(TwoWayArrow._shapes) == ["m", "act", "back"]
     assert list(Arrow._shapes) == list(LabelledArrow._shapes) == ["m", "act"]
 
@@ -146,21 +146,22 @@ def test_a_class_without_shapes_checks_none():
 
 
 # (catalog document, attribute path of an instance in it, its class, the
-# paths of its maps, the paths of its actions); most instances have unequal
-# dimensions, so a transposed shape would show
+# paths of its maps, the paths of those maps that are actions); most
+# instances have unequal dimensions, so a transposed shape would show
 SHAPED = (
     ("sl2", "", LieAlgebra, ("bracket",), ()),
     ("sl2-rb-tri", "", RotaBaxterLieAlgebra, ("r",), ()),
     ("aff1-ideal-cm-neg-prelie", "p0", PreLieAlgebra, ("mult",), ()),
-    ("aff1-adjoint-rep", "", RBRepresentation, ("cal_r",), ("rho",)),
+    ("aff1-adjoint-rep", "", RBRepresentation, ("act", "cal_r"), ("act",)),
     ("sl2-cocycle-rb2-nonstrict", "linf.complex", TwoTermComplex, ("l1",), ()),
     ("sl2-cocycle-rb2-nonstrict", "linf", TwoTermLInfinity, ("l2_00", "l2_01", "l3"), ()),
     ("sl2-cocycle-rb2-nonstrict", "", TwoTermRBLInfinity, ("rb.r0", "rb.r1", "rb.r2"), ()),
     ("aff1-phi3-hom", "hom", LInfinityHom, ("phi0", "phi1", "phi2"), ()),
     ("aff1-phi3-hom", "", RBLInfinityHom, ("phi3",), ()),
-    ("aff1-ideal-cm-lie", "", LieCrossedModule, ("d",), ("rho",)),
+    ("aff1-ideal-cm-lie", "", LieCrossedModule, ("d", "act"), ("act",)),
     ("heis3-center-cm", "", RBLieCrossedModule, ("t0", "t1"), ()),
-    ("aff1-ideal-cm-neg-prelie", "", PreLieCrossedModule, ("delta",), ("l_act", "r_act")),
+    ("aff1-ideal-cm-neg-prelie", "", PreLieCrossedModule, ("delta", "left", "right"),
+     ("left", "right")),
 )
 
 
@@ -177,15 +178,17 @@ def enlarged(m) -> list:
 @pytest.mark.parametrize("doc, at, cls, maps, actions", SHAPED,
                          ids=[case[2].__name__ for case in SHAPED])
 def test_each_structure_rejects_a_map_of_the_wrong_shape(doc, at, cls, maps, actions):
-    """Every map of a catalog instance one row or column too large, and
-    every action one matrix short or with one matrix too large, is a
-    `ShapeMismatch` when the instance is rebuilt."""
+    """Every map of a catalog instance one row or one input too large, and
+    every action one acting element short, is a `ShapeMismatch` when the
+    instance is rebuilt."""
     obj = get_at(load(ROOT / "catalog" / f"{doc}.json"), at)
-    assert type(obj) is cls and set(cls._shapes) == {*maps, *actions}
+    assert type(obj) is cls and set(cls._shapes) == set(maps)
     wrong = [(path, m) for path in maps for m in enlarged(get_at(obj, path))]
     for path in actions:
-        rho = get_at(obj, path)
-        wrong += [(path, rho[:-1])] + [(path, (*rho[:-1], m)) for m in enlarged(rho[-1])]
+        act = get_at(obj, path)
+        rows, n, cols = act.shape
+        wrong.append((path, from_cells((rows, n - 1, cols), {
+            key: q for key, q in act.cells().items() if key[1] < n - 1})))
     for path, value in wrong:
         with pytest.raises(ShapeMismatch, match=rf"^{re.escape(path)} is not a \d+(x\d+)+ map$"):
             put_at(obj, path, value)
