@@ -115,6 +115,7 @@ from rblie.serialize import SearchResults, dumps, load, loads  # noqa: E402
 from rblie.tensors import (LinearMap, from_cells, solve_exact, vbasis,  # noqa: E402
                            vec)
 from rblie.twoterm import identity_rb_hom, two_term, with_operators  # noqa: E402
+from rblie.value import replace  # noqa: E402
 
 REPEATS = 3
 CATALOG = ROOT / "catalog"
@@ -144,10 +145,21 @@ MUTATE_SITES = (  # (catalog document, --site, --delta) of the mutate-then-verif
 
 
 class Timed(NamedTuple):
-    """What a row returns when it times itself, leaving out the work
-    between its timed parts: its count and the seconds timed."""
+    """What one run of a row returns: its count, the seconds timed and, for
+    a fresh `verify`, the child's peak RSS in MB.  A row that times itself
+    leaves out the work between its timed parts."""
     count: int
     seconds: float
+    peak_rss_mb: float | None = None
+
+
+def timed(fn):
+    """The row that times the whole of `fn()`, which returns the count."""
+    def row() -> Timed:
+        start = perf_counter()
+        count = fn()
+        return Timed(count, perf_counter() - start)
+    return row
 
 
 def sl3() -> LieAlgebra:
@@ -323,7 +335,7 @@ def walk(run) -> dict:
     nodes, narrow = [], search_module._narrow
     search_module._narrow = lambda *args: nodes.append(1) or narrow(*args)
     try:
-        found = run()
+        found = run().count
     finally:
         search_module._narrow = narrow
     return {"narrow_calls": len(nodes), "found": found}
@@ -346,17 +358,20 @@ def sparse_lie(n: int) -> str:
     return dumps(LieAlgebra.from_brackets(n, {(0, 1): vbasis(n, 2)}))
 
 
-def fresh_verify(path: Path) -> tuple[int, float]:
+def fresh_verify(path: Path) -> Timed:
     """One fresh interpreter verifying `path` as ``rblie.cli verify`` does;
-    the checked count and the child's peak RSS in MB.  The child reads its
-    own VmHWM from /proc/self/status as it ends: `getrusage` would also
-    count the measuring process, whose peak a child inherits at exec."""
+    the checked count, the seconds it ran and the child's peak RSS in MB.
+    The child reads its own VmHWM from /proc/self/status as it ends:
+    `getrusage` would also count the measuring process, whose peak a child
+    inherits at exec."""
+    start = perf_counter()
     done = subprocess.run([sys.executable, "-c", VERIFY_PEAK, str(path)], cwd=ROOT,
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    elapsed = perf_counter() - start
     if done.returncode != 0:
         raise SystemExit(f"verify {path.name} exited {done.returncode}: {done.stderr}")
-    return int(done.stderr.split()[1]), int(done.stdout.split()[1]) / 1024
+    return Timed(int(done.stderr.split()[1]), elapsed, int(done.stdout.split()[1]) / 1024)
 
 
 def sparse_count(text: str) -> int:
@@ -369,34 +384,37 @@ def sparse_count(text: str) -> int:
 
 
 def rows(work: Path) -> dict:
-    out = {f"zero lie dim {n}": lambda n=n: verify_object(LieAlgebra.abelian(n))
+    """Each row by its name: a function that runs it once and returns its
+    `Timed`."""
+    out = {f"zero lie dim {n}": timed(lambda n=n: verify_object(LieAlgebra.abelian(n)))
            for n in (8, 12, 16, 25)}
     out.update({f"zero rb-2term dim0 {d} dim1 2":
-                lambda d=d: verify_object(with_operators(two_term(d, 2)))
+                timed(lambda d=d: verify_object(with_operators(two_term(d, 2))))
                 for d in range(3, 7)})
     G = adjoint_rb_two_term(semidirect_product(
         adjoint_representation(RB_ALGEBRAS["solv4-rb-zero"])))
     dim8 = dumps(G)
     out["solv4 adjoint semidirect rb-2term dim0 8 dim1 8"] = \
-        lambda: verify_object(loads(dim8))
+        timed(lambda: verify_object(loads(dim8)))
     dim8_hom = dumps(identity_rb_hom(loads(dim8)))
     out["identity rb-hom of the dim0 8 solv4 adjoint semidirect rb-2term"] = \
-        lambda: verify_object(loads(dim8_hom))
-    L, l3 = G.linf, G.linf.l3
-    broken = with_operators(two_term(L.dim0, L.dim1, L.complex.l1, L.l2_00, L.l2_01, from_cells(
-        l3.shape, {**l3.cells(), (0, 0, 1, 2): 1}, l3.flag)), G.rb.r0, G.rb.r1, G.rb.r2)
+        timed(lambda: verify_object(loads(dim8_hom)))
+    l3 = G.linf.l3
+    broken = replace(G, linf=replace(G.linf, l3=from_cells(
+        l3.shape, {**l3.cells(), (0, 0, 1, 2): 1}, l3.flag)))
     dim8_broken = dumps(broken)
     out["dim0 8 rb-2term with one l3 cell without its partners (flag broken)"] = \
-        lambda: verify_flag_broken(loads(dim8_broken))
+        timed(lambda: verify_flag_broken(loads(dim8_broken)))
     rows_p = unimodular_rows(INVERSE_DIM)
     out[f"exact inverse of a dim-{INVERSE_DIM} unimodular basis change"] = \
-        lambda: exact_inverse(rows_p)
-    out["verify solv4-module-cocycle-rb2"] = lambda: cli(CATALOG / "solv4-module-cocycle-rb2.json")
-    out["roundtrip solv4-cocycle-phi2-hom"] = lambda: cli(
-        CATALOG / "solv4-cocycle-phi2-hom.json", command="roundtrip")
-    out["verify whole catalog"] = lambda: cli(*sorted(CATALOG.glob("*.json")))
+        timed(lambda: exact_inverse(rows_p))
+    out["verify solv4-module-cocycle-rb2"] = timed(
+        lambda: cli(CATALOG / "solv4-module-cocycle-rb2.json"))
+    out["roundtrip solv4-cocycle-phi2-hom"] = timed(lambda: cli(
+        CATALOG / "solv4-cocycle-phi2-hom.json", command="roundtrip"))
+    out["verify whole catalog"] = timed(lambda: cli(*sorted(CATALOG.glob("*.json"))))
     texts = [path.read_text(encoding="utf-8") for path in sorted(CATALOG.glob("*.json"))]
-    out["loads+dumps whole catalog"] = lambda: load_dump(texts)
+    out["loads+dumps whole catalog"] = timed(lambda: load_dump(texts))
     paths = sorted(CATALOG.glob("*.json"))
     objs = [loads(text) for text in texts]
     out["load every catalog file from disk, after gc.collect()"] = \
@@ -411,18 +429,19 @@ def rows(work: Path) -> dict:
     if loads(results_text) != results or len(results.operators) != SEARCH_FOUND["heis3"]:
         raise SystemExit("the heis3 search results do not load back from their text")
     out["dumps of the heis3 search results (639 operators)"] = \
-        lambda: dump_results(results, results_text)
-    out[f"mutate then verify of {len(MUTATE_SITES)} catalog sites"] = lambda: mutate_verify(work)
-    out.update({f"search-rb {name} over -1,0,1": lambda name=name: search(name)
+        timed(lambda: dump_results(results, results_text))
+    out[f"mutate then verify of {len(MUTATE_SITES)} catalog sites"] = \
+        timed(lambda: mutate_verify(work))
+    out.update({f"search-rb {name} over -1,0,1": timed(lambda name=name: search(name))
                 for name in SEARCH_FOUND})
     alg = sl3()
     if not verify_structure(alg).ok:
         raise SystemExit("the sl3 built from matrix units fails verification")
-    out["masked sl3 search over -1,0,1 (9 free entries)"] = lambda: sl3_search(alg)
-    out[f"{FRESH_RUNS} fresh python -c 'import rblie.cli'"] = lambda: fresh(
-        "-c", "import rblie.cli")
-    out[f"{FRESH_RUNS} fresh python -m rblie.cli verify catalog/abelian1.json"] = lambda: fresh(
-        "-m", "rblie.cli", "verify", str(CATALOG / "abelian1.json"))
+    out["masked sl3 search over -1,0,1 (9 free entries)"] = timed(lambda: sl3_search(alg))
+    out[f"{FRESH_RUNS} fresh python -c 'import rblie.cli'"] = timed(lambda: fresh(
+        "-c", "import rblie.cli"))
+    out[f"{FRESH_RUNS} fresh python -m rblie.cli verify catalog/abelian1.json"] = timed(
+        lambda: fresh("-m", "rblie.cli", "verify", str(CATALOG / "abelian1.json")))
     for n in (50, 100):
         path = work / f"sparse-lie-{n}.json"
         path.write_text(sparse_lie(n), encoding="utf-8")
@@ -430,7 +449,7 @@ def rows(work: Path) -> dict:
             lambda path=path: fresh_verify(path)
     text = sparse_lie(SPARSE_COUNT[0])
     out[f"count of the two-entry lie document of dim {SPARSE_COUNT[0]}"] = \
-        lambda: sparse_count(text)
+        timed(lambda: sparse_count(text))
     return out
 
 
@@ -447,16 +466,10 @@ def main(argv: list[str]) -> int:
         checked = {}
         for _ in range(REPEATS):  # one round runs every row once
             for name, fn in table.items():
-                start = perf_counter()
-                out = fn()
-                elapsed = perf_counter() - start
-                if isinstance(out, Timed):  # a row that times its own parts
-                    out, elapsed = out
+                checked[name], elapsed, mb = fn()
                 runs[name].append(elapsed)
-                if isinstance(out, tuple):  # a fresh `verify`: (checks, peak RSS)
-                    out, mb = out
+                if mb is not None:
                     rss[name].append(mb)
-                checked[name] = out
         walks = {name: walk(fn) for name, fn in table.items()
                  if name.startswith(("search-rb ", "masked sl3 search "))}
     for name, times in runs.items():

@@ -128,10 +128,10 @@ def strict_to_crossed_data(G: TwoTermRBLInfinity) -> RBLieCrossedModule:
     [u,v] = l2(l1(u), v), action x.u = l2(x, u), operators (R0, R1)."""
     L = G.linf
     n0, n1 = L.dim0, L.dim1
-    bracket1 = {(a, b): L.l2_01(L.complex.l1(a), b) for a in range(n1) for b in range(n1)}
+    bracket1 = {(a, b): L.l2_01(L.l1(a), b) for a in range(n1) for b in range(n1)}
     g1 = LieAlgebra(n1, BilinearMap.from_map(n1, n1, n1, bracket1, skew=True))
     g0 = LieAlgebra(n0, L.l2_00)
-    return RBLieCrossedModule(LieCrossedModule(g0, g1, L.complex.l1, L.l2_01), G.rb.r0, G.rb.r1)
+    return RBLieCrossedModule(LieCrossedModule(g0, g1, L.l1, L.l2_01), G.r0, G.r1)
 
 
 def strict_to_crossed(G: TwoTermRBLInfinity) -> RBLieCrossedModule:

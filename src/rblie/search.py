@@ -207,8 +207,9 @@ def mutate(value, site: tuple, delta) -> object:
     """Return a copy with one tensor entry changed by `delta` (plus the
     partner entries demanded by a skew/alternating flag).  `site` is the
     document key of the tensor followed by its indices, which must be those
-    of an entry the document could hold: the bounds are the loader's
-    `Field.bounds`.  The result is unverified."""
+    of an entry the document could hold: the bounds are the map's own
+    (`TensorCodec.bounds`), the `Field.bounds` that the loader builds it
+    with and that its class's `shapes=` checks.  The result is unverified."""
     delta = exact(delta)
     name, idx = site[0], tuple(site[1:])
     kind = KIND_OF_CLASS.get(type(value))
@@ -218,7 +219,8 @@ def mutate(value, site: tuple, delta) -> object:
                   if f.key == name and f.codec.tensor), None)
     if field is None:
         raise BadSite(f"unknown tensor {name!r} for {type(value).__name__}")
-    codec, shape, flag = field.codec, field.bounds(kind.values(value)), field.flag
+    codec, tensor, flag = field.codec, get_at(value, field.path), field.flag
+    shape = codec.bounds(tensor)
     if len(idx) != len(shape):
         raise BadSite(f"{name} sites take {len(shape)} indices")
     if not all(0 <= i < bound for i, bound in zip(idx, shape)):
@@ -229,7 +231,7 @@ def mutate(value, site: tuple, delta) -> object:
         raise BadSite(f"{name} is skew/alternating: repeated indices are pinned to zero")
     # a flagged tensor moves each ordering of the arguments, by the sign taking args to it
     moves = [(p, sign * parity(p)) for p in permutations(args)] if flag else [(args, 1)]
-    entries = codec.cells(get_at(value, field.path))
+    entries = codec.cells(tensor)
     for p, s in moves:
         entries[out + p] = entries.get(out + p, 0) + s * delta
     return put_at(value, field.path, codec.build(shape, group_cells(entries), flag))

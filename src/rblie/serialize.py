@@ -150,11 +150,13 @@ class TensorCodec(Value):
     from and written to the tensor's own store (see `tensors`); `search.mutate`
     edits the same cells.  `entries` reads them off the store, unsorted;
     `build` takes them grouped by input indices, as the decoder groups a
-    document's entries and `tensors.group_cells` groups cells.  The index
-    bounds are the field's `Field.bounds`, for loading and mutation alike,
-    and so is the skew/alternating flag."""
+    document's entries and `tensors.group_cells` groups cells.  The loader
+    reads the index bounds from `Field.bounds`; `search.mutate` reads the
+    same bounds off the map, with `bounds`.  The skew/alternating flag is
+    the field's `Field.flag`."""
     entries: Callable = _stored
     build: Callable = from_groups          # (shape, groups, flag) -> tensor
+    bounds: Callable = attrgetter("shape")  # tensor -> its index bounds, as a document writes them
     embeds = None
     tensor = True
 
@@ -178,7 +180,8 @@ class TensorCodec(Value):
 TENSOR = TensorCodec()
 # An action: the map (row; element, col), written [element, row, col].
 ACTION = TensorCodec(
-    lambda act: (((x, r, c), q) for (x, c), g in act.nonzero.items() for r, q in g), _action)
+    lambda act: (((x, r, c), q) for (x, c), g in act.nonzero.items() for r, q in g), _action,
+    lambda act: (act.dim_a, act.dim_out, act.dim_b))
 
 
 def _dim(doc, field, values) -> int:
@@ -232,7 +235,7 @@ def embedded(kind: Kind) -> Codec:
 
 class Field(Value):
     key: str                      # document key
-    path: str                     # attribute path on the object, e.g. "rb.r0"
+    path: str                     # attribute path on the object, e.g. "linf.l1"
     codec: Codec | TensorCodec
     shape: str = ""               # index bounds: value names, e.g. "dim1 dim0 dim0"
     flag: bool = False            # skew (bilinear) or alternating (trilinear)
@@ -250,7 +253,7 @@ class Field(Value):
 
 
 def get_at(obj, path: str):
-    """The attribute at a dotted `path`, e.g. "rb.r0"."""
+    """The attribute at a dotted `path`, e.g. "linf.l1"."""
     return reduce(getattr, path.split("."), obj) if path else obj
 
 
@@ -272,17 +275,6 @@ class Kind:
         inherited = () if base is None else tuple(
             replace(f, path=f"{base[1]}.{f.path}") for f in base[0].fields)
         self.fields = inherited + own
-
-    def values(self, obj) -> dict:
-        """The values `_load` decodes from the document of `obj`, which
-        `Field.bounds` reads: each field's by its key, the base object by
-        its attribute."""
-        values = {f.key: get_at(obj, f.path) for f in self.own}
-        if self.base is not None:
-            kind, attribute = self.base
-            base = values[attribute] = get_at(obj, attribute)
-            values.update(kind.values(base))
-        return values
 
 
 LIE = Kind("lie", LieAlgebra, (
@@ -310,16 +302,16 @@ REPRESENTATION = Kind("representation", RBRepresentation, (
 TWO_TERM = Kind("2term", TwoTermLInfinity, (
     Field("dim0", "dim0", DIM),
     Field("dim1", "dim1", DIM),
-    Field("l1", "complex.l1", TENSOR, "dim0 dim1"),
+    Field("l1", "l1", TENSOR, "dim0 dim1"),
     Field("l2_00", "l2_00", TENSOR, "dim0 dim0 dim0", True),
     Field("l2_01", "l2_01", TENSOR, "dim1 dim0 dim1"),
     Field("l3", "l3", TENSOR, "dim1 dim0 dim0 dim0", True),
 ), two_term)
 
 RB_TWO_TERM = Kind("rb-2term", TwoTermRBLInfinity, (
-    Field("r0", "rb.r0", TENSOR, "linf.dim0 linf.dim0"),
-    Field("r1", "rb.r1", TENSOR, "linf.dim1 linf.dim1"),
-    Field("r2", "rb.r2", TENSOR, "linf.dim1 linf.dim0 linf.dim0", True),
+    Field("r0", "r0", TENSOR, "linf.dim0 linf.dim0"),
+    Field("r1", "r1", TENSOR, "linf.dim1 linf.dim1"),
+    Field("r2", "r2", TENSOR, "linf.dim1 linf.dim0 linf.dim0", True),
 ), with_operators, base=(TWO_TERM, "linf"))
 
 HOM = Kind("hom", LInfinityHom, (
@@ -333,9 +325,9 @@ HOM = Kind("hom", LInfinityHom, (
 RB_HOM = Kind("rb-hom", RBLInfinityHom, (
     Field("source", "source", embedded(RB_TWO_TERM)),
     Field("target", "target", embedded(RB_TWO_TERM)),
-    Field("phi0", "hom.phi0", TENSOR, "target.linf.dim0 source.linf.dim0"),
-    Field("phi1", "hom.phi1", TENSOR, "target.linf.dim1 source.linf.dim1"),
-    Field("phi2", "hom.phi2", TENSOR, "target.linf.dim1 source.linf.dim0 source.linf.dim0", True),
+    Field("phi0", "phi0", TENSOR, "target.linf.dim0 source.linf.dim0"),
+    Field("phi1", "phi1", TENSOR, "target.linf.dim1 source.linf.dim1"),
+    Field("phi2", "phi2", TENSOR, "target.linf.dim1 source.linf.dim0 source.linf.dim0", True),
     Field("phi3", "phi3", TENSOR, "target.linf.dim1 source.linf.dim0"),
 ), rb_hom)
 

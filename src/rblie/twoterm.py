@@ -35,23 +35,26 @@ their flags or from the flag checks' results.  When one is not, its
 flag check fires and every ordered tuple is evaluated literally, so a
 store that breaks its flag reports the residuals of the maps as stored.
 
-Constructors: `two_term(dim0, dim1, l1, l2_00, l2_01, l3)`,
-`with_operators(linf, r0, r1, r2)` and `rb_hom(source, target, phi0, phi1,
-phi2, phi3)` assemble a structure, its operator triple and an operator
-homomorphism from their maps.  Their parameter names are the document keys,
-so `serialize.KINDS` builds the `2term`, `rb-2term` and `rb-hom` kinds with
-them.  A map not given is the zero map, skew or alternating where its
-document field is, as a tensor key left out of a document loads.
+Fields: each class holds every map once, at its document key:
+`TwoTermLInfinity(dim0, dim1, l1, l2_00, l2_01, l3)`,
+`TwoTermRBLInfinity(linf, r0, r1, r2)` and `RBLInfinityHom(source, target,
+phi0, phi1, phi2, phi3)`, with `shapes=` naming every map.
+`RBLInfinityHom.hom`, the homomorphism of the underlying structures, is
+built on first read.  The views `complex` and `rb` return the object itself
+for the benchmark's mutation sites; nothing in the package reads them.  The
+constructors `two_term`, `with_operators` and `rb_hom`, the `build` of the
+`2term`, `rb-2term` and `rb-hom` kinds, take the same fields and fill in
+each map left out with the zero map, skew or alternating where its document
+field is, as a tensor key left out of a document loads.
 """
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import combinations, combinations_with_replacement, compress, permutations, product
 from math import comb, perm
 
-from .errors import (InternalInvariantBroken, NotChainMap, ShapeMismatch,
-                     SourceTargetMismatch)
+from .errors import InternalInvariantBroken, NotChainMap, SourceTargetMismatch
 from .report import Checks, VerificationReport, choose, family, grid, run_checks
 from .tensors import (BilinearMap, LinearMap, TrilinearMap, Vec, parity, solve_exact, vadd,
                       vneg, vscale, vsub, vzero)
@@ -59,49 +62,37 @@ from .liealg import chain_residual, hom_residual, rb_residual, skew_checks
 from .value import Value
 
 
-class TwoTermComplex(Value, shapes={"l1": "dim0 dim1"}):
+class TwoTermLInfinity(Value, shapes={"l1": "dim0 dim1", "l2_00": "dim0 dim0 dim0",
+                                      "l2_01": "dim1 dim0 dim1", "l3": "dim1 dim0 dim0 dim0"}):
     dim0: int
     dim1: int
-    l1: LinearMap  # g1 -> g0
-
-
-class TwoTermLInfinity(Value, shapes={"l2_00": "dim0 dim0 dim0", "l2_01": "dim1 dim0 dim1",
-                                      "l3": "dim1 dim0 dim0 dim0"}):
-    complex: TwoTermComplex
+    l1: LinearMap        # g1 -> g0
     l2_00: BilinearMap   # g0 x g0 -> g0, skew
     l2_01: BilinearMap   # g0 x g1 -> g1
     l3: TrilinearMap     # alt, three copies of g0 -> g1
 
-    @property
-    def dim0(self) -> int:
-        return self.complex.dim0
-
-    @property
-    def dim1(self) -> int:
-        return self.complex.dim1
+    complex = property(lambda self: self)  # read-only view, see above
 
 
-class RBTriple(Value):
+class TwoTermRBLInfinity(Value, shapes={"r0": "linf.dim0 linf.dim0",
+                                        "r1": "linf.dim1 linf.dim1",
+                                        "r2": "linf.dim1 linf.dim0 linf.dim0"}):
+    linf: TwoTermLInfinity
     r0: LinearMap          # g0 -> g0
     r1: LinearMap          # g1 -> g1
     r2: BilinearMap        # g0 x g0 -> g1, skew
 
-
-class TwoTermRBLInfinity(Value, shapes={"rb.r0": "linf.dim0 linf.dim0",
-                                        "rb.r1": "linf.dim1 linf.dim1",
-                                        "rb.r2": "linf.dim1 linf.dim0 linf.dim0"}):
-    linf: TwoTermLInfinity
-    rb: RBTriple
+    rb = property(lambda self: self)  # read-only view, see above
 
     @property
     def is_strict(self) -> bool:
-        return self.linf.l3.is_zero() and self.rb.r2.is_zero()
+        return self.linf.l3.is_zero() and self.r2.is_zero()
 
 
 def two_term(dim0: int, dim1: int, l1: LinearMap | None = None, l2_00: BilinearMap | None = None,
              l2_01: BilinearMap | None = None, l3: TrilinearMap | None = None) -> TwoTermLInfinity:
     return TwoTermLInfinity(
-        TwoTermComplex(dim0, dim1, LinearMap.zero(dim0, dim1) if l1 is None else l1),
+        dim0, dim1, LinearMap.zero(dim0, dim1) if l1 is None else l1,
         BilinearMap.zero(dim0, dim0, dim0, skew=True) if l2_00 is None else l2_00,
         BilinearMap.zero(dim0, dim1, dim1) if l2_01 is None else l2_01,
         TrilinearMap.zero(dim0, dim1, alt=True) if l3 is None else l3)
@@ -111,10 +102,10 @@ def with_operators(linf: TwoTermLInfinity, r0: LinearMap | None = None,
                    r1: LinearMap | None = None,
                    r2: BilinearMap | None = None) -> TwoTermRBLInfinity:
     d0, d1 = linf.dim0, linf.dim1
-    return TwoTermRBLInfinity(linf, RBTriple(
-        LinearMap.zero(d0, d0) if r0 is None else r0,
+    return TwoTermRBLInfinity(
+        linf, LinearMap.zero(d0, d0) if r0 is None else r0,
         LinearMap.zero(d1, d1) if r1 is None else r1,
-        BilinearMap.zero(d0, d0, d1, skew=True) if r2 is None else r2))
+        BilinearMap.zero(d0, d0, d1, skew=True) if r2 is None else r2)
 
 
 def ordered_checks(cond: str, n: int, arity: int, residual, dim_out: int, maps) -> Checks:
@@ -152,7 +143,7 @@ def two_term_checks(L: TwoTermLInfinity) -> Checks:
     """Flag consistency plus the four defining conditions of the bracket,
     the homotopy, and their compatibilities."""
     d0, d1 = L.dim0, L.dim1
-    l1, br, act, l3 = L.complex.l1, L.l2_00, L.l2_01, L.l3
+    l1, br, act, l3 = L.l1, L.l2_00, L.l2_01, L.l3
 
     def b_res(i, j, k):
         return vsub(l1(l3(i, j, k)), vadd(br(i, br(j, k)), br(k, br(i, j)), br(j, br(k, i))))
@@ -201,8 +192,7 @@ def rb3_residual(G: TwoTermRBLInfinity, i: int, j: int, k: int) -> Vec:
     cycle jointly over (x1,x2,x3); the trailing homotopy term sits outside
     the cycle.
     """
-    L, rb = G.linf, G.rb
-    br, act, l3, r0, r1, r2 = L.l2_00, L.l2_01, L.l3, rb.r0, rb.r1, rb.r2
+    br, act, l3, r0, r1, r2 = G.linf.l2_00, G.linf.l2_01, G.linf.l3, G.r0, G.r1, G.r2
 
     def grouped(x1, x2, x3):
         t2 = r2(x3, vsub(br(r0(x1), x2), br(r0(x2), x1)))
@@ -215,28 +205,26 @@ def rb3_residual(G: TwoTermRBLInfinity, i: int, j: int, k: int) -> Vec:
 
 def rb2_residual(G: TwoTermRBLInfinity, a: int, i: int) -> Vec:
     """Degree-one operator condition at one basis pair (g1, g0)."""
-    L, rb = G.linf, G.rb
-    act, r1, r2 = L.l2_01, rb.r1, rb.r2
-    u, x, r0x, r1u = a, i, rb.r0(i), r1(a)
+    act, r1, r2 = G.linf.l2_01, G.r1, G.r2
+    u, x, r0x, r1u = a, i, G.r0(i), r1(a)
     lhs = vadd(r1(vadd(vneg(act(x, r1u)), vneg(act(r0x, u)))), act(r0x, r1u))
-    return vsub(lhs, r2(L.complex.l1(a), x))
+    return vsub(lhs, r2(G.linf.l1(a), x))
 
 
 def rb_triple_checks(G: TwoTermRBLInfinity) -> Checks:
     """Chain-map property and the three operator conditions; the underlying
     two-term structure's own conditions are `two_term_checks(G.linf)`."""
-    L, rb = G.linf, G.rb
-    d0, d1 = L.dim0, L.dim1
-    l1 = L.complex.l1
+    L = G.linf
+    d0, d1, l1 = L.dim0, L.dim1, L.l1
 
     def rb1(i, j):  # the operator defect, -rb_residual, must equal l1 R2(e_i, e_j)
-        return vneg(vadd(rb_residual(L.l2_00, rb.r0, i, j), l1(rb.r2(i, j))))
+        return vneg(vadd(rb_residual(L.l2_00, G.r0, i, j), l1(G.r2(i, j))))
 
-    return (family("chain", partial(chain_residual, rb.r1, rb.r0, l1, l1), *grid(d1))
-            + skew_checks(rb.r2, "skew-r2")
+    return (family("chain", partial(chain_residual, G.r1, G.r0, l1, l1), *grid(d1))
+            + skew_checks(G.r2, "skew-r2")
             + family("rb1", rb1, *choose(d0, 2))
             + family("rb2", partial(rb2_residual, G), *grid(d1, d0))
-            + ordered_checks("rb3", d0, 3, partial(rb3_residual, G), d1, (L.l3, rb.r2)))
+            + ordered_checks("rb3", d0, 3, partial(rb3_residual, G), d1, (L.l3, G.r2)))
 
 
 class CompletionFailure(Value):
@@ -246,8 +234,9 @@ class CompletionFailure(Value):
 
 
 def complete_rb_triple(L: TwoTermLInfinity, r0: LinearMap,
-                       r1: LinearMap) -> RBTriple | CompletionFailure:
-    """Solve the first operator condition for R2, then verify the rest.
+                       r1: LinearMap) -> TwoTermRBLInfinity | CompletionFailure:
+    """Solve the first operator condition for R2, then verify the rest; the
+    result is the structure `L` with the completed triple (R0, R1, R2).
 
     The linear system per basis pair may be underdetermined; free
     coordinates (lexicographic pivot order) are pinned to zero so the
@@ -256,11 +245,11 @@ def complete_rb_triple(L: TwoTermLInfinity, r0: LinearMap,
     """
     d0, d1 = L.dim0, L.dim1
     for a in range(d1):
-        if any(chain_residual(r1, r0, L.complex.l1, L.complex.l1, a)):
+        if any(chain_residual(r1, r0, L.l1, L.l1, a)):
             raise NotChainMap(f"(R0, R1) do not commute with the differential at column {a}")
     values: dict[tuple[int, int], Vec] = {}
     for i, j in combinations(range(d0), 2):
-        sol = solve_exact(L.complex.l1, vneg(rb_residual(L.l2_00, r0, i, j)))
+        sol = solve_exact(L.l1, vneg(rb_residual(L.l2_00, r0, i, j)))
         if sol is None:
             return CompletionFailure("condition-1", (i, j), None)
         values[(i, j)] = sol
@@ -268,7 +257,7 @@ def complete_rb_triple(L: TwoTermLInfinity, r0: LinearMap,
     report = run_checks(rb_triple_checks(candidate))
     if not report.ok:
         return CompletionFailure("conditions-2-3", None, report)
-    return candidate.rb
+    return candidate
 
 
 class LInfinityHom(Value, shapes={"phi0": "target.dim0 source.dim0",
@@ -281,26 +270,32 @@ class LInfinityHom(Value, shapes={"phi0": "target.dim0 source.dim0",
     phi2: BilinearMap  # g0 x g0 -> g1', skew
 
 
-class RBLInfinityHom(Value, shapes={"phi3": "target.linf.dim1 source.linf.dim0"}):
+class RBLInfinityHom(Value, shapes={"phi0": "target.linf.dim0 source.linf.dim0",
+                                    "phi1": "target.linf.dim1 source.linf.dim1",
+                                    "phi2": "target.linf.dim1 source.linf.dim0 source.linf.dim0",
+                                    "phi3": "target.linf.dim1 source.linf.dim0"}):
     source: TwoTermRBLInfinity
     target: TwoTermRBLInfinity
-    hom: LInfinityHom  # between the underlying two-term structures
+    phi0: LinearMap    # g0 -> g0'
+    phi1: LinearMap    # g1 -> g1'
+    phi2: BilinearMap  # g0 x g0 -> g1', skew
     phi3: LinearMap    # g0 -> g1'
 
-    def __post_init__(self):
-        if self.hom.source != self.source.linf or self.hom.target != self.target.linf:
-            raise ShapeMismatch("homomorphism endpoints disagree with the given structures")
+    @cached_property
+    def hom(self) -> LInfinityHom:
+        """The homomorphism (phi0, phi1, phi2) of the underlying two-term
+        structures, which `hom_checks` verifies; built on first read."""
+        return LInfinityHom(self.source.linf, self.target.linf, self.phi0, self.phi1, self.phi2)
 
 
 def rb_hom(source: TwoTermRBLInfinity, target: TwoTermRBLInfinity,
            phi0: LinearMap | None = None, phi1: LinearMap | None = None,
            phi2: BilinearMap | None = None, phi3: LinearMap | None = None) -> RBLInfinityHom:
     s, t = source.linf, target.linf
-    return RBLInfinityHom(source, target, LInfinityHom(
-        s, t,
-        LinearMap.zero(t.dim0, s.dim0) if phi0 is None else phi0,
+    return RBLInfinityHom(
+        source, target, LinearMap.zero(t.dim0, s.dim0) if phi0 is None else phi0,
         LinearMap.zero(t.dim1, s.dim1) if phi1 is None else phi1,
-        BilinearMap.zero(s.dim0, s.dim0, t.dim1, skew=True) if phi2 is None else phi2),
+        BilinearMap.zero(s.dim0, s.dim0, t.dim1, skew=True) if phi2 is None else phi2,
         LinearMap.zero(t.dim1, s.dim0) if phi3 is None else phi3)
 
 
@@ -312,14 +307,13 @@ def hom_checks(f: LInfinityHom) -> Checks:
     p0, p1, p2, br, act = f.phi0, f.phi1, f.phi2, src.l2_00, tgt.l2_01
 
     def h1(i, j):
-        return vsub(tgt.complex.l1(p2(i, j)), hom_residual(p0, br, tgt.l2_00, i, j))
+        return vsub(tgt.l1(p2(i, j)), hom_residual(p0, br, tgt.l2_00, i, j))
 
     def h2(i, a):
-        return vsub(p2(i, src.complex.l1(a)), vsub(p1(src.l2_01(i, a)), act(p0(i), p1(a))))
+        return vsub(p2(i, src.l1(a)), vsub(p1(src.l2_01(i, a)), act(p0(i), p1(a))))
 
     return (skew_checks(p2, "skew-phi2")
-            + family("chain", partial(chain_residual, p1, p0, src.complex.l1, tgt.complex.l1),
-                     *grid(d1))
+            + family("chain", partial(chain_residual, p1, p0, src.l1, tgt.l1), *grid(d1))
             + family("h1", h1, *choose(d0, 2))
             + family("h2", h2, *grid(d0, d1))
             + ordered_checks("h3", d0, 3, partial(h3_residual, f), tgt.dim1,
@@ -344,10 +338,10 @@ def rbh3_residual(f: RBLInfinityHom, i: int, j: int) -> Vec:
     basis pair.  The bracket of two phi3 values vanishes by degree; the
     two-argument phi3 terms are read as phi3 applied to the bracket."""
     src, act = f.source.linf, f.target.linf.l2_01
-    p0, p1, p2, p3 = f.hom.phi0, f.hom.phi1, f.hom.phi2, f.phi3
-    br, r0, r2, r1p = src.l2_00, f.source.rb.r0, f.source.rb.r2, f.target.rb.r1
+    p0, p1, p2, p3 = f.phi0, f.phi1, f.phi2, f.phi3
+    br, r0, r2, r1p = src.l2_00, f.source.r0, f.source.r2, f.target.r1
     x, y = i, j
-    lhs = vadd(f.target.rb.r2(p0(x), p0(y)),
+    lhs = vadd(f.target.r2(p0(x), p0(y)),
                r1p(vneg(act(p0(y), p3(x)))),
                r1p(act(p0(x), p3(y))),
                r1p(p2(r0(x), y)),
@@ -363,13 +357,13 @@ def rb_hom_checks(f: RBLInfinityHom) -> Checks:
     conditions are `hom_checks(f.hom)`."""
     src, tgt = f.source, f.target
     d0, d1 = src.linf.dim0, src.linf.dim1
-    p0, p1, p3 = f.hom.phi0, f.hom.phi1, f.phi3
+    p0, p1, p3 = f.phi0, f.phi1, f.phi3
 
     def rbh1(i):
-        return vsub(tgt.linf.complex.l1(p3(i)), vadd(vneg(tgt.rb.r0(p0(i))), p0(src.rb.r0(i))))
+        return vsub(tgt.linf.l1(p3(i)), vadd(vneg(tgt.r0(p0(i))), p0(src.r0(i))))
 
     def rbh2(a):
-        return vsub(p3(src.linf.complex.l1(a)), vsub(p1(src.rb.r1(a)), tgt.rb.r1(p1(a))))
+        return vsub(p3(src.linf.l1(a)), vsub(p1(src.r1(a)), tgt.r1(p1(a))))
 
     return (family("rbh1", rbh1, *grid(d0))
             + family("rbh2", rbh2, *grid(d1))
@@ -392,10 +386,9 @@ def compose_rb_homs(g: RBLInfinityHom, f: RBLInfinityHom) -> RBLInfinityHom:
     if f.target != g.source:
         raise SourceTargetMismatch("cannot compose: intermediate structures differ")
     d0, d1 = f.source.linf.dim0, g.target.linf.dim1
-    phi0 = g.hom.phi0.compose(f.hom.phi0)
-    phi1 = g.hom.phi1.compose(f.hom.phi1)
-    f0, g1 = f.hom.phi0, g.hom.phi1
-    values = {(i, j): vadd(g1(f.hom.phi2(i, j)), g.hom.phi2(f0(i), f0(j)))
+    phi0, phi1 = g.phi0.compose(f.phi0), g.phi1.compose(f.phi1)
+    f0, g1 = f.phi0, g.phi1
+    values = {(i, j): vadd(g1(f.phi2(i, j)), g.phi2(f0(i), f0(j)))
               for i in range(d0) for j in range(d0)}
     phi2 = BilinearMap.from_map(d0, d0, d1, values, skew=True)
     phi3_cols = [vadd(g1(f.phi3(i)), g.phi3(f0(i))) for i in range(d0)]

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -21,7 +21,7 @@ from rblie.search import mutate
 from rblie.serialize import (DIM, FORMAT_VERSION, KIND_OF_CLASS, LABELS, OPERATORS,
                              RATIONALS, TENSOR, get_at)
 from rblie.tensors import (BilinearMap, LinearMap, TrilinearMap, Vec, frac, from_cells,
-                           vadd, vbasis, vec, vneg, vsub)
+                           parity, vadd, vbasis, vec, vneg, vsub)
 from rblie.twoterm import (RBLInfinityHom, TwoTermRBLInfinity, identity_rb_hom, rb_hom,
                            two_term, with_operators)
 
@@ -228,6 +228,88 @@ def _random_rb_hom(seed: int, d0: int, d1: int, flags_hold: bool) -> RBLInfinity
                   tensor((d1, d0)))
 
 
+class Poly:
+    """An exact polynomial with rational coefficients: a dict from monomials
+    (sorted tuples of variable names) to nonzero `Fraction`s.  It passes
+    through the tensor kernel as a coefficient does, so a residual of maps
+    whose cells are variables is that residual as a polynomial; an ``int``
+    is the constant polynomial (`__radd__`: `vadd` sums from 0)."""
+
+    def __init__(self, terms: dict):
+        self.terms = {m: c for m, c in terms.items() if c}
+
+    @staticmethod
+    def of(x) -> Poly:
+        return x if isinstance(x, Poly) else Poly({(): Fraction(x)})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for m, c in Poly.of(other).terms.items():
+            terms[m] = terms.get(m, 0) + c
+        return Poly(terms)
+
+    def __mul__(self, other):
+        terms: dict = {}
+        for m, c in self.terms.items():
+            for n, d in Poly.of(other).terms.items():
+                k = tuple(sorted(m + n))
+                terms[k] = terms.get(k, 0) + c * d
+        return Poly(terms)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return Poly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -Poly.of(other)
+
+    def __rsub__(self, other):
+        return Poly.of(other) + -self
+
+    def __eq__(self, other):
+        return isinstance(other, (int, Fraction, Poly)) and self.terms == Poly.of(other).terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __repr__(self):
+        return f"Poly({self.terms!r})"
+
+
+def generic_rb_two_term(d0: int, d1: int) -> tuple[TwoTermRBLInfinity, int]:
+    """The flag-respecting `rb-2term` whose every free cell is its own
+    variable, and the number of variables: each cell of l1, l2_01, R0 and
+    R1, and each cell of l2_00, l3 and R2 at sorted distinct inputs, whose
+    other orderings take the variable times their `parity`.  The stores are
+    written straight into the map constructors and passed through
+    `two_term` and `with_operators`."""
+    variables = []
+
+    def store(name, out, inputs, flag=False):
+        nonzero: dict = {}
+        for key in (combinations(range(inputs[0]), len(inputs)) if flag
+                    else product(*map(range, inputs))):
+            cells = [f"{name}{(o, *key)}" for o in range(out)]
+            variables.extend(cells)
+            for p in permutations(key) if flag else (key,):
+                sign = parity(p) if flag else 1
+                nonzero[p] = tuple((o, Poly({(v,): Fraction(sign)})) for o, v in enumerate(cells))
+        return nonzero
+
+    linf = two_term(d0, d1, LinearMap(d0, d1, store("l1", d0, (d1,))),
+                    BilinearMap(d0, d0, d0, store("l2_00", d0, (d0, d0), True), True),
+                    BilinearMap(d0, d1, d1, store("l2_01", d1, (d0, d1))),
+                    TrilinearMap(d0, d1, store("l3", d1, (d0, d0, d0), True), True))
+    G = with_operators(linf, LinearMap(d0, d0, store("r0", d0, (d0,))),
+                       LinearMap(d1, d1, store("r1", d1, (d1,))),
+                       BilinearMap(d0, d0, d1, store("r2", d1, (d0, d0), True), True))
+    return G, len(variables)
+
+
 def flag_broken_rb_hom(seed: int, d0: int = 3, d1: int = 2) -> RBLInfinityHom:
     """Random stores (`_random_rb_hom`) whose flagged stores carry the flag
     but are not skew or alternating."""
@@ -268,8 +350,8 @@ def reference_jcoh(G, w, x, y, z):
 
 
 def reference_rb3(G, i, j, k):
-    L, rb = G.linf, G.rb
-    br, act, l3, r0, r1, r2 = L.l2_00, L.l2_01, L.l3, rb.r0, rb.r1, rb.r2
+    L = G.linf
+    br, act, l3, r0, r1, r2 = L.l2_00, L.l2_01, L.l3, G.r0, G.r1, G.r2
 
     def grouped(x1, x2, x3):
         t1 = act(r0(x1), r2(x2, x3))
@@ -282,9 +364,9 @@ def reference_rb3(G, i, j, k):
 
 
 def reference_coh(G, x, y, z):
-    L, rb = G.linf, G.rb
-    br, act, J, P, R = L.l2_00, L.l2_01, L.l3, rb.r1, rb.r2
-    px, py, pz = rb.r0(x), rb.r0(y), rb.r0(z)
+    L = G.linf
+    br, act, J, P, R = L.l2_00, L.l2_01, L.l3, G.r1, G.r2
+    px, py, pz = G.r0(x), G.r0(y), G.r0(z)
     left = vadd(J(px, py, pz), act(px, R(y, z)), vneg(act(py, R(x, z))),
                 R(x, br(py, z)), R(x, br(y, pz)), R(br(x, pz), y), R(br(px, z), y),
                 P(J(px, z, py)), P(vneg(act(z, R(x, y)))))
@@ -298,10 +380,10 @@ def reference_cohm(F, x, y):
     """The homomorphism coherence diagram as the arrow parts of its two
     paths, all eleven terms; the right path's first two are the bracket
     [f3(x), f3(y)]."""
-    src, tgt, p0, p1, p2, p3 = F.source, F.target, F.hom.phi0, F.hom.phi1, F.hom.phi2, F.phi3
-    br, r0, R = src.linf.l2_00, src.rb.r0, src.rb.r2
-    act, P, r0t, l1t = tgt.linf.l2_01, tgt.rb.r1, tgt.rb.r0, tgt.linf.complex.l1
-    left = vadd(tgt.rb.r2(p0(x), p0(y)),
+    src, tgt, p0, p1, p2, p3 = F.source, F.target, F.phi0, F.phi1, F.phi2, F.phi3
+    br, r0, R = src.linf.l2_00, src.r0, src.r2
+    act, P, r0t, l1t = tgt.linf.l2_01, tgt.r1, tgt.r0, tgt.linf.l1
+    left = vadd(tgt.r2(p0(x), p0(y)),
                 P(vneg(act(p0(y), p3(x)))), P(act(p0(x), p3(y))),
                 P(p2(r0(x), y)), P(p2(x, r0(y))),
                 p3(br(r0(x), y)), p3(br(x, r0(y))))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (CATALOG_DIR, bracket_forms, flag_broken_rb_hom,
-                      flag_respecting_rb_hom, hom_mutants,
+                      flag_respecting_rb_hom, generic_rb_two_term, hom_mutants,
                       reference_coh, reference_cohm, reference_d, reference_h3,
                       reference_jcoh, reference_perm_sign, reference_rb3,
                       structure_mutants)
@@ -192,6 +192,24 @@ def test_jacobiator_coherence_equals_quadruple_identity_everywhere():
             assert jacobiator_coherence_residual(G, *idx) == d == reference_d(G.linf, *idx)
             nonzero += not is_zero(d)
         assert nonzero
+
+
+@pytest.mark.parametrize("d0, d1, variables", [(3, 2, 48), (4, 2, 88)])
+def test_diagram_residuals_are_the_chain_residuals_as_polynomials(d0, d1, variables):
+    """On the generic flag-respecting store, whose every free cell is its
+    own variable, `coh` equals `rb3` at every ordered triple and `jcoh`
+    equals `d` at every ordered quadruple as polynomials in the cells: the
+    two tests above at every store of these dimensions at once.  `rb3` is a
+    nonzero polynomial somewhere, and so is `d` at d0 = 4 (at d0 = 3 every
+    quadruple repeats an index), so neither identity is 0 = 0."""
+    G, count = generic_rb_two_term(d0, d1)
+    assert count == variables
+    rb3 = [rb3_residual(G, *idx) for idx in product(range(d0), repeat=3)]
+    assert [coherence_residual(G, *idx) for idx in product(range(d0), repeat=3)] == rb3
+    d = [quadruple_identity_residual(G.linf, *idx) for idx in product(range(d0), repeat=4)]
+    assert [jacobiator_coherence_residual(G, *idx)
+            for idx in product(range(d0), repeat=4)] == d
+    assert any(map(any, rb3)) and any(map(any, d)) == (d0 == 4)
 
 
 def test_jacobiator_coherence_flags_d_mutant():
@@ -398,16 +416,15 @@ def _broken_store(F, store):
         return _raise_cell(t, (0, *range(len(t.shape) - 1)))
 
     side, _, name = store.rpartition("-")
-    src, tgt, hom = F.source, F.target, F.hom
     if not side:
-        return RBLInfinityHom(src, tgt, replace(hom, phi2=broken(hom.phi2)), F.phi3)
-    G = src if side == "src" else tgt
+        return replace(F, phi2=broken(F.phi2))
+    end = "source" if side == "src" else "target"
+    G = getattr(F, end)
     if name == "r2":
-        G = replace(G, rb=replace(G.rb, r2=broken(G.rb.r2)))
+        G = replace(G, r2=broken(G.r2))
     else:
         G = replace(G, linf=replace(G.linf, **{name: broken(getattr(G.linf, name))}))
-    src, tgt = (G, tgt) if side == "src" else (src, G)
-    return RBLInfinityHom(src, tgt, replace(hom, source=src.linf, target=tgt.linf), F.phi3)
+    return replace(F, **{end: G})
 
 
 @pytest.mark.parametrize("store, flag", [
@@ -437,7 +454,7 @@ def test_is_alternating_is_exactly_the_flag_checks_passing():
     for seed in range(4):
         for F in (flag_respecting_rb_hom(seed), flag_broken_rb_hom(seed)):
             stores += [t for G in (F.source.linf, F.target.linf) for t in (G.l2_00, G.l3)]
-            stores += [F.source.rb.r2, F.target.rb.r2, F.hom.phi2]
+            stores += [F.source.r2, F.target.r2, F.phi2]
     kept = [t for t in stores if t.is_alternating]
     for t in kept:
         arity = len(t.shape) - 1

@@ -36,7 +36,7 @@ def test_call_agrees_with_apply_on_every_mix_of_indices_and_vectors():
     maps = [(name, t) for name in ("sl2-cocycle-rb2-nonstrict", "solv4-module-cocycle-rb2",
                                    "aff1-adjoint-rb2-shift")
             for G in [TWO_TERM_STRUCTURES[name]]
-            for t in (G.linf.complex.l1, G.linf.l2_00, G.linf.l2_01, G.linf.l3, G.rb.r2)]
+            for t in (G.linf.l1, G.linf.l2_00, G.linf.l2_01, G.linf.l3, G.r2)]
     maps += [("empty", LinearMap.zero(2, 3)), ("empty", BilinearMap.zero(2, 3, 2)),
              ("empty", TrilinearMap.zero(3, 2))]
     for name, t in maps:

@@ -777,8 +777,10 @@ def test_mutate_sites_follow_the_kinds_table(kind, key):
     obj = SAMPLES[kind]
     field = next(f for f in KINDS[kind].fields if f.key == key)
     tensor, flag = get_at(obj, field.path), field.flag
-    shape = field.bounds(KINDS[kind].values(obj))
-    # the sample's maps have the bounds the loader reads, an action's element first
+    # the sample's map has the shape the loader gives it, and `bounds` reads
+    # it in document order, an action's element first
+    assert tensor.shape == get_at(loads(dumps(obj)), field.path).shape
+    shape = field.codec.bounds(tensor)
     assert shape == (tensor.shape if field.codec is TENSOR
                      else (tensor.dim_a, tensor.dim_out, tensor.dim_b))
     args = tuple(range(len(shape) - 1)) if flag else (0,) * (len(shape) - 1)
@@ -795,6 +797,15 @@ def test_mutate_sites_follow_the_kinds_table(kind, key):
     for site in bad:
         with pytest.raises(BadSite):
             mutate(obj, (key,) + site, delta)
+
+
+def test_two_term_maps_sit_at_their_document_keys():
+    """Each map of a two-term object is the field its document key names,
+    under `linf` when it is a field of the underlying structure."""
+    for name in ("2term", "rb-2term", "rb-hom"):
+        for f in KINDS[name].fields:
+            if f.codec.tensor:
+                assert f.path in (f.key, f"linf.{f.key}"), (name, f.key, f.path)
 
 
 def test_search_results_and_non_tensor_keys_refuse_every_site():
@@ -824,8 +835,11 @@ def test_mutate_refuses_a_site_exactly_where_an_entry_fails_to_load(kind, key):
     length exactly when the document holding one entry there fails to load.
     The tuples come from the sample's stored maps, not from the table."""
     obj, doc = SAMPLES[kind], to_document(SAMPLES[kind])
-    tensor = get_at(obj, next(f for f in KINDS[kind].fields if f.key == key).path)
-    bounds = (len(tensor), *tensor[0].shape) if isinstance(tensor, tuple) else tensor.shape
+    field = next(f for f in KINDS[kind].fields if f.key == key)
+    tensor = get_at(obj, field.path)
+    # an action (row; element, col) is written element first
+    bounds = (tensor.shape if field.codec is TENSOR
+              else (tensor.dim_a, tensor.dim_out, tensor.dim_b))
     refused = loaded = 0
     for idx in sorted(_index_tuples(bounds)):
         try:

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from conftest import CATALOG_DIR, descent_chain, hom_mutants, structure_mutants
-from rblie.catalog import (CROSSED_MODULES, TWO_TERM_STRUCTURES, aff1,
+from rblie.catalog import (CROSSED_MODULES, LIE_ALGEBRAS, TWO_TERM_STRUCTURES, aff1,
                            aff1_adjoint_completed, aff1_rb_shift, adjoint_rb_two_term,
                            adjoint_two_term, sl2_cocycle_rb)
 from rblie.cli import verify_structure
@@ -12,11 +12,11 @@ from rblie.crossed import crossed_to_strict
 from rblie import twoterm
 from rblie.errors import InternalInvariantBroken, NotChainMap, SourceTargetMismatch
 from rblie.report import family, grid, run_checks
-from rblie.search import mutate
+from rblie.search import SearchSpec, enumerate_rb_operators, mutate
 from rblie.serialize import dumps, load, loads
 from rblie.tensors import BilinearMap, LinearMap, TrilinearMap, parity, vec, vzero
-from rblie.twoterm import (CompletionFailure, LInfinityHom, RBLInfinityHom, RBTriple,
-                           TwoTermComplex, TwoTermLInfinity, TwoTermRBLInfinity,
+from rblie.twoterm import (CompletionFailure, LInfinityHom, RBLInfinityHom,
+                           TwoTermLInfinity, TwoTermRBLInfinity,
                            complete_rb_triple, compose_rb_homs,
                            hom_checks, identity_rb_hom, rb_hom, rb_hom_checks,
                            rb_triple_checks, two_term, two_term_checks, with_operators)
@@ -41,22 +41,35 @@ def test_constructors_default_to_the_zero_maps_of_the_document_fields(d0, d1):
     zero map, skew or alternating as its document field is; each result
     round-trips through its document."""
     L = two_term(d0, d1)
-    assert L == TwoTermLInfinity(TwoTermComplex(d0, d1, LinearMap.zero(d0, d1)),
+    assert L == TwoTermLInfinity(d0, d1, LinearMap.zero(d0, d1),
                                  BilinearMap.zero(d0, d0, d0, skew=True),
                                  BilinearMap.zero(d0, d1, d1),
                                  TrilinearMap.zero(d0, d1, alt=True))
     G = with_operators(L)
-    assert G == TwoTermRBLInfinity(L, RBTriple(LinearMap.zero(d0, d0), LinearMap.zero(d1, d1),
-                                               BilinearMap.zero(d0, d0, d1, skew=True)))
+    assert G == TwoTermRBLInfinity(L, LinearMap.zero(d0, d0), LinearMap.zero(d1, d1),
+                                   BilinearMap.zero(d0, d0, d1, skew=True))
     H = with_operators(two_term(d1, d0))  # a target of other dimensions
     F = rb_hom(G, H)
-    assert F == RBLInfinityHom(G, H, LInfinityHom(
-        L, H.linf, LinearMap.zero(d1, d0), LinearMap.zero(d0, d1),
-        BilinearMap.zero(d0, d0, d0, skew=True)), LinearMap.zero(d0, d0))
-    assert ([L.l2_00.skew, L.l2_01.skew, L.l3.alt, G.rb.r2.skew, F.hom.phi2.skew]
+    phis = (LinearMap.zero(d1, d0), LinearMap.zero(d0, d1), BilinearMap.zero(d0, d0, d0, skew=True))
+    assert F == RBLInfinityHom(G, H, *phis, LinearMap.zero(d0, d0))
+    assert F.hom == LInfinityHom(L, H.linf, *phis)
+    assert ([L.l2_00.skew, L.l2_01.skew, L.l3.alt, G.r2.skew, F.phi2.skew]
             == [True, False, True, True, True])
     for obj in (L, G, F):
         assert loads(dumps(obj)) == obj
+
+
+def test_rb_hom_builds_its_homomorphism_once_from_its_own_fields():
+    """An operator homomorphism stores its endpoints and maps once; `hom`
+    is built from them on first read and kept, and dumps and loads as a
+    `hom` document."""
+    homs = [obj for obj in map(load, sorted(CATALOG_DIR.glob("*.json")))
+            if isinstance(obj, RBLInfinityHom)]
+    assert len(homs) == 9
+    for F in homs:
+        assert not any(isinstance(getattr(F, name), LInfinityHom) for name in F._fields)
+        assert F.hom is F.hom and loads(dumps(F.hom)) == F.hom
+        assert F.hom == LInfinityHom(F.source.linf, F.target.linf, F.phi0, F.phi1, F.phi2)
 
 
 def test_lie_algebra_with_empty_top_term_is_valid():
@@ -131,7 +144,7 @@ def test_complete_rb_triple_on_adjoint_complex():
     # identity differential forces R2 to be the operator defect; with an
     # exact operator the completion is the zero corrector
     G = adjoint_rb_two_term(aff1_rb_shift())
-    triple = complete_rb_triple(G.linf, G.rb.r0, G.rb.r1)
+    triple = complete_rb_triple(G.linf, G.r0, G.r1)
     assert not isinstance(triple, CompletionFailure)
     assert triple.r2.is_zero()
     # a non-exact operator on the adjoint complex: solvable but then
@@ -142,8 +155,7 @@ def test_complete_rb_triple_on_adjoint_complex():
         assert res.stage == "conditions-2-3"
         assert res.report is not None and not res.report.ok
     else:
-        from rblie.twoterm import TwoTermRBLInfinity
-        assert run_checks(rb_triple_checks(TwoTermRBLInfinity(G.linf, res))).ok
+        assert res.linf == G.linf and run_checks(rb_triple_checks(res)).ok
 
 
 def test_complete_rb_triple_is_exact_on_integer_input():
@@ -152,9 +164,9 @@ def test_complete_rb_triple_is_exact_on_integer_input():
     comes back as exact thirds (a float would be stored as a nearby dyadic
     rational, not 1/3)."""
     G = aff1_adjoint_completed()
-    L = replace(G.linf, complex=TwoTermComplex(2, 2, LinearMap.from_rows([[3, 0], [0, 3]])))
+    L = replace(G.linf, l1=LinearMap.from_rows([[3, 0], [0, 3]]))
     assert verify_structure(L).ok
-    triple = complete_rb_triple(L, G.rb.r0, G.rb.r1)
+    triple = complete_rb_triple(L, G.r0, G.r1)
     assert not isinstance(triple, CompletionFailure)
     assert triple.r2.on_basis(0, 1) == (Fraction(2, 3), Fraction(1, 3))
     for m in (triple.r0, triple.r1, triple.r2):
@@ -164,7 +176,30 @@ def test_complete_rb_triple_is_exact_on_integer_input():
 def test_complete_rb_triple_requires_chain_map():
     G = adjoint_rb_two_term(aff1_rb_shift())
     with pytest.raises(NotChainMap):
-        complete_rb_triple(G.linf, G.rb.r0, LinearMap.zero(2, 2))
+        complete_rb_triple(G.linf, G.r0, LinearMap.zero(2, 2))
+
+
+def test_zero_pinned_completion_finds_every_sl2_operator_pair():
+    """`complete_rb_triple` pins the free coordinates of R2 to zero, so it
+    could miss a triple that only a nonzero free part completes.  On the
+    skeletal sl2 structure l1 = 0, so with a Rota-Baxter R0 every R2
+    satisfies the first condition and the solve returns R2 = 0.  For each
+    of the 23 Rota-Baxter operators of sl2 over {-1,0,1} as R0 and each R1
+    in {-1, 0, 1, 2}, the completion succeeds and the structure it returns
+    passes its whole verifier (188 checks each): zero-pinning loses no pair
+    there."""
+    L = load(CATALOG_DIR / "sl2-cocycle-rb2.json").linf
+    operators = [rba.r for rba in enumerate_rb_operators(SearchSpec(LIE_ALGEBRAS["sl2"]))]
+    assert len(operators) == 23
+    checked = 0
+    for r0, r1 in product(operators, (-1, 0, 1, 2)):
+        G = complete_rb_triple(L, r0, LinearMap.from_rows([[r1]]))
+        assert not isinstance(G, CompletionFailure), (r0, r1)
+        assert G.linf == L and G.r0 == r0 and G.r2.is_zero()
+        report = verify_structure(G)
+        assert report.ok, (r0, r1)
+        checked += report.checked
+    assert checked == 92 * 188
 
 
 def test_completion_reproduces_catalog_nonstrict_instance():
@@ -175,16 +210,16 @@ def test_completion_reproduces_catalog_nonstrict_instance():
     from rblie.catalog import aff1_adjoint_completed
     from rblie.tensors import is_zero, vadd, vbasis, vneg, vsub
     G = aff1_adjoint_completed()
-    solved = complete_rb_triple(G.linf, G.rb.r0, G.rb.r1)
+    solved = complete_rb_triple(G.linf, G.r0, G.r1)
     assert not isinstance(solved, CompletionFailure)
-    assert solved == G.rb
-    assert G.rb.r2.on_basis(0, 1) == vec(2, 1)
+    assert solved == G
+    assert G.r2.on_basis(0, 1) == vec(2, 1)
 
     def grouped(x1, x2, x3):
-        t1 = G.linf.l2_01.apply(G.rb.r0.apply(x1), G.rb.r2.apply(x2, x3))
-        t2 = G.rb.r2.apply(x3, vsub(G.linf.l2_00.apply(G.rb.r0.apply(x1), x2),
-                                    G.linf.l2_00.apply(G.rb.r0.apply(x2), x1)))
-        t3 = G.rb.r1.apply(vneg(G.linf.l2_01.apply(x1, G.rb.r2.apply(x2, x3))))
+        t1 = G.linf.l2_01.apply(G.r0.apply(x1), G.r2.apply(x2, x3))
+        t2 = G.r2.apply(x3, vsub(G.linf.l2_00.apply(G.r0.apply(x1), x2),
+                                    G.linf.l2_00.apply(G.r0.apply(x2), x1)))
+        t3 = G.r1.apply(vneg(G.linf.l2_01.apply(x1, G.r2.apply(x2, x3))))
         return [t1, t2, t3]
 
     live = 0
@@ -289,7 +324,7 @@ def test_rbh3_interpretation_identity_hom_consistent():
     condition reduce to the corrector tensor for the identity hom, so the
     residual vanishes even when R2 is nonzero."""
     G = sl2_cocycle_rb(1)
-    assert not G.rb.r2.is_zero()
+    assert not G.r2.is_zero()
     f = identity_rb_hom(G)
     assert run_checks(hom_checks(f.hom) + rb_hom_checks(f)).ok
 
@@ -326,7 +361,7 @@ def test_h3_signs_pinned_by_module_two_cocycle():
     F = solv4_cocycle_phi2_hom()
     assert run_checks(hom_checks(F.hom) + rb_hom_checks(F)).ok
     src = F.source.linf
-    p2 = F.hom.phi2.apply
+    p2 = F.phi2.apply
     x, y, z = vbasis(4, 0), vbasis(4, 2), vbasis(4, 3)
     assert src.l2_01.apply(x, p2(y, z)) == vec(2)
     assert p2(src.l2_00.apply(x, y), z) == vec(1)

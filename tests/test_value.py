@@ -18,7 +18,7 @@ from rblie.report import Violation
 from rblie.search import SearchSpec
 from rblie.serialize import TENSOR, TensorCodec, get_at, load, put_at
 from rblie.tensors import BilinearMap, LinearMap, from_cells
-from rblie.twoterm import (LInfinityHom, RBLInfinityHom, TwoTermComplex, TwoTermLInfinity,
+from rblie.twoterm import (LInfinityHom, RBLInfinityHom, TwoTermLInfinity,
                            TwoTermRBLInfinity, two_term, with_operators)
 from rblie.value import Value, replace
 
@@ -153,11 +153,10 @@ SHAPED = (
     ("sl2-rb-tri", "", RotaBaxterLieAlgebra, ("r",), ()),
     ("aff1-ideal-cm-neg-prelie", "p0", PreLieAlgebra, ("mult",), ()),
     ("aff1-adjoint-rep", "", RBRepresentation, ("act", "cal_r"), ("act",)),
-    ("sl2-cocycle-rb2-nonstrict", "linf.complex", TwoTermComplex, ("l1",), ()),
-    ("sl2-cocycle-rb2-nonstrict", "linf", TwoTermLInfinity, ("l2_00", "l2_01", "l3"), ()),
-    ("sl2-cocycle-rb2-nonstrict", "", TwoTermRBLInfinity, ("rb.r0", "rb.r1", "rb.r2"), ()),
+    ("sl2-cocycle-rb2-nonstrict", "linf", TwoTermLInfinity, ("l1", "l2_00", "l2_01", "l3"), ()),
+    ("sl2-cocycle-rb2-nonstrict", "", TwoTermRBLInfinity, ("r0", "r1", "r2"), ()),
     ("aff1-phi3-hom", "hom", LInfinityHom, ("phi0", "phi1", "phi2"), ()),
-    ("aff1-phi3-hom", "", RBLInfinityHom, ("phi3",), ()),
+    ("aff1-phi3-hom", "", RBLInfinityHom, ("phi0", "phi1", "phi2", "phi3"), ()),
     ("aff1-ideal-cm-lie", "", LieCrossedModule, ("d", "act"), ("act",)),
     ("heis3-center-cm", "", RBLieCrossedModule, ("t0", "t1"), ()),
     ("aff1-ideal-cm-neg-prelie", "", PreLieCrossedModule, ("delta", "left", "right"),
@@ -194,12 +193,20 @@ def test_each_structure_rejects_a_map_of_the_wrong_shape(doc, at, cls, maps, act
             put_at(obj, path, value)
 
 
-def test_rb_hom_endpoints_must_be_those_of_its_homomorphism():
+def test_an_rb_hom_endpoint_of_other_dimensions_is_a_shape_mismatch():
+    """An operator homomorphism holds its endpoints once: its underlying
+    homomorphism is read off them, so any endpoint of the dimensions its
+    maps have is taken, and one of other dimensions is a `ShapeMismatch`
+    naming the first map that does not fit it."""
     f = load(ROOT / "catalog" / "aff1-phi3-hom.json")
     for end in ("source", "target"):
         linf = get_at(f, end).linf
-        with pytest.raises(ShapeMismatch, match="endpoints disagree"):
-            replace(f, **{end: with_operators(two_term(linf.dim0, linf.dim1))})
+        other = with_operators(two_term(linf.dim0, linf.dim1))
+        assert getattr(replace(f, **{end: other}).hom, end) == other.linf
+        for dims, name in (((linf.dim0 + 1, linf.dim1), "phi0"),
+                           ((linf.dim0, linf.dim1 + 1), "phi1")):
+            with pytest.raises(ShapeMismatch, match=rf"^{name} is not a \d+x\d+ map$"):
+                replace(f, **{end: with_operators(two_term(*dims))})
 
 
 def test_violations_keep_their_order():
